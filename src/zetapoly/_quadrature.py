@@ -4,17 +4,27 @@ Cells are dyadic sub-boxes of the unit cube with exact rational corners;
 each cell carries an embedded error estimate (high-order rule minus a
 lower-order rule on the same cell).  Accumulation order is fixed so results
 are bit-reproducible at a given precision.
+
+Integrands are evaluated on tensor grids, not point by point: an integrand
+takes one list of coordinates per axis and returns its values at every point
+of their product, in row-major order (last axis fastest).  A cell's rule is
+fed to the integrand in slabs over the last two axes: for dim >= 3 the
+leading axes are fixed one node at a time and passed as one-element lists,
+so no call sees more than order**2 points.  ``pointwise`` adapts a function
+of one point to this protocol.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
-from .errors import QuadratureDidNotConverge
+from .errors import PrecisionUnreachable, QuadratureDidNotConverge
 from .exactnum import mpf_from_rational
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
@@ -54,7 +64,34 @@ def gauss_legendre_01(order: int) -> tuple[list[mpf], list[mpf]]:
     return pair
 
 
-Integrand = Callable[[Sequence[mpf]], mpf]
+# f(axes) -> values at every point of the product of axes, last axis fastest.
+Integrand = Callable[[Sequence[Sequence[mpf]]], Sequence[mpf]]
+
+
+def pointwise(f: Callable[[Sequence[mpf]], mpf]) -> Integrand:
+    """Adapt an integrand of one point to the grid protocol."""
+    return lambda axes: [f(pt) for pt in product(*axes)]
+
+
+def rounding_floor(prec: int) -> mpf:
+    """Relative rounding error charged per cell at `prec` bits.
+
+    Each cell's estimate includes absmass * rounding_floor(prec), so the
+    summed estimate never falls below rounding_floor(prec) * |total|.
+    """
+    return mpf(2) ** (6 - prec)
+
+
+def require_reachable(rel_tol: float, dps: int) -> None:
+    """Raise PrecisionUnreachable if rel_tol is at or below the rounding
+    floor of a quadrature run at `dps` digits, where refinement cannot
+    converge."""
+    floor = rounding_floor(dps_to_prec(dps))
+    if rel_tol <= floor:
+        raise PrecisionUnreachable(
+            f"rel_tol {rel_tol:g} is at or below the rounding floor "
+            f"{mp.nstr(floor, 3)} of {dps}-digit quadrature; raise the precision"
+        )
 
 
 @dataclass
@@ -74,33 +111,34 @@ def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int) -> None:
     for w in width:
         vol *= w
 
+    lead = max(dim - 2, 0)
+
     def tensor(order: int) -> tuple[mpf, mpf]:
         nodes, weights = gauss_legendre_01(order)
+        xs = [[lo[j] + width[j] * x for x in nodes] for j in range(dim)]
+        # The bits of the result depend on these orders: weights are the
+        # products vol * w[i0] * w[i1] * ... taken left to right, and points
+        # are summed in row-major order.
+        heads: list[tuple[tuple[int, ...], mpf]] = [((), vol)]
+        for _ in range(lead):
+            heads = [(idx + (i,), w * wi) for idx, w in heads
+                     for i, wi in enumerate(weights)]
         total = mpf(0)
         absmass = mpf(0)
-        idx = [0] * dim
-        while True:
-            pt = [lo[j] + width[j] * nodes[idx[j]] for j in range(dim)]
-            w = vol
-            for j in range(dim):
-                w *= weights[idx[j]]
-            fv = f(pt)
-            total += w * fv
-            absmass += abs(w * fv)
-            j = dim - 1
-            while j >= 0:
-                idx[j] += 1
-                if idx[j] < order:
-                    break
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                break
+        for idx, w_head in heads:
+            ws = [w_head]
+            for _ in range(dim - lead):
+                ws = [w * wi for w in ws for wi in weights]
+            axes = [[xs[j][i]] for j, i in enumerate(idx)] + xs[lead:]
+            for w, fv in zip(ws, f(axes)):
+                wf = w * fv
+                total += wf
+                absmass += abs(wf)
         return total, absmass
 
     hi_val, absmass = tensor(order_hi)
     lo_val, _ = tensor(order_lo)
-    round_floor = absmass * mpf(2) ** (6 - mp.prec)
+    round_floor = absmass * rounding_floor(mp.prec)
     cell.value = hi_val
     cell.est = abs(hi_val - lo_val) + round_floor
     cell.absmass = absmass
@@ -114,9 +152,15 @@ def integrate_unit_cube(
     max_subdivisions: int = 4000,
     order: int = 15,
 ) -> tuple[mpf, mpf]:
-    """Integrate f over [0,1]^dim; returns (value, absolute error bound)."""
+    """Integrate f over [0,1]^dim; returns (value, absolute error bound).
+
+    f follows the grid protocol of this module: it is called with one list
+    of coordinates per axis and returns its values on their product in
+    row-major order.  For dim >= 3 each call covers one slab, the leading
+    axes fixed at one node each and the last two axes at all nodes.
+    """
     if dim == 0:
-        v = f(())
+        (v,) = f([])
         return v, abs(v) * mpf(2) ** (4 - mp.prec)
     order_lo = max(3, (order + 1) // 2)
     root = _Cell(lo=(Fraction(0),) * dim, hi=(Fraction(1),) * dim)
@@ -161,14 +205,16 @@ def integrate_unit_cube(
     for c in cells:
         value += c.value
         err += c.est
-    err += abs(value) * mpf(2) ** (6 - mp.prec) * len(cells)
+    err += abs(value) * rounding_floor(mp.prec) * len(cells)
     return value, err
 
 
 def integrate_interval_fixed(
     f: Callable[[mpf], mpf], a: Fraction, b: Fraction, order: int = 15
 ) -> tuple[mpf, mpf]:
-    """Single-panel Gauss-Legendre on [a, b] with an embedded estimate."""
+    """Single-panel Gauss-Legendre on [a, b] with an embedded estimate;
+    f takes one point."""
     cell = _Cell(lo=(Fraction(a),), hi=(Fraction(b),))
-    _eval_cell(lambda pt: f(pt[0]), cell, order, max(3, (order + 1) // 2))
+    _eval_cell(lambda axes: [f(x) for x in axes[0]], cell, order,
+               max(3, (order + 1) // 2))
     return cell.value, cell.est

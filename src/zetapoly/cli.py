@@ -75,9 +75,6 @@ def _add_common(sp):
     sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
     sp.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-30)
     sp.add_argument("--pretty", action="store_true", help="indented JSON output")
-    sp.add_argument("--parallelism", type=int,
-                    default=int(os.environ.get("ZETAPOLY_PARALLELISM", "0")),
-                    help="worker hint; evaluation is deterministic regardless")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from mpmath import mp, mpf
 
@@ -33,6 +33,11 @@ def rat_to_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def point_to_str(pt) -> str:
+    """A point of rationals as "(a, b/c, ...)"."""
+    return "(" + ", ".join(rat_to_str(x) for x in pt) + ")"
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -200,10 +205,6 @@ class Numeric:
         v = mpf_from_rational(x)
         return Numeric(v, _round_err(v))
 
-    @staticmethod
-    def exact_zero() -> "Numeric":
-        return Numeric(mpf(0), mpf(0))
-
     def __add__(self, other: "Numeric") -> "Numeric":
         with mp.extradps(5):
             v = self.value + other.value
@@ -267,13 +268,6 @@ class Numeric:
             "value": mp.nstr(self.value, ndigits),
             "err": mp.nstr(self.err, 5, min_fixed=1, max_fixed=0),
         }
-
-
-def numeric_sum(items: Iterable[Numeric]) -> Numeric:
-    acc = Numeric.exact_zero()
-    for it in items:
-        acc = acc + it
-    return acc
 
 
 # -----------------------------------------------------------------------------

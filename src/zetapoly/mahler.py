@@ -16,9 +16,9 @@ from typing import Sequence
 
 from mpmath import mp
 
-from ._quadrature import integrate_unit_cube
+from ._quadrature import integrate_unit_cube, require_reachable
 from .errors import NotElliptic, NotHomogeneous, PositivityUnverified
-from .exactnum import Numeric, SpecialValue, bernoulli_tilde
+from .exactnum import Numeric, SpecialValue, bernoulli_tilde, point_to_str
 from .multipoly import (
     MPoly,
     MultiIndex,
@@ -41,6 +41,8 @@ class QuadratureSettings:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        # Quadrature runs at precision + 10 digits (see _integrate_face).
+        require_reachable(self.rel_tol, self.precision + 10)
 
 
 DEFAULT_QS = QuadratureSettings()
@@ -230,16 +232,13 @@ def _integrate_face(
         return cache[key]
     with mp.workdps(qs.precision + 10):
         if expo >= 0:
-            poly = (Pf**expo) * numer
-
-            def f(pt):
-                return poly.eval_mp(pt)
-
+            f = ((Pf**expo) * numer).eval_grid
         else:
             k = -expo
 
-            def f(pt):
-                return numer.eval_mp(pt) / Pf.eval_mp(pt) ** k
+            def f(axes):
+                return [v / den**k for v, den in
+                        zip(numer.eval_grid(axes), Pf.eval_grid(axes))]
 
         val, err = integrate_unit_cube(
             f,
@@ -284,7 +283,9 @@ def period_K(
     st, wit = _face_positivity(P, i)
     flags: tuple[str, ...] = ()
     if st == "violated":
-        raise NotElliptic(f"face {i} is not positive on the unit cube: P <= 0 at {wit}")
+        raise NotElliptic(
+            f"face {i} is not positive on the unit cube: P <= 0 at {point_to_str(wit)}"
+        )
     if st == "sampled_only":
         if require_certified:
             raise PositivityUnverified(
@@ -334,7 +335,7 @@ def _check_P(P: MPoly) -> tuple[int, tuple[str, ...]]:
         raise NotHomogeneous("P must be homogeneous of degree >= 1")
     st, wit, i = certify_elliptic(P)
     if st == "violated":
-        raise NotElliptic(f"face {i} non-positive at {wit}")
+        raise NotElliptic(f"face {i} non-positive at {point_to_str(wit)}")
     flags = ("positivity_unverified",) if st == "sampled_only" else ()
     return d, flags
 

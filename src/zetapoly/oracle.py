@@ -14,7 +14,7 @@ from typing import Sequence
 
 from mpmath import mp, mpf
 
-from ._quadrature import integrate_interval_fixed, integrate_unit_cube
+from ._quadrature import integrate_interval_fixed, integrate_unit_cube, pointwise
 from .errors import (
     ContinuationDepthInsufficient,
     DomainViolation,
@@ -235,7 +235,7 @@ def _em_direct(a, b, d, s, settings: EMSettings) -> Numeric:
         )
 
     ival, ierr = integrate_unit_cube(
-        g, 1, rel_tol=settings.quad.rel_tol, abs_tol=float(tol) * 1e-4,
+        pointwise(g), 1, rel_tol=settings.quad.rel_tol, abs_tol=float(tol) * 1e-4,
         max_subdivisions=settings.quad.max_subdivisions, order=settings.quad.rule,
     )
     total = partial + M0f * ival

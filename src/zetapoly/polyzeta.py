@@ -15,9 +15,9 @@ from typing import Sequence
 
 from mpmath import mp, mpf
 
-from ._quadrature import integrate_unit_cube
+from ._quadrature import integrate_unit_cube, pointwise
 from .errors import HypothesisViolated, NotDiagonal, NotElliptic
-from .exactnum import Numeric, SpecialValue, bernoulli_tilde
+from .exactnum import Numeric, SpecialValue, bernoulli_tilde, point_to_str
 from .mahler import (
     DEFAULT_QS,
     QuadratureSettings,
@@ -101,7 +101,7 @@ def build_family(polys: Sequence[MPoly], seed: int = 0) -> PolyFamily:
         raise HypothesisViolated("P_n must be homogeneous of degree >= 1")
     st, wit, i = certify_elliptic(last)
     if st == "violated":
-        raise NotElliptic(f"face {i} of P_n non-positive at {wit}")
+        raise NotElliptic(f"face {i} of P_n non-positive at {point_to_str(wit)}")
     if st == "sampled_only":
         flags.append("ellipticity_unverified")
     return PolyFamily(
@@ -180,7 +180,7 @@ def G_factor(
             return acc
 
         val, err = integrate_unit_cube(
-            f,
+            pointwise(f),
             dim,
             rel_tol=qs.rel_tol,
             abs_tol=qs.abs_tol,

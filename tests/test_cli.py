@@ -1,6 +1,7 @@
 """Command-line interface: output schema, determinism, exit codes."""
 import io
 import json
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -115,6 +116,21 @@ class TestMahler:
         code, out = run_cli(["mahler", "--P", str(pfile), "--N", "0",
                              "--precision", "25"])
         assert code == 0
+
+
+    def test_unreachable_precision_fails_fast(self):
+        t0 = time.perf_counter()
+        code, out = run_cli(["mahler", "--P", "x1 + x2", "--precision", "0"])
+        assert time.perf_counter() - t0 < 5
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "PrecisionUnreachable"
+
+    def test_not_elliptic_witness_rendered(self):
+        code, out = run_cli(["mahler", "--P", "x1 - x2"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "NotElliptic"
+        assert "at (0)" in err["message"] and "Fraction(" not in err["message"]
 
 
 class TestPeriod:

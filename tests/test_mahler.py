@@ -10,6 +10,7 @@ from zetapoly import (
     MPoly,
     NotElliptic,
     NotHomogeneous,
+    PrecisionUnreachable,
     QuadratureSettings,
     Y_expansion,
     Y_value,
@@ -207,6 +208,17 @@ class TestZValue:
         with pytest.raises(NotElliptic):
             Z_value(P("x1^2 - 3 x1 x2 + x2^2", 2), MPoly.one(2), 0)
 
+    def test_not_elliptic_names_the_point(self):
+        for call in (
+            lambda: Z_value(P("x1 - x2", 2), MPoly.one(2), 0),
+            lambda: period_K(P("x1 - x2", 2), MPoly.one(2), 0, (2,),
+                             CompositionFamily(n=2, u=((2, 0),)), (0, 0), 2),
+        ):
+            with pytest.raises(NotElliptic) as exc:
+                call()
+            assert "at (0)" in str(exc.value)
+            assert "Fraction(" not in str(exc.value)
+
     def test_convergence_abscissa(self):
         assert convergence_abscissa(P("x1^3 + x2^3", 2), MPoly.one(2)) == F(2, 3)
         assert convergence_abscissa(P("x1 + x2", 2), P("x1^2", 2)) == 4
@@ -317,6 +329,64 @@ class TestUnverifiedPositivity:
         with pytest.raises(PositivityUnverified):
             period_K(self._hard_poly(), MPoly.one(2), 0, (2,), u, (0, 0), 2,
                      QS_FAST, require_certified=True)
+
+
+class TestQuadratureSettings:
+    def test_unreachable_tolerance_fails_fast(self):
+        # precision 0 integrates at 10 digits (37 bits): the rounding floor
+        # 2^-31 = 4.66e-10 charged per cell caps the reachable rel_tol.
+        with pytest.raises(PrecisionUnreachable):
+            QuadratureSettings(rel_tol=1e-12, precision=0)
+        with pytest.raises(PrecisionUnreachable):
+            QuadratureSettings(rel_tol=2.0**-31, precision=0)
+        QuadratureSettings(rel_tol=1e-9, precision=0)
+
+
+class TestFaceQuadratureBitIdentity:
+    """(value._mpf_, err._mpf_) recorded from the point-by-point integrand
+    (one MPoly.eval_mp call per node); the grid kernel must reproduce them
+    bit for bit.  Z_value's buckets always have expo = N - |alpha| < 0, so
+    the expo >= 0 branch is pinned through period_K."""
+
+    QS20 = QuadratureSettings(rel_tol=1e-8, precision=20)
+
+    @staticmethod
+    def _bits(v):
+        assert v.kind == "numeric"
+        return v.num.value._mpf_, v.num.err._mpf_
+
+    def test_Z_value_2d_faces(self):
+        v = Z_value(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + 2 x3", 3), 1,
+                    self.QS20)
+        assert self._bits(v) == (
+            (0, 27198223519959375232844046779589, -111, 105),
+            (0, 910487587474864940796605594099920533, -149, 120),
+        )
+
+    def test_Z_value_3d_faces(self):
+        v = Z_value(P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,
+                    QuadratureSettings(rel_tol=1e-6, precision=20))
+        assert self._bits(v) == (
+            (0, 5070602400912917683293321795835, -106, 103),
+            (0, 31146344603117668978993604669324955, -143, 115),
+        )
+
+    def test_period_2d_face_nonnegative_exponent(self):
+        # N = 2, |alpha| = 1: the integrand is the polynomial Pf * numer.
+        v = period_K(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + x2", 3), 2,
+                     (1, 0), ((1, 0, 0), (0,) * 6), (0, 0, 0), 3, self.QS20)
+        assert self._bits(v) == (
+            (0, 5493152600988994073152380556627, -100, 103),
+            (0, 5810065251046051423526556357971, -196, 103),
+        )
+
+    def test_period_3d_face_nonnegative_exponent(self):
+        v = period_K(P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 1,
+                     (1, 0), ((1, 0, 0, 0), (0,) * 10), (0, 0, 0, 0), 4, self.QS20)
+        assert self._bits(v) == (
+            (0, 10141204801825835211973625642947, -102, 103),
+            (0, 3901987003827518626482039554033, -196, 102),
+        )
 
 
 class TestDiagonalCubicFourfold:

@@ -1,9 +1,11 @@
 """Sparse polynomials: calculus, faces, Taylor data, positivity checks."""
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from zetapoly import (
     CompositionMismatch,
@@ -16,6 +18,7 @@ from zetapoly import (
     positivity_check,
     taylor_H,
 )
+from zetapoly.exactnum import mpf_from_rational
 from zetapoly.multipoly import bernstein_positive, multiindices_of_weight
 
 
@@ -69,6 +72,34 @@ class TestDerivative:
     def test_commutes(self, p, g1, g2):
         total = tuple(a + b for a, b in zip(g1, g2))
         assert p.derivative(g1).derivative(g2) == p.derivative(total)
+
+
+class TestEvalGrid:
+    """eval_grid is a faster eval_mp over a tensor grid, not an approximation."""
+
+    grid_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
+        small_polys(n, max_terms=6, max_deg=3),
+        st.lists(
+            st.lists(st.fractions(min_value=F(-2), max_value=F(2),
+                                  max_denominator=1000), min_size=1, max_size=3),
+            min_size=n, max_size=n),
+    ))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_cases, st.sampled_from([20, 50]))
+    def test_bit_identical_to_eval_mp(self, case, dps):
+        p, coords = case
+        with mp.workdps(dps):
+            axes = [[mpf_from_rational(x) for x in ax] for ax in coords]
+            grid = p.eval_grid(axes)
+            points = list(product(*axes))
+            assert len(grid) == len(points)
+            for v, pt in zip(grid, points):
+                assert v._mpf_ == p.eval_mp(pt)._mpf_
+
+    def test_wrong_axis_count(self):
+        with pytest.raises(DimensionMismatch):
+            P("x1 + x2", 2).eval_grid([[mp.mpf(1)]])
 
 
 class TestShift:
