@@ -3,8 +3,9 @@
 Subcommands: powersum | directional | mahler | period | polyzeta |
 bernoulli-id | oracle | selftest.  All results are JSON on stdout with a
 versioned schema; identical inputs and configuration produce byte-identical
-output.  Usage errors exit 2, computation errors exit 1 with a structured
-message.
+output.  Errors argparse rejects (unknown flags, missing options) exit 2;
+every other error, values that do not parse included, exits 1 with a
+structured message.
 """
 from __future__ import annotations
 
@@ -19,7 +20,15 @@ from mpmath import mp
 from . import identities, selftest
 from .errors import ZetaPolyError
 from .exactnum import SpecialValue, rat_to_str
-from .mahler import CompositionFamily, QuadratureSettings, Z_value, delta_multiindices, period_K
+from .mahler import (
+    CompositionFamily,
+    QuadratureSettings,
+    Z_breakdown,
+    Z_value,
+    ZBucket,
+    delta_multiindices,
+    period_K,
+)
 from .multipoly import MPoly
 from .oracle import EMSettings, powersum2_numeric, zeta1_numeric
 from .polyzeta import build_family, diagonal_value, zeta_P_at
@@ -120,16 +129,27 @@ def cmd_directional(args) -> dict:
     return cmd_powersum(args)
 
 
+def _bucket_json(b: ZBucket, precision: int) -> dict:
+    out = {"component": b.component, "i": b.i, "beta": list(b.beta), "alpha": list(b.alpha)}
+    if b.value.kind == "exact":
+        out["exact"] = str(b.value.exact)
+    else:
+        with mp.workdps(precision):
+            out["value"] = mp.nstr(b.value.num.value, 20)
+            out["err"] = mp.nstr(b.value.num.err, 5)
+    return out
+
+
 def cmd_mahler(args) -> dict:
     P = _load_poly(args.P)
     Q = _load_poly(args.Q, P.nvars) if args.Q else MPoly.one(P.nvars)
     qs = _qs(args)
-    if args.terms:
-        val, terms = Z_value(P, Q, args.N, qs, collect_terms=True)
-        out = val.to_json(args.precision // 2 + 5)
-        out["terms"] = terms
-        return out
-    return Z_value(P, Q, args.N, qs).to_json(args.precision // 2 + 5)
+    if not args.terms:
+        return Z_value(P, Q, args.N, qs).to_json(args.precision // 2 + 5)
+    val, buckets = Z_breakdown(P, Q, args.N, qs)
+    out = val.to_json(args.precision // 2 + 5)
+    out["terms"] = [_bucket_json(b, qs.precision) for b in buckets]
+    return out
 
 
 def cmd_period(args) -> dict:
@@ -301,10 +321,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.cmd == "selftest":
-        results = selftest.run_all(verbose=True)
-        bad = [r for r in results if not r.passed]
-        print(f"{len(results) - len(bad)}/{len(results)} acceptance criteria passed")
-        return 1 if bad else 0
+        return selftest.main()
     try:
         out = args.fn(args)
     except (ZetaPolyError, ValueError, OSError, KeyError) as exc:

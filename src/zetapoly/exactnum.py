@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from mpmath import mp, mpf
 
@@ -89,6 +89,16 @@ def bernoulli_tilde(k: int) -> Fraction:
     """Modified Bernoulli number: (-1)^k B_k, i.e. B_1 flipped to +1/2."""
     b = bernoulli(k)
     return -b if k % 2 == 1 else b
+
+
+def bernoulli_tilde_product(m: Iterable[int]) -> Fraction:
+    """prod_i bernoulli_tilde(m_i), stopping at the first zero factor."""
+    w = Fraction(1)
+    for mi in m:
+        w *= bernoulli_tilde(mi)
+        if w == 0:
+            break
+    return w
 
 
 def bernoulli_poly(k: int) -> list[Fraction]:

@@ -18,15 +18,17 @@ from mpmath import mp
 
 from ._quadrature import integrate_unit_cube, require_reachable
 from .errors import NotElliptic, NotHomogeneous, PositivityUnverified
-from .exactnum import Numeric, SpecialValue, bernoulli_tilde, point_to_str
+from .exactnum import Numeric, SpecialValue, bernoulli_tilde_product, point_to_str
 from .multipoly import (
     MPoly,
     MultiIndex,
     bernstein_positive,
     build_P_alpha_u,
+    composition_tuples,
     mi_factorial,
     multiindices_of_weight,
     multiindices_up_to_weight,
+    weighted_partitions,
 )
 
 
@@ -60,40 +62,7 @@ def delta_multiindices(k: int, n: int) -> tuple[MultiIndex, ...]:
 
 def index_I(N: int, beta: Sequence[int], d: int, q: int, n: int) -> list[MultiIndex]:
     """All alpha in N_0^d with sum_k k*alpha_k = d*N + q + n - |beta|."""
-    target = d * N + q + n - sum(beta)
-    if target < 0:
-        return []
-    out: list[MultiIndex] = []
-
-    def rec(prefix: tuple[int, ...], rest: int, k: int):
-        if k == d:
-            if rest % d == 0:
-                out.append(prefix + (rest // d,))
-            return
-        for a in range(rest // k + 1):
-            rec(prefix + (a,), rest - k * a, k + 1)
-
-    if d == 0:
-        return []
-    rec((), target, 1)
-    return sorted(out)
-
-
-def compositions_of(total: int, slots: int) -> list[tuple[int, ...]]:
-    """All tuples of non-negative integers of given length summing to total."""
-    if slots == 0:
-        return [()] if total == 0 else []
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, rest, left):
-        if left == 1:
-            out.append(prefix + (rest,))
-            return
-        for v in range(rest + 1):
-            rec(prefix + (v,), rest - v, left - 1)
-
-    rec((), total, slots)
-    return out
+    return weighted_partitions(d * N + q + n - sum(beta), d)
 
 
 @dataclass(frozen=True)
@@ -132,56 +101,15 @@ class CompositionFamily:
         return out
 
 
-def enumerate_V(alpha: Sequence[int], n: int) -> list[CompositionFamily]:
-    """All composition families with |u_k| = alpha_k for each k."""
-    alpha = tuple(int(a) for a in alpha)
-    choices: list[list[tuple[int, ...]]] = []
-    for k, ak in enumerate(alpha, start=1):
-        slots = len(delta_multiindices(k, n))
-        choices.append(compositions_of(ak, slots))
-    out: list[CompositionFamily] = []
-
-    def rec(prefix: tuple, level: int):
-        if level == len(choices):
-            out.append(CompositionFamily(n=n, u=prefix))
-            return
-        for c in choices[level]:
-            rec(prefix + (c,), level + 1)
-
-    rec((), 0)
-    return out
-
-
-def _enumerate_V_support(
-    alpha: Sequence[int], n: int, support: list[list[int]]
+def enumerate_V(
+    alpha: Sequence[int], n: int, support: Sequence[Sequence[int]] | None = None
 ) -> list[CompositionFamily]:
-    """Families restricted to positions where the derivative is nonzero."""
+    """All composition families with |u_k| = alpha_k for each k; with a
+    support, u_k is zero outside the positions support[k - 1] (those where
+    the derivative of P is nonzero)."""
     alpha = tuple(int(a) for a in alpha)
-    per_k: list[list[tuple[int, ...]]] = []
-    for k, ak in enumerate(alpha, start=1):
-        slots = len(delta_multiindices(k, n))
-        sup = support[k - 1]
-        if ak and not sup:
-            return []
-        packed = compositions_of(ak, len(sup)) if ak else [(0,) * len(sup)]
-        expanded = []
-        for comp in packed:
-            full = [0] * slots
-            for pos, v in zip(sup, comp):
-                full[pos] = v
-            expanded.append(tuple(full))
-        per_k.append(expanded)
-    out: list[CompositionFamily] = []
-
-    def rec(prefix: tuple, level: int):
-        if level == len(per_k):
-            out.append(CompositionFamily(n=n, u=prefix))
-            return
-        for c in per_k[level]:
-            rec(prefix + (c,), level + 1)
-
-    rec((), 0)
-    return out
+    slots = [len(delta_multiindices(k, n)) for k in range(1, len(alpha) + 1)]
+    return [CompositionFamily(n=n, u=u) for u in composition_tuples(alpha, slots, support)]
 
 
 def g_vector(u: CompositionFamily) -> MultiIndex:
@@ -254,6 +182,23 @@ def _integrate_face(
     return out
 
 
+def _face_term(
+    P: MPoly,
+    i: int,
+    numer: MPoly,
+    expo: int,
+    qs: QuadratureSettings,
+    cache: dict | None = None,
+    abs_tol: float | None = None,
+) -> SpecialValue:
+    """Integral over face i of P(face_i)^expo * numer: exact for one
+    variable (the integrand is a constant), a bounded Numeric otherwise."""
+    Pf = P.face(i)
+    if P.nvars == 1:
+        return SpecialValue.make_exact(Pf.constant_value() ** expo * numer.constant_value())
+    return SpecialValue.make_numeric(_integrate_face(Pf, numer, expo, qs, cache, abs_tol))
+
+
 def period_K(
     P: MPoly,
     Q: MPoly,
@@ -277,7 +222,6 @@ def period_K(
     """
     if not isinstance(u, CompositionFamily):
         u = CompositionFamily(n=P.nvars, u=tuple(tuple(x) for x in u))
-    n = P.nvars
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
     st, wit = _face_positivity(P, i)
@@ -292,19 +236,10 @@ def period_K(
                 f"face {i} positivity not certified within the subdivision depth"
             )
         flags = ("positivity_unverified",)
-    Pi_u = build_P_alpha_u(P, i, alpha, u.u)
-    Pf = P.face(i)
-    dQf = Q.derivative(beta).face(i)
-    expo = N - sum(alpha)
-    if n == 1:
-        base = Pf.constant_value()
-        val = base**expo * Pi_u.constant_value() * dQf.constant_value()
-        return SpecialValue.make_exact(val, flags=flags)
-    numer = Pi_u * dQf
+    numer = build_P_alpha_u(P, i, alpha, u.u) * Q.derivative(beta).face(i)
     if numer.is_zero():
         return SpecialValue.make_exact(Fraction(0), flags=flags)
-    num = _integrate_face(Pf, numer, expo, qs)
-    return SpecialValue.make_numeric(num, flags=flags)
+    return _face_term(P, i, numer, N - sum(alpha), qs).with_flags(flags)
 
 
 def convergence_abscissa(P: MPoly, Q: MPoly) -> Fraction:
@@ -329,7 +264,9 @@ def _derivative_support(P: MPoly, d: int) -> list[list[int]]:
     return out
 
 
-def _check_P(P: MPoly) -> tuple[int, tuple[str, ...]]:
+def _check_P(P: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
+    if N < 0:
+        raise ValueError("N must be a non-negative integer")
     ok, d = P.is_homogeneous()
     if not ok or d < 1 or P.is_zero():
         raise NotHomogeneous("P must be homogeneous of degree >= 1")
@@ -340,26 +277,16 @@ def _check_P(P: MPoly) -> tuple[int, tuple[str, ...]]:
     return d, flags
 
 
-def Z_value(
-    P: MPoly,
-    Q: MPoly,
-    N: int,
-    qs: QuadratureSettings = DEFAULT_QS,
-    collect_terms: bool = False,
-):
-    """Value of the Dirichlet series sum_m Q(m) P(m)^{-s} at s = -N.
+def _mahler_terms(P: MPoly, Q: MPoly, N: int, d: int):
+    """The terms of the triple sum behind Z(P, Q; -N) and its expansion in
+    powers of (1 + a), in the order (component, beta, alpha, u).
 
-    Q is decomposed into homogeneous components (the value is linear in Q);
-    each component contributes a triple sum over derivative orders beta,
-    weighted index vectors alpha and composition families u, with face-period
-    integrals and a product of modified Bernoulli numbers per term.
+    Yields (ci, beta, dQc, alpha, c_ab, u, m): dQc is d^beta of the ci-th
+    homogeneous component of Q, c_ab the weight of (alpha, beta), u a
+    composition family over alpha supported where the derivatives of P are
+    nonzero, and m = g(u) + beta its Bernoulli (or basis) exponent.
     """
-    if N < 0:
-        raise ValueError("N must be a non-negative integer")
-    d, flags = _check_P(P)
     n = P.nvars
-    exact_acc = Fraction(0)
-    buckets: dict[tuple, dict] = {}
     support = _derivative_support(P, d)
     for ci, (q, Qc) in enumerate(Q.homogeneous_components()):
         for beta in multiindices_up_to_weight(q, n):
@@ -373,79 +300,79 @@ def Z_value(
                     * factorial(N),
                     d * mi_factorial(alpha) * mi_factorial(beta),
                 )
-                for u in _enumerate_V_support(alpha, n, support):
-                    g = u.g_vector()
-                    if sum(g) + sum(beta) != d * N + q + n:
+                for u in enumerate_V(alpha, n, support):
+                    m = tuple(gi + bi for gi, bi in zip(u.g_vector(), beta))
+                    if sum(m) != d * N + q + n:
                         raise AssertionError("degree bookkeeping violated")
-                    bt = Fraction(1)
-                    for gi, bi in zip(g, beta):
-                        bt *= bernoulli_tilde(gi + bi)
-                        if bt == 0:
-                            break
-                    if bt == 0:
-                        continue
-                    w = c_ab * bt
-                    for i in range(1, n + 1):
-                        Pi_u = build_P_alpha_u(P, i, alpha, u.u)
-                        if Pi_u.is_zero():
-                            continue
-                        key = (ci, i, beta, alpha)
-                        slot = buckets.setdefault(
-                            key, {"numer": MPoly.zero(n - 1), "dQ": dQc}
-                        )
-                        slot["numer"] = slot["numer"] + Pi_u.scale(w)
+                    yield ci, beta, dQc, alpha, c_ab, u, m
+
+
+@dataclass(frozen=True)
+class ZBucket:
+    """The face-i period integral of every term of Z(P, Q; -N) with the same
+    Q-component, derivative order beta and index alpha."""
+
+    component: int
+    i: int
+    beta: MultiIndex
+    alpha: MultiIndex
+    value: SpecialValue
+
+
+def Z_breakdown(
+    P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
+) -> tuple[SpecialValue, list[ZBucket]]:
+    """Z(P, Q; -N) together with the evaluated buckets it is the sum of."""
+    d, flags = _check_P(P, N)
+    n = P.nvars
+    buckets: dict[tuple, tuple[MPoly, MPoly]] = {}
+    for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
+        bt = bernoulli_tilde_product(m)
+        if bt == 0:
+            continue
+        w = c_ab * bt
+        for i in range(1, n + 1):
+            Pi_u = build_P_alpha_u(P, i, alpha, u.u)
+            if Pi_u.is_zero():
+                continue
+            key = (ci, i, beta, alpha)
+            numer = buckets.get(key, (MPoly.zero(n - 1),))[0]
+            buckets[key] = (numer + Pi_u.scale(w), dQc)
     # Evaluate buckets in a fixed order.
-    num_parts: list[Numeric] = []
-    terms_out = []
-    cache: dict = {}
-    keys = sorted(buckets.keys())
-    live = [k for k in keys if not buckets[k]["numer"].is_zero()]
+    live = [k for k in sorted(buckets) if not buckets[k][0].is_zero()]
     per_bucket_abs = qs.abs_tol / max(1, len(live))
+    cache: dict = {}
+    evaluated: list[ZBucket] = []
     for key in live:
         ci, i, beta, alpha = key
-        slot = buckets[key]
-        dQf = slot["dQ"].face(i)
+        numer, dQc = buckets[key]
+        dQf = dQc.face(i)
         if dQf.is_zero():
             continue
-        Pf = P.face(i)
-        expo = N - sum(alpha)
-        if n == 1:
-            val = (
-                Pf.constant_value() ** expo
-                * slot["numer"].constant_value()
-                * dQf.constant_value()
-            )
-            exact_acc += val
-            if collect_terms:
-                terms_out.append(
-                    {"component": ci, "i": i, "beta": list(beta),
-                     "alpha": list(alpha), "exact": str(val)}
-                )
-        else:
-            numer = slot["numer"] * dQf
-            if numer.is_zero():
-                continue
-            num = _integrate_face(Pf, numer, expo, qs, cache=cache,
-                                  abs_tol=per_bucket_abs)
-            num_parts.append(num)
-            if collect_terms:
-                with mp.workdps(qs.precision):
-                    terms_out.append(
-                        {"component": ci, "i": i, "beta": list(beta),
-                         "alpha": list(alpha), "value": mp.nstr(num.value, 20),
-                         "err": mp.nstr(num.err, 5)}
-                    )
-    if not num_parts:
-        result = SpecialValue.make_exact(exact_acc, flags=flags)
-    else:
-        with mp.workdps(qs.precision + 10):
-            acc = Numeric.from_rational(exact_acc)
-            for p in num_parts:
-                acc = acc + p
-        result = SpecialValue.make_numeric(acc, flags=flags)
-    if collect_terms:
-        return result, terms_out
-    return result
+        v = _face_term(P, i, numer * dQf, N - sum(alpha), qs, cache, per_bucket_abs)
+        evaluated.append(ZBucket(ci, i, beta, alpha, v))
+    exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
+    parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
+    if not parts:
+        return SpecialValue.make_exact(exact, flags=flags), evaluated
+    with mp.workdps(qs.precision + 10):
+        acc = Numeric.from_rational(exact)
+        for p in parts:
+            acc = acc + p
+    return SpecialValue.make_numeric(acc, flags=flags), evaluated
+
+
+def Z_value(
+    P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
+) -> SpecialValue:
+    """Value of the Dirichlet series sum_m Q(m) P(m)^{-s} at s = -N.
+
+    Q is decomposed into homogeneous components (the value is linear in Q);
+    each component contributes a triple sum over derivative orders beta,
+    weighted index vectors alpha and composition families u, with face-period
+    integrals and a product of modified Bernoulli numbers per term.
+    """
+    return Z_breakdown(P, Q, N, qs)[0]
 
 
 # -----------------------------------------------------------------------------
@@ -472,57 +399,30 @@ def Y_expansion(
 ) -> YExpansion:
     """Expansion of the integral over [1,oo)^n of Q_a P_a^{-s} at s = -N in
     powers of (1 + a_i), computed from the same face-period data as Z."""
-    if N < 0:
-        raise ValueError("N must be a non-negative integer")
-    d, flags = _check_P(P)
+    d, flags = _check_P(P, N)
     n = P.nvars
+    # Per (component, beta, alpha): dQc, c_ab and the face sums of the
+    # products P^i_{alpha,u}, grouped by exponent m and face i.
+    blocks: dict[tuple, tuple[MPoly, Fraction, dict]] = {}
+    for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
+        for i in range(1, n + 1):
+            Pi_u = build_P_alpha_u(P, i, alpha, u.u)
+            if Pi_u.is_zero():
+                continue
+            groups = blocks.setdefault((ci, beta, alpha), (dQc, c_ab, {}))[2]
+            slot = groups.setdefault(m, {})
+            slot[i] = slot.get(i, MPoly.zero(n - 1)) + Pi_u
     expansion: dict[MultiIndex, SpecialValue] = {}
     cache: dict = {}
-    support = _derivative_support(P, d)
-    for ci, (q, Qc) in enumerate(Q.homogeneous_components()):
-        for beta in multiindices_up_to_weight(q, n):
-            dQc = Qc.derivative(beta)
-            if dQc.is_zero():
-                continue
-            for alpha in index_I(N, beta, d, q, n):
-                c_ab = Fraction(
-                    (-1) ** (sum(alpha) - N)
-                    * factorial(sum(alpha) - 1 - N)
-                    * factorial(N),
-                    d * mi_factorial(alpha) * mi_factorial(beta),
-                )
-                groups: dict[MultiIndex, dict[int, MPoly]] = {}
-                for u in _enumerate_V_support(alpha, n, support):
-                    g = u.g_vector()
-                    m = tuple(gi + bi for gi, bi in zip(g, beta))
-                    for i in range(1, n + 1):
-                        Pi_u = build_P_alpha_u(P, i, alpha, u.u)
-                        if Pi_u.is_zero():
-                            continue
-                        slot = groups.setdefault(m, {})
-                        slot[i] = slot.get(i, MPoly.zero(n - 1)) + Pi_u
-                for m in sorted(groups.keys()):
-                    total = SpecialValue.make_exact(Fraction(0))
-                    for i in sorted(groups[m].keys()):
-                        numer = groups[m][i] * dQc.face(i)
-                        if numer.is_zero():
-                            continue
-                        Pf = P.face(i)
-                        expo = N - sum(alpha)
-                        if n == 1:
-                            v = (
-                                Pf.constant_value() ** expo
-                                * numer.constant_value()
-                            )
-                            total = total + SpecialValue.make_exact(v)
-                        else:
-                            num = _integrate_face(Pf, numer, expo, qs, cache=cache)
-                            total = total + SpecialValue.make_numeric(num)
-                    total = total.scale(c_ab)
-                    if m in expansion:
-                        expansion[m] = expansion[m] + total
-                    else:
-                        expansion[m] = total
+    for (_, _, alpha), (dQc, c_ab, groups) in blocks.items():
+        for m in sorted(groups):
+            total = SpecialValue.make_exact(Fraction(0))
+            for i in sorted(groups[m]):
+                numer = groups[m][i] * dQc.face(i)
+                if not numer.is_zero():
+                    total = total + _face_term(P, i, numer, N - sum(alpha), qs, cache)
+            total = total.scale(c_ab)
+            expansion[m] = expansion[m] + total if m in expansion else total
     expansion = {
         m: v.with_flags(flags)
         for m, v in expansion.items()
@@ -557,12 +457,7 @@ def raabe_substitute(exp: YExpansion) -> SpecialValue:
     Bernoulli numbers; by construction this reproduces Z(P,Q;-N)."""
     total = SpecialValue.make_exact(Fraction(0))
     for m, coeff in exp.items_sorted():
-        w = Fraction(1)
-        for mi in m:
-            w *= bernoulli_tilde(mi)
-            if w == 0:
-                break
-        if w == 0:
-            continue
-        total = total + coeff.scale(w)
+        w = bernoulli_tilde_product(m)
+        if w != 0:
+            total = total + coeff.scale(w)
     return total

@@ -4,7 +4,9 @@ Provides the derived objects the value formulas need: partial derivatives,
 Taylor shifts, face restrictions (substituting 1 for one variable), the
 Taylor face coefficients H_k, the auxiliary face products built from a
 composition family, and hypothesis checks (homogeneity, face positivity
-via Bernstein certificates, a non-certifying boundedness heuristic).
+via Bernstein certificates, a non-certifying boundedness heuristic).  Also
+the index enumerators every value formula shares: multi-indices of a given
+weight, weighted partitions and products of per-weight compositions.
 """
 from __future__ import annotations
 
@@ -431,17 +433,54 @@ def multiindices_of_weight(k: int, n: int) -> list[MultiIndex]:
         if slots == 1:
             out.append(prefix + (rest,))
             return
-        for v in range(rest, -1, -1):
+        for v in range(rest + 1):
             rec(prefix + (v,), rest - v, slots - 1)
 
     rec((), k, n)
-    return sorted(out)
+    return out
 
 
 def multiindices_up_to_weight(k: int, n: int) -> list[MultiIndex]:
     out = []
     for w in range(k + 1):
         out.extend(multiindices_of_weight(w, n))
+    return out
+
+
+def weighted_partitions(t: int, d: int) -> list[MultiIndex]:
+    """All alpha in N_0^d with sum_k k*alpha_k = t, in lexicographic order."""
+    if t < 0 or d < 1:
+        return []
+    out: list[MultiIndex] = []
+
+    def rec(prefix, rest, k):
+        if k == d:
+            if rest % d == 0:
+                out.append(prefix + (rest // d,))
+            return
+        for a in range(rest // k + 1):
+            rec(prefix + (a,), rest - k * a, k + 1)
+
+    rec((), t, 1)
+    return out
+
+
+def composition_tuples(
+    totals: Sequence[int], slots: Sequence[int], support: Sequence[Sequence[int]] | None = None
+) -> list[tuple[MultiIndex, ...]]:
+    """All (c_1, ..., c_d) with c_k in N_0^{slots_k} and |c_k| = totals_k,
+    the first entry varying slowest.  With a support, c_k is zero outside
+    the positions support[k]."""
+    out: list[tuple[MultiIndex, ...]] = [()]
+    for k, (total, width) in enumerate(zip(totals, slots)):
+        pos = range(width) if support is None else support[k]
+        options = []
+        for comp in multiindices_of_weight(total, len(pos)):
+            full = [0] * width
+            for p, v in zip(pos, comp):
+                full[p] = v
+            options.append(tuple(full))
+        out = [prefix + (c,) for prefix in out for c in options]
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .exactnum import (
     mpf_from_rational,
 )
 from .mahler import QuadratureSettings
+from .multipoly import weighted_partitions
 from .powersum import PowerSumParams
 
 
@@ -59,13 +61,16 @@ def beta_integral(
         raise DomainViolation("need a > 0 and b > 0")
     if s * d <= 1:
         raise DomainViolation("need s > 1/d")
+    return _beta_gamma_form(a, b, d, s, precision)
+
+
+def _beta_gamma_form(a: Fraction, b: Fraction, d: int, s: Fraction, precision: int) -> Numeric:
+    """Gamma(s-1/d) Gamma(1/d) / (d a^{1/d} b^{s-1/d} Gamma(s))."""
     with mp.workdps(precision + 10):
         g1 = gamma_rational(s - Fraction(1, d), precision)
         g2 = gamma_rational(Fraction(1, d), precision)
         g3 = gamma_rational(s, precision)
-        num = g1 * g2
-        den = g3.scale(Fraction(d))
-        out = num.divide(den)
+        out = (g1 * g2).divide(g3.scale(Fraction(d)))
         out = out * _rational_power(a, Fraction(-1, d))
         out = out * _rational_power(b, Fraction(1, d) - s)
     return out
@@ -86,14 +91,7 @@ def _beta_term_continued(
         return out.scale(Fraction(1) / (a * (s - 1)))
     if s.denominator == 1 and s <= 0:
         return Numeric(mpf(0), mpf(0))
-    with mp.workdps(precision + 10):
-        g1 = gamma_rational(s - Fraction(1, d), precision)
-        g2 = gamma_rational(Fraction(1, d), precision)
-        g3 = gamma_rational(s, precision)
-        out = (g1 * g2).divide(g3.scale(Fraction(d)))
-        out = out * _rational_power(a, Fraction(-1, d))
-        out = out * _rational_power(b, Fraction(1, d) - s)
-    return out
+    return _beta_gamma_form(a, b, d, s, precision)
 
 
 def _rational_power(base: Fraction, expo: Fraction) -> Numeric:
@@ -109,21 +107,6 @@ def _rational_power(base: Fraction, expo: Fraction) -> Numeric:
     v = mp.power(bv, ev)
     err = abs(v) * (abs(ev) + 4) * mpf(2) ** (4 - mp.prec)
     return Numeric(v, err)
-
-
-def _alphas_weighted(total: int, d: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, rest, k):
-        if k == d:
-            if rest % d == 0:
-                out.append(prefix + (rest // d,))
-            return
-        for v in range(rest // k + 1):
-            rec(prefix + (v,), rest - k * v, k + 1)
-
-    rec((), total, 1)
-    return sorted(out)
 
 
 def f_derivative_at0(
@@ -148,9 +131,6 @@ def f_derivative_at0(
         return _rational_power(b, expo).scale(core)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=4096)
 def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
     """f^(order)(x) = order! * sum over weighted alpha of
@@ -159,7 +139,7 @@ def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
 
     Returns [(coeff, x_exponent, power_shift)] with power_shift = |alpha|."""
     out = []
-    for alpha in _alphas_weighted(order, d):
+    for alpha in weighted_partitions(order, d):
         aa = sum(alpha)
         c = binom_rational(-s, aa) * Fraction(
             factorial(aa) * factorial(order), 1
@@ -480,7 +460,7 @@ def _residual_blocks(params, s1, s2, K, settings: EMSettings):
     residual = mpf(0)
     max_block = mpf(0)
     bern_coeffs = [mpf_from_rational(c) for c in bernoulli_poly(2 * K)]
-    for alpha in _alphas_weighted(2 * K, d2):
+    for alpha in weighted_partitions(2 * K, d2):
         aa = sum(alpha)
         binom = binom_rational(-s2, aa)
         cpre = Fraction(factorial(aa), 1)

@@ -10,28 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial
 from typing import Sequence
 
 from mpmath import mp, mpf
 
 from ._quadrature import integrate_unit_cube, pointwise
 from .errors import HypothesisViolated, NotDiagonal, NotElliptic
-from .exactnum import Numeric, SpecialValue, bernoulli_tilde, point_to_str
-from .mahler import (
-    DEFAULT_QS,
-    QuadratureSettings,
-    Z_value,
-    certify_elliptic,
-    compositions_of,
-)
+from .exactnum import Numeric, SpecialValue, bernoulli_tilde_product, point_to_str
+from .mahler import DEFAULT_QS, QuadratureSettings, Z_value, certify_elliptic
 from .multipoly import (
     H0sReport,
     MPoly,
-    MultiIndex,
+    composition_tuples,
     h0s_heuristic,
     mi_factorial,
     positivity_check,
+    weighted_partitions,
 )
 
 
@@ -83,7 +79,8 @@ def build_family(polys: Sequence[MPoly], seed: int = 0) -> PolyFamily:
         res = positivity_check(P, domain="box", seed=seed)
         if res.status == "violated":
             raise HypothesisViolated(
-                f"P_{j} is not positive on [1,oo)^{j}: value <= 0 at {res.witness}"
+                f"P_{j} is not positive on [1,oo)^{j}: "
+                f"value <= 0 at {point_to_str(res.witness)}"
             )
         positivity.append(res.status)
         if j < n:
@@ -230,9 +227,9 @@ def diagonal_value(
         if sum(beta) > qN:
             continue
         dQ0 = QN.terms[beta] * mi_factorial(beta)
-        for nu in _sub_indices(beta):
-            target = sum(nu) + n
-            for alpha in _alphas_with_weight(target, d):
+        # every nu <= beta componentwise, in lexicographic order
+        for nu in product(*(range(b + 1) for b in beta)):
+            for alpha in weighted_partitions(sum(nu) + n, d):
                 a_abs = sum(alpha)
                 base = Fraction(
                     (-1) ** a_abs * factorial(a_abs - 1), d**n * mi_factorial(beta)
@@ -241,21 +238,18 @@ def diagonal_value(
                 # binomial powers from the derivatives of the pure powers X^d
                 for k, ak in enumerate(alpha, start=1):
                     if ak:
-                        base *= _comb(d, k) ** ak
+                        base *= comb(d, k) ** ak
                 for k in range(len(beta)):
-                    base *= _comb(beta[k], nu[k])
-                for gammas in _gamma_tuples(alpha, n):
+                    base *= comb(beta[k], nu[k])
+                # (gamma^1, .., gamma^d), gamma^k in N_0^n with |gamma^k| = alpha_k
+                for gammas in composition_tuples(alpha, [n] * d):
                     coeff = base
                     for gk in gammas:
                         coeff /= mi_factorial(gk)
-                    bt = Fraction(1)
-                    for i in range(n):
-                        idx = beta[i] - nu[i] + sum(
-                            (k + 1) * gammas[k][i] for k in range(d)
-                        )
-                        bt *= bernoulli_tilde(idx)
-                        if bt == 0:
-                            break
+                    bt = bernoulli_tilde_product(
+                        beta[i] - nu[i] + sum((k + 1) * gammas[k][i] for k in range(d))
+                        for i in range(n)
+                    )
                     if bt == 0:
                         continue
                     coeff *= bt
@@ -281,42 +275,3 @@ def diagonal_value(
         for coeff, m, mu in numeric_parts:
             acc = acc + G(m, mu).scale(coeff)
     return SpecialValue.make_numeric(acc, flags=family.flags)
-
-
-def _comb(a: int, b: int) -> int:
-    from math import comb
-
-    return comb(a, b)
-
-
-def _sub_indices(beta: MultiIndex) -> list[MultiIndex]:
-    """All nu <= beta componentwise, sorted."""
-    out = [()]
-    for b in beta:
-        out = [p + (v,) for p in out for v in range(b + 1)]
-    return sorted(out)
-
-
-def _alphas_with_weight(target: int, d: int) -> list[MultiIndex]:
-    """alpha in N_0^d with sum_k k alpha_k = target."""
-    out: list[MultiIndex] = []
-
-    def rec(prefix, rest, k):
-        if k == d:
-            if rest % d == 0:
-                out.append(prefix + (rest // d,))
-            return
-        for a in range(rest // k + 1):
-            rec(prefix + (a,), rest - k * a, k + 1)
-
-    rec((), target, 1)
-    return sorted(out)
-
-
-def _gamma_tuples(alpha: MultiIndex, n: int):
-    """Tuples (gamma^1, ..., gamma^d) with gamma^k in N_0^n, |gamma^k| = alpha_k."""
-    per_k = [compositions_of(ak, n) for ak in alpha]
-    out = [()]
-    for options in per_k:
-        out = [p + (g,) for p in out for g in options]
-    return out

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import mul
 from typing import Sequence
 
 from mpmath import mp, mpf
@@ -97,9 +98,9 @@ class DirectionalSpec:
 # Regularity predicates
 # -----------------------------------------------------------------------------
 
-def regularity_ok(d: Sequence[int]) -> bool:
-    """True iff no sum 1/d_j + sum eps_k/d_k (eps in {0,1}) is an integer."""
-    d = tuple(int(x) for x in d)
+def _integral_sums(d: tuple[int, ...]):
+    """(j, eps) for each sum 1/d_j + sum_{k>j} eps_k/d_k (eps in {0,1})
+    that is an integer."""
     n = len(d)
     for j in range(n):
         for eps in product((0, 1), repeat=n - j - 1):
@@ -107,8 +108,12 @@ def regularity_ok(d: Sequence[int]) -> bool:
                 Fraction(e, d[k]) for e, k in zip(eps, range(j + 1, n))
             )
             if s.denominator == 1:
-                return False
-    return True
+                yield j, eps
+
+
+def regularity_ok(d: Sequence[int]) -> bool:
+    """True iff no sum 1/d_j + sum eps_k/d_k (eps in {0,1}) is an integer."""
+    return not any(_integral_sums(tuple(int(x) for x in d)))
 
 
 def ira_ok(d: Sequence[int]) -> tuple[bool, int]:
@@ -117,28 +122,14 @@ def ira_ok(d: Sequence[int]) -> tuple[bool, int]:
     b = sum_{k>=2} 1/d_k (an integer when ok)."""
     d = tuple(int(x) for x in d)
     n = len(d)
-    if n < 3:
+    if n < 3 or list(_integral_sums(d)) != [(1, (1,) * (n - 2))]:
         return False, 0
-    ok = True
-    seen_special = False
-    for j in range(n):
-        for eps in product((0, 1), repeat=n - j - 1):
-            s = Fraction(1, d[j]) + sum(
-                Fraction(e, d[k]) for e, k in zip(eps, range(j + 1, n))
-            )
-            integral = s.denominator == 1
-            special = j == 1 and all(e == 1 for e in eps)
-            if special:
-                seen_special = seen_special or integral
-                if not integral:
-                    ok = False
-            elif integral:
-                ok = False
-    if not (ok and seen_special):
-        return False, 0
-    b = sum(Fraction(1, dk) for dk in d[1:])
-    assert b.denominator == 1
-    return True, int(b)
+    return True, int(sum(Fraction(1, dk) for dk in d[1:]))
+
+
+def _require_regular(params: PowerSumParams):
+    if not regularity_ok(params.d):
+        raise RegularityViolated(f"d = {params.d} fails the regularity assumption")
 
 
 def in_convergence_domain(params: PowerSumParams, s: Sequence[Fraction]) -> bool:
@@ -155,16 +146,65 @@ def in_convergence_domain(params: PowerSumParams, s: Sequence[Fraction]) -> bool
 
 
 # -----------------------------------------------------------------------------
-# Exact recursion at non-positive integer tuples
+# The one-variable-dropping recursion at integer tuples with last entry <= 0
 # -----------------------------------------------------------------------------
 
-def _k_range(dn: int, Nn: int, bound_num: int):
+def _k_range(dn: int, bound_num: int):
     """k with d_n | 2k-1 and 1 <= k <= floor(bound_num/2)."""
-    out = []
-    for k in range(1, bound_num // 2 + 1):
-        if (2 * k - 1) % dn == 0:
-            out.append(k)
+    return [k for k in range(1, bound_num // 2 + 1) if (2 * k - 1) % dn == 0]
+
+
+def _recursion(d: tuple[int, ...], gamma: tuple, N: tuple[int, ...], leaf, scale, memo: dict):
+    """Value at N by dropping the last variable until one is left:
+
+        Z(N) = -1/2 Z'(.., N_{n-1} + N_n)
+               - sum_k B_2k/(2k) C(-N_n, m) gamma_n^m Z'(.., N_{n-1} + N_n + m)
+
+    with m = (2k-1)/d_n over the k where that is an integer.  leaf(d_1,
+    gamma_1, N_1) gives the one-variable value, scale(v, c) multiplies a
+    value by the rational (or, for complex gamma, complex) c; the values
+    only need '+'.  memo is keyed by (d, gamma, N).
+    """
+    key = (d, gamma, N)
+    if key in memo:
+        return memo[key]
+    if len(d) == 1:
+        out = leaf(d[0], gamma[0], N[0])
+    else:
+        if N[-1] > 0:
+            raise UnsupportedPoint(
+                "recursion reached a level whose last entry is positive; "
+                "the value formula does not cover this point"
+            )
+        dn, gn = d[-1], gamma[-1]
+        dp, gp = d[:-1], gamma[:-1]
+        head = N[:-2]
+        merged = N[-2] + N[-1]
+        out = scale(_recursion(dp, gp, head + (merged,), leaf, scale, memo), Fraction(-1, 2))
+        for k in _k_range(dn, 1 - dn * N[-1]):
+            m = (2 * k - 1) // dn
+            c = Fraction(bernoulli(2 * k), 2 * k) * binom_signed(-N[-1], m)
+            if c == 0:
+                continue
+            inner = _recursion(dp, gp, head + (merged + m,), leaf, scale, memo)
+            out = out + scale(inner, -c * gn**m)
+    memo[key] = out
     return out
+
+
+def _check_last_nonpositive(params: PowerSumParams, N: Sequence[int]) -> tuple[int, ...]:
+    N = tuple(int(x) for x in N)
+    if len(N) != params.n:
+        raise ValueError("N has wrong length")
+    if N[-1] > 0:
+        raise PositiveEntry("last entry must be <= 0")
+    _require_regular(params)
+    return N
+
+
+def _exact_leaf(d1: int, g1: Fraction, N1: int) -> Fraction:
+    # gamma^{-s} zeta(d*s) at s = N <= 0
+    return g1 ** (-N1) * riemann_zeta_exact_nonpositive(-d1 * N1)
 
 
 def value_nonpositive(params: PowerSumParams, N: Sequence[int]) -> Fraction:
@@ -174,40 +214,8 @@ def value_nonpositive(params: PowerSumParams, N: Sequence[int]) -> Fraction:
         raise ValueError("N has wrong length")
     if any(x > 0 for x in N):
         raise PositiveEntry("all entries must be <= 0")
-    if not regularity_ok(params.d):
-        raise RegularityViolated(f"d = {params.d} fails the regularity assumption")
-    memo: dict = {}
-    return _val_rec(params.d, params.gamma, N, memo)
-
-
-def _val_rec(
-    d: tuple[int, ...], gamma: tuple[Fraction, ...], N: tuple[int, ...], memo: dict
-) -> Fraction:
-    key = (d, gamma, N)
-    if key in memo:
-        return memo[key]
-    n = len(d)
-    if n == 1:
-        # gamma^{-s} zeta(d*s) at s = N <= 0
-        out = gamma[0] ** (-N[0]) * riemann_zeta_exact_nonpositive(-d[0] * N[0])
-    else:
-        dn, gn = d[-1], gamma[-1]
-        dp, gp = d[:-1], gamma[:-1]
-        head = N[:-2]
-        merged = N[-2] + N[-1]
-        out = Fraction(-1, 2) * _val_rec(dp, gp, head + (merged,), memo)
-        for k in _k_range(dn, N[-1], 1 - dn * N[-1]):
-            m = (2 * k - 1) // dn
-            c = (
-                Fraction(bernoulli(2 * k), 2 * k)
-                * binom_signed(-N[-1], m)
-                * gn**m
-            )
-            if c == 0:
-                continue
-            out -= c * _val_rec(dp, gp, head + (merged + m,), memo)
-    memo[key] = out
-    return out
+    _require_regular(params)
+    return _recursion(params.d, params.gamma, N, _exact_leaf, mul, {})
 
 
 def value_mixed_last_nonpositive(
@@ -220,60 +228,19 @@ def value_mixed_last_nonpositive(
     numerically.  The result is exact whenever every argument stays
     non-positive along the way.
     """
-    N = tuple(int(x) for x in N)
-    if len(N) != params.n:
-        raise ValueError("N has wrong length")
-    if N[-1] > 0:
-        raise PositiveEntry("last entry must be <= 0")
-    if not regularity_ok(params.d):
-        raise RegularityViolated(f"d = {params.d} fails the regularity assumption")
-    memo: dict = {}
-    with mp.workdps(precision + 10):
-        return _val_mixed_rec(params.d, params.gamma, N, memo, precision)
+    N = _check_last_nonpositive(params, N)
 
-
-def _val_mixed_rec(d, gamma, N, memo, precision) -> SpecialValue:
-    key = (d, gamma, N)
-    if key in memo:
-        return memo[key]
-    n = len(d)
-    if n == 1:
-        arg = d[0] * N[0]
+    def leaf(d1, g1, N1):
+        arg = d1 * N1
         if arg <= 0:
-            out = SpecialValue.make_exact(
-                gamma[0] ** (-N[0]) * riemann_zeta_exact_nonpositive(-arg)
-            )
-        elif arg == 1:
+            return SpecialValue.make_exact(_exact_leaf(d1, g1, N1))
+        if arg == 1:
             raise Pole("one-variable zeta at its pole (argument 1)")
-        else:
-            z = riemann_zeta_numeric(Fraction(arg), precision)
-            out = SpecialValue.make_numeric(z.scale(gamma[0] ** (-N[0])))
-    else:
-        if N[-1] > 0:
-            raise UnsupportedPoint(
-                "recursion reached a level whose last entry is positive; "
-                "the value formula does not cover this point"
-            )
-        dn, gn = d[-1], gamma[-1]
-        dp, gp = d[:-1], gamma[:-1]
-        head = N[:-2]
-        merged = N[-2] + N[-1]
-        out = _val_mixed_rec(dp, gp, head + (merged,), memo, precision).scale(
-            Fraction(-1, 2)
-        )
-        for k in _k_range(dn, N[-1], 1 - dn * N[-1]):
-            m = (2 * k - 1) // dn
-            c = (
-                Fraction(bernoulli(2 * k), 2 * k)
-                * binom_signed(-N[-1], m)
-                * gn**m
-            )
-            if c == 0:
-                continue
-            inner = _val_mixed_rec(dp, gp, head + (merged + m,), memo, precision)
-            out = out + inner.scale(-c)
-    memo[key] = out
-    return out
+        z = riemann_zeta_numeric(Fraction(arg), precision)
+        return SpecialValue.make_numeric(z.scale(g1 ** (-N1)))
+
+    with mp.workdps(precision + 10):
+        return _recursion(params.d, params.gamma, N, leaf, SpecialValue.scale, {})
 
 
 def value_numeric_complex(
@@ -292,50 +259,24 @@ def value_numeric_complex(
         raise ValueError("numeric_gamma has wrong length")
     if any(g.real <= 0 for g in gam):
         raise ValueError("need Re(gamma_j) > 0")
-    N = tuple(int(x) for x in N)
-    if len(N) != params.n:
-        raise ValueError("N has wrong length")
-    if N[-1] > 0:
-        raise PositiveEntry("last entry must be <= 0")
-    if not regularity_ok(params.d):
-        raise RegularityViolated(f"d = {params.d} fails the regularity assumption")
+    N = _check_last_nonpositive(params, N)
 
-    def rec(d: tuple[int, ...], g: tuple[complex, ...], NN: tuple[int, ...]) -> complex:
-        n = len(d)
-        if n == 1:
-            arg = d[0] * NN[0]
-            if arg <= 0:
-                z = riemann_zeta_exact_nonpositive(-arg)
-                zv = complex(z)
-            elif arg == 1:
-                raise Pole("one-variable zeta at its pole")
-            else:
-                zn = riemann_zeta_numeric(Fraction(arg), precision)
-                zv = complex(float(zn.value), 0.0)
-            return g[0] ** (-NN[0]) * zv
-        if NN[-1] > 0:
-            raise UnsupportedPoint("intermediate last entry positive")
-        head, merged = NN[:-2], NN[-2] + NN[-1]
-        out = -0.5 * rec(d[:-1], g[:-1], head + (merged,))
-        for k in _k_range(d[-1], NN[-1], 1 - d[-1] * NN[-1]):
-            m = (2 * k - 1) // d[-1]
-            c = float(Fraction(bernoulli(2 * k), 2 * k)) * binom_signed(-NN[-1], m)
-            if c == 0:
-                continue
-            out -= c * g[-1] ** m * rec(d[:-1], g[:-1], head + (merged + m,))
-        return out
+    def leaf(d1, g1, N1):
+        arg = d1 * N1
+        if arg <= 0:
+            zv = complex(riemann_zeta_exact_nonpositive(-arg))
+        elif arg == 1:
+            raise Pole("one-variable zeta at its pole")
+        else:
+            zv = complex(float(riemann_zeta_numeric(Fraction(arg), precision).value), 0.0)
+        return g1 ** (-N1) * zv
 
-    return rec(params.d, gam, N)
+    return _recursion(params.d, tuple(gam), N, leaf, mul, {})
 
 
 # -----------------------------------------------------------------------------
 # Closed forms
 # -----------------------------------------------------------------------------
-
-def _require_regular(params: PowerSumParams):
-    if not regularity_ok(params.d):
-        raise RegularityViolated(f"d = {params.d} fails the regularity assumption")
-
 
 def closed_zero(params: PowerSumParams) -> Fraction:
     """Value at the origin: (-1/2)^n."""
@@ -446,28 +387,15 @@ def B_theta(N: Sequence[int], theta: Sequence[Fraction], b: int) -> Fraction:
 
 
 def H_value(params: PowerSumParams, N: Sequence[int]) -> Fraction:
-    """Exact rational part of the directional limit at -N."""
-    d, g = params.d, params.gamma
-    ok, _b = ira_ok(d)
+    """Exact rational part of the directional limit at -N: the recursion's
+    first step at -N, whose one-variable-shorter values are regular."""
+    ok, _b = ira_ok(params.d)
     if not ok:
-        raise IraViolated(f"d = {d} fails the single-resonance condition")
+        raise IraViolated(f"d = {params.d} fails the single-resonance condition")
     N = tuple(int(x) for x in N)
     if len(N) != params.n or any(x < 0 for x in N):
         raise ValueError("N must be a non-negative tuple of length n")
-    dp, gp = d[:-1], g[:-1]
-    assert regularity_ok(dp)
-    sub = PowerSumParams(n=params.n - 1, d=dp, gamma=gp)
-    head = tuple(-x for x in N[:-2])
-    merged = -(N[-2] + N[-1])
-    out = Fraction(-1, 2) * value_nonpositive(sub, head + (merged,))
-    dn, gn = d[-1], g[-1]
-    for k in _k_range(dn, N[-1], 1 + dn * N[-1]):
-        m = (2 * k - 1) // dn
-        c = Fraction(bernoulli(2 * k), 2 * k) * binom_signed(N[-1], m) * gn**m
-        if c == 0:
-            continue
-        out -= c * value_nonpositive(sub, head + (merged + m,))
-    return out
+    return _recursion(params.d, params.gamma, tuple(-x for x in N), _exact_leaf, mul, {})
 
 
 def C_value(d: Sequence[int], N: Sequence[int], b: int) -> Fraction:
@@ -488,23 +416,21 @@ def C_value(d: Sequence[int], N: Sequence[int], b: int) -> Fraction:
     return acc
 
 
+def _iroot(v: int, r: int) -> int:
+    """floor(v^(1/r)) for an integer v >= 1, in integer arithmetic."""
+    x = 1 << -(-v.bit_length() // r)  # 2^ceil(bits/r) > v^(1/r)
+    while True:
+        y = ((r - 1) * x + v // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
 def _exact_root(x: Fraction, r: int) -> Fraction | None:
     """Exact r-th root of a positive rational, or None."""
-    def iroot(v: int) -> int | None:
-        if v == 1:
-            return 1
-        lo, hi = 1, max(2, int(round(v ** (1.0 / r))) + 2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid**r < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo**r == v else None
-
-    p = iroot(x.numerator)
-    q = iroot(x.denominator)
-    if p is None or q is None:
+    p = _iroot(x.numerator, r)
+    q = _iroot(x.denominator, r)
+    if p**r != x.numerator or q**r != x.denominator:
         return None
     return Fraction(p, q)
 

@@ -68,6 +68,14 @@ class TestPowersum:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "ValueError"
 
+    def test_huge_gamma_no_overflow(self):
+        code, out = run_cli(["powersum", "--d", "3,2,2", "--N", "0,0,0",
+                             "--theta", "0,0,1", "--gamma", f"1,1,{10**400}"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "mixed"
+        assert payload["terms"][0]["coeff"] == f"-1/{480 * 10**200}"
+
     def test_directional_default_theta(self):
         code, out = run_cli(["directional", "--d", "3,2,2", "--N", "0,0,0"])
         assert code == 0
@@ -100,6 +108,27 @@ class TestMahler:
         for t in payload["terms"]:
             assert {"component", "i", "beta", "alpha"} <= set(t)
 
+    def test_terms_bytes(self):
+        # recorded before the breakdown moved out of Z_value
+        _, out = run_cli(
+            ["mahler", "--P", "x1 + x2", "--N", "0", "--terms", "--precision", "25"]
+        )
+        assert out == (
+            '{"err":"8.3989e-16","kind":"numeric","schema":"1","terms":['
+            '{"alpha":[2],"beta":[0,0],"component":0,"err":"4.1995e-16","i":1,'
+            '"value":"0.20833333333333333333"},'
+            '{"alpha":[2],"beta":[0,0],"component":0,"err":"4.1995e-16","i":2,'
+            '"value":"0.20833333333333333333"}],"value":"0.41666666666666667"}\n'
+        )
+
+    def test_terms_one_variable_exact(self):
+        code, out = run_cli(["mahler", "--P", "3 x1", "--Q", "x1^3 + 2", "--N", "2",
+                             "--terms"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "exact"
+        assert all("exact" in t and "value" not in t for t in payload["terms"])
+
     def test_poly_file_input(self, tmp_path):
         pfile = tmp_path / "p.poly"
         pfile.write_text("x1 + x2")
@@ -131,6 +160,26 @@ class TestMahler:
         err = json.loads(out)["error"]
         assert err["type"] == "NotElliptic"
         assert "at (0)" in err["message"] and "Fraction(" not in err["message"]
+
+
+class TestExitCodes:
+    """argparse usage errors exit 2; text that parses as an option value but
+    not as a number or polynomial exits 1 with a ValueError record."""
+
+    def test_unknown_flag_exits_2(self):
+        # a missing required option: TestPowersum.test_usage_error_exits_2
+        with pytest.raises(SystemExit) as exc:
+            main(["mahler", "--P", "x1 + x2", "--no-such-flag"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["mahler", "--P", "x1^"],
+        ["powersum", "--d", "2,3", "--N", "0,a"],
+    ])
+    def test_malformed_values_exit_1(self, argv):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ValueError"
 
 
 class TestPeriod:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from zetapoly import (
@@ -22,7 +23,7 @@ from zetapoly import (
     raabe_substitute,
     riemann_zeta_exact_nonpositive,
 )
-from zetapoly.mahler import convergence_abscissa, delta_multiindices
+from zetapoly.mahler import _derivative_support, convergence_abscissa, delta_multiindices
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
 QS_FAST = QuadratureSettings(rel_tol=1e-8, precision=20)
@@ -59,6 +60,22 @@ class TestIndexSets:
                     m = comb(n + k - 1, n - 1)
                     expect *= comb(ak + m - 1, m - 1)
                 assert len(enumerate_V(alpha, n)) == expect
+
+    def test_enumerate_V_full_support_is_unrestricted(self):
+        for n in range(1, 4):
+            for alpha in [(), (2,), (0, 1), (1, 1), (3, 0), (1, 0, 1), (0, 2)]:
+                full = [list(range(len(delta_multiindices(k, n))))
+                        for k in range(1, len(alpha) + 1)]
+                assert enumerate_V(alpha, n, full) == enumerate_V(alpha, n)
+
+    def test_enumerate_V_support_drops_vanishing_derivatives(self):
+        # x1^2 + x2^2 has no mixed second derivative: (1, 1) is not in the support
+        Ppoly = P("x1^2 + x2^2", 2)
+        support = _derivative_support(Ppoly, 2)
+        assert support == [[0, 1], [0, 2]]
+        restricted = enumerate_V((0, 2), 2, support)
+        assert restricted == [u for u in enumerate_V((0, 2), 2) if u.u[1][1] == 0]
+        assert len(restricted) == 3
 
     def test_g_vector(self):
         u0 = enumerate_V((), 3)[0]
@@ -283,6 +300,45 @@ class TestRaabePipeline:
             else:
                 zn, rn = z.to_numeric(20), r.to_numeric(20)
                 assert abs(zn.value - rn.value) <= zn.err + rn.err
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.fractions(min_value=F(1, 8), max_value=F(8), max_denominator=8),
+        qcoeffs=st.lists(st.fractions(min_value=F(-3), max_value=F(3), max_denominator=5),
+                         min_size=1, max_size=5),
+        N=st.integers(0, 3),
+    )
+    def test_raabe_equals_Z_one_variable(self, c, qcoeffs, N):
+        # P = c x1: both routes are exact, so they must agree exactly.
+        Ppoly = MPoly(1, {(1,): c})
+        Q = MPoly(1, {(k,): a for k, a in enumerate(qcoeffs)})
+        z = Z_value(Ppoly, Q, N)
+        assert z.kind == "exact"
+        assert raabe_substitute(Y_expansion(Ppoly, Q, N)) == z
+
+
+class TestYExpansionBitIdentity:
+    """(value._mpf_, err._mpf_) of every coefficient, recorded before Z_value
+    and Y_expansion were built on one shared term generator."""
+
+    def test_two_variable_coefficients(self):
+        exp = Y_expansion(P("x1^2 + x1 x2 + x2^2", 2), P("x1", 2), 1, QS_FAST)
+        got = {m: (v.num.value._mpf_, v.num.err._mpf_) for m, v in exp.items_sorted()}
+        assert got == {
+            (0, 5): ((0, 19676527011956855081, -71, 65),
+                     (0, 766565842532044423977, -101, 70)),
+            (1, 4): ((1, 823, -71, 10),
+                     (0, 1115610266295359310429, -100, 70)),
+            (2, 3): ((0, 24595658764946068715, -67, 65),
+                     (0, 319428582297888856533, -97, 69)),
+            (3, 2): ((0, 49191317529892137657, -68, 66),
+                     (0, 1001124586849338570045, -98, 70)),
+            (4, 1): ((0, 36893488147419103289, -67, 66),
+                     (0, 563709265006049667507, -98, 69)),
+            (5, 0): ((0, 98382635059784275361, -70, 67),
+                     (0, 78137770901394574587, -98, 67)),
+        }
 
 
 class TestThetaSeriesCrossChecks:

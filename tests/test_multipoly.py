@@ -19,7 +19,12 @@ from zetapoly import (
     taylor_H,
 )
 from zetapoly.exactnum import mpf_from_rational
-from zetapoly.multipoly import bernstein_positive, multiindices_of_weight
+from zetapoly.multipoly import (
+    bernstein_positive,
+    composition_tuples,
+    multiindices_of_weight,
+    weighted_partitions,
+)
 
 
 def P(text, n=None):
@@ -100,6 +105,43 @@ class TestEvalGrid:
     def test_wrong_axis_count(self):
         with pytest.raises(DimensionMismatch):
             P("x1 + x2", 2).eval_grid([[mp.mpf(1)]])
+
+
+class TestEnumerators:
+    def test_weighted_partitions_brute_force(self):
+        for d in range(1, 5):
+            for t in range(11):
+                want = [a for a in product(range(t + 1), repeat=d)
+                        if sum(k * ak for k, ak in enumerate(a, start=1)) == t]
+                assert weighted_partitions(t, d) == want
+
+    def test_weighted_partitions_empty(self):
+        assert weighted_partitions(-1, 2) == []
+        assert weighted_partitions(3, 0) == []
+        assert weighted_partitions(0, 3) == [(0, 0, 0)]
+
+    def test_multiindices_of_weight_brute_force(self):
+        for n in range(4):
+            for k in range(6):
+                want = [g for g in product(range(k + 1), repeat=n) if sum(g) == k]
+                assert multiindices_of_weight(k, n) == want
+
+    def test_composition_tuples_is_the_product(self):
+        totals, slots = (2, 0, 1), (2, 3, 1)
+        want = list(product(*(multiindices_of_weight(t, w) for t, w in zip(totals, slots))))
+        assert composition_tuples(totals, slots) == want
+        assert composition_tuples((), ()) == [()]
+
+    def test_composition_tuples_support(self):
+        totals, slots, support = (2, 1), (3, 4), ([0, 2], [1, 3])
+        full = composition_tuples(totals, slots)
+        want = [c for c in full
+                if all(ck[j] == 0 for ck, sup, w in zip(c, support, slots)
+                       for j in range(w) if j not in sup)]
+        assert composition_tuples(totals, slots, support) == want
+        # a positive total with an empty support admits nothing
+        assert composition_tuples((1,), (3,), ([],)) == []
+        assert composition_tuples((0,), (3,), ([],)) == [((0, 0, 0),)]
 
 
 class TestShift:

@@ -46,6 +46,11 @@ class TestFamily:
         with pytest.raises(HypothesisViolated):
             build_family([P("x1 - 5", 1)])
 
+    def test_positivity_witness_rendered(self):
+        with pytest.raises(HypothesisViolated) as exc:
+            build_family([P("x1 - 2", 1)])
+        assert "at (1)" in str(exc.value) and "Fraction(" not in str(exc.value)
+
     def test_last_must_be_homogeneous(self):
         with pytest.raises(HypothesisViolated):
             build_family([P("x1 + 1", 1)])

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from zetapoly import (
@@ -28,7 +29,7 @@ from zetapoly import (
     value_mixed_last_nonpositive,
     value_nonpositive,
 )
-from zetapoly.powersum import in_convergence_domain
+from zetapoly.powersum import _exact_root, in_convergence_domain
 
 
 def params(d, gamma=None):
@@ -95,6 +96,24 @@ class TestMixed:
             mixed = value_mixed_last_nonpositive(p, N)
             assert mixed.kind == "exact"
             assert mixed.exact == value_nonpositive(p, N)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.lists(st.integers(2, 8), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_agrees_with_exact_property(self, d, data):
+        assume(regularity_ok(d))
+        n = len(d)
+        gamma = data.draw(st.lists(
+            st.fractions(min_value=F(1, 9), max_value=F(9), max_denominator=9),
+            min_size=n, max_size=n))
+        assume(all(g > 0 for g in gamma))
+        N = tuple(data.draw(st.lists(st.integers(-3, 0), min_size=n, max_size=n)))
+        p = params(d, gamma)
+        mixed = value_mixed_last_nonpositive(p, N)
+        assert mixed.kind == "exact"
+        assert mixed.exact == value_nonpositive(p, N)
 
     def test_corollary_zeta_link(self):
         # -2 * value at (1+N, -N) = zeta(2) for d = (2, 4)
@@ -320,6 +339,26 @@ class TestDirectional:
         assert v.kind == "mixed"
         (coeff, _), = v.terms
         assert coeff == F(1, 16) * F(-1, 30) * F(1, 2)
+
+    def test_huge_gamma_root_is_exact(self):
+        # gamma_3 = 10^400 is past the float range; its square root 10^200
+        # divides the Gamma-product coefficient exactly.
+        spec = DirectionalSpec(N=(0, 0, 0), theta=(F(0), F(0), F(1)))
+        big = directional_limit(params((3, 2, 2), (1, 1, 10**400)), spec)
+        one = directional_limit(params((3, 2, 2)), spec)
+        assert big.kind == one.kind == "mixed"
+        assert big.terms[0][0] == one.terms[0][0] / 10**200
+
+    def test_exact_root(self):
+        assert _exact_root(F(7 * 10**300), 2) is None
+        assert _exact_root(F(10**400), 2) == 10**200
+        assert _exact_root(F(8, 27), 3) == F(2, 3)
+        assert _exact_root(F(1), 5) == 1
+        assert _exact_root(F(2, 9), 2) is None
+        for r in range(1, 6):
+            for v in range(1, 200):
+                root = _exact_root(F(v), r)
+                assert (root is not None) == (round(v ** (1 / r)) ** r == v)
 
     def test_ira_guard(self):
         with pytest.raises(IraViolated):
