@@ -131,6 +131,19 @@ def f_derivative_at0(
         return _rational_power(b, expo).scale(core)
 
 
+def _alpha_weight(alpha: tuple[int, ...], d: int, a: Fraction) -> tuple[Fraction, int]:
+    """The factor |alpha|! prod_j C(d,j)^{alpha_j}/alpha_j! a^{|alpha|} and
+    the x-exponent sum_j (d-j) alpha_j of the alpha-term of the derivatives
+    of (b + a x^d)^{-s}, for alpha weighted by j = 1..d."""
+    aa = sum(alpha)
+    c = Fraction(factorial(aa), 1)
+    for j, aj in enumerate(alpha, start=1):
+        c *= Fraction(comb(d, j) ** aj, factorial(aj))
+    c *= a**aa
+    xexp = sum((d - j) * aj for j, aj in enumerate(alpha, start=1))
+    return c, xexp
+
+
 @lru_cache(maxsize=4096)
 def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
     """f^(order)(x) = order! * sum over weighted alpha of
@@ -141,15 +154,10 @@ def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
     out = []
     for alpha in weighted_partitions(order, d):
         aa = sum(alpha)
-        c = binom_rational(-s, aa) * Fraction(
-            factorial(aa) * factorial(order), 1
-        )
-        for j, aj in enumerate(alpha, start=1):
-            c *= Fraction(comb(d, j) ** aj, factorial(aj))
-        c *= a**aa
+        w, xexp = _alpha_weight(alpha, d, a)
+        c = binom_rational(-s, aa) * factorial(order) * w
         if c == 0:
             continue
-        xexp = sum((d - j) * aj for j, aj in enumerate(alpha, start=1))
         out.append((c, xexp, aa))
     return tuple(out)
 
@@ -158,11 +166,25 @@ def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
 # Euler-Maclaurin evaluation of sum_{m>=1} (b + a m^d)^{-s}
 # -----------------------------------------------------------------------------
 
-def _bern_frac_eval(coeffs: list[mpf], t: mpf) -> mpf:
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+def _bern_frac_weight(coeffs: list[mpf]):
+    """t -> B_2K(t) by Horner's rule over coeffs, memoised on the bits of t.
+
+    integrate_interval_fixed puts node u of [m, m+1] at fl(m + u), so
+    t = x - m takes the same few values on every interval of one binade of
+    m; the memo lives as long as the returned function, one integral."""
+    memo: dict[tuple, mpf] = {}
+
+    def weight(t: mpf) -> mpf:
+        key = t._mpf_
+        acc = memo.get(key)
+        if acc is None:
+            acc = mpf(0)
+            for c in reversed(coeffs):
+                acc = acc * t + c
+            memo[key] = acc
+        return acc
+
+    return weight
 
 
 def em_inner_sum(
@@ -325,12 +347,22 @@ def _remainder_integral(a, b, d, s, K, tol, settings: EMSettings):
             af, -mpf_from_rational(s + aa)
         )
     p = mpf_from_rational(d * s) + 2 * K  # decay exponent, > 1
+
+    def tail_at(m: int) -> mpf:
+        return maxb * tail_coeff * mpf(m) ** (1 - p) / (p - 1)
+
+    depth_msg = f"remainder tail not below tolerance within {settings.truncation} intervals"
+    # The bound falls with m, so if it is not below tol at the last m the
+    # loop may reach, no number of intervals within the truncation will do.
+    if tail_at(settings.truncation + 1) >= tol:
+        raise ContinuationDepthInsufficient(depth_msg)
+    weight = _bern_frac_weight(bern_coeffs)
     total = mpf(0)
     err = mpf(0)
     m = 0
     while True:
         val, est = integrate_interval_fixed(
-            lambda x, mm=m: f2k(x) * _bern_frac_eval(bern_coeffs, x - mm),
+            lambda x, mm=m: f2k(x) * weight(x - mm),
             Fraction(m),
             Fraction(m + 1),
             order=settings.quad.rule,
@@ -339,14 +371,12 @@ def _remainder_integral(a, b, d, s, K, tol, settings: EMSettings):
         err += est
         m += 1
         if m >= 2:
-            tail = maxb * tail_coeff * mpf(m) ** (1 - p) / (p - 1)
+            tail = tail_at(m)
             if tail < tol:
                 err += tail
                 break
         if m > settings.truncation:
-            raise ContinuationDepthInsufficient(
-                f"remainder tail not below tolerance within {settings.truncation} intervals"
-            )
+            raise ContinuationDepthInsufficient(depth_msg)
     return total, err
 
 
@@ -393,7 +423,6 @@ def zeta1_numeric(
 class PowerSum2Result:
     value: Numeric
     residual: mpf
-    max_block: mpf
     K: int
 
 
@@ -405,10 +434,12 @@ def powersum2_numeric(
     """Two-variable continuation at an integer point s = (s1, s2), s2 <= 0.
 
     Applies the one-step recursion with all four blocks.  At integer s2 <= 0
-    the reciprocal-Gamma factor kills the leading block exactly; the
-    remainder block is computed numerically (its binomial coefficients
-    vanish at integral s2) and its magnitude is reported as a residual
-    diagnostic.
+    the reciprocal-Gamma factor kills the leading block exactly.  The
+    remainder block is a sum of nested Euler-Maclaurin blocks weighted by
+    the rational binomials C(-s2, |alpha|); its magnitude, the reported
+    residual, is decided exactly from those binomials, which all vanish at
+    the order K chosen here, so no block is evaluated.  The block evaluator
+    ``_z_block`` is the check the tests run on the blocks themselves.
     """
     if params.n != 2:
         raise ValueError("two-variable continuation only")
@@ -443,38 +474,34 @@ def powersum2_numeric(
             if c == 0:
                 continue
             total = total + zeta1_numeric(d1, g1, s1 + s2 + m, eff).scale(-c)
-        # diagnostic-grade accuracy suffices for the vanishing-block check
-        diag = EMSettings(K=K, truncation=settings.truncation,
-                          precision=min(settings.precision, 16), quad=settings.quad)
-        residual, max_block = _residual_blocks(params, s1, s2, K, diag)
+        residual = _residual_blocks(params, s1, s2, K, eff)
         total = Numeric(total.value, total.err + residual)
-    return PowerSum2Result(value=total, residual=residual, max_block=max_block, K=K)
+    return PowerSum2Result(value=total, residual=residual, K=K)
 
 
-def _residual_blocks(params, s1, s2, K, settings: EMSettings):
+def _residual_blocks(params, s1, s2, K, settings: EMSettings) -> mpf:
     """|R(s)| at the point: sum over weighted alpha of |C(-s2,|alpha|)| times
-    a numerically evaluated block; each binomial vanishes at integer s2."""
+    the magnitude of a numerically evaluated block.  The binomials are exact
+    rationals and a block is evaluated only where its binomial is non-zero;
+    with 2K > 1 - d2 s2 every |alpha| exceeds -s2, so at integer s2 <= 0
+    none is and the residual is exactly 0."""
     d1, d2 = params.d
     g1, g2 = params.gamma
     N1 = int(-s1)  # block evaluation needs integer s1 <= 0
     residual = mpf(0)
-    max_block = mpf(0)
     bern_coeffs = [mpf_from_rational(c) for c in bernoulli_poly(2 * K)]
     for alpha in weighted_partitions(2 * K, d2):
         aa = sum(alpha)
         binom = binom_rational(-s2, aa)
-        cpre = Fraction(factorial(aa), 1)
-        for j, aj in enumerate(alpha, start=1):
-            cpre *= Fraction(comb(d2, j) ** aj, factorial(aj))
-        cpre *= g2**aa
-        xexp = sum((d2 - j) * aj for j, aj in enumerate(alpha, start=1))
+        if binom == 0:
+            continue
+        cpre, xexp = _alpha_weight(alpha, d2, g2)
         block = _z_block(
             d1, g1, d2, g2, s2 + aa, N1, xexp, bern_coeffs, settings
         )
         block = abs(block) * abs(mpf_from_rational(cpre))
-        max_block = max(max_block, block)
         residual += abs(mpf_from_rational(binom)) * block
-    return residual, max_block
+    return residual
 
 
 def _mpf_to_fraction(x: mpf) -> Fraction:
@@ -501,12 +528,13 @@ def _z_block(d1, g1, d2, g2, sprime, N1, xexp, bern_coeffs, settings: EMSettings
             acc += mpf_from_rational(w) * inner.value
         return acc
 
+    weight = _bern_frac_weight(bern_coeffs)
     total = mpf(0)
     m = 0
     quiet = 0
     while m < 60:
         val, _est = integrate_interval_fixed(
-            lambda x, mm=m: Sval(x) * x**xexp * _bern_frac_eval(bern_coeffs, x - mm),
+            lambda x, mm=m: Sval(x) * x**xexp * weight(x - mm),
             Fraction(m),
             Fraction(m + 1),
             order=7,

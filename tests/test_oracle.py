@@ -1,4 +1,5 @@
 """Euler-Maclaurin continuation oracle vs the exact formulas."""
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,9 @@ from zetapoly import (
     zeta1_numeric,
     zeta_riemann_em,
 )
+from zetapoly import oracle
+from zetapoly.exactnum import bernoulli_poly, mpf_from_rational
+from zetapoly.multipoly import weighted_partitions
 
 EM = EMSettings(precision=25)
 
@@ -115,6 +119,20 @@ class TestEmInnerSum:
         with pytest.raises(ContinuationDepthInsufficient):
             em_inner_sum(F(1), F(1), 1, F(-200), EMSettings(K=4, precision=10))
 
+    @pytest.mark.parametrize("a, b, d, s", [
+        (F(2), F(1, 3), 3, F(1, 5)),
+        (F(1), F(3), 2, F(-1, 3)),
+        (F(2), F(3), 2, F(-1, 3)),
+    ])
+    def test_remainder_tail_fails_fast(self, a, b, d, s):
+        # the tail bound is still above tolerance after the last interval
+        # the truncation allows; that is known before integrating anything
+        t0 = time.monotonic()
+        with pytest.raises(ContinuationDepthInsufficient,
+                           match="within 400 intervals"):
+            em_inner_sum(a, b, d, s, EM)
+        assert time.monotonic() - t0 < 5
+
 
 class TestZeta1:
     def test_match_exact_grid(self):
@@ -167,9 +185,90 @@ class TestPowerSum2:
         p = PowerSumParams.make((2, 3))
         res = powersum2_numeric(p, (0, 0), EM)
         assert res.residual == 0
-        assert res.max_block > 0  # blocks are finite and actually computed
+        # the blocks the zero binomials multiply are finite and actually
+        # computed, at the diagnostic 16 digits
+        K = res.K
+        diag = EMSettings(K=K, truncation=EM.truncation, precision=16, quad=EM.quad)
+        blocks = []
+        with mp.workdps(EM.precision + 10):
+            bern = [mpf_from_rational(c) for c in bernoulli_poly(2 * K)]
+            for alpha in weighted_partitions(2 * K, 3):
+                _, xexp = oracle._alpha_weight(alpha, 3, F(1))
+                blocks.append(oracle._z_block(2, F(1), 3, F(1), F(sum(alpha)), 0,
+                                              xexp, bern, diag))
+        assert all(mp.isfinite(b) for b in blocks)
+        assert max(abs(b) for b in blocks) > 0
+
+    def test_never_evaluates_blocks(self, monkeypatch):
+        # every binomial C(-s2, |alpha|) is exactly 0, so no block is needed
+        def no_block(*args):
+            raise AssertionError("residual block evaluated")
+
+        monkeypatch.setattr(oracle, "_z_block", no_block)
+        for d, gamma, s in [((2, 3), (F(1), F(1)), (0, 0)),
+                            ((2, 5), (F(1), F(1)), (0, -1))]:
+            res = powersum2_numeric(PowerSumParams.make(d, gamma), s, EM)
+            assert res.residual == 0
 
     def test_rejects_noninteger(self):
         p = PowerSumParams.make((2, 3))
         with pytest.raises(ValueError):
             powersum2_numeric(p, (F(1, 2), F(0)), EM)
+
+
+class TestOracleBitIdentity:
+    """(value._mpf_, err._mpf_) recorded while the residual blocks were still
+    evaluated and every Bernoulli weight recomputed at every node; skipping
+    the zero-binomial blocks and memoising the weights must keep every bit."""
+
+    @pytest.mark.parametrize("d, gamma, s, bits", [
+        ((2, 3), (F(1), F(1)), (0, 0),
+         ((0, 1, -2, 1), (0, 6701169, -132, 23))),
+        ((2, 3), (F(1), F(1)), (0, -1),
+         ((1, 46459885830272131544866079734684086470793, -143, 136),
+          (0, 224193577403320570696441524174909167, -221, 118))),
+        ((2, 3), (F(1), F(1)), (-1, -1),
+         ((0, 0, 0, 0), (0, 1308562095847650597547914578747125487, -217, 120))),
+        ((2, 3), (F(1), F(1, 2)), (0, -1),
+         ((1, 46459885830272131544866079734684086470793, -144, 136),
+          (0, 448318024425602783207277127032303343, -222, 119))),
+        ((3, 2), (F(1), F(1)), (-1, 0),
+         ((1, 88615199718994391526920470685356305, -124, 117),
+          (0, 524451245604183253906791402289828113, -219, 119))),
+        ((2, 5), (F(1), F(1)), (0, -1),
+         ((0, 5530938789318110898198342825557629341761, -141, 133),
+          (0, 896629465005392389444496547272462401, -223, 120))),
+    ])
+    def test_powersum2(self, d, gamma, s, bits):
+        res = powersum2_numeric(PowerSumParams.make(d, gamma), s, EM)
+        assert (res.value.value._mpf_, res.value.err._mpf_) == bits
+        assert res.residual._mpf_ == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("fn, args, bits", [
+        (em_inner_sum, (F(1), F(1), 2, F(-1)),
+         ((1, 1, -1, 1), (0, 65539, -133, 17))),
+        (em_inner_sum, (F(1), F(1), 1, F(-2)),
+         ((1, 43556142965880123323311949751266331069099, -135, 136),
+          (0, 5318426403056736149673549635884067499, -238, 123))),
+        (em_inner_sum, (F(2), F(3), 2, F(4)),
+         ((0, 142432288451009238504175818349963947, -126, 117),
+          (0, 874108920845696173799793994226107271, -212, 120))),
+        (em_inner_sum, (F(3), F(1, 5), 3, F(-2)),
+         ((1, 8424983333484574935833442214693634585511607632043928900344878203, -219, 213),
+          (0, 103531987377900227456789723425677983660544173812802828528556850462229, -440, 226))),
+        (zeta1_numeric, (3, F(2), F(-1)),
+         ((0, 88615199718994391526920470685356305, -122, 117),
+          (0, 68740873663746997416055747387499236888849, -234, 136))),
+        (zeta1_numeric, (3, F(1), F(1, 2)),
+         ((0, 434055306121391554173868184430410963, -117, 119),
+          (0, 39187472235180051517491782961560238102173, -245, 135))),
+        (zeta_riemann_em, (F(-3),),
+         ((0, 88615199718994391526920470685356305, -123, 117),
+          (0, 3389186739, -131, 32))),
+        (zeta_riemann_em, (F(-1, 3),),
+         ((1, 368652143625415412171966075627411749, -120, 119),
+          (0, 1190572235268650534946075089437418367, -227, 120))),
+    ])
+    def test_one_variable(self, fn, args, bits):
+        v = fn(*args, EM)
+        assert (v.value._mpf_, v.err._mpf_) == bits
