@@ -108,6 +108,7 @@ from .oracle import (
     em_inner_sum,
     f_derivative_at0,
     powersum2_numeric,
+    theta_diagonal,
     zeta1_numeric,
     zeta_riemann_em,
 )

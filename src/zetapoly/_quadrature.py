@@ -5,13 +5,15 @@ each cell carries an embedded error estimate (high-order rule minus a
 lower-order rule on the same cell).  Accumulation order is fixed so results
 are bit-reproducible at a given precision.
 
-Integrands are evaluated on tensor grids, not point by point: an integrand
-takes one list of coordinates per axis and returns its values at every point
-of their product, in row-major order (last axis fastest).  A cell's rule is
-fed to the integrand in slabs over the last two axes: for dim >= 3 the
-leading axes are fixed one node at a time and passed as one-element lists,
-so no call sees more than order**2 points.  ``pointwise`` adapts a function
-of one point to this protocol.
+An integrand is either a ``FixedPointIntegrand`` -- a polynomial, or a
+polynomial over a power of a positive polynomial, compiled to Python-int
+fixed point -- or a function on tensor grids.  The first kind is evaluated
+on every node of a cell at once: the weighted cell sums are exact integers,
+rounded once, and every rounding before them is counted into the cell's
+estimate.  A grid function takes one list of coordinates per axis and
+returns its values at every point of their product, in row-major order
+(last axis fastest), one call per rule and cell.  ``pointwise`` adapts a
+function of one point to the grid protocol.
 """
 from __future__ import annotations
 
@@ -19,13 +21,23 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from math import prod
+from operator import add, mul
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_rational, round_ceiling, round_nearest
 
-from .errors import PrecisionUnreachable, QuadratureDidNotConverge
+from .errors import (
+    DimensionMismatch,
+    NotElliptic,
+    PrecisionUnreachable,
+    QuadratureDidNotConverge,
+)
 from .exactnum import mpf_from_rational
+
+if TYPE_CHECKING:
+    from .multipoly import MPoly
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
 
@@ -94,6 +106,275 @@ def require_reachable(rel_tol: float, dps: int) -> None:
         )
 
 
+# -----------------------------------------------------------------------------
+# Fixed-point integrands
+# -----------------------------------------------------------------------------
+
+# (order, prec, F) -> (node numerators, their exponent L, weights): the
+# nodes of gauss_legendre_01 exactly, as integers over 2^L, and its weights
+# rounded to integers at scale 2^F.
+_FIXED_RULES: dict[tuple[int, int, int], tuple[list[int], int, list[int]]] = {}
+
+
+def _mpf_int(x: mpf, F: int) -> int:
+    """x * 2^F rounded to the nearest integer."""
+    sign, man, exp, _ = x._mpf_
+    sh = exp + F
+    v = man << sh if sh >= 0 else (man + (1 << (-sh - 1))) >> -sh
+    return -v if sign else v
+
+
+def _frac_int(c: Fraction, F: int) -> int:
+    """c * 2^F rounded to the nearest integer."""
+    return ((c.numerator << (F + 1)) + c.denominator) // (2 * c.denominator)
+
+
+def _fixed_rule(order: int, F: int) -> tuple[list[int], int, list[int]]:
+    key = (order, mp.prec, F)
+    hit = _FIXED_RULES.get(key)
+    if hit is None:
+        nodes, weights = gauss_legendre_01(order)
+        L = max(-x._mpf_[2] for x in nodes)
+        hit = ([_mpf_int(x, L) for x in nodes], L, [_mpf_int(w, F) for w in weights])
+        _FIXED_RULES[key] = hit
+    return hit
+
+
+def _axis_ints(lo: Fraction, width: Fraction, nodes: list[int], L: int, F: int) -> list[int]:
+    """(lo + width * node) * 2^F rounded to integers, for nodes given as
+    integers over 2^L: each within half a unit of the exact coordinate."""
+    a, b = lo.numerator, lo.denominator
+    c, d = width.numerator, width.denominator
+    base = (a * d) << L
+    den = (b * d) << (L + 1)
+    cb = c * b
+    return [(((base + cb * n) << (F + 1)) + den // 2) // den for n in nodes]
+
+
+def _weighted(vals: list[int], W: Sequence[int], dim: int) -> int:
+    """sum over the grid of prod_j W[i_j] * vals[i], exactly (row-major)."""
+    n = len(W)
+    for _ in range(dim):
+        vals = [sum(map(mul, W, vals[b:b + n])) for b in range(0, len(vals), n)]
+    return vals[0]
+
+
+def _scaled(n: int, e: int, vol: Fraction, rnd) -> mpf:
+    """n * 2^e * vol rounded once to the working precision."""
+    p, q = n * vol.numerator, vol.denominator
+    if e >= 0:
+        p <<= e
+    else:
+        q <<= -e
+    return mp.make_mpf(from_rational(p, q, mp.prec, rnd))
+
+
+def _normalised(poly: "MPoly") -> tuple[int, dict]:
+    """(s, terms of poly / 2^s) with the largest |coefficient| in (1/2, 1]."""
+    top = max(abs(c) for c in poly.terms.values())
+    s = top.numerator.bit_length() - top.denominator.bit_length()
+    if top > Fraction(2) ** s:  # top lies in (2^(s-1), 2^(s+1))
+        s += 1
+    scale = Fraction(2) ** -s
+    return s, {e: c * scale for e, c in poly.terms.items()}
+
+
+def _tree(terms: dict, F: int):
+    """Coefficients rounded at scale 2^F in a tree keyed by the exponent of
+    each axis in turn; a 0-variable polynomial is its one coefficient."""
+    if not next(iter(terms)):
+        return _frac_int(terms[()], F)
+    root: dict = {}
+    for e, c in terms.items():
+        node = root
+        for x in e[:-1]:
+            node = node.setdefault(x, {})
+        node[e[-1]] = _frac_int(c, F)
+    return root
+
+
+def _ulps(terms: dict, dim: int) -> int:
+    """Bound, in units of 2^-F, on the error of ``_contract``'s value of a
+    polynomial whose coefficients are at most 1 in absolute value, at
+    coordinates in [0, 1] each within half a unit of exact: per term, half
+    a unit for the coefficient, 2e for the power table of x^e (half for the
+    coordinate, one per shifted product, e - 1 of them) times |c|, and one
+    per shift of the contraction's dim levels."""
+    total = sum(abs(c) * 2 * sum(e) + Fraction(1, 2) + dim for e, c in terms.items())
+    return int(total * (1 + Fraction(1, 1 << 16))) + 1
+
+
+def _contract(node: dict, tabs: list, F: int, j: int) -> list[int]:
+    """Values at scale 2^F of the polynomial whose exponent tree below axis
+    j is node, on the grid of axes j, j+1, ... (row-major).  tabs[j][e] is
+    the list of x^e over the nodes of axis j, at scale 2^F."""
+    last = j == len(tabs) - 1
+    acc = None
+    for e, sub in node.items():
+        inner = [sub] if last else _contract(sub, tabs, F, j + 1)
+        part = [p * v for p in tabs[j][e] for v in inner]
+        acc = part if acc is None else list(map(add, acc, part))
+    return [a >> F for a in acc]
+
+
+class FixedPointIntegrand:
+    """numer / den**k on [0,1]^dim (numer alone when k = 0) in Python-int
+    fixed point at scale 2^F, F = prec + G guard bits, prec the working
+    precision at construction.
+
+    numer and den are first scaled by powers of two to coefficients of at
+    most 1 in absolute value; the scale is given back exactly at the end.
+    Every value comes with a counted bound on its rounding: coefficients,
+    coordinates, each shifted product, and the division, which needs den's
+    values minus their own bound to stay positive.  G is chosen on a coarse
+    grid of the cube so that the counted rounding of a cell stays below
+    2^-24 of the floor ``rounding_floor`` charges it.
+    """
+
+    COARSE = 3  # points per axis of the grid that chooses G
+
+    def __init__(self, numer: "MPoly", den: "MPoly | None" = None, k: int = 0):
+        if numer.is_zero():
+            raise ValueError("zero integrand")
+        self.dim = numer.nvars
+        self.k = k if den is not None else 0
+        sv, self._numer = _normalised(numer)
+        self.shift = sv
+        self._den = None
+        if self.k:
+            if den.nvars != self.dim:
+                raise DimensionMismatch("numerator and denominator variable counts differ")
+            sd, self._den = _normalised(den)
+            self.shift -= self.k * sd
+        self._EV = _ulps(self._numer, self.dim)
+        self._ED = _ulps(self._den, self.dim) if self.k else 0
+        self._maxdeg = [
+            max(e[j] for t in (self._numer, self._den or {}) for e in t)
+            for j in range(self.dim)
+        ]
+        self._compile(mp.prec + 20)
+        self._compile(mp.prec + self._guard_bits())
+
+    def _compile(self, F: int) -> None:
+        self.F = F
+        self._V = _tree(self._numer, F)
+        self._D = _tree(self._den, F) if self.k else None
+
+    def _guard_bits(self) -> int:
+        """G with counted rounding / rounding floor <= 2^-24 on the coarse
+        grid: the floor is 2^(6 - prec) per unit of absolute mass, the
+        counted rounding about 2^-(prec + G) * X per unit, where X adds the
+        numerator's error over its mean size, the division's relative error
+        k * E_D / min den and the weights' 2^-F / w_min."""
+        m = self.COARSE
+        x = [_frac_int(Fraction(2 * i + 1, 2 * m), self.F) for i in range(m)]
+        V, D = self._grid([x] * self.dim)
+        one = mpf(1 << self.F)
+        v = [abs(mpf(t)) / one for t in V]
+        if self.k and min(D) <= self._ED:
+            return 2 * mp.prec
+        r = [(one / t) ** self.k for t in D] if self.k else [1] * len(v)
+        mass = sum(a * b for a, b in zip(v, r))
+        if not mass:
+            return 2 * mp.prec
+        X = ((max(v) + 4) * len(v) + self._EV * sum(r)) / mass + 64 * self.dim
+        if self.k:
+            X += self.k * self._ED * one / min(D)
+        return min(max(20, 18 + int(X).bit_length()), 2 * mp.prec)
+
+    def _grid(self, xs: list[list[int]]) -> tuple[list[int], list[int] | None]:
+        """numer and den on the grid of coordinate lists xs (scale 2^F)."""
+        if not xs:
+            return [self._V], ([self._D] if self.k else None)
+        F = self.F
+        tabs = []
+        for j, x in enumerate(xs):
+            t = [[1 << F] * len(x), x]
+            for _ in range(2, self._maxdeg[j] + 1):
+                t.append([(a * b) >> F for a, b in zip(t[-1], x)])
+            tabs.append(t)
+        V = _contract(self._V, tabs, F, 0)
+        return V, (_contract(self._D, tabs, F, 0) if self.k else None)
+
+    def _eval(self, xs: list[list[int]]):
+        """(q, E, fac) on the grid xs: the values q at scale 2^F; E, bounds
+        on their rounding in units of 2^-F, except for the factor
+        1 + fac[0]/fac[1] on |value| + E that the denominator's own rounding
+        adds (fac is None when k = 0)."""
+        V, D = self._grid(xs)
+        if not self.k:
+            return V, [self._EV] * len(V), None
+        k, F = self.k, self.F
+        Dmin = min(D)
+        Dlow = Dmin - self._ED
+        if Dlow <= 0:
+            raise NotElliptic(
+                "denominator not bounded away from 0 on a quadrature cell"
+            )
+        one = 1 << ((k + 1) * F)
+        R = [one // d**k for d in D]
+        q = [(v * r) >> F for v, r in zip(V, R)]
+        # In units of 2^-F: |q - V/D^k| <= |V| + 1 (the floors of the
+        # reciprocal and of the product), plus E_V times the reciprocal
+        # (+ 2 for its floor and truncation); the denominator's own error
+        # scales |value| by at most (1 - E_D/Dmin)^-k - 1
+        # <= k E_D Dmin^k / Dlow^(k+1).
+        c0 = (max(map(abs, V)) >> F) + 4
+        EV = self._EV
+        E = [c0 + ((EV * r) >> F) for r in R]
+        return q, E, (k * self._ED * Dmin**k, Dlow ** (k + 1))
+
+    def __call__(self, axes: Sequence[Sequence[mpf]]) -> list[mpf]:
+        """The grid protocol: values at every point of the product of axes."""
+        return self.values(axes)[0]
+
+    def values(self, axes: Sequence[Sequence[mpf]]) -> tuple[list[mpf], list[mpf]]:
+        """Values on the grid of axes (coordinates in [0, 1]), row-major,
+        rounded to the working precision, and bounds on their distance from
+        the exact integrand there."""
+        if len(axes) != self.dim:
+            raise DimensionMismatch("grid has wrong number of axes")
+        q, E, fac = self._eval([[_mpf_int(x, self.F) for x in ax] for ax in axes])
+        if fac is not None:
+            E = [e + ((abs(v) + e) * fac[0]) // fac[1] + 1 for v, e in zip(q, E)]
+        e = self.shift - self.F
+        one = Fraction(1)
+        vals = [_scaled(v, e, one, round_nearest) for v in q]
+        return vals, [_scaled(x, e, one, round_ceiling) + mp.ldexp(abs(v), -mp.prec)
+                      for x, v in zip(E, vals)]
+
+
+def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order_lo: int) -> None:
+    """Both rules of a cell as exact integer sums, each rounded once; the
+    estimate is |I_hi - I_lo| plus the rounding floor, as on the grid path,
+    plus the counted rounding of both rules."""
+    dim, F = f.dim, f.F
+    width = [b - a for a, b in zip(cell.lo, cell.hi)]
+    vol = prod(width, start=Fraction(1))
+    sums = []
+    for order in (order_hi, order_lo):
+        nodes, L, W = _fixed_rule(order, F)
+        q, E, fac = f._eval([_axis_ints(a, w, nodes, L, F) for a, w in zip(cell.lo, width)])
+        S = _weighted(q, W, dim)
+        A = _weighted([abs(v) for v in q], W, dim)
+        err = _weighted(E, W, dim)
+        if fac is not None:
+            err += ((A + err) * fac[0]) // fac[1] + 1
+        # Weights within half a unit of the rule's: relative error <= dim/(2 Wmin)
+        # per tensor weight, on |f| <= |q| + err.
+        err += (dim * (A + err)) // min(W) + 1
+        sums.append((S, A, err))
+    (S, A, err), (S_lo, _, err_lo) = sums
+    e = f.shift - (dim + 1) * F
+    cell.value = _scaled(S, e, vol, round_nearest)
+    cell.absmass = _scaled(A, e, vol, round_nearest)
+    cell.est = (
+        abs(cell.value - _scaled(S_lo, e, vol, round_nearest))
+        + cell.absmass * rounding_floor(mp.prec)
+        + _scaled(err + err_lo, e, vol, round_ceiling)
+    )
+
+
 @dataclass
 class _Cell:
     lo: tuple[Fraction, ...]
@@ -104,6 +385,9 @@ class _Cell:
 
 
 def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int) -> None:
+    if isinstance(f, FixedPointIntegrand):
+        _eval_cell_fixed(f, cell, order_hi, order_lo)
+        return
     dim = len(cell.lo)
     lo = [mpf_from_rational(x) for x in cell.lo]
     width = [mpf_from_rational(b - a) for a, b in zip(cell.lo, cell.hi)]
@@ -111,29 +395,21 @@ def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int) -> None:
     for w in width:
         vol *= w
 
-    lead = max(dim - 2, 0)
-
     def tensor(order: int) -> tuple[mpf, mpf]:
         nodes, weights = gauss_legendre_01(order)
         xs = [[lo[j] + width[j] * x for x in nodes] for j in range(dim)]
         # The bits of the result depend on these orders: weights are the
         # products vol * w[i0] * w[i1] * ... taken left to right, and points
         # are summed in row-major order.
-        heads: list[tuple[tuple[int, ...], mpf]] = [((), vol)]
-        for _ in range(lead):
-            heads = [(idx + (i,), w * wi) for idx, w in heads
-                     for i, wi in enumerate(weights)]
+        ws = [vol]
+        for _ in range(dim):
+            ws = [w * wi for w in ws for wi in weights]
         total = mpf(0)
         absmass = mpf(0)
-        for idx, w_head in heads:
-            ws = [w_head]
-            for _ in range(dim - lead):
-                ws = [w * wi for w in ws for wi in weights]
-            axes = [[xs[j][i]] for j, i in enumerate(idx)] + xs[lead:]
-            for w, fv in zip(ws, f(axes)):
-                wf = w * fv
-                total += wf
-                absmass += abs(wf)
+        for w, fv in zip(ws, f(xs)):
+            wf = w * fv
+            total += wf
+            absmass += abs(wf)
         return total, absmass
 
     hi_val, absmass = tensor(order_hi)
@@ -154,10 +430,10 @@ def integrate_unit_cube(
 ) -> tuple[mpf, mpf]:
     """Integrate f over [0,1]^dim; returns (value, absolute error bound).
 
-    f follows the grid protocol of this module: it is called with one list
+    f is a FixedPointIntegrand, evaluated on whole cells in integers, or
+    follows the grid protocol of this module: it is called with one list
     of coordinates per axis and returns its values on their product in
-    row-major order.  For dim >= 3 each call covers one slab, the leading
-    axes fixed at one node each and the last two axes at all nodes.
+    row-major order.
     """
     if dim == 0:
         (v,) = f([])

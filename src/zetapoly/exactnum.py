@@ -145,14 +145,6 @@ def binom_rational(x: Fraction, k: int) -> Fraction:
     return num / factorial(k)
 
 
-def rising_factorial(x: Fraction, k: int) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(1)
-    for t in range(k):
-        acc *= x + t
-    return acc
-
-
 def falling_factorial_ext(n: int, m: int) -> Fraction:
     """(n)_m = n(n-1)...(n-m+1) for m >= 0, extended by (n)_{-1} = 1/(n+1).
 
@@ -267,12 +259,6 @@ class Numeric:
             e >>= 1
         return acc
 
-    def abs_distance(self, x: Fraction | float | mpf) -> mpf:
-        with mp.extradps(5):
-            if isinstance(x, Fraction):
-                x = mpf_from_rational(x)
-            return abs(self.value - mpf(x))
-
     def to_json(self, ndigits: int = 30) -> dict:
         return {
             "value": mp.nstr(self.value, ndigits),
@@ -375,15 +361,19 @@ def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
     with mp.workdps(precision + 10):
         target = mpf(10) ** (-(precision + 4))
         M = max(10, precision)
+        # ratios[K] = (s)_{2K} / (2K)!, extended one K at a time.
+        ratios = [Fraction(1)]
+
+        def ratio(K: int) -> Fraction:
+            while len(ratios) <= K:
+                j = 2 * len(ratios)
+                ratios.append(ratios[-1] * ((s + j - 2) * (s + j - 1) / ((j - 1) * j)))
+            return ratios[K]
+
         while True:
             best = None
             for K in range(1, 4 * precision):
-                b = (
-                    abs(bernoulli(2 * K))
-                    * rising_factorial(s, 2 * K)
-                    / factorial(2 * K)
-                    / (s + 2 * K - 1)
-                )
+                b = abs(bernoulli(2 * K)) * ratio(K) / (s + 2 * K - 1)
                 bound = mpf_from_rational(b) * mpf(M) ** mpf_from_rational(1 - s - 2 * K)
                 if best is None or bound < best[0]:
                     best = (bound, K)
@@ -401,7 +391,7 @@ def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
         total += mp.power(M, 1 - sf) / (sf - 1)
         total -= mp.power(M, -sf) / 2
         for k in range(1, K + 1):
-            c = bernoulli(2 * k) * rising_factorial(s, 2 * k - 1) / factorial(2 * k)
+            c = bernoulli(2 * k) * ratio(k) / (s + 2 * k - 1)
             total += mpf_from_rational(c) * mp.power(M, -sf - (2 * k - 1))
         err = bound + (M + K + 10) * _round_err(total)
         return Numeric(total, err)

@@ -2,9 +2,9 @@
 
 Implements the multi-index bookkeeping (weighted index sets, composition
 families and their g-vectors), the period integrals over unit-cube faces by
-certified quadrature, the polynomial-in-(1+a) expansion of the shifted
-integral continuation, and the Raabe-type substitution that turns that
-expansion into the series value.
+certified quadrature of integrands compiled to integer fixed point, the
+polynomial-in-(1+a) expansion of the shifted integral continuation, and the
+Raabe-type substitution that turns that expansion into the series value.
 """
 from __future__ import annotations
 
@@ -16,16 +16,21 @@ from typing import Sequence
 
 from mpmath import mp
 
-from ._quadrature import integrate_unit_cube, require_reachable
+from ._quadrature import FixedPointIntegrand, integrate_unit_cube, require_reachable
 from .errors import NotElliptic, NotHomogeneous, PositivityUnverified
-from .exactnum import Numeric, SpecialValue, bernoulli_tilde_product, point_to_str
+from .exactnum import (
+    Numeric,
+    SpecialValue,
+    bernoulli_tilde_product,
+    multi_factorial,
+    point_to_str,
+)
 from .multipoly import (
     MPoly,
     MultiIndex,
     bernstein_positive,
     build_P_alpha_u,
     composition_tuples,
-    mi_factorial,
     multiindices_of_weight,
     multiindices_up_to_weight,
     weighted_partitions,
@@ -85,12 +90,6 @@ class CompositionFamily:
                     for i in range(self.n):
                         g[i] += mult * gamma[i]
         return tuple(g)
-
-    def factorial_product(self) -> int:
-        acc = 1
-        for uk in self.u:
-            acc *= mi_factorial(uk)
-        return acc
 
     def to_json(self) -> list[dict]:
         out = []
@@ -153,21 +152,20 @@ def _integrate_face(
     cache: dict | None = None,
     abs_tol: float | None = None,
 ) -> Numeric:
-    """Integral over [0,1]^dim of Pf^expo * numer, expo possibly negative."""
+    """Integral over [0,1]^dim of Pf^expo * numer, expo possibly negative.
+
+    The integrand is compiled once into a FixedPointIntegrand, numer / Pf^k
+    for expo = -k < 0 or the polynomial Pf^expo * numer, so that the cube
+    quadrature sums each cell exactly in integers (DECISIONS.md D2)."""
     dim = Pf.nvars
     key = (expo, _canon(Pf), _canon(numer))
     if cache is not None and key in cache:
         return cache[key]
     with mp.workdps(qs.precision + 10):
         if expo >= 0:
-            f = ((Pf**expo) * numer).eval_grid
+            f = FixedPointIntegrand((Pf**expo) * numer)
         else:
-            k = -expo
-
-            def f(axes):
-                return [v / den**k for v, den in
-                        zip(numer.eval_grid(axes), Pf.eval_grid(axes))]
-
+            f = FixedPointIntegrand(numer, Pf, -expo)
         val, err = integrate_unit_cube(
             f,
             dim,
@@ -298,7 +296,7 @@ def _mahler_terms(P: MPoly, Q: MPoly, N: int, d: int):
                     (-1) ** (sum(alpha) - N)
                     * factorial(sum(alpha) - 1 - N)
                     * factorial(N),
-                    d * mi_factorial(alpha) * mi_factorial(beta),
+                    d * multi_factorial(alpha) * multi_factorial(beta),
                 )
                 for u in enumerate_V(alpha, n, support):
                     m = tuple(gi + bi for gi, bi in zip(u.g_vector(), beta))
@@ -326,13 +324,14 @@ def Z_breakdown(
     d, flags = _check_P(P, N)
     n = P.nvars
     buckets: dict[tuple, tuple[MPoly, MPoly]] = {}
+    memo: dict = {}
     for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
         bt = bernoulli_tilde_product(m)
         if bt == 0:
             continue
         w = c_ab * bt
         for i in range(1, n + 1):
-            Pi_u = build_P_alpha_u(P, i, alpha, u.u)
+            Pi_u = build_P_alpha_u(P, i, alpha, u.u, memo)
             if Pi_u.is_zero():
                 continue
             key = (ci, i, beta, alpha)
@@ -404,9 +403,10 @@ def Y_expansion(
     # Per (component, beta, alpha): dQc, c_ab and the face sums of the
     # products P^i_{alpha,u}, grouped by exponent m and face i.
     blocks: dict[tuple, tuple[MPoly, Fraction, dict]] = {}
+    memo: dict = {}
     for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
         for i in range(1, n + 1):
-            Pi_u = build_P_alpha_u(P, i, alpha, u.u)
+            Pi_u = build_P_alpha_u(P, i, alpha, u.u, memo)
             if Pi_u.is_zero():
                 continue
             groups = blocks.setdefault((ci, beta, alpha), (dQc, c_ab, {}))[2]

@@ -17,8 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Sequence
 
-from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pow_int, round_nearest
+from mpmath import mpf
 
 from .errors import (
     CompositionMismatch,
@@ -29,10 +28,6 @@ from .errors import (
 from .exactnum import Rational, mpf_from_rational, multi_factorial, rat_to_str
 
 MultiIndex = tuple[int, ...]
-
-
-def mi_factorial(g: Sequence[int]) -> int:
-    return multi_factorial(g)
 
 
 def mi_add(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
@@ -184,50 +179,6 @@ class MPoly:
                     t *= x**k
             acc += t
         return acc
-
-    def eval_grid(self, axes: Sequence[Sequence[mpf]]) -> list[mpf]:
-        """Values on the tensor grid axes[0] x axes[1] x ..., row-major
-        (last axis fastest).
-
-        Each value is bit-identical to ``eval_mp`` at that point: every term
-        is c * x0**e0 * x1**e1 * ... multiplied left to right and the terms
-        are added in the same order, with the operations mpf's operators
-        use, rounded to nearest at mp.prec.  Coefficients are converted once
-        per call and powers x**k once per axis; a term is multiplied out
-        only over the axes it involves, each partial product shared by every
-        point that extends it, and then spread over the grid.
-        """
-        if len(axes) != self.nvars:
-            raise DimensionMismatch("grid has wrong number of axes")
-        prec, rnd = mp.prec, round_nearest
-        raw = [[x._mpf_ for x in ax] for ax in axes]
-        powers: list[dict[int, list]] = [{1: xs} for xs in raw]
-        spread: dict[tuple[bool, ...], list[int]] = {}
-        acc = [fzero]
-        for xs in raw:
-            acc = acc * len(xs)
-        for e, c in self.terms.items():
-            # The term over the grid of the axes it involves ...
-            part = [mpf_from_rational(c)._mpf_]
-            for j, k in enumerate(e):
-                if k:
-                    pw = powers[j].get(k)
-                    if pw is None:
-                        pw = [mpf_pow_int(x, k, prec, rnd) for x in raw[j]]
-                        powers[j][k] = pw
-                    part = [mpf_mul(t, p, prec, rnd) for t in part for p in pw]
-            # ... spread over the whole grid.
-            used = tuple(k > 0 for k in e)
-            idx = spread.get(used)
-            if idx is None:
-                idx = [0]
-                for xs, on in zip(raw, used):
-                    n = len(xs)
-                    idx = ([i * n + r for i in idx for r in range(n)] if on
-                           else [i for i in idx for _ in range(n)])
-                spread[used] = idx
-            acc = [mpf_add(a, part[i], prec, rnd) for a, i in zip(acc, idx)]
-        return [mp.make_mpf(v) for v in acc]
 
     # Calculus and substitutions ----------------------------------------------
 
@@ -417,7 +368,7 @@ def taylor_H(P: MPoly, i: int, b: Sequence[Rational]) -> list[MPoly]:
                     w *= x**gi
             if w == 0:
                 continue
-            w /= mi_factorial(g)
+            w /= multi_factorial(g)
             acc = acc + P.derivative(g).face(i).scale(w)
         out.append(acc)
     return out
@@ -484,15 +435,20 @@ def composition_tuples(
     return out
 
 
-def build_P_alpha_u(P: MPoly, i: int, alpha: Sequence[int], u) -> MPoly:
+def build_P_alpha_u(
+    P: MPoly, i: int, alpha: Sequence[int], u, memo: dict | None = None
+) -> MPoly:
     """Auxiliary face product for a composition family u over alpha.
 
     (alpha!/prod_k u_k!) * prod_k prod_{|g|=k} ((d^g P at face i)/g!)^{u_{k,g}}
+
+    A caller that builds many products of one P may pass a memo dict, kept
+    for that P only; it holds each factor by (i, g, u_{k,g}).
     """
     alpha = tuple(int(a) for a in alpha)
     n = P.nvars
     d = len(alpha)
-    coeff = Fraction(mi_factorial(alpha))
+    coeff = Fraction(multi_factorial(alpha))
     acc = MPoly.one(n - 1)
     for k in range(1, d + 1):
         gammas = multiindices_of_weight(k, n)
@@ -505,8 +461,14 @@ def build_P_alpha_u(P: MPoly, i: int, alpha: Sequence[int], u) -> MPoly:
             if mult == 0:
                 continue
             coeff /= factorial(mult)
-            base = P.derivative(g).face(i).scale(Fraction(1, mi_factorial(g)))
-            acc = acc * base**mult
+            key = (i, g, mult)
+            factor = memo.get(key) if memo is not None else None
+            if factor is None:
+                base = P.derivative(g).face(i).scale(Fraction(1, multi_factorial(g)))
+                factor = base**mult
+                if memo is not None:
+                    memo[key] = factor
+            acc = acc * factor
     return acc.scale(coeff)
 
 

@@ -22,12 +22,15 @@ from .errors import (
     Pole,
 )
 from .exactnum import (
+    ConstantProduct,
     Numeric,
+    SpecialValue,
     bernoulli,
     bernoulli_poly,
     binom_rational,
     gamma_rational,
     mpf_from_rational,
+    riemann_zeta_exact_nonpositive,
 )
 from .mahler import QuadratureSettings
 from .multipoly import weighted_partitions
@@ -550,3 +553,68 @@ def _z_block(d1, g1, d2, g2, sprime, N1, xexp, bern_coeffs, settings: EMSettings
         else:
             quiet = 0
     return total
+
+
+# -----------------------------------------------------------------------------
+# Closed form for diagonal P: the theta-series expansion
+# -----------------------------------------------------------------------------
+
+def theta_diagonal(
+    n: int, d: int, a: int | Sequence[int], N: int, c: Fraction = Fraction(1)
+) -> SpecialValue:
+    """Z(c (x1^d + ... + xn^d), x^a; -N) from the small-t expansion of a
+    product of one-variable theta series, independent of the face periods.
+
+    With theta_a(t) = sum_{m>=1} m^a e^{-c t m^d},
+
+        Z = (-1)^N N! [t^N] prod_i theta_{a_i}(t),
+        theta_a(t) ~ Gamma((a+1)/d)/d (ct)^{-(a+1)/d}
+                     + sum_k zeta(-a-dk) (-ct)^k / k!
+
+    (DECISIONS.md D1 is the case n = 4, d = 3, a = 0, N = 0).  A product
+    that takes the singular term of the factors in J reaches t^N only when
+    e_J = sum_{i in J} (a_i+1)/d is an integer, so c enters as the rational
+    c^{-e_J}; each Gamma((a_i+1)/d) is reduced by Gamma(x+1) = x Gamma(x)
+    to a rational times Gamma at a rational in (0,1).  The result is exact
+    or mixed.  a is one exponent for every variable or one per variable.
+    """
+    a = (a,) * n if isinstance(a, int) else tuple(int(x) for x in a)
+    c = Fraction(c)
+    if n < 1 or d < 1 or N < 0 or len(a) != n or min(a) < 0 or c <= 0:
+        raise ValueError("need n, d >= 1, N >= 0, a >= 0 per variable and c > 0")
+    base = Fraction(0)
+    terms = []
+    for mask in range(1 << n):
+        J = [i for i in range(n) if mask >> i & 1]
+        eJ = sum((Fraction(a[i] + 1, d) for i in J), Fraction(0))
+        if eJ.denominator != 1:
+            continue
+        m = N + eJ.numerator
+        # [t^m] of the product of the regular series of the factors not in J.
+        poly = [Fraction(1)] + [Fraction(0)] * m
+        for i in range(n):
+            if i in J:
+                continue
+            reg = [
+                riemann_zeta_exact_nonpositive(a[i] + d * k) * (-c) ** k / factorial(k)
+                for k in range(m + 1)
+            ]
+            poly = [sum(poly[j] * reg[t - j] for j in range(t + 1)) for t in range(m + 1)]
+        coeff = poly[m] * c ** -eJ.numerator
+        gammas = []
+        for i in J:
+            # Gamma(x) / d = Gamma(g) g (g+1) ... (x-1) / d, g in (0, 1].
+            x = Fraction(a[i] + 1, d)
+            g = x - (x.numerator - 1) // x.denominator
+            if g != 1:
+                gammas.append(g)
+            while g < x:
+                coeff *= g
+                g += 1
+            coeff /= d
+        coeff *= (-1) ** N * factorial(N)
+        if gammas:
+            terms.append((coeff, ConstantProduct(tuple(gammas))))
+        else:
+            base += coeff
+    return SpecialValue.make_mixed(base, terms)

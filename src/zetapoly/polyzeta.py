@@ -18,14 +18,19 @@ from mpmath import mp, mpf
 
 from ._quadrature import integrate_unit_cube, pointwise
 from .errors import HypothesisViolated, NotDiagonal, NotElliptic
-from .exactnum import Numeric, SpecialValue, bernoulli_tilde_product, point_to_str
+from .exactnum import (
+    Numeric,
+    SpecialValue,
+    bernoulli_tilde_product,
+    multi_factorial,
+    point_to_str,
+)
 from .mahler import DEFAULT_QS, QuadratureSettings, Z_value, certify_elliptic
 from .multipoly import (
     H0sReport,
     MPoly,
     composition_tuples,
     h0s_heuristic,
-    mi_factorial,
     positivity_check,
     weighted_partitions,
 )
@@ -226,13 +231,13 @@ def diagonal_value(
     for beta in sorted(QN.terms.keys()):
         if sum(beta) > qN:
             continue
-        dQ0 = QN.terms[beta] * mi_factorial(beta)
+        dQ0 = QN.terms[beta] * multi_factorial(beta)
         # every nu <= beta componentwise, in lexicographic order
         for nu in product(*(range(b + 1) for b in beta)):
             for alpha in weighted_partitions(sum(nu) + n, d):
                 a_abs = sum(alpha)
                 base = Fraction(
-                    (-1) ** a_abs * factorial(a_abs - 1), d**n * mi_factorial(beta)
+                    (-1) ** a_abs * factorial(a_abs - 1), d**n * multi_factorial(beta)
                 )
                 base *= dQ0
                 # binomial powers from the derivatives of the pure powers X^d
@@ -245,7 +250,7 @@ def diagonal_value(
                 for gammas in composition_tuples(alpha, [n] * d):
                     coeff = base
                     for gk in gammas:
-                        coeff /= mi_factorial(gk)
+                        coeff /= multi_factorial(gk)
                     bt = bernoulli_tilde_product(
                         beta[i] - nu[i] + sum((k + 1) * gammas[k][i] for k in range(d))
                         for i in range(n)

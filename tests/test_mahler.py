@@ -8,11 +8,13 @@ from mpmath import mp, mpf
 
 from zetapoly import (
     CompositionFamily,
+    ConstantProduct,
     MPoly,
     NotElliptic,
     NotHomogeneous,
     PrecisionUnreachable,
     QuadratureSettings,
+    SpecialValue,
     Y_expansion,
     Y_value,
     Z_value,
@@ -22,6 +24,7 @@ from zetapoly import (
     period_K,
     raabe_substitute,
     riemann_zeta_exact_nonpositive,
+    theta_diagonal,
 )
 from zetapoly.mahler import _derivative_support, convergence_abscissa, delta_multiindices
 
@@ -359,6 +362,57 @@ class TestThetaSeriesCrossChecks:
             assert abs(v.num.value - mpf(1) / 24) <= max(v.num.err, mpf(10) ** -10)
 
 
+def _diagonal(n, d, c):
+    return MPoly(n, {tuple(d * (i == j) for i in range(n)): F(c) for j in range(n)})
+
+
+class TestThetaDiagonal:
+    """theta_diagonal is the theta-series closed form for diagonal P: an
+    independent truth for Z_value, whose err must cover the distance."""
+
+    QS = QuadratureSettings(rel_tol=1e-8, precision=20)
+
+    # (n, d, a, N, c): Q = x^a in {1, x1, x1^2 x2, x1 x2}.
+    CORPUS = [
+        (4, 3, 0, 0, 1),
+        (2, 2, (1, 0), 0, 1),
+        (3, 3, 0, 0, 1),
+        (2, 4, 0, 1, 1),
+        (2, 2, (2, 1), 1, F(1, 2)),
+        (3, 2, (1, 0, 0), 0, 2),
+        (3, 2, (2, 1, 0), 0, 1),
+        (3, 2, (1, 1, 0), 1, 1),
+        (2, 3, (1, 1), 2, 2),
+    ]
+
+    def test_criterion_9_is_one_call(self):
+        v = theta_diagonal(4, 3, 0, 0, 1)
+        assert v == SpecialValue.make_mixed(
+            F(1, 16), [(F(-1, 810), ConstantProduct((F(1, 3),) * 3))])
+
+    def test_known_rationals(self):
+        assert theta_diagonal(2, 2, (1, 0), 0, 1) == _exact(F(1, 24))
+        assert theta_diagonal(3, 3, 0, 0, 1) == _exact(F(-1, 8))
+        assert theta_diagonal(2, 4, 0, 1, 1) == _exact(F(0))
+        assert theta_diagonal(3, 1, 0, 0, 1) == _exact(F(-3, 8))
+
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    @pytest.mark.parametrize("a", [0, 1, 3])
+    def test_one_variable_is_exact_Z(self, a, N):
+        # Z(c x^d, x^a; -N) = c^N zeta(-a - dN), exactly on both routes.
+        Q = MPoly(1, {(a,): F(1)})
+        assert theta_diagonal(1, 2, a, N, F(3)) == Z_value(_diagonal(1, 2, 3), Q, N)
+
+    @pytest.mark.parametrize("n, d, a, N, c", CORPUS)
+    def test_Z_value_within_err(self, n, d, a, N, c):
+        av = (a,) * n if isinstance(a, int) else a
+        qs = self.QS if (n, d) != (4, 3) else QuadratureSettings(rel_tol=1e-6, precision=20)
+        z = Z_value(_diagonal(n, d, c), MPoly(n, {av: F(1)}), N, qs)
+        truth = theta_diagonal(n, d, a, N, c).to_numeric(30)
+        with mp.workdps(40):
+            assert abs(z.num.value - truth.value) <= z.num.err + truth.err
+
+
 class TestUnverifiedPositivity:
     def _hard_poly(self):
         # face 2 is (y - 1/3)^2 + 1e-8: positive, but the minimum sits off
@@ -399,49 +453,58 @@ class TestQuadratureSettings:
 
 
 class TestFaceQuadratureBitIdentity:
-    """(value._mpf_, err._mpf_) recorded from the point-by-point integrand
-    (one MPoly.eval_mp call per node); the grid kernel must reproduce them
-    bit for bit.  Z_value's buckets always have expo = N - |alpha| < 0, so
-    the expo >= 0 branch is pinned through period_K."""
+    """(value._mpf_, err._mpf_) recorded from the fixed-point kernel (exact
+    integer cell sums, rounded once); any change to the kernel's bits shows
+    here.  Each literal sits beside a truth it must stay within err of.
+    Z_value's buckets always have expo = N - |alpha| < 0, so the expo >= 0
+    branch is pinned through period_K."""
 
     QS20 = QuadratureSettings(rel_tol=1e-8, precision=20)
 
     @staticmethod
-    def _bits(v):
+    def _bits(v, truth, truth_err=0):
         assert v.kind == "numeric"
+        with mp.workdps(50):
+            if isinstance(truth, F):
+                truth = mpf(truth.numerator) / truth.denominator
+            assert abs(v.num.value - truth) <= v.num.err + truth_err
         return v.num.value._mpf_, v.num.err._mpf_
 
     def test_Z_value_2d_faces(self):
-        v = Z_value(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + 2 x3", 3), 1,
-                    self.QS20)
-        assert self._bits(v) == (
-            (0, 27198223519959375232844046779589, -111, 105),
-            (0, 910487587474864940796605594099920533, -149, 120),
+        P3, Q = P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + 2 x3", 3)
+        ref = Z_value(P3, Q, 1, QuadratureSettings(rel_tol=1e-12, precision=30))
+        v = Z_value(P3, Q, 1, self.QS20)
+        assert self._bits(v, ref.num.value, ref.num.err) == (
+            (0, 27198223519959375232844046779835, -111, 105),
+            (0, 910487587474864940796535912799988325, -149, 120),
         )
 
     def test_Z_value_3d_faces(self):
+        # The Epstein value Z(x1^2 + .. + x4^2, 1; 0) = 1/16.
         v = Z_value(P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,
                     QuadratureSettings(rel_tol=1e-6, precision=20))
-        assert self._bits(v) == (
-            (0, 5070602400912917683293321795835, -106, 103),
-            (0, 31146344603117668978993604669324955, -143, 115),
+        assert self._bits(v, F(1, 16)) == (
+            (0, 10141204801825835366586643591741, -107, 104),
+            (0, 31146344603117668978996490893541643, -143, 115),
         )
 
     def test_period_2d_face_nonnegative_exponent(self):
-        # N = 2, |alpha| = 1: the integrand is the polynomial Pf * numer.
+        # N = 2, |alpha| = 1: the integrand is the polynomial
+        # 2 (x^2 + x y + y^2 + 1)(x + y), whose integral is 13/3.
         v = period_K(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + x2", 3), 2,
                      (1, 0), ((1, 0, 0), (0,) * 6), (0, 0, 0), 3, self.QS20)
-        assert self._bits(v) == (
-            (0, 5493152600988994073152380556627, -100, 103),
-            (0, 5810065251046051423526556357971, -196, 103),
+        assert self._bits(v, F(13, 3)) == (
+            (0, 5493152600988994073152380556629, -100, 103),
+            (0, 2786190457225075278403592619067, -195, 102),
         )
 
     def test_period_3d_face_nonnegative_exponent(self):
+        # The integrand is the constant 2 (d/dx4 of x4^2 on face 4).
         v = period_K(P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 1,
                      (1, 0), ((1, 0, 0, 0), (0,) * 10), (0, 0, 0, 0), 4, self.QS20)
-        assert self._bits(v) == (
-            (0, 10141204801825835211973625642947, -102, 103),
-            (0, 3901987003827518626482039554033, -196, 102),
+        assert self._bits(v, F(2)) == (
+            (0, 1, 1, 1),
+            (0, 5149830718304985996005399565713, -197, 103),
         )
 
 

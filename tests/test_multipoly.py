@@ -4,20 +4,22 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from mpmath import mp
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp, mpf
 
 from zetapoly import (
     CompositionMismatch,
     DimensionMismatch,
     IndexOutOfRange,
     MPoly,
+    NotElliptic,
     NotHomogeneous,
     build_P_alpha_u,
     h0s_heuristic,
     positivity_check,
     taylor_H,
 )
+from zetapoly._quadrature import FixedPointIntegrand
 from zetapoly.exactnum import mpf_from_rational
 from zetapoly.multipoly import (
     bernstein_positive,
@@ -79,32 +81,53 @@ class TestDerivative:
         assert p.derivative(g1).derivative(g2) == p.derivative(total)
 
 
-class TestEvalGrid:
-    """eval_grid is a faster eval_mp over a tensor grid, not an approximation."""
+class TestFixedPointKernel:
+    """The quadrature's fixed-point kernel against eval_mp, the reference
+    evaluator, run at twice the precision: every value lies within the
+    rounding bound the kernel counts for it."""
 
-    grid_cases = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
         small_polys(n, max_terms=6, max_deg=3),
-        st.lists(
-            st.lists(st.fractions(min_value=F(-2), max_value=F(2),
-                                  max_denominator=1000), min_size=1, max_size=3),
-            min_size=n, max_size=n),
+        st.lists(st.tuples(st.fractions(min_value=F(0), max_value=F(4), max_denominator=6),
+                           st.integers(1, 3)), min_size=n, max_size=n),
+        st.integers(0, 4),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 63)), min_size=n, max_size=n),
+        st.lists(st.lists(st.fractions(min_value=F(0), max_value=F(1), max_denominator=1000),
+                          min_size=1, max_size=3), min_size=n, max_size=n),
     ))
 
     @settings(max_examples=60, deadline=None)
-    @given(grid_cases, st.sampled_from([20, 50]))
-    def test_bit_identical_to_eval_mp(self, case, dps):
-        p, coords = case
+    @given(cases, st.sampled_from([20, 50]))
+    def test_within_counted_rounding_of_eval_mp(self, case, dps):
+        # numer / den^k with den = 1 + sum c_j x_j^e_j, positive on the cube,
+        # at points of a random dyadic cell.
+        numer, den_terms, k, cell, ts = case
+        assume(not numer.is_zero())
+        n = numer.nvars
+        den = MPoly.one(n)
+        for j, (c, e) in enumerate(den_terms):
+            den = den + MPoly(n, {tuple(e * (i == j) for i in range(n)): c})
+        coords = []
+        for (m, a), tj in zip(cell, ts):
+            lo, width = F(a % 2**m, 2**m), F(1, 2**m)
+            coords.append([lo + width * t for t in tj])
         with mp.workdps(dps):
+            f = FixedPointIntegrand(numer, den, k)
             axes = [[mpf_from_rational(x) for x in ax] for ax in coords]
-            grid = p.eval_grid(axes)
-            points = list(product(*axes))
-            assert len(grid) == len(points)
-            for v, pt in zip(grid, points):
-                assert v._mpf_ == p.eval_mp(pt)._mpf_
+            vals, errs = f.values(axes)
+        with mp.workdps(2 * dps):
+            for v, e, pt in zip(vals, errs, product(*axes)):
+                ref = numer.eval_mp(pt) / den.eval_mp(pt) ** k
+                assert abs(v - ref) <= e + abs(ref) * mpf(2) ** (10 - mp.prec)
 
     def test_wrong_axis_count(self):
         with pytest.raises(DimensionMismatch):
-            P("x1 + x2", 2).eval_grid([[mp.mpf(1)]])
+            FixedPointIntegrand(P("x1 + x2", 2)).values([[mp.mpf(1)]])
+
+    def test_denominator_not_bounded_away_from_zero(self):
+        f = FixedPointIntegrand(P("1", 1), P("x1", 1), 2)
+        with pytest.raises(NotElliptic):
+            f.values([[mp.mpf(0)]])
 
 
 class TestEnumerators:
