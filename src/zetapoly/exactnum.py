@@ -61,19 +61,29 @@ _BERN: list[Fraction] = []
 BERNOULLI_EAGER_MAX = 128
 
 
+def _tangent_numbers(n: int) -> list[int]:
+    """[T_1, ..., T_n] with tan x = sum_k T_k x^(2k-1)/(2k-1)!, by the
+    all-integer O(n^2) recurrence of Knuth and Buckholtz."""
+    T = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return T[1:]
+
+
 def _extend_bernoulli(upto: int) -> None:
+    """Grow the table past B_upto, at least doubling it, from
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
     with _BERN_LOCK:
-        if not _BERN:
-            _BERN.append(Fraction(1))
-        while len(_BERN) <= upto:
-            m = len(_BERN)
-            # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
-            s = Fraction(0)
-            for j in range(m):
-                if j > 1 and j % 2 == 1:
-                    continue
-                s += comb(m + 1, j) * _BERN[j]
-            _BERN.append(-s / (m + 1))
+        if len(_BERN) > upto:
+            return
+        table = [Fraction(1), Fraction(-1, 2)]
+        for k, t in enumerate(_tangent_numbers(max(upto, 2 * len(_BERN)) // 2), start=1):
+            q = 4**k
+            table += [Fraction((-1) ** (k - 1) * 2 * k * t, q * (q - 1)), Fraction(0)]
+        _BERN.extend(table[len(_BERN):])
 
 
 def bernoulli(k: int) -> Fraction:

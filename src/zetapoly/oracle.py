@@ -2,20 +2,23 @@
 
 Validates the exact value formulas at desk scale: one-variable continuation
 of the power-sum zeta and the two-variable recursion near non-positive
-integer points, with the remainder integral computed numerically (piecewise
-over unit intervals, fractional-part Bernoulli weight) instead of dropped.
+integer points.  A one-variable sum is summed directly up to a cutoff and
+continued from there by Euler-Maclaurin, with the remainder integral
+computed numerically (piecewise over unit intervals, fractional-part
+Bernoulli weight) instead of dropped; the cutoff and the order are chosen
+for the least work (DECISIONS.md D3).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import ceil, comb, exp, factorial, log
 from typing import Sequence
 
 from mpmath import mp, mpf
 
-from ._quadrature import integrate_interval_fixed, integrate_unit_cube, pointwise
+from ._quadrature import integrate_interval_fixed
 from .errors import (
     ContinuationDepthInsufficient,
     DomainViolation,
@@ -39,6 +42,12 @@ from .powersum import PowerSumParams
 
 @dataclass(frozen=True)
 class EMSettings:
+    """K: the least order of the two-variable recursion of powersum2_numeric
+    (em_inner_sum chooses its own).  truncation: the furthest unit step m an
+    em_inner_sum may reach, direct terms and remainder intervals together.
+    precision: the requested digits.  quad.rule: the Gauss-Legendre order of
+    the remainder intervals."""
+
     K: int = 8
     truncation: int = 400
     precision: int = 30
@@ -64,11 +73,6 @@ def beta_integral(
         raise DomainViolation("need a > 0 and b > 0")
     if s * d <= 1:
         raise DomainViolation("need s > 1/d")
-    return _beta_gamma_form(a, b, d, s, precision)
-
-
-def _beta_gamma_form(a: Fraction, b: Fraction, d: int, s: Fraction, precision: int) -> Numeric:
-    """Gamma(s-1/d) Gamma(1/d) / (d a^{1/d} b^{s-1/d} Gamma(s))."""
     with mp.workdps(precision + 10):
         g1 = gamma_rational(s - Fraction(1, d), precision)
         g2 = gamma_rational(Fraction(1, d), precision)
@@ -77,24 +81,6 @@ def _beta_gamma_form(a: Fraction, b: Fraction, d: int, s: Fraction, precision: i
         out = out * _rational_power(a, Fraction(-1, d))
         out = out * _rational_power(b, Fraction(1, d) - s)
     return out
-
-
-def _beta_term_continued(
-    a: Fraction, b: Fraction, d: int, s: Fraction, precision: int = 30
-) -> Numeric:
-    """Meromorphic continuation of the integral term of the summation
-    formula.  For d = 1 the Gamma ratio collapses to 1/(s-1); at
-    non-positive integer s (d >= 2) the reciprocal Gamma factor makes the
-    term vanish identically."""
-    a, b, s = Fraction(a), Fraction(b), Fraction(s)
-    if d == 1:
-        if s == 1:
-            raise Pole("integral term has its pole at s = 1")
-        out = _rational_power(b, 1 - s)
-        return out.scale(Fraction(1) / (a * (s - 1)))
-    if s.denominator == 1 and s <= 0:
-        return Numeric(mpf(0), mpf(0))
-    return _beta_gamma_form(a, b, d, s, precision)
 
 
 def _rational_power(base: Fraction, expo: Fraction) -> Numeric:
@@ -169,6 +155,17 @@ def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
 # Euler-Maclaurin evaluation of sum_{m>=1} (b + a m^d)^{-s}
 # -----------------------------------------------------------------------------
 
+# The share of the tolerance left to the tail bound of the remainder integral:
+# the loop runs until the bound is this far below tolerance, so that err is
+# set by the computed remainder and not by where the loop stopped.
+_TAIL_SHARE = mpf("1e-6")
+_K_MAX = 64
+# Predicted work of an anchored evaluation, in units of one fractional
+# mp.power at 35 digits (about 20 us; an mpf product is about 1/8 of one).
+_DIRECT_TERM = 1.3  # one f(m): its base and one power
+_NODES_PER_INTERVAL = 23  # the order-15 rule and its order-8 companion
+
+
 def _bern_frac_weight(coeffs: list[mpf]):
     """t -> B_2K(t) by Horner's rule over coeffs, memoised on the bits of t.
 
@@ -190,180 +187,263 @@ def _bern_frac_weight(coeffs: list[mpf]):
     return weight
 
 
+def _partition_count(n: int, d: int) -> int:
+    """len(weighted_partitions(n, d)): the terms of f^(n), before the zero
+    binomials are dropped."""
+    ways = [1] + [0] * n
+    for part in range(1, d + 1):
+        for i in range(part, n + 1):
+            ways[i] += ways[i - part]
+    return ways[n]
+
+
+@lru_cache(maxsize=4096)
+def _tail_coefficient(a: Fraction, d: int, s: Fraction, K: int) -> Fraction:
+    """A a^s with |1/(2K)! int_m^oo f^(2K)(x) B_2K({x}) dx| <= A m^(1-p)/(p-1),
+    p = d s + 2K, for every m > 0.  Each term of f^(2K) is at most
+    |c| a^-(s+|alpha|) x^-p, since b >= 0 and s + |alpha| >= s + 2K/d > 1/d."""
+    acc = Fraction(0)
+    for c, _xexp, aa in _f_derivative_terms(a, d, s, 2 * K):
+        acc += abs(c) * a**-aa
+    return acc * abs(bernoulli(2 * K)) / factorial(2 * K)
+
+
 def em_inner_sum(
     a: Fraction, b: Fraction, d: int, s: Fraction, settings: EMSettings = DEFAULT_EM
 ) -> Numeric:
-    """Continued value of sum_{m>=1} (b + a m^d)^{-s}.
+    """Continued value of sum_{m>=1} (b + a m^d)^{-s}, by Euler-Maclaurin
+    summation anchored at a cutoff M0 (DECISIONS.md D3):
 
-    In the deeply convergent regime (d*s >= 3) the series is summed directly
-    with an Euler-Maclaurin tail anchored at a large cutoff, which avoids the
-    cancellation the at-zero expansion suffers for small b.  Otherwise the
-    at-zero expansion is used: closed integral term, half-term, odd-derivative
-    corrections, and the even-order remainder integral computed numerically
-    over unit intervals with a rigorous power tail bound.  The order is
-    raised above settings.K when the requested tolerance would otherwise
-    need an excessive number of unit intervals.
+        sum_{m<=M0} f(m) + int_{M0}^oo f - f(M0)/2
+          - sum_{k<=K} B_2k/(2k)! f^(2k-1)(M0)
+          - 1/(2K)! int_{M0}^oo f^(2K)(x) B_2K({x}) dx.
+
+    The integral term is closed for d = 1 and a binomial series for d >= 2
+    (M0 is then at least (2b/a)^(1/d)); both are its meromorphic
+    continuation in s.  The remainder integral is computed over unit
+    intervals from M0 until its power tail bound, measured against the
+    tolerance of the sum and not of the integral, is _TAIL_SHARE below
+    tolerance.  (M0, K) is the pair of least predicted work for which that
+    happens by m = settings.truncation; settings.K plays no part.  Guard
+    digits cover the cancellation between the partial sum and the integral
+    term.  At non-positive integer s, f is a polynomial and the formula is
+    evaluated exactly at M0 = 1.  b = 0 with d >= 2 is a^{-s} zeta(d s),
+    evaluated as the case d = 1.
     """
     a, b, s = Fraction(a), Fraction(b), Fraction(s)
     if a <= 0 or b < 0:
         raise DomainViolation("need a > 0 and b >= 0")
-    prec = settings.precision
-    with mp.workdps(prec + 10):
-        if d * s >= 3:
-            return _em_direct(a, b, d, s, settings)
-        if b == 0:
-            raise DomainViolation("b = 0 requires the convergent regime d*s >= 3")
-        return _em_at_zero(a, b, d, s, settings)
+    with mp.workdps(settings.precision + 10):
+        if b == 0 and d > 1:
+            return em_inner_sum(Fraction(1), b, 1, d * s, settings) * _rational_power(a, -s)
+        return _em_anchored(a, b, d, s, settings)
 
 
-def _em_direct(a, b, d, s, settings: EMSettings) -> Numeric:
-    tol = mpf(10) ** (-(settings.precision + 2))
-    sf = mpf_from_rational(s)
-    af, bf = mpf_from_rational(a), mpf_from_rational(b)
-    M0 = max(20, settings.precision)
-    partial = mpf(0)
-    for m in range(1, M0 + 1):
-        partial += mp.power(bf + af * mp.power(m, d), -sf)
-    # integral over [M0, oo), via x = M0/u to keep the integrand bounded
+def _log(x: Fraction) -> float:
+    return log(x.numerator) - log(x.denominator)
+
+
+def _em_plan(
+    a, b, d, s, K_lo: int, settings: EMSettings, target: mpf
+) -> tuple[int, int, int, mpf]:
+    """(M0, K, m_end, tail): the anchor, the order, the end of the remainder
+    loop and the bound of the remainder beyond m_end, for the least
+    predicted work with tail <= target and m_end <= settings.truncation.
+
+    Direct terms cost less than remainder intervals, so the anchor sits one
+    interval below the first m where the bound meets target; the order
+    trades that m against the terms of f^(2K) at every node and the
+    corrections at M0.  The search runs in floats; the bound of the plan
+    it picks is then evaluated in working precision.  K_lo is the least
+    order for which the remainder integral converges."""
     ds = d * s
-    M0f = mpf(M0)
-    tail_scale = M0f * mp.power(af * M0f**d, -sf)
-    if tail_scale < tol * max(1, abs(partial)) * mpf("1e-3"):
-        # whole tail already negligible against the requested tolerance
-        err = tail_scale * 4 + M0 * abs(partial) * mpf(2) ** (4 - mp.prec)
-        return Numeric(partial, err)
-
-    def g(pt):
-        u = pt[0]
-        return mp.power(u, mpf_from_rational(ds - 2)) * mp.power(
-            bf * u**d + af * M0f**d, -sf
+    M_min = 1 if d == 1 else max(1, int(float(2 * b / a) ** (1 / d)))
+    while d > 1 and a * M_min**d < 2 * b:
+        M_min += 1
+    m_max = settings.truncation
+    log_target = float(mp.log(target))
+    log_a_s = -float(s) * _log(a)
+    best = None
+    worse = 0  # orders in a row that did not beat the best plan
+    last = None  # bound at m_max of the previous order, while none is feasible
+    corr_terms = sum(_partition_count(2 * k - 1, d) for k in range(1, K_lo))
+    for K in range(K_lo, _K_MAX + 1):
+        corr_terms += _partition_count(2 * K - 1, d)
+        A = _tail_coefficient(a, d, s, K)
+        p = float(ds + 2 * K)
+        log_A = _log(A) + log_a_s - log(p - 1)  # log of the bound at m = 1
+        at_max = log_A + (1 - p) * log(m_max)
+        if at_max > log_target or M_min >= m_max:
+            # The bound at m_max falls and then rises with K: once it
+            # rises, no higher order will do.
+            if best is not None or (last is not None and at_max > last):
+                break
+            last = at_max
+            continue
+        m_end = max(M_min + 1, ceil(exp((log_A - log_target) / (p - 1))))
+        # A node: one power and a reciprocal, the Horner step of degree 2K,
+        # and four products per term of f^(2K).
+        node = 1.2 + K / 4 + 0.5 * _partition_count(2 * K, d)
+        cost = (m_end - 1) * _DIRECT_TERM + _NODES_PER_INTERVAL * node + 0.5 * corr_terms
+        if best is None or cost < best[0]:
+            best = (cost, K, m_end)
+            worse = 0
+        else:
+            worse += 1
+            if worse == 2:
+                break
+    if best is None:
+        raise ContinuationDepthInsufficient(
+            f"the integral term needs M0 >= {M_min}, beyond truncation {m_max}"
+            if M_min >= m_max
+            else f"remainder tail not below tolerance within {m_max} intervals"
         )
+    _, K, m_end = best
+    A = mpf_from_rational(_tail_coefficient(a, d, s, K)) * _rational_power(a, -s).value
+    p = mpf_from_rational(ds + 2 * K)
+    tail = A * mpf(m_end) ** (1 - p) / (p - 1)
+    M0 = m_end - 1
+    while tail > target:  # float rounding in the search
+        m_end += 1
+        tail = A * mpf(m_end) ** (1 - p) / (p - 1)
+    return M0, K, m_end, tail
 
-    ival, ierr = integrate_unit_cube(
-        pointwise(g), 1, rel_tol=settings.quad.rel_tol, abs_tol=float(tol) * 1e-4,
-        max_subdivisions=settings.quad.max_subdivisions, order=settings.quad.rule,
-    )
-    total = partial + M0f * ival
-    err = M0f * ierr
 
-    def tail_bound(Kt: int) -> mpf:
-        b = mpf(0)
-        for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * Kt):
-            p = mpf_from_rational(xexp - d * (s + aa))  # = -(d s + 2 Kt)
-            b += (
-                abs(mpf_from_rational(c))
-                * mp.power(af, -mpf_from_rational(s + aa))
-                * mp.power(M0f, p + 1)
-                / abs(p + 1)
-            )
-        return b * abs(mpf_from_rational(Fraction(bernoulli(2 * Kt), factorial(2 * Kt))))
-
-    Kt, bound = 3, None
-    for k in range(3, 24):
-        b = tail_bound(k)
-        if bound is None or b < bound:
-            Kt, bound = k, b
-        if b < tol:
-            break
-    # Euler-Maclaurin corrections at the cutoff
-    fM0 = mp.power(bf + af * M0f**d, -sf)
-    total -= fM0 / 2
-    for k in range(1, Kt + 1):
-        fd = mpf(0)
-        for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * k - 1):
-            fd += (
-                mpf_from_rational(c)
-                * M0f**xexp
-                * mp.power(bf + af * M0f**d, -(sf + aa))
-            )
-        total -= mpf_from_rational(Fraction(bernoulli(2 * k), factorial(2 * k))) * fd
-    err += bound + (M0 + 8 * Kt) * abs(total) * mpf(2) ** (4 - mp.prec)
+def _em_anchored(a, b, d, s, settings: EMSettings) -> Numeric:
+    # The poles: s = 1 for d = 1, s = 1/d - j (j = 0, 1, ...) for d >= 2.
+    j = Fraction(1, d) - s
+    if j == 0 or (d > 1 and j.denominator == 1 and j > 0):
+        raise Pole(f"the integral term has a pole at s = {s}")
+    need = 1 - d * s  # the remainder integral converges for 2K > 1 - d s
+    K_lo = max(1, int(need // 2) + 1)
+    if K_lo > _K_MAX:
+        raise ContinuationDepthInsufficient(
+            f"order K = {K_lo} above the cap {_K_MAX}; need K > {need / 2}"
+        )
+    if s.denominator == 1 and s <= 0:
+        return Numeric.from_rational(_em_polynomial(a, b, d, -s.numerator))
+    tol = mpf(10) ** (-(settings.precision + 2))
+    M0, K, m_end, tail = _em_plan(a, b, d, s, K_lo, settings, tol * _TAIL_SHARE)
+    rem, rem_err = _remainder_integral(a, b, d, s, K, M0, m_end, settings)
+    base = b + a * M0**d
+    # The partial sum and the integral term are each about M0 f(M0) and
+    # cancel down to the sum; guard digits keep the working precision's
+    # 10 spare digits for that cancellation up to M0 f(M0) = 10^6.
+    size = mp.log10(M0) - mpf_from_rational(s) * mp.log10(mpf_from_rational(base))
+    with mp.extradps(max(0, int(size) - 6)):
+        af, bf, sf = mpf_from_rational(a), mpf_from_rational(b), mpf_from_rational(s)
+        direct = [mp.power(bf + af * m**d, -sf) for m in range(1, M0 + 1)]
+        total = mp.fsum(direct)
+        mag = mp.fsum(abs(v) for v in direct)
+        if d == 1:
+            integral = _rational_power(base, 1 - s).scale(1 / (a * (s - 1)))
+        else:
+            integral = _tail_integral(a, b, d, s, M0, tol * _TAIL_SHARE)
+        total += integral.value
+        # f(M0)/2 and the odd-derivative corrections at M0: each term of
+        # f^(2k-1)(M0) is c M0^xexp base^(-s) base^(-|alpha|), one power in all.
+        inv = 1 / mpf_from_rational(base)
+        corr = mpf(1) / 2
+        corr_mag = corr
+        for k in range(1, K + 1):
+            w = Fraction(bernoulli(2 * k), factorial(2 * k))
+            for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * k - 1):
+                t = mpf_from_rational(w * c * M0**xexp) * inv**aa
+                corr += t
+                corr_mag += abs(t)
+        pw = _rational_power(base, -s).value
+        total -= pw * corr + rem
+        mag += abs(integral.value) + abs(pw) * corr_mag + abs(rem)
+        err = integral.err + rem_err + tail + (M0 + K + 16) * mag * mpf(2) ** (4 - mp.prec)
     return Numeric(total, err)
 
 
-def _em_at_zero(a, b, d, s, settings: EMSettings) -> Numeric:
-    prec = settings.precision
-    tol = mpf(10) ** (-(prec + 2))
-    dmin = Fraction(1) - d * s
-    if 2 * settings.K <= dmin:
-        required = int(dmin // 2) + 1
-        if required > 64:
-            raise ContinuationDepthInsufficient(
-                f"order K = {settings.K} too small; need K > {dmin / 2}"
-            )
-    # efficiency raise: make the tail decay fast enough that ~16 intervals do
-    K = settings.K
-    while float(d * s) + 2 * K - 1 < (prec + 4) / 1.1 + 1:
-        K += 1
-    if 2 * K <= dmin:
-        K = int(dmin // 2) + 1
-    # cancellation guard for small b
-    extra = 0
-    if b < Fraction(1, 4):
-        mag = float(abs(s) + 2 * K / d) * max(
-            0.0, float(mp.log10((mpf_from_rational(a) + 1) / mpf_from_rational(b)))
+def _em_polynomial(a: Fraction, b: Fraction, d: int, N: int) -> Fraction:
+    """The anchored formula at M0 = 1 for the polynomial f = (b + a x^d)^N,
+    in exact arithmetic.  f^(2K) vanishes for 2K > dN, so there is no
+    remainder, and the continued integral term is closed:
+    -(b + a)^(N+1) / (a (N+1)) for d = 1, and for d >= 2 the finite sum
+    -sum_i C(N, i) b^(N-i) a^i / (d i + 1)."""
+    f1 = (b + a) ** N
+    if d == 1:
+        total = f1 / 2 - (b + a) ** (N + 1) / (a * (N + 1))
+    else:
+        total = f1 / 2 - sum(
+            Fraction(comb(N, i) * b ** (N - i) * a**i, d * i + 1) for i in range(N + 1)
         )
-        extra = min(400, int(mag) + 10)
-    with mp.extradps(extra):
-        total_num = _beta_term_continued(a, b, d, s, prec + extra)
-        half = _rational_power(b, -s).scale(Fraction(-1, 2))
-        total_num = total_num + half
-        for k in range(1, K + 1):
-            if (2 * k - 1) % d != 0:
-                continue
-            fd = f_derivative_at0(a, b, d, s, 2 * k - 1, prec + extra)
-            coeff = -Fraction(bernoulli(2 * k), factorial(2 * k))
-            if isinstance(fd, Fraction):
-                total_num = total_num + Numeric.from_rational(coeff * fd)
-            else:
-                total_num = total_num + fd.scale(coeff)
-        rem, rem_err = _remainder_integral(a, b, d, s, K, tol, settings)
-        cr = Fraction(-1, factorial(2 * K))
-        total_num = total_num + Numeric(
-            rem * mpf_from_rational(cr), rem_err * abs(mpf_from_rational(cr))
-        )
-    return total_num
+    for k in range(1, (d * N + 1) // 2 + 1):
+        terms = _f_derivative_terms(a, d, Fraction(-N), 2 * k - 1)
+        fd = sum(c * (b + a) ** (N - aa) for c, _xexp, aa in terms)
+        total -= Fraction(bernoulli(2 * k), factorial(2 * k)) * fd
+    return total
 
 
-def _remainder_integral(a, b, d, s, K, tol, settings: EMSettings):
-    """int_0^oo f^(2K)(x) B_{2K}({x}) dx over unit intervals, with a power
-    tail bound appended to the error."""
-    terms = _f_derivative_terms(a, d, s, 2 * K)
-    af, bf = mpf_from_rational(a), mpf_from_rational(b)
+def _tail_integral(a, b, d, s, M0, target: mpf) -> Numeric:
+    """Continued int_{M0}^oo (b + a x^d)^{-s} dx for d >= 2 and
+    r = b/(a M0^d) <= 1/2, by the binomial series
+
+        a^{-s} M0^(1-ds) sum_j C(-s, j) r^j / (d s + d j - 1),
+
+    whose terms converge uniformly for Re s large and are each continued;
+    the caller excludes its poles, where 1/d - s is a non-negative integer.
+    Once d(s + j) > 1, every later ratio of terms is at most
+    rho = r max(1, (j + |s|)/(j + 1)), so when rho < 1 the rest is at most
+    |next term| / (1 - rho); the sum stops once that is below target."""
+    r = mpf_from_rational(b / (a * M0**d))
     sf = mpf_from_rational(s)
-    bern_coeffs = [mpf_from_rational(c) for c in bernoulli_poly(2 * K)]
-    term_data = [
-        (mpf_from_rational(c), xexp, sf + aa) for c, xexp, aa in terms
+    lead = abs(_rational_power(a, -s).value * _rational_power(M0, 1 - d * s).value)
+    total = mpf(0)
+    mass = mpf(0)
+    coeff = mpf(1)  # C(-s, j) r^j
+    j = 0
+    while True:
+        term = coeff / (d * (sf + j) - 1)
+        total += term
+        mass += abs(term)
+        coeff *= (-sf - j) * r / (j + 1)
+        j += 1
+        if d * (s + j) > 1:
+            rho = r * max(1, (j + abs(sf)) / (j + 1))
+            if rho < 1:
+                trunc = abs(coeff) / (d * (sf + j) - 1) / (1 - rho)
+                if trunc * lead <= target:
+                    break
+    err = lead * (trunc + (j + 8) * mass * mpf(2) ** (4 - mp.prec))
+    return Numeric(lead * total, err)
+
+
+def _remainder_integral(a, b, d, s, K, M0, m_end, settings: EMSettings):
+    """1/(2K)! int_{M0}^{m_end} f^(2K)(x) B_2K({x}) dx over unit intervals,
+    with the summed quadrature estimates.  At each node the base
+    b + a x^d is formed once and raised to -s once; the |alpha| shifts are
+    integer powers of its reciprocal."""
+    scale = Fraction(1, factorial(2 * K))
+    terms = [
+        (mpf_from_rational(c * scale), xexp, aa)
+        for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * K)
     ]
+    max_x = max(xexp for _, xexp, _ in terms)
+    max_aa = max(aa for _, _, aa in terms)
+    af, bf, sf = mpf_from_rational(a), mpf_from_rational(b), mpf_from_rational(s)
+    weight = _bern_frac_weight([mpf_from_rational(c) for c in bernoulli_poly(2 * K)])
 
     def f2k(x: mpf) -> mpf:
+        base = bf + af * x**d
+        inv = 1 / base
+        inv_pows = [mpf(1)]
+        for _ in range(max_aa):
+            inv_pows.append(inv_pows[-1] * inv)
+        x_pows = [mpf(1)]
+        for _ in range(max_x):
+            x_pows.append(x_pows[-1] * x)
         acc = mpf(0)
-        for cf, xexp, powe in term_data:
-            acc += cf * x**xexp * mp.power(bf + af * x**d, -powe)
-        return acc
+        for cf, xexp, aa in terms:
+            acc += cf * x_pows[xexp] * inv_pows[aa]
+        return acc * mp.power(base, -sf)
 
-    maxb = abs(mpf_from_rational(bernoulli(2 * K)))
-    # |f^(2K)(x)| <= sum |c| a^{-(s+|alpha|)} x^{-(ds+2K)} for x >= max(1, cut)
-    tail_coeff = mpf(0)
-    for c, xexp, aa in terms:
-        tail_coeff += abs(mpf_from_rational(c)) * mp.power(
-            af, -mpf_from_rational(s + aa)
-        )
-    p = mpf_from_rational(d * s) + 2 * K  # decay exponent, > 1
-
-    def tail_at(m: int) -> mpf:
-        return maxb * tail_coeff * mpf(m) ** (1 - p) / (p - 1)
-
-    depth_msg = f"remainder tail not below tolerance within {settings.truncation} intervals"
-    # The bound falls with m, so if it is not below tol at the last m the
-    # loop may reach, no number of intervals within the truncation will do.
-    if tail_at(settings.truncation + 1) >= tol:
-        raise ContinuationDepthInsufficient(depth_msg)
-    weight = _bern_frac_weight(bern_coeffs)
     total = mpf(0)
     err = mpf(0)
-    m = 0
-    while True:
+    for m in range(M0, m_end):
         val, est = integrate_interval_fixed(
             lambda x, mm=m: f2k(x) * weight(x - mm),
             Fraction(m),
@@ -372,14 +452,6 @@ def _remainder_integral(a, b, d, s, K, tol, settings: EMSettings):
         )
         total += val
         err += est
-        m += 1
-        if m >= 2:
-            tail = tail_at(m)
-            if tail < tol:
-                err += tail
-                break
-        if m > settings.truncation:
-            raise ContinuationDepthInsufficient(depth_msg)
     return total, err
 
 
@@ -388,22 +460,12 @@ def _remainder_integral(a, b, d, s, K, tol, settings: EMSettings):
 # -----------------------------------------------------------------------------
 
 def zeta_riemann_em(t: Fraction, settings: EMSettings = DEFAULT_EM) -> Numeric:
-    """Riemann zeta at any rational t != 1 by Euler-Maclaurin continuation."""
+    """Riemann zeta at any rational t != 1 by Euler-Maclaurin continuation:
+    the anchored sum of m^{-t}."""
     t = Fraction(t)
     if t == 1:
         raise Pole("zeta has its pole at 1")
-    with mp.workdps(settings.precision + 10):
-        M0 = max(10, settings.precision // 2)
-        tf = mpf_from_rational(t)
-        partial = mpf(0)
-        for m in range(1, M0 + 1):
-            partial += mp.power(m, -tf)
-        tail = em_inner_sum(Fraction(1), Fraction(M0), 1, t, settings)
-        out = Numeric(
-            partial + tail.value,
-            tail.err + (M0 + 4) * abs(partial) * mpf(2) ** (4 - mp.prec),
-        )
-    return out
+    return em_inner_sum(Fraction(1), Fraction(0), 1, t, settings)
 
 
 def zeta1_numeric(

@@ -42,6 +42,17 @@ class TestBernoulli:
         for m in range(1, 31):
             assert bernoulli(2 * m + 1) == 0
 
+    def test_tangent_table_matches_binomial_recurrence(self):
+        # The table is built from tangent numbers; the O(m) binomial
+        # recurrence sum_{j<=m} C(m+1, j) B_j = 0 it replaced is the check.
+        table = [F(1)]
+        for m in range(1, 701):
+            acc = F(0)
+            for j in [0, 1][:m] + list(range(2, m, 2)):
+                acc += comb(m + 1, j) * table[j]
+            table.append(-acc / (m + 1))
+        assert [bernoulli(k) for k in range(701)] == table
+
     def test_binomial_sum_identity(self):
         # sum_j C(k,j) B_j = (-1)^k B_k for k <= 60
         for k in range(61):
