@@ -37,7 +37,6 @@ from .exactnum import (
     bernoulli_tilde,
     binom_rational,
     binom_signed,
-    eval_bernoulli_poly,
     gamma_rational,
     gamma_rational_numeric,
     pochhammer_shift,
@@ -49,10 +48,8 @@ from .mahler import (
     QuadratureSettings,
     YExpansion,
     Y_expansion,
-    Y_value,
     Z_value,
     enumerate_V,
-    g_vector,
     index_I,
     period_K,
     raabe_substitute,
@@ -63,7 +60,6 @@ from .multipoly import (
     build_P_alpha_u,
     h0s_heuristic,
     positivity_check,
-    taylor_H,
 )
 from .polyzeta import (
     GammaFactorSpec,
@@ -86,7 +82,6 @@ from .powersum import (
     closed_last_minus2,
     closed_zero,
     directional_limit,
-    in_convergence_domain,
     ira_ok,
     regularity_ok,
     value_mixed_last_nonpositive,
@@ -104,9 +99,7 @@ from .identities import (
 from .oracle import (
     EMSettings,
     PowerSum2Result,
-    beta_integral,
     em_inner_sum,
-    f_derivative_at0,
     powersum2_numeric,
     theta_diagonal,
     zeta1_numeric,

@@ -95,8 +95,14 @@ def _parse_u(text: str, n: int) -> CompositionFamily:
         if not chunk:
             continue
         parts = chunk.split(":")
+        if len(parts) not in (2, 3):
+            raise ValueError(f"composition entry {chunk!r} is not 'k:g1,..,gn[:count]'")
         k = int(parts[0])
         gamma = tuple(int(x) for x in parts[1].split(","))
+        if k < 1 or len(gamma) != n or min(gamma) < 0 or sum(gamma) != k:
+            raise ValueError(
+                f"composition entry {chunk!r}: need k >= 1 and {n} non-negative entries summing to k"
+            )
         count = int(parts[2]) if len(parts) > 2 else 1
         per_k.setdefault(k, {})[gamma] = per_k.get(k, {}).get(gamma, 0) + count
     kmax = max(per_k) if per_k else 0
@@ -227,8 +233,10 @@ def cmd_oracle(args) -> dict:
     d = _ints(args.d)
     if args.s:
         s = _rats(args.s)
-    else:
+    elif args.N:
         s = tuple(-x for x in _ints(args.N))
+    else:
+        raise ValueError("powersum2 needs --N or --s")
     params = PowerSumParams.make(d, _rats(args.gamma) if args.gamma else None)
     res = powersum2_numeric(params, s, em)
     out = {"kind": "numeric", **res.value.to_json(args.precision // 2 + 5)}

@@ -40,10 +40,6 @@ def point_to_str(pt) -> str:
     return "(" + ", ".join(rat_to_str(x) for x in pt) + ")"
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 def mpf_from_rational(x: Fraction) -> mpf:
     """Round an exact rational into the current working precision."""
     x = Fraction(x)
@@ -116,14 +112,6 @@ def bernoulli_poly(k: int) -> list[Fraction]:
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
     return [comb(k, j) * bernoulli(k - j) for j in range(k + 1)]
-
-
-def eval_bernoulli_poly(k: int, x: Fraction) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(bernoulli_poly(k)):
-        acc = acc * x + c
-    return acc
 
 
 # Build the table eagerly so concurrent readers never trigger a resize.

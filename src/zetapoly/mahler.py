@@ -111,10 +111,6 @@ def enumerate_V(
     return [CompositionFamily(n=n, u=u) for u in composition_tuples(alpha, slots, support)]
 
 
-def g_vector(u: CompositionFamily) -> MultiIndex:
-    return u.g_vector()
-
-
 # -----------------------------------------------------------------------------
 # Ellipticity certification (positivity of every face on the unit cube)
 # -----------------------------------------------------------------------------
@@ -238,15 +234,6 @@ def period_K(
     if numer.is_zero():
         return SpecialValue.make_exact(Fraction(0), flags=flags)
     return _face_term(P, i, numer, N - sum(alpha), qs).with_flags(flags)
-
-
-def convergence_abscissa(P: MPoly, Q: MPoly) -> Fraction:
-    """Abscissa (n + deg Q)/deg P of absolute convergence of the series."""
-    ok, d = P.is_homogeneous()
-    if not ok or d < 1:
-        raise NotHomogeneous("need homogeneous P of degree >= 1")
-    q = max(Q.degree(), 0)
-    return Fraction(P.nvars + q, d)
 
 
 # -----------------------------------------------------------------------------
@@ -386,9 +373,6 @@ class YExpansion:
     n: int
     coeffs: dict[MultiIndex, SpecialValue]
 
-    def total_degree_bound(self) -> int:
-        return max((sum(m) for m in self.coeffs), default=0)
-
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
@@ -429,27 +413,6 @@ def Y_expansion(
         if not (v.kind == "exact" and v.exact == 0)
     }
     return YExpansion(n=n, coeffs=expansion)
-
-
-def Y_value(
-    P: MPoly,
-    Q: MPoly,
-    N: int,
-    a: Sequence[Fraction],
-    qs: QuadratureSettings = DEFAULT_QS,
-) -> SpecialValue:
-    """Evaluate the shifted integral continuation at a concrete shift a >= 0."""
-    exp = Y_expansion(P, Q, N, qs)
-    if len(a) != P.nvars:
-        raise ValueError("shift vector has wrong length")
-    av = [Fraction(x) for x in a]
-    total = SpecialValue.make_exact(Fraction(0))
-    for m, coeff in exp.items_sorted():
-        w = Fraction(1)
-        for ai, mi in zip(av, m):
-            w *= (1 + ai) ** mi
-        total = total + coeff.scale(w)
-    return total
 
 
 def raabe_substitute(exp: YExpansion) -> SpecialValue:

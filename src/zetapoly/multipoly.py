@@ -2,9 +2,9 @@
 
 Provides the derived objects the value formulas need: partial derivatives,
 Taylor shifts, face restrictions (substituting 1 for one variable), the
-Taylor face coefficients H_k, the auxiliary face products built from a
-composition family, and hypothesis checks (homogeneity, face positivity
-via Bernstein certificates, a non-certifying boundedness heuristic).  Also
+auxiliary face products built from a composition family, and hypothesis
+checks (homogeneity, face positivity via Bernstein certificates, sampled
+positivity on [1,oo) boxes, a non-certifying boundedness heuristic).  Also
 the index enumerators every value formula shares: multi-indices of a given
 weight, weighted partitions and products of per-weight compositions.
 """
@@ -19,12 +19,7 @@ from typing import Mapping, Sequence
 
 from mpmath import mpf
 
-from .errors import (
-    CompositionMismatch,
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotHomogeneous,
-)
+from .errors import CompositionMismatch, DimensionMismatch, IndexOutOfRange
 from .exactnum import Rational, mpf_from_rational, multi_factorial, rat_to_str
 
 MultiIndex = tuple[int, ...]
@@ -344,35 +339,8 @@ class MPoly:
 
 
 # -----------------------------------------------------------------------------
-# Face Taylor data and composition products
+# Index enumeration and composition products
 # -----------------------------------------------------------------------------
-
-def taylor_H(P: MPoly, i: int, b: Sequence[Rational]) -> list[MPoly]:
-    """Face Taylor coefficients [H_1, ..., H_d] of a homogeneous P.
-
-    H_k = sum over |g| = k of (b^g / g!) * (d^g P) restricted to the face i.
-    """
-    ok, d = P.is_homogeneous()
-    if not ok or d < 1:
-        raise NotHomogeneous("taylor coefficients need a homogeneous P of degree >= 1")
-    if len(b) != P.nvars:
-        raise DimensionMismatch("shift vector has wrong length")
-    bv = [Fraction(x) for x in b]
-    out = []
-    for k in range(1, d + 1):
-        acc = MPoly.zero(P.nvars - 1)
-        for g in multiindices_of_weight(k, P.nvars):
-            w = Fraction(1)
-            for x, gi in zip(bv, g):
-                if gi:
-                    w *= x**gi
-            if w == 0:
-                continue
-            w /= multi_factorial(g)
-            acc = acc + P.derivative(g).face(i).scale(w)
-        out.append(acc)
-    return out
-
 
 def multiindices_of_weight(k: int, n: int) -> list[MultiIndex]:
     """All g in N_0^n with |g| = k, in lexicographic order."""
@@ -478,10 +446,8 @@ def build_P_alpha_u(
 
 @dataclass(frozen=True)
 class PositivityResult:
-    status: str  # "certified" | "sampled_only" | "violated"
+    status: str  # "sampled_only" | "violated"
     witness: tuple | None = None
-    face: int | None = None
-    detail: str = ""
 
 
 def _bernstein_coeffs(P: MPoly) -> tuple[dict[MultiIndex, Fraction], MultiIndex]:
@@ -587,68 +553,15 @@ def _grid_negative_point(P: MPoly, steps: int = 8) -> tuple | None:
     return rec([])
 
 
-def positivity_check(
-    P: MPoly,
-    domain: str = "faces",
-    samples: int | None = None,
-    mode: str = "bernstein",
-    seed: int = 0,
-) -> PositivityResult:
-    """Positivity of P on the unit-cube faces, or sampled on a [1,oo) box.
-
-    domain "faces": checks P with each variable in turn fixed to 1, on the
-    closed unit cube in the remaining variables (the ellipticity test).
-    domain "box": samples P on expanding boxes [1, L]^n; never certifying.
-    """
-    if domain == "faces":
-        overall = "certified"
-        for i in range(1, P.nvars + 1):
-            Pf = P.face(i)
-            if mode == "bernstein":
-                st, wit = bernstein_positive(Pf)
-            else:
-                st, wit = _sampled_positive_cube(Pf, samples or 32, seed)
-            if st == "violated":
-                return PositivityResult("violated", wit, face=i)
-            if st == "sampled_only":
-                overall = "sampled_only"
-        return PositivityResult(overall)
-    if domain == "box":
-        rng = random.Random(seed)
-        nsamp = samples or 64
-        for L in (2, 4, 8):
-            for pt in _box_points(P.nvars, L, nsamp, rng):
-                if P.eval(pt) <= 0:
-                    return PositivityResult("violated", tuple(pt))
-        return PositivityResult("sampled_only")
-    raise ValueError(f"unknown domain {domain!r}")
-
-
-def _sampled_positive_cube(P: MPoly, steps: int, seed: int):
-    n = P.nvars
-    if n == 0:
-        return ("certified", None) if P.constant_value() > 0 else ("violated", ())
-    steps = min(steps, max(2, int(32768 ** (1 / n))))
-    grid = [Fraction(k, steps) for k in range(steps + 1)]
-
-    def rec(prefix):
-        if len(prefix) == n:
-            return None if P.eval(prefix) > 0 else tuple(prefix)
-        for x in grid:
-            r = rec(prefix + [x])
-            if r is not None:
-                return r
-        return None
-
-    wit = rec([])
-    if wit is not None:
-        return ("violated", wit)
+def positivity_check(P: MPoly, seed: int = 0) -> PositivityResult:
+    """Positivity of P sampled on expanding boxes [1, L]^n; never certifying
+    (face positivity on the unit cube is mahler.certify_elliptic)."""
     rng = random.Random(seed)
-    for _ in range(128):
-        pt = [Fraction(rng.randint(0, 1024), 1024) for _ in range(n)]
-        if P.eval(pt) <= 0:
-            return ("violated", tuple(pt))
-    return ("sampled_only", None)
+    for L in (2, 4, 8):
+        for pt in _box_points(P.nvars, L, 64, rng):
+            if P.eval(pt) <= 0:
+                return PositivityResult("violated", tuple(pt))
+    return PositivityResult("sampled_only")
 
 
 def _box_points(n: int, L: int, nsamp: int, rng: random.Random):

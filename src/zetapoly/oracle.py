@@ -10,7 +10,7 @@ for the least work (DECISIONS.md D3).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, exp, factorial, log
@@ -31,57 +31,33 @@ from .exactnum import (
     bernoulli,
     bernoulli_poly,
     binom_rational,
-    gamma_rational,
     mpf_from_rational,
     riemann_zeta_exact_nonpositive,
 )
-from .mahler import QuadratureSettings
 from .multipoly import weighted_partitions
 from .powersum import PowerSumParams
 
 
 @dataclass(frozen=True)
 class EMSettings:
-    """K: the least order of the two-variable recursion of powersum2_numeric
-    (em_inner_sum chooses its own).  truncation: the furthest unit step m an
-    em_inner_sum may reach, direct terms and remainder intervals together.
-    precision: the requested digits.  quad.rule: the Gauss-Legendre order of
-    the remainder intervals."""
+    """truncation: the furthest unit step m an em_inner_sum may reach, direct
+    terms and remainder intervals together.  precision: the requested
+    digits."""
 
-    K: int = 8
     truncation: int = 400
     precision: int = 30
-    quad: QuadratureSettings = field(
-        default_factory=lambda: QuadratureSettings(rel_tol=1e-14, precision=30)
-    )
 
 
 DEFAULT_EM = EMSettings()
 
+# The least order of the two-variable recursion of powersum2_numeric
+# (em_inner_sum chooses its own).
+_K_MIN = 8
+
 
 # -----------------------------------------------------------------------------
-# Closed forms for the model function f(x) = (b + a x^d)^{-s}
+# The model function f(x) = (b + a x^d)^{-s} and its derivatives
 # -----------------------------------------------------------------------------
-
-def beta_integral(
-    a: Fraction, b: Fraction, d: int, s: Fraction, precision: int = 30
-) -> Numeric:
-    """int_0^oo (b + a x^d)^{-s} dx = Gamma(s-1/d) Gamma(1/d) /
-    (d a^{1/d} b^{s-1/d} Gamma(s)), for s > 1/d."""
-    a, b, s = Fraction(a), Fraction(b), Fraction(s)
-    if a <= 0 or b <= 0:
-        raise DomainViolation("need a > 0 and b > 0")
-    if s * d <= 1:
-        raise DomainViolation("need s > 1/d")
-    with mp.workdps(precision + 10):
-        g1 = gamma_rational(s - Fraction(1, d), precision)
-        g2 = gamma_rational(Fraction(1, d), precision)
-        g3 = gamma_rational(s, precision)
-        out = (g1 * g2).divide(g3.scale(Fraction(d)))
-        out = out * _rational_power(a, Fraction(-1, d))
-        out = out * _rational_power(b, Fraction(1, d) - s)
-    return out
-
 
 def _rational_power(base: Fraction, expo: Fraction) -> Numeric:
     """base^expo for positive rational base, with an error bound."""
@@ -96,28 +72,6 @@ def _rational_power(base: Fraction, expo: Fraction) -> Numeric:
     v = mp.power(bv, ev)
     err = abs(v) * (abs(ev) + 4) * mpf(2) ** (4 - mp.prec)
     return Numeric(v, err)
-
-
-def f_derivative_at0(
-    a: Fraction, b: Fraction, d: int, s: Fraction, k: int, precision: int = 30
-) -> Fraction | Numeric:
-    """k-th derivative of (b + a x^d)^{-s} at 0:
-
-        k! C(-s, k/d) a^{k/d} b^{-s-k/d}  when d | k, else 0.
-
-    Exact when the power of b has an integer exponent."""
-    a, b, s = Fraction(a), Fraction(b), Fraction(s)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k % d != 0:
-        return Fraction(0)
-    m = k // d
-    expo = -s - m
-    core = Fraction(factorial(k)) * binom_rational(-s, m) * a**m
-    if expo.denominator == 1:
-        return core * b ** expo.numerator
-    with mp.workdps(precision + 10):
-        return _rational_power(b, expo).scale(core)
 
 
 def _alpha_weight(alpha: tuple[int, ...], d: int, a: Fraction) -> tuple[Fraction, int]:
@@ -163,6 +117,7 @@ _K_MAX = 64
 # Predicted work of an anchored evaluation, in units of one fractional
 # mp.power at 35 digits (about 20 us; an mpf product is about 1/8 of one).
 _DIRECT_TERM = 1.3  # one f(m): its base and one power
+_RULE = 15  # the Gauss-Legendre order of the remainder intervals
 _NODES_PER_INTERVAL = 23  # the order-15 rule and its order-8 companion
 
 
@@ -224,7 +179,7 @@ def em_inner_sum(
     intervals from M0 until its power tail bound, measured against the
     tolerance of the sum and not of the integral, is _TAIL_SHARE below
     tolerance.  (M0, K) is the pair of least predicted work for which that
-    happens by m = settings.truncation; settings.K plays no part.  Guard
+    happens by m = settings.truncation.  Guard
     digits cover the cancellation between the partial sum and the integral
     term.  At non-positive integer s, f is a polynomial and the formula is
     evaluated exactly at M0 = 1.  b = 0 with d >= 2 is a^{-s} zeta(d s),
@@ -324,7 +279,7 @@ def _em_anchored(a, b, d, s, settings: EMSettings) -> Numeric:
         return Numeric.from_rational(_em_polynomial(a, b, d, -s.numerator))
     tol = mpf(10) ** (-(settings.precision + 2))
     M0, K, m_end, tail = _em_plan(a, b, d, s, K_lo, settings, tol * _TAIL_SHARE)
-    rem, rem_err = _remainder_integral(a, b, d, s, K, M0, m_end, settings)
+    rem, rem_err = _remainder_integral(a, b, d, s, K, M0, m_end)
     base = b + a * M0**d
     # The partial sum and the integral term are each about M0 f(M0) and
     # cancel down to the sum; guard digits keep the working precision's
@@ -412,7 +367,7 @@ def _tail_integral(a, b, d, s, M0, target: mpf) -> Numeric:
     return Numeric(lead * total, err)
 
 
-def _remainder_integral(a, b, d, s, K, M0, m_end, settings: EMSettings):
+def _remainder_integral(a, b, d, s, K, M0, m_end):
     """1/(2K)! int_{M0}^{m_end} f^(2K)(x) B_2K({x}) dx over unit intervals,
     with the summed quadrature estimates.  At each node the base
     b + a x^d is formed once and raised to -s once; the |alpha| shifts are
@@ -448,7 +403,7 @@ def _remainder_integral(a, b, d, s, K, M0, m_end, settings: EMSettings):
             lambda x, mm=m: f2k(x) * weight(x - mm),
             Fraction(m),
             Fraction(m + 1),
-            order=settings.quad.rule,
+            order=_RULE,
         )
         total += val
         err += est
@@ -503,8 +458,7 @@ def powersum2_numeric(
     remainder block is a sum of nested Euler-Maclaurin blocks weighted by
     the rational binomials C(-s2, |alpha|); its magnitude, the reported
     residual, is decided exactly from those binomials, which all vanish at
-    the order K chosen here, so no block is evaluated.  The block evaluator
-    ``_z_block`` is the check the tests run on the blocks themselves.
+    the order K chosen here (at least _K_MIN), so the residual is exactly 0.
     """
     if params.n != 2:
         raise ValueError("two-variable continuation only")
@@ -518,15 +472,11 @@ def powersum2_numeric(
         d2 * (Fraction(1, d1) + Fraction(1, d2) - (s1 + s2)),
         d2 * (Fraction(1, d2) - s2),
     )
-    K = settings.K
+    K = _K_MIN
     while 2 * K <= need:
         K += 1
-    eff = EMSettings(
-        K=K, truncation=settings.truncation, precision=settings.precision,
-        quad=settings.quad,
-    )
     with mp.workdps(settings.precision + 10):
-        total = zeta1_numeric(d1, g1, s1 + s2, eff).scale(Fraction(-1, 2))
+        total = zeta1_numeric(d1, g1, s1 + s2, settings).scale(Fraction(-1, 2))
         for k in range(1, K + 1):
             if (2 * k - 1) % d2 != 0:
                 continue
@@ -538,83 +488,21 @@ def powersum2_numeric(
             )
             if c == 0:
                 continue
-            total = total + zeta1_numeric(d1, g1, s1 + s2 + m, eff).scale(-c)
-        residual = _residual_blocks(params, s1, s2, K, eff)
+            total = total + zeta1_numeric(d1, g1, s1 + s2 + m, settings).scale(-c)
+        residual = _residual_blocks(d2, s2, K)
         total = Numeric(total.value, total.err + residual)
     return PowerSum2Result(value=total, residual=residual, K=K)
 
 
-def _residual_blocks(params, s1, s2, K, settings: EMSettings) -> mpf:
-    """|R(s)| at the point: sum over weighted alpha of |C(-s2,|alpha|)| times
-    the magnitude of a numerically evaluated block.  The binomials are exact
-    rationals and a block is evaluated only where its binomial is non-zero;
-    with 2K > 1 - d2 s2 every |alpha| exceeds -s2, so at integer s2 <= 0
-    none is and the residual is exactly 0."""
-    d1, d2 = params.d
-    g1, g2 = params.gamma
-    N1 = int(-s1)  # block evaluation needs integer s1 <= 0
-    residual = mpf(0)
-    bern_coeffs = [mpf_from_rational(c) for c in bernoulli_poly(2 * K)]
+def _residual_blocks(d2: int, s2: Fraction, K: int) -> mpf:
+    """|R(s)| at the point: the nested blocks of the remainder, one per
+    weighted alpha, are weighted by the exact rationals C(-s2, |alpha|).
+    With 2K > 1 - d2 s2 every |alpha| exceeds -s2, so at integer s2 <= 0
+    each binomial is 0 and the residual is exactly 0."""
     for alpha in weighted_partitions(2 * K, d2):
-        aa = sum(alpha)
-        binom = binom_rational(-s2, aa)
-        if binom == 0:
-            continue
-        cpre, xexp = _alpha_weight(alpha, d2, g2)
-        block = _z_block(
-            d1, g1, d2, g2, s2 + aa, N1, xexp, bern_coeffs, settings
-        )
-        block = abs(block) * abs(mpf_from_rational(cpre))
-        residual += abs(mpf_from_rational(binom)) * block
-    return residual
-
-
-def _mpf_to_fraction(x: mpf) -> Fraction:
-    import mpmath
-
-    p, q = mpmath.libmp.to_rational(x._mpf_)
-    return Fraction(int(p), int(q))
-
-
-def _z_block(d1, g1, d2, g2, sprime, N1, xexp, bern_coeffs, settings: EMSettings):
-    """int_0^oo B_{2K}({x}) x^{xexp} S(x) dx with
-    S(x) = sum_{m>=1} (g1 m^{d1})^{N1} (g1 m^{d1} + g2 x^{d2})^{-sprime},
-    evaluated by swapping sum and integral; the inner sums reduce to
-    continued power sums via the binomial expansion of the first factor."""
-    if N1 < 0:
-        raise ValueError("block evaluation needs s1 = -N1 with N1 >= 0")
-
-    def Sval(x: mpf) -> mpf:
-        acc = mpf(0)
-        b = g2 * _mpf_to_fraction(x) ** d2
-        for j in range(N1 + 1):
-            inner = em_inner_sum(g1, b, d1, sprime - j, settings)
-            w = Fraction(comb(N1, j)) * (-b) ** (N1 - j)
-            acc += mpf_from_rational(w) * inner.value
-        return acc
-
-    weight = _bern_frac_weight(bern_coeffs)
-    total = mpf(0)
-    m = 0
-    quiet = 0
-    while m < 60:
-        val, _est = integrate_interval_fixed(
-            lambda x, mm=m: Sval(x) * x**xexp * weight(x - mm),
-            Fraction(m),
-            Fraction(m + 1),
-            order=7,
-        )
-        total += val
-        m += 1
-        if m >= 2 and abs(val) < mpf(10) ** (-(settings.precision // 2)) * max(
-            1, abs(total)
-        ):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    return total
+        if binom_rational(-s2, sum(alpha)) != 0:
+            raise AssertionError(f"order K = {K} leaves a residual block at s2 = {s2}")
+    return mpf(0)
 
 
 # -----------------------------------------------------------------------------

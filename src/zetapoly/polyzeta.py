@@ -81,7 +81,7 @@ def build_family(polys: Sequence[MPoly], seed: int = 0) -> PolyFamily:
     positivity: list[str] = []
     h0s_reports: list[H0sReport | None] = []
     for j, P in enumerate(polys, start=1):
-        res = positivity_check(P, domain="box", seed=seed)
+        res = positivity_check(P, seed=seed)
         if res.status == "violated":
             raise HypothesisViolated(
                 f"P_{j} is not positive on [1,oo)^{j}: "

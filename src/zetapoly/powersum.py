@@ -132,19 +132,6 @@ def _require_regular(params: PowerSumParams):
         raise RegularityViolated(f"d = {params.d} fails the regularity assumption")
 
 
-def in_convergence_domain(params: PowerSumParams, s: Sequence[Fraction]) -> bool:
-    """Absolute-convergence test: Re(s_j+...+s_n) > 1/d_j + ... + 1/d_n."""
-    if len(s) != params.n:
-        raise ValueError("point has wrong length")
-    sv = [Fraction(x) for x in s]
-    for j in range(params.n):
-        lhs = sum(sv[j:])
-        rhs = sum(Fraction(1, dk) for dk in params.d[j:])
-        if lhs <= rhs:
-            return False
-    return True
-
-
 # -----------------------------------------------------------------------------
 # The one-variable-dropping recursion at integer tuples with last entry <= 0
 # -----------------------------------------------------------------------------
@@ -284,37 +271,35 @@ def closed_zero(params: PowerSumParams) -> Fraction:
     return Fraction(-1, 2) ** params.n
 
 
+def _minus1_terms(params: PowerSumParams) -> tuple[list[Fraction], list[Fraction]]:
+    """b_j = gamma_j B_{d_j+1}/(d_j+1) and the inner sums
+    S_k = (-1)^{d_1} b_1 - b_2 - ... - b_k (k = 1..n) that the closed forms
+    at (0, ..., 0, -1) and (0, ..., 0, -2) are built from."""
+    b = [bernoulli(dj + 1) / (dj + 1) * gj for dj, gj in zip(params.d, params.gamma)]
+    S = [(-1) ** params.d[0] * b[0]]
+    for bj in b[1:]:
+        S.append(S[-1] - bj)
+    return b, S
+
+
 def closed_last_minus1(params: PowerSumParams) -> Fraction:
-    """Value at (0, ..., 0, -1)."""
+    """Value at (0, ..., 0, -1): (-1/2)^{n-1} S_n."""
     _require_regular(params)
-    d, g = params.d, params.gamma
-    inner = Fraction((-1) ** d[0]) * bernoulli(d[0] + 1) / (d[0] + 1) * g[0]
-    inner -= sum(
-        (bernoulli(dj + 1) / (dj + 1)) * gj for dj, gj in zip(d[1:], g[1:])
-    )
-    return Fraction(-1, 2) ** (params.n - 1) * inner
+    return Fraction(-1, 2) ** (params.n - 1) * _minus1_terms(params)[1][-1]
 
 
 def closed_last_minus2(params: PowerSumParams) -> Fraction:
-    """Value at (0, ..., 0, -2)."""
+    """Value at (0, ..., 0, -2):
+
+        (-1/2)^{n-1} gamma_1^2 B_{2d_1+1}/(2d_1+1) - 2 (-1/2)^{n-2} sum_{k=2}^n b_k S_{k-1}
+    """
     _require_regular(params)
-    d, g = params.d, params.gamma
-    n = params.n
-    out = Fraction(-1, 2) ** (n - 1) * bernoulli(2 * d[0] + 1) / (2 * d[0] + 1) * g[0] ** 2
-    for k in range(2, n + 1):
-        inner = Fraction((-1) ** d[0]) * bernoulli(d[0] + 1) / (d[0] + 1) * g[0]
-        inner -= sum(
-            (bernoulli(d[j - 1] + 1) / (d[j - 1] + 1)) * g[j - 1]
-            for j in range(2, k)
-        )
-        out -= (
-            2
-            * Fraction(-1, 2) ** (n - 2)
-            * (bernoulli(d[k - 1] + 1) / (d[k - 1] + 1))
-            * g[k - 1]
-            * inner
-        )
-    return out
+    d1, g1, n = params.d[0], params.gamma[0], params.n
+    b, S = _minus1_terms(params)
+    out = Fraction(-1, 2) ** (n - 1) * bernoulli(2 * d1 + 1) / (2 * d1 + 1) * g1**2
+    return out - 2 * Fraction(-1, 2) ** (n - 2) * sum(
+        (bk * Sk for bk, Sk in zip(b[1:], S)), Fraction(0)
+    )
 
 
 def closed_even_tail(params: PowerSumParams, N: Sequence[int]) -> Fraction:

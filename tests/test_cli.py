@@ -194,6 +194,18 @@ class TestPeriod:
         payload = json.loads(out)
         assert payload["value"].startswith("0.927295218")
 
+    def test_malformed_u_exits_1(self):
+        # no gamma part; then gammas of the wrong length or weight, which
+        # would otherwise drop out of the family silently
+        for u in ("1", "1:1", "1:2,0", "2:1,0", "0:0,0"):
+            code, out = run_cli([
+                "period", "--P", "x1^2 + x2^2", "--N", "0", "--alpha", "0,0",
+                "--beta", "0,0", "--u", u, "--i", "1",
+            ])
+            assert code == 1
+            err = json.loads(out)["error"]
+            assert err["type"] == "ValueError" and repr(u) in err["message"], u
+
 
 class TestPolyzeta:
     def test_family_file(self, tmp_path):
@@ -239,3 +251,18 @@ class TestOracle:
         payload = json.loads(out)
         assert abs(float(payload["value"]) - (-1 / 240)) < 1e-6
         assert float(payload["residual"]) < 1e-6
+
+    def test_powersum2_default_bytes(self):
+        # the README example at the default precision; em_order is the least
+        # order of the two-variable recursion
+        _, out = run_cli(["oracle", "powersum2", "--d", "2,3", "--N", "0,1"])
+        assert out == (
+            '{"em_order":8,"err":"8.9094e-53","kind":"numeric","residual":"0.0",'
+            '"schema":"1","value":"-0.00416666666666666666666666666667"}\n'
+        )
+
+    def test_powersum2_without_point_exits_1(self):
+        code, out = run_cli(["oracle", "powersum2", "--d", "2,3"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError" and "--N or --s" in err["message"]

@@ -13,14 +13,13 @@ from zetapoly import (
     IndexOutOfRange,
     MPoly,
     NotElliptic,
-    NotHomogeneous,
     build_P_alpha_u,
     h0s_heuristic,
     positivity_check,
-    taylor_H,
 )
 from zetapoly._quadrature import FixedPointIntegrand
-from zetapoly.exactnum import mpf_from_rational
+from zetapoly.exactnum import mpf_from_rational, multi_factorial
+from zetapoly.mahler import certify_elliptic
 from zetapoly.multipoly import (
     bernstein_positive,
     composition_tuples,
@@ -232,31 +231,24 @@ class TestHomogeneity:
 
 
 class TestTaylorH:
-    def test_one_var(self):
-        hs = taylor_H(P("x1", 1), 1, [F(1)])
-        assert len(hs) == 1 and hs[0].constant_value() == 1
-
-    def test_two_var(self):
-        hs = taylor_H(P("x1^2 + x2^2", 2), 2, [F(1), F(1)])
-        assert hs[0] == P("2 x1 + 2", 1)
-        assert hs[1].constant_value() == 2
-
-    def test_zero_shift(self):
-        hs = taylor_H(P("x1^2 + x2^2", 2), 1, [F(0), F(0)])
-        assert all(h.is_zero() for h in hs)
-
-    def test_not_homogeneous(self):
-        with pytest.raises(NotHomogeneous):
-            taylor_H(P("x1 + 1", 1), 1, [F(1)])
-
     def test_reconstruction_identity(self):
-        # P(b + phi_i(y)) = y_n^d P(face) + sum_k y_n^{d-k} H_k at sample points
+        # Taylor's theorem along face i for a homogeneous P of degree d:
+        # P(b + t phi_i(y)) = t^d P(face_i)(y) + sum_k t^(d-k) H_k(y) with
+        # H_k = sum_{|g|=k} b^g/g! (d^g P)(face_i), from derivative and face
         rng = random.Random(7)
         p = P("x1^2 + 2 x1 x2 + x2^2 + x3^2", 3)
         d = 2
         for i in (1, 2, 3):
             b = [F(rng.randint(0, 3), 2) for _ in range(3)]
-            hs = taylor_H(p, i, b)
+            hs = []
+            for k in range(1, d + 1):
+                acc = MPoly.zero(2)
+                for g in multiindices_of_weight(k, 3):
+                    w = F(1, multi_factorial(g))
+                    for x, gi in zip(b, g):
+                        w *= x**gi
+                    acc = acc + p.derivative(g).face(i).scale(w)
+                hs.append(acc)
             for _ in range(5):
                 hat = [F(rng.randint(1, 7), 8) for _ in range(2)]
                 t = F(rng.randint(1, 15), 8)
@@ -298,33 +290,25 @@ class TestPAlphaU:
 
 class TestPositivity:
     def test_certified(self):
-        res = positivity_check(P("x1^2 + x2^2", 2), domain="faces")
-        assert res.status == "certified"
+        status, _, _ = certify_elliptic(P("x1^2 + x2^2", 2))
+        assert status == "certified"
 
     def test_violated(self):
-        res = positivity_check(P("x1^2 - 3 x1 x2 + x2^2", 2), domain="faces")
-        assert res.status == "violated"
-        assert res.witness is not None
+        status, witness, face = certify_elliptic(P("x1^2 - 3 x1 x2 + x2^2", 2))
+        assert status == "violated"
+        assert witness is not None and face is not None
 
     def test_box_sampled(self):
-        res = positivity_check(P("x1 + x2", 2), domain="box")
+        res = positivity_check(P("x1 + x2", 2))
         assert res.status == "sampled_only"
 
     def test_box_violated(self):
-        res = positivity_check(P("x1 - 3", 1), domain="box")
+        res = positivity_check(P("x1 - 3", 1))
         assert res.status == "violated"
 
     def test_bernstein_zero_dim(self):
         st_, _ = bernstein_positive(MPoly.constant(0, F(3)))
         assert st_ == "certified"
-
-    def test_sampled_mode(self):
-        res = positivity_check(P("x1^2 + x2^2", 2), domain="faces", mode="sampled")
-        assert res.status in ("certified", "sampled_only")
-        bad = positivity_check(
-            P("x1^2 - 3 x1 x2 + x2^2", 2), domain="faces", mode="sampled"
-        )
-        assert bad.status == "violated"
 
 
 class TestH0s:

@@ -1,6 +1,7 @@
 """Euler-Maclaurin continuation oracle vs the exact formulas and mpmath."""
 import time
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,9 +13,8 @@ from zetapoly import (
     EMSettings,
     Pole,
     PowerSumParams,
-    beta_integral,
+    binom_rational,
     em_inner_sum,
-    f_derivative_at0,
     powersum2_numeric,
     riemann_zeta_exact_nonpositive,
     value_nonpositive,
@@ -22,7 +22,6 @@ from zetapoly import (
     zeta_riemann_em,
 )
 from zetapoly import oracle
-from zetapoly.exactnum import bernoulli_poly, mpf_from_rational
 from zetapoly.multipoly import weighted_partitions
 
 EM = EMSettings(precision=25)
@@ -68,29 +67,26 @@ def assert_against_truth(v, truth, s, precision):
 
 
 class TestBetaIntegral:
-    def test_geometric(self):
-        v = beta_integral(F(1), F(1), 1, F(2), 25)
-        assert abs(v.value - 1) <= v.err + mpf(10) ** -20
+    """oracle._tail_integral, the incomplete beta integral
+    int_{M0}^oo (b + a x^d)^{-s} dx of the anchored evaluator."""
 
     def test_arctan(self):
-        v = beta_integral(F(1), F(1), 2, F(1), 25)
+        # int_2^oo dx / (1 + x^2) = arctan(1/2)
         with mp.workdps(35):
-            assert abs(v.value - mp.pi / 2) < mpf(10) ** -20
-
-    def test_domain(self):
-        with pytest.raises(DomainViolation):
-            beta_integral(F(1), F(1), 2, F(1, 2), 25)
+            v = oracle._tail_integral(F(1), F(1), 2, F(1), 2, mpf(10) ** -30)
+            assert abs(v.value - mp.atan(mpf(1) / 2)) <= v.err
+            assert abs(v.value - mp.atan(mpf(1) / 2)) < mpf(10) ** -25
 
     def test_quadrature_cross_check(self):
         # compare against direct numeric integration in a convergent case
         from zetapoly._quadrature import integrate_unit_cube, pointwise
 
         with mp.workdps(30):
-            v = beta_integral(F(2), F(3), 2, F(2), 25)
-            # substitute x = u/(1-u) to compress [0, oo)
+            v = oracle._tail_integral(F(2), F(3), 2, F(2), 2, mpf(10) ** -25)
+            # substitute x = 2 + u/(1-u) to compress [2, oo)
             def f(pt):
                 u = pt[0]
-                x = u / (1 - u + mpf(10) ** -25)
+                x = 2 + u / (1 - u + mpf(10) ** -25)
                 return (3 + 2 * x**2) ** mpf(-2) / (1 - u + mpf(10) ** -25) ** 2
 
             num, err = integrate_unit_cube(pointwise(f), 1, rel_tol=1e-10,
@@ -98,25 +94,32 @@ class TestBetaIntegral:
             assert abs(v.value - num) < mpf(10) ** -8
 
 
+def f_derivative_at0(a, d, s, k):
+    """k-th derivative of (1 + a x^d)^{-s} at 0 from the oracle's terms
+    c x^xexp (1 + a x^d)^{-s-|alpha|} of f^(k): the terms with x-exponent 0."""
+    return sum(c for c, xexp, _ in oracle._f_derivative_terms(F(a), d, F(s), k) if xexp == 0)
+
+
 class TestFDerivative:
     def test_zero_when_not_divisible(self):
-        assert f_derivative_at0(F(1), F(1), 3, F(2), 4) == 0
+        assert f_derivative_at0(1, 3, 2, 4) == 0
+        for d in (2, 3, 4):
+            for k in range(1, 9):
+                if k % d:
+                    assert f_derivative_at0(2, d, F(1, 3), k) == 0
 
     def test_linear(self):
-        assert f_derivative_at0(F(1), F(1), 1, F(-1), 1) == 1
+        assert f_derivative_at0(1, 1, -1, 1) == 1
 
     def test_quadratic(self):
         for s in (F(3), F(-2), F(1, 2)):
-            v = f_derivative_at0(F(1), F(1), 2, s, 2)
-            if isinstance(v, F):
-                assert v == -2 * s
-            else:
-                assert abs(v.value - (-2 * float(s))) < 1e-15
-
-    def test_exactness_flag(self):
-        assert isinstance(f_derivative_at0(F(1), F(2), 2, F(3), 2), F)
-        out = f_derivative_at0(F(1), F(2), 2, F(1, 2), 2)
-        assert not isinstance(out, F)
+            assert f_derivative_at0(1, 2, s, 2) == -2 * s
+        # k! C(-s, k/d) a^(k/d) in general
+        for d in (1, 2, 3):
+            for k in range(0, 9, d):
+                for s in (F(-2), F(1, 2), F(5, 3)):
+                    want = factorial(k) * binom_rational(-s, k // d) * F(3, 2) ** (k // d)
+                    assert f_derivative_at0(F(3, 2), d, s, k) == want
 
 
 class TestEmInnerSum:
@@ -155,9 +158,15 @@ class TestEmInnerSum:
         hi = em_inner_sum(F(1), F(2), d, s, EMSettings(precision=25))
         assert abs(lo.value - hi.value) <= lo.err + hi.err
 
+    def test_domain(self):
+        with pytest.raises(DomainViolation):
+            em_inner_sum(F(0), F(1), 2, F(1), EM)
+        with pytest.raises(DomainViolation):
+            em_inner_sum(F(1), F(-1), 2, F(1), EM)
+
     def test_depth_guard(self):
         with pytest.raises(ContinuationDepthInsufficient):
-            em_inner_sum(F(1), F(1), 1, F(-200), EMSettings(K=4, precision=10))
+            em_inner_sum(F(1), F(1), 1, F(-200), EMSettings(precision=10))
 
     @pytest.mark.parametrize("a, b, d, s", [
         (F(2), F(1, 3), 3, F(1, 5)),
@@ -275,33 +284,19 @@ class TestPowerSum2:
             assert res.residual < mpf(10) ** -6
 
     def test_residual_reported(self):
-        p = PowerSumParams.make((2, 3))
-        res = powersum2_numeric(p, (0, 0), EM)
-        assert res.residual == 0
-        # the blocks the zero binomials multiply are finite and actually
-        # computed, at the diagnostic 16 digits
-        K = res.K
-        diag = EMSettings(K=K, truncation=EM.truncation, precision=16, quad=EM.quad)
-        blocks = []
-        with mp.workdps(EM.precision + 10):
-            bern = [mpf_from_rational(c) for c in bernoulli_poly(2 * K)]
-            for alpha in weighted_partitions(2 * K, 3):
-                _, xexp = oracle._alpha_weight(alpha, 3, F(1))
-                blocks.append(oracle._z_block(2, F(1), 3, F(1), F(sum(alpha)), 0,
-                                              xexp, bern, diag))
-        assert all(mp.isfinite(b) for b in blocks)
-        assert max(abs(b) for b in blocks) > 0
+        # decided exactly: the residual is the exact zero, not a small float
+        res = powersum2_numeric(PowerSumParams.make((2, 3)), (0, 0), EM)
+        assert res.residual._mpf_ == (0, 0, 0, 0) and res.K == 8
 
-    def test_never_evaluates_blocks(self, monkeypatch):
-        # every binomial C(-s2, |alpha|) is exactly 0, so no block is needed
-        def no_block(*args):
-            raise AssertionError("residual block evaluated")
-
-        monkeypatch.setattr(oracle, "_z_block", no_block)
-        for d, gamma, s in [((2, 3), (F(1), F(1)), (0, 0)),
-                            ((2, 5), (F(1), F(1)), (0, -1))]:
-            res = powersum2_numeric(PowerSumParams.make(d, gamma), s, EM)
-            assert res.residual == 0
+    def test_never_evaluates_blocks(self):
+        # at the order K reported, every binomial C(-s2, |alpha|) weighting a
+        # nested block of the remainder is exactly 0, so no block is needed;
+        # (2, 9) at s2 = -2 raises K above its least value 8
+        for d, s, K in [((2, 3), (0, 0), 8), ((2, 5), (0, -1), 8), ((2, 9), (0, -2), 12)]:
+            res = powersum2_numeric(PowerSumParams.make(d), s, EM)
+            assert res.K == K and res.residual == 0
+            for alpha in weighted_partitions(2 * K, d[1]):
+                assert binom_rational(-F(s[1]), sum(alpha)) == 0
 
     def test_rejects_noninteger(self):
         p = PowerSumParams.make((2, 3))

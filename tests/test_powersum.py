@@ -29,7 +29,7 @@ from zetapoly import (
     value_mixed_last_nonpositive,
     value_nonpositive,
 )
-from zetapoly.powersum import _exact_root, in_convergence_domain
+from zetapoly.powersum import _exact_root
 
 
 def params(d, gamma=None):
@@ -53,11 +53,6 @@ class TestPredicates:
         assert ok and b == 1
         ok, _ = ira_ok((2, 3))  # needs n >= 3
         assert not ok
-
-    def test_convergence_domain(self):
-        p = params((2, 3))
-        assert in_convergence_domain(p, (F(1), F(1)))
-        assert not in_convergence_domain(p, (F(0), F(0)))
 
 
 class TestRecursion:
