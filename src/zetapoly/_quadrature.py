@@ -12,15 +12,13 @@ on every node of a cell at once: the weighted cell sums are exact integers,
 rounded once, and every rounding before them is counted into the cell's
 estimate.  A grid function takes one list of coordinates per axis and
 returns its values at every point of their product, in row-major order
-(last axis fastest), one call per rule and cell.  ``pointwise`` adapts a
-function of one point to the grid protocol.
+(last axis fastest), one call per rule and cell.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -40,6 +38,8 @@ if TYPE_CHECKING:
     from .multipoly import MPoly
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
+
+_MAX_CELLS = 4000  # cells an adaptive cube quadrature may split into
 
 
 def gauss_legendre_01(order: int) -> tuple[list[mpf], list[mpf]]:
@@ -78,11 +78,6 @@ def gauss_legendre_01(order: int) -> tuple[list[mpf], list[mpf]]:
 
 # f(axes) -> values at every point of the product of axes, last axis fastest.
 Integrand = Callable[[Sequence[Sequence[mpf]]], Sequence[mpf]]
-
-
-def pointwise(f: Callable[[Sequence[mpf]], mpf]) -> Integrand:
-    """Adapt an integrand of one point to the grid protocol."""
-    return lambda axes: [f(pt) for pt in product(*axes)]
 
 
 def rounding_floor(prec: int) -> mpf:
@@ -425,7 +420,6 @@ def integrate_unit_cube(
     dim: int,
     rel_tol: float = 1e-12,
     abs_tol: float = 1e-30,
-    max_subdivisions: int = 4000,
     order: int = 15,
 ) -> tuple[mpf, mpf]:
     """Integrate f over [0,1]^dim; returns (value, absolute error bound).
@@ -451,7 +445,7 @@ def integrate_unit_cube(
         target = mpf(abs_tol) + mpf(rel_tol) * abs(total)
         if errtot <= target:
             break
-        if ncells >= max_subdivisions or not heap:
+        if ncells >= _MAX_CELLS or not heap:
             raise QuadratureDidNotConverge(
                 f"error {mp.nstr(errtot, 5)} above target {mp.nstr(target, 5)} "
                 f"after {ncells} cells"

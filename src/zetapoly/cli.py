@@ -3,7 +3,8 @@
 Subcommands: powersum | directional | mahler | period | polyzeta |
 bernoulli-id | oracle | selftest.  All results are JSON on stdout with a
 versioned schema; identical inputs and configuration produce byte-identical
-output.  Errors argparse rejects (unknown flags, missing options) exit 2;
+output.  Each subcommand takes only the shared flags it reads.  Errors
+argparse rejects (unknown flags, missing options) exit 2;
 every other error, values that do not parse included, exits 1 with a
 structured message.
 """
@@ -77,14 +78,19 @@ def _qs(args) -> QuadratureSettings:
     )
 
 
-def _add_common(sp):
-    sp.add_argument("--precision", type=int,
-                    default=int(os.environ.get("ZETAPOLY_PRECISION", "50")),
-                    help="working precision in decimal digits")
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-30)
+def _add_common(sp, *, precision: bool = True, tolerances: bool = False,
+                seed: bool = False) -> None:
+    """--pretty, plus the shared flags the subcommand reads."""
+    if precision:
+        sp.add_argument("--precision", type=int,
+                        default=int(os.environ.get("ZETAPOLY_PRECISION", "50")),
+                        help="working precision in decimal digits")
+    if tolerances:
+        sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
+        sp.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-30)
     sp.add_argument("--pretty", action="store_true", help="indented JSON output")
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    if seed:
+        sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def _parse_u(text: str, n: int) -> CompositionFamily:
@@ -177,6 +183,8 @@ def cmd_period(args) -> dict:
 def cmd_polyzeta(args) -> dict:
     spec = json.loads(Path(args.family).read_text())
     polys_spec = spec["polys"] if isinstance(spec, dict) else spec
+    if not isinstance(polys_spec, list):
+        raise ValueError("a family is a JSON list of polynomials")
     polys = []
     for j, ps in enumerate(polys_spec, start=1):
         if isinstance(ps, str):
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Q", help="numerator polynomial (default 1)")
     sp.add_argument("--N", type=int, default=0)
     sp.add_argument("--terms", action="store_true", help="emit per-term breakdown")
-    _add_common(sp)
+    _add_common(sp, tolerances=True)
     sp.set_defaults(fn=cmd_mahler)
 
     sp = sub.add_parser("period", help="one face-period integral")
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", required=True,
                     help="composition entries 'k:g1,..,gn[:count]' joined by ';'")
     sp.add_argument("--i", type=int, required=True, help="face index (1-based)")
-    _add_common(sp)
+    _add_common(sp, tolerances=True)
     sp.set_defaults(fn=cmd_period)
 
     sp = sub.add_parser("polyzeta", help="regularized value for a polynomial family")
@@ -293,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", required=True, help="comma list of non-negative integers")
     sp.add_argument("--diagonal", action="store_true",
                     help="use the diagonal-denominator expansion")
-    _add_common(sp)
+    _add_common(sp, tolerances=True, seed=True)
     sp.set_defaults(fn=cmd_polyzeta)
 
     sp = sub.add_parser("bernoulli-id", help="verify the Bernoulli identity grid")
     sp.add_argument("--grid", default="8x8", help="grid bounds, e.g. 8x8")
     sp.add_argument("--json", dest="json_out", help="also write reports to this file")
     sp.add_argument("--csv", action="store_true", help="CSV to stdout instead of JSON")
-    _add_common(sp)
+    _add_common(sp, precision=False)
     sp.set_defaults(fn=cmd_bernoulli_id)
 
     sp = sub.add_parser("oracle", help="independent Euler-Maclaurin continuation")
@@ -319,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(o2)
     o2.set_defaults(fn=cmd_oracle)
 
-    sp = sub.add_parser("selftest", help="run the acceptance suite")
-    _add_common(sp)
-    sp.set_defaults(fn=None)
+    sub.add_parser("selftest", help="run the acceptance suite")
     return ap
 
 
@@ -333,8 +339,7 @@ def main(argv=None) -> int:
     try:
         out = args.fn(args)
     except (ZetaPolyError, ValueError, OSError, KeyError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              getattr(args, "pretty", False))
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 1
     if out:
         _emit(out, args.pretty)

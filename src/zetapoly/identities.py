@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactnum import bernoulli, bernoulli_tilde, falling_factorial_ext
+from .exactnum import (
+    bernoulli,
+    bernoulli_tilde,
+    falling_factorial_ext,
+    riemann_zeta_exact_nonpositive,
+)
 
 
 @dataclass(frozen=True)
@@ -36,68 +41,39 @@ def zeta_neg_via_B1(N: int) -> Fraction:
 
 
 def zeta_neg_closed(N: int) -> Fraction:
-    """zeta(-N) = (-1)^N B_{N+1}/(N+1)."""
-    if N < 0:
-        raise ValueError("N must be non-negative")
-    return Fraction((-1) ** N) * bernoulli(N + 1) / (N + 1)
+    """zeta(-N) = (-1)^N B_{N+1}/(N+1): the formula every value path uses."""
+    return riemann_zeta_exact_nonpositive(N)
+
+
+def _bernoulli_pairs(l: int, cap: int) -> Fraction:
+    """sum over k1 >= l, k2 >= 0, k1 + k2 <= cap of B_k1 B_k2 times the
+    multinomial (cap - l)! / ((k1 - l)! k2! (cap - k1 - k2)!)."""
+    total = Fraction(0)
+    for k1 in range(l, cap + 1):
+        for k2 in range(cap - k1 + 1):
+            b = bernoulli(k1) * bernoulli(k2)
+            if b:
+                total += b * (factorial(cap - l) // (
+                    factorial(k1 - l) * factorial(k2) * factorial(cap - k1 - k2)))
+    return total
 
 
 def double_B3(N1: int, N2: int) -> Fraction:
     """Euler double value at (-N1, -N2) from the linear-denominator formula
-    (three triple sums over l and Bernoulli pairs)."""
+    (three sums over l of Bernoulli-pair sums)."""
     if N1 < 0 or N2 < 0:
         raise ValueError("indices must be non-negative")
-    total = Fraction(0)
     T = N1 + N2 + 2
-    # first block
+    total = Fraction(0)
     for l in range(N1 + 1):
-        pref = (
-            Fraction(comb(N1, l))
-            / comb(N1 + N2 + 1 - l, N2)
-            * Fraction((-1) ** (N1 + 3 - l))
-            / ((T - l) * (l - N1 - 1))
-        )
-        for k1 in range(l, T + 1):
-            for k2 in range(0, T - k1 + 1):
-                b = bernoulli(k1) * bernoulli(k2)
-                if b == 0:
-                    continue
-                w = Fraction(
-                    factorial(T - l),
-                    factorial(k1 - l) * factorial(k2) * factorial(T - k1 - k2),
-                )
-                total += pref * w * b
-    # second block
-    for l in range(N1 + 1):
-        pref = Fraction(comb(N1, l), (N2 + 1) * (N1 + 1 - l))
-        cap = N2 + 1 + l
-        for k1 in range(l, cap + 1):
-            for k2 in range(0, cap - k1 + 1):
-                b = bernoulli(k1) * bernoulli(k2)
-                if b == 0:
-                    continue
-                w = Fraction(
-                    factorial(N2 + 1),
-                    factorial(k1 - l) * factorial(k2) * factorial(cap - k1 - k2),
-                )
-                total += pref * w * b
-    # third block
-    for l1 in range(N1 + 1):
+        c = comb(N1, l)
+        total += Fraction(
+            (-1) ** (N1 + 3 - l) * c, comb(T - 1 - l, N2) * (T - l) * (l - N1 - 1)
+        ) * _bernoulli_pairs(l, T)
+        total += Fraction(c, (N2 + 1) * (N1 + 1 - l)) * _bernoulli_pairs(l, N2 + 1 + l)
         for l2 in range(N2 + 1):
-            pref = Fraction(comb(N1, l1) * comb(N2, l2), 1) / (
-                (T - l1 - l2) * (N2 + 1 - l2)
-            )
-            cap = l1 + l2
-            for k1 in range(l1, cap + 1):
-                for k2 in range(0, cap - k1 + 1):
-                    b = bernoulli(k1) * bernoulli(k2)
-                    if b == 0:
-                        continue
-                    w = Fraction(
-                        factorial(l2),
-                        factorial(k1 - l1) * factorial(k2) * factorial(cap - k1 - k2),
-                    )
-                    total += pref * w * b
+            w = Fraction(c * comb(N2, l2), (T - l - l2) * (N2 + 1 - l2))
+            total += w * _bernoulli_pairs(l, l + l2)
     return total
 
 
@@ -145,34 +121,18 @@ def verify_identity_grid(maxN1: int, maxN2: int) -> list[IdentityReport]:
     plus the single-variable pair up to maxN1 + maxN2."""
     if maxN1 < 0 or maxN2 < 0:
         raise ValueError("bounds must be non-negative")
-    reports: list[IdentityReport] = []
-    for N in range(maxN1 + maxN2 + 1):
+
+    def report(label, parameters, lhs_of, rhs_of) -> IdentityReport:
         t0 = time.perf_counter()
-        lhs = zeta_neg_via_B1(N)
-        rhs = zeta_neg_closed(N)
-        reports.append(
-            IdentityReport(
-                parameters=(N,),
-                lhs=lhs,
-                rhs=rhs,
-                equal=lhs == rhs,
-                elapsed=time.perf_counter() - t0,
-                label="zeta_neg",
-            )
-        )
-    for N1 in range(maxN1 + 1):
-        for N2 in range(maxN2 + 1):
-            t0 = time.perf_counter()
-            lhs = double_B3(N1, N2)
-            rhs = double_B6(N1, N2)
-            reports.append(
-                IdentityReport(
-                    parameters=(N1, N2),
-                    lhs=lhs,
-                    rhs=rhs,
-                    equal=lhs == rhs,
-                    elapsed=time.perf_counter() - t0,
-                    label="euler_double",
-                )
-            )
-    return reports
+        lhs, rhs = lhs_of(*parameters), rhs_of(*parameters)
+        return IdentityReport(parameters=parameters, lhs=lhs, rhs=rhs, equal=lhs == rhs,
+                              elapsed=time.perf_counter() - t0, label=label)
+
+    return [
+        report("zeta_neg", (N,), zeta_neg_via_B1, zeta_neg_closed)
+        for N in range(maxN1 + maxN2 + 1)
+    ] + [
+        report("euler_double", (N1, N2), double_B3, double_B6)
+        for N1 in range(maxN1 + 1)
+        for N2 in range(maxN2 + 1)
+    ]

@@ -41,14 +41,12 @@ from .multipoly import (
 class QuadratureSettings:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-30
-    max_subdivisions: int = 4000
-    rule: int = 15
     precision: int = 50
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        # Quadrature runs at precision + 10 digits (see _integrate_face).
+        # Quadrature runs at precision + 10 digits (see cube_integral).
         require_reachable(self.rel_tol, self.precision + 10)
 
 
@@ -140,7 +138,7 @@ def _canon(P: MPoly) -> tuple:
     return (P.nvars, tuple(P.canonical_items()))
 
 
-def _integrate_face(
+def cube_integral(
     Pf: MPoly,
     numer: MPoly,
     expo: int,
@@ -148,7 +146,9 @@ def _integrate_face(
     cache: dict | None = None,
     abs_tol: float | None = None,
 ) -> Numeric:
-    """Integral over [0,1]^dim of Pf^expo * numer, expo possibly negative.
+    """Integral over [0,1]^dim of Pf^expo * numer, expo possibly negative
+    (then Pf must be positive on the cube): a face period, or a generalized
+    gamma factor of the diagonal expansion.
 
     The integrand is compiled once into a FixedPointIntegrand, numer / Pf^k
     for expo = -k < 0 or the polynomial Pf^expo * numer, so that the cube
@@ -167,8 +167,6 @@ def _integrate_face(
             dim,
             rel_tol=qs.rel_tol,
             abs_tol=abs_tol if abs_tol is not None else qs.abs_tol,
-            max_subdivisions=qs.max_subdivisions,
-            order=qs.rule,
         )
     out = Numeric(val, err)
     if cache is not None:
@@ -190,7 +188,7 @@ def _face_term(
     Pf = P.face(i)
     if P.nvars == 1:
         return SpecialValue.make_exact(Pf.constant_value() ** expo * numer.constant_value())
-    return SpecialValue.make_numeric(_integrate_face(Pf, numer, expo, qs, cache, abs_tol))
+    return SpecialValue.make_numeric(cube_integral(Pf, numer, expo, qs, cache, abs_tol))
 
 
 def period_K(

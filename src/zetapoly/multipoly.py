@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Provides the derived objects the value formulas need: partial derivatives,
-Taylor shifts, face restrictions (substituting 1 for one variable), the
-auxiliary face products built from a composition family, and hypothesis
-checks (homogeneity, face positivity via Bernstein certificates, sampled
+face restrictions (substituting 1 for one variable), the auxiliary face
+products built from a composition family, and hypothesis checks
+(homogeneity, face positivity via Bernstein certificates, sampled
 positivity on [1,oo) boxes, a non-certifying boundedness heuristic).  Also
 the index enumerators every value formula shares: multi-indices of a given
 weight, weighted partitions and products of per-weight compositions.
@@ -23,6 +23,8 @@ from .errors import CompositionMismatch, DimensionMismatch, IndexOutOfRange
 from .exactnum import Rational, mpf_from_rational, multi_factorial, rat_to_str
 
 MultiIndex = tuple[int, ...]
+
+MAX_NVARS = 64  # variables a parsed polynomial may use
 
 
 def mi_add(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
@@ -194,28 +196,6 @@ class MPoly:
             out[ne] = out.get(ne, Fraction(0)) + coeff
         return MPoly(self.nvars, out)
 
-    def shift(self, a: Sequence[Rational]) -> "MPoly":
-        """Taylor shift P(X + a), exactly."""
-        if len(a) != self.nvars:
-            raise DimensionMismatch("shift vector has wrong length")
-        av = [Fraction(x) for x in a]
-        out: dict[MultiIndex, Fraction] = {}
-        for e, c in self.terms.items():
-            # expand prod_j (X_j + a_j)^{e_j}
-            partial = {(): c}
-            for j, ej in enumerate(e):
-                nxt: dict[tuple, Fraction] = {}
-                for pref, pc in partial.items():
-                    for k in range(ej + 1):
-                        w = pc * comb(ej, k) * av[j] ** (ej - k)
-                        if w != 0:
-                            key = pref + (k,)
-                            nxt[key] = nxt.get(key, Fraction(0)) + w
-                partial = nxt
-            for ne, nc in partial.items():
-                out[ne] = out.get(ne, Fraction(0)) + nc
-        return MPoly(self.nvars, out)
-
     def face(self, i: int) -> "MPoly":
         """Substitute 1 for variable i (1-based) and drop it."""
         if not (1 <= i <= self.nvars):
@@ -293,8 +273,23 @@ class MPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "MPoly":
-        terms = {tuple(t["e"]): Fraction(t["c"]) for t in obj["terms"]}
-        return MPoly(int(obj["nvars"]), terms)
+        """{"nvars": n, "terms": [{"c": "p/q", "e": [e1, .., en]}, ..]};
+        malformed input raises ValueError (KeyError for a missing key)."""
+        try:
+            if not isinstance(obj["terms"], list):
+                raise TypeError("terms is not a list")
+            terms: dict[MultiIndex, Fraction] = {}
+            for t in obj["terms"]:
+                e = tuple(t["e"])
+                if any(type(x) is not int for x in e):
+                    raise TypeError(f"exponent {list(e)} is not a list of integers")
+                terms[e] = terms.get(e, Fraction(0)) + Fraction(t["c"])
+            nvars = int(obj["nvars"])
+        except (TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"malformed polynomial JSON: {exc}") from None
+        if nvars > MAX_NVARS:
+            raise ValueError(f"nvars {nvars} exceeds {MAX_NVARS}")
+        return MPoly(nvars, terms)
 
     @staticmethod
     def parse(text: str, nvars: int | None = None) -> "MPoly":
@@ -302,7 +297,10 @@ class MPoly:
         text = text.strip()
         if not text:
             raise ValueError("empty polynomial text")
-        chunks = re.findall(r"[+-]?[^+-]+", text.replace("**", "^"))
+        text = text.replace("**", "^")
+        chunks = re.findall(r"[+-]?[^+-]+", text)
+        if sum(map(len, chunks)) != len(text):  # a sign with no term after it
+            raise ValueError(f"dangling sign in {text!r}")
         parsed: list[tuple[Fraction, dict[int, int]]] = []
         maxvar = 0
         for chunk in chunks:
@@ -315,15 +313,23 @@ class MPoly:
                 chunk = chunk[1:].strip()
             coeff = sign
             expo: dict[int, int] = {}
-            for tok in chunk.replace("*", " ").split():
+            toks = chunk.replace("*", " ").split()
+            if not toks:
+                raise ValueError(f"empty term in {text!r}")
+            for tok in toks:
                 m = re.fullmatch(r"x(\d+)(?:\^(\d+))?", tok)
                 if m:
                     v = int(m.group(1))
+                    if not 1 <= v <= MAX_NVARS:
+                        raise ValueError(f"variable {tok!r} is not one of x1..x{MAX_NVARS}")
                     k = int(m.group(2) or 1)
                     expo[v] = expo.get(v, 0) + k
                     maxvar = max(maxvar, v)
                 else:
-                    coeff *= Fraction(tok)
+                    try:
+                        coeff *= Fraction(tok)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {tok!r}") from None
             parsed.append((coeff, expo))
         n = nvars if nvars is not None else maxvar
         terms: dict[MultiIndex, Fraction] = {}
@@ -473,9 +479,7 @@ def _bernstein_coeffs(P: MPoly) -> tuple[dict[MultiIndex, Fraction], MultiIndex]
                 for ii, a in uni.items():
                     if ii <= j:
                         b += Fraction(comb(j, ii), comb(nd, ii)) * a
-                if b != 0:
-                    e = key[:axis] + (j,) + key[axis:]
-                    out[e] = b
+                out[key[:axis] + (j,) + key[axis:]] = b
         coeffs = out
     return coeffs, degs
 

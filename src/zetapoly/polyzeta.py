@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Sequence
 
 from mpmath import mp, mpf
 
-from ._quadrature import integrate_unit_cube, pointwise
 from .errors import HypothesisViolated, NotDiagonal, NotElliptic
 from .exactnum import (
     Numeric,
@@ -25,7 +24,13 @@ from .exactnum import (
     multi_factorial,
     point_to_str,
 )
-from .mahler import DEFAULT_QS, QuadratureSettings, Z_value, certify_elliptic
+from .mahler import (
+    DEFAULT_QS,
+    QuadratureSettings,
+    Z_value,
+    certify_elliptic,
+    cube_integral,
+)
 from .multipoly import (
     H0sReport,
     MPoly,
@@ -156,40 +161,19 @@ def G_factor(
 
     Each t_i is substituted by u_i^{b_i} with b_i the denominator of mu_i,
     which turns t_i^{mu_i-1} dt_i into b_i u_i^{a_i-1} du_i with integer
-    a_i, so the transformed integrand is a smooth polynomial ratio.
+    a_i, so the transformed integrand prod b_i u_i^{a_i-1} /
+    (1 + sum u_i^{b_i})^m is a polynomial ratio, integrated like a face
+    period.
     """
-    mu = spec.mu
-    m = spec.m
-    dim = len(mu)
-    with mp.workdps(qs.precision + 10):
-        if dim == 0:
-            return Numeric(mpf(1), mpf(0))
-        powers = [x.denominator for x in mu]
-        numer_exp = [x.numerator for x in mu]  # a_i = numerator(mu_i) >= 1
-        jac = mpf(1)
-        for b in powers:
-            jac *= b
-
-        def f(pt):
-            acc = jac
-            s = mpf(0)
-            for x, a, b in zip(pt, numer_exp, powers):
-                if a > 1:
-                    acc *= x ** (a - 1)
-                s += x**b
-            if m:
-                acc /= (1 + s) ** m
-            return acc
-
-        val, err = integrate_unit_cube(
-            pointwise(f),
-            dim,
-            rel_tol=qs.rel_tol,
-            abs_tol=qs.abs_tol,
-            max_subdivisions=qs.max_subdivisions,
-            order=qs.rule,
-        )
-    return Numeric(val, err)
+    dim = len(spec.mu)
+    if dim == 0:
+        return Numeric(mpf(1), mpf(0))
+    numer = MPoly(dim, {tuple(x.numerator - 1 for x in spec.mu):
+                        prod(x.denominator for x in spec.mu)})
+    den = MPoly.one(dim)
+    for i, x in enumerate(spec.mu):
+        den = den + MPoly.variable(dim, i + 1) ** x.denominator
+    return cube_integral(den, numer, -spec.m, qs)
 
 
 def _is_diagonal(P: MPoly) -> int | None:

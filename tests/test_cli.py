@@ -5,7 +5,9 @@ import time
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zetapoly import MPoly, ZetaPolyError
 from zetapoly.cli import main
 
 
@@ -159,7 +161,9 @@ class TestMahler:
         assert code == 1
         err = json.loads(out)["error"]
         assert err["type"] == "NotElliptic"
-        assert "at (0)" in err["message"] and "Fraction(" not in err["message"]
+        # face 1 of x1 - x2 is 1 - x2, which vanishes at x2 = 1
+        assert "face 1 non-positive at (1)" in err["message"]
+        assert "Fraction(" not in err["message"]
 
 
 class TestExitCodes:
@@ -175,11 +179,41 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["mahler", "--P", "x1^"],
         ["powersum", "--d", "2,3", "--N", "0,a"],
+        ["mahler", "--P", "x0 + x1"],
+        ["mahler", "--P", "x1 + + x2"],
+        ["mahler", "--P", "1/0 x1"],
+        ["mahler", "--P", '{"nvars": 1, "terms": [{"c": "1/0", "e": [1]}]}'],
+        ["mahler", "--P", '{"nvars": 1, "terms": "ab"}'],
+        ["mahler", "--P", '{"nvars": 1, "terms": [{"c": "1", "e": 5}]}'],
     ])
     def test_malformed_values_exit_1(self, argv):
         code, out = run_cli(argv)
         assert code == 1
         assert json.loads(out)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--precision", "30"],
+        ["powersum", "--d", "2,3", "--N", "0,0", "--seed", "1"],
+        ["powersum", "--d", "2,3", "--N", "0,0", "--rel-tol", "1e-8"],
+        ["directional", "--d", "3,2,2", "--N", "0,0,0", "--abs-tol", "1e-20"],
+        ["mahler", "--P", "x1 + x2", "--seed", "1"],
+        ["bernoulli-id", "--grid", "2x2", "--precision", "30"],
+        ["oracle", "zeta1", "--d", "2", "--s", "-1", "--rel-tol", "1e-8"],
+    ])
+    def test_flags_a_subcommand_does_not_read_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.text(alphabet="x0123456789^*/+-. ", max_size=24))
+    def test_polynomial_text_parses_or_fails_as_the_cli_reports(self, text):
+        # the exceptions cli.main turns into an exit-1 JSON record
+        for nvars in (None, 2):
+            try:
+                MPoly.parse(text, nvars)
+            except (ZetaPolyError, ValueError, OSError, KeyError):
+                pass
 
 
 class TestPeriod:

@@ -12,6 +12,7 @@ from zetapoly import (
     MPoly,
     NotDiagonal,
     QuadratureSettings,
+    SpecialValue,
     Z_value,
     build_QN,
     build_family,
@@ -19,6 +20,7 @@ from zetapoly import (
     double_B6,
     zeta_P_at,
 )
+from zetapoly.oracle import theta_diagonal
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
 QS_FAST = QuadratureSettings(rel_tol=1e-8, precision=20)
@@ -56,9 +58,8 @@ class TestFamily:
             build_family([P("x1 + 1", 1)])
 
     def test_h0s_warning_flag(self):
-        fam = build_family([P("x1 - x2 + 10", 2).shift([F(0), F(0)]) if False else P("x1", 1),
-                            P("x1 + x2", 2)])
-        assert fam.flags == ()
+        fam = build_family([P("x1", 1), P("x1 - x2 + 10", 2), P("x1 + x2 + x3", 3)])
+        assert fam.flags == ("h0s_warning:P2",)
 
 
 class TestBuildQN:
@@ -130,31 +131,33 @@ class TestZetaPAt:
 
 
 class TestGFactor:
+    """Every value against a closed form, within its err."""
+
+    def _within_err(self, m, mu, truth):
+        v = G_factor(GammaFactorSpec(m=m, mu=mu), QS)
+        with mp.workdps(40):
+            assert abs(v.value - truth()) <= v.err
+
     def test_trivial(self):
-        v = G_factor(GammaFactorSpec(m=0, mu=(F(1),)), QS)
-        assert abs(v.value - 1) <= v.err + mpf(10) ** -25
+        self._within_err(0, (F(1),), lambda: mpf(1))
 
     def test_log2(self):
-        v = G_factor(GammaFactorSpec(m=1, mu=(F(1),)), QS)
-        with mp.workdps(40):
-            assert abs(v.value - mp.log(2)) < mpf(10) ** -11
+        self._within_err(1, (F(1),), lambda: mp.log(2))
 
     def test_singular_weight(self):
-        v = G_factor(GammaFactorSpec(m=0, mu=(F(1, 2),)), QS)
-        assert abs(v.value - 2) < mpf(10) ** -11
+        self._within_err(0, (F(1, 2),), lambda: mpf(2))
 
     def test_fractional_weight_above_one(self):
         # int sqrt(t)/(1+t) dt over (0,1) = 2 - pi/2
-        v = G_factor(GammaFactorSpec(m=1, mu=(F(3, 2),)), QS)
-        with mp.workdps(40):
-            assert abs(v.value - (2 - mp.pi / 2)) < mpf(10) ** -10
+        self._within_err(1, (F(3, 2),), lambda: 2 - mp.pi / 2)
 
     def test_two_dim_known(self):
         # int over (0,1)^2 of 1/(1+t1+t2): 3 log 3 - 4 log 2
-        v = G_factor(GammaFactorSpec(m=1, mu=(F(1), F(1))), QS)
-        with mp.workdps(40):
-            want = 3 * mp.log(3) - 4 * mp.log(2)
-            assert abs(v.value - want) < mpf(10) ** -10
+        self._within_err(1, (F(1), F(1)), lambda: 3 * mp.log(3) - 4 * mp.log(2))
+
+    def test_three_dim_fractional_product(self):
+        # m = 0: the integral factors into prod_i 1/mu_i = 3 * 4/5 * 3/2
+        self._within_err(0, (F(1, 3), F(5, 4), F(2, 3)), lambda: mpf(18) / 5)
 
     def test_zero_dim(self):
         v = G_factor(GammaFactorSpec(m=3, mu=()))
@@ -194,3 +197,39 @@ class TestDiagonal:
         a = diagonal_value(fam, (0, 0, 0, 0), qs).to_numeric(20)
         b = zeta_P_at(fam, (0, 0, 0, 0), qs).to_numeric(20)
         assert abs(a.value - b.value) <= a.err + b.err
+
+
+def theta_truth(family, N):
+    """Z(P_n, Q_N; 0) for a diagonal P_n of degree d from the theta-series
+    closed form, term by term over Q_N: no quadrature at all."""
+    n, d = family.n, family.polys[-1].degree()
+    QN, _ = build_QN(family, N)
+    total = SpecialValue.make_exact(F(0))
+    for beta, c in QN.canonical_items():
+        total = total + theta_diagonal(n, d, beta, 0).scale(c)
+    return total.to_numeric(30)
+
+
+class TestDiagonalTruth:
+    """diagonal_value against oracle.theta_diagonal, within its err."""
+
+    def _check(self, fam, N, qs):
+        v = diagonal_value(fam, N, qs).to_numeric(20)
+        truth = theta_truth(fam, N)
+        with mp.workdps(40):
+            assert abs(v.value - truth.value) <= v.err + truth.err
+
+    @pytest.mark.parametrize("N", [(N1, N2) for N1 in range(3) for N2 in range(2)])
+    def test_quadratic(self, N):
+        self._check(build_family([P("x1", 1), P("x1^2 + x2^2", 2)]), N, QS_FAST)
+
+    def test_cubic_fourfold(self):
+        fam = build_family(
+            [P("x1", 1), P("x1 + x2", 2), P("x1 + x2 + x3", 3),
+             P("x1^3 + x2^3 + x3^3 + x4^3", 4)]
+        )
+        self._check(fam, (0, 0, 0, 0), QuadratureSettings(rel_tol=1e-7, precision=20))
+
+    def test_quadratic_threefold(self):
+        fam = build_family([P("x1", 1), P("x1 + x2", 2), P("x1^2 + x2^2 + x3^2", 3)])
+        self._check(fam, (1, 0, 1), QS_FAST)
