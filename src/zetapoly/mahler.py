@@ -31,7 +31,7 @@ from .multipoly import (
     bernstein_positive,
     build_P_alpha_u,
     composition_tuples,
-    multiindices_of_weight,
+    delta_multiindices,
     multiindices_up_to_weight,
     weighted_partitions,
 )
@@ -56,12 +56,6 @@ DEFAULT_QS = QuadratureSettings()
 # -----------------------------------------------------------------------------
 # Multi-index enumeration
 # -----------------------------------------------------------------------------
-
-@lru_cache(maxsize=256)
-def delta_multiindices(k: int, n: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices of weight k in n variables, lexicographic."""
-    return tuple(multiindices_of_weight(k, n))
-
 
 def index_I(N: int, beta: Sequence[int], d: int, q: int, n: int) -> list[MultiIndex]:
     """All alpha in N_0^d with sum_k k*alpha_k = d*N + q + n - |beta|."""
@@ -260,6 +254,12 @@ def _check_P(P: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
     return d, flags
 
 
+def _add_scaled(acc: dict, poly: MPoly, w: Fraction | int) -> None:
+    """acc += w * poly, on a dict of terms."""
+    for e, c in poly.terms.items():
+        acc[e] = acc.get(e, 0) + w * c
+
+
 def _mahler_terms(P: MPoly, Q: MPoly, N: int, d: int):
     """The terms of the triple sum behind Z(P, Q; -N) and its expansion in
     powers of (1 + a), in the order (component, beta, alpha, u).
@@ -308,7 +308,8 @@ def Z_breakdown(
     """Z(P, Q; -N) together with the evaluated buckets it is the sum of."""
     d, flags = _check_P(P, N)
     n = P.nvars
-    buckets: dict[tuple, tuple[MPoly, MPoly]] = {}
+    # Per bucket, the terms of its numerator summed in place, and d^beta Q_c.
+    sums: dict[tuple, tuple[dict, MPoly]] = {}
     memo: dict = {}
     for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
         bt = bernoulli_tilde_product(m)
@@ -319,9 +320,9 @@ def Z_breakdown(
             Pi_u = build_P_alpha_u(P, i, alpha, u.u, memo)
             if Pi_u.is_zero():
                 continue
-            key = (ci, i, beta, alpha)
-            numer = buckets.get(key, (MPoly.zero(n - 1),))[0]
-            buckets[key] = (numer + Pi_u.scale(w), dQc)
+            acc = sums.setdefault((ci, i, beta, alpha), ({}, dQc))[0]
+            _add_scaled(acc, Pi_u, w)
+    buckets = {key: (MPoly(n - 1, acc), dQc) for key, (acc, dQc) in sums.items()}
     # Evaluate buckets in a fixed order.
     live = [k for k in sorted(buckets) if not buckets[k][0].is_zero()]
     per_bucket_abs = qs.abs_tol / max(1, len(live))
@@ -392,15 +393,14 @@ def Y_expansion(
             if Pi_u.is_zero():
                 continue
             groups = blocks.setdefault((ci, beta, alpha), (dQc, c_ab, {}))[2]
-            slot = groups.setdefault(m, {})
-            slot[i] = slot.get(i, MPoly.zero(n - 1)) + Pi_u
+            _add_scaled(groups.setdefault(m, {}).setdefault(i, {}), Pi_u, 1)
     expansion: dict[MultiIndex, SpecialValue] = {}
     cache: dict = {}
     for (_, _, alpha), (dQc, c_ab, groups) in blocks.items():
         for m in sorted(groups):
             total = SpecialValue.make_exact(Fraction(0))
             for i in sorted(groups[m]):
-                numer = groups[m][i] * dQc.face(i)
+                numer = MPoly(n - 1, groups[m][i]) * dQc.face(i)
                 if not numer.is_zero():
                     total = total + _face_term(P, i, numer, N - sum(alpha), qs, cache)
             total = total.scale(c_ab)

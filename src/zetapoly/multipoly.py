@@ -14,7 +14,9 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
+from operator import add, index, sub
 from typing import Mapping, Sequence
 
 from mpmath import mpf
@@ -27,12 +29,21 @@ MultiIndex = tuple[int, ...]
 MAX_NVARS = 64  # variables a parsed polynomial may use
 
 
-def mi_add(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+def _over_common_denominator(terms: Mapping[MultiIndex, Fraction]) -> tuple[int, dict]:
+    """(L, {e: c * L}) with L the lcm of the coefficients' denominators, so
+    that every scaled coefficient is an int."""
+    L = lcm(*(c.denominator for c in terms.values()))
+    return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
 
 
 class MPoly:
-    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial over the rationals.
+
+    Invariant: ``terms`` maps exponent tuples of ``nvars`` non-negative ints
+    to non-zero Fractions.  The public constructor checks it (and sums the
+    coefficients of equal exponents); MPoly's own operations keep it and
+    build their results with ``_of``, which only drops zero coefficients.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -41,7 +52,10 @@ class MPoly:
             raise ValueError("nvars must be >= 0")
         clean: dict[MultiIndex, Fraction] = {}
         for e, c in (terms or {}).items():
-            e = tuple(int(x) for x in e)
+            try:
+                e = tuple(int(index(x)) for x in e)
+            except TypeError:
+                raise ValueError(f"exponent {e} is not a tuple of integers") from None
             if len(e) != nvars:
                 raise DimensionMismatch(f"exponent {e} has wrong length for {nvars} vars")
             if any(x < 0 for x in e):
@@ -51,6 +65,15 @@ class MPoly:
                 clean[e] = clean.get(e, Fraction(0)) + c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+
+    @classmethod
+    def _of(cls, nvars: int, terms: Mapping[MultiIndex, Fraction]) -> "MPoly":
+        """A result of MPoly's own operations, whose terms keep the invariant
+        apart from zero coefficients; those are dropped, nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("MPoly is immutable")
@@ -115,55 +138,72 @@ class MPoly:
             raise DimensionMismatch("variable counts differ")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly(self.nvars, out)
+            out[e] = out[e] + c if e in out else c
+        return MPoly._of(self.nvars, out)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        """Product over the integer numerators of both factors, each over its
+        common denominator; one Fraction is built per output term."""
         if self.nvars != other.nvars:
             raise DimensionMismatch("variable counts differ")
-        out: dict[MultiIndex, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mi_add(e1, e2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.nvars, out)
+        L1, t1 = _over_common_denominator(self.terms)
+        L2, t2 = _over_common_denominator(other.terms)
+        out: dict[MultiIndex, int] = {}
+        get = out.get
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        den = L1 * L2
+        return MPoly._of(self.nvars, {e: Fraction(c, den) for e, c in out.items() if c})
 
     def scale(self, c: Rational) -> "MPoly":
         c = Fraction(c)
-        return MPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        return MPoly._of(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        acc = MPoly.one(self.nvars)
+        acc = None
         base = self
         while n:
             if n & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             n >>= 1
-        return acc
+            if n:
+                base = base * base
+        return MPoly.one(self.nvars) if acc is None else acc
 
     # Evaluation -------------------------------------------------------------
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
+        """Exact value at a rational point: with D the lcm of the point's
+        denominators and L that of the coefficients, the sum runs over the
+        integers L * D^deg * c * x^e and one Fraction is built at the end."""
         if len(point) != self.nvars:
             raise DimensionMismatch("point has wrong length")
         pt = [Fraction(x) for x in point]
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(pt, e):
+        if not self.terms:
+            return Fraction(0)
+        D = lcm(*(x.denominator for x in pt))
+        xs = [x.numerator * (D // x.denominator) for x in pt]
+        deg = self.degree()
+        Dpow = [D**k for k in range(deg + 1)]
+        L, ints = _over_common_denominator(self.terms)
+        acc = 0
+        for e, c in ints.items():
+            t = c * Dpow[deg - sum(e)]
+            for x, k in zip(xs, e):
                 if k:
                     t *= x**k
             acc += t
-        return acc
+        return Fraction(acc, L * Dpow[deg])
 
     def eval_mp(self, point: Sequence[mpf]) -> mpf:
         acc = mpf(0)
@@ -188,13 +228,13 @@ class MPoly:
         for e, c in self.terms.items():
             if any(ei < gi for ei, gi in zip(e, g)):
                 continue
-            coeff = c
+            m = 1
             for ei, gi in zip(e, g):
                 for t in range(gi):
-                    coeff *= ei - t
-            ne = tuple(ei - gi for ei, gi in zip(e, g))
-            out[ne] = out.get(ne, Fraction(0)) + coeff
-        return MPoly(self.nvars, out)
+                    m *= ei - t
+            # e -> e - g is one-to-one, so no two terms meet
+            out[tuple(map(sub, e, g))] = c * m
+        return MPoly._of(self.nvars, out)
 
     def face(self, i: int) -> "MPoly":
         """Substitute 1 for variable i (1-based) and drop it."""
@@ -203,8 +243,8 @@ class MPoly:
         out: dict[MultiIndex, Fraction] = {}
         for e, c in self.terms.items():
             ne = e[: i - 1] + e[i:]
-            out[ne] = out.get(ne, Fraction(0)) + c
-        return MPoly(self.nvars - 1, out)
+            out[ne] = out[ne] + c if ne in out else c
+        return MPoly._of(self.nvars - 1, out)
 
     def substitute_axis(self, axis: int, scale: Rational, offset: Rational) -> "MPoly":
         """Replace X_axis (0-based) by scale*X_axis + offset, exactly."""
@@ -217,8 +257,8 @@ class MPoly:
                 if w == 0:
                     continue
                 ne = e[:axis] + (j,) + e[axis + 1 :]
-                out[ne] = out.get(ne, Fraction(0)) + w
-        return MPoly(self.nvars, out)
+                out[ne] = out[ne] + w if ne in out else w
+        return MPoly._of(self.nvars, out)
 
     # Structure --------------------------------------------------------------
 
@@ -235,7 +275,7 @@ class MPoly:
         buckets: dict[int, dict[MultiIndex, Fraction]] = {}
         for e, c in self.terms.items():
             buckets.setdefault(sum(e), {})[e] = c
-        return [(d, MPoly(self.nvars, t)) for d, t in sorted(buckets.items())]
+        return [(d, MPoly._of(self.nvars, t)) for d, t in sorted(buckets.items())]
 
     # Serialization ------------------------------------------------------------
 
@@ -348,10 +388,12 @@ class MPoly:
 # Index enumeration and composition products
 # -----------------------------------------------------------------------------
 
-def multiindices_of_weight(k: int, n: int) -> list[MultiIndex]:
-    """All g in N_0^n with |g| = k, in lexicographic order."""
+@lru_cache(maxsize=256)
+def delta_multiindices(k: int, n: int) -> tuple[MultiIndex, ...]:
+    """All g in N_0^n with |g| = k, in lexicographic order (cached: every
+    value formula enumerates the same few weights again and again)."""
     if n == 0:
-        return [()] if k == 0 else []
+        return ((),) if k == 0 else ()
     out = []
 
     def rec(prefix, rest, slots):
@@ -362,13 +404,13 @@ def multiindices_of_weight(k: int, n: int) -> list[MultiIndex]:
             rec(prefix + (v,), rest - v, slots - 1)
 
     rec((), k, n)
-    return out
+    return tuple(out)
 
 
 def multiindices_up_to_weight(k: int, n: int) -> list[MultiIndex]:
     out = []
     for w in range(k + 1):
-        out.extend(multiindices_of_weight(w, n))
+        out.extend(delta_multiindices(w, n))
     return out
 
 
@@ -400,7 +442,7 @@ def composition_tuples(
     for k, (total, width) in enumerate(zip(totals, slots)):
         pos = range(width) if support is None else support[k]
         options = []
-        for comp in multiindices_of_weight(total, len(pos)):
+        for comp in delta_multiindices(total, len(pos)):
             full = [0] * width
             for p, v in zip(pos, comp):
                 full[p] = v
@@ -417,15 +459,20 @@ def build_P_alpha_u(
     (alpha!/prod_k u_k!) * prod_k prod_{|g|=k} ((d^g P at face i)/g!)^{u_{k,g}}
 
     A caller that builds many products of one P may pass a memo dict, kept
-    for that P only; it holds each factor by (i, g, u_{k,g}).
+    for that P only.  It holds each factor by (i, g, u_{k,g}) and each
+    product of the leading factors by (i, (g_1, u_{k,g_1}), ...): families
+    in the order of composition_tuples share their leading factors, so each
+    new family costs about one multiplication.
     """
     alpha = tuple(int(a) for a in alpha)
     n = P.nvars
-    d = len(alpha)
-    coeff = Fraction(multi_factorial(alpha))
-    acc = MPoly.one(n - 1)
-    for k in range(1, d + 1):
-        gammas = multiindices_of_weight(k, n)
+    if memo is None:
+        memo = {}
+    coeff = multi_factorial(alpha)
+    acc = None
+    key: tuple = (i,)
+    for k in range(1, len(alpha) + 1):
+        gammas = delta_multiindices(k, n)
         uk = u[k - 1]
         if len(uk) != len(gammas):
             raise CompositionMismatch(f"u_{k} has wrong arity")
@@ -434,16 +481,18 @@ def build_P_alpha_u(
         for g, mult in zip(gammas, uk):
             if mult == 0:
                 continue
-            coeff /= factorial(mult)
-            key = (i, g, mult)
-            factor = memo.get(key) if memo is not None else None
-            if factor is None:
-                base = P.derivative(g).face(i).scale(Fraction(1, multi_factorial(g)))
-                factor = base**mult
-                if memo is not None:
-                    memo[key] = factor
-            acc = acc * factor
-    return acc.scale(coeff)
+            coeff //= factorial(mult)  # exact: a multinomial coefficient
+            key += ((g, mult),)
+            prefix = memo.get(key)
+            if prefix is None:
+                fkey = (i, g, mult)
+                factor = memo.get(fkey)
+                if factor is None:
+                    base = P.derivative(g).face(i).scale(Fraction(1, multi_factorial(g)))
+                    factor = memo[fkey] = base**mult
+                prefix = memo[key] = factor if acc is None else acc * factor
+            acc = prefix
+    return (MPoly.one(n - 1) if acc is None else acc).scale(coeff)
 
 
 # -----------------------------------------------------------------------------
@@ -581,7 +630,7 @@ def _box_points(n: int, L: int, nsamp: int, rng: random.Random):
 
     yield from rec([])
     for _ in range(nsamp):
-        yield [1 + Fraction(rng.randint(0, 1024) * (L - 1), 1024) for _ in range(n)]
+        yield [Fraction(1024 + rng.randint(0, 1024) * (L - 1), 1024) for _ in range(n)]
 
 
 # -----------------------------------------------------------------------------

@@ -309,6 +309,47 @@ class TestRaabePipeline:
         assert raabe_substitute(Y_expansion(Ppoly, Q, N)) == z
 
 
+def _within_errs(a, b):
+    """|a - b| <= err(a) + err(b) for two SpecialValues."""
+    an, bn = a.to_numeric(30), b.to_numeric(30)
+    return abs(an.value - bn.value) <= an.err + bn.err
+
+
+class TestProperties:
+    """Derandomized properties of Z(P, Q; -N) on two-variable elliptic forms,
+    each checked within the sum of the errs of the two sides."""
+
+    forms = st.sampled_from(
+        ["x1 + x2", "2 x1 + x2", "x1^2 + x2^2", "x1^2 + x1 x2 + x2^2"]
+    ).map(lambda t: P(t, 2))
+    coeffs = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=4)
+    qpolys = st.lists(
+        st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 1)), coeffs),
+        min_size=1, max_size=3,
+    ).map(lambda ts: MPoly(2, dict(ts)))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(forms, qpolys, qpolys, coeffs, coeffs, st.integers(0, 1))
+    def test_linear_in_Q(self, Ppoly, Q1, Q2, a, b, N):
+        lhs = Z_value(Ppoly, Q1.scale(a) + Q2.scale(b), N, QS_FAST)
+        rhs = Z_value(Ppoly, Q1, N, QS_FAST).scale(a) + Z_value(Ppoly, Q2, N, QS_FAST).scale(b)
+        assert _within_errs(lhs, rhs)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(forms, qpolys, st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4),
+           st.integers(0, 2))
+    def test_scaling_P(self, Ppoly, Q, c, N):
+        # Z(cP, Q; -N) = c^N Z(P, Q; -N)
+        lhs = Z_value(Ppoly.scale(c), Q, N, QS_FAST)
+        assert _within_errs(lhs, Z_value(Ppoly, Q, N, QS_FAST).scale(c**N))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(forms, qpolys, st.integers(0, 1))
+    def test_raabe_equals_Z_two_variables(self, Ppoly, Q, N):
+        z = Z_value(Ppoly, Q, N, QS_FAST)
+        assert _within_errs(raabe_substitute(Y_expansion(Ppoly, Q, N, QS_FAST)), z)
+
+
 class TestYExpansionBitIdentity:
     """(value._mpf_, err._mpf_) of every coefficient, recorded before Z_value
     and Y_expansion were built on one shared term generator."""

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +15,7 @@ from zetapoly import (
     MPoly,
     NotElliptic,
     build_P_alpha_u,
+    enumerate_V,
     h0s_heuristic,
     positivity_check,
 )
@@ -23,7 +25,7 @@ from zetapoly.mahler import certify_elliptic
 from zetapoly.multipoly import (
     bernstein_positive,
     composition_tuples,
-    multiindices_of_weight,
+    delta_multiindices,
     weighted_partitions,
 )
 
@@ -57,6 +59,12 @@ class TestBasics:
         # and no sign dropped without a term
         with pytest.raises(ValueError):
             MPoly.parse(text)
+
+    @pytest.mark.parametrize("e", [(1.5,), (F(3, 2),), ("1",)])
+    def test_non_integer_exponent_rejected(self, e):
+        # int() would truncate the first two to 1
+        with pytest.raises(ValueError):
+            MPoly(1, {e: 1})
 
     def test_eval(self):
         p = P("x1^2 + 2 x1 x2", 2)
@@ -153,11 +161,11 @@ class TestEnumerators:
         for n in range(4):
             for k in range(6):
                 want = [g for g in product(range(k + 1), repeat=n) if sum(g) == k]
-                assert multiindices_of_weight(k, n) == want
+                assert delta_multiindices(k, n) == tuple(want)
 
     def test_composition_tuples_is_the_product(self):
         totals, slots = (2, 0, 1), (2, 3, 1)
-        want = list(product(*(multiindices_of_weight(t, w) for t, w in zip(totals, slots))))
+        want = list(product(*(delta_multiindices(t, w) for t, w in zip(totals, slots))))
         assert composition_tuples(totals, slots) == want
         assert composition_tuples((), ()) == [()]
 
@@ -171,6 +179,75 @@ class TestEnumerators:
         # a positive total with an empty support admits nothing
         assert composition_tuples((1,), (3,), ([],)) == []
         assert composition_tuples((0,), (3,), ([],)) == [((0, 0, 0),)]
+
+
+def _ref_eval(p, pt):
+    """p at pt, term by term in Fractions."""
+    total = F(0)
+    for e, c in p.terms.items():
+        t = c
+        for x, k in zip(pt, e):
+            t *= x**k
+        total += t
+    return total
+
+
+def _ref_derivative_eval(p, g, pt):
+    """d^g p at pt, differentiating each term by hand."""
+    total = F(0)
+    for e, c in p.terms.items():
+        t = c
+        for x, k, j in zip(pt, e, g):
+            for r in range(j):
+                t *= k - r
+            t *= x ** (k - j) if k >= j else 0
+        total += t
+    return total
+
+
+def _keeps_invariant(p):
+    return all(
+        len(e) == p.nvars and all(type(x) is int and x >= 0 for x in e)
+        and type(c) is F and c != 0
+        for e, c in p.terms.items()
+    )
+
+
+class TestExactArithmetic:
+    """MPoly's own operations against a direct Fraction reference: eval
+    commutes with each of them at random rational points, and every result
+    keeps the invariant the public constructor checks."""
+
+    cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+        small_polys(n, max_terms=5), small_polys(n, max_terms=5),
+        st.lists(rationals, min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.integers(1, n),
+    ))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(cases, rationals, st.integers(0, 3))
+    def test_eval_commutes(self, case, c, k):
+        p, q, pt, g, i = case
+        fp, fq = _ref_eval(p, pt), _ref_eval(q, pt)
+        assert p.eval(pt) == fp
+        results = {
+            "*": (p * q, fp * fq), "+": (p + q, fp + fq), "-": (p - q, fp - fq),
+            "neg": (-p, -fp), "scale": (p.scale(c), c * fp), "pow": (p**k, fp**k),
+            "derivative": (p.derivative(g), _ref_derivative_eval(p, g, pt)),
+        }
+        for name, (r, want) in results.items():
+            assert _keeps_invariant(r), name
+            assert r.eval(pt) == want, name
+        f = p.face(i)
+        assert _keeps_invariant(f)
+        assert f.eval(pt[: i - 1] + pt[i:]) == _ref_eval(p, pt[: i - 1] + [F(1)] + pt[i:])
+
+    def test_eval_common_denominators(self):
+        p = P("1/3 x1^2 x2 - 5/7 x2^3 + 2", 2)
+        pt = [F(2, 9), F(-3, 4)]
+        assert p.eval(pt) == _ref_eval(p, pt)
+        assert MPoly.zero(2).eval(pt) == 0 and MPoly.constant(0, F(1, 3)).eval([]) == F(1, 3)
 
 
 class TestFace:
@@ -232,7 +309,7 @@ class TestTaylorH:
             hs = []
             for k in range(1, d + 1):
                 acc = MPoly.zero(2)
-                for g in multiindices_of_weight(k, 3):
+                for g in delta_multiindices(k, 3):
                     w = F(1, multi_factorial(g))
                     for x, gi in zip(b, g):
                         w *= x**gi
@@ -251,6 +328,18 @@ class TestTaylorH:
                 assert lhs == rhs
 
 
+def _P_alpha_u_direct(p, i, alpha, u):
+    """(alpha!/prod u!) prod ((d^g p at face i)/g!)^u, one factor at a time."""
+    out = MPoly.constant(p.nvars - 1, multi_factorial(alpha))
+    for k, uk in enumerate(u, start=1):
+        for g, mult in zip(delta_multiindices(k, p.nvars), uk):
+            base = p.derivative(g).face(i).scale(F(1, multi_factorial(g)))
+            for _ in range(mult):
+                out = out * base
+            out = out.scale(F(1, factorial(mult)))
+    return out
+
+
 class TestPAlphaU:
     def test_one_var(self):
         # d = 1: the unique family gives the constant 1 for any power
@@ -262,16 +351,29 @@ class TestPAlphaU:
 
     def test_golden_example(self):
         p = P("x1^2 + 2 x1 x2 + x2^2 + x3^2", 3)
-        d1 = multiindices_of_weight(1, 3)
-        d2 = multiindices_of_weight(2, 3)
+        d1 = delta_multiindices(1, 3)
+        d2 = delta_multiindices(2, 3)
         u1 = tuple(1 if g == (1, 0, 0) else 0 for g in d1)
         u2 = tuple(1 if g == (2, 0, 0) else 0 for g in d2)
         out = build_P_alpha_u(p, 3, (1, 1), (u1, u2))
         assert out == P("2 x1 + 2 x2", 2)
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(small_polys(2, max_terms=4, max_deg=3),
+           st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    def test_shared_memo_matches_fresh_calls(self, p, alpha):
+        # one memo over every family of alpha and both faces, as Z_breakdown
+        # keeps it, against calls without a memo and a direct product
+        memo: dict = {}
+        for u in enumerate_V(alpha, 2):
+            for i in (1, 2):
+                fresh = build_P_alpha_u(p, i, alpha, u.u)
+                assert build_P_alpha_u(p, i, alpha, u.u, memo) == fresh
+                assert fresh == _P_alpha_u_direct(p, i, alpha, u.u)
+
     def test_mismatch(self):
         p = P("x1^2 + x2^2", 2)
-        d1 = multiindices_of_weight(1, 2)
+        d1 = delta_multiindices(1, 2)
         u1 = tuple(1 if g == (1, 0) else 0 for g in d1)
         with pytest.raises(CompositionMismatch):
             build_P_alpha_u(p, 1, (2,), (u1,))
