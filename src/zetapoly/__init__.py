@@ -58,8 +58,7 @@ from .multipoly import (
     MPoly,
     MultiIndex,
     build_P_alpha_u,
-    h0s_heuristic,
-    positivity_check,
+    family_hypotheses,
 )
 from .polyzeta import (
     GammaFactorSpec,

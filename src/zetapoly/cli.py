@@ -78,8 +78,7 @@ def _qs(args) -> QuadratureSettings:
     )
 
 
-def _add_common(sp, *, precision: bool = True, tolerances: bool = False,
-                seed: bool = False) -> None:
+def _add_common(sp, *, precision: bool = True, tolerances: bool = False) -> None:
     """--pretty, plus the shared flags the subcommand reads."""
     if precision:
         sp.add_argument("--precision", type=int,
@@ -89,8 +88,6 @@ def _add_common(sp, *, precision: bool = True, tolerances: bool = False,
         sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
         sp.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-30)
     sp.add_argument("--pretty", action="store_true", help="indented JSON output")
-    if seed:
-        sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def _parse_u(text: str, n: int) -> CompositionFamily:
@@ -191,7 +188,7 @@ def cmd_polyzeta(args) -> dict:
             polys.append(MPoly.parse(ps, j))
         else:
             polys.append(MPoly.from_json(ps))
-    family = build_family(polys, seed=args.seed)
+    family = build_family(polys)
     N = _ints(args.N)
     qs = _qs(args)
     if args.diagonal:
@@ -301,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", required=True, help="comma list of non-negative integers")
     sp.add_argument("--diagonal", action="store_true",
                     help="use the diagonal-denominator expansion")
-    _add_common(sp, tolerances=True, seed=True)
+    _add_common(sp, tolerances=True)
     sp.set_defaults(fn=cmd_polyzeta)
 
     sp = sub.add_parser("bernoulli-id", help="verify the Bernoulli identity grid")

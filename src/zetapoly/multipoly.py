@@ -3,19 +3,17 @@
 Provides the derived objects the value formulas need: partial derivatives,
 face restrictions (substituting 1 for one variable), the auxiliary face
 products built from a composition family, and hypothesis checks
-(homogeneity, face positivity via Bernstein certificates, sampled
-positivity on [1,oo) boxes, a non-certifying boundedness heuristic).  Also
+(homogeneity, face positivity via Bernstein certificates, an exact
+decision of positivity and the H0S bound on [1,oo)^n).  Also
 the index enumerators every value formula shares: multi-indices of a given
 weight, weighted partitions and products of per-weight compositions.
 """
 from __future__ import annotations
 
-import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, floor, lcm
 from operator import add, index, sub
 from typing import Mapping, Sequence
 
@@ -496,14 +494,8 @@ def build_P_alpha_u(
 
 
 # -----------------------------------------------------------------------------
-# Positivity: Bernstein certificates and sampling
+# Positivity: Bernstein certificates and the family hypotheses
 # -----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PositivityResult:
-    status: str  # "sampled_only" | "violated"
-    witness: tuple | None = None
-
 
 def _bernstein_coeffs(P: MPoly) -> tuple[dict[MultiIndex, Fraction], MultiIndex]:
     """Tensor Bernstein coefficients of P on [0,1]^n, with the degree vector."""
@@ -533,35 +525,6 @@ def _bernstein_coeffs(P: MPoly) -> tuple[dict[MultiIndex, Fraction], MultiIndex]
     return coeffs, degs
 
 
-def _bernstein_positive_rec(P: MPoly, depth: int) -> tuple[str, tuple | None]:
-    coeffs, degs = _bernstein_coeffs(P)
-    n = P.nvars
-    if not coeffs:
-        return "violated", (Fraction(0),) * n  # identically zero
-    vals = list(coeffs.values())
-    if all(v > 0 for v in vals):
-        return "certified", None
-    # Corner Bernstein coefficients are exact corner values.
-    for corner in _corners(degs):
-        v = coeffs.get(corner, Fraction(0))
-        if v <= 0:
-            pt = tuple(Fraction(1) if c else Fraction(0) for c in corner)
-            return "violated", pt
-    if depth == 0:
-        return "sampled_only", None
-    axis = max(range(n), key=lambda j: degs[j])
-    left = P.substitute_axis(axis, Fraction(1, 2), Fraction(0))
-    right = P.substitute_axis(axis, Fraction(1, 2), Fraction(1, 2))
-    worst = "certified"
-    for half in (left, right):
-        st, wit = _bernstein_positive_rec(half, depth - 1)
-        if st == "violated":
-            return st, wit  # witness in subdivided coordinates; mapped by caller
-        if st == "sampled_only":
-            worst = "sampled_only"
-    return worst, None
-
-
 def _corners(degs: MultiIndex):
     n = len(degs)
     for mask in range(1 << n):
@@ -572,114 +535,72 @@ def bernstein_positive(P: MPoly, max_depth: int = 6) -> tuple[str, tuple | None]
     """Certify P > 0 on [0,1]^n by Bernstein-coefficient subdivision.
 
     Returns ("certified", None), ("violated", witness point) or
-    ("sampled_only", None) when the subdivision depth is exhausted.
-    Witnesses from subdivided boxes are re-verified by direct sampling.
+    ("sampled_only", None) when the subdivision depth is exhausted.  A
+    witness is a corner of a dyadic sub-box, where the corner Bernstein
+    coefficient is the exact value: P(witness) <= 0.
     """
-    if P.nvars == 0:
-        c = P.constant_value()
-        return ("certified", None) if c > 0 else ("violated", ())
-    st, wit = _bernstein_positive_rec(P, max_depth)
-    if st == "violated" and wit is not None and len(wit) == P.nvars:
-        if P.eval(wit) <= 0:
-            return st, wit
-        # subdivision-local witness: fall back to grid search
-        wit2 = _grid_negative_point(P)
-        return ("violated", wit2) if wit2 is not None else ("sampled_only", None)
-    return st, wit
+
+    def rec(P: MPoly, depth: int) -> tuple[str, tuple | None]:
+        coeffs, degs = _bernstein_coeffs(P)
+        if not coeffs:
+            return "violated", (Fraction(0),) * P.nvars  # identically zero
+        if all(v > 0 for v in coeffs.values()):
+            return "certified", None
+        for corner in _corners(degs):
+            if coeffs.get(corner, Fraction(0)) <= 0:
+                return "violated", tuple(Fraction(1 if c else 0) for c in corner)
+        if depth == 0:
+            return "sampled_only", None
+        axis = max(range(P.nvars), key=lambda j: degs[j])
+        status = "certified"
+        for offset in (Fraction(0), Fraction(1, 2)):
+            st, wit = rec(P.substitute_axis(axis, Fraction(1, 2), offset), depth - 1)
+            if st == "violated":  # back from the half's coordinates to P's
+                return st, wit[:axis] + (wit[axis] / 2 + offset,) + wit[axis + 1 :]
+            if st == "sampled_only":
+                status = st
+        return status, None
+
+    return rec(P, max_depth)
 
 
-def _grid_negative_point(P: MPoly, steps: int = 8) -> tuple | None:
-    n = P.nvars
-    pts = [Fraction(k, steps) for k in range(steps + 1)]
+def family_hypotheses(P: MPoly) -> tuple[str, tuple | None]:
+    """Decide exactly whether P is positive on [1,oo)^n and satisfies
+    Essouabri's H0S bound |d^a P| << P there.
 
-    def rec(prefix):
-        if len(prefix) == n:
-            if P.eval(prefix) <= 0:
-                return tuple(prefix)
-            return None
-        for x in pts:
-            r = rec(prefix + [x])
-            if r is not None:
-                return r
-        return None
+    Returns ("certified", None), ("violated", x) with x in [1,oo)^n a
+    rational point where P(x) <= 0, or ("unverified", None).  The checks,
+    in order:
 
-    return rec([])
-
-
-def positivity_check(P: MPoly, seed: int = 0) -> PositivityResult:
-    """Positivity of P sampled on expanding boxes [1, L]^n; never certifying
-    (face positivity on the unit cube is mahler.certify_elliptic)."""
-    rng = random.Random(seed)
-    for L in (2, 4, 8):
-        for pt in _box_points(P.nvars, L, 64, rng):
-            if P.eval(pt) <= 0:
-                return PositivityResult("violated", tuple(pt))
-    return PositivityResult("sampled_only")
-
-
-def _box_points(n: int, L: int, nsamp: int, rng: random.Random):
-    """Grid corners plus random rational points of [1, L]^n."""
-    grid = [Fraction(1), Fraction(1 + L, 2), Fraction(L)]
-
-    def rec(prefix):
-        if len(prefix) == n:
-            yield list(prefix)
-            return
-        for x in grid:
-            yield from rec(prefix + [x])
-
-    yield from rec([])
-    for _ in range(nsamp):
-        yield [Fraction(1024 + rng.randint(0, 1024) * (L - 1), 1024) for _ in range(n)]
-
-
-# -----------------------------------------------------------------------------
-# Boundedness heuristic for derivative ratios on [1,oo)^n
-# -----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class H0sReport:
-    passed: bool
-    warning: bool
-    witness: tuple | None
-    max_ratio: float
-    note: str = "heuristic check only; not a certificate"
-
-
-def h0s_heuristic(
-    P: MPoly, max_order: int | None = None, box_samples: int = 48, seed: int = 0
-) -> H0sReport:
-    """Sampled boundedness of |d^a P / P| over expanding boxes [1, L]^n.
-
-    Passes when P stays positive and the ratios stay bounded at all sampled
-    points; flags a warning when the observed maximum grows with the box,
-    since growth suggests the supremum may be unbounded beyond the samples.
+    - Certify: P != 0 has no negative coefficient.  Then on [1,oo)^n
+      P >= P(1,...,1) > 0, and x^(e-a) <= x^e gives
+      |d^a P| <= max_e (e)_a * P, with (e)_a the falling factorial: H0S.
+    - Refute on the box [1,8]^n: Bernstein subdivision of P(1 + 7y) on
+      [0,1]^n; a violating y gives the witness x = 1 + 7y.
+    - Refute on the rays 1 + t v, v = e_1, ..., e_n and (1,...,1): if
+      g(t) = P(1 + t v) has a negative leading coefficient, g < 0 at any
+      integer T above its Cauchy bound 1 + max_k |a_k / a_lead|, so
+      x = 1 + T v is an integer witness.
     """
     n = P.nvars
-    order = max_order if max_order is not None else max(P.degree(), 1)
-    derivs = [
-        P.derivative(g)
-        for g in multiindices_up_to_weight(order, n)
-        if sum(g) >= 1
-    ]
-    derivs = [D for D in derivs if not D.is_zero()]
-    rng = random.Random(seed)
-    per_box: list[float] = []
-    witness = None
-    for L in (2, 4, 8):
-        worst = 0.0
-        for pt in _box_points(n, L, box_samples, rng):
-            pv = P.eval(pt)
-            if pv <= 0:
-                return H0sReport(False, False, tuple(pt), float("inf"))
-            for D in derivs:
-                r = abs(D.eval(pt) / pv)
-                if r > worst:
-                    worst = float(r)
-                    witness = tuple(pt)
-        per_box.append(worst)
-    max_ratio = max(per_box)
-    if max_ratio > 1e6:
-        return H0sReport(False, False, witness, max_ratio)
-    warning = per_box[-1] > 1.25 * per_box[0] + 1e-12
-    return H0sReport(True, warning, None, max_ratio)
+    if P.terms and all(c > 0 for c in P.terms.values()):
+        return "certified", None
+    box = P
+    for axis in range(n):
+        box = box.substitute_axis(axis, 7, 1)
+    st, y = bernstein_positive(box)
+    if st == "violated":
+        return st, tuple(1 + 7 * t for t in y)
+    # Past the box check P(1,...,1) > 0, so no g below is identically 0.
+    for v in [tuple(int(k == i) for k in range(n)) for i in range(n)] + [(1,) * n]:
+        h: dict[int, Fraction] = {}  # g as a polynomial in s = 1 + t
+        for e, c in P.terms.items():
+            m = sum(k for k, vk in zip(e, v) if vk)
+            h[m] = h.get(m, 0) + c
+        h = {m: c for m, c in h.items() if c}
+        deg = max(h)
+        if h[deg] < 0:
+            g = [sum(c * comb(m, k) for m, c in h.items()) for k in range(deg)]
+            T = floor(1 + max((abs(a / h[deg]) for a in g), default=0)) + 1
+            return "violated", tuple(Fraction(1 + T * vk) for vk in v)
+    return "unverified", None

@@ -31,14 +31,7 @@ from .mahler import (
     certify_elliptic,
     cube_integral,
 )
-from .multipoly import (
-    H0sReport,
-    MPoly,
-    composition_tuples,
-    h0s_heuristic,
-    positivity_check,
-    weighted_partitions,
-)
+from .multipoly import MPoly, composition_tuples, family_hypotheses, weighted_partitions
 
 
 @dataclass(frozen=True)
@@ -57,12 +50,10 @@ class GammaFactorSpec:
 
 @dataclass(frozen=True)
 class PolyFamily:
-    """Family P_1, ..., P_n with P_j in j variables, plus hypothesis
-    check results gathered at construction time."""
+    """Family P_1, ..., P_n with P_j in j variables, plus the outcome of
+    the hypothesis checks made at construction time."""
 
     polys: tuple[MPoly, ...]
-    positivity: tuple[str, ...] = ()
-    h0s: tuple[H0sReport | None, ...] = ()
     ellipticity: str = "unchecked"
     flags: tuple[str, ...] = ()
 
@@ -71,10 +62,12 @@ class PolyFamily:
         return len(self.polys)
 
 
-def build_family(polys: Sequence[MPoly], seed: int = 0) -> PolyFamily:
-    """Validate a family: per-polynomial positivity on [1,oo)^j sampled,
-    boundedness heuristic for all but the last, ellipticity certificate for
-    the last.  Violations raise; heuristic gaps only set flags."""
+def build_family(polys: Sequence[MPoly]) -> PolyFamily:
+    """Validate a family.  Each P_j is decided exactly for positivity on
+    [1,oo)^j and, for j < n, the H0S bound (multipoly.family_hypotheses);
+    P_n must be homogeneous and elliptic (mahler.certify_elliptic), which
+    implies its positivity.  Violations raise with a witness; a hypothesis
+    neither certified nor refuted sets a flag."""
     polys = tuple(polys)
     n = len(polys)
     if n < 1:
@@ -82,26 +75,16 @@ def build_family(polys: Sequence[MPoly], seed: int = 0) -> PolyFamily:
     for j, P in enumerate(polys, start=1):
         if P.nvars != j:
             raise ValueError(f"P_{j} must have exactly {j} variables")
-    flags: list[str] = []
-    positivity: list[str] = []
-    h0s_reports: list[H0sReport | None] = []
+    unverified: list[int] = []
     for j, P in enumerate(polys, start=1):
-        res = positivity_check(P, seed=seed)
-        if res.status == "violated":
+        st, wit = family_hypotheses(P)
+        if st == "violated":
             raise HypothesisViolated(
                 f"P_{j} is not positive on [1,oo)^{j}: "
-                f"value <= 0 at {point_to_str(res.witness)}"
+                f"value <= 0 at {point_to_str(wit)}"
             )
-        positivity.append(res.status)
-        if j < n:
-            rep = h0s_heuristic(P, seed=seed)
-            h0s_reports.append(rep)
-            if not rep.passed:
-                flags.append(f"h0s_failed:P{j}")
-            elif rep.warning:
-                flags.append(f"h0s_warning:P{j}")
-        else:
-            h0s_reports.append(None)
+        if st == "unverified":
+            unverified.append(j)
     last = polys[-1]
     ok, deg = last.is_homogeneous()
     if not ok or deg < 1:
@@ -109,15 +92,10 @@ def build_family(polys: Sequence[MPoly], seed: int = 0) -> PolyFamily:
     st, wit, i = certify_elliptic(last)
     if st == "violated":
         raise NotElliptic(f"face {i} of P_n non-positive at {point_to_str(wit)}")
+    flags = [f"hypotheses_unverified:P{j}" for j in unverified if j < n or st != "certified"]
     if st == "sampled_only":
         flags.append("ellipticity_unverified")
-    return PolyFamily(
-        polys=polys,
-        positivity=tuple(positivity),
-        h0s=tuple(h0s_reports),
-        ellipticity=st,
-        flags=tuple(sorted(set(flags))),
-    )
+    return PolyFamily(polys=polys, ellipticity=st, flags=tuple(sorted(flags)))
 
 
 def build_QN(family: PolyFamily, N: Sequence[int]) -> tuple[MPoly, int]:

@@ -120,25 +120,22 @@ def crit_5():
 
 
 def crit_6():
-    import random
-
-    rng = random.Random(20240811)
-    gchoices = [F(1), F(1, 2), F(2), F(3)]
-    done = 0
-    while done < 10:
-        n = rng.choice([2, 3, 4])
-        d = tuple(rng.randint(2, 6) for _ in range(n))
-        if not powersum.regularity_ok(d):
-            continue
-        gamma = tuple(rng.choice(gchoices) for _ in range(n))
+    # ten regular d with gammas, drawn once with random.Random(20240811)
+    h = F(1, 2)
+    for d, gamma in [
+        ((2, 6, 5), (3, 1, 2)), ((4, 5, 3, 5), (2, 1, 2, 1)), ((3, 5), (2, 1)),
+        ((3, 6, 6), (2, 2, h)), ((3, 2, 3), (2, 2, 1)), ((6, 3, 5), (3, h, 3)),
+        ((5, 2, 4), (1, h, 2)), ((6, 4, 4), (2, h, h)), ((3, 6, 3), (1, h, 1)),
+        ((4, 2), (1, 3)),
+    ]:
+        n = len(d)
         p = PowerSumParams.make(d, gamma)
         v1 = powersum.closed_last_minus1(p)
         r1 = value_nonpositive(p, (0,) * (n - 1) + (-1,))
         v2 = powersum.closed_last_minus2(p)
         r2 = value_nonpositive(p, (0,) * (n - 1) + (-2,))
         if v1 != r1 or v2 != r2:
-            return False, f"d={d}, gamma={gamma}: {v1} vs {r1}; {v2} vs {r2}"
-        done += 1
+            return False, f"d={d}, gamma={p.gamma}: {v1} vs {r1}; {v2} vs {r2}"
     return True, ""
 
 

@@ -156,6 +156,12 @@ class TestMahler:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "PrecisionUnreachable"
 
+    def test_not_elliptic_inside_a_subdivided_cell(self):
+        code, out = run_cli(["mahler", "--P", "x1^2 - 3/5 x1 x2 + 899/10000 x2^2"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "NotElliptic" and "face 2 non-positive at (19/64)" in err["message"]
+
     def test_not_elliptic_witness_rendered(self):
         code, out = run_cli(["mahler", "--P", "x1 - x2"])
         assert code == 1
@@ -199,6 +205,7 @@ class TestExitCodes:
         ["mahler", "--P", "x1 + x2", "--seed", "1"],
         ["bernoulli-id", "--grid", "2x2", "--precision", "30"],
         ["oracle", "zeta1", "--d", "2", "--s", "-1", "--rel-tol", "1e-8"],
+        ["polyzeta", "--family", "f.json", "--N", "0", "--seed", "1"],
     ])
     def test_flags_a_subcommand_does_not_read_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -251,6 +258,14 @@ class TestPolyzeta:
         payload = json.loads(out)
         assert payload["kind"] == "numeric"
         assert payload["value"].startswith("0.4166666666")
+
+    def test_violating_family_exits_1(self, tmp_path):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(["x1", "x1 - x2 + 10", "x1 + x2 + x3"]))
+        code, out = run_cli(["polyzeta", "--family", str(fam), "--N", "0,0,0"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "HypothesisViolated" and "at (1, 13)" in err["message"]
 
 
 class TestBernoulliId:

@@ -24,7 +24,7 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     theta_diagonal,
 )
-from zetapoly.mahler import _derivative_support, delta_multiindices
+from zetapoly.mahler import _derivative_support, certify_elliptic, delta_multiindices
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
 QS_FAST = QuadratureSettings(rel_tol=1e-8, precision=20)
@@ -226,6 +226,17 @@ class TestZValue:
         with pytest.raises(NotElliptic):
             Z_value(P("x1^2 - 3 x1 x2 + x2^2", 2), MPoly.one(2), 0)
 
+    def test_not_elliptic_inside_a_subdivided_cell(self):
+        # face 2 is (x1 - 3/10)^2 - 1/10^4: negative only on (29/100, 31/100),
+        # found at a corner of a depth-6 Bernstein cell, mapped back to (0,1)
+        Ppoly = MPoly(2, {(2, 0): F(1), (1, 1): F(-3, 5), (0, 2): F(9, 100) - F(1, 10**4)})
+        st_, wit, face = certify_elliptic(Ppoly)
+        assert (st_, wit, face) == ("violated", (F(19, 64),), 2)
+        assert Ppoly.face(2).eval(wit) < 0
+        with pytest.raises(NotElliptic) as exc:
+            Z_value(Ppoly, MPoly.one(2), 0)
+        assert "face 2 non-positive at (19/64)" in str(exc.value)
+
     def test_not_elliptic_names_the_point(self):
         # face 1 of x1 - x2 is 1 - x2, zero at x2 = 1; face 2 is x1 - 1,
         # negative at x1 = 0
@@ -348,6 +359,16 @@ class TestProperties:
     def test_raabe_equals_Z_two_variables(self, Ppoly, Q, N):
         z = Z_value(Ppoly, Q, N, QS_FAST)
         assert _within_errs(raabe_substitute(Y_expansion(Ppoly, Q, N, QS_FAST)), z)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(forms, qpolys, st.integers(0, 1))
+    def test_permuting_variables(self, Ppoly, Q, N):
+        # Z(P o s, Q o s; -N) = Z(P, Q; -N) for the swap s of x1 and x2
+        def swap(p):
+            return MPoly(2, {e[::-1]: c for e, c in p.terms.items()})
+
+        z = Z_value(Ppoly, Q, N, QS_FAST)
+        assert _within_errs(Z_value(swap(Ppoly), swap(Q), N, QS_FAST), z)
 
 
 class TestYExpansionBitIdentity:

@@ -16,8 +16,7 @@ from zetapoly import (
     NotElliptic,
     build_P_alpha_u,
     enumerate_V,
-    h0s_heuristic,
-    positivity_check,
+    family_hypotheses,
 )
 from zetapoly._quadrature import FixedPointIntegrand
 from zetapoly.exactnum import mpf_from_rational, multi_factorial
@@ -389,13 +388,8 @@ class TestPositivity:
         assert status == "violated"
         assert witness is not None and face is not None
 
-    def test_box_sampled(self):
-        res = positivity_check(P("x1 + x2", 2))
-        assert res.status == "sampled_only"
-
     def test_box_violated(self):
-        res = positivity_check(P("x1 - 3", 1))
-        assert res.status == "violated"
+        assert family_hypotheses(P("x1 - 3", 1)) == ("violated", (F(1),))
 
     @pytest.mark.parametrize("text, n", [("x1", 1), ("x1 x2", 2), ("x1^2 - x1 + 1/4", 1)])
     def test_bernstein_zero_on_cube_violated(self, text, n):
@@ -414,18 +408,29 @@ class TestPositivity:
 
 
 class TestH0s:
+    """multipoly.family_hypotheses: positivity and the H0S bound on
+    [1,oo)^n, certified, refuted with a witness, or left unverified."""
+
     def test_linear_passes(self):
-        rep = h0s_heuristic(P("x1 + x2", 2))
-        assert rep.passed and not rep.warning
+        assert family_hypotheses(P("x1 + x2", 2)) == ("certified", None)
 
     def test_degenerate_direction(self):
-        rep = h0s_heuristic(MPoly(2, {(1, 0): F(1)}))
-        assert rep.passed
+        assert family_hypotheses(MPoly(2, {(1, 0): F(1)})) == ("certified", None)
 
-    def test_near_zero_outside_box_warns(self):
-        rep = h0s_heuristic(P("x1 - x2 + 10", 2))
-        assert rep.passed and rep.warning
+    def test_negative_outside_box_refuted_on_a_ray(self):
+        # positive on [1,8]^2, negative far out on a ray: an integer witness
+        for text, witness in (("x1 - x2 + 10", (1, 13)),
+                              ("x1^2 - 2 x1 x2 + x2^2 + 1 - 1/1000 x2", (1002, 1002))):
+            p = P(text, 2)
+            st_, wit = family_hypotheses(p)
+            assert st_ == "violated" and wit == witness, text
+            assert all(x.denominator == 1 for x in wit) and p.eval(wit) < 0
 
     def test_vanishing_inside_fails(self):
-        rep = h0s_heuristic(P("x1 - 3", 1))
-        assert not rep.passed
+        # negative only inside (1, 8): x = 1 + 7y from a Bernstein corner y
+        p = P("x1^2 - 4 x1 + 7/2", 1)
+        assert family_hypotheses(p) == ("violated", (F(15, 8),))
+        assert p.eval((F(15, 8),)) < 0
+
+    def test_positive_with_negative_coefficient_unverified(self):
+        assert family_hypotheses(P("x1^2 - x1 + 1", 1)) == ("unverified", None)

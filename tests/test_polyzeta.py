@@ -1,5 +1,6 @@
 """Polynomial families: reduction to the one-variable series, gamma factors,
 diagonal expansion."""
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -57,9 +58,21 @@ class TestFamily:
         with pytest.raises(HypothesisViolated):
             build_family([P("x1 + 1", 1)])
 
-    def test_h0s_warning_flag(self):
-        fam = build_family([P("x1", 1), P("x1 - x2 + 10", 2), P("x1 + x2 + x3", 3)])
-        assert fam.flags == ("h0s_warning:P2",)
+    def test_violating_family_raises_with_integer_witness(self):
+        # P_2 is positive on [1,8]^2 but P_2(1, 13) = -2
+        t0 = time.perf_counter()
+        with pytest.raises(HypothesisViolated) as exc:
+            build_family([P("x1", 1), P("x1 - x2 + 10", 2), P("x1 + x2 + x3", 3)])
+        assert time.perf_counter() - t0 < 0.1
+        assert "P_2 is not positive" in str(exc.value) and "at (1, 13)" in str(exc.value)
+
+    def test_unverified_hypotheses_flag(self):
+        # x1^2 - x1 + 1 > 0 on [1,oo), but has a negative coefficient
+        fam = build_family([P("x1^2 - x1 + 1", 1), P("x1 + x2", 2)])
+        assert fam.flags == ("hypotheses_unverified:P1",)
+        # an elliptic P_n is positive, certified or not by its coefficients
+        fam = build_family([P("x1", 1), P("x1^2 - x1 x2 + x2^2", 2)])
+        assert fam.ellipticity == "certified" and fam.flags == ()
 
 
 class TestBuildQN:
