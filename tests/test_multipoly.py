@@ -388,6 +388,13 @@ class TestPositivity:
         assert status == "violated"
         assert witness is not None and face is not None
 
+    def test_box_sampled(self):
+        # the box step of family_hypotheses: x1 + x2 on [1,8]^2, as P(1 + 7y)
+        # on [0,1]^2, is certified positive by Bernstein subdivision
+        box = P("x1 + x2", 2).substitute_axis(0, 7, 1).substitute_axis(1, 7, 1)
+        assert box == P("7 x1 + 7 x2 + 2", 2)
+        assert bernstein_positive(box) == ("certified", None)
+
     def test_box_violated(self):
         assert family_hypotheses(P("x1 - 3", 1)) == ("violated", (F(1),))
 
