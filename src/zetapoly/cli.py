@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -329,6 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # The reader closed stdout: send the rest to devnull so the
+        # interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.cmd == "selftest":

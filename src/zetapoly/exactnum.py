@@ -143,22 +143,6 @@ def binom_rational(x: Fraction, k: int) -> Fraction:
     return num / factorial(k)
 
 
-def falling_factorial_ext(n: int, m: int) -> Fraction:
-    """(n)_m = n(n-1)...(n-m+1) for m >= 0, extended by (n)_{-1} = 1/(n+1).
-
-    The m = -1 extension is the unique value consistent with
-    (n)_m = (n)_{m-1} * (n - m + 1).
-    """
-    if m < -1:
-        raise ValueError("index below -1 is not defined")
-    if m == -1:
-        return Fraction(1, n + 1)
-    acc = Fraction(1)
-    for t in range(m):
-        acc *= n - t
-    return acc
-
-
 def multi_factorial(idx: Sequence[int]) -> int:
     acc = 1
     for e in idx:

@@ -9,14 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, lcm, perm
 
-from .exactnum import (
-    bernoulli,
-    bernoulli_tilde,
-    falling_factorial_ext,
-    riemann_zeta_exact_nonpositive,
-)
+from .exactnum import bernoulli, bernoulli_tilde, riemann_zeta_exact_nonpositive
 
 
 @dataclass(frozen=True)
@@ -43,17 +39,21 @@ def zeta_neg_closed(N: int) -> Fraction:
     return riemann_zeta_exact_nonpositive(N)
 
 
+@lru_cache(maxsize=None)
 def _bernoulli_pairs(l: int, cap: int) -> Fraction:
     """sum over k1 >= l, k2 >= 0, k1 + k2 <= cap of B_k1 B_k2 times the
-    multinomial (cap - l)! / ((k1 - l)! k2! (cap - k1 - k2)!)."""
-    total = Fraction(0)
+    multinomial (cap - l)! / ((k1 - l)! k2! (cap - k1 - k2)!).
+
+    Summed in integers over D^2, D = lcm(den B_0..B_cap); the multinomial
+    is C(cap - l, k1 - l) C(cap - k1, k2)."""
+    D = lcm(*(bernoulli(k).denominator for k in range(cap + 1)))
+    BD = [b.numerator * (D // b.denominator) for b in map(bernoulli, range(cap + 1))]
+    total = 0
     for k1 in range(l, cap + 1):
-        for k2 in range(cap - k1 + 1):
-            b = bernoulli(k1) * bernoulli(k2)
-            if b:
-                total += b * (factorial(cap - l) // (
-                    factorial(k1 - l) * factorial(k2) * factorial(cap - k1 - k2)))
-    return total
+        if BD[k1]:
+            row = sum(BD[k2] * comb(cap - k1, k2) for k2 in range(cap - k1 + 1))
+            total += BD[k1] * comb(cap - l, k1 - l) * row
+    return Fraction(total, D * D)
 
 
 def double_B3(N1: int, N2: int) -> Fraction:
@@ -75,43 +75,44 @@ def double_B3(N1: int, N2: int) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def _tilde_pair_sum(A: int, b2: int, S: int) -> int:
+    """D^2 sum_{l=0}^{A} C(A, l) B~_{S-b2-l} B~_{b2+l}, D = lcm(den B_0..B_S)."""
+    D = lcm(*(bernoulli(k).denominator for k in range(S + 1)))
+    TD = [t.numerator * (D // t.denominator) for t in map(bernoulli_tilde, range(S + 1))]
+    return sum(comb(A, l) * TD[S - b2 - l] * TD[b2 + l] for l in range(A + 1))
+
+
 def double_B6(N1: int, N2: int) -> Fraction:
     """Euler double value at (-N1, -N2) from the Mahler-series formula,
     with the period integrals already summed in closed form.
 
-    Uses the extended falling factorial with (n)_{-1} = 1/(n+1)."""
+    Uses the extended falling factorial with (n)_{-1} = 1/(n+1).  Every term
+    is an integer over S! (N1 + 1) D^2 (S = N1 + N2 + 2, D = lcm(den B_0..B_S)),
+    so the sum runs in integers and divides once."""
     if N1 < 0 or N2 < 0:
         raise ValueError("indices must be non-negative")
-    total = Fraction(0)
+    S = N1 + N2 + 2
+    D = lcm(*(bernoulli(k).denominator for k in range(S + 1)))
+    total = 0
     for b1 in range(N1 + N2 + 1):
         for b2 in range(N1 + N2 - b1 + 1):
-            A = N1 + N2 + 2 - b1 - b2
+            A = S - b1 - b2
             if b2 > N2:
                 continue  # derivative of Q vanishes
             jlo = max(0, b1 - N1)
             jhi = min(b1, N2 - b2)
-            inner = Fraction(0)
-            for j in range(jlo, jhi + 1):
-                inner += (
-                    comb(b1, j)
-                    * falling_factorial_ext(N1, b1 - j - 1)
-                    * falling_factorial_ext(N2 - b2, j)
-                )
+            # (N1 + 1) times sum_j C(b1, j) (N1)_{b1-j-1} (N2-b2)_j, using
+            # (N1)_m (N1 + 1) = (N1 + 1)_{m+1}, which at m = -1 is 1
+            inner = sum(comb(b1, j) * perm(N1 + 1, b1 - j) * perm(N2 - b2, j)
+                        for j in range(jlo, jhi + 1))
             if inner == 0:
                 continue
-            pref = (
-                Fraction((-1) ** A)
-                * factorial(A - 1)
-                / (factorial(A) * factorial(b1) * factorial(b2))
-                * falling_factorial_ext(N2, b2)
-                * inner
-            )
-            for l in range(A + 1):
-                bt = bernoulli_tilde(N1 + N2 + 2 - b2 - l) * bernoulli_tilde(b2 + l)
-                if bt == 0:
-                    continue
-                total += pref * comb(A, l) * bt
-    return total
+            # S! (-1)^A (A-1)! / (A! b1! b2!) = (-1)^A S! / (A b1! b2!), an
+            # integer since (A-1)! times the multinomial S!/(A! b1! b2!) is
+            pref = (-1) ** A * (factorial(S) // (A * factorial(b1) * factorial(b2)))
+            total += pref * perm(N2, b2) * inner * _tilde_pair_sum(A, b2, S)
+    return Fraction(total, factorial(S) * (N1 + 1) * D * D)
 
 
 def verify_identity_grid(maxN1: int, maxN2: int) -> list[IdentityReport]:

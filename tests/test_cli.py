@@ -1,8 +1,12 @@
 """Command-line interface: output schema, determinism, exit codes."""
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +215,23 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # as `zetapoly bernoulli-id --grid 12x12 | head -c 400`, but with the
+        # reader gone before the first write, so the pipe breaks every time
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zetapoly.cli", "bernoulli-id", "--grid", "12x12"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.text(alphabet="x0123456789^*/+-. ", max_size=24))

@@ -1,5 +1,10 @@
 """Bernoulli identities from the two value formulas."""
+import contextlib
+import hashlib
+import io
 from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
 
 from zetapoly import (
     double_B3,
@@ -8,6 +13,7 @@ from zetapoly import (
     zeta_neg_closed,
     zeta_neg_via_B1,
 )
+from zetapoly.cli import main
 
 
 class TestSingle:
@@ -38,6 +44,11 @@ class TestDouble:
             assert isinstance(double_B3(*pair), F)
             assert isinstance(double_B6(*pair), F)
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(N1=st.integers(0, 30), N2=st.integers(0, 30))
+    def test_pair_agrees_off_grid(self, N1, N2):
+        assert double_B3(N1, N2) == double_B6(N1, N2)
+
 
 class TestGrid:
     def test_small_grid(self):
@@ -53,3 +64,27 @@ class TestGrid:
         (r,) = [x for x in verify_identity_grid(0, 0) if x.label == "euler_double"]
         assert r.parameters == (0, 0)
         assert r.equal and r.lhs == F(5, 12)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGridBitIdentity:
+    """Hashes recorded from the rational-arithmetic formulas: the integer
+    sums must reproduce every Fraction and every CLI byte."""
+
+    GRID = [(N1, N2) for N1 in range(12) for N2 in range(12)]
+    VALUES_SHA = "95b90e598a3cc1f112d41877c490862c6db1101cf931e4e2255657d717590969"
+
+    def test_cli_grid_bytes(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["bernoulli-id", "--grid", "12x12"]) == 0
+        assert _sha256(out.getvalue()) == (
+            "3268b2e8fc0364d95d7c9e6912b75e146a540ab75b073c3af25d98535528d7f6")
+
+    def test_grid_fractions(self):
+        b3 = [str(double_B3(*N)) for N in self.GRID]
+        assert _sha256("\n".join(b3)) == self.VALUES_SHA
+        assert [str(double_B6(*N)) for N in self.GRID] == b3

@@ -92,7 +92,7 @@ class TestMixed:
             assert mixed.kind == "exact"
             assert mixed.exact == value_nonpositive(p, N)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         d=st.lists(st.integers(2, 8), min_size=1, max_size=4),
         data=st.data(),
