@@ -119,6 +119,16 @@ def _mpf_int(x: mpf, F: int) -> int:
     return -v if sign else v
 
 
+def _dyadic_add(acc: tuple[int, int], x: mpf, sign: int = 1) -> tuple[int, int]:
+    """acc + sign * x, exactly, for acc = (m, e) meaning m * 2^e: mpf values
+    are dyadic.  The sign is read from _mpf_, since mpf.man_exp drops it."""
+    s, man, exp, _ = x._mpf_
+    m, e = acc
+    if exp < e:
+        m, e = m << (e - exp), exp
+    return m + (-sign if s else sign) * (man << (exp - e)), e
+
+
 def _frac_int(c: Fraction, F: int) -> int:
     """c * 2^F rounded to the nearest integer."""
     return ((c.numerator << (F + 1)) + c.denominator) // (2 * c.denominator)
@@ -439,15 +449,17 @@ def integrate_unit_cube(
     seq = 0
     heap: list[tuple[mpf, int, _Cell]] = [(-root.est, seq, root)]
     ncells = 1
+    # Exact running totals of every cell's value and est, rounded once per
+    # check; the returned value is re-summed in a fixed order below.
+    total, errtot = _dyadic_add((0, 0), root.value), _dyadic_add((0, 0), root.est)
     while True:
-        total = sum(c.value for c in done) + sum(c.value for _, _, c in heap)
-        errtot = sum(c.est for c in done) + sum(c.est for _, _, c in heap)
-        target = mpf(abs_tol) + mpf(rel_tol) * abs(total)
-        if errtot <= target:
+        errsum = mpf(errtot)
+        target = mpf(abs_tol) + mpf(rel_tol) * abs(mpf(total))
+        if errsum <= target:
             break
         if ncells >= _MAX_CELLS or not heap:
             raise QuadratureDidNotConverge(
-                f"error {mp.nstr(errtot, 5)} above target {mp.nstr(target, 5)} "
+                f"error {mp.nstr(errsum, 5)} above target {mp.nstr(target, 5)} "
                 f"after {ncells} cells"
             )
         _, _, cell = heapq.heappop(heap)
@@ -463,8 +475,12 @@ def integrate_unit_cube(
         right = _Cell(
             lo=cell.lo[:axis] + (mid,) + cell.lo[axis + 1 :], hi=cell.hi
         )
+        total = _dyadic_add(total, cell.value, -1)
+        errtot = _dyadic_add(errtot, cell.est, -1)
         for child in (left, right):
             _eval_cell(f, child, order, order_lo)
+            total = _dyadic_add(total, child.value)
+            errtot = _dyadic_add(errtot, child.est)
             seq += 1
             heapq.heappush(heap, (-child.est, seq, child))
         ncells += 1

@@ -20,7 +20,7 @@ from pathlib import Path
 from mpmath import mp
 
 from . import identities, selftest
-from .errors import ZetaPolyError
+from .errors import PrecisionUnreachable, ZetaPolyError
 from .exactnum import SpecialValue, rat_to_str
 from .mahler import (
     CompositionFamily,
@@ -83,7 +83,6 @@ def _add_common(sp, *, precision: bool = True, tolerances: bool = False) -> None
     """--pretty, plus the shared flags the subcommand reads."""
     if precision:
         sp.add_argument("--precision", type=int,
-                        default=int(os.environ.get("ZETAPOLY_PRECISION", "50")),
                         help="working precision in decimal digits")
     if tolerances:
         sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-12)
@@ -345,6 +344,11 @@ def _run(argv) -> int:
     if args.cmd == "selftest":
         return selftest.main()
     try:
+        if "precision" in args:
+            if args.precision is None:
+                args.precision = int(os.environ.get("ZETAPOLY_PRECISION", "50"))
+            if args.precision < 1:
+                raise PrecisionUnreachable(f"precision {args.precision} is below 1 digit")
         out = args.fn(args)
     except (ZetaPolyError, ValueError, OSError, KeyError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)

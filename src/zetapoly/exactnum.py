@@ -53,33 +53,27 @@ def mpf_from_rational(x: Fraction) -> mpf:
 # -----------------------------------------------------------------------------
 
 _BERN_LOCK = threading.Lock()
-_BERN: list[Fraction] = []
+_BERN: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# Last column of the Knuth-Buckholtz tangent-number triangle: _TAN[i] is
+# T_n after pass i + 1 of its in-place O(n^2) recurrence, n = len(_TAN), so
+# _TAN[-1] = T_n with tan x = sum_k T_k x^(2k-1)/(2k-1)!.
+_TAN: list[int] = []
 BERNOULLI_EAGER_MAX = 128
 
 
-def _tangent_numbers(n: int) -> list[int]:
-    """[T_1, ..., T_n] with tan x = sum_k T_k x^(2k-1)/(2k-1)!, by the
-    all-integer O(n^2) recurrence of Knuth and Buckholtz."""
-    T = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    return T[1:]
-
-
 def _extend_bernoulli(upto: int) -> None:
-    """Grow the table past B_upto, at least doubling it, from
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    """Grow the table past B_upto, one triangle column per tangent number,
+    from B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
     with _BERN_LOCK:
-        if len(_BERN) > upto:
-            return
-        table = [Fraction(1), Fraction(-1, 2)]
-        for k, t in enumerate(_tangent_numbers(max(upto, 2 * len(_BERN)) // 2), start=1):
+        for k in range(len(_TAN) + 1, upto // 2 + 1):
+            # Column k from column k - 1, in place: pass 1 gives (k-1)!; pass p
+            # adds (k - p) times column k - 1's pass p to (k - p + 2) times pass p - 1.
+            _TAN.append(0)
+            _TAN[0] = _TAN[0] * (k - 1) if k > 1 else 1
+            for i in range(1, k):
+                _TAN[i] = (k - i - 1) * _TAN[i] + (k - i + 1) * _TAN[i - 1]
             q = 4**k
-            table += [Fraction((-1) ** (k - 1) * 2 * k * t, q * (q - 1)), Fraction(0)]
-        _BERN.extend(table[len(_BERN):])
+            _BERN.extend([Fraction((-1) ** (k - 1) * 2 * k * _TAN[-1], q * (q - 1)), Fraction(0)])
 
 
 def bernoulli(k: int) -> Fraction:
@@ -171,6 +165,14 @@ def pochhammer_shift(x: Fraction, M: int, b: int) -> Fraction:
 # -----------------------------------------------------------------------------
 # Error-carrying high-precision numbers
 # -----------------------------------------------------------------------------
+
+def _check_precision(precision: int) -> None:
+    """Reject a digit count the Gamma/zeta engines cannot work at."""
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1 digit, got {precision}")
+    if precision > MAX_PRECISION_DPS:
+        raise PrecisionUnreachable(f"requested {precision} digits > cap {MAX_PRECISION_DPS}")
+
 
 def _round_err(v: mpf) -> mpf:
     # Generous slack over one ulp of the current working precision.
@@ -292,8 +294,7 @@ def gamma_rational_numeric(r: Fraction, precision: int = DEFAULT_DPS) -> Numeric
 
 def gamma_rational(x: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
     """Gamma(x) for any rational x that is not a non-positive integer."""
-    if precision > MAX_PRECISION_DPS:
-        raise PrecisionUnreachable(f"requested {precision} digits > cap {MAX_PRECISION_DPS}")
+    _check_precision(precision)
     x = Fraction(x)
     if x.denominator == 1 and x <= 0:
         raise Pole(f"Gamma has a pole at {x}")
@@ -335,28 +336,24 @@ def riemann_zeta_exact_nonpositive(M: int) -> Fraction:
 
 def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
     """zeta(s) for rational s > 1: Euler-Maclaurin tail with a closed bound."""
-    if precision > MAX_PRECISION_DPS:
-        raise PrecisionUnreachable(f"requested {precision} digits > cap {MAX_PRECISION_DPS}")
+    _check_precision(precision)
     s = Fraction(s)
     if s <= 1:
         raise ValueError("numeric path requires s > 1")
     with mp.workdps(precision + 10):
         target = mpf(10) ** (-(precision + 4))
         M = max(10, precision)
-        # ratios[K] = (s)_{2K} / (2K)!, extended one K at a time.
-        ratios = [Fraction(1)]
-
-        def ratio(K: int) -> Fraction:
-            while len(ratios) <= K:
-                j = 2 * len(ratios)
-                ratios.append(ratios[-1] * ((s + j - 2) * (s + j - 1) / ((j - 1) * j)))
-            return ratios[K]
-
+        # coeffs[K - 1] = B_2K (s)_2K / ((2K)! (s + 2K - 1)), rounded once and
+        # shared by the K search and the sum; ratio = (s)_2K / (2K)!.
+        coeffs: list[mpf] = []
+        ratio = Fraction(1)
         while True:
             best = None
             for K in range(1, 4 * precision):
-                b = abs(bernoulli(2 * K)) * ratio(K) / (s + 2 * K - 1)
-                bound = mpf_from_rational(b) * mpf(M) ** mpf_from_rational(1 - s - 2 * K)
+                if K > len(coeffs):
+                    ratio *= (s + 2 * K - 2) * (s + 2 * K - 1) / ((2 * K - 1) * 2 * K)
+                    coeffs.append(mpf_from_rational(bernoulli(2 * K) * ratio / (s + 2 * K - 1)))
+                bound = abs(coeffs[K - 1]) * mpf(M) ** mpf_from_rational(1 - s - 2 * K)
                 if best is None or bound < best[0]:
                     best = (bound, K)
                 elif bound > best[0]:
@@ -373,8 +370,7 @@ def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
         total += mp.power(M, 1 - sf) / (sf - 1)
         total -= mp.power(M, -sf) / 2
         for k in range(1, K + 1):
-            c = bernoulli(2 * k) * ratio(k) / (s + 2 * k - 1)
-            total += mpf_from_rational(c) * mp.power(M, -sf - (2 * k - 1))
+            total += coeffs[k - 1] * mp.power(M, -sf - (2 * k - 1))
         err = bound + (M + K + 10) * _round_err(total)
         return Numeric(total, err)
 

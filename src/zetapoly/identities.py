@@ -40,14 +40,20 @@ def zeta_neg_closed(N: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _bernoulli_scaled(cap: int) -> tuple[int, list[int]]:
+    """(D, [D B_0, ..., D B_cap]) with D = lcm(den B_0..B_cap)."""
+    D = lcm(*(bernoulli(k).denominator for k in range(cap + 1)))
+    return D, [b.numerator * (D // b.denominator) for b in map(bernoulli, range(cap + 1))]
+
+
+@lru_cache(maxsize=None)
 def _bernoulli_pairs(l: int, cap: int) -> Fraction:
     """sum over k1 >= l, k2 >= 0, k1 + k2 <= cap of B_k1 B_k2 times the
     multinomial (cap - l)! / ((k1 - l)! k2! (cap - k1 - k2)!).
 
-    Summed in integers over D^2, D = lcm(den B_0..B_cap); the multinomial
+    Summed in integers over D^2 (see _bernoulli_scaled); the multinomial
     is C(cap - l, k1 - l) C(cap - k1, k2)."""
-    D = lcm(*(bernoulli(k).denominator for k in range(cap + 1)))
-    BD = [b.numerator * (D // b.denominator) for b in map(bernoulli, range(cap + 1))]
+    D, BD = _bernoulli_scaled(cap)
     total = 0
     for k1 in range(l, cap + 1):
         if BD[k1]:
@@ -76,10 +82,16 @@ def double_B3(N1: int, N2: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _tilde_pair_sum(A: int, b2: int, S: int) -> int:
-    """D^2 sum_{l=0}^{A} C(A, l) B~_{S-b2-l} B~_{b2+l}, D = lcm(den B_0..B_S)."""
+def _tilde_scaled(S: int) -> tuple[int, list[int]]:
+    """(D, [D B~_0, ..., D B~_S]) with D = lcm(den B_0..B_S)."""
     D = lcm(*(bernoulli(k).denominator for k in range(S + 1)))
-    TD = [t.numerator * (D // t.denominator) for t in map(bernoulli_tilde, range(S + 1))]
+    return D, [t.numerator * (D // t.denominator) for t in map(bernoulli_tilde, range(S + 1))]
+
+
+@lru_cache(maxsize=None)
+def _tilde_pair_sum(A: int, b2: int, S: int) -> int:
+    """D^2 sum_{l=0}^{A} C(A, l) B~_{S-b2-l} B~_{b2+l}, D as in _tilde_scaled."""
+    TD = _tilde_scaled(S)[1]
     return sum(comb(A, l) * TD[S - b2 - l] * TD[b2 + l] for l in range(A + 1))
 
 
@@ -93,7 +105,7 @@ def double_B6(N1: int, N2: int) -> Fraction:
     if N1 < 0 or N2 < 0:
         raise ValueError("indices must be non-negative")
     S = N1 + N2 + 2
-    D = lcm(*(bernoulli(k).denominator for k in range(S + 1)))
+    D = _tilde_scaled(S)[0]
     total = 0
     for b1 in range(N1 + N2 + 1):
         for b2 in range(N1 + N2 - b1 + 1):

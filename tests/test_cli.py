@@ -216,6 +216,31 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["powersum", "--d", "2,3", "--N", "1,-1", "--precision", "0"],
+        ["directional", "--d", "3,2,2", "--N", "0,0,0", "--precision", "0"],
+        ["oracle", "zeta1", "--d", "2", "--s", "-1", "--precision", "-3"],
+        ["mahler", "--P", "x1 + x2", "--rel-tol", "1e-6", "--precision", "0"],
+    ])
+    def test_precision_below_one_digit_exits_1(self, argv):
+        code, out = run_cli(argv)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "PrecisionUnreachable", "message": f"precision {argv[-1]} is below 1 digit"}
+
+    @pytest.mark.parametrize("value, code, kind", [
+        ("12", 0, None), ("0", 1, "PrecisionUnreachable"), ("abc", 1, "ValueError")])
+    def test_precision_from_environment(self, monkeypatch, value, code, kind):
+        monkeypatch.setenv("ZETAPOLY_PRECISION", value)
+        got, out = run_cli(["powersum", "--d", "2,3", "--N", "1,-1"])
+        assert got == code
+        payload = json.loads(out)
+        assert payload.get("error", {}).get("type") == kind
+        if kind is None:
+            assert payload["value"] == "0.26370778389"  # 12 // 2 + 5 digits
+        # a subcommand without --precision never reads the variable
+        assert run_cli(["bernoulli-id", "--grid", "1x1"])[0] == 0
+
     def test_closed_stdout_exits_1_without_traceback(self):
         # as `zetapoly bernoulli-id --grid 12x12 | head -c 400`, but with the
         # reader gone before the first write, so the pipe breaks every time

@@ -1,6 +1,12 @@
 """Exact kernel: Bernoulli numbers, binomials, Pochhammer, Gamma, zeta."""
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
-from math import comb
+from functools import cache
+from math import comb, lcm
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -26,6 +32,25 @@ from zetapoly import (
 from zetapoly.exactnum import mpf_from_rational, rat_to_str
 
 
+BERN_CHECKED = 1100
+
+
+@cache
+def _recurrence_table() -> list[F]:
+    """B_0..B_BERN_CHECKED from sum_{j<=m} C(m+1, j) B_j = 0, in integers
+    over D = lcm(1..BERN_CHECKED + 1), which every den B_j divides (von
+    Staudt-Clausen); the division by m + 1 must then be exact."""
+    D = lcm(*range(1, BERN_CHECKED + 2))
+    scaled, row = [D], [1, 1]
+    for m in range(1, BERN_CHECKED + 1):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]  # C(m+1, j)
+        total = sum(row[j] * scaled[j] for j in [0, 1][:m] + list(range(2, m, 2)))
+        q, r = divmod(-total, m + 1)
+        assert r == 0
+        scaled.append(q)
+    return [F(x, D) for x in scaled]
+
+
 class TestBernoulli:
     def test_values(self):
         assert bernoulli(0) == 1
@@ -44,13 +69,29 @@ class TestBernoulli:
     def test_tangent_table_matches_binomial_recurrence(self):
         # The table is built from tangent numbers; the O(m) binomial
         # recurrence sum_{j<=m} C(m+1, j) B_j = 0 it replaced is the check.
-        table = [F(1)]
-        for m in range(1, 701):
-            acc = F(0)
-            for j in [0, 1][:m] + list(range(2, m, 2)):
-                acc += comb(m + 1, j) * table[j]
-            table.append(-acc / (m + 1))
-        assert [bernoulli(k) for k in range(701)] == table
+        assert [bernoulli(k) for k in range(BERN_CHECKED + 1)] == _recurrence_table()
+
+    @pytest.mark.parametrize("steps", [
+        [BERN_CHECKED],
+        [129, 130, 131, 132, 257, 258, 400, 777, 778, 1000, 1099, BERN_CHECKED],
+    ])
+    def test_growth_steps_give_one_table(self, steps):
+        # A fresh interpreter grows the table from its eager B_128 in these
+        # steps; one jump and irregular steps must give the same numbers.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import hashlib\n"
+            "from zetapoly import bernoulli\n"
+            f"for k in {steps!r}: bernoulli(k)\n"
+            f"text = '\\n'.join(str(bernoulli(k)) for k in range({BERN_CHECKED + 1}))\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        want = "\n".join(str(b) for b in _recurrence_table())
+        assert proc.stdout.strip() == hashlib.sha256(want.encode()).hexdigest()
 
     def test_binomial_sum_identity(self):
         # sum_j C(k,j) B_j = (-1)^k B_k for k <= 60
@@ -183,6 +224,30 @@ class TestZeta:
     def test_numeric_domain(self):
         with pytest.raises(ValueError):
             riemann_zeta_numeric(F(1, 2), 30)
+
+    # sha256 of repr((value._mpf_, err._mpf_)), recorded before the K search
+    # and the sum shared their coefficients.
+    @pytest.mark.parametrize("s, precision, sha", [
+        (F(5, 2), 100, "5e12cf8abf50dc38b3b9d9c642bcb2231ae8fbe2bf8406a18a3db06c01d695eb"),
+        (F(7, 3), 40, "dd4ed42e2e0574298489f44779a579e922508b941d61b572b46bcf2025731bce"),
+        (F(3), 60, "b4672e0075d56ae8553098f3aaf8a29dd153f7dfaf6e9bb1630f1d56a62385cb"),
+        (F(2), 30, "6f734ce02c5be20cb7801efc9db2119cd3eb6414ccc87f82d72c433ade665fd1"),
+        (F(2), 50, "b7d55bf0e5a3e24864edbb0ac1f1d80b515de53dbb72cbcd073d1e2209916a48"),
+        (F(2), 70, "1f2ca7d9ff972ba596ac95b7d17ce8c7d612641e77cda83d7fc23416a59358e2"),
+        (F(2), 100, "8713d2bf4ab4d5c9bf99bda0e2b23be1673be09f9eae4d3d88ba7bb145222d1b"),
+        (F(11, 7), 45, "456a29237345363b3e11cbce82c6074f85211b1b66728d091cf7122663c60eb4"),
+    ])
+    def test_numeric_bits(self, s, precision, sha):
+        z = riemann_zeta_numeric(s, precision)
+        bits = tuple(tuple(int(x) for x in v._mpf_) for v in (z.value, z.err))
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("precision", [0, -3])
+    def test_precision_below_one_digit(self, precision):
+        with pytest.raises(ValueError, match="at least 1 digit"):
+            riemann_zeta_numeric(F(2), precision)
+        with pytest.raises(ValueError, match="at least 1 digit"):
+            gamma_rational(F(1, 3), precision)
 
 
 class TestNumeric:

@@ -13,6 +13,7 @@ from zetapoly import (
     NotElliptic,
     NotHomogeneous,
     PrecisionUnreachable,
+    QuadratureDidNotConverge,
     QuadratureSettings,
     SpecialValue,
     Y_expansion,
@@ -24,6 +25,7 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     theta_diagonal,
 )
+from zetapoly import _quadrature
 from zetapoly.mahler import _derivative_support, certify_elliptic, delta_multiindices
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
@@ -500,6 +502,18 @@ class TestQuadratureSettings:
         with pytest.raises(PrecisionUnreachable):
             QuadratureSettings(rel_tol=2.0**-31, precision=0)
         QuadratureSettings(rel_tol=1e-9, precision=0)
+
+
+class TestCubeQuadratureTotals:
+    def test_cancelling_cells_keep_their_signs(self, monkeypatch):
+        # x - 1/2 integrates to 0, so only abs_tol can stop the loop, and it
+        # lies below the rounding floor: the quadrature must raise.  Totals
+        # that dropped the cells' signs would read 1/4 after the first split
+        # and stop on rel_tol.
+        monkeypatch.setattr(_quadrature, "_MAX_CELLS", 64)
+        with mp.workdps(20), pytest.raises(QuadratureDidNotConverge):
+            _quadrature.integrate_unit_cube(
+                lambda axes: [x - mpf(1) / 2 for x in axes[0]], 1, rel_tol=1e-8, abs_tol=1e-40)
 
 
 class TestFaceQuadratureBitIdentity:
