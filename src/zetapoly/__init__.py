@@ -19,7 +19,6 @@ from .errors import (
     NotHomogeneous,
     Pole,
     PositiveEntry,
-    PositivityUnverified,
     PrecisionUnreachable,
     QuadratureDidNotConverge,
     RegularityViolated,

@@ -184,11 +184,9 @@ def _normalised(poly: "MPoly") -> tuple[int, dict]:
     return s, {e: c * scale for e, c in poly.terms.items()}
 
 
-def _tree(terms: dict, F: int):
+def _tree(terms: dict, F: int) -> dict:
     """Coefficients rounded at scale 2^F in a tree keyed by the exponent of
-    each axis in turn; a 0-variable polynomial is its one coefficient."""
-    if not next(iter(terms)):
-        return _frac_int(terms[()], F)
+    each axis in turn."""
     root: dict = {}
     for e, c in terms.items():
         node = root
@@ -289,8 +287,6 @@ class FixedPointIntegrand:
 
     def _grid(self, xs: list[list[int]]) -> tuple[list[int], list[int] | None]:
         """numer and den on the grid of coordinate lists xs (scale 2^F)."""
-        if not xs:
-            return [self._V], ([self._D] if self.k else None)
         F = self.F
         tabs = []
         for j, x in enumerate(xs):
@@ -432,20 +428,18 @@ def integrate_unit_cube(
     abs_tol: float = 1e-30,
     order: int = 15,
 ) -> tuple[mpf, mpf]:
-    """Integrate f over [0,1]^dim; returns (value, absolute error bound).
+    """Integrate f over [0,1]^dim, dim >= 1; returns (value, absolute error
+    bound).
 
     f is a FixedPointIntegrand, evaluated on whole cells in integers, or
     follows the grid protocol of this module: it is called with one list
     of coordinates per axis and returns its values on their product in
-    row-major order.
+    row-major order.  The cell of largest estimate is split until the
+    summed estimate meets the target.
     """
-    if dim == 0:
-        (v,) = f([])
-        return v, abs(v) * mpf(2) ** (4 - mp.prec)
     order_lo = max(3, (order + 1) // 2)
     root = _Cell(lo=(Fraction(0),) * dim, hi=(Fraction(1),) * dim)
     _eval_cell(f, root, order, order_lo)
-    done: list[_Cell] = []
     seq = 0
     heap: list[tuple[mpf, int, _Cell]] = [(-root.est, seq, root)]
     ncells = 1
@@ -457,15 +451,12 @@ def integrate_unit_cube(
         target = mpf(abs_tol) + mpf(rel_tol) * abs(mpf(total))
         if errsum <= target:
             break
-        if ncells >= _MAX_CELLS or not heap:
+        if ncells >= _MAX_CELLS:
             raise QuadratureDidNotConverge(
                 f"error {mp.nstr(errsum, 5)} above target {mp.nstr(target, 5)} "
                 f"after {ncells} cells"
             )
         _, _, cell = heapq.heappop(heap)
-        if cell.est <= target / (4 * ncells):
-            done.append(cell)
-            continue
         widths = [b - a for a, b in zip(cell.lo, cell.hi)]
         axis = max(range(dim), key=lambda j: (widths[j], -j))
         mid = (cell.lo[axis] + cell.hi[axis]) / 2
@@ -484,8 +475,7 @@ def integrate_unit_cube(
             seq += 1
             heapq.heappush(heap, (-child.est, seq, child))
         ncells += 1
-    cells = done + [c for _, _, c in heap]
-    cells.sort(key=lambda c: c.lo)
+    cells = sorted((c for _, _, c in heap), key=lambda c: c.lo)
     value = mpf(0)
     err = mpf(0)
     for c in cells:

@@ -21,7 +21,7 @@ from mpmath import mp
 
 from . import identities, selftest
 from .errors import PrecisionUnreachable, ZetaPolyError
-from .exactnum import SpecialValue, rat_to_str
+from .exactnum import SpecialValue, parse_rational, rat_to_str
 from .mahler import (
     CompositionFamily,
     QuadratureSettings,
@@ -50,7 +50,7 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _rats(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in text.split(","))
+    return tuple(map(parse_rational, text.split(",")))
 
 
 def _load_poly(arg: str, nvars: int | None = None) -> MPoly:
@@ -233,7 +233,8 @@ def cmd_bernoulli_id(args) -> dict:
 def cmd_oracle(args) -> dict:
     em = EMSettings(precision=min(args.precision, 40))
     if args.oracle_cmd == "zeta1":
-        val = zeta1_numeric(args.d_single, Fraction(args.gamma or "1"), Fraction(args.s), em)
+        val = zeta1_numeric(args.d_single, parse_rational(args.gamma or "1"),
+                            parse_rational(args.s), em)
         return {"kind": "numeric", **val.to_json(args.precision // 2 + 5)}
     d = _ints(args.d)
     if args.s:

@@ -65,10 +65,6 @@ class QuadratureDidNotConverge(ZetaPolyError):
     pass
 
 
-class PositivityUnverified(ZetaPolyError):
-    pass
-
-
 class DomainViolation(ZetaPolyError):
     pass
 

@@ -28,6 +28,14 @@ MAX_PRECISION_DPS = 4000
 DEFAULT_DPS = 50
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational from text such as "3/2"; ValueError if it is not one."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def rat_to_str(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
@@ -196,12 +204,6 @@ class Numeric:
             v = self.value + other.value
             e = self.err + other.err + _round_err(v)
         return Numeric(v, e)
-
-    def __sub__(self, other: "Numeric") -> "Numeric":
-        return self + (-other)
-
-    def __neg__(self) -> "Numeric":
-        return Numeric(-self.value, self.err)
 
     def __mul__(self, other: "Numeric") -> "Numeric":
         with mp.extradps(5):
@@ -381,14 +383,12 @@ def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
 
 @dataclass(frozen=True)
 class ConstantProduct:
-    """A product of Gamma values at rationals in (0,1), with an optional
-    extra transcendental tag ("pi" or "arctan(p/q)") used by golden tests.
+    """A product of Gamma values at rationals in (0,1).
 
     The gamma multiset is kept sorted so equality is structural.
     """
 
     gammas: tuple[Fraction, ...] = ()
-    extra: str | None = None
 
     def __post_init__(self):
         gs = tuple(sorted(Fraction(g) for g in self.gammas))
@@ -396,31 +396,15 @@ class ConstantProduct:
             if not (0 < g < 1):
                 raise ValueError("gamma arguments must lie in (0,1)")
         object.__setattr__(self, "gammas", gs)
-        if self.extra is not None:
-            if self.extra != "pi" and not self.extra.startswith("arctan("):
-                raise ValueError(f"unsupported constant tag {self.extra!r}")
 
     def labels(self) -> list[str]:
-        out = [f"Gamma({rat_to_str(g)})" for g in self.gammas]
-        if self.extra is not None:
-            out.append(self.extra)
-        return out
-
-    def sort_key(self):
-        return (self.gammas, self.extra or "")
+        return [f"Gamma({rat_to_str(g)})" for g in self.gammas]
 
     def to_numeric(self, precision: int = DEFAULT_DPS) -> Numeric:
         with mp.workdps(precision + 10):
             acc = Numeric(mpf(1), mpf(0))
             for g in self.gammas:
                 acc = acc * gamma_rational_numeric(g, precision)
-            if self.extra == "pi":
-                v = +mp.pi
-                acc = acc * Numeric(v, _round_err(v))
-            elif self.extra is not None:
-                arg = Fraction(self.extra[len("arctan("):-1])
-                v = mp.atan(mpf_from_rational(arg))
-                acc = acc * Numeric(v, _round_err(v))
         return acc
 
 
@@ -454,7 +438,7 @@ class SpecialValue:
             merged[cp] = merged.get(cp, Fraction(0)) + Fraction(coeff)
         tlist = tuple(
             (c, cp)
-            for cp, c in sorted(merged.items(), key=lambda kv: kv[0].sort_key())
+            for cp, c in sorted(merged.items(), key=lambda kv: kv[0].gammas)
             if c != 0
         )
         if not tlist:

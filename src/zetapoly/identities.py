@@ -118,8 +118,6 @@ def double_B6(N1: int, N2: int) -> Fraction:
             # (N1)_m (N1 + 1) = (N1 + 1)_{m+1}, which at m = -1 is 1
             inner = sum(comb(b1, j) * perm(N1 + 1, b1 - j) * perm(N2 - b2, j)
                         for j in range(jlo, jhi + 1))
-            if inner == 0:
-                continue
             # S! (-1)^A (A-1)! / (A! b1! b2!) = (-1)^A S! / (A b1! b2!), an
             # integer since (A-1)! times the multinomial S!/(A! b1! b2!) is
             pref = (-1) ** A * (factorial(S) // (A * factorial(b1) * factorial(b2)))

@@ -17,7 +17,7 @@ from typing import Sequence
 from mpmath import mp
 
 from ._quadrature import FixedPointIntegrand, integrate_unit_cube, require_reachable
-from .errors import NotElliptic, NotHomogeneous, PositivityUnverified
+from .errors import NotElliptic, NotHomogeneous
 from .exactnum import (
     Numeric,
     SpecialValue,
@@ -71,9 +71,6 @@ class CompositionFamily:
     n: int
     u: tuple[tuple[int, ...], ...]
 
-    def alpha(self) -> MultiIndex:
-        return tuple(sum(uk) for uk in self.u)
-
     def g_vector(self) -> MultiIndex:
         g = [0] * self.n
         for k, uk in enumerate(self.u, start=1):
@@ -82,14 +79,6 @@ class CompositionFamily:
                     for i in range(self.n):
                         g[i] += mult * gamma[i]
         return tuple(g)
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for k, uk in enumerate(self.u, start=1):
-            for gamma, mult in zip(delta_multiindices(k, self.n), uk):
-                if mult:
-                    out.append({"k": k, "gamma": list(gamma), "count": mult})
-        return out
 
 
 def enumerate_V(
@@ -194,7 +183,6 @@ def period_K(
     beta: Sequence[int],
     i: int,
     qs: QuadratureSettings = DEFAULT_QS,
-    require_certified: bool = False,
 ) -> SpecialValue:
     """Period integral over the face i of the unit cube:
 
@@ -203,25 +191,18 @@ def period_K(
     For one variable the integral degenerates to evaluation of the (constant)
     integrand.  Returns an exact rational in that case, a bounded Numeric
     otherwise.  When the face positivity certificate does not close, the
-    result carries a "positivity_unverified" flag, or the call raises if
-    require_certified is set.
+    result carries a "positivity_unverified" flag (DECISIONS.md D6).
     """
     if not isinstance(u, CompositionFamily):
         u = CompositionFamily(n=P.nvars, u=tuple(tuple(x) for x in u))
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
     st, wit = _face_positivity(P, i)
-    flags: tuple[str, ...] = ()
     if st == "violated":
         raise NotElliptic(
             f"face {i} is not positive on the unit cube: P <= 0 at {point_to_str(wit)}"
         )
-    if st == "sampled_only":
-        if require_certified:
-            raise PositivityUnverified(
-                f"face {i} positivity not certified within the subdivision depth"
-            )
-        flags = ("positivity_unverified",)
+    flags = ("positivity_unverified",) if st == "sampled_only" else ()
     numer = build_P_alpha_u(P, i, alpha, u.u) * Q.derivative(beta).face(i)
     if numer.is_zero():
         return SpecialValue.make_exact(Fraction(0), flags=flags)
@@ -316,12 +297,10 @@ def Z_breakdown(
         if bt == 0:
             continue
         w = c_ab * bt
+        # Each product is nonzero: faces of nonzero homogeneous derivatives of P.
         for i in range(1, n + 1):
-            Pi_u = build_P_alpha_u(P, i, alpha, u.u, memo)
-            if Pi_u.is_zero():
-                continue
             acc = sums.setdefault((ci, i, beta, alpha), ({}, dQc))[0]
-            _add_scaled(acc, Pi_u, w)
+            _add_scaled(acc, build_P_alpha_u(P, i, alpha, u.u, memo), w)
     buckets = {key: (MPoly(n - 1, acc), dQc) for key, (acc, dQc) in sums.items()}
     # Evaluate buckets in a fixed order.
     live = [k for k in sorted(buckets) if not buckets[k][0].is_zero()]
@@ -331,10 +310,8 @@ def Z_breakdown(
     for key in live:
         ci, i, beta, alpha = key
         numer, dQc = buckets[key]
-        dQf = dQc.face(i)
-        if dQf.is_zero():
-            continue
-        v = _face_term(P, i, numer * dQf, N - sum(alpha), qs, cache, per_bucket_abs)
+        # dQc is a nonzero homogeneous polynomial, so its face is nonzero.
+        v = _face_term(P, i, numer * dQc.face(i), N - sum(alpha), qs, cache, per_bucket_abs)
         evaluated.append(ZBucket(ci, i, beta, alpha, v))
     exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
     parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
@@ -388,12 +365,10 @@ def Y_expansion(
     blocks: dict[tuple, tuple[MPoly, Fraction, dict]] = {}
     memo: dict = {}
     for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
+        groups = blocks.setdefault((ci, beta, alpha), (dQc, c_ab, {}))[2]
         for i in range(1, n + 1):
-            Pi_u = build_P_alpha_u(P, i, alpha, u.u, memo)
-            if Pi_u.is_zero():
-                continue
-            groups = blocks.setdefault((ci, beta, alpha), (dQc, c_ab, {}))[2]
-            _add_scaled(groups.setdefault(m, {}).setdefault(i, {}), Pi_u, 1)
+            _add_scaled(groups.setdefault(m, {}).setdefault(i, {}),
+                        build_P_alpha_u(P, i, alpha, u.u, memo), 1)
     expansion: dict[MultiIndex, SpecialValue] = {}
     cache: dict = {}
     for (_, _, alpha), (dQc, c_ab, groups) in blocks.items():

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from mpmath import mpf
 
 from .errors import CompositionMismatch, DimensionMismatch, IndexOutOfRange
-from .exactnum import Rational, mpf_from_rational, multi_factorial, rat_to_str
+from .exactnum import Rational, mpf_from_rational, multi_factorial, parse_rational, rat_to_str
 
 MultiIndex = tuple[int, ...]
 
@@ -364,10 +364,7 @@ class MPoly:
                     expo[v] = expo.get(v, 0) + k
                     maxvar = max(maxvar, v)
                 else:
-                    try:
-                        coeff *= Fraction(tok)
-                    except ZeroDivisionError:
-                        raise ValueError(f"zero denominator in {tok!r}") from None
+                    coeff *= parse_rational(tok)
             parsed.append((coeff, expo))
         n = nvars if nvars is not None else maxvar
         terms: dict[MultiIndex, Fraction] = {}

@@ -121,27 +121,6 @@ _RULE = 15  # the Gauss-Legendre order of the remainder intervals
 _NODES_PER_INTERVAL = 23  # the order-15 rule and its order-8 companion
 
 
-def _bern_frac_weight(coeffs: list[mpf]):
-    """t -> B_2K(t) by Horner's rule over coeffs, memoised on the bits of t.
-
-    integrate_interval_fixed puts node u of [m, m+1] at fl(m + u), so
-    t = x - m takes the same few values on every interval of one binade of
-    m; the memo lives as long as the returned function, one integral."""
-    memo: dict[tuple, mpf] = {}
-
-    def weight(t: mpf) -> mpf:
-        key = t._mpf_
-        acc = memo.get(key)
-        if acc is None:
-            acc = mpf(0)
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            memo[key] = acc
-        return acc
-
-    return weight
-
-
 def _partition_count(n: int, d: int) -> int:
     """len(weighted_partitions(n, d)): the terms of f^(n), before the zero
     binomials are dropped."""
@@ -380,7 +359,14 @@ def _remainder_integral(a, b, d, s, K, M0, m_end):
     max_x = max(xexp for _, xexp, _ in terms)
     max_aa = max(aa for _, _, aa in terms)
     af, bf, sf = mpf_from_rational(a), mpf_from_rational(b), mpf_from_rational(s)
-    weight = _bern_frac_weight([mpf_from_rational(c) for c in bernoulli_poly(2 * K)])
+    bern = [mpf_from_rational(c) for c in bernoulli_poly(2 * K)][::-1]
+
+    def weight(t: mpf) -> mpf:
+        """B_2K(t) by Horner's rule."""
+        acc = mpf(0)
+        for c in bern:
+            acc = acc * t + c
+        return acc
 
     def f2k(x: mpf) -> mpf:
         base = bf + af * x**d

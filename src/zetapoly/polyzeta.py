@@ -50,11 +50,10 @@ class GammaFactorSpec:
 
 @dataclass(frozen=True)
 class PolyFamily:
-    """Family P_1, ..., P_n with P_j in j variables, plus the outcome of
-    the hypothesis checks made at construction time."""
+    """Family P_1, ..., P_n with P_j in j variables, plus the flags of the
+    hypothesis checks made at construction time."""
 
     polys: tuple[MPoly, ...]
-    ellipticity: str = "unchecked"
     flags: tuple[str, ...] = ()
 
     @property
@@ -95,7 +94,7 @@ def build_family(polys: Sequence[MPoly]) -> PolyFamily:
     flags = [f"hypotheses_unverified:P{j}" for j in unverified if j < n or st != "certified"]
     if st == "sampled_only":
         flags.append("ellipticity_unverified")
-    return PolyFamily(polys=polys, ellipticity=st, flags=tuple(sorted(flags)))
+    return PolyFamily(polys=polys, flags=tuple(sorted(flags)))
 
 
 def build_QN(family: PolyFamily, N: Sequence[int]) -> tuple[MPoly, int]:
@@ -178,7 +177,7 @@ def diagonal_value(
     if d is None:
         raise NotDiagonal("last polynomial must be X_1^d + ... + X_n^d")
     n = family.n
-    QN, qN = build_QN(family, N)
+    QN, _ = build_QN(family, N)
     gcache: dict = {}
 
     def G(m: int, mu: tuple[Fraction, ...]) -> Numeric:
@@ -191,8 +190,6 @@ def diagonal_value(
     numeric_parts: list[tuple[Fraction, int, tuple[Fraction, ...]]] = []
     # Only exponents actually present in Q_N have a nonzero derivative at 0.
     for beta in sorted(QN.terms.keys()):
-        if sum(beta) > qN:
-            continue
         dQ0 = QN.terms[beta] * multi_factorial(beta)
         # every nu <= beta componentwise, in lexicographic order
         for nu in product(*(range(b + 1) for b in beta)):

@@ -170,9 +170,8 @@ def _recursion(d: tuple[int, ...], gamma: tuple, N: tuple[int, ...], leaf, scale
         out = scale(_recursion(dp, gp, head + (merged,), leaf, scale, memo), Fraction(-1, 2))
         for k in _k_range(dn, 1 - dn * N[-1]):
             m = (2 * k - 1) // dn
+            # Nonzero: B_2k != 0, and 0 <= m <= -N_n since 2k <= 1 - d_n N_n.
             c = Fraction(bernoulli(2 * k), 2 * k) * binom_signed(-N[-1], m)
-            if c == 0:
-                continue
             inner = _recursion(dp, gp, head + (merged + m,), leaf, scale, memo)
             out = out + scale(inner, -c * gn**m)
     memo[key] = out

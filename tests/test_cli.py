@@ -195,6 +195,11 @@ class TestExitCodes:
         ["mahler", "--P", '{"nvars": 1, "terms": [{"c": "1/0", "e": [1]}]}'],
         ["mahler", "--P", '{"nvars": 1, "terms": "ab"}'],
         ["mahler", "--P", '{"nvars": 1, "terms": [{"c": "1", "e": 5}]}'],
+        ["powersum", "--d", "2,3", "--gamma", "1/0,1", "--N", "0,0"],
+        ["directional", "--d", "3,2,2", "--N", "0,0,0", "--theta", "0,1/0,1"],
+        ["oracle", "zeta1", "--d", "2", "--s", "1/0"],
+        ["oracle", "zeta1", "--d", "2", "--gamma", "1/0", "--s", "-1"],
+        ["oracle", "powersum2", "--d", "2,3", "--s", "0,1/0"],
     ])
     def test_malformed_values_exit_1(self, argv):
         code, out = run_cli(argv)

@@ -295,14 +295,6 @@ class TestSpecialValue:
             target = -mp.pi / 480 - mpf(1) / 8
             assert abs(num.value - target) < mpf(10) ** -35
 
-    def test_constant_product_extras(self):
-        cp = ConstantProduct(gammas=(), extra="arctan(1/2)")
-        with mp.workdps(40):
-            assert abs(cp.to_numeric(30).value - mp.atan(0.5)) < mpf(10) ** -25
-        cpi = ConstantProduct(gammas=(), extra="pi")
-        with mp.workdps(40):
-            assert abs(cpi.to_numeric(30).value - mp.pi) < mpf(10) ** -25
-
     def test_exact_to_numeric_any_precision(self):
         for dps in (15, 50, 120):
             n = SpecialValue.make_exact(F(22, 7)).to_numeric(dps)

@@ -484,13 +484,17 @@ class TestUnverifiedPositivity:
         assert bernstein_positive(face, max_depth=6)[0] == "sampled_only"
         assert bernstein_positive(face, max_depth=16)[0] == "certified"
 
-    def test_require_certified_raises(self):
-        from zetapoly import PositivityUnverified
-
+    def test_period_flags_uncertified_face(self):
         u = CompositionFamily(n=2, u=((2, 0),))
-        with pytest.raises(PositivityUnverified):
-            period_K(self._hard_poly(), MPoly.one(2), 0, (2,), u, (0, 0), 2,
-                     QS_FAST, require_certified=True)
+        v = period_K(self._hard_poly(), MPoly.one(2), 0, (2,), u, (0, 0), 2, QS_FAST)
+        assert v.flags == ("positivity_unverified",)
+        assert v.kind == "numeric"
+
+    def test_family_flags_uncertified_ellipticity(self):
+        from zetapoly import build_family
+
+        fam = build_family([MPoly.parse("x1"), self._hard_poly()])
+        assert fam.flags == ("ellipticity_unverified", "hypotheses_unverified:P2")
 
 
 class TestQuadratureSettings:

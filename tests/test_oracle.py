@@ -220,6 +220,21 @@ class TestTruthCorpus:
         v = em_inner_sum(a, b, d, s, EMSettings(precision=precision))
         assert_against_truth(v, binomial_hurwitz(a, b, d, s), s, precision)
 
+    @pytest.mark.parametrize("a, d, s", [
+        (F(1), 2, F(-1, 2)),  # s = 1/d - 1: a pole of the b > 0 path, not of this one
+        (F(2), 3, F(-2, 3)),  # s = 1/d - 1 again
+        (F(3), 2, F(-1, 3)),
+        (F(2), 2, F(3, 4)),
+        (F(1, 2), 3, F(-5, 6)),
+        (F(5, 2), 4, F(1)),
+    ])
+    def test_pure_power(self, a, d, s):
+        # b = 0: sum_m (a m^d)^{-s} = a^{-s} zeta(d s)
+        v = em_inner_sum(a, F(0), d, s, EM)
+        with mp.workdps(50):
+            truth = _q(a) ** -_q(s) * mp.zeta(d * _q(s))
+        assert_against_truth(v, truth, s, EM.precision)
+
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
         a=st.sampled_from([F(1, 2), F(1), F(2), F(3)]),

@@ -38,7 +38,6 @@ def euler_family():
 class TestFamily:
     def test_build_and_flags(self):
         fam = euler_family()
-        assert fam.ellipticity == "certified"
         assert fam.flags == ()
 
     def test_variable_count_enforced(self):
@@ -72,7 +71,7 @@ class TestFamily:
         assert fam.flags == ("hypotheses_unverified:P1",)
         # an elliptic P_n is positive, certified or not by its coefficients
         fam = build_family([P("x1", 1), P("x1^2 - x1 x2 + x2^2", 2)])
-        assert fam.ellipticity == "certified" and fam.flags == ()
+        assert fam.flags == ()
 
 
 class TestBuildQN:

@@ -439,6 +439,20 @@ class TestComplexNumeric:
         got = value_numeric_complex(p, (0, -1))
         assert abs(got - (-g2 / 240)) < 1e-12
 
+    @pytest.mark.parametrize("d, gamma, N", [
+        ((2, 3), (F(1), F(1)), (1, -1)),  # reaches zeta(2)
+        ((2, 3), (F(1, 2), F(3)), (2, -1)),  # reaches zeta(4) and zeta(2)
+        ((2, 4), (F(2), F(1, 3)), (3, -2)),
+    ])
+    def test_positive_argument_matches_mixed(self, d, gamma, N):
+        from zetapoly.powersum import value_numeric_complex
+
+        p = params(d, gamma)
+        got = value_numeric_complex(p, N)
+        want = value_mixed_last_nonpositive(p, N, precision=30)
+        assert want.kind == "numeric"
+        assert abs(got - complex(want.num.value)) < 1e-12 * max(1, abs(got))
+
     def test_rejects_nonpositive_real_part(self):
         from zetapoly.powersum import value_numeric_complex
 
