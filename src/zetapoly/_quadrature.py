@@ -19,12 +19,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_rational, round_ceiling, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
 
 from .errors import (
     DimensionMismatch,
@@ -164,24 +165,25 @@ def _weighted(vals: list[int], W: Sequence[int], dim: int) -> int:
     return vals[0]
 
 
-def _scaled(n: int, e: int, vol: Fraction, rnd) -> mpf:
-    """n * 2^e * vol rounded once to the working precision."""
-    p, q = n * vol.numerator, vol.denominator
-    if e >= 0:
-        p <<= e
-    else:
-        q <<= -e
-    return mp.make_mpf(from_rational(p, q, mp.prec, rnd))
+def _scaled(n: int, e: int, rnd) -> mpf:
+    """n * 2^e rounded once to the working precision."""
+    return mp.make_mpf(from_man_exp(n, e, mp.prec, rnd))
 
 
-def _normalised(poly: "MPoly") -> tuple[int, dict]:
-    """(s, terms of poly / 2^s) with the largest |coefficient| in (1/2, 1]."""
+def _normalised(poly: "MPoly") -> tuple[int, dict, int]:
+    """(s, terms of poly / 2^s, their _ulps) with the largest |coefficient|
+    in (1/2, 1]."""
     top = max(abs(c) for c in poly.terms.values())
     s = top.numerator.bit_length() - top.denominator.bit_length()
     if top > Fraction(2) ** s:  # top lies in (2^(s-1), 2^(s+1))
         s += 1
     scale = Fraction(2) ** -s
-    return s, {e: c * scale for e, c in poly.terms.items()}
+    terms = {e: c * scale for e, c in poly.terms.items()}
+    return s, terms, _ulps(terms, poly.nvars)
+
+
+# Every bucket of a Z value on one face divides by the same face of P.
+_normalised_den = lru_cache(maxsize=8)(_normalised)
 
 
 def _tree(terms: dict, F: int) -> dict:
@@ -210,14 +212,21 @@ def _ulps(terms: dict, dim: int) -> int:
 def _contract(node: dict, tabs: list, F: int, j: int) -> list[int]:
     """Values at scale 2^F of the polynomial whose exponent tree below axis
     j is node, on the grid of axes j, j+1, ... (row-major).  tabs[j][e] is
-    the list of x^e over the nodes of axis j, at scale 2^F."""
+    the list of x^e over the nodes of axis j, at scale 2^F; x^0 = 2^F, so
+    its branch is added after the shift: (2^F a + b) >> F = a + (b >> F)."""
     last = j == len(tabs) - 1
-    acc = None
+    acc = const = None
     for e, sub in node.items():
         inner = [sub] if last else _contract(sub, tabs, F, j + 1)
-        part = [p * v for p in tabs[j][e] for v in inner]
-        acc = part if acc is None else list(map(add, acc, part))
-    return [a >> F for a in acc]
+        if e:
+            part = [p * v for p in tabs[j][e] for v in inner]
+            acc = part if acc is None else list(map(add, acc, part))
+        else:
+            const = inner * len(tabs[j][1])
+    if acc is None:
+        return const
+    acc = [a >> F for a in acc]
+    return acc if const is None else list(map(add, acc, const))
 
 
 class FixedPointIntegrand:
@@ -241,16 +250,13 @@ class FixedPointIntegrand:
             raise ValueError("zero integrand")
         self.dim = numer.nvars
         self.k = k if den is not None else 0
-        sv, self._numer = _normalised(numer)
-        self.shift = sv
-        self._den = None
+        self.shift, self._numer, self._EV = _normalised(numer)
+        self._den, self._ED = None, 0
         if self.k:
             if den.nvars != self.dim:
                 raise DimensionMismatch("numerator and denominator variable counts differ")
-            sd, self._den = _normalised(den)
+            sd, self._den, self._ED = _normalised_den(den)
             self.shift -= self.k * sd
-        self._EV = _ulps(self._numer, self.dim)
-        self._ED = _ulps(self._den, self.dim) if self.k else 0
         self._maxdeg = [
             max(e[j] for t in (self._numer, self._den or {}) for e in t)
             for j in range(self.dim)
@@ -290,7 +296,7 @@ class FixedPointIntegrand:
         F = self.F
         tabs = []
         for j, x in enumerate(xs):
-            t = [[1 << F] * len(x), x]
+            t = [None, x]  # x^0 is never looked up (see _contract)
             for _ in range(2, self._maxdeg[j] + 1):
                 t.append([(a * b) >> F for a, b in zip(t[-1], x)])
             tabs.append(t)
@@ -298,13 +304,13 @@ class FixedPointIntegrand:
         return V, (_contract(self._D, tabs, F, 0) if self.k else None)
 
     def _eval(self, xs: list[list[int]]):
-        """(q, E, fac) on the grid xs: the values q at scale 2^F; E, bounds
-        on their rounding in units of 2^-F, except for the factor
-        1 + fac[0]/fac[1] on |value| + E that the denominator's own rounding
-        adds (fac is None when k = 0)."""
+        """(q, c0, t, fac) on the grid xs: the values q at scale 2^F; bounds
+        c0 + t on their rounding in units of 2^-F (t None: all 0), except for
+        the factor 1 + fac[0]/fac[1] on |value| + bound that the denominator's
+        own rounding adds (fac is None when k = 0)."""
         V, D = self._grid(xs)
         if not self.k:
-            return V, [self._EV] * len(V), None
+            return V, self._EV, None, None
         k, F = self.k, self.F
         Dmin = min(D)
         Dlow = Dmin - self._ED
@@ -322,8 +328,7 @@ class FixedPointIntegrand:
         # <= k E_D Dmin^k / Dlow^(k+1).
         c0 = (max(map(abs, V)) >> F) + 4
         EV = self._EV
-        E = [c0 + ((EV * r) >> F) for r in R]
-        return q, E, (k * self._ED * Dmin**k, Dlow ** (k + 1))
+        return q, c0, [(EV * r) >> F for r in R], (k * self._ED * Dmin**k, Dlow ** (k + 1))
 
     def __call__(self, axes: Sequence[Sequence[mpf]]) -> list[mpf]:
         """The grid protocol: values at every point of the product of axes."""
@@ -335,30 +340,34 @@ class FixedPointIntegrand:
         the exact integrand there."""
         if len(axes) != self.dim:
             raise DimensionMismatch("grid has wrong number of axes")
-        q, E, fac = self._eval([[_mpf_int(x, self.F) for x in ax] for ax in axes])
+        q, c0, t, fac = self._eval([[_mpf_int(x, self.F) for x in ax] for ax in axes])
+        E = [c0] * len(q) if t is None else [c0 + x for x in t]
         if fac is not None:
             E = [e + ((abs(v) + e) * fac[0]) // fac[1] + 1 for v, e in zip(q, E)]
         e = self.shift - self.F
-        one = Fraction(1)
-        vals = [_scaled(v, e, one, round_nearest) for v in q]
-        return vals, [_scaled(x, e, one, round_ceiling) + mp.ldexp(abs(v), -mp.prec)
+        vals = [_scaled(v, e, round_nearest) for v in q]
+        return vals, [_scaled(x, e, round_ceiling) + mp.ldexp(abs(v), -mp.prec)
                       for x, v in zip(E, vals)]
 
 
-def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order_lo: int) -> None:
+def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order_lo: int,
+                     floor: mpf) -> None:
     """Both rules of a cell as exact integer sums, each rounded once; the
     estimate is |I_hi - I_lo| plus the rounding floor, as on the grid path,
-    plus the counted rounding of both rules."""
+    plus the counted rounding of both rules.  The cell is dyadic: its
+    volume is 2^-t."""
     dim, F = f.dim, f.F
     width = [b - a for a, b in zip(cell.lo, cell.hi)]
-    vol = prod(width, start=Fraction(1))
+    t = prod(width, start=Fraction(1)).denominator.bit_length() - 1
     sums = []
     for order in (order_hi, order_lo):
         nodes, L, W = _fixed_rule(order, F)
-        q, E, fac = f._eval([_axis_ints(a, w, nodes, L, F) for a, w in zip(cell.lo, width)])
+        q, c0, ts, fac = f._eval([_axis_ints(a, w, nodes, L, F) for a, w in zip(cell.lo, width)])
         S = _weighted(q, W, dim)
-        A = _weighted([abs(v) for v in q], W, dim)
-        err = _weighted(E, W, dim)
+        # The weights are positive: the absolute mass of a sign-definite q is |S|.
+        A = S if min(q) >= 0 else -S if max(q) <= 0 else _weighted(list(map(abs, q)), W, dim)
+        # _weighted is linear: the weighted sum of E = c0 + ts.
+        err = c0 * sum(W) ** dim + (0 if ts is None else _weighted(ts, W, dim))
         if fac is not None:
             err += ((A + err) * fac[0]) // fac[1] + 1
         # Weights within half a unit of the rule's: relative error <= dim/(2 Wmin)
@@ -366,13 +375,13 @@ def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order
         err += (dim * (A + err)) // min(W) + 1
         sums.append((S, A, err))
     (S, A, err), (S_lo, _, err_lo) = sums
-    e = f.shift - (dim + 1) * F
-    cell.value = _scaled(S, e, vol, round_nearest)
-    cell.absmass = _scaled(A, e, vol, round_nearest)
+    e = f.shift - (dim + 1) * F - t
+    cell.value = _scaled(S, e, round_nearest)
+    cell.absmass = _scaled(A, e, round_nearest)
     cell.est = (
-        abs(cell.value - _scaled(S_lo, e, vol, round_nearest))
-        + cell.absmass * rounding_floor(mp.prec)
-        + _scaled(err + err_lo, e, vol, round_ceiling)
+        abs(cell.value - _scaled(S_lo, e, round_nearest))
+        + cell.absmass * floor
+        + _scaled(err + err_lo, e, round_ceiling)
     )
 
 
@@ -385,9 +394,9 @@ class _Cell:
     absmass: mpf = None
 
 
-def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int) -> None:
+def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int, floor: mpf) -> None:
     if isinstance(f, FixedPointIntegrand):
-        _eval_cell_fixed(f, cell, order_hi, order_lo)
+        _eval_cell_fixed(f, cell, order_hi, order_lo, floor)
         return
     dim = len(cell.lo)
     lo = [mpf_from_rational(x) for x in cell.lo]
@@ -415,7 +424,7 @@ def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int) -> None:
 
     hi_val, absmass = tensor(order_hi)
     lo_val, _ = tensor(order_lo)
-    round_floor = absmass * rounding_floor(mp.prec)
+    round_floor = absmass * floor
     cell.value = hi_val
     cell.est = abs(hi_val - lo_val) + round_floor
     cell.absmass = absmass
@@ -438,8 +447,10 @@ def integrate_unit_cube(
     summed estimate meets the target.
     """
     order_lo = max(3, (order + 1) // 2)
+    floor = rounding_floor(mp.prec)
+    abs_tol, rel_tol = mpf(abs_tol), mpf(rel_tol)
     root = _Cell(lo=(Fraction(0),) * dim, hi=(Fraction(1),) * dim)
-    _eval_cell(f, root, order, order_lo)
+    _eval_cell(f, root, order, order_lo, floor)
     seq = 0
     heap: list[tuple[mpf, int, _Cell]] = [(-root.est, seq, root)]
     ncells = 1
@@ -448,7 +459,7 @@ def integrate_unit_cube(
     total, errtot = _dyadic_add((0, 0), root.value), _dyadic_add((0, 0), root.est)
     while True:
         errsum = mpf(errtot)
-        target = mpf(abs_tol) + mpf(rel_tol) * abs(mpf(total))
+        target = abs_tol + rel_tol * abs(mpf(total))
         if errsum <= target:
             break
         if ncells >= _MAX_CELLS:
@@ -469,7 +480,7 @@ def integrate_unit_cube(
         total = _dyadic_add(total, cell.value, -1)
         errtot = _dyadic_add(errtot, cell.est, -1)
         for child in (left, right):
-            _eval_cell(f, child, order, order_lo)
+            _eval_cell(f, child, order, order_lo, floor)
             total = _dyadic_add(total, child.value)
             errtot = _dyadic_add(errtot, child.est)
             seq += 1
@@ -481,7 +492,7 @@ def integrate_unit_cube(
     for c in cells:
         value += c.value
         err += c.est
-    err += abs(value) * rounding_floor(mp.prec) * len(cells)
+    err += abs(value) * floor * len(cells)
     return value, err
 
 
@@ -492,5 +503,5 @@ def integrate_interval_fixed(
     f takes one point."""
     cell = _Cell(lo=(Fraction(a),), hi=(Fraction(b),))
     _eval_cell(lambda axes: [f(x) for x in axes[0]], cell, order,
-               max(3, (order + 1) // 2))
+               max(3, (order + 1) // 2), rounding_floor(mp.prec))
     return cell.value, cell.est

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from mpmath import mp
@@ -28,6 +28,7 @@ from .exactnum import (
 from .multipoly import (
     MPoly,
     MultiIndex,
+    _face_product,
     bernstein_positive,
     build_P_alpha_u,
     composition_tuples,
@@ -235,10 +236,24 @@ def _check_P(P: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
     return d, flags
 
 
-def _add_scaled(acc: dict, poly: MPoly, w: Fraction | int) -> None:
-    """acc += w * poly, on a dict of terms."""
-    for e, c in poly.terms.items():
-        acc[e] = acc.get(e, 0) + w * c
+def _add_product(acc: dict, w: Fraction | int, product: tuple[int, int, dict]) -> None:
+    """acc += w * coeff * ints / den, on int term dicts keyed by denominator."""
+    coeff, den, ints = product
+    s = w.numerator * coeff
+    t = acc.setdefault(w.denominator * den, {})
+    for e, c in ints.items():
+        t[e] = t.get(e, 0) + s * c
+
+
+def _summed(nvars: int, acc: dict) -> MPoly:
+    """The polynomial sum_D acc[D] / D, one Fraction per term."""
+    L = lcm(*acc)
+    out: dict = {}
+    for D, t in acc.items():
+        m = L // D
+        for e, c in t.items():
+            out[e] = out.get(e, 0) + c * m
+    return MPoly._of(nvars, {e: Fraction(c, L) for e, c in out.items() if c})
 
 
 def _mahler_terms(P: MPoly, Q: MPoly, N: int, d: int):
@@ -289,7 +304,7 @@ def Z_breakdown(
     """Z(P, Q; -N) together with the evaluated buckets it is the sum of."""
     d, flags = _check_P(P, N)
     n = P.nvars
-    # Per bucket, the terms of its numerator summed in place, and d^beta Q_c.
+    # Per bucket, the terms of its numerator summed in integers, and d^beta Q_c.
     sums: dict[tuple, tuple[dict, MPoly]] = {}
     memo: dict = {}
     for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
@@ -300,8 +315,8 @@ def Z_breakdown(
         # Each product is nonzero: faces of nonzero homogeneous derivatives of P.
         for i in range(1, n + 1):
             acc = sums.setdefault((ci, i, beta, alpha), ({}, dQc))[0]
-            _add_scaled(acc, build_P_alpha_u(P, i, alpha, u.u, memo), w)
-    buckets = {key: (MPoly(n - 1, acc), dQc) for key, (acc, dQc) in sums.items()}
+            _add_product(acc, w, _face_product(P, i, alpha, u.u, memo))
+    buckets = {key: (_summed(n - 1, acc), dQc) for key, (acc, dQc) in sums.items()}
     # Evaluate buckets in a fixed order.
     live = [k for k in sorted(buckets) if not buckets[k][0].is_zero()]
     per_bucket_abs = qs.abs_tol / max(1, len(live))
@@ -367,15 +382,15 @@ def Y_expansion(
     for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
         groups = blocks.setdefault((ci, beta, alpha), (dQc, c_ab, {}))[2]
         for i in range(1, n + 1):
-            _add_scaled(groups.setdefault(m, {}).setdefault(i, {}),
-                        build_P_alpha_u(P, i, alpha, u.u, memo), 1)
+            _add_product(groups.setdefault(m, {}).setdefault(i, {}), 1,
+                         _face_product(P, i, alpha, u.u, memo))
     expansion: dict[MultiIndex, SpecialValue] = {}
     cache: dict = {}
     for (_, _, alpha), (dQc, c_ab, groups) in blocks.items():
         for m in sorted(groups):
             total = SpecialValue.make_exact(Fraction(0))
             for i in sorted(groups[m]):
-                numer = MPoly(n - 1, groups[m][i]) * dQc.face(i)
+                numer = _summed(n - 1, groups[m][i]) * dQc.face(i)
                 if not numer.is_zero():
                     total = total + _face_term(P, i, numer, N - sum(alpha), qs, cache)
             total = total.scale(c_ab)

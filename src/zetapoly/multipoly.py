@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial, floor, lcm
 from operator import add, index, sub
 from typing import Mapping, Sequence
@@ -32,6 +32,17 @@ def _over_common_denominator(terms: Mapping[MultiIndex, Fraction]) -> tuple[int,
     that every scaled coefficient is an int."""
     L = lcm(*(c.denominator for c in terms.values()))
     return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
+
+
+def _int_product(t1: Mapping[MultiIndex, int], t2: Mapping[MultiIndex, int]) -> dict:
+    """The product of two int-coefficient term dicts."""
+    out: dict[MultiIndex, int] = {}
+    get = out.get
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
 
 
 class MPoly:
@@ -152,13 +163,7 @@ class MPoly:
             raise DimensionMismatch("variable counts differ")
         L1, t1 = _over_common_denominator(self.terms)
         L2, t2 = _over_common_denominator(other.terms)
-        out: dict[MultiIndex, int] = {}
-        get = out.get
-        for e1, c1 in t1.items():
-            for e2, c2 in t2.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        den = L1 * L2
+        den, out = L1 * L2, _int_product(t1, t2)
         return MPoly._of(self.nvars, {e: Fraction(c, den) for e, c in out.items() if c})
 
     def scale(self, c: Rational) -> "MPoly":
@@ -446,19 +451,11 @@ def composition_tuples(
     return out
 
 
-def build_P_alpha_u(
+def _face_product(
     P: MPoly, i: int, alpha: Sequence[int], u, memo: dict | None = None
-) -> MPoly:
-    """Auxiliary face product for a composition family u over alpha.
-
-    (alpha!/prod_k u_k!) * prod_k prod_{|g|=k} ((d^g P at face i)/g!)^{u_{k,g}}
-
-    A caller that builds many products of one P may pass a memo dict, kept
-    for that P only.  It holds each factor by (i, g, u_{k,g}) and each
-    product of the leading factors by (i, (g_1, u_{k,g_1}), ...): families
-    in the order of composition_tuples share their leading factors, so each
-    new family costs about one multiplication.
-    """
+) -> tuple[int, int, dict]:
+    """build_P_alpha_u as (coeff, den, ints): the multinomial alpha!/prod_k u_k!
+    and the product of the factors as ints / den, so that sums add in integers."""
     alpha = tuple(int(a) for a in alpha)
     n = P.nvars
     if memo is None:
@@ -484,10 +481,29 @@ def build_P_alpha_u(
                 factor = memo.get(fkey)
                 if factor is None:
                     base = P.derivative(g).face(i).scale(Fraction(1, multi_factorial(g)))
-                    factor = memo[fkey] = base**mult
-                prefix = memo[key] = factor if acc is None else acc * factor
+                    L, b = _over_common_denominator(base.terms)
+                    factor = memo[fkey] = (L**mult, reduce(_int_product, [b] * mult))
+                prefix = memo[key] = factor if acc is None else (
+                    acc[0] * factor[0], _int_product(acc[1], factor[1]))
             acc = prefix
-    return (MPoly.one(n - 1) if acc is None else acc).scale(coeff)
+    return (coeff,) + (acc or (1, {(0,) * (n - 1): 1}))
+
+
+def build_P_alpha_u(
+    P: MPoly, i: int, alpha: Sequence[int], u, memo: dict | None = None
+) -> MPoly:
+    """Auxiliary face product for a composition family u over alpha.
+
+    (alpha!/prod_k u_k!) * prod_k prod_{|g|=k} ((d^g P at face i)/g!)^{u_{k,g}}
+
+    A caller that builds many products of one P may pass a memo dict, kept
+    for that P only.  It holds each factor by (i, g, u_{k,g}) and each
+    product of the leading factors by (i, (g_1, u_{k,g_1}), ...), as
+    (den, ints): families in the order of composition_tuples share their
+    leading factors, so each new family costs about one multiplication.
+    """
+    coeff, den, ints = _face_product(P, i, alpha, u, memo)
+    return MPoly._of(P.nvars - 1, {e: Fraction(coeff * c, den) for e, c in ints.items()})
 
 
 # -----------------------------------------------------------------------------

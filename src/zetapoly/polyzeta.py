@@ -97,14 +97,13 @@ def build_family(polys: Sequence[MPoly]) -> PolyFamily:
     return PolyFamily(polys=polys, flags=tuple(sorted(flags)))
 
 
-def build_QN(family: PolyFamily, N: Sequence[int]) -> tuple[MPoly, int]:
-    """Q_N = prod_j P_j^{N_j} lifted to n variables; returns (Q_N, deg Q_N)."""
+def build_QN(family: PolyFamily, N: Sequence[int]) -> MPoly:
+    """Q_N = prod_j P_j^{N_j} lifted to n variables."""
     N = tuple(int(x) for x in N)
     if len(N) != family.n or any(x < 0 for x in N):
         raise ValueError("N must be a non-negative tuple of length n")
     n = family.n
     Q = MPoly.one(n)
-    qdeg = 0
     for j, (P, Nj) in enumerate(zip(family.polys, N), start=1):
         if Nj == 0:
             continue
@@ -112,8 +111,7 @@ def build_QN(family: PolyFamily, N: Sequence[int]) -> tuple[MPoly, int]:
             n, {e + (0,) * (n - j): c for e, c in P.terms.items()}
         )
         Q = Q * lifted**Nj
-        qdeg += Nj * P.degree()
-    return Q, qdeg
+    return Q
 
 
 def zeta_P_at(
@@ -121,7 +119,7 @@ def zeta_P_at(
 ) -> SpecialValue:
     """Regularized value at -N (limit in the last coordinate):
     Z(P_n, Q_N; 0)."""
-    QN, _ = build_QN(family, N)
+    QN = build_QN(family, N)
     val = Z_value(family.polys[-1], QN, 0, qs)
     return val.with_flags(family.flags)
 
@@ -177,7 +175,7 @@ def diagonal_value(
     if d is None:
         raise NotDiagonal("last polynomial must be X_1^d + ... + X_n^d")
     n = family.n
-    QN, _ = build_QN(family, N)
+    QN = build_QN(family, N)
     gcache: dict = {}
 
     def G(m: int, mu: tuple[Fraction, ...]) -> Numeric:

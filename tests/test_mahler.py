@@ -547,6 +547,20 @@ class TestFaceQuadratureBitIdentity:
             (0, 910487587474864940796535912799988325, -149, 120),
         )
 
+    def test_Z_value_ignores_term_order(self):
+        # The bucket numerators are summed per denominator and the integrand
+        # compiled from its terms; neither may turn the order in which P's
+        # and Q's terms were inserted into bits.
+        P3, Q = P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + 2 x3 - 1/3 x2", 3)
+
+        def reversed_terms(p):
+            return MPoly(p.nvars, dict(reversed(list(p.terms.items()))))
+
+        a = Z_value(P3, Q, 1, self.QS20)
+        b = Z_value(reversed_terms(P3), reversed_terms(Q), 1, self.QS20)
+        assert list(reversed_terms(P3).terms) != list(P3.terms)
+        assert (a.num.value._mpf_, a.num.err._mpf_) == (b.num.value._mpf_, b.num.err._mpf_)
+
     def test_Z_value_3d_faces(self):
         # The Epstein value Z(x1^2 + .. + x4^2, 1; 0) = 1/16.
         v = Z_value(P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,

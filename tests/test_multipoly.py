@@ -2,11 +2,12 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_ceiling, round_nearest
 
 from zetapoly import (
     CompositionMismatch,
@@ -18,7 +19,16 @@ from zetapoly import (
     enumerate_V,
     family_hypotheses,
 )
-from zetapoly._quadrature import FixedPointIntegrand
+from zetapoly._quadrature import (
+    FixedPointIntegrand,
+    _axis_ints,
+    _Cell,
+    _eval_cell_fixed,
+    _fixed_rule,
+    _mpf_int,
+    _weighted,
+    rounding_floor,
+)
 from zetapoly.exactnum import mpf_from_rational, multi_factorial
 from zetapoly.mahler import certify_elliptic
 from zetapoly.multipoly import (
@@ -141,6 +151,119 @@ class TestFixedPointKernel:
         f = FixedPointIntegrand(P("1", 1), P("x1", 1), 2)
         with pytest.raises(NotElliptic):
             f.values([[mp.mpf(0)]])
+
+
+def _reference_cell(f, lo, hi, axes, order_hi=15, order_lo=8):
+    """The kernel's cell sums and grid values by the plain formulas: x^0 as
+    the list 2^F multiplied in, the absolute mass from |q|, a rounding bound
+    E per node and the volume divided out by from_rational.  Returns
+    (value, absmass, est), the values and bounds on axes, and the sign
+    class of q on the cell."""
+    Fb, dim = f.F, f.dim
+
+    def contract(node, tabs, j):
+        acc = None
+        for e, sub in node.items():
+            inner = [sub] if j == len(tabs) - 1 else contract(sub, tabs, j + 1)
+            part = [p * v for p in tabs[j][e] for v in inner]
+            acc = part if acc is None else [a + b for a, b in zip(acc, part)]
+        return [a >> Fb for a in acc]
+
+    def evaluate(xs):
+        tabs = []
+        for j, x in enumerate(xs):
+            t = [[1 << Fb] * len(x), x]
+            for _ in range(2, f._maxdeg[j] + 1):
+                t.append([(a * b) >> Fb for a, b in zip(t[-1], x)])
+            tabs.append(t)
+        V = contract(f._V, tabs, 0)
+        if not f.k:
+            return V, [f._EV] * len(V), None
+        D = contract(f._D, tabs, 0)
+        k, Dmin = f.k, min(D)
+        R = [(1 << ((k + 1) * Fb)) // d**k for d in D]
+        c0 = (max(map(abs, V)) >> Fb) + 4
+        return ([(v * r) >> Fb for v, r in zip(V, R)],
+                [c0 + ((f._EV * r) >> Fb) for r in R],
+                (k * f._ED * Dmin**k, (Dmin - f._ED) ** (k + 1)))
+
+    def scaled(n, e, vol, rnd):
+        p, q = n * vol.numerator, vol.denominator
+        if e >= 0:
+            p <<= e
+        else:
+            q <<= -e
+        return mp.make_mpf(from_rational(p, q, mp.prec, rnd))
+
+    width = [b - a for a, b in zip(lo, hi)]
+    vol = prod(width, start=F(1))
+    sums = []
+    for order in (order_hi, order_lo):
+        nodes, L, W = _fixed_rule(order, Fb)
+        q, E, fac = evaluate([_axis_ints(a, w, nodes, L, Fb) for a, w in zip(lo, width)])
+        if order == order_hi:
+            sign = "pos" if min(q) >= 0 else "neg" if max(q) <= 0 else "mixed"
+        S, A, err = (_weighted(q, W, dim), _weighted([abs(v) for v in q], W, dim),
+                     _weighted(E, W, dim))
+        if fac is not None:
+            err += ((A + err) * fac[0]) // fac[1] + 1
+        err += (dim * (A + err)) // min(W) + 1
+        sums.append((S, A, err))
+    (S, A, err), (S_lo, _, err_lo) = sums
+    e = f.shift - (dim + 1) * Fb
+    value = scaled(S, e, vol, round_nearest)
+    absmass = scaled(A, e, vol, round_nearest)
+    est = (abs(value - scaled(S_lo, e, vol, round_nearest))
+           + absmass * rounding_floor(mp.prec)
+           + scaled(err + err_lo, e, vol, round_ceiling))
+    q, E, fac = evaluate([[_mpf_int(x, Fb) for x in ax] for ax in axes])
+    if fac is not None:
+        E = [x + ((abs(v) + x) * fac[0]) // fac[1] + 1 for v, x in zip(q, E)]
+    e = f.shift - Fb
+    vals = [scaled(v, e, F(1), round_nearest) for v in q]
+    errs = [scaled(x, e, F(1), round_ceiling) + mp.ldexp(abs(v), -mp.prec)
+            for x, v in zip(E, vals)]
+    return (value, absmass, est), (vals, errs), sign
+
+
+class TestFixedPointCell:
+    """The cell sums and grid values bit for bit against _reference_cell:
+    adding the x^0 branch after the shift, |S| as the absolute mass of a
+    sign-definite q, the bound summed as c0 (sum W)^dim + sum W t, and
+    from_man_exp for a volume 2^-t are exact rewritings."""
+
+    # (numer, den, k) per dimension: positive, negative and sign-changing on
+    # the root cell, k = 0 and k > 0, and a numerator constant along x1.
+    CASES = {
+        1: [("1 + 3/2 x1^2", None, 0), ("x1 - 1/3", None, 0),
+            ("-2 - x1", "1 + x1^2", 2), ("x1^3 - 1/2", "2 + x1", 1)],
+        2: [("x1^2 + x1 x2 + 1/3", None, 0), ("x1 - x2^2", None, 0),
+            ("x2^2 + 1/7", None, 0), ("-x1^2 - 1", None, 0),
+            ("1 + x1 x2", "1 + x1^2 + x2^2", 3), ("x1 - 1/2 + 1/5 x2", "1 + x1 + x2", 2)],
+        3: [("1 + x1 + x2^2 x3", None, 0), ("x1 x2 - x3 + 1/4", None, 0),
+            ("-x1^2 - x2^2 - x3^2", "1 + x1^2 + x2^2 + x3^2", 2),
+            ("x3 - 1/2", "1 + x1 x2 x3", 1)],
+    }
+    CELLS = [((F(0),) * 3, (F(1),) * 3), ((F(1, 2), F(1, 4), F(3, 8)), (F(1), F(1, 2), F(1, 2)))]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cells_and_values_match_reference(self, dim):
+        signs = set()
+        axes = [[mpf(1) / 3, mpf(1) / 2, mpf(6) / 7]] * dim
+        with mp.workdps(20):
+            for numer, den, k in self.CASES[dim]:
+                f = FixedPointIntegrand(P(numer, dim), den and P(den, dim), k)
+                for lo, hi in self.CELLS:
+                    cell = _Cell(lo=lo[:dim], hi=hi[:dim])
+                    _eval_cell_fixed(f, cell, 15, 8, rounding_floor(mp.prec))
+                    (value, absmass, est), grid, sign = _reference_cell(
+                        f, lo[:dim], hi[:dim], axes)
+                    signs.add(sign)
+                    assert (cell.value._mpf_, cell.absmass._mpf_, cell.est._mpf_) == (
+                        value._mpf_, absmass._mpf_, est._mpf_)
+                assert [[x._mpf_ for x in col] for col in f.values(axes)] == [
+                    [x._mpf_ for x in col] for col in grid]
+        assert signs == {"pos", "neg", "mixed"}
 
 
 class TestEnumerators:
@@ -369,6 +492,26 @@ class TestPAlphaU:
                 fresh = build_P_alpha_u(p, i, alpha, u.u)
                 assert build_P_alpha_u(p, i, alpha, u.u, memo) == fresh
                 assert fresh == _P_alpha_u_direct(p, i, alpha, u.u)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda n: small_polys(n, max_terms=5, max_deg=3)),
+           st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda a: sum(a) <= 3))
+    def test_matches_independent_build(self, p, alpha):
+        # every face and family of alpha, through one memo as Z_breakdown
+        # keeps it, against MPoly's own operations: derivative, face, scale,
+        # ** and *, times the multinomial taken as an exact quotient
+        memo: dict = {}
+        for u in enumerate_V(alpha, p.nvars):
+            multinomial = F(multi_factorial(alpha),
+                            prod(factorial(m) for uk in u.u for m in uk))
+            assert multinomial.denominator == 1
+            for i in range(1, p.nvars + 1):
+                want = MPoly.constant(p.nvars - 1, multinomial)
+                for k, uk in enumerate(u.u, start=1):
+                    for g, mult in zip(delta_multiindices(k, p.nvars), uk):
+                        base = p.derivative(g).face(i).scale(F(1, multi_factorial(g)))
+                        want = want * base**mult
+                assert build_P_alpha_u(p, i, alpha, u.u, memo) == want
 
     def test_mismatch(self):
         p = P("x1^2 + x2^2", 2)
