@@ -5,9 +5,9 @@ each cell carries an embedded error estimate (high-order rule minus a
 lower-order rule on the same cell).  Accumulation order is fixed so results
 are bit-reproducible at a given precision.
 
-An integrand is either a ``FixedPointIntegrand`` -- a polynomial, or a
-polynomial over a power of a positive polynomial, compiled to Python-int
-fixed point -- or a function on tensor grids.  The first kind is evaluated
+An integrand is either a ``FixedPointIntegrand`` -- a polynomial over a
+power of a positive polynomial, compiled to Python-int fixed point -- or a
+function on tensor grids.  The first kind is evaluated
 on every node of a cell at once: the weighted cell sums are exact integers,
 rounded once, and every rounding before them is counted into the cell's
 estimate.  A grid function takes one list of coordinates per axis and
@@ -230,9 +230,9 @@ def _contract(node: dict, tabs: list, F: int, j: int) -> list[int]:
 
 
 class FixedPointIntegrand:
-    """numer / den**k on [0,1]^dim (numer alone when k = 0) in Python-int
-    fixed point at scale 2^F, F = prec + G guard bits, prec the working
-    precision at construction.
+    """numer / den**k on [0,1]^dim, k >= 1, in Python-int fixed point at
+    scale 2^F, F = prec + G guard bits, prec the working precision at
+    construction.
 
     numer and den are first scaled by powers of two to coefficients of at
     most 1 in absolute value; the scale is given back exactly at the end.
@@ -245,20 +245,20 @@ class FixedPointIntegrand:
 
     COARSE = 3  # points per axis of the grid that chooses G
 
-    def __init__(self, numer: "MPoly", den: "MPoly | None" = None, k: int = 0):
+    def __init__(self, numer: "MPoly", den: "MPoly", k: int):
+        if k < 1:
+            raise ValueError(f"the power of the denominator must be at least 1, got {k}")
         if numer.is_zero():
             raise ValueError("zero integrand")
+        if den.nvars != numer.nvars:
+            raise DimensionMismatch("numerator and denominator variable counts differ")
         self.dim = numer.nvars
-        self.k = k if den is not None else 0
+        self.k = k
         self.shift, self._numer, self._EV = _normalised(numer)
-        self._den, self._ED = None, 0
-        if self.k:
-            if den.nvars != self.dim:
-                raise DimensionMismatch("numerator and denominator variable counts differ")
-            sd, self._den, self._ED = _normalised_den(den)
-            self.shift -= self.k * sd
+        sd, self._den, self._ED = _normalised_den(den)
+        self.shift -= k * sd
         self._maxdeg = [
-            max(e[j] for t in (self._numer, self._den or {}) for e in t)
+            max(e[j] for t in (self._numer, self._den) for e in t)
             for j in range(self.dim)
         ]
         self._compile(mp.prec + 20)
@@ -267,7 +267,7 @@ class FixedPointIntegrand:
     def _compile(self, F: int) -> None:
         self.F = F
         self._V = _tree(self._numer, F)
-        self._D = _tree(self._den, F) if self.k else None
+        self._D = _tree(self._den, F)
 
     def _guard_bits(self) -> int:
         """G with counted rounding / rounding floor <= 2^-24 on the coarse
@@ -280,18 +280,17 @@ class FixedPointIntegrand:
         V, D = self._grid([x] * self.dim)
         one = mpf(1 << self.F)
         v = [abs(mpf(t)) / one for t in V]
-        if self.k and min(D) <= self._ED:
+        if min(D) <= self._ED:
             return 2 * mp.prec
-        r = [(one / t) ** self.k for t in D] if self.k else [1] * len(v)
+        r = [(one / t) ** self.k for t in D]
         mass = sum(a * b for a, b in zip(v, r))
         if not mass:
             return 2 * mp.prec
         X = ((max(v) + 4) * len(v) + self._EV * sum(r)) / mass + 64 * self.dim
-        if self.k:
-            X += self.k * self._ED * one / min(D)
+        X += self.k * self._ED * one / min(D)
         return min(max(20, 18 + int(X).bit_length()), 2 * mp.prec)
 
-    def _grid(self, xs: list[list[int]]) -> tuple[list[int], list[int] | None]:
+    def _grid(self, xs: list[list[int]]) -> tuple[list[int], list[int]]:
         """numer and den on the grid of coordinate lists xs (scale 2^F)."""
         F = self.F
         tabs = []
@@ -300,17 +299,14 @@ class FixedPointIntegrand:
             for _ in range(2, self._maxdeg[j] + 1):
                 t.append([(a * b) >> F for a, b in zip(t[-1], x)])
             tabs.append(t)
-        V = _contract(self._V, tabs, F, 0)
-        return V, (_contract(self._D, tabs, F, 0) if self.k else None)
+        return _contract(self._V, tabs, F, 0), _contract(self._D, tabs, F, 0)
 
     def _eval(self, xs: list[list[int]]):
         """(q, c0, t, fac) on the grid xs: the values q at scale 2^F; bounds
-        c0 + t on their rounding in units of 2^-F (t None: all 0), except for
-        the factor 1 + fac[0]/fac[1] on |value| + bound that the denominator's
-        own rounding adds (fac is None when k = 0)."""
+        c0 + t on their rounding in units of 2^-F, except for the factor
+        1 + fac[0]/fac[1] on |value| + bound that the denominator's own
+        rounding adds."""
         V, D = self._grid(xs)
-        if not self.k:
-            return V, self._EV, None, None
         k, F = self.k, self.F
         Dmin = min(D)
         Dlow = Dmin - self._ED
@@ -341,9 +337,8 @@ class FixedPointIntegrand:
         if len(axes) != self.dim:
             raise DimensionMismatch("grid has wrong number of axes")
         q, c0, t, fac = self._eval([[_mpf_int(x, self.F) for x in ax] for ax in axes])
-        E = [c0] * len(q) if t is None else [c0 + x for x in t]
-        if fac is not None:
-            E = [e + ((abs(v) + e) * fac[0]) // fac[1] + 1 for v, e in zip(q, E)]
+        E = [c0 + x for x in t]
+        E = [e + ((abs(v) + e) * fac[0]) // fac[1] + 1 for v, e in zip(q, E)]
         e = self.shift - self.F
         vals = [_scaled(v, e, round_nearest) for v in q]
         return vals, [_scaled(x, e, round_ceiling) + mp.ldexp(abs(v), -mp.prec)
@@ -367,9 +362,8 @@ def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order
         # The weights are positive: the absolute mass of a sign-definite q is |S|.
         A = S if min(q) >= 0 else -S if max(q) <= 0 else _weighted(list(map(abs, q)), W, dim)
         # _weighted is linear: the weighted sum of E = c0 + ts.
-        err = c0 * sum(W) ** dim + (0 if ts is None else _weighted(ts, W, dim))
-        if fac is not None:
-            err += ((A + err) * fac[0]) // fac[1] + 1
+        err = c0 * sum(W) ** dim + _weighted(ts, W, dim)
+        err += ((A + err) * fac[0]) // fac[1] + 1
         # Weights within half a unit of the rule's: relative error <= dim/(2 Wmin)
         # per tensor weight, on |f| <= |q| + err.
         err += (dim * (A + err)) // min(W) + 1

@@ -223,28 +223,6 @@ class Numeric:
             e = abs(cf) * self.err + _round_err(v)
         return Numeric(v, e)
 
-    def divide(self, other: "Numeric") -> "Numeric":
-        if abs(other.value) <= other.err:
-            raise ZeroDivisionError("divisor interval contains zero")
-        with mp.extradps(5):
-            v = self.value / other.value
-            e = (self.err + abs(v) * other.err) / (abs(other.value) - other.err)
-            e = e + _round_err(v)
-        return Numeric(v, e)
-
-    def pow_int(self, n: int) -> "Numeric":
-        if n < 0:
-            return Numeric(mpf(1), mpf(0)).divide(self.pow_int(-n))
-        acc = Numeric(mpf(1), mpf(0))
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def to_json(self, ndigits: int = 30) -> dict:
         return {
             "value": mp.nstr(self.value, ndigits),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Sequence
 
 from mpmath import mp
@@ -118,40 +118,30 @@ def certify_elliptic(P: MPoly) -> tuple[str, tuple | None, int | None]:
 # Period integrals
 # -----------------------------------------------------------------------------
 
-def _canon(P: MPoly) -> tuple:
-    return (P.nvars, tuple(P.canonical_items()))
+def cube_moment(poly: MPoly) -> Fraction:
+    """Integral of the polynomial poly over [0,1]^nvars, exactly."""
+    return sum((c / prod(e + 1 for e in es) for es, c in poly.terms.items()), Fraction(0))
 
 
 def cube_integral(
     Pf: MPoly,
     numer: MPoly,
-    expo: int,
+    k: int,
     qs: QuadratureSettings,
     cache: dict | None = None,
-    abs_tol: float | None = None,
 ) -> Numeric:
-    """Integral over [0,1]^dim of Pf^expo * numer, expo possibly negative
-    (then Pf must be positive on the cube): a face period, or a generalized
-    gamma factor of the diagonal expansion.
+    """Integral over [0,1]^dim of numer / Pf^k, k >= 1, with Pf positive on
+    the cube: a face period, or a generalized gamma factor of the diagonal
+    expansion.
 
-    The integrand is compiled once into a FixedPointIntegrand, numer / Pf^k
-    for expo = -k < 0 or the polynomial Pf^expo * numer, so that the cube
-    quadrature sums each cell exactly in integers (DECISIONS.md D2)."""
-    dim = Pf.nvars
-    key = (expo, _canon(Pf), _canon(numer))
+    The integrand is compiled once into a FixedPointIntegrand, so that the
+    cube quadrature sums each cell exactly in integers (DECISIONS.md D2)."""
+    key = (k, Pf, numer)
     if cache is not None and key in cache:
         return cache[key]
     with mp.workdps(qs.precision + 10):
-        if expo >= 0:
-            f = FixedPointIntegrand((Pf**expo) * numer)
-        else:
-            f = FixedPointIntegrand(numer, Pf, -expo)
-        val, err = integrate_unit_cube(
-            f,
-            dim,
-            rel_tol=qs.rel_tol,
-            abs_tol=abs_tol if abs_tol is not None else qs.abs_tol,
-        )
+        f = FixedPointIntegrand(numer, Pf, k)
+        val, err = integrate_unit_cube(f, Pf.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol)
     out = Numeric(val, err)
     if cache is not None:
         cache[key] = out
@@ -165,14 +155,15 @@ def _face_term(
     expo: int,
     qs: QuadratureSettings,
     cache: dict | None = None,
-    abs_tol: float | None = None,
 ) -> SpecialValue:
-    """Integral over face i of P(face_i)^expo * numer: exact for one
-    variable (the integrand is a constant), a bounded Numeric otherwise."""
+    """Integral over face i of P(face_i)^expo * numer: exact for a polynomial
+    (expo >= 0) or a constant (one variable), else a bounded Numeric."""
     Pf = P.face(i)
+    if expo >= 0:
+        return SpecialValue.make_exact(cube_moment(Pf**expo * numer))
     if P.nvars == 1:
         return SpecialValue.make_exact(Pf.constant_value() ** expo * numer.constant_value())
-    return SpecialValue.make_numeric(cube_integral(Pf, numer, expo, qs, cache, abs_tol))
+    return SpecialValue.make_numeric(cube_integral(Pf, numer, -expo, qs, cache))
 
 
 def period_K(
@@ -189,8 +180,8 @@ def period_K(
 
         int_{[0,1]^{n-1}} P(face_i)^{N-|alpha|} * P^i_{alpha,u} * d^beta Q(face_i)
 
-    For one variable the integral degenerates to evaluation of the (constant)
-    integrand.  Returns an exact rational in that case, a bounded Numeric
+    The integral is an exact rational for one variable (the integrand is a
+    constant) and for N >= |alpha| (a polynomial), a bounded Numeric
     otherwise.  When the face positivity certificate does not close, the
     result carries a "positivity_unverified" flag (DECISIONS.md D6).
     """
@@ -316,17 +307,16 @@ def Z_breakdown(
         for i in range(1, n + 1):
             acc = sums.setdefault((ci, i, beta, alpha), ({}, dQc))[0]
             _add_product(acc, w, _face_product(P, i, alpha, u.u, memo))
-    buckets = {key: (_summed(n - 1, acc), dQc) for key, (acc, dQc) in sums.items()}
-    # Evaluate buckets in a fixed order.
-    live = [k for k in sorted(buckets) if not buckets[k][0].is_zero()]
-    per_bucket_abs = qs.abs_tol / max(1, len(live))
     cache: dict = {}
     evaluated: list[ZBucket] = []
-    for key in live:
+    for key in sorted(sums):  # evaluate buckets in a fixed order
+        acc, dQc = sums[key]
+        numer = _summed(n - 1, acc)
+        if numer.is_zero():
+            continue
         ci, i, beta, alpha = key
-        numer, dQc = buckets[key]
         # dQc is a nonzero homogeneous polynomial, so its face is nonzero.
-        v = _face_term(P, i, numer * dQc.face(i), N - sum(alpha), qs, cache, per_bucket_abs)
+        v = _face_term(P, i, numer * dQc.face(i), N - sum(alpha), qs, cache)
         evaluated.append(ZBucket(ci, i, beta, alpha, v))
     exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
     parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, exp, factorial, log
+from math import ceil, comb, exp, factorial, log, prod
 from typing import Sequence
 
 from mpmath import mp, mpf
@@ -35,7 +35,7 @@ from .exactnum import (
     riemann_zeta_exact_nonpositive,
 )
 from .multipoly import weighted_partitions
-from .powersum import PowerSumParams
+from .powersum import PowerSumParams, _exact_root
 
 
 @dataclass(frozen=True)
@@ -496,28 +496,30 @@ def _residual_blocks(d2: int, s2: Fraction, K: int) -> mpf:
 # -----------------------------------------------------------------------------
 
 def theta_diagonal(
-    n: int, d: int, a: int | Sequence[int], N: int, c: Fraction = Fraction(1)
+    n: int, d: int, a: int | Sequence[int], N: int, c: Fraction | Sequence[Fraction] = 1
 ) -> SpecialValue:
-    """Z(c (x1^d + ... + xn^d), x^a; -N) from the small-t expansion of a
+    """Z(c_1 x1^d + ... + c_n xn^d, x^a; -N) from the small-t expansion of a
     product of one-variable theta series, independent of the face periods.
 
-    With theta_a(t) = sum_{m>=1} m^a e^{-c t m^d},
+    With theta_a(t; c) = sum_{m>=1} m^a e^{-c t m^d},
 
-        Z = (-1)^N N! [t^N] prod_i theta_{a_i}(t),
-        theta_a(t) ~ Gamma((a+1)/d)/d (ct)^{-(a+1)/d}
-                     + sum_k zeta(-a-dk) (-ct)^k / k!
+        Z = (-1)^N N! [t^N] prod_i theta_{a_i}(t; c_i),
+        theta_a(t; c) ~ Gamma((a+1)/d)/d (ct)^{-(a+1)/d}
+                        + sum_k zeta(-a-dk) (-ct)^k / k!
 
-    (DECISIONS.md D1 is the case n = 4, d = 3, a = 0, N = 0).  A product
-    that takes the singular term of the factors in J reaches t^N only when
-    e_J = sum_{i in J} (a_i+1)/d is an integer, so c enters as the rational
-    c^{-e_J}; each Gamma((a_i+1)/d) is reduced by Gamma(x+1) = x Gamma(x)
-    to a rational times Gamma at a rational in (0,1).  The result is exact
-    or mixed.  a is one exponent for every variable or one per variable.
+    (DECISIONS.md D1 is the case n = 4, d = 3, a = 0, N = 0, c = 1).  A
+    product that takes the singular term of the factors in J reaches t^N
+    only when e_J = sum_{i in J} (a_i+1)/d is an integer; the c_i then enter
+    through the d-th root of prod_{i in J} c_i^(a_i+1), which must be
+    rational (it is for c_i = k_i^d, k_i rational, and for equal c_i); each
+    Gamma((a_i+1)/d) is reduced by Gamma(x+1) = x Gamma(x) to a rational
+    times Gamma at a rational in (0,1).  The result is exact or mixed.  a
+    and c are each one value for every variable or one per variable.
     """
     a = (a,) * n if isinstance(a, int) else tuple(int(x) for x in a)
-    c = Fraction(c)
-    if n < 1 or d < 1 or N < 0 or len(a) != n or min(a) < 0 or c <= 0:
-        raise ValueError("need n, d >= 1, N >= 0, a >= 0 per variable and c > 0")
+    c = tuple(map(Fraction, c)) if isinstance(c, (list, tuple)) else (Fraction(c),) * n
+    if n < 1 or d < 1 or N < 0 or len(a) != n or min(a) < 0 or len(c) != n or min(c) <= 0:
+        raise ValueError("need n, d >= 1, N >= 0, and a >= 0 and c > 0 per variable")
     base = Fraction(0)
     terms = []
     for mask in range(1 << n):
@@ -525,6 +527,9 @@ def theta_diagonal(
         eJ = sum((Fraction(a[i] + 1, d) for i in J), Fraction(0))
         if eJ.denominator != 1:
             continue
+        scale = _exact_root(prod((c[i] ** (a[i] + 1) for i in J), start=Fraction(1)), d)
+        if scale is None:
+            raise ValueError(f"no rational {d}-th root of prod c_i^(a_i+1), 0-based i in {J}")
         m = N + eJ.numerator
         # [t^m] of the product of the regular series of the factors not in J.
         poly = [Fraction(1)] + [Fraction(0)] * m
@@ -532,11 +537,11 @@ def theta_diagonal(
             if i in J:
                 continue
             reg = [
-                riemann_zeta_exact_nonpositive(a[i] + d * k) * (-c) ** k / factorial(k)
+                riemann_zeta_exact_nonpositive(a[i] + d * k) * (-c[i]) ** k / factorial(k)
                 for k in range(m + 1)
             ]
             poly = [sum(poly[j] * reg[t - j] for j in range(t + 1)) for t in range(m + 1)]
-        coeff = poly[m] * c ** -eJ.numerator
+        coeff = poly[m] / scale
         gammas = []
         for i in J:
             # Gamma(x) / d = Gamma(g) g (g+1) ... (x-1) / d, g in (0, 1].

@@ -258,10 +258,13 @@ class TestNumeric:
             c = a * b
             assert c.value == 6
             assert c.err >= mpf("5e-20")
-            d = a.pow_int(3)
+            d = a * a * a
             assert d.value == 8
-            q = a.divide(b)
-            assert abs(q.value - mpf(2) / 3) < mpf("1e-28")
+            assert d.err >= mpf("1.2e-19")
+            q = a * Numeric.from_rational(F(1, 3))
+            assert abs(q.value - mpf(2) / 3) <= q.err
+            s = c + b
+            assert s.value == 9 and s.err >= mpf("6e-20")
 
     def test_from_rational_bound(self):
         with mp.workdps(30):

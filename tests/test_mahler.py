@@ -1,4 +1,8 @@
 """Mahler-series values: enumeration, periods, the value formula, Raabe."""
+import contextlib
+import io
+import json
+import time
 from fractions import Fraction as F
 from math import comb
 
@@ -465,6 +469,44 @@ class TestThetaDiagonal:
             assert abs(z.num.value - truth.value) <= z.num.err + truth.err
 
 
+class TestScaledThetaDiagonal:
+    """theta_diagonal with one scale c_i = k_i^d per variable: truths for P
+    that no coordinate permutation fixes, so every face has its own Pf."""
+
+    QS = QuadratureSettings(rel_tol=1e-8, precision=20)
+    cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.integers(1, 4),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        st.lists(st.sampled_from([F(1), F(2), F(3), F(1, 2)]), min_size=n, max_size=n),
+        st.integers(0, 2),
+    ))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(cases)
+    def test_Z_value_within_err(self, case):
+        d, a, k, N = case
+        n = len(a)
+        c = [x**d for x in k]
+        Pd = MPoly(n, {tuple(d * (i == j) for i in range(n)): c[j] for j in range(n)})
+        z = Z_value(Pd, MPoly(n, {tuple(a): F(1)}), N, self.QS).to_numeric(30)
+        truth = theta_diagonal(n, d, a, N, c).to_numeric(30)
+        with mp.workdps(40):
+            assert abs(z.value - truth.value) <= z.err + truth.err
+
+    def test_one_scale_is_every_scale(self):
+        assert theta_diagonal(2, 2, (2, 1), 1, F(1, 2)) == \
+            theta_diagonal(2, 2, (2, 1), 1, [F(1, 2)] * 2)
+
+    def test_known_value(self):
+        # Z(x1^2 + 4 x2^2, x1; -1) = -1/240
+        assert theta_diagonal(2, 2, (1, 0), 1, [1, 4]) == _exact(F(-1, 240))
+
+    def test_irrational_root_raises(self):
+        # J = {1, 2} reaches t^0 with the factor (c_1 c_2)^(-1/2) = 2^(-1/2).
+        with pytest.raises(ValueError, match="no rational 2-th root"):
+            theta_diagonal(2, 2, 0, 0, [2, 1])
+
+
 class TestUnverifiedPositivity:
     def _hard_poly(self):
         # face 2 is (y - 1/3)^2 + 1e-8: positive, but the minimum sits off
@@ -520,12 +562,39 @@ class TestCubeQuadratureTotals:
                 lambda axes: [x - mpf(1) / 2 for x in axes[0]], 1, rel_tol=1e-8, abs_tol=1e-40)
 
 
+class TestZeroBucket:
+    """A bucket whose integral is exactly 0 stops on abs_tol + rel_tol *
+    |bucket|, like any other integral of the sum."""
+
+    P3 = "x1^2 + 2 x1 x2 + x2^2 + x3^2"
+    Q3 = "x2^2 x3^2 - x1^2 x3^2"
+
+    def test_Z_value_returns_within_err(self):
+        # Z is odd under x1 <-> x2, which fixes P: its value is 0, and so is
+        # the face-3 bucket of expo -5, odd over the even face (x1 + x2)^2 + 1.
+        t0 = time.perf_counter()
+        v = Z_value(P(self.P3, 3), P(self.Q3, 3), 1, QS_FAST)
+        assert time.perf_counter() - t0 < 5
+        assert abs(v.num.value) <= v.num.err
+
+    def test_cli_exits_0(self):
+        from zetapoly.cli import main
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["mahler", "--P", self.P3, "--Q", self.Q3, "--N", "1",
+                         "--rel-tol", "1e-8", "--precision", "20"])
+        assert code == 0
+        assert json.loads(out.getvalue())["kind"] == "numeric"
+
+
 class TestFaceQuadratureBitIdentity:
     """(value._mpf_, err._mpf_) recorded from the fixed-point kernel (exact
     integer cell sums, rounded once); any change to the kernel's bits shows
     here.  Each literal sits beside a truth it must stay within err of.
-    Z_value's buckets always have expo = N - |alpha| < 0, so the expo >= 0
-    branch is pinned through period_K."""
+    Z_value's buckets always have expo = N - |alpha| < 0; a period with
+    expo >= 0 has a polynomial integrand, and period_K returns its exact
+    integral."""
 
     QS20 = QuadratureSettings(rel_tol=1e-8, precision=20)
 
@@ -575,19 +644,13 @@ class TestFaceQuadratureBitIdentity:
         # 2 (x^2 + x y + y^2 + 1)(x + y), whose integral is 13/3.
         v = period_K(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + x2", 3), 2,
                      (1, 0), ((1, 0, 0), (0,) * 6), (0, 0, 0), 3, self.QS20)
-        assert self._bits(v, F(13, 3)) == (
-            (0, 5493152600988994073152380556629, -100, 103),
-            (0, 2786190457225075278403592619067, -195, 102),
-        )
+        assert v == _exact(F(13, 3))
 
     def test_period_3d_face_nonnegative_exponent(self):
         # The integrand is the constant 2 (d/dx4 of x4^2 on face 4).
         v = period_K(P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 1,
                      (1, 0), ((1, 0, 0, 0), (0,) * 10), (0, 0, 0, 0), 4, self.QS20)
-        assert self._bits(v, F(2)) == (
-            (0, 1, 1, 1),
-            (0, 5149830718304985996005399565713, -197, 103),
-        )
+        assert v == _exact(F(2))
 
 
 class TestDiagonalCubicFourfold:
@@ -599,7 +662,7 @@ class TestDiagonalCubicFourfold:
         v = Z_value(P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0,
                     QuadratureSettings(rel_tol=1e-7, precision=20))
         g3 = gamma_rational_numeric(F(1, 3), 30)
-        want = g3.pow_int(3).scale(F(-1, 810)) + _num_from(F(1, 16))
+        want = (g3 * g3 * g3).scale(F(-1, 810)) + _num_from(F(1, 16))
         assert abs(v.num.value - want.value) <= v.num.err + want.err
 
 

@@ -30,7 +30,7 @@ from zetapoly._quadrature import (
     rounding_floor,
 )
 from zetapoly.exactnum import mpf_from_rational, multi_factorial
-from zetapoly.mahler import certify_elliptic
+from zetapoly.mahler import certify_elliptic, cube_moment
 from zetapoly.multipoly import (
     bernstein_positive,
     composition_tuples,
@@ -113,7 +113,7 @@ class TestFixedPointKernel:
         small_polys(n, max_terms=6, max_deg=3),
         st.lists(st.tuples(st.fractions(min_value=F(0), max_value=F(4), max_denominator=6),
                            st.integers(1, 3)), min_size=n, max_size=n),
-        st.integers(0, 4),
+        st.integers(1, 4),
         st.lists(st.tuples(st.integers(0, 6), st.integers(0, 63)), min_size=n, max_size=n),
         st.lists(st.lists(st.fractions(min_value=F(0), max_value=F(1), max_denominator=1000),
                           min_size=1, max_size=3), min_size=n, max_size=n),
@@ -145,7 +145,13 @@ class TestFixedPointKernel:
 
     def test_wrong_axis_count(self):
         with pytest.raises(DimensionMismatch):
-            FixedPointIntegrand(P("x1 + x2", 2)).values([[mp.mpf(1)]])
+            FixedPointIntegrand(P("x1 + x2", 2), P("1 + x1", 2), 1).values([[mp.mpf(1)]])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_power_below_one_raises(self, k):
+        # A polynomial integrand has an exact integral (mahler.cube_moment).
+        with pytest.raises(ValueError):
+            FixedPointIntegrand(P("x1 + x2", 2), P("1 + x1", 2), k)
 
     def test_denominator_not_bounded_away_from_zero(self):
         f = FixedPointIntegrand(P("1", 1), P("x1", 1), 2)
@@ -177,8 +183,6 @@ def _reference_cell(f, lo, hi, axes, order_hi=15, order_lo=8):
                 t.append([(a * b) >> Fb for a, b in zip(t[-1], x)])
             tabs.append(t)
         V = contract(f._V, tabs, 0)
-        if not f.k:
-            return V, [f._EV] * len(V), None
         D = contract(f._D, tabs, 0)
         k, Dmin = f.k, min(D)
         R = [(1 << ((k + 1) * Fb)) // d**k for d in D]
@@ -205,8 +209,7 @@ def _reference_cell(f, lo, hi, axes, order_hi=15, order_lo=8):
             sign = "pos" if min(q) >= 0 else "neg" if max(q) <= 0 else "mixed"
         S, A, err = (_weighted(q, W, dim), _weighted([abs(v) for v in q], W, dim),
                      _weighted(E, W, dim))
-        if fac is not None:
-            err += ((A + err) * fac[0]) // fac[1] + 1
+        err += ((A + err) * fac[0]) // fac[1] + 1
         err += (dim * (A + err)) // min(W) + 1
         sums.append((S, A, err))
     (S, A, err), (S_lo, _, err_lo) = sums
@@ -217,8 +220,7 @@ def _reference_cell(f, lo, hi, axes, order_hi=15, order_lo=8):
            + absmass * rounding_floor(mp.prec)
            + scaled(err + err_lo, e, vol, round_ceiling))
     q, E, fac = evaluate([[_mpf_int(x, Fb) for x in ax] for ax in axes])
-    if fac is not None:
-        E = [x + ((abs(v) + x) * fac[0]) // fac[1] + 1 for v, x in zip(q, E)]
+    E = [x + ((abs(v) + x) * fac[0]) // fac[1] + 1 for v, x in zip(q, E)]
     e = f.shift - Fb
     vals = [scaled(v, e, F(1), round_nearest) for v in q]
     errs = [scaled(x, e, F(1), round_ceiling) + mp.ldexp(abs(v), -mp.prec)
@@ -233,14 +235,15 @@ class TestFixedPointCell:
     from_man_exp for a volume 2^-t are exact rewritings."""
 
     # (numer, den, k) per dimension: positive, negative and sign-changing on
-    # the root cell, k = 0 and k > 0, and a numerator constant along x1.
+    # the root cell, k from 1 to 4, and a numerator and denominator constant
+    # along x1.
     CASES = {
-        1: [("1 + 3/2 x1^2", None, 0), ("x1 - 1/3", None, 0),
+        1: [("1 + 3/2 x1^2", "1 + x1", 1), ("x1 - 1/3", "2 - x1", 4),
             ("-2 - x1", "1 + x1^2", 2), ("x1^3 - 1/2", "2 + x1", 1)],
-        2: [("x1^2 + x1 x2 + 1/3", None, 0), ("x1 - x2^2", None, 0),
-            ("x2^2 + 1/7", None, 0), ("-x1^2 - 1", None, 0),
+        2: [("x1^2 + x1 x2 + 1/3", "1 + x2", 1), ("x1 - x2^2", "3 + x1 - x2", 2),
+            ("x2^2 + 1/7", "2 + x2", 3), ("-x1^2 - 1", "1 + x1 x2", 4),
             ("1 + x1 x2", "1 + x1^2 + x2^2", 3), ("x1 - 1/2 + 1/5 x2", "1 + x1 + x2", 2)],
-        3: [("1 + x1 + x2^2 x3", None, 0), ("x1 x2 - x3 + 1/4", None, 0),
+        3: [("1 + x1 + x2^2 x3", "1 + x1 + x2 + x3", 1), ("x1 x2 - x3 + 1/4", "2 + x1 x3", 3),
             ("-x1^2 - x2^2 - x3^2", "1 + x1^2 + x2^2 + x3^2", 2),
             ("x3 - 1/2", "1 + x1 x2 x3", 1)],
     }
@@ -252,7 +255,7 @@ class TestFixedPointCell:
         axes = [[mpf(1) / 3, mpf(1) / 2, mpf(6) / 7]] * dim
         with mp.workdps(20):
             for numer, den, k in self.CASES[dim]:
-                f = FixedPointIntegrand(P(numer, dim), den and P(den, dim), k)
+                f = FixedPointIntegrand(P(numer, dim), P(den, dim), k)
                 for lo, hi in self.CELLS:
                     cell = _Cell(lo=lo[:dim], hi=hi[:dim])
                     _eval_cell_fixed(f, cell, 15, 8, rounding_floor(mp.prec))
@@ -264,6 +267,21 @@ class TestFixedPointCell:
                 assert [[x._mpf_ for x in col] for col in f.values(axes)] == [
                     [x._mpf_ for x in col] for col in grid]
         assert signs == {"pos", "neg", "mixed"}
+
+
+class TestCubeMoment:
+    """mahler.cube_moment, the exact integral of a polynomial over the unit
+    cube, against mpmath's Gauss-Legendre quadrature, which is exact for
+    these degrees up to rounding."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda n: small_polys(n, max_terms=5, max_deg=3)))
+    def test_equals_mpmath_quad(self, poly):
+        with mp.workdps(30):
+            f = lambda *x: poly.eval_mp(x)
+            ref = mp.quad(f, *([[0, 1]] * poly.nvars), method="gauss-legendre")
+            want = cube_moment(poly)
+            assert abs(ref - mpf_from_rational(want)) <= mpf(10) ** -25 * (1 + abs(ref))
 
 
 class TestEnumerators:

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from zetapoly import (
@@ -170,6 +171,21 @@ class TestGFactor:
     def test_three_dim_fractional_product(self):
         # m = 0: the integral factors into prod_i 1/mu_i = 3 * 4/5 * 3/2
         self._within_err(0, (F(1, 3), F(5, 4), F(2, 3)), lambda: mpf(18) / 5)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.lists(st.fractions(min_value=F(1, 4), max_value=F(3), max_denominator=4),
+                    min_size=1, max_size=3))
+    def test_m_zero_is_the_product_of_reciprocals(self, mu):
+        # m = 0: the exact monomial integral prod 1/mu_i, rounded once, so
+        # err stays below the floor 2^(6 - prec) a quadrature cell is charged.
+        v = G_factor(GammaFactorSpec(m=0, mu=tuple(mu)), QS)
+        with mp.workdps(QS.precision + 10):
+            assert v.err <= abs(v.value) * mpf(2) ** (5 - mp.prec)
+        with mp.workdps(60):
+            truth = mpf(1)
+            for x in mu:
+                truth *= mpf(x.denominator) / x.numerator
+            assert abs(v.value - truth) <= v.err
 
     def test_zero_dim(self):
         v = G_factor(GammaFactorSpec(m=3, mu=()))
