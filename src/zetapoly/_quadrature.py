@@ -19,8 +19,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import prod
+from functools import lru_cache, partial
+from math import lcm, prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -106,10 +106,10 @@ def require_reachable(rel_tol: float, dps: int) -> None:
 # Fixed-point integrands
 # -----------------------------------------------------------------------------
 
-# (order, prec, F) -> (node numerators, their exponent L, weights): the
-# nodes of gauss_legendre_01 exactly, as integers over 2^L, and its weights
-# rounded to integers at scale 2^F.
-_FIXED_RULES: dict[tuple[int, int, int], tuple[list[int], int, list[int]]] = {}
+# (order, prec, F) -> (node numerators, their exponent L, weights, their sum,
+# their minimum): the nodes of gauss_legendre_01 exactly, as integers over
+# 2^L, and its weights rounded to integers at scale 2^F.
+_FIXED_RULES: dict[tuple[int, int, int], tuple[list[int], int, list[int], int, int]] = {}
 
 
 def _mpf_int(x: mpf, F: int) -> int:
@@ -135,13 +135,14 @@ def _frac_int(c: Fraction, F: int) -> int:
     return ((c.numerator << (F + 1)) + c.denominator) // (2 * c.denominator)
 
 
-def _fixed_rule(order: int, F: int) -> tuple[list[int], int, list[int]]:
+def _fixed_rule(order: int, F: int) -> tuple[list[int], int, list[int], int, int]:
     key = (order, mp.prec, F)
     hit = _FIXED_RULES.get(key)
     if hit is None:
         nodes, weights = gauss_legendre_01(order)
         L = max(-x._mpf_[2] for x in nodes)
-        hit = ([_mpf_int(x, L) for x in nodes], L, [_mpf_int(w, F) for w in weights])
+        W = [_mpf_int(w, F) for w in weights]
+        hit = ([_mpf_int(x, L) for x in nodes], L, W, sum(W), min(W))
         _FIXED_RULES[key] = hit
     return hit
 
@@ -182,10 +183,6 @@ def _normalised(poly: "MPoly") -> tuple[int, dict, int]:
     return s, terms, _ulps(terms, poly.nvars)
 
 
-# Every bucket of a Z value on one face divides by the same face of P.
-_normalised_den = lru_cache(maxsize=8)(_normalised)
-
-
 def _tree(terms: dict, F: int) -> dict:
     """Coefficients rounded at scale 2^F in a tree keyed by the exponent of
     each axis in turn."""
@@ -204,9 +201,26 @@ def _ulps(terms: dict, dim: int) -> int:
     coordinates in [0, 1] each within half a unit of exact: per term, half
     a unit for the coefficient, 2e for the power table of x^e (half for the
     coordinate, one per shifted product, e - 1 of them) times |c|, and one
-    per shift of the contraction's dim levels."""
-    total = sum(abs(c) * 2 * sum(e) + Fraction(1, 2) + dim for e, c in terms.items())
-    return int(total * (1 + Fraction(1, 1 << 16))) + 1
+    per shift of the contraction's dim levels; times 1 + 2^-16, rounded
+    down, plus one.  Summed over the common denominator m, as the integer
+    2m * total."""
+    m = lcm(*(c.denominator for c in terms.values()))
+    total = sum(abs(c.numerator) * (m // c.denominator) * 4 * sum(e) for e, c in terms.items())
+    total += len(terms) * m * (1 + 2 * dim)
+    return (total * ((1 << 16) + 1)) // (m << 17) + 1
+
+
+def _powers(xs: list[list[int]], maxdeg: list[int], F: int) -> list:
+    """Per axis j, the table t with t[e] the list of x^e over xs[j] at scale
+    2^F, e = 1 .. maxdeg[j]: each power the shifted product of the one
+    before and x.  x^0 is never looked up (see _contract)."""
+    tabs = []
+    for x, top in zip(xs, maxdeg):
+        t = [None, x]
+        for _ in range(2, top + 1):
+            t.append([(a * b) >> F for a, b in zip(t[-1], x)])
+        tabs.append(t)
+    return tabs
 
 
 def _contract(node: dict, tabs: list, F: int, j: int) -> list[int]:
@@ -229,6 +243,48 @@ def _contract(node: dict, tabs: list, F: int, j: int) -> list[int]:
     return acc if const is None else list(map(add, acc, const))
 
 
+_COARSE = 3  # points per axis of the grid that chooses the guard bits
+
+
+def _coarse_axis(F: int) -> list[int]:
+    """The midpoints of _COARSE equal parts of [0, 1], at scale 2^F."""
+    return [_frac_int(Fraction(2 * i + 1, 2 * _COARSE), F) for i in range(_COARSE)]
+
+
+class _Denominator:
+    """A denominator normalised once (``_normalised``), with what every
+    quotient over it shares, each kept for the last few arguments:
+    ``tree(F)``, its tree at scale 2^F, and ``coarse(F, k)``, its data on
+    the coarse grid (``_coarse_den``)."""
+
+    def __init__(self, poly: "MPoly"):
+        self.shift, self.terms, self.ulps = _normalised(poly)
+        self.maxdeg = [max(e[j] for e in self.terms) for j in range(poly.nvars)]
+        self.tree = lru_cache(maxsize=8)(partial(_tree, self.terms))
+        self.coarse = lru_cache(maxsize=16)(
+            partial(_coarse_den, self.tree, self.maxdeg, self.ulps))
+
+
+def _coarse_den(tree, maxdeg: list[int], ED: int, F: int, k: int
+                ) -> tuple[list[mpf], mpf, mpf] | None:
+    """For the denominator of tree(F), power table degrees maxdeg and bound
+    E_D: None if one of its values on the coarse grid at scale 2^F is at
+    most E_D; else, in mpf, (2^F / den)^k there, their sum and
+    k E_D 2^F / min den.  Called at F = prec + 20, so F fixes the working
+    precision too."""
+    xs = [_coarse_axis(F)] * len(maxdeg)
+    D = _contract(tree(F), _powers(xs, maxdeg, F), F, 0)
+    if min(D) <= ED:
+        return None
+    one = mpf(1 << F)
+    r = [(one / t) ** k for t in D]
+    return r, sum(r), k * ED * one / min(D)
+
+
+# Every bucket of a Z value on one face divides by the same face of P.
+_normalised_den = lru_cache(maxsize=8)(_Denominator)
+
+
 class FixedPointIntegrand:
     """numer / den**k on [0,1]^dim, k >= 1, in Python-int fixed point at
     scale 2^F, F = prec + G guard bits, prec the working precision at
@@ -240,10 +296,10 @@ class FixedPointIntegrand:
     coordinates, each shifted product, and the division, which needs den's
     values minus their own bound to stay positive.  G is chosen on a coarse
     grid of the cube so that the counted rounding of a cell stays below
-    2^-24 of the floor ``rounding_floor`` charges it.
+    2^-24 of the floor ``rounding_floor`` charges it.  What depends on den
+    alone is computed once per den (``_Denominator``), and each reciprocal
+    once per distinct value of den on a grid.
     """
-
-    COARSE = 3  # points per axis of the grid that chooses G
 
     def __init__(self, numer: "MPoly", den: "MPoly", k: int):
         if k < 1:
@@ -255,19 +311,18 @@ class FixedPointIntegrand:
         self.dim = numer.nvars
         self.k = k
         self.shift, self._numer, self._EV = _normalised(numer)
-        sd, self._den, self._ED = _normalised_den(den)
-        self.shift -= k * sd
-        self._maxdeg = [
-            max(e[j] for t in (self._numer, self._den) for e in t)
-            for j in range(self.dim)
-        ]
+        self._den = _normalised_den(den)
+        self._ED = self._den.ulps
+        self.shift -= k * self._den.shift
+        self._maxdeg = [max(d, *(e[j] for e in self._numer))
+                        for j, d in enumerate(self._den.maxdeg)]
         self._compile(mp.prec + 20)
         self._compile(mp.prec + self._guard_bits())
 
     def _compile(self, F: int) -> None:
         self.F = F
         self._V = _tree(self._numer, F)
-        self._D = _tree(self._den, F)
+        self._D = self._den.tree(F)
 
     def _guard_bits(self) -> int:
         """G with counted rounding / rounding floor <= 2^-24 on the coarse
@@ -275,56 +330,51 @@ class FixedPointIntegrand:
         counted rounding about 2^-(prec + G) * X per unit, where X adds the
         numerator's error over its mean size, the division's relative error
         k * E_D / min den and the weights' 2^-F / w_min."""
-        m = self.COARSE
-        x = [_frac_int(Fraction(2 * i + 1, 2 * m), self.F) for i in range(m)]
-        V, D = self._grid([x] * self.dim)
-        one = mpf(1 << self.F)
+        F = self.F
+        V = _contract(self._V, _powers([_coarse_axis(F)] * self.dim, self._maxdeg, F), F, 0)
+        one = mpf(1 << F)
         v = [abs(mpf(t)) / one for t in V]
-        if min(D) <= self._ED:
+        coarse = self._den.coarse(F, self.k)
+        if coarse is None:
             return 2 * mp.prec
-        r = [(one / t) ** self.k for t in D]
+        r, rsum, division = coarse
         mass = sum(a * b for a, b in zip(v, r))
         if not mass:
             return 2 * mp.prec
-        X = ((max(v) + 4) * len(v) + self._EV * sum(r)) / mass + 64 * self.dim
-        X += self.k * self._ED * one / min(D)
+        X = ((max(v) + 4) * len(v) + self._EV * rsum) / mass + 64 * self.dim
+        X += division
         return min(max(20, 18 + int(X).bit_length()), 2 * mp.prec)
-
-    def _grid(self, xs: list[list[int]]) -> tuple[list[int], list[int]]:
-        """numer and den on the grid of coordinate lists xs (scale 2^F)."""
-        F = self.F
-        tabs = []
-        for j, x in enumerate(xs):
-            t = [None, x]  # x^0 is never looked up (see _contract)
-            for _ in range(2, self._maxdeg[j] + 1):
-                t.append([(a * b) >> F for a, b in zip(t[-1], x)])
-            tabs.append(t)
-        return _contract(self._V, tabs, F, 0), _contract(self._D, tabs, F, 0)
 
     def _eval(self, xs: list[list[int]]):
         """(q, c0, t, fac) on the grid xs: the values q at scale 2^F; bounds
         c0 + t on their rounding in units of 2^-F, except for the factor
         1 + fac[0]/fac[1] on |value| + bound that the denominator's own
         rounding adds."""
-        V, D = self._grid(xs)
         k, F = self.k, self.F
+        tabs = _powers(xs, self._maxdeg, F)
+        V, D = _contract(self._V, tabs, F, 0), _contract(self._D, tabs, F, 0)
         Dmin = min(D)
         Dlow = Dmin - self._ED
         if Dlow <= 0:
             raise NotElliptic(
                 "denominator not bounded away from 0 on a quadrature cell"
             )
-        one = 1 << ((k + 1) * F)
-        R = [one // d**k for d in D]
-        q = [(v * r) >> F for v, r in zip(V, R)]
+        # The reciprocal and its rounding term are functions of the int d
+        # alone: each is computed once per distinct value of den on the grid.
+        one, EV = 1 << ((k + 1) * F), self._EV
+        per_value = dict.fromkeys(D)
+        for d in per_value:
+            r = one // d**k
+            per_value[d] = r, (EV * r) >> F
+        RT = list(map(per_value.__getitem__, D))
+        q = [(v * r) >> F for v, (r, _) in zip(V, RT)]
         # In units of 2^-F: |q - V/D^k| <= |V| + 1 (the floors of the
         # reciprocal and of the product), plus E_V times the reciprocal
         # (+ 2 for its floor and truncation); the denominator's own error
         # scales |value| by at most (1 - E_D/Dmin)^-k - 1
         # <= k E_D Dmin^k / Dlow^(k+1).
         c0 = (max(map(abs, V)) >> F) + 4
-        EV = self._EV
-        return q, c0, [(EV * r) >> F for r in R], (k * self._ED * Dmin**k, Dlow ** (k + 1))
+        return q, c0, [t for _, t in RT], (k * self._ED * Dmin**k, Dlow ** (k + 1))
 
     def __call__(self, axes: Sequence[Sequence[mpf]]) -> list[mpf]:
         """The grid protocol: values at every point of the product of axes."""
@@ -356,17 +406,17 @@ def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order
     t = prod(width, start=Fraction(1)).denominator.bit_length() - 1
     sums = []
     for order in (order_hi, order_lo):
-        nodes, L, W = _fixed_rule(order, F)
+        nodes, L, W, Wsum, Wmin = _fixed_rule(order, F)
         q, c0, ts, fac = f._eval([_axis_ints(a, w, nodes, L, F) for a, w in zip(cell.lo, width)])
         S = _weighted(q, W, dim)
         # The weights are positive: the absolute mass of a sign-definite q is |S|.
         A = S if min(q) >= 0 else -S if max(q) <= 0 else _weighted(list(map(abs, q)), W, dim)
         # _weighted is linear: the weighted sum of E = c0 + ts.
-        err = c0 * sum(W) ** dim + _weighted(ts, W, dim)
+        err = c0 * Wsum**dim + _weighted(ts, W, dim)
         err += ((A + err) * fac[0]) // fac[1] + 1
         # Weights within half a unit of the rule's: relative error <= dim/(2 Wmin)
         # per tensor weight, on |f| <= |q| + err.
-        err += (dim * (A + err)) // min(W) + 1
+        err += (dim * (A + err)) // Wmin + 1
         sums.append((S, A, err))
     (S, A, err), (S_lo, _, err_lo) = sums
     e = f.shift - (dim + 1) * F - t

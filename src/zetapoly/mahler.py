@@ -289,6 +289,11 @@ class ZBucket:
     value: SpecialValue
 
 
+# Z_breakdown's terms repeat their Bernoulli exponents m, within one value
+# and across values; each product is an exact Fraction.
+_bernoulli_tilde_memo = lru_cache(maxsize=1024)(bernoulli_tilde_product)
+
+
 def Z_breakdown(
     P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
 ) -> tuple[SpecialValue, list[ZBucket]]:
@@ -299,7 +304,7 @@ def Z_breakdown(
     sums: dict[tuple, tuple[dict, MPoly]] = {}
     memo: dict = {}
     for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
-        bt = bernoulli_tilde_product(m)
+        bt = _bernoulli_tilde_memo(m)
         if bt == 0:
             continue
         w = c_ab * bt

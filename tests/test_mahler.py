@@ -1,5 +1,6 @@
 """Mahler-series values: enumeration, periods, the value formula, Raabe."""
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -29,7 +30,7 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     theta_diagonal,
 )
-from zetapoly import _quadrature
+from zetapoly import _quadrature, mahler
 from zetapoly.mahler import _derivative_support, certify_elliptic, delta_multiindices
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
@@ -638,6 +639,36 @@ class TestFaceQuadratureBitIdentity:
             (0, 10141204801825835366586643591741, -107, 104),
             (0, 31146344603117668978996490893541643, -143, 115),
         )
+
+    # sha256 of repr([(value._mpf_, err._mpf_), ...]) of every cube
+    # quadrature behind the three Z values below, recorded before the kernel
+    # computed each reciprocal once per distinct denominator value.
+    SYMMETRIC_SHA = "62bf95f6488400111e660e04e7a59b8d0cfa9ec59110610fe76e8598cc892259"
+
+    def test_symmetric_faces_digest(self, monkeypatch):
+        # Symmetric faces repeat denominator values across their grids: the
+        # Epstein form, a linear form with Q = P and criterion 9's cubic.
+        quads = []
+
+        def recorded(*args, **kwargs):
+            value, err = integrate(*args, **kwargs)
+            quads.append((value._mpf_, err._mpf_))
+            return value, err
+
+        integrate = mahler.integrate_unit_cube
+        monkeypatch.setattr(mahler, "integrate_unit_cube", recorded)
+        L = P("3/2 x1 + 3/2 x2 + 3/2 x3 + 3/2 x4", 4)
+        for p, q, N, qs in (
+            (P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,
+             QuadratureSettings(rel_tol=1e-6, precision=20)),
+            (L, L, 1, self.QS20),
+            (L, L, 2, QuadratureSettings(rel_tol=1e-8, precision=30)),
+            (P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0,
+             QuadratureSettings(rel_tol=1e-6, precision=20)),
+        ):
+            assert Z_value(p, q, N, qs).kind == "numeric"
+        assert len(quads) == 11
+        assert hashlib.sha256(repr(quads).encode()).hexdigest() == self.SYMMETRIC_SHA
 
     def test_period_2d_face_nonnegative_exponent(self):
         # N = 2, |alpha| = 1: the integrand is the polynomial

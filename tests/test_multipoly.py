@@ -26,6 +26,8 @@ from zetapoly._quadrature import (
     _eval_cell_fixed,
     _fixed_rule,
     _mpf_int,
+    _normalised_den,
+    _ulps,
     _weighted,
     rounding_floor,
 )
@@ -161,10 +163,11 @@ class TestFixedPointKernel:
 
 def _reference_cell(f, lo, hi, axes, order_hi=15, order_lo=8):
     """The kernel's cell sums and grid values by the plain formulas: x^0 as
-    the list 2^F multiplied in, the absolute mass from |q|, a rounding bound
-    E per node and the volume divided out by from_rational.  Returns
-    (value, absmass, est), the values and bounds on axes, and the sign
-    class of q on the cell."""
+    the list 2^F multiplied in, the absolute mass from |q|, a reciprocal and
+    a rounding bound E computed at every node and the volume divided out by
+    from_rational.  Returns (value, absmass, est), the values and bounds on
+    axes, the sign class of q on the cell and whether a value of the
+    denominator repeats on its grid."""
     Fb, dim = f.F, f.dim
 
     def contract(node, tabs, j):
@@ -189,7 +192,8 @@ def _reference_cell(f, lo, hi, axes, order_hi=15, order_lo=8):
         c0 = (max(map(abs, V)) >> Fb) + 4
         return ([(v * r) >> Fb for v, r in zip(V, R)],
                 [c0 + ((f._EV * r) >> Fb) for r in R],
-                (k * f._ED * Dmin**k, (Dmin - f._ED) ** (k + 1)))
+                (k * f._ED * Dmin**k, (Dmin - f._ED) ** (k + 1)),
+                len(set(D)) < len(D))
 
     def scaled(n, e, vol, rnd):
         p, q = n * vol.numerator, vol.denominator
@@ -203,10 +207,12 @@ def _reference_cell(f, lo, hi, axes, order_hi=15, order_lo=8):
     vol = prod(width, start=F(1))
     sums = []
     for order in (order_hi, order_lo):
-        nodes, L, W = _fixed_rule(order, Fb)
-        q, E, fac = evaluate([_axis_ints(a, w, nodes, L, Fb) for a, w in zip(lo, width)])
+        nodes, L, W = _fixed_rule(order, Fb)[:3]
+        q, E, fac, repeats = evaluate(
+            [_axis_ints(a, w, nodes, L, Fb) for a, w in zip(lo, width)])
         if order == order_hi:
             sign = "pos" if min(q) >= 0 else "neg" if max(q) <= 0 else "mixed"
+            repeated = repeats
         S, A, err = (_weighted(q, W, dim), _weighted([abs(v) for v in q], W, dim),
                      _weighted(E, W, dim))
         err += ((A + err) * fac[0]) // fac[1] + 1
@@ -219,24 +225,26 @@ def _reference_cell(f, lo, hi, axes, order_hi=15, order_lo=8):
     est = (abs(value - scaled(S_lo, e, vol, round_nearest))
            + absmass * rounding_floor(mp.prec)
            + scaled(err + err_lo, e, vol, round_ceiling))
-    q, E, fac = evaluate([[_mpf_int(x, Fb) for x in ax] for ax in axes])
+    q, E, fac, _ = evaluate([[_mpf_int(x, Fb) for x in ax] for ax in axes])
     E = [x + ((abs(v) + x) * fac[0]) // fac[1] + 1 for v, x in zip(q, E)]
     e = f.shift - Fb
     vals = [scaled(v, e, F(1), round_nearest) for v in q]
     errs = [scaled(x, e, F(1), round_ceiling) + mp.ldexp(abs(v), -mp.prec)
             for x, v in zip(E, vals)]
-    return (value, absmass, est), (vals, errs), sign
+    return (value, absmass, est), (vals, errs), sign, repeated
 
 
 class TestFixedPointCell:
     """The cell sums and grid values bit for bit against _reference_cell:
     adding the x^0 branch after the shift, |S| as the absolute mass of a
-    sign-definite q, the bound summed as c0 (sum W)^dim + sum W t, and
-    from_man_exp for a volume 2^-t are exact rewritings."""
+    sign-definite q, the bound summed as c0 (sum W)^dim + sum W t, a
+    reciprocal once per distinct denominator value, and from_man_exp for a
+    volume 2^-t are exact rewritings."""
 
     # (numer, den, k) per dimension: positive, negative and sign-changing on
-    # the root cell, k from 1 to 4, and a numerator and denominator constant
-    # along x1.
+    # the root cell, k from 1 to 4, a numerator and denominator constant
+    # along x1, and symmetric denominators, whose values repeat on the grid
+    # of the root cell.
     CASES = {
         1: [("1 + 3/2 x1^2", "1 + x1", 1), ("x1 - 1/3", "2 - x1", 4),
             ("-2 - x1", "1 + x1^2", 2), ("x1^3 - 1/2", "2 + x1", 1)],
@@ -245,13 +253,14 @@ class TestFixedPointCell:
             ("1 + x1 x2", "1 + x1^2 + x2^2", 3), ("x1 - 1/2 + 1/5 x2", "1 + x1 + x2", 2)],
         3: [("1 + x1 + x2^2 x3", "1 + x1 + x2 + x3", 1), ("x1 x2 - x3 + 1/4", "2 + x1 x3", 3),
             ("-x1^2 - x2^2 - x3^2", "1 + x1^2 + x2^2 + x3^2", 2),
-            ("x3 - 1/2", "1 + x1 x2 x3", 1)],
+            ("x3 - 1/2", "1 + x1 x2 x3", 1),
+            ("x1 x2 - 1/3 x3^2 + 1/5", "1 + x1^3 + x2^3 + x3^3", 4)],
     }
     CELLS = [((F(0),) * 3, (F(1),) * 3), ((F(1, 2), F(1, 4), F(3, 8)), (F(1), F(1, 2), F(1, 2)))]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cells_and_values_match_reference(self, dim):
-        signs = set()
+        signs, repeats = set(), set()
         axes = [[mpf(1) / 3, mpf(1) / 2, mpf(6) / 7]] * dim
         with mp.workdps(20):
             for numer, den, k in self.CASES[dim]:
@@ -259,14 +268,57 @@ class TestFixedPointCell:
                 for lo, hi in self.CELLS:
                     cell = _Cell(lo=lo[:dim], hi=hi[:dim])
                     _eval_cell_fixed(f, cell, 15, 8, rounding_floor(mp.prec))
-                    (value, absmass, est), grid, sign = _reference_cell(
+                    (value, absmass, est), grid, sign, repeated = _reference_cell(
                         f, lo[:dim], hi[:dim], axes)
                     signs.add(sign)
+                    repeats.add(repeated)
                     assert (cell.value._mpf_, cell.absmass._mpf_, cell.est._mpf_) == (
                         value._mpf_, absmass._mpf_, est._mpf_)
                 assert [[x._mpf_ for x in col] for col in f.values(axes)] == [
                     [x._mpf_ for x in col] for col in grid]
         assert signs == {"pos", "neg", "mixed"}
+        # Grids with a repeated denominator value and grids without one.
+        assert repeats == ({False} if dim == 1 else {True, False})
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_warm_and_cleared_denominator_cache_agree(self, dim):
+        # One denominator at two precisions and two powers, interleaved: its
+        # cached tree and coarse grid give the guard bits G = F - prec and
+        # the cell bits that a fresh set-up gives.  Its small minimum makes
+        # G depend on k, so coarse-grid data reused across k would show.
+        numer = P("x1 - 1/3 x2 + 1/7", dim)
+        den = P("1/20 + x1^2 + 2 x2^3" + " + x3" * (dim - 2), dim)
+        cell = _Cell(lo=(F(1, 4),) * dim, hi=(F(1, 2),) * dim)
+
+        def run(clear):
+            out = []
+            for dps, k in ((20, 1), (30, 3), (20, 3), (30, 1)):
+                if clear:
+                    _normalised_den.cache_clear()
+                with mp.workdps(dps):
+                    f = FixedPointIntegrand(numer, den, k)
+                    _eval_cell_fixed(f, cell, 15, 8, rounding_floor(mp.prec))
+                    out.append((f.F - mp.prec, f.F, cell.value._mpf_, cell.absmass._mpf_,
+                                cell.est._mpf_))
+            return out
+
+        warm = run(False)
+        assert len({G for G, *_ in warm}) > 1
+        assert run(False) == warm
+        assert run(True) == warm
+
+
+class TestUlps:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+        st.tuples(*([st.integers(0, 6)] * n)),
+        st.fractions(min_value=F(-1), max_value=F(1), max_denominator=10**6).filter(bool),
+        min_size=1, max_size=8))))
+    def test_integer_sum_equals_fraction_formula(self, case):
+        # _ulps sums over one common denominator in integers.
+        dim, terms = case
+        total = sum(abs(c) * 2 * sum(e) + F(1, 2) + dim for e, c in terms.items())
+        assert _ulps(terms, dim) == int(total * (1 + F(1, 1 << 16))) + 1
 
 
 class TestCubeMoment:
