@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, floor, lcm
+from math import comb, factorial, floor, gcd, lcm
 from operator import add, index, sub
 from typing import Mapping, Sequence
 
@@ -388,23 +388,31 @@ class MPoly:
 # Index enumeration and composition products
 # -----------------------------------------------------------------------------
 
+def _solutions(t: int, weights: Sequence[int]) -> list[MultiIndex]:
+    """All x in N_0^m with sum_j weights[j]*x_j = t, in lexicographic order.
+    The last coordinate is solved for, and the one before it takes only the
+    values that leave the last an integer: the only partial vectors built
+    are prefixes of the leading m - 2 coordinates."""
+    if t < 0 or not weights:
+        return [()] if t == 0 else []
+    if len(weights) == 1:
+        return [(t // weights[0],)] if t % weights[0] == 0 else []
+    rows = [((), t)]
+    for w in weights[:-2]:
+        rows = [(x + (a,), r - w * a) for x, r in rows for a in range(r // w + 1)]
+    wa, wb = weights[-2:]
+    g = gcd(wa, wb)
+    step = wb // g
+    inv = pow(wa // g, -1, step)  # a = (r/g)*inv mod step solves wa*a = r mod wb
+    return [x + (a, (r - wa * a) // wb) for x, r in rows if r % g == 0
+            for a in range(r // g * inv % step, r // wa + 1, step)]
+
+
 @lru_cache(maxsize=256)
 def delta_multiindices(k: int, n: int) -> tuple[MultiIndex, ...]:
     """All g in N_0^n with |g| = k, in lexicographic order (cached: every
     value formula enumerates the same few weights again and again)."""
-    if n == 0:
-        return ((),) if k == 0 else ()
-    out = []
-
-    def rec(prefix, rest, slots):
-        if slots == 1:
-            out.append(prefix + (rest,))
-            return
-        for v in range(rest + 1):
-            rec(prefix + (v,), rest - v, slots - 1)
-
-    rec((), k, n)
-    return tuple(out)
+    return tuple(_solutions(k, (1,) * n))
 
 
 def multiindices_up_to_weight(k: int, n: int) -> list[MultiIndex]:
@@ -416,20 +424,7 @@ def multiindices_up_to_weight(k: int, n: int) -> list[MultiIndex]:
 
 def weighted_partitions(t: int, d: int) -> list[MultiIndex]:
     """All alpha in N_0^d with sum_k k*alpha_k = t, in lexicographic order."""
-    if t < 0 or d < 1:
-        return []
-    out: list[MultiIndex] = []
-
-    def rec(prefix, rest, k):
-        if k == d:
-            if rest % d == 0:
-                out.append(prefix + (rest // d,))
-            return
-        for a in range(rest // k + 1):
-            rec(prefix + (a,), rest - k * a, k + 1)
-
-    rec((), t, 1)
-    return out
+    return _solutions(t, range(1, d + 1)) if d >= 1 else []
 
 
 def composition_tuples(
@@ -457,6 +452,8 @@ def _face_product(
     """build_P_alpha_u as (coeff, den, ints): the multinomial alpha!/prod_k u_k!
     and the product of the factors as ints / den, so that sums add in integers."""
     alpha = tuple(int(a) for a in alpha)
+    if len(u) != len(alpha):
+        raise CompositionMismatch(f"family has {len(u)} rows, alpha has {len(alpha)} entries")
     n = P.nvars
     if memo is None:
         memo = {}
@@ -544,6 +541,28 @@ def _corners(degs: MultiIndex):
         yield tuple(degs[j] if (mask >> j) & 1 else 0 for j in range(n))
 
 
+def _bernstein(P: MPoly, depth: int) -> tuple[str, tuple | None]:
+    coeffs, degs = _bernstein_coeffs(P)
+    if not coeffs:
+        return "violated", (Fraction(0),) * P.nvars  # identically zero
+    if all(v > 0 for v in coeffs.values()):
+        return "certified", None
+    for corner in _corners(degs):
+        if coeffs.get(corner, Fraction(0)) <= 0:
+            return "violated", tuple(Fraction(1 if c else 0) for c in corner)
+    if depth == 0:
+        return "sampled_only", None
+    axis = max(range(P.nvars), key=lambda j: degs[j])
+    status = "certified"
+    for offset in (Fraction(0), Fraction(1, 2)):
+        st, wit = _bernstein(P.substitute_axis(axis, Fraction(1, 2), offset), depth - 1)
+        if st == "violated":  # back from the half's coordinates to P's
+            return st, wit[:axis] + (wit[axis] / 2 + offset,) + wit[axis + 1 :]
+        if st == "sampled_only":
+            status = st
+    return status, None
+
+
 def bernstein_positive(P: MPoly, max_depth: int = 6) -> tuple[str, tuple | None]:
     """Certify P > 0 on [0,1]^n by Bernstein-coefficient subdivision.
 
@@ -552,29 +571,7 @@ def bernstein_positive(P: MPoly, max_depth: int = 6) -> tuple[str, tuple | None]
     witness is a corner of a dyadic sub-box, where the corner Bernstein
     coefficient is the exact value: P(witness) <= 0.
     """
-
-    def rec(P: MPoly, depth: int) -> tuple[str, tuple | None]:
-        coeffs, degs = _bernstein_coeffs(P)
-        if not coeffs:
-            return "violated", (Fraction(0),) * P.nvars  # identically zero
-        if all(v > 0 for v in coeffs.values()):
-            return "certified", None
-        for corner in _corners(degs):
-            if coeffs.get(corner, Fraction(0)) <= 0:
-                return "violated", tuple(Fraction(1 if c else 0) for c in corner)
-        if depth == 0:
-            return "sampled_only", None
-        axis = max(range(P.nvars), key=lambda j: degs[j])
-        status = "certified"
-        for offset in (Fraction(0), Fraction(1, 2)):
-            st, wit = rec(P.substitute_axis(axis, Fraction(1, 2), offset), depth - 1)
-            if st == "violated":  # back from the half's coordinates to P's
-                return st, wit[:axis] + (wit[axis] / 2 + offset,) + wit[axis + 1 :]
-            if st == "sampled_only":
-                status = st
-        return status, None
-
-    return rec(P, max_depth)
+    return _bernstein(P, max_depth)
 
 
 def family_hypotheses(P: MPoly) -> tuple[str, tuple | None]:

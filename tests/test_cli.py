@@ -298,6 +298,15 @@ class TestPeriod:
             err = json.loads(out)["error"]
             assert err["type"] == "ValueError" and repr(u) in err["message"], u
 
+    def test_family_longer_than_alpha_exits_1(self):
+        # a weight-3 entry with len(alpha) = 2 used to be dropped silently
+        code, out = run_cli([
+            "period", "--P", "x1^2 + x2^2", "--N", "0", "--alpha", "1,0",
+            "--beta", "0,0", "--u", "1:1,0;3:2,1", "--i", "2",
+        ])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "CompositionMismatch"
+
 
 class TestPolyzeta:
     def test_family_file(self, tmp_path):

@@ -494,6 +494,24 @@ class TestScaledThetaDiagonal:
         with mp.workdps(40):
             assert abs(z.value - truth.value) <= z.err + truth.err
 
+    @pytest.mark.parametrize("d, a, k, N", [
+        (2, (1, 0), (1, 2), 1),  # -1/240
+        (3, (0, 1), (1, 2), 1),
+        (2, (1, 2), (1, 2), 2),  # 0
+    ])
+    def test_raabe_within_err(self, d, a, k, N):
+        # the Raabe route against Z_value and against the theta truth
+        n = len(a)
+        c = [F(x)**d for x in k]
+        Pd = MPoly(n, {tuple(d * (i == j) for i in range(n)): c[j] for j in range(n)})
+        Q = MPoly(n, {a: F(1)})
+        z = Z_value(Pd, Q, N, self.QS).to_numeric(30)
+        y = raabe_substitute(Y_expansion(Pd, Q, N, self.QS)).to_numeric(30)
+        truth = theta_diagonal(n, d, a, N, c).to_numeric(30)
+        with mp.workdps(40):
+            assert abs(y.value - z.value) <= z.err + y.err
+            assert abs(y.value - truth.value) <= y.err + truth.err
+
     def test_one_scale_is_every_scale(self):
         assert theta_diagonal(2, 2, (2, 1), 1, F(1, 2)) == \
             theta_diagonal(2, 2, (2, 1), 1, [F(1, 2)] * 2)

@@ -1,4 +1,5 @@
 """Sparse polynomials: calculus, faces, Taylor data, positivity checks."""
+import gc
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -32,13 +33,14 @@ from zetapoly._quadrature import (
     rounding_floor,
 )
 from zetapoly.exactnum import mpf_from_rational, multi_factorial
-from zetapoly.mahler import certify_elliptic, cube_moment
+from zetapoly.mahler import certify_elliptic, cube_moment, period_K
 from zetapoly.multipoly import (
     bernstein_positive,
     composition_tuples,
     delta_multiindices,
     weighted_partitions,
 )
+from zetapoly.oracle import _partition_count
 
 
 def P(text, n=None):
@@ -349,6 +351,35 @@ class TestEnumerators:
         assert weighted_partitions(3, 0) == []
         assert weighted_partitions(0, 3) == [(0, 0, 0)]
 
+    def test_partition_count_is_the_set(self):
+        # the oracle planner counts f^(n)'s terms without enumerating them
+        for d in range(1, 6):
+            for n in range(61):
+                assert _partition_count(n, d) == len(weighted_partitions(n, d)), (n, d)
+
+    def test_weighted_partitions_large(self):
+        # a set as large as the oracle planner's d = 4 tails reach
+        got = weighted_partitions(128, 4)
+        assert len(got) == len(set(got)) == 16335
+        assert got == sorted(got)
+        assert all(sum(k * a for k, a in enumerate(x, start=1)) == 128 for x in got)
+
+    def test_no_reference_cycles(self):
+        # the enumerators and the Bernstein subdivision leave no cyclic
+        # garbage behind, so their lists are freed when the call returns
+        sub = P("x1^2 - x1 + 1/2", 1)  # one zero coefficient: subdivides
+        assert bernstein_positive(sub) == ("certified", None)
+        gc.collect()
+        gc.disable()
+        try:
+            weighted_partitions(9, 3)
+            delta_multiindices.__wrapped__(4, 3)
+            bernstein_positive(P("x1^2 + x2^2 + 1", 2))
+            bernstein_positive(sub)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_multiindices_of_weight_brute_force(self):
         for n in range(4):
             for k in range(6):
@@ -589,6 +620,17 @@ class TestPAlphaU:
         u1 = tuple(1 if g == (1, 0) else 0 for g in d1)
         with pytest.raises(CompositionMismatch):
             build_P_alpha_u(p, 1, (2,), (u1,))
+
+    def test_row_count_mismatch(self):
+        # a family with fewer rows than alpha has entries, or more, is
+        # rejected, not indexed past its end or truncated to len(alpha)
+        p = P("x1^2 + x2^2", 2)
+        with pytest.raises(CompositionMismatch):
+            build_P_alpha_u(p, 1, (1, 1), ((1, 0),))
+        with pytest.raises(CompositionMismatch):
+            build_P_alpha_u(p, 1, (1,), ((1, 0), (0, 0, 0)))
+        with pytest.raises(CompositionMismatch):
+            period_K(p, MPoly.one(2), 0, (1, 1), ((1, 0),), (0, 0), 1)
 
 
 class TestPositivity:
