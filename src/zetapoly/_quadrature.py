@@ -13,6 +13,10 @@ rounded once, and every rounding before them is counted into the cell's
 estimate.  A grid function takes one list of coordinates per axis and
 returns its values at every point of their product, in row-major order
 (last axis fastest), one call per rule and cell.
+
+``cube_integral`` is the one entry for integrals of numer / den^k over the
+unit cube: the exact moment of a polynomial, an exact constant, or the
+quadrature of a quotient under one ``QuadratureSettings``.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm, prod
+from math import inf, lcm, prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -33,7 +37,7 @@ from .errors import (
     PrecisionUnreachable,
     QuadratureDidNotConverge,
 )
-from .exactnum import mpf_from_rational
+from .exactnum import Numeric, SpecialValue, mpf_from_rational
 
 if TYPE_CHECKING:
     from .multipoly import MPoly
@@ -90,16 +94,29 @@ def rounding_floor(prec: int) -> mpf:
     return mpf(2) ** (6 - prec)
 
 
-def require_reachable(rel_tol: float, dps: int) -> None:
-    """Raise PrecisionUnreachable if rel_tol is at or below the rounding
-    floor of a quadrature run at `dps` digits, where refinement cannot
-    converge."""
-    floor = rounding_floor(dps_to_prec(dps))
-    if rel_tol <= floor:
-        raise PrecisionUnreachable(
-            f"rel_tol {rel_tol:g} is at or below the rounding floor "
-            f"{mp.nstr(floor, 3)} of {dps}-digit quadrature; raise the precision"
-        )
+@dataclass(frozen=True)
+class QuadratureSettings:
+    """Tolerances and digits of ``cube_integral``, which integrates at
+    precision + 10 digits."""
+
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-30
+    precision: int = 50
+
+    def __post_init__(self):
+        if not (0 < self.rel_tol < inf and 0 < self.abs_tol < inf):
+            raise ValueError("tolerances must be positive and finite")
+        # At or below the rounding floor refinement cannot converge.
+        dps = self.precision + 10
+        floor = rounding_floor(dps_to_prec(dps))
+        if self.rel_tol <= floor:
+            raise PrecisionUnreachable(
+                f"rel_tol {self.rel_tol:g} is at or below the rounding floor "
+                f"{mp.nstr(floor, 3)} of {dps}-digit quadrature; raise the precision"
+            )
+
+
+DEFAULT_QS = QuadratureSettings()
 
 
 # -----------------------------------------------------------------------------
@@ -549,3 +566,31 @@ def integrate_interval_fixed(
     _eval_cell(lambda axes: [f(x) for x in axes[0]], cell, order,
                max(3, (order + 1) // 2), rounding_floor(mp.prec))
     return cell.value, cell.est
+
+
+def cube_moment(poly: "MPoly") -> Fraction:
+    """Integral of the polynomial poly over [0,1]^nvars, exactly."""
+    return sum((c / prod(e + 1 for e in es) for es, c in poly.terms.items()), Fraction(0))
+
+
+def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
+                  cache: dict | None = None) -> SpecialValue:
+    """Integral over [0,1]^dim of numer / den^k, den positive on the cube: a
+    face period, or a generalized gamma factor of the diagonal expansion.
+
+    Exact for k <= 0, a polynomial's moment (DECISIONS.md D7), and for
+    dim = 0, a constant.  Else the integrand is compiled once into a
+    FixedPointIntegrand, whose cube quadrature sums each cell exactly in
+    integers (DECISIONS.md D2); cache keeps those values by (k, den, numer)."""
+    if k <= 0:
+        return SpecialValue.make_exact(cube_moment(den**-k * numer))
+    if den.nvars == 0:
+        return SpecialValue.make_exact(den.constant_value() ** -k * numer.constant_value())
+    cache = {} if cache is None else cache
+    key = (k, den, numer)
+    if key not in cache:
+        with mp.workdps(qs.precision + 10):
+            f = FixedPointIntegrand(numer, den, k)
+            val, err = integrate_unit_cube(f, den.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol)
+        cache[key] = SpecialValue.make_numeric(Numeric(val, err))
+    return cache[key]

@@ -1,22 +1,23 @@
 """Values of Mahler-type series Z(P,Q;s) = sum Q(m)/P(m)^s at s = -N.
 
 Implements the multi-index bookkeeping (weighted index sets, composition
-families and their g-vectors), the period integrals over unit-cube faces by
-certified quadrature of integrands compiled to integer fixed point, the
-polynomial-in-(1+a) expansion of the shifted integral continuation, and the
-Raabe-type substitution that turns that expansion into the series value.
+families and their g-vectors), the period integrals over unit-cube faces
+(each one ``_quadrature.cube_integral``: an exact moment or a certified
+quadrature), the polynomial-in-(1+a) expansion of the shifted integral
+continuation, and the Raabe-type substitution that turns that expansion
+into the series value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from typing import Sequence
 
 from mpmath import mp
 
-from ._quadrature import FixedPointIntegrand, integrate_unit_cube, require_reachable
+from ._quadrature import DEFAULT_QS, QuadratureSettings, cube_integral
 from .errors import NotElliptic, NotHomogeneous
 from .exactnum import (
     Numeric,
@@ -36,22 +37,6 @@ from .multipoly import (
     multiindices_up_to_weight,
     weighted_partitions,
 )
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-30
-    precision: int = 50
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        # Quadrature runs at precision + 10 digits (see cube_integral).
-        require_reachable(self.rel_tol, self.precision + 10)
-
-
-DEFAULT_QS = QuadratureSettings()
 
 
 # -----------------------------------------------------------------------------
@@ -118,54 +103,6 @@ def certify_elliptic(P: MPoly) -> tuple[str, tuple | None, int | None]:
 # Period integrals
 # -----------------------------------------------------------------------------
 
-def cube_moment(poly: MPoly) -> Fraction:
-    """Integral of the polynomial poly over [0,1]^nvars, exactly."""
-    return sum((c / prod(e + 1 for e in es) for es, c in poly.terms.items()), Fraction(0))
-
-
-def cube_integral(
-    Pf: MPoly,
-    numer: MPoly,
-    k: int,
-    qs: QuadratureSettings,
-    cache: dict | None = None,
-) -> Numeric:
-    """Integral over [0,1]^dim of numer / Pf^k, k >= 1, with Pf positive on
-    the cube: a face period, or a generalized gamma factor of the diagonal
-    expansion.
-
-    The integrand is compiled once into a FixedPointIntegrand, so that the
-    cube quadrature sums each cell exactly in integers (DECISIONS.md D2)."""
-    key = (k, Pf, numer)
-    if cache is not None and key in cache:
-        return cache[key]
-    with mp.workdps(qs.precision + 10):
-        f = FixedPointIntegrand(numer, Pf, k)
-        val, err = integrate_unit_cube(f, Pf.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol)
-    out = Numeric(val, err)
-    if cache is not None:
-        cache[key] = out
-    return out
-
-
-def _face_term(
-    P: MPoly,
-    i: int,
-    numer: MPoly,
-    expo: int,
-    qs: QuadratureSettings,
-    cache: dict | None = None,
-) -> SpecialValue:
-    """Integral over face i of P(face_i)^expo * numer: exact for a polynomial
-    (expo >= 0) or a constant (one variable), else a bounded Numeric."""
-    Pf = P.face(i)
-    if expo >= 0:
-        return SpecialValue.make_exact(cube_moment(Pf**expo * numer))
-    if P.nvars == 1:
-        return SpecialValue.make_exact(Pf.constant_value() ** expo * numer.constant_value())
-    return SpecialValue.make_numeric(cube_integral(Pf, numer, -expo, qs, cache))
-
-
 def period_K(
     P: MPoly,
     Q: MPoly,
@@ -198,7 +135,7 @@ def period_K(
     numer = build_P_alpha_u(P, i, alpha, u.u) * Q.derivative(beta).face(i)
     if numer.is_zero():
         return SpecialValue.make_exact(Fraction(0), flags=flags)
-    return _face_term(P, i, numer, N - sum(alpha), qs).with_flags(flags)
+    return cube_integral(P.face(i), numer, sum(alpha) - N, qs).with_flags(flags)
 
 
 # -----------------------------------------------------------------------------
@@ -321,7 +258,7 @@ def Z_breakdown(
             continue
         ci, i, beta, alpha = key
         # dQc is a nonzero homogeneous polynomial, so its face is nonzero.
-        v = _face_term(P, i, numer * dQc.face(i), N - sum(alpha), qs, cache)
+        v = cube_integral(P.face(i), numer * dQc.face(i), sum(alpha) - N, qs, cache)
         evaluated.append(ZBucket(ci, i, beta, alpha, v))
     exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
     parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
@@ -387,7 +324,7 @@ def Y_expansion(
             for i in sorted(groups[m]):
                 numer = _summed(n - 1, groups[m][i]) * dQc.face(i)
                 if not numer.is_zero():
-                    total = total + _face_term(P, i, numer, N - sum(alpha), qs, cache)
+                    total = total + cube_integral(P.face(i), numer, sum(alpha) - N, qs, cache)
             total = total.scale(c_ab)
             expansion[m] = expansion[m] + total if m in expansion else total
     expansion = {

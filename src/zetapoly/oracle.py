@@ -167,6 +167,8 @@ def em_inner_sum(
     a, b, s = Fraction(a), Fraction(b), Fraction(s)
     if a <= 0 or b < 0:
         raise DomainViolation("need a > 0 and b >= 0")
+    if d < 1:
+        raise DomainViolation(f"need d >= 1, got {d}")
     with mp.workdps(settings.precision + 10):
         if b == 0 and d > 1:
             return em_inner_sum(Fraction(1), b, 1, d * s, settings) * _rational_power(a, -s)
@@ -415,6 +417,8 @@ def zeta1_numeric(
     """gamma^{-s} zeta(d1 * s) by numeric continuation (no closed Bernoulli
     formula on this path)."""
     gamma1, s = Fraction(gamma1), Fraction(s)
+    if d1 < 1:
+        raise DomainViolation(f"need d1 >= 1, got {d1}")
     t = d1 * s
     if t == 1:
         raise Pole("d1 * s = 1 is the pole of the one-variable function")

@@ -24,14 +24,8 @@ from .exactnum import (
     multi_factorial,
     point_to_str,
 )
-from .mahler import (
-    DEFAULT_QS,
-    QuadratureSettings,
-    Z_value,
-    certify_elliptic,
-    cube_integral,
-    cube_moment,
-)
+from ._quadrature import DEFAULT_QS, QuadratureSettings, cube_integral
+from .mahler import Z_value, certify_elliptic
 from .multipoly import MPoly, composition_tuples, family_hypotheses, weighted_partitions
 
 
@@ -139,20 +133,18 @@ def G_factor(
     which turns t_i^{mu_i-1} dt_i into b_i u_i^{a_i-1} du_i with integer
     a_i, so the transformed integrand prod b_i u_i^{a_i-1} /
     (1 + sum u_i^{b_i})^m is a polynomial ratio, integrated like a face
-    period; for m = 0 a monomial, integrated exactly to prod 1/mu_i.
+    period by ``cube_integral``; for m = 0 a monomial, whose exact moment
+    prod 1/mu_i is rounded.
     """
     dim = len(spec.mu)
     if dim == 0:
         return Numeric(mpf(1), mpf(0))
     numer = MPoly(dim, {tuple(x.numerator - 1 for x in spec.mu):
                         prod(x.denominator for x in spec.mu)})
-    if spec.m == 0:
-        with mp.workdps(qs.precision + 10):
-            return Numeric.from_rational(cube_moment(numer))
     den = MPoly.one(dim)
     for i, x in enumerate(spec.mu):
         den = den + MPoly.variable(dim, i + 1) ** x.denominator
-    return cube_integral(den, numer, spec.m, qs)
+    return cube_integral(den, numer, spec.m, qs).to_numeric(qs.precision)
 
 
 def _is_diagonal(P: MPoly) -> int | None:

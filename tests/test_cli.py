@@ -353,6 +353,12 @@ class TestOracle:
         assert payload["kind"] == "numeric"
         assert abs(float(payload["value"])) < 1e-9
 
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    def test_zeta1_degree_below_one_exits_1(self, d):
+        code, out = run_cli(["oracle", "zeta1", "--d", d, "--s", "1/2"])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DomainViolation"
+
     def test_powersum2(self):
         code, out = run_cli(["oracle", "powersum2", "--d", "2,3", "--N", "0,1",
                              "--precision", "20"])

@@ -30,7 +30,7 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     theta_diagonal,
 )
-from zetapoly import _quadrature, mahler
+from zetapoly import _quadrature
 from zetapoly.mahler import _derivative_support, certify_elliptic, delta_multiindices
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
@@ -568,6 +568,50 @@ class TestQuadratureSettings:
             QuadratureSettings(rel_tol=2.0**-31, precision=0)
         QuadratureSettings(rel_tol=1e-9, precision=0)
 
+    @pytest.mark.parametrize("tol", [{"rel_tol": float("nan")}, {"rel_tol": float("inf")},
+                                     {"abs_tol": float("nan")}, {"abs_tol": float("inf")}])
+    def test_non_finite_tolerance_raises(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSettings(**tol)
+
+    def test_cli_nan_tolerance_fails_fast(self):
+        from zetapoly.cli import main
+
+        out = io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["mahler", "--P", "x1^2 + x2^2 + x3^2", "--N", "0",
+                         "--rel-tol", "nan", "--precision", "20"])
+        assert time.perf_counter() - t0 < 2
+        assert code == 1
+        assert json.loads(out.getvalue())["error"]["type"] == "ValueError"
+
+
+class TestCubeIntegral:
+    """_quadrature.cube_integral, the one entry for cube integrals of
+    numer / den^k: exact for k <= 0 and for no variables, else a bounded
+    Numeric."""
+
+    den, numer = P("1 + x1 + x2^2", 2), P("x1 x2 - 3", 2)
+
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_polynomial_is_the_exact_moment(self, k):
+        v = _quadrature.cube_integral(self.den, self.numer, k, QS_FAST)
+        assert v == SpecialValue.make_exact(_quadrature.cube_moment(self.den**-k * self.numer))
+
+    def test_no_variables_is_exact(self):
+        v = _quadrature.cube_integral(MPoly(0, {(): F(3)}), MPoly(0, {(): F(5)}), 2, QS_FAST)
+        assert v == SpecialValue.make_exact(F(5, 9))
+
+    def test_quotient_is_bounded_and_cached(self):
+        # int_0^1 dx / (1 + x) = log 2
+        cache = {}
+        v = _quadrature.cube_integral(P("1 + x1", 1), MPoly.one(1), 1, QS_FAST, cache)
+        assert v.kind == "numeric" and 0 < v.num.err < mpf(10) ** -8
+        with mp.workdps(40):
+            assert abs(v.num.value - mp.log(2)) <= v.num.err
+        assert _quadrature.cube_integral(P("1 + x1", 1), MPoly.one(1), 1, QS_FAST, cache) is v
+
 
 class TestCubeQuadratureTotals:
     def test_cancelling_cells_keep_their_signs(self, monkeypatch):
@@ -673,8 +717,8 @@ class TestFaceQuadratureBitIdentity:
             quads.append((value._mpf_, err._mpf_))
             return value, err
 
-        integrate = mahler.integrate_unit_cube
-        monkeypatch.setattr(mahler, "integrate_unit_cube", recorded)
+        integrate = _quadrature.integrate_unit_cube
+        monkeypatch.setattr(_quadrature, "integrate_unit_cube", recorded)
         L = P("3/2 x1 + 3/2 x2 + 3/2 x3 + 3/2 x4", 4)
         for p, q, N, qs in (
             (P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,

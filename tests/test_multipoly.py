@@ -30,10 +30,11 @@ from zetapoly._quadrature import (
     _normalised_den,
     _ulps,
     _weighted,
+    cube_moment,
     rounding_floor,
 )
 from zetapoly.exactnum import mpf_from_rational, multi_factorial
-from zetapoly.mahler import certify_elliptic, cube_moment, period_K
+from zetapoly.mahler import certify_elliptic, period_K
 from zetapoly.multipoly import (
     bernstein_positive,
     composition_tuples,
@@ -153,7 +154,7 @@ class TestFixedPointKernel:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_power_below_one_raises(self, k):
-        # A polynomial integrand has an exact integral (mahler.cube_moment).
+        # A polynomial integrand has an exact integral (_quadrature.cube_moment).
         with pytest.raises(ValueError):
             FixedPointIntegrand(P("x1 + x2", 2), P("1 + x1", 2), k)
 
@@ -324,7 +325,7 @@ class TestUlps:
 
 
 class TestCubeMoment:
-    """mahler.cube_moment, the exact integral of a polynomial over the unit
+    """_quadrature.cube_moment, the exact integral of a polynomial over the unit
     cube, against mpmath's Gauss-Legendre quadrature, which is exact for
     these degrees up to rounding."""
 

@@ -163,6 +163,11 @@ class TestEmInnerSum:
         with pytest.raises(DomainViolation):
             em_inner_sum(F(1), F(-1), 2, F(1), EM)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_degree_below_one(self, d):
+        with pytest.raises(DomainViolation):
+            em_inner_sum(F(1), F(1), d, F(1, 2), EM)
+
     def test_depth_guard(self):
         with pytest.raises(ContinuationDepthInsufficient):
             em_inner_sum(F(1), F(1), 1, F(-200), EMSettings(precision=10))
@@ -277,6 +282,11 @@ class TestZeta1:
     def test_pole(self):
         with pytest.raises(Pole):
             zeta1_numeric(1, F(1), F(1), EM)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_degree_below_one(self, d):
+        with pytest.raises(DomainViolation):
+            zeta1_numeric(d, F(1), F(1, 2), EM)
 
 
 class TestPowerSum2:

@@ -187,6 +187,12 @@ class TestGFactor:
                 truth *= mpf(x.denominator) / x.numerator
             assert abs(v.value - truth) <= v.err
 
+    def test_m_zero_bits(self):
+        # The exact moment 18/5 rounded once at precision + 10 digits.
+        v = G_factor(GammaFactorSpec(m=0, mu=(F(1, 3), F(5, 4), F(2, 3))), QS)
+        man = 39200528669292110990980754776139697959731
+        assert (v.value._mpf_, v.err._mpf_) == ((0, man, -133, 135), (0, man, -265, 135))
+
     def test_zero_dim(self):
         v = G_factor(GammaFactorSpec(m=3, mu=()))
         assert v.value == 1 and v.err == 0
