@@ -15,7 +15,8 @@ returns its values at every point of their product, in row-major order
 (last axis fastest), one call per rule and cell.
 
 ``cube_integral`` is the one entry for integrals of numer / den^k over the
-unit cube: the exact moment of a polynomial, an exact constant, or the
+unit cube: the exact moment of a polynomial, an exact constant, a
+one-variable quotient reduced exactly to a few master integrals, or the
 quadrature of a quotient under one ``QuadratureSettings``.
 """
 from __future__ import annotations
@@ -24,9 +25,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import inf, lcm, prod
+from math import gcd, inf, lcm, prod
 from operator import add, mul
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
@@ -38,9 +39,7 @@ from .errors import (
     QuadratureDidNotConverge,
 )
 from .exactnum import Numeric, SpecialValue, mpf_from_rational
-
-if TYPE_CHECKING:
-    from .multipoly import MPoly
+from .multipoly import MPoly, bernstein_positive
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
 
@@ -573,15 +572,141 @@ def cube_moment(poly: "MPoly") -> Fraction:
     return sum((c / prod(e + 1 for e in es) for es, c in poly.terms.items()), Fraction(0))
 
 
+# -----------------------------------------------------------------------------
+# One-variable quotients: exact reduction to master integrals
+# -----------------------------------------------------------------------------
+
+def _cofactors(D: list) -> tuple[list, list] | None:
+    """(s, t) with s D + t D' = 1, deg s < m - 1 and deg t < m, for D of
+    degree m, from the Sylvester system of D and D'; None when it is
+    singular, i.e. when D and D' share a root: D is not squarefree."""
+    m, n = len(D) - 1, 2 * len(D) - 3
+    dD = [i * c for i, c in enumerate(D)][1:]
+    # Row e: the coefficients of x^e in s_a x^a D and t_b x^b D', and in 1.
+    A = [[D[e - a] if 0 <= e - a <= m else 0 for a in range(m - 1)]
+         + [dD[e - b] if 0 <= e - b < m else 0 for b in range(m)] + [int(e == 0)]
+         for e in range(n)]
+    for c in range(n):  # Gauss-Jordan elimination
+        p = next((r for r in range(c, n) if A[r][c]), None)
+        if p is None:
+            return None
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c]:
+                A[r] = [x - A[r][c] * y for x, y in zip(A[r], A[c])]
+    sol = [row[-1] for row in A]
+    return sol[:m - 1], sol[m - 1:]
+
+
+def _dot(pairs: list, m: int) -> tuple[int, list[int]]:
+    """sum c * row over the pairs (c, row), rows (L, n) meaning n / L, as
+    one such row in lowest terms."""
+    L = lcm(*(c.denominator * r[0] for c, r in pairs))
+    acc = [0] * (m + 1)
+    for c, (Lr, n) in pairs:
+        s = c.numerator * (L // (c.denominator * Lr))
+        for i, x in enumerate(n):
+            acc[i] += s * x
+    g = gcd(L, *acc)
+    return L // g, [x // g for x in acc]
+
+
+class _Reduction:
+    """int_0^1 x^j / D^k = r + sum_{i<m} c_i M_i, exactly, for one D of
+    degree m squarefree and positive on [0, 1], with the masters
+    M_i = int_0^1 x^i / D (Hermite reduction, Bronstein, Symbolic
+    Integration I, ch. 2).  rows[k][j] is (L, [r, c_0, ..., c_{m-1}] * L);
+    s D + t D' = 1."""
+
+    def __init__(self, D: list, s: list, t: list):
+        self.D, self.m, self.s, self.t = D, len(D) - 1, s, t
+        self.rows: dict[int, list[tuple]] = {}
+
+    def row(self, j: int, k: int) -> tuple[int, list[int]]:
+        rows = self.rows.setdefault(k, [])
+        while len(rows) <= j:  # a row only uses rows of lower j or lower k
+            rows.append(self._row(len(rows), k))
+        return rows[j]
+
+    def _row(self, j: int, k: int) -> tuple[int, list[int]]:
+        D, m = self.D, self.m
+        unit = [0] * (m + 1)
+        if k == 0:
+            return j + 1, [1] + unit[1:]
+        if j >= m:  # x^m = (D - sum_{i<m} d_i x^i) / d_m
+            parts = [(1 / D[-1], self.row(j - m, k - 1))]
+            parts += [(-d / D[-1], self.row(j - m + i, k)) for i, d in enumerate(D[:-1]) if d]
+            return _dot(parts, m)
+        if k == 1:
+            unit[j + 1] = 1
+            return 1, unit
+        # x^j / D^k = x^j s / D^(k-1) + x^j t D' / D^k, and by parts
+        # int_0^1 x^p D' / D^k = [x^p D^(1-k)]_0^1 / (1-k) + p/(k-1) int_0^1 x^(p-1) / D^(k-1).
+        ends = sum(self.t) / sum(D) ** (k - 1) - (self.t[0] / D[0] ** (k - 1) if j == 0 else 0)
+        unit[0] = 1
+        parts = [(ends / (1 - k), (1, unit))]
+        parts += [(c, self.row(j + l, k - 1)) for l, c in enumerate(self.s) if c]
+        parts += [(c * (j + l) / (k - 1), self.row(j + l - 1, k - 1))
+                  for l, c in enumerate(self.t) if c and j + l]
+        return _dot(parts, m)
+
+
+@lru_cache(maxsize=16)
+def _reduction(den: "MPoly") -> _Reduction | None:
+    """The reduction over den, or None when den is not certified positive
+    on [0, 1] or not squarefree."""
+    D = [Fraction(0)] * (den.degree() + 1)
+    for (e,), c in den.terms.items():
+        D[e] = c
+    cof = bernstein_positive(den)[0] == "certified" and _cofactors(D)
+    return _Reduction(D, *cof) if cof else None
+
+
+def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> Numeric:
+    """The fixed-point cube quadrature of numer / den^k (DECISIONS.md D2)."""
+    with mp.workdps(qs.precision + 10):
+        f = FixedPointIntegrand(numer, den, k)
+        return Numeric(*integrate_unit_cube(f, den.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol))
+
+
+def _master(den: "MPoly", i: int, qs: QuadratureSettings, cache: dict) -> Numeric:
+    """M_i = int_0^1 x^i / den, one quadrature per (den, i) and cache."""
+    key = (den, i)
+    if key not in cache:
+        cache[key] = _quadrature_of(den, MPoly(1, {(i,): 1}), 1, qs)
+    return cache[key]
+
+
+def _reduced(red: _Reduction, den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
+             cache: dict) -> Numeric | None:
+    """int_0^1 numer / den^k as the dot product of numer's coefficients with
+    the rows of red, or None when the masters' errors, scaled by their
+    coefficients, miss the tolerance of qs."""
+    L, n = _dot([(a, red.row(j, k)) for (j,), a in numer.terms.items()], red.m)
+    with mp.workdps(qs.precision + 10):
+        total = Numeric.from_rational(Fraction(n[0], L))
+        for i, c in enumerate(n[1:]):
+            if c:
+                total = total + _master(den, i, qs, cache).scale(Fraction(c, L))
+        if total.err > qs.abs_tol + qs.rel_tol * abs(total.value):
+            return None
+    return total
+
+
 def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
                   cache: dict | None = None) -> SpecialValue:
     """Integral over [0,1]^dim of numer / den^k, den positive on the cube: a
     face period, or a generalized gamma factor of the diagonal expansion.
 
     Exact for k <= 0, a polynomial's moment (DECISIONS.md D7), and for
-    dim = 0, a constant.  Else the integrand is compiled once into a
-    FixedPointIntegrand, whose cube quadrature sums each cell exactly in
-    integers (DECISIONS.md D2); cache keeps those values by (k, den, numer)."""
+    dim = 0, a constant.  For dim = 1 with den squarefree and certified
+    positive, the exact reduction to masters int_0^1 x^i / den, each one
+    quadrature, unless their errors, scaled, miss the tolerance
+    (DECISIONS.md D10).  Else the integrand is compiled once into
+    a FixedPointIntegrand, whose cube quadrature sums each cell exactly in
+    integers (DECISIONS.md D2).  cache keeps the values by (k, den, numer)
+    and the masters by (den, i)."""
     if k <= 0:
         return SpecialValue.make_exact(cube_moment(den**-k * numer))
     if den.nvars == 0:
@@ -589,8 +714,7 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
     cache = {} if cache is None else cache
     key = (k, den, numer)
     if key not in cache:
-        with mp.workdps(qs.precision + 10):
-            f = FixedPointIntegrand(numer, den, k)
-            val, err = integrate_unit_cube(f, den.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol)
-        cache[key] = SpecialValue.make_numeric(Numeric(val, err))
+        red = _reduction(den) if den.nvars == 1 else None
+        v = red and _reduced(red, den, numer, k, qs, cache)
+        cache[key] = SpecialValue.make_numeric(v or _quadrature_of(den, numer, k, qs))
     return cache[key]

@@ -419,6 +419,8 @@ def zeta1_numeric(
     gamma1, s = Fraction(gamma1), Fraction(s)
     if d1 < 1:
         raise DomainViolation(f"need d1 >= 1, got {d1}")
+    if gamma1 <= 0:
+        raise DomainViolation(f"need gamma1 > 0, got {gamma1}")
     t = d1 * s
     if t == 1:
         raise Pole("d1 * s = 1 is the pole of the one-variable function")

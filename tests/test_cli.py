@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetapoly import MPoly, ZetaPolyError
+from mpmath import mp, mpf
+
+from zetapoly import MPoly, QuadratureSettings, ZetaPolyError
 from zetapoly.cli import main
+from zetapoly.mahler import Z_breakdown
 
 
 def run_cli(argv):
@@ -115,17 +118,29 @@ class TestMahler:
             assert {"component", "i", "beta", "alpha"} <= set(t)
 
     def test_terms_bytes(self):
-        # recorded before the breakdown moved out of Z_value
+        # recorded when one-variable periods became exact reductions to
+        # masters: each bucket reduces to 5/24 with no master, so its err is
+        # the rounding of 5/24 alone
         _, out = run_cli(
             ["mahler", "--P", "x1 + x2", "--N", "0", "--terms", "--precision", "25"]
         )
         assert out == (
-            '{"err":"8.3989e-16","kind":"numeric","schema":"1","terms":['
-            '{"alpha":[2],"beta":[0,0],"component":0,"err":"4.1995e-16","i":1,'
+            '{"err":"5.0156e-36","kind":"numeric","schema":"1","terms":['
+            '{"alpha":[2],"beta":[0,0],"component":0,"err":"2.5077e-36","i":1,'
             '"value":"0.20833333333333333333"},'
-            '{"alpha":[2],"beta":[0,0],"component":0,"err":"4.1995e-16","i":2,'
+            '{"alpha":[2],"beta":[0,0],"component":0,"err":"2.5077e-36","i":2,'
             '"value":"0.20833333333333333333"}],"value":"0.41666666666666667"}\n'
         )
+
+    def test_terms_truth(self):
+        # The values behind test_terms_bytes: Z(x1 + x2, 1; 0) = 5/12, and
+        # its two buckets are 5/24 each, by the symmetry x1 <-> x2.
+        v, buckets = Z_breakdown(MPoly.parse("x1 + x2"), MPoly.one(2), 0,
+                                 QuadratureSettings(precision=25))
+        with mp.workdps(60):
+            assert abs(v.num.value - mpf(5) / 12) <= v.num.err
+            for b in buckets:
+                assert abs(b.value.num.value - mpf(5) / 24) <= b.value.num.err
 
     def test_terms_one_variable_exact(self):
         code, out = run_cli(["mahler", "--P", "3 x1", "--Q", "x1^3 + 2", "--N", "2",
@@ -356,6 +371,12 @@ class TestOracle:
     @pytest.mark.parametrize("d", ["0", "-2"])
     def test_zeta1_degree_below_one_exits_1(self, d):
         code, out = run_cli(["oracle", "zeta1", "--d", d, "--s", "1/2"])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DomainViolation"
+
+    @pytest.mark.parametrize("gamma, s", [("0", "-1"), ("-1", "-1"), ("0", "1/3")])
+    def test_zeta1_gamma_not_positive_exits_1(self, gamma, s):
+        code, out = run_cli(["oracle", "zeta1", "--d", "2", "--gamma", gamma, "--s", s])
         assert code == 1
         assert json.loads(out)["error"]["type"] == "DomainViolation"
 

@@ -1,8 +1,10 @@
 """Mahler-series values: enumeration, periods, the value formula, Raabe."""
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import random
 import time
 from fractions import Fraction as F
 from math import comb
@@ -31,7 +33,7 @@ from zetapoly import (
     theta_diagonal,
 )
 from zetapoly import _quadrature
-from zetapoly.mahler import _derivative_support, certify_elliptic, delta_multiindices
+from zetapoly.mahler import Z_breakdown, _derivative_support, certify_elliptic, delta_multiindices
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
 QS_FAST = QuadratureSettings(rel_tol=1e-8, precision=20)
@@ -215,7 +217,9 @@ class TestZValue:
         v1 = Z_value(Ppoly, Q1, 0, QS_FAST).to_numeric(20)
         v2 = Z_value(Ppoly, Q2, 0, QS_FAST).to_numeric(20)
         v12 = Z_value(Ppoly, Q1 + Q2, 0, QS_FAST).to_numeric(20)
-        assert abs(v12.value - (v1.value + v2.value)) <= v1.err + v2.err + v12.err
+        # The errs lie far below 53 bits: compare above the values' precision.
+        with mp.workdps(40):
+            assert abs(v12.value - (v1.value + v2.value)) <= v1.err + v2.err + v12.err
 
     def test_inhomogeneous_Q_components(self):
         Ppoly = P("x1 + x2", 2)
@@ -223,7 +227,8 @@ class TestZValue:
         v = Z_value(Ppoly, Q, 0, QS_FAST).to_numeric(20)
         va = Z_value(Ppoly, P("x1", 2), 0, QS_FAST).to_numeric(20)
         vb = Z_value(Ppoly, MPoly.one(2), 0, QS_FAST).to_numeric(20)
-        assert abs(v.value - (va.value + vb.value)) <= v.err + va.err + vb.err
+        with mp.workdps(40):
+            assert abs(v.value - (va.value + vb.value)) <= v.err + va.err + vb.err
 
     def test_not_homogeneous(self):
         with pytest.raises(NotHomogeneous):
@@ -379,26 +384,36 @@ class TestProperties:
 
 
 class TestYExpansionBitIdentity:
-    """(value._mpf_, err._mpf_) of every coefficient, recorded before Z_value
-    and Y_expansion were built on one shared term generator."""
+    """(value._mpf_, err._mpf_) of every coefficient, recorded when the
+    one-variable face periods became exact reductions to masters
+    (DECISIONS.md D10); each within err of the same expansion through the
+    fixed-point quadrature alone."""
 
-    def test_two_variable_coefficients(self):
-        exp = Y_expansion(P("x1^2 + x1 x2 + x2^2", 2), P("x1", 2), 1, QS_FAST)
+    def test_two_variable_coefficients(self, monkeypatch):
+        args = (P("x1^2 + x1 x2 + x2^2", 2), P("x1", 2), 1)
+        exp = Y_expansion(*args, QS_FAST)
         got = {m: (v.num.value._mpf_, v.num.err._mpf_) for m, v in exp.items_sorted()}
         assert got == {
-            (0, 5): ((0, 19676527011956855081, -71, 65),
-                     (0, 766565842532044423977, -101, 70)),
-            (1, 4): ((1, 823, -71, 10),
-                     (0, 1115610266295359310429, -100, 70)),
-            (2, 3): ((0, 24595658764946068715, -67, 65),
-                     (0, 319428582297888856533, -97, 69)),
-            (3, 2): ((0, 49191317529892137657, -68, 66),
-                     (0, 1001124586849338570045, -98, 70)),
-            (4, 1): ((0, 36893488147419103289, -67, 66),
-                     (0, 563709265006049667507, -98, 69)),
-            (5, 0): ((0, 98382635059784275361, -70, 67),
-                     (0, 78137770901394574587, -98, 67)),
+            (0, 5): ((0, 39353054023913710113, -72, 66),
+                     (0, 342289584493292514327, -133, 69)),
+            (1, 4): ((0, 1, -71, 1),
+                     (0, 829029899438661941647, -108, 70)),
+            (2, 3): ((0, 24595658764946068821, -67, 65),
+                     (0, 207257477157950207419, -105, 68)),
+            (3, 2): ((0, 49191317529892137641, -68, 66),
+                     (0, 621772421685142935701, -106, 70)),
+            (4, 1): ((0, 1, -2, 1),
+                     (0, 829029897606142561857, -107, 70)),
+            (5, 0): ((0, 49191317529892137643, -69, 66),
+                     (0, 829029876287833778363, -108, 70)),
         }
+        monkeypatch.setattr(_quadrature, "_reduction", lambda den: None)
+        ref = Y_expansion(*args, QuadratureSettings(rel_tol=1e-12, precision=30))
+        assert ref.coeffs.keys() == exp.coeffs.keys()
+        with mp.workdps(50):
+            for m, v in exp.items_sorted():
+                r = ref.coeffs[m].num
+                assert abs(v.num.value - r.value) <= v.num.err + r.err
 
 
 class TestThetaSeriesCrossChecks:
@@ -611,6 +626,107 @@ class TestCubeIntegral:
         with mp.workdps(40):
             assert abs(v.num.value - mp.log(2)) <= v.num.err
         assert _quadrature.cube_integral(P("1 + x1", 1), MPoly.one(1), 1, QS_FAST, cache) is v
+
+
+class TestOneVariableReduction:
+    """cube_integral on one variable: int_0^1 A / D^k, D squarefree and
+    certified positive, is an exact combination of the masters
+    int_0^1 x^i / D, i < deg D, each one quadrature (DECISIONS.md D10)."""
+
+    DENS = ["1 + x1", "2 - x1", "1 + x1^2", "1 + x1 + x1^2", "2 + x1 - x1^2",
+            "1 + x1^3", "1/3 + x1^3", "1 + x1^4", "1 - x1 + 2 x1^2 - x1^3 + x1^4"]
+
+    @staticmethod
+    def _corpus():
+        # (D, k, A): per D, k = 1, a drawn k, and k = 8 with A of degree 22.
+        rng = random.Random(20)
+        for d in TestOneVariableReduction.DENS:
+            for k, deg in ((1, rng.randint(0, 22)), (rng.randint(2, 7), rng.randint(0, 22)),
+                           (8, 22)):
+                terms = {(j,): F(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(deg + 1)}
+                terms[(deg,)] = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+                yield P(d, 1), k, MPoly(1, terms)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _truth(D, k, A):
+        # (mpmath quad at 60 digits, its error estimate), shared by the tests.
+        with mp.workdps(60):
+            a, d = ([mpf(c.numerator) / c.denominator
+                     for c in (p.terms.get((e,), F(0)) for e in range(p.degree(), -1, -1))]
+                    for p in (A, D))
+            return mp.quad(lambda x: mp.polyval(a, x) / mp.polyval(d, x) ** k, [0, 1], error=True)
+
+    def test_rows_are_exact(self):
+        # r + sum c_i M_i against mpmath, masters and all at 60 digits.
+        for D, k, A in self._corpus():
+            red = _quadrature._reduction(D)
+            assert red is not None
+            L, n = _quadrature._dot([(a, red.row(j, k)) for (j,), a in A.terms.items()], red.m)
+            truth, terr = self._truth(D, k, A)
+            with mp.workdps(60):
+                masters = [self._truth(D, 1, MPoly(1, {(i,): F(1)}))[0] for i in range(red.m)]
+                terms = [mpf(n[0])] + [c * M for c, M in zip(n[1:], masters)]
+                got = mp.fsum(terms) / L
+                assert abs(got - truth) <= terr + mpf(10) ** -50 * mp.fsum(map(abs, terms)) / L
+
+    def test_values_within_err(self):
+        for D, k, A in self._corpus():
+            v = _quadrature.cube_integral(D, A, k, QS)
+            truth, terr = self._truth(D, k, A)
+            assert v.kind == "numeric"
+            with mp.workdps(60):
+                assert abs(v.num.value - truth) <= v.num.err + terr
+
+    def test_missed_tolerance_takes_the_quadrature(self, monkeypatch):
+        # int_0^1 x^22 / (1 + x)^8 = r + c log 2 = 2.04e-4 with c = -170544:
+        # nine digits cancel, so the master's error, scaled by c, misses a
+        # tolerance near its own.
+        D, A, qs = P("1 + x1", 1), P("x1^22", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
+        reduced, real = [], _quadrature._reduced
+
+        def recorded(*args):
+            reduced.append(real(*args))
+            return reduced[-1]
+
+        monkeypatch.setattr(_quadrature, "_reduced", recorded)
+        v = _quadrature.cube_integral(D, A, 8, qs)
+        assert reduced == [None]
+        truth, terr = self._truth(D, 8, A)
+        with mp.workdps(60):
+            assert abs(v.num.value - truth) <= v.num.err + terr
+            assert v.num.err <= 2 * qs.rel_tol * abs(truth)
+
+    def test_not_squarefree_takes_the_quadrature(self, monkeypatch):
+        # The faces of (x1 + x2)^2 are (1 + x)^2; Z((x1 + x2)^2, 1; 0) = Z(x1 + x2, 1; 0) = 5/12.
+        Psq = P("x1^2 + 2 x1 x2 + x2^2", 2)
+        assert _quadrature._reduction(Psq.face(1)) is None
+        masters = []
+        monkeypatch.setattr(_quadrature, "_master", lambda *a: masters.append(a))
+        v = Z_value(Psq, MPoly.one(2), 0, QS)
+        assert masters == []
+        with mp.workdps(40):
+            assert abs(v.num.value - mpf(5) / 12) <= v.num.err
+
+    def test_one_quadrature_per_master(self, monkeypatch):
+        # Every bucket of Z(x1^3 + x2^3, x1 x2; -1) divides by 1 + x^3: its
+        # quadratures are the masters int x^j / (1 + x^3) the buckets use.
+        used, calls = set(), [0]
+        master, integrate = _quadrature._master, _quadrature.integrate_unit_cube
+
+        def recorded(den, i, qs, cache):
+            used.add((den, i))
+            return master(den, i, qs, cache)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(_quadrature, "_master", recorded)
+        monkeypatch.setattr(_quadrature, "integrate_unit_cube", counted)
+        _, buckets = Z_breakdown(P("x1^3 + x2^3", 2), P("x1 x2", 2), 1, QS_FAST)
+        assert sum(b.value.kind == "numeric" for b in buckets) > 2
+        assert calls[0] == len(used) == 2
 
 
 class TestCubeQuadratureTotals:

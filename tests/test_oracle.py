@@ -288,6 +288,16 @@ class TestZeta1:
         with pytest.raises(DomainViolation):
             zeta1_numeric(d, F(1), F(1, 2), EM)
 
+    @pytest.mark.parametrize("gamma, s", [(F(0), F(-1)), (F(-1), F(-1)), (F(0), F(1, 3))])
+    def test_gamma_not_positive(self, gamma, s, monkeypatch):
+        # gamma^-s needs gamma > 0, as PowerSumParams requires in exact mode;
+        # the check comes before any work.
+        import zetapoly.oracle as oracle
+
+        monkeypatch.setattr(oracle, "zeta_riemann_em", None)
+        with pytest.raises(DomainViolation):
+            zeta1_numeric(2, gamma, s, EM)
+
 
 class TestPowerSum2:
     def test_six_configurations(self):
