@@ -631,21 +631,18 @@ class _Reduction:
 
     def _row(self, j: int, k: int) -> tuple[int, list[int]]:
         D, m = self.D, self.m
-        unit = [0] * (m + 1)
         if k == 0:
-            return j + 1, [1] + unit[1:]
+            return j + 1, [1] + [0] * m
         if j >= m:  # x^m = (D - sum_{i<m} d_i x^i) / d_m
             parts = [(1 / D[-1], self.row(j - m, k - 1))]
             parts += [(-d / D[-1], self.row(j - m + i, k)) for i, d in enumerate(D[:-1]) if d]
             return _dot(parts, m)
         if k == 1:
-            unit[j + 1] = 1
-            return 1, unit
+            return 1, [0] * (j + 1) + [1] + [0] * (m - 1 - j)
         # x^j / D^k = x^j s / D^(k-1) + x^j t D' / D^k, and by parts
         # int_0^1 x^p D' / D^k = [x^p D^(1-k)]_0^1 / (1-k) + p/(k-1) int_0^1 x^(p-1) / D^(k-1).
         ends = sum(self.t) / sum(D) ** (k - 1) - (self.t[0] / D[0] ** (k - 1) if j == 0 else 0)
-        unit[0] = 1
-        parts = [(ends / (1 - k), (1, unit))]
+        parts = [(ends / (1 - k), (1, [1] + [0] * m))]
         parts += [(c, self.row(j + l, k - 1)) for l, c in enumerate(self.s) if c]
         parts += [(c * (j + l) / (k - 1), self.row(j + l - 1, k - 1))
                   for l, c in enumerate(self.t) if c and j + l]
