@@ -90,8 +90,10 @@ def _add_common(sp, *, precision: bool = True, tolerances: bool = False) -> None
     sp.add_argument("--pretty", action="store_true", help="indented JSON output")
 
 
-def _parse_u(text: str, n: int) -> CompositionFamily:
-    """Parse composition entries "k:g1,...,gn[:count]" separated by ';'."""
+def _parse_u(text: str, n: int, rows: int) -> CompositionFamily:
+    """Parse composition entries "k:g1,...,gn[:count]" separated by ';' into
+    a family with a row for every weight up to at least `rows`, zero where
+    no entry has that weight."""
     per_k: dict[int, dict[tuple, int]] = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -108,13 +110,9 @@ def _parse_u(text: str, n: int) -> CompositionFamily:
             )
         count = int(parts[2]) if len(parts) > 2 else 1
         per_k.setdefault(k, {})[gamma] = per_k.get(k, {}).get(gamma, 0) + count
-    kmax = max(per_k) if per_k else 0
-    rows = []
-    for k in range(1, kmax + 1):
-        gammas = delta_multiindices(k, n)
-        row = tuple(per_k.get(k, {}).get(g, 0) for g in gammas)
-        rows.append(row)
-    return CompositionFamily(n=n, u=tuple(rows))
+    return CompositionFamily(n=n, u=tuple(
+        tuple(per_k.get(k, {}).get(g, 0) for g in delta_multiindices(k, n))
+        for k in range(1, max([rows, *per_k]) + 1)))
 
 
 def cmd_powersum(args) -> dict:
@@ -166,13 +164,7 @@ def cmd_period(args) -> dict:
     Q = _load_poly(args.Q, P.nvars) if args.Q else MPoly.one(P.nvars)
     alpha = _ints(args.alpha)
     beta = _ints(args.beta)
-    u = _parse_u(args.u, P.nvars)
-    # pad the family rows out to len(alpha)
-    rows = list(u.u) + [
-        (0,) * len(delta_multiindices(k, P.nvars))
-        for k in range(len(u.u) + 1, len(alpha) + 1)
-    ]
-    u = CompositionFamily(n=P.nvars, u=tuple(rows))
+    u = _parse_u(args.u, P.nvars, len(alpha))
     val = period_K(P, Q, args.N, alpha, u, beta, args.i, _qs(args))
     return val.to_json(args.precision // 2 + 5)
 

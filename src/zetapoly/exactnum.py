@@ -282,11 +282,10 @@ def gamma_rational(x: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
         if x.denominator == 1:
             v = mpf(factorial(x.numerator - 1))
             return Numeric(v, _round_err(v))
-        # Reduce to the fractional part in (0,1), then shift upward far
-        # enough that the Stirling tail reaches the target precision.
+        # Start Stirling at x, or higher, at the fractional part shifted
+        # far enough that the Stirling tail reaches the target precision.
         frac = x - (x.numerator // x.denominator)
-        shift_min = int((precision + 12) / 2.6) + 2
-        z = frac + shift_min
+        z = max(x, frac + int((precision + 12) / 2.6) + 2)
         lng, lerr = _stirling_lngamma(z)
         g = mp.exp(lng)
         gerr = g * (lerr + _round_err(lng)) * (1 + lerr)
@@ -296,7 +295,6 @@ def gamma_rational(x: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
         while t < z:
             ratio *= t
             t += 1
-        assert t == z
         rf = mpf_from_rational(ratio)
         v = g / rf
         e = gerr / abs(rf) + _round_err(v)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, perm
 
-from .exactnum import bernoulli, bernoulli_tilde, riemann_zeta_exact_nonpositive
+from .exactnum import bernoulli, riemann_zeta_exact_nonpositive
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,12 @@ def double_B3(N1: int, N2: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _tilde_scaled(S: int) -> tuple[int, list[int]]:
-    """(D, [D B~_0, ..., D B~_S]) with D = lcm(den B_0..B_S)."""
-    D = lcm(*(bernoulli(k).denominator for k in range(S + 1)))
-    return D, [t.numerator * (D // t.denominator) for t in map(bernoulli_tilde, range(S + 1))]
-
-
-@lru_cache(maxsize=None)
 def _tilde_pair_sum(A: int, b2: int, S: int) -> int:
-    """D^2 sum_{l=0}^{A} C(A, l) B~_{S-b2-l} B~_{b2+l}, D as in _tilde_scaled."""
-    TD = _tilde_scaled(S)[1]
-    return sum(comb(A, l) * TD[S - b2 - l] * TD[b2 + l] for l in range(A + 1))
+    """D^2 sum_{l=0}^{A} C(A, l) B~_{S-b2-l} B~_{b2+l}, D as in
+    _bernoulli_scaled(S).  B~_k = (-1)^k B_k and the two indices sum to S,
+    so each product is (-1)^S B_{S-b2-l} B_{b2+l}."""
+    BD = _bernoulli_scaled(S)[1]
+    return (-1) ** S * sum(comb(A, l) * BD[S - b2 - l] * BD[b2 + l] for l in range(A + 1))
 
 
 def double_B6(N1: int, N2: int) -> Fraction:
@@ -105,7 +100,7 @@ def double_B6(N1: int, N2: int) -> Fraction:
     if N1 < 0 or N2 < 0:
         raise ValueError("indices must be non-negative")
     S = N1 + N2 + 2
-    D = _tilde_scaled(S)[0]
+    D = _bernoulli_scaled(S)[0]
     total = 0
     for b1 in range(N1 + N2 + 1):
         for b2 in range(N1 + N2 - b1 + 1):

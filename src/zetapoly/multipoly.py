@@ -227,6 +227,8 @@ class MPoly:
         g = tuple(int(x) for x in g)
         if len(g) != self.nvars:
             raise DimensionMismatch("derivative order has wrong length")
+        if min(g, default=0) < 0:
+            raise ValueError(f"derivative order {g} has a negative entry")
         out: dict[MultiIndex, Fraction] = {}
         for e, c in self.terms.items():
             if any(ei < gi for ei, gi in zip(e, g)):
@@ -563,13 +565,16 @@ def _bernstein(P: MPoly, depth: int) -> tuple[str, tuple | None]:
     return status, None
 
 
+@lru_cache(maxsize=128)
 def bernstein_positive(P: MPoly, max_depth: int = 6) -> tuple[str, tuple | None]:
     """Certify P > 0 on [0,1]^n by Bernstein-coefficient subdivision.
 
     Returns ("certified", None), ("violated", witness point) or
     ("sampled_only", None) when the subdivision depth is exhausted.  A
     witness is a corner of a dyadic sub-box, where the corner Bernstein
-    coefficient is the exact value: P(witness) <= 0.
+    coefficient is the exact value: P(witness) <= 0.  Memoised: the faces
+    certified for a Z value are certified again by its periods and by the
+    one-variable reduction.
     """
     return _bernstein(P, max_depth)
 

@@ -47,6 +47,10 @@ class EMSettings:
     truncation: int = 400
     precision: int = 30
 
+    def __post_init__(self):
+        if self.truncation < 1:
+            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+
 
 DEFAULT_EM = EMSettings()
 

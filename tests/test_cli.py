@@ -16,6 +16,7 @@ from mpmath import mp, mpf
 from zetapoly import MPoly, QuadratureSettings, ZetaPolyError
 from zetapoly.cli import main
 from zetapoly.mahler import Z_breakdown
+from zetapoly.polyzeta import build_family, diagonal_value
 
 
 def run_cli(argv):
@@ -84,6 +85,16 @@ class TestPowersum:
         payload = json.loads(out)
         assert payload["kind"] == "mixed"
         assert payload["terms"][0]["coeff"] == f"-1/{480 * 10**200}"
+
+    def test_pretty_output(self):
+        code, out = run_cli(["powersum", "--d", "2,3", "--gamma", "1,1", "--N", "0,0",
+                             "--pretty"])
+        assert code == 0
+        assert out == '{\n  "kind": "exact",\n  "schema": "1",\n  "value": "1/4"\n}\n'
+        code, out = run_cli(["powersum", "--d", "2,2", "--N", "0,0", "--pretty"])
+        assert code == 1
+        assert out.startswith('{\n  "error": {\n    "message": ')
+        assert json.loads(out)["error"]["type"] == "RegularityViolated"
 
     def test_directional_default_theta(self):
         code, out = run_cli(["directional", "--d", "3,2,2", "--N", "0,0,0"])
@@ -313,6 +324,31 @@ class TestPeriod:
             err = json.loads(out)["error"]
             assert err["type"] == "ValueError" and repr(u) in err["message"], u
 
+    @pytest.mark.parametrize("argv, line", [
+        # the README example: one --u row for two entries of alpha, the
+        # weight-2 row padded with zeros
+        (["--P", "x1^2 + x1 x2 + x2^2 + x3^2", "--Q", "x1 + x2", "--N", "2",
+          "--alpha", "1,0", "--beta", "0,0,0", "--u", "1:1,0,0", "--i", "3"], "497/120"),
+        # no --u entries at all: both rows padded
+        (["--P", "x1^2 + x2^2", "--N", "0", "--alpha", "0,0", "--beta", "0,0",
+          "--u", "", "--i", "1"], "1"),
+    ])
+    def test_family_padded_to_alpha(self, argv, line):
+        code, out = run_cli(["period", *argv])
+        assert code == 0
+        assert out == f'{{"kind":"exact","schema":"1","value":"{line}"}}\n'
+
+    @pytest.mark.parametrize("alpha, beta", [("1,0", "-1,0"), ("-1,0", "0,0")])
+    def test_negative_order_exits_1(self, alpha, beta):
+        # --beta=-1,0 used to print pi/2 with exit 0
+        code, out = run_cli([
+            "period", "--P", "x1^2 + x2^2", "--N", "0", f"--alpha={alpha}",
+            f"--beta={beta}", "--u", "1:1,0", "--i", "1",
+        ])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError" and "has a negative entry" in err["message"]
+
     def test_family_longer_than_alpha_exits_1(self):
         # a weight-3 entry with len(alpha) = 2 used to be dropped silently
         code, out = run_cli([
@@ -333,6 +369,32 @@ class TestPolyzeta:
         payload = json.loads(out)
         assert payload["kind"] == "numeric"
         assert payload["value"].startswith("0.4166666666")
+
+    def test_polys_object_with_json_entries(self, tmp_path):
+        # the {"polys": [...]} form, with a polynomial given as JSON
+        fam = tmp_path / "family.json"
+        x1_plus_x2 = {"nvars": 2, "terms": [{"c": "1", "e": [1, 0]}, {"c": "1", "e": [0, 1]}]}
+        fam.write_text(json.dumps({"polys": ["x1", x1_plus_x2]}))
+        code, out = run_cli(["polyzeta", "--family", str(fam), "--N", "0,0",
+                             "--precision", "25"])
+        assert code == 0
+        assert json.loads(out)["value"].startswith("0.4166666666")
+
+    def test_diagonal(self, tmp_path):
+        fam = tmp_path / "family.json"
+        texts = ["x1", "x1 + x2", "x1^2 + x2^2 + x3^2"]
+        fam.write_text(json.dumps(texts))
+        argv = ["polyzeta", "--family", str(fam), "--N", "0,0,0", "--rel-tol", "1e-8",
+                "--precision", "20"]
+        code, out = run_cli([*argv, "--diagonal"])
+        assert code == 0
+        family = build_family([MPoly.parse(t, j) for j, t in enumerate(texts, start=1)])
+        qs = QuadratureSettings(rel_tol=1e-8, precision=20)
+        payload = json.loads(out)
+        assert payload == {"schema": "1", **diagonal_value(family, (0, 0, 0), qs).to_json(15)}
+        # not the main path's record, and within its err of Z(P_3, 1; 0) = -1/8
+        assert payload != json.loads(run_cli(argv)[1])
+        assert abs(float(payload["value"]) + 0.125) <= float(payload["err"])
 
     def test_violating_family_exits_1(self, tmp_path):
         fam = tmp_path / "family.json"

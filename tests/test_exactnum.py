@@ -197,6 +197,13 @@ class TestGamma:
             # integers are factorials
             assert gamma_rational(F(5), 30).value == 24
 
+    @pytest.mark.parametrize("x, precision", [(F(61, 2), 50), (F(100, 3), 50), (F(40, 3), 10)])
+    def test_argument_above_stirling_shift(self, x, precision):
+        # floor(x) above the Stirling shift used to raise a bare AssertionError
+        g = gamma_rational(x, precision)
+        with mp.workdps(80):
+            assert abs(g.value - mp.gamma(mpf(x.numerator) / x.denominator)) <= g.err
+
     def test_pole_and_cap(self):
         with pytest.raises(Pole):
             gamma_rational(F(-2), 30)

@@ -33,7 +33,13 @@ from zetapoly import (
     theta_diagonal,
 )
 from zetapoly import _quadrature
-from zetapoly.mahler import Z_breakdown, _derivative_support, certify_elliptic, delta_multiindices
+from zetapoly.mahler import (
+    Z_breakdown,
+    _derivative_support,
+    _mahler_terms,
+    certify_elliptic,
+    delta_multiindices,
+)
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
 QS_FAST = QuadratureSettings(rel_tol=1e-8, precision=20)
@@ -111,8 +117,40 @@ class TestIndexSets:
                 g = u.g_vector()
                 assert sum(g) == sum((k + 1) * a for k, a in enumerate(alpha))
 
+    @pytest.mark.parametrize("p, q", [
+        ("x1 + x2", "1"),
+        ("x1^2 + x1 x2 + x2^2", "x1 + x2^2"),
+        ("x1^2 + 2 x1 x2 + x2^2 + x3^2", "x1^2 + x1 x2 + x3"),
+        ("x1^3 + x2^3", "3 x1 x2 + 1"),
+    ])
+    def test_term_degrees(self, p, q):
+        # every term of the triple sum has |m| = dN + q + n, q the degree of
+        # its component of Q: |g(u)| = sum_k k alpha_k by the composition
+        # families and sum_k k alpha_k + |beta| = dN + q + n by index_I
+        Ppoly = P(p)
+        Qpoly = P(q, Ppoly.nvars)
+        _, d = Ppoly.is_homogeneous()
+        degrees = [deg for deg, _ in Qpoly.homogeneous_components()]
+        for N in range(3):
+            terms = list(_mahler_terms(Ppoly, Qpoly, N, d))
+            assert terms
+            for ci, beta, _, alpha, _, _, m in terms:
+                assert sum(m) == d * N + degrees[ci] + Ppoly.nvars
+
 
 class TestPeriod:
+    def test_negative_alpha_rejected(self):
+        # alpha = (-1, 0) used to fail only inside factorial
+        with pytest.raises(ValueError, match=r"alpha \(-1, 0\) has a negative entry"):
+            period_K(P("x1^2 + x2^2"), MPoly.one(2), 0, (-1, 0), [(0, 0), (0, 0, 0)],
+                     (0, 0), 1)
+
+    def test_negative_beta_rejected(self):
+        # beta = (-1, 0) used to integrate x1 Q, printing pi/2
+        with pytest.raises(ValueError, match="negative"):
+            period_K(P("x1^2 + x2^2"), MPoly.one(2), 0, (1, 0), [(1, 0), (0, 0, 0)],
+                     (-1, 0), 1)
+
     def test_one_dimensional_exact(self):
         # single-variable case: the period is the falling factorial (N)_beta
         Ppoly = P("x1", 1)

@@ -101,6 +101,12 @@ class TestDerivative:
         with pytest.raises(DimensionMismatch):
             P("x1", 1).derivative((1, 0))
 
+    @pytest.mark.parametrize("g", [(-1, 0), (0, -2), (2, -1)])
+    def test_negative_order_rejected(self, g):
+        # (-1, 0) used to return x1 * Q, an antiderivative in disguise
+        with pytest.raises(ValueError, match="negative"):
+            P("x1^2 + x1 x2", 2).derivative(g)
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(small_polys(2), st.tuples(st.integers(0, 2), st.integers(0, 2)),
            st.tuples(st.integers(0, 2), st.integers(0, 2)))

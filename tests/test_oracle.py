@@ -168,6 +168,12 @@ class TestEmInnerSum:
         with pytest.raises(DomainViolation):
             em_inner_sum(F(1), F(1), d, F(1, 2), EM)
 
+    @pytest.mark.parametrize("truncation", [0, -3])
+    def test_truncation_below_one_rejected(self, truncation):
+        # truncation 0 used to die on log(0) in the planner
+        with pytest.raises(ValueError, match="truncation"):
+            EMSettings(truncation=truncation)
+
     def test_depth_guard(self):
         with pytest.raises(ContinuationDepthInsufficient):
             em_inner_sum(F(1), F(1), 1, F(-200), EMSettings(precision=10))

@@ -1,6 +1,7 @@
 """Power-sum zeta values: predicates, recursion, closed forms, limits."""
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -317,6 +318,28 @@ class TestDirectional:
                 rng = random.Random(trial)
                 N = tuple(rng.randint(0, 2) for _ in range(n))
                 assert C_value(d, N, b) != 0
+
+    def test_C_matches_assembly_on_grid(self):
+        # C theta_n / sum theta = A B_theta (-1)^{d_1(w+b)} / (prod_{j>=2} d_j (d_1(w+b)+1))
+        thetas = [(F(0), F(1)), (F(1), F(2)), (F(-1, 3), F(1)), (F(5), F(-2))]
+        for d in [(3, 2, 2), (4, 3, 3, 3), (5, 2, 6, 3), (5, 4, 4, 4, 4)]:
+            ok, b = ira_ok(d)
+            assert ok
+            n = len(d)
+            prod_d = 1
+            for dj in d[1:]:
+                prod_d *= dj
+            for N in product(range(3), repeat=n):
+                if n > 3 and sum(N) > 3:
+                    continue
+                w = sum(N)
+                A = A_value(d, N)
+                C = C_value(d, N, b)
+                for t in thetas:
+                    th = (F(0),) * (n - 2) + t
+                    assembled = (A * B_theta(N, th, b) * (-1) ** (d[0] * (w + b))
+                                 / (prod_d * (d[0] * (w + b) + 1)))
+                    assert C * th[-1] / sum(th[1:]) == assembled
 
     def test_gamma_roots_numeric_fold(self):
         # gamma_2 = 2 is not a perfect square: result folds to numeric
