@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial
 from typing import Iterable, Sequence
 
@@ -319,36 +320,42 @@ def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
     if s <= 1:
         raise ValueError("numeric path requires s > 1")
     with mp.workdps(precision + 10):
-        target = mpf(10) ** (-(precision + 4))
+        # The least order whose remainder bound is below 2^-prec, which the 10
+        # guard digits put below 10^-(precision + 4); zeta(s) > 1, so the bound
+        # stays under err's rounding term.
+        target = mpf(2) ** -mp.prec
         M = max(10, precision)
+        sf = mpf_from_rational(s)
         # coeffs[K - 1] = B_2K (s)_2K / ((2K)! (s + 2K - 1)), rounded once and
-        # shared by the K search and the sum; ratio = (s)_2K / (2K)!.
+        # kept across doublings of M; ratio = (s)_2K / (2K)!.
         coeffs: list[mpf] = []
         ratio = Fraction(1)
         while True:
-            best = None
-            for K in range(1, 4 * precision):
+            # terms[K - 1] = coeffs[K - 1] M^(1 - s - 2K) is the order-K
+            # correction, and its size bounds the remainder after it.
+            power = head = mp.power(M, 1 - sf)
+            step = mpf(M) ** -2
+            terms: list[mpf] = []
+            for K in count(1):
                 if K > len(coeffs):
                     ratio *= (s + 2 * K - 2) * (s + 2 * K - 1) / ((2 * K - 1) * 2 * K)
                     coeffs.append(mpf_from_rational(bernoulli(2 * K) * ratio / (s + 2 * K - 1)))
-                bound = abs(coeffs[K - 1]) * mpf(M) ** mpf_from_rational(1 - s - 2 * K)
-                if best is None or bound < best[0]:
-                    best = (bound, K)
-                elif bound > best[0]:
+                power *= step
+                terms.append(coeffs[K - 1] * power)
+                bound = abs(terms[-1])
+                # Past the least term, no higher order at this M will do.
+                if bound < target or (K > 1 and bound > abs(terms[-2])):
                     break
-            if best[0] < target:
-                K = best[1]
-                bound = best[0]
+            if bound < target:
                 break
             M *= 2
-        sf = mpf_from_rational(s)
         total = mpf(0)
         for m in range(1, M + 1):
             total += mp.power(m, -sf)
-        total += mp.power(M, 1 - sf) / (sf - 1)
+        total += head / (sf - 1)
         total -= mp.power(M, -sf) / 2
-        for k in range(1, K + 1):
-            total += coeffs[k - 1] * mp.power(M, -sf - (2 * k - 1))
+        for t in terms:
+            total += t
         err = bound + (M + K + 10) * _round_err(total)
         return Numeric(total, err)
 

@@ -47,38 +47,41 @@ def _bernoulli_scaled(cap: int) -> tuple[int, list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_pairs(l: int, cap: int) -> Fraction:
-    """sum over k1 >= l, k2 >= 0, k1 + k2 <= cap of B_k1 B_k2 times the
-    multinomial (cap - l)! / ((k1 - l)! k2! (cap - k1 - k2)!).
-
-    Summed in integers over D^2 (see _bernoulli_scaled); the multinomial
-    is C(cap - l, k1 - l) C(cap - k1, k2)."""
-    D, BD = _bernoulli_scaled(cap)
+def _bernoulli_pairs(l: int, cap: int) -> int:
+    """D^2 times the sum over k1 >= l, k2 >= 0, k1 + k2 <= cap of B_k1 B_k2
+    times the multinomial (cap - l)! / ((k1 - l)! k2! (cap - k1 - k2)!), D as
+    in _bernoulli_scaled(cap); the multinomial is C(cap - l, k1 - l) C(cap - k1, k2)."""
+    BD = _bernoulli_scaled(cap)[1]
     total = 0
     for k1 in range(l, cap + 1):
         if BD[k1]:
             row = sum(BD[k2] * comb(cap - k1, k2) for k2 in range(cap - k1 + 1))
             total += BD[k1] * comb(cap - l, k1 - l) * row
-    return Fraction(total, D * D)
+    return total
 
 
 def double_B3(N1: int, N2: int) -> Fraction:
     """Euler double value at (-N1, -N2) from the linear-denominator formula
-    (three sums over l of Bernoulli-pair sums)."""
+    (three sums over l of Bernoulli-pair sums).
+
+    Every pair sum is an integer over D^2 (D = lcm(den B_0..B_T), which the
+    D of each smaller cap divides), so the weighted sums run in integers,
+    one per weight denominator, and divide once."""
     if N1 < 0 or N2 < 0:
         raise ValueError("indices must be non-negative")
     T = N1 + N2 + 2
-    total = Fraction(0)
+    D = _bernoulli_scaled(T)[0]
+    totals: dict[int, int] = {}
     for l in range(N1 + 1):
         c = comb(N1, l)
-        total += Fraction(
-            (-1) ** (N1 + 3 - l) * c, comb(T - 1 - l, N2) * (T - l) * (l - N1 - 1)
-        ) * _bernoulli_pairs(l, T)
-        total += Fraction(c, (N2 + 1) * (N1 + 1 - l)) * _bernoulli_pairs(l, N2 + 1 + l)
-        for l2 in range(N2 + 1):
-            w = Fraction(c * comb(N2, l2), (T - l - l2) * (N2 + 1 - l2))
-            total += w * _bernoulli_pairs(l, l + l2)
-    return total
+        terms = [((-1) ** (N1 - l) * c, comb(T - 1 - l, N2) * (T - l) * (N1 + 1 - l), T),
+                 (c, (N2 + 1) * (N1 + 1 - l), N2 + 1 + l)]
+        terms += [(c * comb(N2, l2), (T - l - l2) * (N2 + 1 - l2), l + l2) for l2 in range(N2 + 1)]
+        for num, den, cap in terms:
+            scale = D // _bernoulli_scaled(cap)[0]
+            totals[den] = totals.get(den, 0) + num * scale * scale * _bernoulli_pairs(l, cap)
+    L = lcm(*totals)
+    return Fraction(sum(num * (L // den) for den, num in totals.items()), L * D * D)
 
 
 @lru_cache(maxsize=None)

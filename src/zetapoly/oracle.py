@@ -234,7 +234,8 @@ def _em_plan(
                 break
     if best is None:
         raise ContinuationDepthInsufficient(
-            f"the integral term needs M0 >= {M_min}, beyond truncation {m_max}"
+            f"truncation {m_max} must exceed {M_min}: the integral term needs"
+            f" M0 >= {M_min} and one remainder interval above it"
             if M_min >= m_max
             else f"remainder tail not below tolerance within {m_max} intervals"
         )

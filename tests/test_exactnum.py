@@ -9,6 +9,7 @@ from math import comb, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from zetapoly import (
@@ -29,7 +30,7 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     riemann_zeta_numeric,
 )
-from zetapoly.exactnum import mpf_from_rational, rat_to_str
+from zetapoly.exactnum import BERNOULLI_EAGER_MAX, mpf_from_rational, rat_to_str
 
 
 BERN_CHECKED = 1100
@@ -49,6 +50,16 @@ def _recurrence_table() -> list[F]:
         assert r == 0
         scaled.append(q)
     return [F(x, D) for x in scaled]
+
+
+def _fresh_stdout(code: str) -> str:
+    """The stripped stdout of code run in a fresh interpreter on src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return proc.stdout.strip()
 
 
 class TestBernoulli:
@@ -78,9 +89,6 @@ class TestBernoulli:
     def test_growth_steps_give_one_table(self, steps):
         # A fresh interpreter grows the table from its eager B_128 in these
         # steps; one jump and irregular steps must give the same numbers.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = (
             "import hashlib\n"
             "from zetapoly import bernoulli\n"
@@ -88,10 +96,8 @@ class TestBernoulli:
             f"text = '\\n'.join(str(bernoulli(k)) for k in range({BERN_CHECKED + 1}))\n"
             "print(hashlib.sha256(text.encode()).hexdigest())\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120, check=True)
         want = "\n".join(str(b) for b in _recurrence_table())
-        assert proc.stdout.strip() == hashlib.sha256(want.encode()).hexdigest()
+        assert _fresh_stdout(code) == hashlib.sha256(want.encode()).hexdigest()
 
     def test_binomial_sum_identity(self):
         # sum_j C(k,j) B_j = (-1)^k B_k for k <= 60
@@ -232,22 +238,61 @@ class TestZeta:
         with pytest.raises(ValueError):
             riemann_zeta_numeric(F(1, 2), 30)
 
-    # sha256 of repr((value._mpf_, err._mpf_)), recorded before the K search
-    # and the sum shared their coefficients.
+    # sha256 of repr(value._mpf_), recorded before the K search stopped at
+    # the least sufficient order: that search leaves every value bit alone.
     @pytest.mark.parametrize("s, precision, sha", [
-        (F(5, 2), 100, "5e12cf8abf50dc38b3b9d9c642bcb2231ae8fbe2bf8406a18a3db06c01d695eb"),
-        (F(7, 3), 40, "dd4ed42e2e0574298489f44779a579e922508b941d61b572b46bcf2025731bce"),
-        (F(3), 60, "b4672e0075d56ae8553098f3aaf8a29dd153f7dfaf6e9bb1630f1d56a62385cb"),
-        (F(2), 30, "6f734ce02c5be20cb7801efc9db2119cd3eb6414ccc87f82d72c433ade665fd1"),
-        (F(2), 50, "b7d55bf0e5a3e24864edbb0ac1f1d80b515de53dbb72cbcd073d1e2209916a48"),
-        (F(2), 70, "1f2ca7d9ff972ba596ac95b7d17ce8c7d612641e77cda83d7fc23416a59358e2"),
-        (F(2), 100, "8713d2bf4ab4d5c9bf99bda0e2b23be1673be09f9eae4d3d88ba7bb145222d1b"),
-        (F(11, 7), 45, "456a29237345363b3e11cbce82c6074f85211b1b66728d091cf7122663c60eb4"),
+        (F(5, 2), 100, "19d1adc6fb28ffac06a0c0e68c1a581436747099f91c0a2edc4aff6cff134927"),
+        (F(7, 3), 40, "9547dc095ae995ba5900e441a052d9c28424154e517d47394f70ea37454d413a"),
+        (F(3), 60, "6271f1f462d1ce5b26fa4401e52b4759c36f817cb6a01b2ebcd36a38096cf5e0"),
+        (F(2), 30, "2dec56f5a1683413c2608694c542500482aa85045540f5c553731039b1aaf6ce"),
+        (F(2), 50, "e58f569c97af85420e50c4a6928b7e6ad041e0b915883e53d51a2c99a1f1b866"),
+        (F(2), 70, "4ed49263aa3ac42679713a347f31f04631b5437140a117e2b71a7c93c748c169"),
+        (F(2), 100, "7f10bee5023602633c436984523cb8c9f88796cd7358eb9a002349f36f474b9d"),
+        (F(11, 7), 45, "3681aec9455b20621f656d05322daf22b0b7c625159b4a68a7dd0a563b713635"),
     ])
-    def test_numeric_bits(self, s, precision, sha):
+    def test_numeric_value_bits(self, s, precision, sha):
         z = riemann_zeta_numeric(s, precision)
-        bits = tuple(tuple(int(x) for x in v._mpf_) for v in (z.value, z.err))
+        bits = tuple(int(x) for x in z.value._mpf_)
         assert hashlib.sha256(repr(bits).encode()).hexdigest() == sha
+
+    # sha256 of repr(err._mpf_), recorded with the least sufficient order.
+    @pytest.mark.parametrize("s, precision, sha", [
+        (F(5, 2), 100, "38ba5f92fafb172861f8030f81f7c74718b09de39effd58ed64f4c3f5689eab8"),
+        (F(7, 3), 40, "a4c4ba8896f7323525c90f5bb39fc4db4cece898b1c74afc1f1fd1472b2216bb"),
+        (F(3), 60, "dd1cddb4fc2409aa55e00ef9050d2d98f36ea1496837a138a5a5a266ec721e5d"),
+        (F(2), 30, "26464c93f826cb58b1fc5bda15640921c73371b77b1c3a8810d3d6905a10d941"),
+        (F(2), 50, "4aac612b884cd073c1933faa4a4d95065b9498b37fdf3cc58ad15392a4dcb6e4"),
+        (F(2), 70, "32691f08b1ffd9bea1521b51f81a6b96cb973a92246dd00a1bd114d911ebd719"),
+        (F(2), 100, "d6fc0de1b4c2366501eb12560ee113778e9698ad0c9d26d3e78158924fca58f3"),
+        (F(11, 7), 45, "593d7acbab18210fc651a2847b1acc61af8b9733ca04146c813cb88686289861"),
+    ])
+    def test_numeric_err_bits(self, s, precision, sha):
+        z = riemann_zeta_numeric(s, precision)
+        bits = tuple(int(x) for x in z.err._mpf_)
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == sha
+
+    @settings(max_examples=64, deadline=None, derandomize=True)
+    @given(s=st.fractions(min_value=1, max_value=13, max_denominator=1000).filter(lambda x: x > 1),
+           precision=st.integers(1, 120))
+    @example(s=F(1001, 1000), precision=120)
+    @example(s=F(11, 10), precision=60)
+    def test_numeric_corpus(self, s, precision):
+        z = riemann_zeta_numeric(s, precision)
+        with mp.workdps(precision + 40):
+            truth = mp.zeta(mpf_from_rational(s))
+            assert abs(z.value - truth) <= z.err
+            assert z.err <= mpf(10) ** -precision * truth
+
+    def test_numeric_keeps_eager_bernoulli_table(self):
+        # zeta(5/2) at 100 digits stops at order 43 and needs B_86; the
+        # search used to run to order 314 and grow the table to B_632.
+        code = (
+            "from fractions import Fraction\n"
+            "from zetapoly import exactnum\n"
+            "exactnum.riemann_zeta_numeric(Fraction(5, 2), 100)\n"
+            "print(len(exactnum._BERN) - 1)\n"
+        )
+        assert _fresh_stdout(code) == str(BERNOULLI_EAGER_MAX + 1)
 
     @pytest.mark.parametrize("precision", [0, -3])
     def test_precision_below_one_digit(self, precision):

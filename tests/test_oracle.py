@@ -178,6 +178,11 @@ class TestEmInnerSum:
         with pytest.raises(ContinuationDepthInsufficient):
             em_inner_sum(F(1), F(1), 1, F(-200), EMSettings(precision=10))
 
+    def test_truncation_not_above_anchor(self):
+        # M0 >= 1 and one remainder interval above it need truncation >= 2
+        with pytest.raises(ContinuationDepthInsufficient, match="truncation 1 must exceed 1"):
+            zeta1_numeric(2, F(1), F(1, 3), EMSettings(truncation=1))
+
     @pytest.mark.parametrize("a, b, d, s", [
         (F(2), F(1, 3), 3, F(1, 5)),
         (F(1), F(3), 2, F(-1, 3)),
