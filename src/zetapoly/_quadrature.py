@@ -15,9 +15,10 @@ returns its values at every point of their product, in row-major order
 (last axis fastest), one call per rule and cell.
 
 ``cube_integral`` is the one entry for integrals of numer / den^k over the
-unit cube: the exact moment of a polynomial, an exact constant, a
-one-variable quotient reduced exactly to a few master integrals, or the
-quadrature of a quotient under one ``QuadratureSettings``.
+unit cube: the exact moment of a polynomial, an exact constant, a quotient
+over an affine den in closed form (a rational plus logs), a one-variable
+quotient reduced exactly to a few master integrals, or the quadrature of a
+quotient under one ``QuadratureSettings``.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd, inf, lcm, prod
+from math import comb, factorial, gcd, inf, lcm, prod
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -38,7 +39,7 @@ from .errors import (
     PrecisionUnreachable,
     QuadratureDidNotConverge,
 )
-from .exactnum import Numeric, SpecialValue, mpf_from_rational
+from .exactnum import MAX_PRECISION_DPS, Numeric, SpecialValue, _round_err, mpf_from_rational
 from .multipoly import MPoly, bernstein_positive
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
@@ -105,6 +106,9 @@ class QuadratureSettings:
     def __post_init__(self):
         if not (0 < self.rel_tol < inf and 0 < self.abs_tol < inf):
             raise ValueError("tolerances must be positive and finite")
+        if self.precision > MAX_PRECISION_DPS:
+            raise PrecisionUnreachable(
+                f"precision {self.precision} is above the cap of {MAX_PRECISION_DPS} digits")
         # At or below the rounding floor refinement cannot converge.
         dps = self.precision + 10
         floor = rounding_floor(dps_to_prec(dps))
@@ -660,6 +664,121 @@ def _reduction(den: "MPoly") -> _Reduction | None:
     return _Reduction(D, *cof) if cof else None
 
 
+# -----------------------------------------------------------------------------
+# Affine denominators: closed form
+# -----------------------------------------------------------------------------
+
+def _coprime_basis(nums) -> list[int]:
+    """Pairwise coprime integers > 1, sorted, of whose powers each of nums
+    is a product (a gcd-free basis: split shared factors until none is)."""
+    basis: list[int] = []
+    todo = [x for x in nums if x > 1]
+    while todo:
+        x = todo.pop()
+        b = next((b for b in basis if gcd(b, x) > 1), None)
+        if b is None:
+            basis.append(x)
+        else:
+            basis.remove(b)
+            g = gcd(b, x)
+            todo += [y for y in (b // g, g, x // g) if y > 1]
+    return sorted(basis)
+
+
+def _antiderivative(q: int, l: int) -> list[tuple[int, int, Fraction]]:
+    """(p, j, c) with sum c t^p log^j t an antiderivative of t^q log^l t."""
+    if q == -1:
+        return [(0, l + 1, Fraction(1, l + 1))]
+    return [(q + 1, l - j, Fraction((-1) ** j * factorial(l) // factorial(l - j), (q + 1) ** (j + 1)))
+            for j in range(l + 1)]
+
+
+class _Affine:
+    """int_{[0,1]^r} x^e / D^k in closed form, for D = c + sum a_j x_j
+    positive on the cube (DECISIONS.md D12).  One variable at a time, with
+    t = D: the terms x^e L^m log^l L, over the affine L left, are closed
+    under the antiderivative.  Values are {b: q} for sum q prod_{i in b}
+    log basis[i]: at the end L is a vertex value of D, whose log is a sum
+    over a gcd-free basis of the vertex values' numerators and
+    denominators, so logs cancel exactly.  Each (e, k) row is memoised."""
+
+    def __init__(self, den: "MPoly"):
+        r = den.nvars
+        self.c = den.terms.get((0,) * r, Fraction(0))
+        self.a = [den.terms.get(tuple(int(i == j) for i in range(r)), Fraction(0))
+                  for j in range(r)]
+        vertices = {self.c}
+        for a in self.a:
+            vertices |= {v + a for v in vertices}
+        if min(vertices) <= 0:
+            raise NotElliptic("affine denominator not positive at a vertex of the cube")
+        self.basis = _coprime_basis({x for v in vertices for x in (v.numerator, v.denominator)})
+        self._parts: dict[tuple, dict] = {}
+
+    def _part(self, j: int, e: tuple, s: Fraction, m: int, l: int) -> dict:
+        """int over x_j, x_j+1, ... of prod x_i^e_i L^m log^l L, L = s +
+        sum_{i >= j} a_i x_i."""
+        key = (j, e, s, m, l)
+        if key in self._parts:
+            return self._parts[key]
+        out: dict = {}
+        if j == len(self.a):  # s^m (log s)^l, log s = sum_i v_i log basis[i]
+            out[()] = s ** m
+            logs = []
+            for i, b in enumerate(self.basis):
+                for x, v in ((s.numerator, 1), (s.denominator, -1)):
+                    while x % b == 0:
+                        x //= b
+                        logs.append((i, v))
+            for _ in range(l):
+                prev, out = out, {}
+                for mono, c in prev.items():
+                    for i, v in logs:
+                        key1 = tuple(sorted(mono + (i,)))
+                        out[key1] = out.get(key1, 0) + v * c
+        elif not self.a[j]:
+            out = {b: q / (e[0] + 1) for b, q in self._part(j + 1, e[1:], s, m, l).items()}
+        else:
+            # x = (L - L0) / a with L0 = L at x = 0: x^p = sum_i C(p, i) L^i (-L0)^(p-i) / a^p,
+            # integrated in t = L from L0 to L1 = L0 + a; at L1, L0^(p-i) = (L1 - a)^(p-i).
+            a, p = self.a[j], e[0]
+            ends: dict = {}
+            for i in range(p + 1):
+                w = comb(p, i) * (-1) ** (p - i) / a ** (p + 1)
+                for q, ll, c in _antiderivative(i + m, l):
+                    for h in range(p - i + 1):
+                        key1 = (s + a, h + q, ll)
+                        ends[key1] = ends.get(key1, 0) + w * c * comb(p - i, h) * (-a) ** (p - i - h)
+                    key0 = (s, p - i + q, ll)
+                    ends[key0] = ends.get(key0, 0) - w * c
+            for (t, q, ll), c in ends.items():
+                if c:
+                    for b, v in self._part(j + 1, e[1:], t, q, ll).items():
+                        out[b] = out.get(b, 0) + c * v
+        self._parts[key] = out
+        return out
+
+    def integral(self, numer: "MPoly", k: int) -> Numeric:
+        """int numer / D^k at the working precision: the rational part
+        rounded once, each log of the basis evaluated once."""
+        total: dict = {}
+        for e, c in numer.terms.items():
+            for b, q in self._part(0, e, self.c, -k, 0).items():
+                total[b] = total.get(b, 0) + c * q
+        value = Numeric.from_rational(total.pop((), Fraction(0)))
+        monos = sorted(b for b, q in total.items() if q)
+        logs = [Numeric(v, _round_err(v)) for v in map(mp.log, self.basis)] if monos else []
+        for mono in monos:
+            term = logs[mono[0]]
+            for i in mono[1:]:
+                term = term * logs[i]
+            value = value + term.scale(total[mono])
+        return value
+
+
+_affine = lru_cache(maxsize=16)(_Affine)
+
+
 def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> Numeric:
     """The fixed-point cube quadrature of numer / den^k (DECISIONS.md D2)."""
     with mp.workdps(qs.precision + 10):
@@ -697,19 +816,25 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
     face period, or a generalized gamma factor of the diagonal expansion.
 
     Exact for k <= 0, a polynomial's moment (DECISIONS.md D7), and for
-    dim = 0, a constant.  For dim = 1 with den squarefree and certified
-    positive, the exact reduction to masters int_0^1 x^i / den, each one
-    quadrature, unless their errors, scaled, miss the tolerance
-    (DECISIONS.md D10).  Else the integrand is compiled once into
-    a FixedPointIntegrand, whose cube quadrature sums each cell exactly in
-    integers (DECISIONS.md D2).  cache keeps the values by (k, den, numer)
-    and the masters by (den, i)."""
+    dim = 0, a constant.  For den of degree <= 1, in any dimension, the
+    closed form r + sum q prod log b, r and q rational, at precision + 10
+    digits with no quadrature (DECISIONS.md D12).  For dim = 1 with den
+    squarefree and certified positive, the exact reduction to masters
+    int_0^1 x^i / den, each one quadrature, unless their errors, scaled,
+    miss the tolerance (DECISIONS.md D10).  Else the integrand is compiled
+    once into a FixedPointIntegrand, whose cube quadrature sums each cell
+    exactly in integers (DECISIONS.md D2).  Every result but the first two
+    is numeric.  cache keeps the values by (k, den, numer) and the masters
+    by (den, i)."""
     if k <= 0:
         return SpecialValue.make_exact(cube_moment(den**-k * numer))
     if den.nvars == 0:
         return SpecialValue.make_exact(den.constant_value() ** -k * numer.constant_value())
     cache = {} if cache is None else cache
     key = (k, den, numer)
+    if key not in cache and den.degree() <= 1:
+        with mp.workdps(qs.precision + 10):
+            cache[key] = SpecialValue.make_numeric(_affine(den).integral(numer, k))
     if key not in cache:
         red = _reduction(den) if den.nvars == 1 else None
         v = red and _reduced(red, den, numer, k, qs, cache)

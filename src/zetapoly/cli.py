@@ -21,7 +21,7 @@ from mpmath import mp
 
 from . import identities, selftest
 from .errors import PrecisionUnreachable, ZetaPolyError
-from .exactnum import SpecialValue, parse_rational, rat_to_str
+from .exactnum import MAX_PRECISION_DPS, SpecialValue, parse_rational, rat_to_str
 from .mahler import (
     CompositionFamily,
     QuadratureSettings,
@@ -342,6 +342,9 @@ def _run(argv) -> int:
                 args.precision = int(os.environ.get("ZETAPOLY_PRECISION", "50"))
             if args.precision < 1:
                 raise PrecisionUnreachable(f"precision {args.precision} is below 1 digit")
+            if args.precision > MAX_PRECISION_DPS:
+                raise PrecisionUnreachable(
+                    f"precision {args.precision} is above the cap of {MAX_PRECISION_DPS} digits")
         out = args.fn(args)
     except (ZetaPolyError, ValueError, OSError, KeyError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)

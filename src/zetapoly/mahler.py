@@ -2,8 +2,9 @@
 
 Implements the multi-index bookkeeping (weighted index sets, composition
 families and their g-vectors), the period integrals over unit-cube faces
-(each one ``_quadrature.cube_integral``: an exact moment or a certified
-quadrature), the polynomial-in-(1+a) expansion of the shifted integral
+(each one ``_quadrature.cube_integral``: an exact moment, a closed form
+over an affine face, an exact reduction to one-variable masters, or a
+certified quadrature), the polynomial-in-(1+a) expansion of the shifted integral
 continuation, and the Raabe-type substitution that turns that expansion
 into the series value.
 """

@@ -259,6 +259,32 @@ class TestExitCodes:
         assert json.loads(out)["error"] == {
             "type": "PrecisionUnreachable", "message": f"precision {argv[-1]} is below 1 digit"}
 
+    @pytest.mark.parametrize("argv", [
+        ["mahler", "--P", "x1 + x2", "--N", "0", "--precision", "5000"],
+        ["powersum", "--d", "2,3", "--N", "1,-1", "--precision", "4001"],
+        ["oracle", "zeta1", "--d", "2", "--s", "-1", "--precision", "5000"],
+    ])
+    def test_precision_above_the_cap_exits_1(self, monkeypatch, argv):
+        # mahler at 5000 digits used to compute its value and only then fail
+        # to print it ("Exceeds the limit (4300 digits) for integer string
+        # conversion"); no subcommand may start work above the cap.
+        monkeypatch.setattr("zetapoly.cli.Z_value", lambda *a: pytest.fail("work started"))
+        code, out = run_cli(argv)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "PrecisionUnreachable",
+            "message": f"precision {argv[-1]} is above the cap of 4000 digits"}
+
+    def test_precision_at_the_cap_prints(self):
+        code, out = run_cli(["mahler", "--P", "x1 + x2", "--N", "0", "--precision", "4000"])
+        assert code == 0
+        payload = json.loads(out)
+        # the value is printed to 2005 digits: add half a unit in the last one
+        digits = len(payload["value"]) - len("0.")
+        with mp.workdps(4100):
+            half_unit = mpf(10) ** -digits / 2
+            assert abs(mpf(payload["value"]) - mpf(5) / 12) <= mpf(payload["err"]) + half_unit
+
     @pytest.mark.parametrize("value, code, kind", [
         ("12", 0, None), ("0", 1, "PrecisionUnreachable"), ("abc", 1, "ValueError")])
     def test_precision_from_environment(self, monkeypatch, value, code, kind):

@@ -7,11 +7,12 @@ import json
 import random
 import time
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from zetapoly import (
     CompositionFamily,
@@ -621,6 +622,12 @@ class TestQuadratureSettings:
             QuadratureSettings(rel_tol=2.0**-31, precision=0)
         QuadratureSettings(rel_tol=1e-9, precision=0)
 
+    def test_precision_above_the_cap_raises(self):
+        # MAX_PRECISION_DPS, the cap of the Gamma and zeta kernels
+        with pytest.raises(PrecisionUnreachable, match="above the cap of 4000 digits"):
+            QuadratureSettings(precision=4001)
+        QuadratureSettings(precision=4000)
+
     @pytest.mark.parametrize("tol", [{"rel_tol": float("nan")}, {"rel_tol": float("inf")},
                                      {"abs_tol": float("nan")}, {"abs_tol": float("inf")}])
     def test_non_finite_tolerance_raises(self, tol):
@@ -657,19 +664,21 @@ class TestCubeIntegral:
         assert v == SpecialValue.make_exact(F(5, 9))
 
     def test_quotient_is_bounded_and_cached(self):
-        # int_0^1 dx / (1 + x) = log 2
-        cache = {}
-        v = _quadrature.cube_integral(P("1 + x1", 1), MPoly.one(1), 1, QS_FAST, cache)
+        # int_0^1 dx / (1 + x^2) = pi / 4, one master quadrature
+        cache, D = {}, P("1 + x1^2", 1)
+        v = _quadrature.cube_integral(D, MPoly.one(1), 1, QS_FAST, cache)
         assert v.kind == "numeric" and 0 < v.num.err < mpf(10) ** -8
         with mp.workdps(40):
-            assert abs(v.num.value - mp.log(2)) <= v.num.err
-        assert _quadrature.cube_integral(P("1 + x1", 1), MPoly.one(1), 1, QS_FAST, cache) is v
+            assert abs(v.num.value - mp.pi / 4) <= v.num.err
+        assert _quadrature.cube_integral(D, MPoly.one(1), 1, QS_FAST, cache) is v
 
 
 class TestOneVariableReduction:
     """cube_integral on one variable: int_0^1 A / D^k, D squarefree and
     certified positive, is an exact combination of the masters
-    int_0^1 x^i / D, i < deg D, each one quadrature (DECISIONS.md D10)."""
+    int_0^1 x^i / D, i < deg D, each one quadrature (DECISIONS.md D10).
+    cube_integral takes the closed form of D12 first for the D of degree 1
+    (TestAffineFaces); their rows are still checked here."""
 
     DENS = ["1 + x1", "2 - x1", "1 + x1^2", "1 + x1 + x1^2", "2 + x1 - x1^2",
             "1 + x1^3", "1/3 + x1^3", "1 + x1^4", "1 - x1 + 2 x1^2 - x1^3 + x1^4"]
@@ -717,10 +726,10 @@ class TestOneVariableReduction:
                 assert abs(v.num.value - truth) <= v.num.err + terr
 
     def test_missed_tolerance_takes_the_quadrature(self, monkeypatch):
-        # int_0^1 x^22 / (1 + x)^8 = r + c log 2 = 2.04e-4 with c = -170544:
-        # nine digits cancel, so the master's error, scaled by c, misses a
+        # int_0^1 x^22 / (1 + x^2)^8 = r + c pi/4 = 2.52e-4 with c = 2909907/14336:
+        # six digits cancel, so the master's error, scaled by c, misses a
         # tolerance near its own.
-        D, A, qs = P("1 + x1", 1), P("x1^22", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
+        D, A, qs = P("1 + x1^2", 1), P("x1^22", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
         reduced, real = [], _quadrature._reduced
 
         def recorded(*args):
@@ -765,6 +774,133 @@ class TestOneVariableReduction:
         _, buckets = Z_breakdown(P("x1^3 + x2^3", 2), P("x1 x2", 2), 1, QS_FAST)
         assert sum(b.value.kind == "numeric" for b in buckets) > 2
         assert calls[0] == len(used) == 2
+
+
+def linear_form_zeta(a, e, N):
+    """Z(a . x, x^e; -N) = (-1)^N N! [t^N] prod_i (-d/du)^e_i 1/(e^u - 1) at
+    u = a_i t, exactly: the Barnes zeta value, from the Laurent series
+    1/(e^u - 1) = sum_k B_k u^(k-1) / k!, with its own Bernoulli numbers."""
+    lows = [-1 - ei for ei in e]  # the lowest power of t in each factor
+    B = [F(1)]
+    for m in range(1, N - sum(lows) + 1):
+        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    series = {0: F(1)}
+    for ai, ei, lo in zip(a, e, lows):
+        factor = {}
+        for k in range(len(B)):
+            p = k - 1 - ei  # (-d/du)^e u^(k-1) = (-1)^e (k-1)...(k-e) u^p
+            c = B[k] / factorial(k) * F(ai) ** p
+            for j in range(ei):
+                c *= j + 1 - k
+            if c and p <= N - sum(lows) + lo:
+                factor[p] = c
+        product = {}
+        for p1, c1 in series.items():
+            for p2, c2 in factor.items():
+                product[p1 + p2] = product.get(p1 + p2, 0) + c1 * c2
+        series = product
+    return (-1) ** N * factorial(N) * series.get(N, F(0))
+
+
+class TestAffineFaces:
+    """Every face of a linear form is affine, D = c + sum a_j x_j, and
+    cube_integral integrates it in closed form, a rational plus logs, with
+    no quadrature (DECISIONS.md D12).  Z of a linear form is a Barnes zeta
+    value: rational, and equal to linear_form_zeta, which shares no code
+    with the Mahler path."""
+
+    WEIGHTS = [F(1), F(2), F(3), F(1, 2), F(2, 3)]
+
+    @staticmethod
+    def _corpus():
+        # (a, e, N, qs): n <= 4, Q = 1 or x^e with |e| <= 2, N <= 3.
+        rng = random.Random(23)
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                a = tuple(rng.choice(TestAffineFaces.WEIGHTS) for _ in range(n))
+                e = [0] * n
+                for _ in range(rng.choice((0, 1, 2))):
+                    e[rng.randrange(n)] += 1
+                dps, tol = rng.choice(((20, 1e-8), (30, 1e-12)))
+                yield a, tuple(e), rng.randint(0, 3), QuadratureSettings(rel_tol=tol, precision=dps)
+
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("an affine face ran a quadrature")
+
+        monkeypatch.setattr(_quadrature, "integrate_unit_cube", refused)
+
+    def test_known_values(self):
+        assert linear_form_zeta((1, 1), (0, 0), 0) == F(5, 12)
+        assert linear_form_zeta((1, 1), (1, 0), 0) == F(1, 24)
+        assert linear_form_zeta((1, 1, 1), (0, 0, 0), 0) == F(-3, 8)
+        assert linear_form_zeta((1,), (0,), 1) == F(-1, 12)
+
+    @pytest.mark.parametrize("a, N, truth", [
+        ((1, 1, 2, 3), 0, F(637, 1440)), ((1, 2, 3, 5), 1, F(2651, 14400))])
+    def test_non_symmetric_forms(self, no_quadrature, a, N, truth):
+        assert linear_form_zeta(a, (0,) * 4, N) == truth
+        Pa = MPoly(4, {tuple(int(i == j) for i in range(4)): F(c) for j, c in enumerate(a)})
+        v = Z_value(Pa, MPoly.one(4), N, QS)
+        with mp.workdps(50):
+            assert abs(v.num.value - mpf(truth.numerator) / truth.denominator) <= v.num.err
+
+    def test_corpus_within_rounding(self, no_quadrature):
+        for a, e, N, qs in self._corpus():
+            n = len(a)
+            Pa = MPoly(n, {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(a)})
+            v = Z_value(Pa, MPoly(n, {e: F(1)}), N, qs)
+            truth = linear_form_zeta(a, e, N)
+            if v.kind == "exact":  # one variable: the faces have none
+                assert n == 1 and v.exact == truth
+                continue
+            prec = dps_to_prec(qs.precision + 10)
+            with mp.workdps(qs.precision + 40):
+                t = mpf(truth.numerator) / truth.denominator
+                assert abs(v.num.value - t) <= v.num.err
+                assert v.num.err <= mpf(2) ** (8 - prec) * max(1, abs(t))
+
+    @staticmethod
+    def _quad(den, numer, k):
+        # mpmath's quad at 40 digits, with its error estimate
+        with mp.workdps(40):
+            f = lambda *x: numer.eval_mp(list(x)) / den.eval_mp(list(x)) ** k
+            return mp.quad(f, *[[0, 1]] * den.nvars, error=True)
+
+    @pytest.mark.parametrize("den, numer, k, logs", [
+        (P("2 - x1 + x2", 2), P("x1 x2", 2), 3, True),
+        (MPoly(2, {(0, 0): F(3)}), P("x1^2 + x2", 2), 2, False),
+        (P("1 + x1", 1), MPoly.one(1), 1, True),
+        (P("1 + x1 + 2 x2", 2), MPoly.one(2), 1, True),
+    ])
+    def test_branch_against_mpmath(self, no_quadrature, den, numer, k, logs):
+        v = _quadrature.cube_integral(den, numer, k, QS)
+        truth, terr = self._quad(den, numer, k)
+        assert v.kind == "numeric"
+        with mp.workdps(40):
+            assert abs(v.num.value - truth) <= v.num.err + terr
+            assert v.num.err <= mpf(10) ** -35
+        aff = _quadrature._affine(den)
+        monos = {b for e in numer.terms for b in aff._part(0, e, aff.c, -k, 0)}
+        assert (monos != {()}) == logs
+
+    def test_cancelling_row_is_exact_to_rounding(self, no_quadrature, monkeypatch):
+        # int_0^1 x^22 / (1 + x)^8 = r + c log 2 = 2.04e-4, c = -170544: the
+        # one-variable reduction's master missed rel_tol 1e-25 here and fell
+        # back to the quadrature; the closed form is exact up to the
+        # rounding of r and c log 2.
+        monkeypatch.setattr(_quadrature, "_reduced", lambda *a: pytest.fail("reduced"))
+        D, qs = P("1 + x1", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
+        v = _quadrature.cube_integral(D, P("x1^22", 1), 8, qs)
+        row = _quadrature._affine(D)._part(0, (22,), F(1), -8, 0)
+        assert set(row) == {(), (0,)} and row[(0,)] == -170544
+        with mp.workdps(60):
+            r = mpf(row[()].numerator) / row[()].denominator
+            truth = r + row[(0,)] * mp.log(2)
+            assert abs(v.num.value - truth) <= v.num.err
+            scale = abs(r) + abs(row[(0,)]) * mp.log(2)
+            assert v.num.err <= mpf(2) ** (8 - dps_to_prec(qs.precision + 10)) * scale
 
 
 class TestCubeQuadratureTotals:
@@ -857,9 +993,11 @@ class TestFaceQuadratureBitIdentity:
         )
 
     # sha256 of repr([(value._mpf_, err._mpf_), ...]) of every cube
-    # quadrature behind the three Z values below, recorded before the kernel
-    # computed each reciprocal once per distinct denominator value.
-    SYMMETRIC_SHA = "62bf95f6488400111e660e04e7a59b8d0cfa9ec59110610fe76e8598cc892259"
+    # quadrature behind the Z values below.  Each entry is bit for bit the
+    # one recorded before the kernel computed each reciprocal once per
+    # distinct denominator value; the linear form's four left the digest
+    # when its faces took the closed form.
+    SYMMETRIC_SHA = "ce9fc6a909aeea42fe737b9f480d16a927e1fa644864aed6f775fc459ca3adee"
 
     def test_symmetric_faces_digest(self, monkeypatch):
         # Symmetric faces repeat denominator values across their grids: the
@@ -873,6 +1011,9 @@ class TestFaceQuadratureBitIdentity:
 
         integrate = _quadrature.integrate_unit_cube
         monkeypatch.setattr(_quadrature, "integrate_unit_cube", recorded)
+        # The linear form's faces are affine: closed forms, no quadrature
+        # (DECISIONS.md D12), so the digest holds the Epstein form's 3 and
+        # the cubic's 4 quadratures.
         L = P("3/2 x1 + 3/2 x2 + 3/2 x3 + 3/2 x4", 4)
         for p, q, N, qs in (
             (P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,
@@ -883,7 +1024,7 @@ class TestFaceQuadratureBitIdentity:
              QuadratureSettings(rel_tol=1e-6, precision=20)),
         ):
             assert Z_value(p, q, N, qs).kind == "numeric"
-        assert len(quads) == 11
+        assert len(quads) == 7
         assert hashlib.sha256(repr(quads).encode()).hexdigest() == self.SYMMETRIC_SHA
 
     def test_period_2d_face_nonnegative_exponent(self):
