@@ -138,6 +138,8 @@ def cmd_directional(args) -> dict:
 
 def _bucket_json(b: ZBucket, precision: int) -> dict:
     out = {"component": b.component, "i": b.i, "beta": list(b.beta), "alpha": list(b.alpha)}
+    if b.orbit > 1:  # DECISIONS.md D13
+        out["orbit"] = b.orbit
     if b.value.kind == "exact":
         out["exact"] = str(b.value.exact)
     else:

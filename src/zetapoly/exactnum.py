@@ -190,7 +190,8 @@ def _round_err(v: mpf) -> mpf:
 
 @dataclass(frozen=True)
 class Numeric:
-    """A high-precision float together with an absolute error bound."""
+    """A high-precision float together with an absolute error bound; its
+    arithmetic rounds at the caller's working precision (mp.dps + 5 digits)."""
 
     value: mpf
     err: mpf

@@ -220,6 +220,31 @@ class ZBucket:
     beta: MultiIndex
     alpha: MultiIndex
     value: SpecialValue
+    orbit: int  # the faces it stands for (i the least); value is their total
+
+
+def _face_orbits(P: MPoly, Q: MPoly) -> list[tuple[int, ...]]:
+    """The faces 1..n in the orbits of the group generated by the coordinate
+    swaps (i j) that fix both P and Q, each orbit in increasing order.  A
+    permutation s in that group maps the buckets of face i onto those of face
+    s(i) (beta -> s beta), and cube integrals do not see the order of the
+    coordinates, so the faces of one orbit have equal totals."""
+    n = P.nvars
+    root = list(range(n))  # union-find over the 0-based coordinates
+    find = lambda a: a if root[a] == a else find(root[a])
+
+    def fixed(p: MPoly, i: int, j: int) -> bool:
+        swap = lambda e: e[:i] + (e[j],) + e[i + 1:j] + (e[i],) + e[j + 1:]
+        return {swap(e): c for e, c in p.terms.items()} == p.terms
+
+    for j in range(n):
+        for i in range(j):
+            if find(i) != find(j) and fixed(P, i, j) and fixed(Q, i, j):
+                root[find(j)] = find(i)
+    orbits: dict[int, list[int]] = {}
+    for a in range(n):
+        orbits.setdefault(find(a), []).append(a + 1)
+    return [tuple(o) for o in orbits.values()]
 
 
 # Z_breakdown's terms repeat their Bernoulli exponents m, within one value
@@ -233,6 +258,8 @@ def Z_breakdown(
     """Z(P, Q; -N) together with the evaluated buckets it is the sum of."""
     d, flags = _check_P(P, N)
     n = P.nvars
+    # Only the least face of each orbit is built; its total stands for all.
+    orbit = {o[0]: len(o) for o in _face_orbits(P, Q)}
     # Per bucket, the terms of its numerator summed in integers, and d^beta Q_c.
     sums: dict[tuple, tuple[dict, MPoly]] = {}
     memo: dict = {}
@@ -242,7 +269,7 @@ def Z_breakdown(
             continue
         w = c_ab * bt
         # Each product is nonzero: faces of nonzero homogeneous derivatives of P.
-        for i in range(1, n + 1):
+        for i in orbit:
             acc = sums.setdefault((ci, i, beta, alpha), ({}, dQc))[0]
             _add_product(acc, w, _face_product(P, i, alpha, u.u, memo))
     cache: dict = {}
@@ -255,7 +282,10 @@ def Z_breakdown(
         ci, i, beta, alpha = key
         # dQc is a nonzero homogeneous polynomial, so its face is nonzero.
         v = cube_integral(P.face(i), numer * dQc.face(i), sum(alpha) - N, qs, cache)
-        evaluated.append(ZBucket(ci, i, beta, alpha, v))
+        if orbit[i] > 1:
+            with mp.workdps(qs.precision + 10):
+                v = v.scale(orbit[i])
+        evaluated.append(ZBucket(ci, i, beta, alpha, v, orbit[i]))
     exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
     parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
     if not parts:
@@ -287,10 +317,11 @@ def Z_value(
 @dataclass
 class YExpansion:
     """Coefficients of the expansion of the shifted integral continuation in
-    the basis prod_i (1+a_i)^{m_i}, keyed by the exponent vector m."""
+    the basis prod_i (1+a_i)^{m_i}, keyed by m, to precision digits."""
 
     n: int
     coeffs: dict[MultiIndex, SpecialValue]
+    precision: int = DEFAULT_QS.precision
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
@@ -314,29 +345,31 @@ def Y_expansion(
                          _face_product(P, i, alpha, u.u, memo))
     expansion: dict[MultiIndex, SpecialValue] = {}
     cache: dict = {}
-    for (_, _, alpha), (dQc, c_ab, groups) in blocks.items():
-        for m in sorted(groups):
-            total = SpecialValue.make_exact(Fraction(0))
-            for i in sorted(groups[m]):
-                numer = _summed(n - 1, groups[m][i]) * dQc.face(i)
-                if not numer.is_zero():
-                    total = total + cube_integral(P.face(i), numer, sum(alpha) - N, qs, cache)
-            total = total.scale(c_ab)
-            expansion[m] = expansion[m] + total if m in expansion else total
+    with mp.workdps(qs.precision + 10):  # the sums round at the working precision
+        for (_, _, alpha), (dQc, c_ab, groups) in blocks.items():
+            for m in sorted(groups):
+                total = SpecialValue.make_exact(Fraction(0))
+                for i in sorted(groups[m]):
+                    numer = _summed(n - 1, groups[m][i]) * dQc.face(i)
+                    if not numer.is_zero():
+                        total = total + cube_integral(P.face(i), numer, sum(alpha) - N, qs, cache)
+                total = total.scale(c_ab)
+                expansion[m] = expansion[m] + total if m in expansion else total
     expansion = {
         m: v.with_flags(flags)
         for m, v in expansion.items()
         if not (v.kind == "exact" and v.exact == 0)
     }
-    return YExpansion(n=n, coeffs=expansion)
+    return YExpansion(n=n, coeffs=expansion, precision=qs.precision)
 
 
 def raabe_substitute(exp: YExpansion) -> SpecialValue:
     """Replace each basis monomial exponent m by the product of modified
     Bernoulli numbers; by construction this reproduces Z(P,Q;-N)."""
     total = SpecialValue.make_exact(Fraction(0))
-    for m, coeff in exp.items_sorted():
-        w = bernoulli_tilde_product(m)
-        if w != 0:
-            total = total + coeff.scale(w)
+    with mp.workdps(exp.precision + 10):
+        for m, coeff in exp.items_sorted():
+            w = bernoulli_tilde_product(m)
+            if w != 0:
+                total = total + coeff.scale(w)
     return total

@@ -1,4 +1,5 @@
 """Command-line interface: output schema, determinism, exit codes."""
+import hashlib
 import io
 import json
 import os
@@ -129,29 +130,41 @@ class TestMahler:
             assert {"component", "i", "beta", "alpha"} <= set(t)
 
     def test_terms_bytes(self):
-        # recorded when one-variable periods became exact reductions to
-        # masters: each bucket reduces to 5/24 with no master, so its err is
-        # the rounding of 5/24 alone
+        # recorded when the faces were folded into orbits (DECISIONS.md D13):
+        # x1 <-> x2 fixes P, so face 1's bucket, 5/24 with no master, stands
+        # for both faces, and its value is their total 5/12
         _, out = run_cli(
             ["mahler", "--P", "x1 + x2", "--N", "0", "--terms", "--precision", "25"]
         )
         assert out == (
             '{"err":"5.0156e-36","kind":"numeric","schema":"1","terms":['
-            '{"alpha":[2],"beta":[0,0],"component":0,"err":"2.5077e-36","i":1,'
-            '"value":"0.20833333333333333333"},'
-            '{"alpha":[2],"beta":[0,0],"component":0,"err":"2.5077e-36","i":2,'
-            '"value":"0.20833333333333333333"}],"value":"0.41666666666666667"}\n'
+            '{"alpha":[2],"beta":[0,0],"component":0,"err":"5.0155e-36","i":1,'
+            '"orbit":2,"value":"0.41666666666666666667"}],"value":"0.41666666666666667"}\n'
         )
 
     def test_terms_truth(self):
         # The values behind test_terms_bytes: Z(x1 + x2, 1; 0) = 5/12, and
-        # its two buckets are 5/24 each, by the symmetry x1 <-> x2.
+        # so is its one bucket, the total of the two faces' 5/24.
         v, buckets = Z_breakdown(MPoly.parse("x1 + x2"), MPoly.one(2), 0,
                                  QuadratureSettings(precision=25))
+        assert [(b.i, b.orbit) for b in buckets] == [(1, 2)]
         with mp.workdps(60):
             assert abs(v.num.value - mpf(5) / 12) <= v.num.err
-            for b in buckets:
-                assert abs(b.value.num.value - mpf(5) / 24) <= b.value.num.err
+            assert abs(buckets[0].value.num.value - mpf(5) / 12) <= buckets[0].value.num.err
+
+    def test_terms_without_symmetry_keep_their_bytes(self):
+        # The README example: Q = x1 breaks the swap that fixes
+        # P = x1^2 + x1 x2 + x2^2, so every face keeps its own buckets, no
+        # term carries "orbit", and the bytes are those recorded before the
+        # faces were folded (value -1/240).
+        ex = Path(__file__).resolve().parents[1] / "examples"
+        _, out = run_cli(["mahler", "--P", str(ex / "poly.txt"), "--Q", str(ex / "num.txt"),
+                          "--N", "1", "--terms"])
+        terms = json.loads(out)["terms"]
+        assert {t["i"] for t in terms} == {1, 2}
+        assert not any("orbit" in t for t in terms)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5298ebc022e101cd5838b6932a8f93456cbfc0a2ac172244e3bcacc2a8f05e05")
 
     def test_terms_one_variable_exact(self):
         code, out = run_cli(["mahler", "--P", "3 x1", "--Q", "x1^3 + 2", "--N", "2",

@@ -33,10 +33,11 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     theta_diagonal,
 )
-from zetapoly import _quadrature
+from zetapoly import _quadrature, mahler
 from zetapoly.mahler import (
     Z_breakdown,
     _derivative_support,
+    _face_orbits,
     _mahler_terms,
     certify_elliptic,
     delta_multiindices,
@@ -44,6 +45,7 @@ from zetapoly.mahler import (
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
 QS_FAST = QuadratureSettings(rel_tol=1e-8, precision=20)
+QS6 = QuadratureSettings(rel_tol=1e-6, precision=20)  # criterion 9's tolerance
 
 
 def P(text, n=None):
@@ -354,6 +356,17 @@ class TestRaabePipeline:
                 zn, rn = z.to_numeric(20), r.to_numeric(20)
                 assert abs(zn.value - rn.value) <= zn.err + rn.err
 
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_raabe_rounds_at_the_working_precision(self, dps):
+        # Z(x1 + 2 x2 + 3 x3, 1; -1) = -229/1440: every face is affine, so
+        # each coefficient is exact to rounding, and the substitution must
+        # round at precision + 10 digits, not at mpmath's ambient 15.
+        qs = QuadratureSettings(rel_tol=1e-12, precision=dps)
+        v = raabe_substitute(Y_expansion(P("x1 + 2 x2 + 3 x3", 3), MPoly.one(3), 1, qs))
+        with mp.workdps(dps + 40):
+            truth = mpf(-229) / 1440
+            assert abs(v.num.value - truth) <= v.num.err
+            assert v.num.err <= mpf(2) ** (8 - dps_to_prec(dps + 10)) * max(1, abs(truth))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -424,27 +437,27 @@ class TestProperties:
 
 class TestYExpansionBitIdentity:
     """(value._mpf_, err._mpf_) of every coefficient, recorded when the
-    one-variable face periods became exact reductions to masters
-    (DECISIONS.md D10); each within err of the same expansion through the
-    fixed-point quadrature alone."""
+    expansion's sums began to round at precision + 10 digits rather than at
+    mpmath's ambient precision; each within err of the same expansion
+    through the fixed-point quadrature alone."""
 
     def test_two_variable_coefficients(self, monkeypatch):
         args = (P("x1^2 + x1 x2 + x2^2", 2), P("x1", 2), 1)
         exp = Y_expansion(*args, QS_FAST)
         got = {m: (v.num.value._mpf_, v.num.err._mpf_) for m, v in exp.items_sorted()}
         assert got == {
-            (0, 5): ((0, 39353054023913710113, -72, 66),
-                     (0, 342289584493292514327, -133, 69)),
-            (1, 4): ((0, 1, -71, 1),
-                     (0, 829029899438661941647, -108, 70)),
-            (2, 3): ((0, 24595658764946068821, -67, 65),
-                     (0, 207257477157950207419, -105, 68)),
-            (3, 2): ((0, 49191317529892137641, -68, 66),
-                     (0, 621772421685142935701, -106, 70)),
-            (4, 1): ((0, 1, -2, 1),
-                     (0, 829029897606142561857, -107, 70)),
-            (5, 0): ((0, 49191317529892137643, -69, 66),
-                     (0, 829029876287833778363, -108, 70)),
+            (0, 5): ((0, 44307599859497195763460235342612615, -122, 116),
+                     (0, 1118790418413441761284043159006528943, -219, 120)),
+            (1, 4): ((0, 207529, -121, 18),
+                     (0, 466702306854064926523454458601636475, -157, 119)),
+            (2, 3): ((0, 55384499824371494704325294178313557, -118, 116),
+                     (0, 233351153427032463327782917689105839, -155, 118)),
+            (3, 2): ((0, 55384499824371494704325294178376909, -118, 116),
+                     (0, 700053460281097389550989918345242439, -156, 120)),
+            (4, 1): ((0, 166153499473114484112975882535047985, -119, 118),
+                     (0, 233351153427032463215689425224261039, -155, 118)),
+            (5, 0): ((0, 221537999297485978817301176713390761, -121, 118),
+                     (0, 933404613708129852294275066048742645, -158, 120)),
         }
         monkeypatch.setattr(_quadrature, "_reduction", lambda den: None)
         ref = Y_expansion(*args, QuadratureSettings(rel_tol=1e-12, precision=30))
@@ -941,6 +954,78 @@ class TestZeroBucket:
         assert json.loads(out.getvalue())["kind"] == "numeric"
 
 
+class TestFaceOrbits:
+    """Z_breakdown folds the faces into the orbits of the coordinate swaps
+    that fix P and Q (DECISIONS.md D13): it builds and integrates only each
+    orbit's least face and scales the values by the orbit's size."""
+
+    # (P, Q, N, qs), each P fixed by some swap of its coordinates: Epstein
+    # forms, criterion 9, linear forms with Q = P^q, a scaled hexagonal form
+    # and a P whose swaps fix only x1 <-> x2.
+    CORPUS = [
+        *[(_diagonal(n, 2, 1), MPoly.one(n), 0, QS6) for n in (2, 3, 4)],
+        (_diagonal(4, 3, 1), MPoly.one(4), 0, QS6),
+        *[(_diagonal(n, 1, 1), _diagonal(n, 1, 1) ** q, N, QS)
+          for n in (2, 3) for q in (0, 1, 2) for N in (0, 1)],
+        (P("3/2 x1^2 + 3/2 x1 x2 + 3/2 x2^2", 2), MPoly.one(2), 1, QS_FAST),
+        (P("x1^2 + x2^2 + 2 x3^2", 3), MPoly.one(3), 0, QS_FAST),
+        (P("x1^2 + x2^2 + 2 x3^2", 3), P("x3", 3), 1, QS_FAST),
+    ]
+
+    @pytest.fixture
+    def unfolded(self, monkeypatch):
+        """Z_breakdown with every face its own orbit, as before the fold."""
+        def run(*args):
+            with monkeypatch.context() as m:
+                m.setattr(mahler, "_face_orbits",
+                          lambda P, Q: [(i,) for i in range(1, P.nvars + 1)])
+                return Z_breakdown(*args)
+        return run
+
+    @pytest.mark.parametrize("p, q, orbits", [
+        ("x1 + x2", "1", [(1, 2)]),
+        ("x1^2 + x2^2 + 2 x3^2", "1", [(1, 2), (3,)]),
+        ("x1^2 + x2^2 + 2 x3^2", "x3", [(1, 2), (3,)]),
+        ("x1^2 + x2^2 + 2 x3^2", "x1", [(1,), (2,), (3,)]),
+        ("x1^3 + x2^3 + x3^3 + x4^3", "1", [(1, 2, 3, 4)]),
+        ("x1^2 + 2 x2^2 + x3^2 + 2 x4^2", "x1 x3 + x2 x4", [(1, 3), (2, 4)]),
+    ])
+    def test_orbits(self, p, q, orbits):
+        Pp = P(p)
+        assert _face_orbits(Pp, P(q, Pp.nvars)) == orbits
+
+    def test_folded_keeps_the_unfolded_value_bits(self, unfolded):
+        for args in self.CORPUS:
+            z, buckets = Z_breakdown(*args)
+            ref, ref_buckets = unfolded(*args)
+            assert len(buckets) < len(ref_buckets)
+            assert z.kind == ref.kind == "numeric"
+            assert z.num.value._mpf_ == ref.num.value._mpf_
+            with mp.workdps(60):
+                assert abs(z.num.value - ref.num.value) <= z.num.err + ref.num.err
+
+    def test_folded_against_raabe(self):
+        # Y_expansion is not folded: the Raabe route sums every face.
+        for args in self.CORPUS:
+            z = Z_value(*args)
+            assert _within_errs(z, raabe_substitute(Y_expansion(*args)))
+
+    def test_one_face_per_orbit_is_built(self, monkeypatch):
+        faces = []
+
+        def recorded(P, i, *args):
+            faces.append(i)
+            return product(P, i, *args)
+
+        product = mahler._face_product
+        monkeypatch.setattr(mahler, "_face_product", recorded)
+        Z_breakdown(P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0, QS6)
+        assert faces and set(faces) == {1}  # criterion 9: one orbit
+        faces.clear()
+        Z_breakdown(P("x1^2 + x2^2 + 2 x3^2", 3), P("x3", 3), 1, QS_FAST)
+        assert set(faces) == {1, 3}
+
+
 class TestFaceQuadratureBitIdentity:
     """(value._mpf_, err._mpf_) recorded from the fixed-point kernel (exact
     integer cell sums, rounded once); any change to the kernel's bits shows
@@ -987,9 +1072,12 @@ class TestFaceQuadratureBitIdentity:
         # The Epstein value Z(x1^2 + .. + x4^2, 1; 0) = 1/16.
         v = Z_value(P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,
                     QuadratureSettings(rel_tol=1e-6, precision=20))
+        # err recorded when the four faces, one orbit, were folded into face
+        # 1's buckets scaled by 4 (DECISIONS.md D13); the value bits are the
+        # unfolded sum's.
         assert self._bits(v, F(1, 16)) == (
             (0, 10141204801825835366586643591741, -107, 104),
-            (0, 31146344603117668978996490893541643, -143, 115),
+            (0, 498341513649882703663943856446057489, -147, 119),
         )
 
     # sha256 of repr([(value._mpf_, err._mpf_), ...]) of every cube
