@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial, gcd, inf, lcm, prod
 from operator import add, mul
 from typing import Callable, Sequence
@@ -271,40 +271,6 @@ def _coarse_axis(F: int) -> list[int]:
     return [_frac_int(Fraction(2 * i + 1, 2 * _COARSE), F) for i in range(_COARSE)]
 
 
-class _Denominator:
-    """A denominator normalised once (``_normalised``), with what every
-    quotient over it shares, each kept for the last few arguments:
-    ``tree(F)``, its tree at scale 2^F, and ``coarse(F, k)``, its data on
-    the coarse grid (``_coarse_den``)."""
-
-    def __init__(self, poly: "MPoly"):
-        self.shift, self.terms, self.ulps = _normalised(poly)
-        self.maxdeg = [max(e[j] for e in self.terms) for j in range(poly.nvars)]
-        self.tree = lru_cache(maxsize=8)(partial(_tree, self.terms))
-        self.coarse = lru_cache(maxsize=16)(
-            partial(_coarse_den, self.tree, self.maxdeg, self.ulps))
-
-
-def _coarse_den(tree, maxdeg: list[int], ED: int, F: int, k: int
-                ) -> tuple[list[mpf], mpf, mpf] | None:
-    """For the denominator of tree(F), power table degrees maxdeg and bound
-    E_D: None if one of its values on the coarse grid at scale 2^F is at
-    most E_D; else, in mpf, (2^F / den)^k there, their sum and
-    k E_D 2^F / min den.  Called at F = prec + 20, so F fixes the working
-    precision too."""
-    xs = [_coarse_axis(F)] * len(maxdeg)
-    D = _contract(tree(F), _powers(xs, maxdeg, F), F, 0)
-    if min(D) <= ED:
-        return None
-    one = mpf(1 << F)
-    r = [(one / t) ** k for t in D]
-    return r, sum(r), k * ED * one / min(D)
-
-
-# Every bucket of a Z value on one face divides by the same face of P.
-_normalised_den = lru_cache(maxsize=8)(_Denominator)
-
-
 class FixedPointIntegrand:
     """numer / den**k on [0,1]^dim, k >= 1, in Python-int fixed point at
     scale 2^F, F = prec + G guard bits, prec the working precision at
@@ -316,9 +282,8 @@ class FixedPointIntegrand:
     coordinates, each shifted product, and the division, which needs den's
     values minus their own bound to stay positive.  G is chosen on a coarse
     grid of the cube so that the counted rounding of a cell stays below
-    2^-24 of the floor ``rounding_floor`` charges it.  What depends on den
-    alone is computed once per den (``_Denominator``), and each reciprocal
-    once per distinct value of den on a grid.
+    2^-24 of the floor ``rounding_floor`` charges it.  Each reciprocal is
+    computed once per distinct value of den on a grid.
     """
 
     def __init__(self, numer: "MPoly", den: "MPoly", k: int):
@@ -331,18 +296,16 @@ class FixedPointIntegrand:
         self.dim = numer.nvars
         self.k = k
         self.shift, self._numer, self._EV = _normalised(numer)
-        self._den = _normalised_den(den)
-        self._ED = self._den.ulps
-        self.shift -= k * self._den.shift
-        self._maxdeg = [max(d, *(e[j] for e in self._numer))
-                        for j, d in enumerate(self._den.maxdeg)]
+        shift, self._den, self._ED = _normalised(den)
+        self.shift -= k * shift
+        self._maxdeg = [max(e[j] for e in (*self._numer, *self._den)) for j in range(self.dim)]
         self._compile(mp.prec + 20)
         self._compile(mp.prec + self._guard_bits())
 
     def _compile(self, F: int) -> None:
         self.F = F
         self._V = _tree(self._numer, F)
-        self._D = self._den.tree(F)
+        self._D = _tree(self._den, F)
 
     def _guard_bits(self) -> int:
         """G with counted rounding / rounding floor <= 2^-24 on the coarse
@@ -350,19 +313,19 @@ class FixedPointIntegrand:
         counted rounding about 2^-(prec + G) * X per unit, where X adds the
         numerator's error over its mean size, the division's relative error
         k * E_D / min den and the weights' 2^-F / w_min."""
-        F = self.F
-        V = _contract(self._V, _powers([_coarse_axis(F)] * self.dim, self._maxdeg, F), F, 0)
+        F, k = self.F, self.k
+        tabs = _powers([_coarse_axis(F)] * self.dim, self._maxdeg, F)
+        V, D = _contract(self._V, tabs, F, 0), _contract(self._D, tabs, F, 0)
+        if min(D) <= self._ED:
+            return 2 * mp.prec
         one = mpf(1 << F)
         v = [abs(mpf(t)) / one for t in V]
-        coarse = self._den.coarse(F, self.k)
-        if coarse is None:
-            return 2 * mp.prec
-        r, rsum, division = coarse
+        r = [(one / t) ** k for t in D]
         mass = sum(a * b for a, b in zip(v, r))
         if not mass:
             return 2 * mp.prec
-        X = ((max(v) + 4) * len(v) + self._EV * rsum) / mass + 64 * self.dim
-        X += division
+        X = ((max(v) + 4) * len(v) + self._EV * sum(r)) / mass + 64 * self.dim
+        X += k * self._ED * one / min(D)
         return min(max(20, 18 + int(X).bit_length()), 2 * mp.prec)
 
     def _eval(self, xs: list[list[int]]):
@@ -621,11 +584,12 @@ class _Reduction:
     degree m squarefree and positive on [0, 1], with the masters
     M_i = int_0^1 x^i / D (Hermite reduction, Bronstein, Symbolic
     Integration I, ch. 2).  rows[k][j] is (L, [r, c_0, ..., c_{m-1}] * L);
-    s D + t D' = 1."""
+    s D + t D' = 1.  masters[i, qs] is M_i under the settings qs."""
 
-    def __init__(self, D: list, s: list, t: list):
-        self.D, self.m, self.s, self.t = D, len(D) - 1, s, t
+    def __init__(self, den: "MPoly", D: list, s: list, t: list):
+        self.den, self.D, self.m, self.s, self.t = den, D, len(D) - 1, s, t
         self.rows: dict[int, list[tuple]] = {}
+        self.masters: dict[tuple[int, QuadratureSettings], Numeric] = {}
 
     def row(self, j: int, k: int) -> tuple[int, list[int]]:
         rows = self.rows.setdefault(k, [])
@@ -661,7 +625,7 @@ def _reduction(den: "MPoly") -> _Reduction | None:
     for (e,), c in den.terms.items():
         D[e] = c
     cof = bernstein_positive(den)[0] == "certified" and _cofactors(D)
-    return _Reduction(D, *cof) if cof else None
+    return _Reduction(den, D, *cof) if cof else None
 
 
 # -----------------------------------------------------------------------------
@@ -786,32 +750,31 @@ def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings)
         return Numeric(*integrate_unit_cube(f, den.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol))
 
 
-def _master(den: "MPoly", i: int, qs: QuadratureSettings, cache: dict) -> Numeric:
-    """M_i = int_0^1 x^i / den, one quadrature per (den, i) and cache."""
-    key = (den, i)
-    if key not in cache:
-        cache[key] = _quadrature_of(den, MPoly(1, {(i,): 1}), 1, qs)
-    return cache[key]
+def _master(red: _Reduction, i: int, qs: QuadratureSettings) -> Numeric:
+    """M_i = int_0^1 x^i / den over the den of red, one quadrature per
+    (den, i, qs), kept on red."""
+    key = (i, qs)
+    if key not in red.masters:
+        red.masters[key] = _quadrature_of(red.den, MPoly(1, {(i,): 1}), 1, qs)
+    return red.masters[key]
 
 
-def _reduced(red: _Reduction, den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
-             cache: dict) -> Numeric | None:
-    """int_0^1 numer / den^k as the dot product of numer's coefficients with
-    the rows of red, or None when the masters' errors, scaled by their
-    coefficients, miss the tolerance of qs."""
+def _reduced(red: _Reduction, numer: "MPoly", k: int, qs: QuadratureSettings) -> Numeric | None:
+    """int_0^1 numer / den^k, den that of red, as the dot product of numer's
+    coefficients with the rows of red, or None when the masters' errors,
+    scaled by their coefficients, miss the tolerance of qs."""
     L, n = _dot([(a, red.row(j, k)) for (j,), a in numer.terms.items()], red.m)
     with mp.workdps(qs.precision + 10):
         total = Numeric.from_rational(Fraction(n[0], L))
         for i, c in enumerate(n[1:]):
             if c:
-                total = total + _master(den, i, qs, cache).scale(Fraction(c, L))
+                total = total + _master(red, i, qs).scale(Fraction(c, L))
         if total.err > qs.abs_tol + qs.rel_tol * abs(total.value):
             return None
     return total
 
 
-def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
-                  cache: dict | None = None) -> SpecialValue:
+def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> SpecialValue:
     """Integral over [0,1]^dim of numer / den^k, den positive on the cube: a
     face period, or a generalized gamma factor of the diagonal expansion.
 
@@ -820,23 +783,18 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
     closed form r + sum q prod log b, r and q rational, at precision + 10
     digits with no quadrature (DECISIONS.md D12).  For dim = 1 with den
     squarefree and certified positive, the exact reduction to masters
-    int_0^1 x^i / den, each one quadrature, unless their errors, scaled,
-    miss the tolerance (DECISIONS.md D10).  Else the integrand is compiled
-    once into a FixedPointIntegrand, whose cube quadrature sums each cell
-    exactly in integers (DECISIONS.md D2).  Every result but the first two
-    is numeric.  cache keeps the values by (k, den, numer) and the masters
-    by (den, i)."""
+    int_0^1 x^i / den, each one quadrature per (den, i, qs) in the process,
+    unless their errors, scaled, miss the tolerance (DECISIONS.md D10).
+    Else the integrand is compiled once into a FixedPointIntegrand, whose
+    cube quadrature sums each cell exactly in integers (DECISIONS.md D2).
+    Every result but the first two is numeric."""
     if k <= 0:
         return SpecialValue.make_exact(cube_moment(den**-k * numer))
     if den.nvars == 0:
         return SpecialValue.make_exact(den.constant_value() ** -k * numer.constant_value())
-    cache = {} if cache is None else cache
-    key = (k, den, numer)
-    if key not in cache and den.degree() <= 1:
+    if den.degree() <= 1:
         with mp.workdps(qs.precision + 10):
-            cache[key] = SpecialValue.make_numeric(_affine(den).integral(numer, k))
-    if key not in cache:
-        red = _reduction(den) if den.nvars == 1 else None
-        v = red and _reduced(red, den, numer, k, qs, cache)
-        cache[key] = SpecialValue.make_numeric(v or _quadrature_of(den, numer, k, qs))
-    return cache[key]
+            return SpecialValue.make_numeric(_affine(den).integral(numer, k))
+    red = _reduction(den) if den.nvars == 1 else None
+    v = red and _reduced(red, numer, k, qs)
+    return SpecialValue.make_numeric(v or _quadrature_of(den, numer, k, qs))

@@ -124,6 +124,10 @@ def period_K(
     beta = tuple(int(b) for b in beta)
     if min(alpha, default=0) < 0:
         raise ValueError(f"alpha {alpha} has a negative entry")
+    for k, row in enumerate(u.u, start=1):
+        for j, mult in enumerate(row, start=1):
+            if mult < 0:
+                raise ValueError(f"row {k} of u has the negative entry {mult} at position {j}")
     st, wit = bernstein_positive(P.face(i))
     if st == "violated":
         raise NotElliptic(
@@ -272,7 +276,6 @@ def Z_breakdown(
         for i in orbit:
             acc = sums.setdefault((ci, i, beta, alpha), ({}, dQc))[0]
             _add_product(acc, w, _face_product(P, i, alpha, u.u, memo))
-    cache: dict = {}
     evaluated: list[ZBucket] = []
     for key in sorted(sums):  # evaluate buckets in a fixed order
         acc, dQc = sums[key]
@@ -281,7 +284,7 @@ def Z_breakdown(
             continue
         ci, i, beta, alpha = key
         # dQc is a nonzero homogeneous polynomial, so its face is nonzero.
-        v = cube_integral(P.face(i), numer * dQc.face(i), sum(alpha) - N, qs, cache)
+        v = cube_integral(P.face(i), numer * dQc.face(i), sum(alpha) - N, qs)
         if orbit[i] > 1:
             with mp.workdps(qs.precision + 10):
                 v = v.scale(orbit[i])
@@ -344,7 +347,6 @@ def Y_expansion(
             _add_product(groups.setdefault(m, {}).setdefault(i, {}), 1,
                          _face_product(P, i, alpha, u.u, memo))
     expansion: dict[MultiIndex, SpecialValue] = {}
-    cache: dict = {}
     with mp.workdps(qs.precision + 10):  # the sums round at the working precision
         for (_, _, alpha), (dQc, c_ab, groups) in blocks.items():
             for m in sorted(groups):
@@ -352,7 +354,7 @@ def Y_expansion(
                 for i in sorted(groups[m]):
                     numer = _summed(n - 1, groups[m][i]) * dQc.face(i)
                     if not numer.is_zero():
-                        total = total + cube_integral(P.face(i), numer, sum(alpha) - N, qs, cache)
+                        total = total + cube_integral(P.face(i), numer, sum(alpha) - N, qs)
                 total = total.scale(c_ab)
                 expansion[m] = expansion[m] + total if m in expansion else total
     expansion = {

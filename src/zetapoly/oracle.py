@@ -452,10 +452,11 @@ def powersum2_numeric(
 
     Applies the one-step recursion with all four blocks.  At integer s2 <= 0
     the reciprocal-Gamma factor kills the leading block exactly.  The
-    remainder block is a sum of nested Euler-Maclaurin blocks weighted by
-    the rational binomials C(-s2, |alpha|); its magnitude, the reported
-    residual, is decided exactly from those binomials, which all vanish at
-    the order K chosen here (at least _K_MIN), so the residual is exactly 0.
+    remainder block is a sum of nested Euler-Maclaurin blocks, one per alpha
+    in N_0^d2 with sum_j j alpha_j = 2K, weighted by the rational binomials
+    C(-s2, |alpha|); its magnitude is the reported residual.  It is exactly
+    0: the order K of ``_order`` has 2K > 1 - d2 s2, so |alpha| >= 2K / d2
+    > 1/d2 - s2 > -s2, and C(-s2, n) = 0 for integers n > -s2 >= 0.
     """
     if params.n != 2:
         raise ValueError("two-variable continuation only")
@@ -464,14 +465,7 @@ def powersum2_numeric(
         raise ValueError("expected integer s with s2 <= 0")
     d1, d2 = params.d
     g1, g2 = params.gamma
-    # depth: 2K strictly above the continuation requirement at this point
-    need = max(
-        d2 * (Fraction(1, d1) + Fraction(1, d2) - (s1 + s2)),
-        d2 * (Fraction(1, d2) - s2),
-    )
-    K = _K_MIN
-    while 2 * K <= need:
-        K += 1
+    K = _order(d1, d2, s1, s2)
     with mp.workdps(settings.precision + 10):
         total = zeta1_numeric(d1, g1, s1 + s2, settings).scale(Fraction(-1, 2))
         for k in range(1, K + 1):
@@ -486,20 +480,22 @@ def powersum2_numeric(
             if c == 0:
                 continue
             total = total + zeta1_numeric(d1, g1, s1 + s2 + m, settings).scale(-c)
-        residual = _residual_blocks(d2, s2, K)
+        residual = mpf(0)  # exactly, as above; adding it rounds err to the working precision
         total = Numeric(total.value, total.err + residual)
     return PowerSum2Result(value=total, residual=residual, K=K)
 
 
-def _residual_blocks(d2: int, s2: Fraction, K: int) -> mpf:
-    """|R(s)| at the point: the nested blocks of the remainder, one per
-    weighted alpha, are weighted by the exact rationals C(-s2, |alpha|).
-    With 2K > 1 - d2 s2 every |alpha| exceeds -s2, so at integer s2 <= 0
-    each binomial is 0 and the residual is exactly 0."""
-    for alpha in weighted_partitions(2 * K, d2):
-        if binom_rational(-s2, sum(alpha)) != 0:
-            raise AssertionError(f"order K = {K} leaves a residual block at s2 = {s2}")
-    return mpf(0)
+def _order(d1: int, d2: int, s1: Fraction, s2: Fraction) -> int:
+    """The least K >= _K_MIN with 2K strictly above the continuation
+    requirement at (s1, s2), which includes 2K > 1 - d2 s2."""
+    need = max(
+        d2 * (Fraction(1, d1) + Fraction(1, d2) - (s1 + s2)),
+        d2 * (Fraction(1, d2) - s2),
+    )
+    K = _K_MIN
+    while 2 * K <= need:
+        K += 1
+    return K
 
 
 # -----------------------------------------------------------------------------

@@ -388,6 +388,17 @@ class TestPeriod:
         err = json.loads(out)["error"]
         assert err["type"] == "ValueError" and "has a negative entry" in err["message"]
 
+    def test_negative_multiplicity_exits_1(self):
+        # a count of -1 used to end in "factorial() not defined for negative
+        # values"; (0, 1) is the first multi-index of weight 1
+        code, out = run_cli([
+            "period", "--P", "x1^2 + x2^2", "--N", "0", "--alpha", "1,0",
+            "--beta", "0,0", "--u", "1:1,0:2;1:0,1:-1", "--i", "1",
+        ])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ValueError", "message": "row 1 of u has the negative entry -1 at position 1"}
+
     def test_family_longer_than_alpha_exits_1(self):
         # a weight-3 entry with len(alpha) = 2 used to be dropped silently
         code, out = run_cli([

@@ -148,6 +148,12 @@ class TestPeriod:
             period_K(P("x1^2 + x2^2"), MPoly.one(2), 0, (-1, 0), [(0, 0), (0, 0, 0)],
                      (0, 0), 1)
 
+    def test_negative_multiplicity_rejected(self):
+        # u_1 = (2, -1) used to fail only inside factorial
+        with pytest.raises(ValueError, match="row 1 of u has the negative entry -1 at position 2"):
+            period_K(P("x1^2 + x2^2"), MPoly.one(2), 0, (1, 0), [(2, -1), (0, 0, 0)],
+                     (0, 0), 1)
+
     def test_negative_beta_rejected(self):
         # beta = (-1, 0) used to integrate x1 Q, printing pi/2
         with pytest.raises(ValueError, match="negative"):
@@ -676,14 +682,53 @@ class TestCubeIntegral:
         v = _quadrature.cube_integral(MPoly(0, {(): F(3)}), MPoly(0, {(): F(5)}), 2, QS_FAST)
         assert v == SpecialValue.make_exact(F(5, 9))
 
-    def test_quotient_is_bounded_and_cached(self):
-        # int_0^1 dx / (1 + x^2) = pi / 4, one master quadrature
-        cache, D = {}, P("1 + x1^2", 1)
-        v = _quadrature.cube_integral(D, MPoly.one(1), 1, QS_FAST, cache)
+    def test_quotient_is_bounded_and_cached(self, monkeypatch):
+        # int_0^1 dx / (1 + x^2) = pi / 4, one master quadrature, kept on the
+        # reduction of 1 + x^2: a second call runs none and gives the same bits.
+        _quadrature._reduction.cache_clear()
+        D = P("1 + x1^2", 1)
+        v = _quadrature.cube_integral(D, MPoly.one(1), 1, QS_FAST)
         assert v.kind == "numeric" and 0 < v.num.err < mpf(10) ** -8
         with mp.workdps(40):
             assert abs(v.num.value - mp.pi / 4) <= v.num.err
-        assert _quadrature.cube_integral(D, MPoly.one(1), 1, QS_FAST, cache) is v
+        monkeypatch.setattr(_quadrature, "integrate_unit_cube",
+                            lambda *a, **kw: pytest.fail("quadrature"))
+        w = _quadrature.cube_integral(D, MPoly.one(1), 1, QS_FAST)
+        assert (w.num.value._mpf_, w.num.err._mpf_) == (v.num.value._mpf_, v.num.err._mpf_)
+
+    def test_masters_are_keyed_by_settings(self, monkeypatch):
+        # One D under two settings: each runs the masters it uses once, and
+        # never takes one computed under the other.
+        _quadrature._reduction.cache_clear()
+        D, A = P("1 + x1 + x1^3", 1), P("2 - x1^5", 1)
+        runs, real = [], _quadrature._quadrature_of
+
+        def recorded(den, numer, k, qs):
+            runs.append((numer, qs))
+            return real(den, numer, k, qs)
+
+        monkeypatch.setattr(_quadrature, "_quadrature_of", recorded)
+        for qs in (QS_FAST, QS, QS_FAST, QS):
+            for k in (1, 2, 3):
+                _quadrature.cube_integral(D, A, k, qs)
+        # deg D = 3 masters per settings, each run once
+        assert len(runs) == len(set(runs)) == 6
+        assert {qs for _, qs in runs} == {QS_FAST, QS}
+
+    def test_memo_is_order_independent(self):
+        # Two Z values over the same faces, with the caches cleared before
+        # each order, give the same bits in either order.
+        zs = [(P("x1^3 + x2^3", 2), P("x1 x2", 2), 1), (P("x1^3 + x2^3", 2), MPoly.one(2), 2)]
+
+        def run(order):
+            _quadrature._reduction.cache_clear()
+            out = {}
+            for j in order:
+                v = Z_value(*zs[j], QS_FAST).num
+                out[j] = (v.value._mpf_, v.err._mpf_)
+            return out
+
+        assert run((0, 1)) == run((1, 0))
 
 
 class TestOneVariableReduction:
@@ -771,12 +816,14 @@ class TestOneVariableReduction:
     def test_one_quadrature_per_master(self, monkeypatch):
         # Every bucket of Z(x1^3 + x2^3, x1 x2; -1) divides by 1 + x^3: its
         # quadratures are the masters int x^j / (1 + x^3) the buckets use.
+        # Masters live on the reduction of their den: start with none.
+        _quadrature._reduction.cache_clear()
         used, calls = set(), [0]
         master, integrate = _quadrature._master, _quadrature.integrate_unit_cube
 
-        def recorded(den, i, qs, cache):
-            used.add((den, i))
-            return master(den, i, qs, cache)
+        def recorded(red, i, qs):
+            used.add((red.den, i, qs))
+            return master(red, i, qs)
 
         def counted(*args, **kwargs):
             calls[0] += 1

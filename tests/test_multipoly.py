@@ -27,7 +27,6 @@ from zetapoly._quadrature import (
     _eval_cell_fixed,
     _fixed_rule,
     _mpf_int,
-    _normalised_den,
     _ulps,
     _weighted,
     cube_moment,
@@ -290,20 +289,17 @@ class TestFixedPointCell:
         assert repeats == ({False} if dim == 1 else {True, False})
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_warm_and_cleared_denominator_cache_agree(self, dim):
-        # One denominator at two precisions and two powers, interleaved: its
-        # cached tree and coarse grid give the guard bits G = F - prec and
-        # the cell bits that a fresh set-up gives.  Its small minimum makes
-        # G depend on k, so coarse-grid data reused across k would show.
+    def test_guard_bits_depend_on_k_and_repeat(self, dim):
+        # One denominator at two precisions and two powers, interleaved: a
+        # second pass gives the same guard bits G = F - prec and cell bits.
+        # Its small minimum makes G depend on k.
         numer = P("x1 - 1/3 x2 + 1/7", dim)
         den = P("1/20 + x1^2 + 2 x2^3" + " + x3" * (dim - 2), dim)
         cell = _Cell(lo=(F(1, 4),) * dim, hi=(F(1, 2),) * dim)
 
-        def run(clear):
+        def run():
             out = []
             for dps, k in ((20, 1), (30, 3), (20, 3), (30, 1)):
-                if clear:
-                    _normalised_den.cache_clear()
                 with mp.workdps(dps):
                     f = FixedPointIntegrand(numer, den, k)
                     _eval_cell_fixed(f, cell, 15, 8, rounding_floor(mp.prec))
@@ -311,10 +307,9 @@ class TestFixedPointCell:
                                 cell.est._mpf_))
             return out
 
-        warm = run(False)
-        assert len({G for G, *_ in warm}) > 1
-        assert run(False) == warm
-        assert run(True) == warm
+        first = run()
+        assert len({G for G, *_ in first}) > 1
+        assert run() == first
 
 
 class TestUlps:

@@ -343,6 +343,18 @@ class TestPowerSum2:
             for alpha in weighted_partitions(2 * K, d[1]):
                 assert binom_rational(-F(s[1]), sum(alpha)) == 0
 
+    def test_order_leaves_no_residual_block(self):
+        # powersum2_numeric reports the residual 0 without evaluating it: at
+        # the order K of _order, 2K > 1 - d2 s2 and every binomial
+        # C(-s2, |alpha|) weighting a nested block of the remainder is 0.
+        orders = {(d2, s2, oracle._order(d1, d2, F(s1), F(s2)))
+                  for d1 in range(1, 4) for d2 in range(1, 7)
+                  for s1 in range(-3, 4) for s2 in range(0, -7, -1)}
+        for d2, s2, K in orders:
+            assert 2 * K > 1 - d2 * s2
+            for size in {sum(alpha) for alpha in weighted_partitions(2 * K, d2)}:
+                assert binom_rational(-F(s2), size) == 0
+
     def test_rejects_noninteger(self):
         p = PowerSumParams.make((2, 3))
         with pytest.raises(ValueError):
