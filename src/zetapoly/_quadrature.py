@@ -18,14 +18,17 @@ returns its values at every point of their product, in row-major order
 unit cube: the exact moment of a polynomial, an exact constant, a quotient
 over an affine den in closed form (a rational plus logs), a one-variable
 quotient reduced exactly to a few master integrals, or the quadrature of a
-quotient under one ``QuadratureSettings``.
+quotient under one ``QuadratureSettings``.  A diagonal den c + sum a_j x_j^d
+has an exact reduction to master integrals too (``diagonal_reduction``):
+the Z value sums its rows over every bucket before ``form_value``
+integrates the masters left, so a sum, not one integral, is its entry.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, gcd, inf, lcm, prod
 from operator import add, mul
 from typing import Callable, Sequence
@@ -759,19 +762,141 @@ def _master(red: _Reduction, i: int, qs: QuadratureSettings) -> Numeric:
     return red.masters[key]
 
 
+def _budgeted(rational: Fraction, masters: list, qs: QuadratureSettings) -> tuple:
+    """(rational + sum c M(qs), [M(qs)]) over the masters [(c, M)], M(s) a
+    master under the settings s, at precision + 10 digits.  When the scaled
+    errors miss abs_tol + rel_tol |value|, each master is integrated once
+    more, to half that budget over sum |c| (the rest is room for rounding)
+    but not below the rounding floor; whether that is enough is the
+    caller's to judge (DECISIONS.md D14)."""
+    def total(settings):
+        values = [M(s) for (_, M), s in zip(masters, settings)]
+        acc = Numeric.from_rational(rational)
+        for (c, _), v in zip(masters, values):
+            acc = acc + v.scale(c)
+        return acc, values
+
+    with mp.workdps(qs.precision + 10):
+        v, values = total([qs] * len(masters))
+        budget = qs.abs_tol + qs.rel_tol * abs(v.value)
+        if v.err <= budget or not masters:
+            return v, values
+        share = budget / (2 * sum(abs(c) for c, _ in masters))
+        rels = [max(share / M.value, 16 * rounding_floor(mp.prec)) for M in values]
+        return total([replace(qs, rel_tol=min(qs.rel_tol, float(r)) or qs.rel_tol,
+                              abs_tol=min(qs.abs_tol, float(r * M.value / 16)) or qs.abs_tol)
+                      for r, M in zip(rels, values)])
+
+
 def _reduced(red: _Reduction, numer: "MPoly", k: int, qs: QuadratureSettings) -> Numeric | None:
     """int_0^1 numer / den^k, den that of red, as the dot product of numer's
     coefficients with the rows of red, or None when the masters' errors,
-    scaled by their coefficients, miss the tolerance of qs."""
+    scaled by their coefficients, miss the tolerance of qs even after the
+    masters are integrated to it."""
     L, n = _dot([(a, red.row(j, k)) for (j,), a in numer.terms.items()], red.m)
+    v, _ = _budgeted(Fraction(n[0], L),
+                     [(Fraction(c, L), partial(_master, red, i)) for i, c in enumerate(n[1:]) if c], qs)
     with mp.workdps(qs.precision + 10):
-        total = Numeric.from_rational(Fraction(n[0], L))
-        for i, c in enumerate(n[1:]):
-            if c:
-                total = total + _master(red, i, qs).scale(Fraction(c, L))
-        if total.err > qs.abs_tol + qs.rel_tol * abs(total.value):
-            return None
-    return total
+        return None if v.err > qs.abs_tol + qs.rel_tol * abs(v.value) else v
+
+
+# -----------------------------------------------------------------------------
+# Diagonal denominators: exact reduction to master integrals
+# -----------------------------------------------------------------------------
+
+def _combined(parts: list) -> dict:
+    """sum q * form over the parts (q, form), without zero coefficients."""
+    out: dict = {}
+    for q, form in parts:
+        for key, x in form.items():
+            out[key] = out.get(key, 0) + q * x
+    return {key: x for key, x in out.items() if x}
+
+
+class _Diagonal:
+    """I(e, k) = int_{[0,1]^r} x^e / D^k, k >= 1, D = c + sum_j a_j x_j^d with
+    d >= 2, c > 0 and every a_j > 0, as a form {None: rational, key: q}: q
+    times the master named by key = (d, c, sorted pairs (a_j, e_j))
+    (DECISIONS.md D14).  One variable takes D10's rows, masters x^i / D for
+    i < d.  Else by parts in x_j, where dD/dx_j = d a_j x_j^(d-1), and the
+    Euler relation c I(e, k+1) = (1 - (|e| + r)/(dk)) I(e, k) + (1/(dk))
+    sum_j I(e without e_j, k) over the faces x_j = 1, take each row down to
+    masters I(e, 1) with every e_j <= d - 2.  Rows are memoised per (e, k)."""
+
+    def __init__(self, d: int, c: Fraction, a: tuple):
+        self.d, self.c, self.a, r = d, c, a, len(a)
+        self.den = MPoly(r, {(0,) * r: c, **{tuple(d * (i == j) for i in range(r)): a[j]
+                                             for j in range(r)}})
+        self.red = _reduction(self.den) if r == 1 else None
+        self.rows: dict[tuple, dict] = {}
+
+    def row(self, e: tuple, k: int) -> dict:
+        if (e, k) not in self.rows:
+            self.rows[e, k] = self._row(e, k)
+        return self.rows[e, k]
+
+    def _face(self, j: int, s: Fraction, e: tuple, k: int) -> dict:
+        """The row of e without e_j on a face x_j = const, where D = s + ..."""
+        return _diagonal(self.d, s, self.a[:j] + self.a[j + 1:]).row(e[:j] + e[j + 1:], k)
+
+    def _row(self, e: tuple, k: int) -> dict:
+        d, c, a, r = self.d, self.c, self.a, len(self.a)
+        if self.red:
+            L, n = self.red.row(e[0], k)
+            return {key: Fraction(x, L) for key, x in
+                    zip([None] + [(d, c, ((a[0], i),)) for i in range(d)], n) if x}
+        j = next((j for j, x in enumerate(e) if x >= d - 1), None)
+        faces = lambda m: [self._face(l, c + a[l], e, m) for l in range(r)]
+        if j is None and k == 1:
+            return {(d, c, tuple(sorted(zip(a, e)))): Fraction(1)}
+        if j is None:  # Euler, solved for I(e, k)
+            t = Fraction(sum(e) + r, d * (k - 1))
+            return _combined([((1 - t) / c, self.row(e, k - 1))]
+                             + [(1 / (c * d * (k - 1)), f) for f in faces(k - 1)])
+        if k == 1:  # Euler, solved for I(e, 1): |e| + r > d
+            t = 1 - Fraction(sum(e) + r, d)
+            return _combined([(c / t, self.row(e, 2))] + [(-1 / (d * t), f) for f in faces(1)])
+        # By parts in x_j, p = e_j - d + 1: d a_j (k - 1) I(e, k) = p I(e - d 1_j, k - 1)
+        # - (the face x_j = 1) + (the face x_j = 0 if p = 0), each at k - 1.
+        p, w = e[j] - d + 1, 1 / (d * a[j] * (k - 1))
+        rest = (p * w, self.row(e[:j] + (e[j] - d,) + e[j + 1:], k - 1)) if p else \
+            (w, self._face(j, c, e, k - 1))
+        return _combined([(-w, self._face(j, c + a[j], e, k - 1)), rest])
+
+
+_diagonal = lru_cache(maxsize=128)(_Diagonal)
+
+
+def diagonal_reduction(den: "MPoly") -> _Diagonal | None:
+    """The reduction over den = c + sum_j a_j x_j^d when den has at least 2
+    variables, d >= 2, c > 0 and every a_j > 0; else None."""
+    r, d = den.nvars, den.degree()
+    c = den.terms.get((0,) * r, 0)
+    a = tuple(den.terms.get(tuple(d * (i == j) for i in range(r)), 0) for j in range(r))
+    ok = r >= 2 and d >= 2 and len(den.terms) == r + 1 and c > 0 and min(a) > 0
+    return _diagonal(d, c, a) if ok else None
+
+
+@lru_cache(maxsize=64)
+def diagonal_master(key: tuple, qs: QuadratureSettings) -> Numeric:
+    """The master named by key under qs: D10's for one variable, else one
+    fixed-point quadrature per (key, qs)."""
+    d, c, pairs = key
+    a, e = zip(*pairs)
+    dg = _diagonal(d, c, a)
+    return _master(dg.red, e[0], qs) if dg.red else \
+        _quadrature_of(dg.den, MPoly(len(e), {e: 1}), 1, qs)
+
+
+def form_value(sums: dict, qs: QuadratureSettings) -> tuple[Numeric, Fraction, list[tuple]]:
+    """sum q I(e, k) over sums {(reduction, e, k): q}, its rational part and
+    its masters (key, coefficient, value): the rows are summed exactly, and
+    only the masters left are integrated, by ``_budgeted``, with no
+    fallback."""
+    form = _combined([(q, dg.row(e, k)) for (dg, e, k), q in sums.items()])
+    rational, masters = form.pop(None, Fraction(0)), sorted(form.items())
+    v, values = _budgeted(rational, [(q, partial(diagonal_master, key)) for key, q in masters], qs)
+    return v, rational, [(key, q, M) for (key, q), M in zip(masters, values)]
 
 
 def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> SpecialValue:

@@ -28,6 +28,7 @@ from .mahler import (
     Z_breakdown,
     Z_value,
     ZBucket,
+    ZMaster,
     delta_multiindices,
     period_K,
 )
@@ -136,16 +137,25 @@ def cmd_directional(args) -> dict:
     return cmd_powersum(args)
 
 
-def _bucket_json(b: ZBucket, precision: int) -> dict:
-    out = {"component": b.component, "i": b.i, "beta": list(b.beta), "alpha": list(b.alpha)}
-    if b.orbit > 1:  # DECISIONS.md D13
-        out["orbit"] = b.orbit
-    if b.value.kind == "exact":
-        out["exact"] = str(b.value.exact)
+def _bucket_json(b: ZBucket | ZMaster, precision: int) -> dict:
+    if isinstance(b, ZMaster):  # DECISIONS.md D14
+        if b.key is None:
+            return {"rational": rat_to_str(b.coeff)}
+        d, c, pairs = b.key
+        out = {"master": {"d": d, "c": rat_to_str(c), "a": [rat_to_str(a) for a, _ in pairs],
+                          "e": [e for _, e in pairs]}, "coeff": rat_to_str(b.coeff)}
+        num = b.value
     else:
-        with mp.workdps(precision):
-            out["value"] = mp.nstr(b.value.num.value, 20)
-            out["err"] = mp.nstr(b.value.num.err, 5)
+        out = {"component": b.component, "i": b.i, "beta": list(b.beta), "alpha": list(b.alpha)}
+        if b.orbit > 1:  # DECISIONS.md D13
+            out["orbit"] = b.orbit
+        if b.value.kind == "exact":
+            out["exact"] = str(b.value.exact)
+            return out
+        num = b.value.num
+    with mp.workdps(precision):
+        out["value"] = mp.nstr(num.value, 20)
+        out["err"] = mp.nstr(num.err, 5)
     return out
 
 

@@ -4,9 +4,10 @@ Implements the multi-index bookkeeping (weighted index sets, composition
 families and their g-vectors), the period integrals over unit-cube faces
 (each one ``_quadrature.cube_integral``: an exact moment, a closed form
 over an affine face, an exact reduction to one-variable masters, or a
-certified quadrature), the polynomial-in-(1+a) expansion of the shifted integral
-continuation, and the Raabe-type substitution that turns that expansion
-into the series value.
+certified quadrature; in a Z value, the diagonal faces c + sum a_j x_j^d
+are reduced exactly and summed into one form instead), the
+polynomial-in-(1+a) expansion of the shifted integral continuation, and
+the Raabe-type substitution that turns that expansion into the series value.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from typing import Sequence
 
 from mpmath import mp
 
-from ._quadrature import DEFAULT_QS, QuadratureSettings, cube_integral
+from ._quadrature import (DEFAULT_QS, QuadratureSettings, cube_integral, diagonal_reduction,
+                          form_value)
 from .errors import NotElliptic, NotHomogeneous
 from .exactnum import (
     Numeric,
@@ -256,10 +258,25 @@ def _face_orbits(P: MPoly, Q: MPoly) -> list[tuple[int, ...]]:
 _bernoulli_tilde_memo = lru_cache(maxsize=1024)(bernoulli_tilde_product)
 
 
+@dataclass(frozen=True)
+class ZMaster:
+    """A term of the exact form that the buckets on diagonal faces sum to
+    (DECISIONS.md D14): the rational part coeff for key None, else coeff
+    times the master named by key, whose value is given."""
+
+    key: tuple | None
+    coeff: Fraction
+    value: Numeric | None
+
+
 def Z_breakdown(
     P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
-) -> tuple[SpecialValue, list[ZBucket]]:
-    """Z(P, Q; -N) together with the evaluated buckets it is the sum of."""
+) -> tuple[SpecialValue, list[ZBucket | ZMaster]]:
+    """Z(P, Q; -N) together with the parts it is the sum of: a ZBucket per
+    bucket integrated on its own, and a ZMaster per term of the one form
+    that the buckets on diagonal faces sum to.  Those buckets are reduced
+    exactly, scaled by their orbits, and summed over the whole value; only
+    then are the masters left integrated (DECISIONS.md D14)."""
     d, flags = _check_P(P, N)
     n = P.nvars
     # Only the least face of each orbit is built; its total stands for all.
@@ -276,7 +293,9 @@ def Z_breakdown(
         for i in orbit:
             acc = sums.setdefault((ci, i, beta, alpha), ({}, dQc))[0]
             _add_product(acc, w, _face_product(P, i, alpha, u.u, memo))
-    evaluated: list[ZBucket] = []
+    evaluated: list[ZBucket | ZMaster] = []
+    # Per (diagonal reduction, e, k), the buckets' coefficients of x^e / D^k.
+    reduced: dict[tuple, Fraction] = {}
     for key in sorted(sums):  # evaluate buckets in a fixed order
         acc, dQc = sums[key]
         numer = _summed(n - 1, acc)
@@ -284,6 +303,12 @@ def Z_breakdown(
             continue
         ci, i, beta, alpha = key
         # dQc is a nonzero homogeneous polynomial, so its face is nonzero.
+        dg = diagonal_reduction(P.face(i))
+        if dg is not None:
+            for e, q in (numer * dQc.face(i)).terms.items():
+                row = (dg, e, sum(alpha) - N)
+                reduced[row] = reduced.get(row, 0) + orbit[i] * q
+            continue
         v = cube_integral(P.face(i), numer * dQc.face(i), sum(alpha) - N, qs)
         if orbit[i] > 1:
             with mp.workdps(qs.precision + 10):
@@ -291,6 +316,10 @@ def Z_breakdown(
         evaluated.append(ZBucket(ci, i, beta, alpha, v, orbit[i]))
     exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
     parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
+    if reduced:
+        v, rational, masters = form_value(reduced, qs)
+        parts.append(v)
+        evaluated += [ZMaster(None, rational, None)] + [ZMaster(*m) for m in masters]
     if not parts:
         return SpecialValue.make_exact(exact, flags=flags), evaluated
     with mp.workdps(qs.precision + 10):

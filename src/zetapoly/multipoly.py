@@ -54,7 +54,7 @@ class MPoly:
     build their results with ``_of``, which only drops zero coefficients.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[MultiIndex, Rational] | None = None):
         if nvars < 0:
@@ -74,6 +74,7 @@ class MPoly:
                 clean[e] = clean.get(e, Fraction(0)) + c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _of(cls, nvars: int, terms: Mapping[MultiIndex, Fraction]) -> "MPoly":
@@ -82,6 +83,7 @@ class MPoly:
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, *a):
@@ -138,7 +140,10 @@ class MPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, tuple(self.canonical_items())))
+        # Computed on the first call: the memos keyed by MPoly hash it often.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.nvars, tuple(self.canonical_items()))))
+        return self._hash
 
     # Arithmetic -------------------------------------------------------------
 

@@ -142,6 +142,21 @@ class TestMahler:
             '"orbit":2,"value":"0.41666666666666666667"}],"value":"0.41666666666666667"}\n'
         )
 
+    def test_terms_of_reduced_faces(self):
+        # Criterion 9's diagonal faces sum to one form (DECISIONS.md D14):
+        # the rational 1/16 and the one master int int 1/(1 + x^3 + y^3),
+        # coefficient -1/30, with its own value Gamma(1/3)^3/27 and err.
+        code, out = run_cli(["mahler", "--P", "x1^3 + x2^3 + x3^3 + x4^3", "--N", "0",
+                             "--terms", "--rel-tol", "1e-8", "--precision", "25"])
+        assert code == 0
+        rational, master = json.loads(out)["terms"]
+        assert rational == {"rational": "1/16"}
+        assert master["master"] == {"a": ["1", "1"], "c": "1", "d": 3, "e": [0, 0]}
+        assert master["coeff"] == "-1/30"
+        with mp.workdps(40):
+            truth = mp.gamma(mpf(1) / 3) ** 3 / 27
+            assert abs(mpf(master["value"]) - truth) <= mpf(master["err"]) + mpf(10) ** -20
+
     def test_terms_truth(self):
         # The values behind test_terms_bytes: Z(x1 + x2, 1; 0) = 5/12, and
         # so is its one bucket, the total of the two faces' 5/24.

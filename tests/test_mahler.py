@@ -35,6 +35,8 @@ from zetapoly import (
 )
 from zetapoly import _quadrature, mahler
 from zetapoly.mahler import (
+    ZBucket,
+    ZMaster,
     Z_breakdown,
     _derivative_support,
     _face_orbits,
@@ -783,11 +785,40 @@ class TestOneVariableReduction:
             with mp.workdps(60):
                 assert abs(v.num.value - truth) <= v.num.err + terr
 
-    def test_missed_tolerance_takes_the_quadrature(self, monkeypatch):
+    def test_missed_tolerance_integrates_the_masters_tighter(self, monkeypatch):
         # int_0^1 x^22 / (1 + x^2)^8 = r + c pi/4 = 2.52e-4 with c = 2909907/14336:
-        # six digits cancel, so the master's error, scaled by c, misses a
-        # tolerance near its own.
+        # six digits cancel, so the master's error at rel_tol, scaled by c,
+        # misses the period's target; the master is integrated once more,
+        # to half that target over |c|, and the reduction meets it.
+        _quadrature._reduction.cache_clear()
         D, A, qs = P("1 + x1^2", 1), P("x1^22", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
+        reduced, runs = [], []
+        real, master = _quadrature._reduced, _quadrature._master
+
+        def recorded(*args):
+            reduced.append(real(*args))
+            return reduced[-1]
+
+        def counted(red, i, s):
+            runs.append(s)
+            return master(red, i, s)
+
+        monkeypatch.setattr(_quadrature, "_reduced", recorded)
+        monkeypatch.setattr(_quadrature, "_master", counted)
+        v = _quadrature.cube_integral(D, A, 8, qs)
+        assert reduced[0] is v.num
+        assert runs[0] == qs and len(set(runs)) == 2 and runs[1].rel_tol < qs.rel_tol
+        truth, terr = self._truth(D, 8, A)
+        with mp.workdps(60):
+            assert abs(v.num.value - truth) <= v.num.err + terr
+            assert v.num.err <= qs.rel_tol * abs(truth)
+
+    def test_missed_tolerance_takes_the_quadrature(self, monkeypatch):
+        # The same period at rel_tol 1e-35: the master would have to meet
+        # 1e-41, below the rounding floor of 40-digit quadrature, so the
+        # reduction falls back to the quotient quadrature.
+        D, A = P("1 + x1^2", 1), P("x1^22", 1)
+        qs = QuadratureSettings(rel_tol=1e-35, abs_tol=1e-60, precision=30)
         reduced, real = [], _quadrature._reduced
 
         def recorded(*args):
@@ -801,6 +832,20 @@ class TestOneVariableReduction:
         with mp.workdps(60):
             assert abs(v.num.value - truth) <= v.num.err + terr
             assert v.num.err <= 2 * qs.rel_tol * abs(truth)
+
+    def test_no_period_falls_back(self, monkeypatch):
+        # With the masters integrated tighter where a row cancels, every
+        # period of the corpus that reaches the reduction keeps it.
+        reduced, real = [], _quadrature._reduced
+
+        def recorded(*args):
+            reduced.append(real(*args))
+            return reduced[-1]
+
+        monkeypatch.setattr(_quadrature, "_reduced", recorded)
+        for D, k, A in self._corpus():
+            _quadrature.cube_integral(D, A, k, QS)
+        assert len(reduced) == 21 and None not in reduced
 
     def test_not_squarefree_takes_the_quadrature(self, monkeypatch):
         # The faces of (x1 + x2)^2 are (1 + x)^2; Z((x1 + x2)^2, 1; 0) = Z(x1 + x2, 1; 0) = 5/12.
@@ -1045,7 +1090,12 @@ class TestFaceOrbits:
         for args in self.CORPUS:
             z, buckets = Z_breakdown(*args)
             ref, ref_buckets = unfolded(*args)
-            assert len(buckets) < len(ref_buckets)
+            # Faces that are not reduced have fewer buckets; the reduced
+            # ones sum to the same form (DECISIONS.md D14).
+            split = lambda bs: ([b for b in bs if isinstance(b, ZBucket)],
+                                [b for b in bs if isinstance(b, ZMaster)])
+            (faces, form), (ref_faces, ref_form) = split(buckets), split(ref_buckets)
+            assert form == ref_form and (len(faces) < len(ref_faces) or not ref_faces)
             assert z.kind == ref.kind == "numeric"
             assert z.num.value._mpf_ == ref.num.value._mpf_
             with mp.workdps(60):
@@ -1119,24 +1169,22 @@ class TestFaceQuadratureBitIdentity:
         # The Epstein value Z(x1^2 + .. + x4^2, 1; 0) = 1/16.
         v = Z_value(P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,
                     QuadratureSettings(rel_tol=1e-6, precision=20))
-        # err recorded when the four faces, one orbit, were folded into face
-        # 1's buckets scaled by 4 (DECISIONS.md D13); the value bits are the
-        # unfolded sum's.
-        assert self._bits(v, F(1, 16)) == (
-            (0, 10141204801825835366586643591741, -107, 104),
-            (0, 498341513649882703663943856446057489, -147, 119),
-        )
+        # Recorded when the diagonal faces were reduced exactly (DECISIONS.md
+        # D14): no master is left, so the value is 1/16 and err its rounding.
+        assert self._bits(v, F(1, 16)) == ((0, 1, -4, 1), (0, 131073, -120, 18))
 
     # sha256 of repr([(value._mpf_, err._mpf_), ...]) of every cube
-    # quadrature behind the Z values below.  Each entry is bit for bit the
-    # one recorded before the kernel computed each reciprocal once per
-    # distinct denominator value; the linear form's four left the digest
-    # when its faces took the closed form.
-    SYMMETRIC_SHA = "ce9fc6a909aeea42fe737b9f480d16a927e1fa644864aed6f775fc459ca3adee"
+    # quadrature behind the Z values below.  The linear form's four left
+    # the digest when its faces took the closed form (D12), the Epstein
+    # form's three and the cubic's four 3-D faces when diagonal faces were
+    # reduced exactly (D14): what is left is the cubic's one 2-D master.
+    SYMMETRIC_SHA = "0677b0cbb9b14f79715a291698a38bcb2799758fae58567f96ad5fc3e7bc260e"
 
     def test_symmetric_faces_digest(self, monkeypatch):
         # Symmetric faces repeat denominator values across their grids: the
         # Epstein form, a linear form with Q = P and criterion 9's cubic.
+        # Masters are kept per settings for the process: start with none.
+        _quadrature.diagonal_master.cache_clear()
         quads = []
 
         def recorded(*args, **kwargs):
@@ -1146,9 +1194,6 @@ class TestFaceQuadratureBitIdentity:
 
         integrate = _quadrature.integrate_unit_cube
         monkeypatch.setattr(_quadrature, "integrate_unit_cube", recorded)
-        # The linear form's faces are affine: closed forms, no quadrature
-        # (DECISIONS.md D12), so the digest holds the Epstein form's 3 and
-        # the cubic's 4 quadratures.
         L = P("3/2 x1 + 3/2 x2 + 3/2 x3 + 3/2 x4", 4)
         for p, q, N, qs in (
             (P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,
@@ -1159,7 +1204,7 @@ class TestFaceQuadratureBitIdentity:
              QuadratureSettings(rel_tol=1e-6, precision=20)),
         ):
             assert Z_value(p, q, N, qs).kind == "numeric"
-        assert len(quads) == 7
+        assert len(quads) == 1
         assert hashlib.sha256(repr(quads).encode()).hexdigest() == self.SYMMETRIC_SHA
 
     def test_period_2d_face_nonnegative_exponent(self):
@@ -1193,3 +1238,92 @@ def _num_from(fr):
     from zetapoly import Numeric
 
     return Numeric.from_rational(fr)
+
+
+class TestDiagonalFaces:
+    """Z_breakdown reduces every bucket on a diagonal face c + sum a_j x_j^d
+    exactly, sums the forms over the whole value, and integrates only the
+    masters left (DECISIONS.md D14).  theta_diagonal, which shares no code
+    with it, is the truth; period quadrature, the check where it has none."""
+
+    @staticmethod
+    def _form(Pd, Q, N, qs=QS_FAST):
+        z, parts = Z_breakdown(Pd, Q, N, qs)
+        form = {b.key: b.coeff for b in parts if isinstance(b, ZMaster)}
+        return z, {key: q for key, q in form.items() if key is None or q}
+
+    # Diagonal P whose theta value is rational: (n, d, scales, Q exponent, N).
+    RATIONAL = [
+        (3, 2, 1, 0, 1), (3, 2, 1, 0, 2), (3, 4, 1, 0, 2), (3, 4, 1, 0, 3), (4, 2, 1, 0, 1),
+        (3, 3, 1, 0, 0), (3, 3, 1, 0, 1), (3, 3, 1, 0, 2), (3, 3, 1, 0, 3),
+        (4, 3, 1, 0, 1), (4, 3, 1, 0, 3),
+        (3, 3, [1, 8, 27], (1, 0, 2), 1), (3, 4, [16, 1, 81], (0, 1, 0), 1),
+    ]
+
+    @pytest.mark.parametrize("n, d, c, a, N", RATIONAL)
+    def test_rational_rows_equal_theta(self, n, d, c, a, N):
+        cs = c if isinstance(c, list) else [c] * n
+        Pd = MPoly(n, {tuple(d * (i == j) for i in range(n)): F(cs[j]) for j in range(n)})
+        av = (a,) * n if isinstance(a, int) else a
+        z, form = self._form(Pd, MPoly(n, {av: F(1)}), N)
+        truth = theta_diagonal(n, d, a, N, c)
+        assert truth.kind == "exact" and form == {None: truth.exact}
+        assert z.kind == "numeric" and z.num.value == mpf_from(truth.exact, QS_FAST)
+
+    def test_criterion_9_is_one_master(self):
+        M2 = (3, F(1), ((F(1), 0), (F(1), 0)))  # int int dx dy / (1 + x^3 + y^3)
+        qs = QuadratureSettings(rel_tol=1e-8, precision=25)
+        z, form = self._form(_diagonal(4, 3, 1), MPoly.one(4), 0, qs)
+        assert form == {None: F(1, 16), M2: F(-1, 30)}
+        with mp.workdps(40):
+            truth = mpf(1) / 16 - mp.gamma(mpf(1) / 3) ** 3 / 810
+            assert abs(z.num.value - truth) <= z.num.err <= mpf(10) ** -10
+
+    @staticmethod
+    def _cases():
+        # (d, c, a, e, k): six 2-D and three 3-D, exponents past d - 1 so
+        # that by parts, the Euler relation and the faces all take part.
+        rng = random.Random(26)
+        scales = (F(1), F(2), F(1, 2), F(3))
+        for r in (2,) * 6 + (3,) * 3:
+            d = rng.randint(2, 4)
+            yield (d, rng.choice(scales), tuple(rng.choice(scales) for _ in range(r)),
+                   tuple(rng.randint(0, d + 2) for _ in range(r)), rng.randint(1, 3))
+
+    def test_forms_against_quadrature(self):
+        for d, c, a, e, k in self._cases():
+            dg = _quadrature._diagonal(d, c, a)
+            v, _, _ = _quadrature.form_value({(dg, e, k): F(1)}, QS_FAST)
+            w = _quadrature._quadrature_of(dg.den, MPoly(len(a), {e: F(1)}), k, QS_FAST)
+            with mp.workdps(40):
+                assert abs(v.value - w.value) <= v.err + w.err, (d, c, a, e, k)
+
+    def test_no_rational_root_against_quadrature(self, monkeypatch):
+        # Z(x1^3 + 2 x2^3 + 3 x3^3, 1; -1) = 1/80 exactly: theta needs the
+        # cube roots of 2 and 3, so the truth is the unreduced quadrature.
+        Pd, qs = P("x1^3 + 2 x2^3 + 3 x3^3", 3), QuadratureSettings(rel_tol=1e-15, precision=30)
+        z, form = self._form(Pd, MPoly.one(3), 1, qs)
+        assert form == {None: F(1, 80)}
+        monkeypatch.setattr(mahler, "diagonal_reduction", lambda den: None)
+        ref = Z_value(Pd, MPoly.one(3), 1, qs)
+        with mp.workdps(50):
+            assert abs(z.num.value - ref.num.value) <= z.num.err + ref.num.err
+
+    def test_no_three_dimensional_quadrature(self, monkeypatch):
+        dims, integrate = [], _quadrature.integrate_unit_cube
+
+        def recorded(f, dim, *args, **kwargs):
+            dims.append(dim)
+            return integrate(f, dim, *args, **kwargs)
+
+        _quadrature.diagonal_master.cache_clear()
+        monkeypatch.setattr(_quadrature, "integrate_unit_cube", recorded)
+        Z_value(_diagonal(4, 3, 1), MPoly.one(4), 0, QS6)
+        assert dims == [2]  # criterion 9: the one master M2
+        Z_value(_diagonal(4, 2, 1), MPoly.one(4), 0, QS6)
+        assert dims == [2]  # Epstein n = 4: no master is left
+
+
+def mpf_from(x, qs):
+    with mp.workdps(qs.precision + 10):
+        return mpf(x.numerator) / x.denominator

@@ -88,6 +88,15 @@ class TestBasics:
         assert MPoly.zero(2).degree() == -1
         assert MPoly.constant(2, 5).degree() == 0
 
+    def test_hash_is_cached_and_unchanged(self):
+        # The hash is computed once, from the canonical terms as before,
+        # for polynomials from the constructor and from MPoly's operations.
+        p = P("3/2 x1^2 x3 + x2 - 1/6", 3)
+        for q in (p, p * p, p.face(2), MPoly(3, dict(reversed(list(p.terms.items()))))):
+            assert q._hash is None
+            assert hash(q) == hash((q.nvars, tuple(q.canonical_items()))) == q._hash
+        assert hash(p) == hash(MPoly(3, dict(reversed(list(p.terms.items())))))
+
 
 class TestDerivative:
     def test_examples(self):
