@@ -5,8 +5,10 @@ families and their g-vectors), the period integrals over unit-cube faces
 (each one ``_quadrature.cube_integral``: an exact moment, a closed form
 over an affine face, an exact reduction to one-variable masters, or a
 certified quadrature; in a Z value, the diagonal faces c + sum a_j x_j^d
-are reduced exactly and summed into one form instead), the
-polynomial-in-(1+a) expansion of the shifted integral continuation, and
+are reduced exactly and summed into one form instead), the triple sum
+behind a value, whose sum over the composition families of a block is
+built at once as the polynomial powers prod_k H_k^{alpha_k} on each face,
+the polynomial-in-(1+a) expansion of the shifted integral continuation, and
 the Raabe-type substitution that turns that expansion into the series value.
 """
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from operator import add
 from typing import Sequence
 
 from mpmath import mp
@@ -32,7 +35,8 @@ from .exactnum import (
 from .multipoly import (
     MPoly,
     MultiIndex,
-    _face_product,
+    _int_product,
+    _over_common_denominator,
     bernstein_positive,
     build_P_alpha_u,
     composition_tuples,
@@ -70,15 +74,11 @@ class CompositionFamily:
         return tuple(g)
 
 
-def enumerate_V(
-    alpha: Sequence[int], n: int, support: Sequence[Sequence[int]] | None = None
-) -> list[CompositionFamily]:
-    """All composition families with |u_k| = alpha_k for each k; with a
-    support, u_k is zero outside the positions support[k - 1] (those where
-    the derivative of P is nonzero)."""
+def enumerate_V(alpha: Sequence[int], n: int) -> list[CompositionFamily]:
+    """All composition families with |u_k| = alpha_k for each k."""
     alpha = tuple(int(a) for a in alpha)
     slots = [len(delta_multiindices(k, n)) for k in range(1, len(alpha) + 1)]
-    return [CompositionFamily(n=n, u=u) for u in composition_tuples(alpha, slots, support)]
+    return [CompositionFamily(n=n, u=u) for u in composition_tuples(alpha, slots)]
 
 
 # -----------------------------------------------------------------------------
@@ -146,15 +146,6 @@ def period_K(
 # The value Z(P, Q; -N)
 # -----------------------------------------------------------------------------
 
-def _derivative_support(P: MPoly, d: int) -> list[list[int]]:
-    """Per weight k, positions of multi-indices gamma with d^gamma P != 0."""
-    out = []
-    for k in range(1, d + 1):
-        gammas = delta_multiindices(k, P.nvars)
-        out.append([j for j, g in enumerate(gammas) if not P.derivative(g).is_zero()])
-    return out
-
-
 def _check_P(P: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
     if N < 0:
         raise ValueError("N must be a non-negative integer")
@@ -168,15 +159,6 @@ def _check_P(P: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
     return d, flags
 
 
-def _add_product(acc: dict, w: Fraction | int, product: tuple[int, int, dict]) -> None:
-    """acc += w * coeff * ints / den, on int term dicts keyed by denominator."""
-    coeff, den, ints = product
-    s = w.numerator * coeff
-    t = acc.setdefault(w.denominator * den, {})
-    for e, c in ints.items():
-        t[e] = t.get(e, 0) + s * c
-
-
 def _summed(nvars: int, acc: dict) -> MPoly:
     """The polynomial sum_D acc[D] / D, one Fraction per term."""
     L = lcm(*acc)
@@ -188,17 +170,56 @@ def _summed(nvars: int, acc: dict) -> MPoly:
     return MPoly._of(nvars, {e: Fraction(c, L) for e, c in out.items() if c})
 
 
-def _mahler_terms(P: MPoly, Q: MPoly, N: int, d: int):
-    """The terms of the triple sum behind Z(P, Q; -N) and its expansion in
-    powers of (1 + a), in the order (component, beta, alpha, u).
+def _mahler_blocks(P: MPoly, Q: MPoly, N: int, d: int, faces: Sequence[int]):
+    """The blocks of the triple sum behind Z(P, Q; -N) and its expansion in
+    powers of (1 + a), in the order (component, beta, alpha).
 
-    Yields (ci, beta, dQc, alpha, c_ab, u, m): dQc is d^beta of the ci-th
-    homogeneous component of Q, c_ab the weight of (alpha, beta), u a
-    composition family over alpha supported where the derivatives of P are
-    nonzero, and m = g(u) + beta its Bernoulli (or basis) exponent.
+    Yields (ci, beta, dQc, alpha, c_ab, products): dQc is d^beta of the
+    ci-th homogeneous component of Q, c_ab the weight of (alpha, beta), and
+    products maps each face i in faces to (den, {g: ints}), the sum over the
+    composition families u of alpha of P^i_{alpha,u} t^{g(u)} as ints / den.
+    By the multinomial theorem that sum is prod_k H_k^{alpha_k}, where H_k,
+    the part of degree k in t of P(x + t) on face i, is
+    sum_{|gamma|=k} (d^gamma P / gamma!) t^gamma.  Terms that cancel to 0
+    are kept, so the g are those of the families whose product is nonzero.
+    The powers H_k^p and the products over each prefix of alpha are kept
+    for the call.
     """
     n = P.nvars
-    support = _derivative_support(P, d)
+    one = (1, {(0,) * (2 * n - 1): 1})  # exponents: the face's, then t's
+    powers, prefixes, grouped = {}, {}, {}  # each value a pair (den, ints)
+
+    def power(i: int, k: int, p: int) -> tuple[int, dict]:
+        if (i, k, p) not in powers:
+            if p > 1:
+                (L, t), (L1, t1) = power(i, k, p - 1), power(i, k, 1)
+                powers[i, k, p] = (L * L1, _int_product(t, t1))
+            else:
+                powers[i, k, p] = _over_common_denominator({
+                    e + g: c / multi_factorial(g) for g in delta_multiindices(k, n)
+                    for e, c in P.derivative(g).face(i).terms.items()})
+        return powers[i, k, p]
+
+    def product(i: int, alpha: MultiIndex) -> tuple[int, dict]:
+        if (i, alpha) not in prefixes:
+            if not alpha:
+                prefixes[i, alpha] = one
+            elif not alpha[-1]:
+                prefixes[i, alpha] = product(i, alpha[:-1])
+            else:
+                (L, t), (L1, t1) = product(i, alpha[:-1]), power(i, len(alpha), alpha[-1])
+                prefixes[i, alpha] = (L * L1, _int_product(t, t1))
+        return prefixes[i, alpha]
+
+    def by_g(i: int, alpha: MultiIndex) -> tuple[int, dict]:
+        if (i, alpha) not in grouped:
+            den, ints = product(i, alpha)
+            groups: dict[MultiIndex, dict] = {}
+            for e, c in ints.items():
+                groups.setdefault(e[n - 1:], {})[e[:n - 1]] = c
+            grouped[i, alpha] = (den, groups)
+        return grouped[i, alpha]
+
     for ci, (q, Qc) in enumerate(Q.homogeneous_components()):
         for beta in multiindices_up_to_weight(q, n):
             dQc = Qc.derivative(beta)
@@ -211,9 +232,7 @@ def _mahler_terms(P: MPoly, Q: MPoly, N: int, d: int):
                     * factorial(N),
                     d * multi_factorial(alpha) * multi_factorial(beta),
                 )
-                for u in enumerate_V(alpha, n, support):
-                    m = tuple(gi + bi for gi, bi in zip(u.g_vector(), beta))
-                    yield ci, beta, dQc, alpha, c_ab, u, m
+                yield ci, beta, dQc, alpha, c_ab, {i: by_g(i, alpha) for i in faces}
 
 
 @dataclass(frozen=True)
@@ -281,24 +300,25 @@ def Z_breakdown(
     n = P.nvars
     # Only the least face of each orbit is built; its total stands for all.
     orbit = {o[0]: len(o) for o in _face_orbits(P, Q)}
-    # Per bucket, the terms of its numerator summed in integers, and d^beta Q_c.
-    sums: dict[tuple, tuple[dict, MPoly]] = {}
-    memo: dict = {}
-    for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
-        bt = _bernoulli_tilde_memo(m)
-        if bt == 0:
-            continue
-        w = c_ab * bt
-        # Each product is nonzero: faces of nonzero homogeneous derivatives of P.
-        for i in orbit:
-            acc = sums.setdefault((ci, i, beta, alpha), ({}, dQc))[0]
-            _add_product(acc, w, _face_product(P, i, alpha, u.u, memo))
+    # Per bucket, its numerator c_ab sum_g B~(g + beta) [t^g], summed in
+    # integers, and d^beta Q_c.
+    numers: dict[tuple, tuple[MPoly, MPoly]] = {}
+    for ci, beta, dQc, alpha, c_ab, products in _mahler_blocks(P, Q, N, d, orbit):
+        for i, (den, groups) in products.items():
+            acc: dict = {}
+            for g, ints in groups.items():
+                bt = _bernoulli_tilde_memo(tuple(map(add, g, beta)))
+                if bt:
+                    w = c_ab * bt
+                    t, s = acc.setdefault(w.denominator * den, {}), w.numerator
+                    for e, c in ints.items():
+                        t[e] = t.get(e, 0) + s * c
+            numers[ci, i, beta, alpha] = _summed(n - 1, acc), dQc
     evaluated: list[ZBucket | ZMaster] = []
     # Per (diagonal reduction, e, k), the buckets' coefficients of x^e / D^k.
     reduced: dict[tuple, Fraction] = {}
-    for key in sorted(sums):  # evaluate buckets in a fixed order
-        acc, dQc = sums[key]
-        numer = _summed(n - 1, acc)
+    for key in sorted(numers):  # evaluate buckets in a fixed order
+        numer, dQc = numers[key]
         if numer.is_zero():
             continue
         ci, i, beta, alpha = key
@@ -337,7 +357,9 @@ def Z_value(
     Q is decomposed into homogeneous components (the value is linear in Q);
     each component contributes a triple sum over derivative orders beta,
     weighted index vectors alpha and composition families u, with face-period
-    integrals and a product of modified Bernoulli numbers per term.
+    integrals and a product of modified Bernoulli numbers per term.  The sum
+    over u of a block (beta, alpha) on a face is built as one polynomial,
+    prod_k H_k^{alpha_k} with H_k the part of degree k in t of P(x + t).
     """
     return Z_breakdown(P, Q, N, qs)[0]
 
@@ -366,24 +388,18 @@ def Y_expansion(
     powers of (1 + a_i), computed from the same face-period data as Z."""
     d, flags = _check_P(P, N)
     n = P.nvars
-    # Per (component, beta, alpha): dQc, c_ab and the face sums of the
-    # products P^i_{alpha,u}, grouped by exponent m and face i.
-    blocks: dict[tuple, tuple[MPoly, Fraction, dict]] = {}
-    memo: dict = {}
-    for ci, beta, dQc, alpha, c_ab, u, m in _mahler_terms(P, Q, N, d):
-        groups = blocks.setdefault((ci, beta, alpha), (dQc, c_ab, {}))[2]
-        for i in range(1, n + 1):
-            _add_product(groups.setdefault(m, {}).setdefault(i, {}), 1,
-                         _face_product(P, i, alpha, u.u, memo))
     expansion: dict[MultiIndex, SpecialValue] = {}
     with mp.workdps(qs.precision + 10):  # the sums round at the working precision
-        for (_, _, alpha), (dQc, c_ab, groups) in blocks.items():
-            for m in sorted(groups):
+        for _, beta, dQc, alpha, c_ab, products in _mahler_blocks(P, Q, N, d, range(1, n + 1)):
+            # The t-exponents g, those of the families, are the same on every
+            # face; the basis exponent is g + beta.
+            for g in sorted(products[1][1]):
                 total = SpecialValue.make_exact(Fraction(0))
-                for i in sorted(groups[m]):
-                    numer = _summed(n - 1, groups[m][i]) * dQc.face(i)
+                for i, (den, groups) in products.items():
+                    numer = _summed(n - 1, {den: groups[g]}) * dQc.face(i)
                     if not numer.is_zero():
                         total = total + cube_integral(P.face(i), numer, sum(alpha) - N, qs)
+                m = tuple(map(add, g, beta))
                 total = total.scale(c_ab)
                 expansion[m] = expansion[m] + total if m in expansion else total
     expansion = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, factorial, floor, gcd, lcm
 from operator import add, index, sub
 from typing import Mapping, Sequence
@@ -434,39 +434,27 @@ def weighted_partitions(t: int, d: int) -> list[MultiIndex]:
     return _solutions(t, range(1, d + 1)) if d >= 1 else []
 
 
-def composition_tuples(
-    totals: Sequence[int], slots: Sequence[int], support: Sequence[Sequence[int]] | None = None
-) -> list[tuple[MultiIndex, ...]]:
+def composition_tuples(totals: Sequence[int], slots: Sequence[int]) -> list[tuple[MultiIndex, ...]]:
     """All (c_1, ..., c_d) with c_k in N_0^{slots_k} and |c_k| = totals_k,
-    the first entry varying slowest.  With a support, c_k is zero outside
-    the positions support[k]."""
+    the first entry varying slowest."""
     out: list[tuple[MultiIndex, ...]] = [()]
-    for k, (total, width) in enumerate(zip(totals, slots)):
-        pos = range(width) if support is None else support[k]
-        options = []
-        for comp in delta_multiindices(total, len(pos)):
-            full = [0] * width
-            for p, v in zip(pos, comp):
-                full[p] = v
-            options.append(tuple(full))
-        out = [prefix + (c,) for prefix in out for c in options]
+    for total, width in zip(totals, slots):
+        out = [prefix + (c,) for prefix in out for c in delta_multiindices(total, width)]
     return out
 
 
-def _face_product(
-    P: MPoly, i: int, alpha: Sequence[int], u, memo: dict | None = None
-) -> tuple[int, int, dict]:
-    """build_P_alpha_u as (coeff, den, ints): the multinomial alpha!/prod_k u_k!
-    and the product of the factors as ints / den, so that sums add in integers."""
+def build_P_alpha_u(P: MPoly, i: int, alpha: Sequence[int], u) -> MPoly:
+    """Auxiliary face product for a composition family u over alpha.
+
+    (alpha!/prod_k u_k!) * prod_k prod_{|g|=k} ((d^g P at face i)/g!)^{u_{k,g}}
+
+    The factors are multiplied as ints over one denominator.
+    """
     alpha = tuple(int(a) for a in alpha)
     if len(u) != len(alpha):
         raise CompositionMismatch(f"family has {len(u)} rows, alpha has {len(alpha)} entries")
     n = P.nvars
-    if memo is None:
-        memo = {}
-    coeff = multi_factorial(alpha)
-    acc = None
-    key: tuple = (i,)
+    coeff, den, ints = multi_factorial(alpha), 1, {(0,) * (n - 1): 1}
     for k in range(1, len(alpha) + 1):
         gammas = delta_multiindices(k, n)
         uk = u[k - 1]
@@ -475,39 +463,14 @@ def _face_product(
         if sum(uk) != alpha[k - 1]:
             raise CompositionMismatch(f"|u_{k}| = {sum(uk)} != alpha_{k} = {alpha[k - 1]}")
         for g, mult in zip(gammas, uk):
-            if mult == 0:
-                continue
-            coeff //= factorial(mult)  # exact: a multinomial coefficient
-            key += ((g, mult),)
-            prefix = memo.get(key)
-            if prefix is None:
-                fkey = (i, g, mult)
-                factor = memo.get(fkey)
-                if factor is None:
-                    base = P.derivative(g).face(i).scale(Fraction(1, multi_factorial(g)))
-                    L, b = _over_common_denominator(base.terms)
-                    factor = memo[fkey] = (L**mult, reduce(_int_product, [b] * mult))
-                prefix = memo[key] = factor if acc is None else (
-                    acc[0] * factor[0], _int_product(acc[1], factor[1]))
-            acc = prefix
-    return (coeff,) + (acc or (1, {(0,) * (n - 1): 1}))
-
-
-def build_P_alpha_u(
-    P: MPoly, i: int, alpha: Sequence[int], u, memo: dict | None = None
-) -> MPoly:
-    """Auxiliary face product for a composition family u over alpha.
-
-    (alpha!/prod_k u_k!) * prod_k prod_{|g|=k} ((d^g P at face i)/g!)^{u_{k,g}}
-
-    A caller that builds many products of one P may pass a memo dict, kept
-    for that P only.  It holds each factor by (i, g, u_{k,g}) and each
-    product of the leading factors by (i, (g_1, u_{k,g_1}), ...), as
-    (den, ints): families in the order of composition_tuples share their
-    leading factors, so each new family costs about one multiplication.
-    """
-    coeff, den, ints = _face_product(P, i, alpha, u, memo)
-    return MPoly._of(P.nvars - 1, {e: Fraction(coeff * c, den) for e, c in ints.items()})
+            if mult:
+                coeff //= factorial(mult)  # exact: a multinomial coefficient
+                base = P.derivative(g).face(i).scale(Fraction(1, multi_factorial(g)))
+                L, b = _over_common_denominator(base.terms)
+                den *= L**mult
+                for _ in range(mult):
+                    ints = _int_product(ints, b)
+    return MPoly._of(n - 1, {e: Fraction(coeff * c, den) for e, c in ints.items()})
 
 
 # -----------------------------------------------------------------------------

@@ -33,14 +33,15 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     theta_diagonal,
 )
-from zetapoly import _quadrature, mahler
+from zetapoly import _quadrature, build_P_alpha_u, mahler
+from zetapoly.exactnum import bernoulli_tilde_product, multi_factorial
+from zetapoly.multipoly import multiindices_up_to_weight
 from zetapoly.mahler import (
     ZBucket,
     ZMaster,
     Z_breakdown,
-    _derivative_support,
     _face_orbits,
-    _mahler_terms,
+    _mahler_blocks,
     certify_elliptic,
     delta_multiindices,
 )
@@ -82,22 +83,6 @@ class TestIndexSets:
                     expect *= comb(ak + m - 1, m - 1)
                 assert len(enumerate_V(alpha, n)) == expect
 
-    def test_enumerate_V_full_support_is_unrestricted(self):
-        for n in range(1, 4):
-            for alpha in [(), (2,), (0, 1), (1, 1), (3, 0), (1, 0, 1), (0, 2)]:
-                full = [list(range(len(delta_multiindices(k, n))))
-                        for k in range(1, len(alpha) + 1)]
-                assert enumerate_V(alpha, n, full) == enumerate_V(alpha, n)
-
-    def test_enumerate_V_support_drops_vanishing_derivatives(self):
-        # x1^2 + x2^2 has no mixed second derivative: (1, 1) is not in the support
-        Ppoly = P("x1^2 + x2^2", 2)
-        support = _derivative_support(Ppoly, 2)
-        assert support == [[0, 1], [0, 2]]
-        restricted = enumerate_V((0, 2), 2, support)
-        assert restricted == [u for u in enumerate_V((0, 2), 2) if u.u[1][1] == 0]
-        assert len(restricted) == 3
-
     def test_g_vector(self):
         u0 = enumerate_V((), 3)[0]
         assert u0.g_vector() == (0, 0, 0)
@@ -129,18 +114,21 @@ class TestIndexSets:
         ("x1^3 + x2^3", "3 x1 x2 + 1"),
     ])
     def test_term_degrees(self, p, q):
-        # every term of the triple sum has |m| = dN + q + n, q the degree of
-        # its component of Q: |g(u)| = sum_k k alpha_k by the composition
-        # families and sum_k k alpha_k + |beta| = dN + q + n by index_I
+        # every t-exponent g of a block's products has |g| = sum_k k alpha_k,
+        # H_k being homogeneous of degree k in t, and sum_k k alpha_k +
+        # |beta| = dN + q + n by index_I, q the degree of its component of Q
         Ppoly = P(p)
         Qpoly = P(q, Ppoly.nvars)
-        _, d = Ppoly.is_homogeneous()
+        n, (_, d) = Ppoly.nvars, Ppoly.is_homogeneous()
         degrees = [deg for deg, _ in Qpoly.homogeneous_components()]
         for N in range(3):
-            terms = list(_mahler_terms(Ppoly, Qpoly, N, d))
-            assert terms
-            for ci, beta, _, alpha, _, _, m in terms:
-                assert sum(m) == d * N + degrees[ci] + Ppoly.nvars
+            blocks = list(_mahler_blocks(Ppoly, Qpoly, N, d, range(1, n + 1)))
+            assert blocks
+            for ci, beta, _, alpha, _, products in blocks:
+                weight = sum(k * a for k, a in enumerate(alpha, start=1))
+                assert weight + sum(beta) == d * N + degrees[ci] + n
+                for _, groups in products.values():
+                    assert groups and all(sum(g) == weight for g in groups)
 
 
 class TestPeriod:
@@ -1110,17 +1098,153 @@ class TestFaceOrbits:
     def test_one_face_per_orbit_is_built(self, monkeypatch):
         faces = []
 
-        def recorded(P, i, *args):
-            faces.append(i)
-            return product(P, i, *args)
+        def recorded(*args):
+            for block in blocks(*args):
+                faces.extend(block[-1])  # the faces whose products are built
+                yield block
 
-        product = mahler._face_product
-        monkeypatch.setattr(mahler, "_face_product", recorded)
+        blocks = mahler._mahler_blocks
+        monkeypatch.setattr(mahler, "_mahler_blocks", recorded)
         Z_breakdown(P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0, QS6)
         assert faces and set(faces) == {1}  # criterion 9: one orbit
         faces.clear()
         Z_breakdown(P("x1^2 + x2^2 + 2 x3^2", 3), P("x3", 3), 1, QS_FAST)
         assert set(faces) == {1, 3}
+
+
+def _drawn_non_diagonal(rng, n, d):
+    """sum_j a_j x_j^d plus one or two mixed monomials, every coefficient
+    positive (so every face is positive on the cube) and distinct, so that
+    no coordinate swap fixes P."""
+    mixed = [e for e in delta_multiindices(d, n) if max(e) < d]
+    coeffs = [F(1), F(2), F(3), F(1, 2), F(5, 3), F(7, 4), F(4)]
+    rng.shuffle(coeffs)
+    terms = {tuple(d * (j == i) for j in range(n)): coeffs.pop() for i in range(n)}
+    for e in rng.sample(mixed, min(len(mixed), rng.randint(1, 2))):
+        terms[e] = coeffs.pop()
+    return MPoly(n, terms)
+
+
+def _drawn_Q(rng, n):
+    """One or two homogeneous components of degree <= 2, with small integer
+    coefficients of either sign."""
+    terms = {}
+    for q in rng.sample(range(3), rng.randint(1, 2)):
+        for e in rng.sample(delta_multiindices(q, n), 1):
+            terms[e] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return MPoly(n, terms)
+
+
+def _family_blocks(Pp, Qp, N):
+    """The paper's triple sum, family by family: per block (component, beta,
+    alpha) in order, d^beta Q_c, c_ab and, per face i, {m: the sum of
+    P^i_{alpha,u} over the families u with g(u) + beta = m}, m running over
+    the families whose product is nonzero."""
+    n, (_, d) = Pp.nvars, Pp.is_homogeneous()
+    for ci, (q, Qc) in enumerate(Qp.homogeneous_components()):
+        for beta in multiindices_up_to_weight(q, n):
+            dQc = Qc.derivative(beta)
+            if dQc.is_zero():
+                continue
+            for alpha in index_I(N, beta, d, q, n):
+                a = sum(alpha)
+                c_ab = F((-1) ** (a - N) * factorial(a - 1 - N) * factorial(N),
+                         d * multi_factorial(alpha) * multi_factorial(beta))
+                faces = {}
+                for i in range(1, n + 1):
+                    groups = faces[i] = {}
+                    for u in enumerate_V(alpha, n):
+                        prod_u = build_P_alpha_u(Pp, i, alpha, u.u)
+                        if not prod_u.is_zero():
+                            m = tuple(g + b for g, b in zip(u.g_vector(), beta))
+                            groups[m] = groups.get(m, MPoly.zero(n - 1)) + prod_u
+                yield ci, beta, dQc, alpha, c_ab, faces
+
+
+class TestTripleSumReference:
+    """Z_breakdown and Y_expansion build each block's sum over composition
+    families as the powers prod_k H_k^{alpha_k}.  Their bucket numerators,
+    (m, face) groups and key sets equal the family sums rebuilt from
+    enumerate_V, g_vector, build_P_alpha_u and bernoulli_tilde_product, over
+    a drawn corpus of P with no symmetry, non-diagonal for n >= 2."""
+
+    # (n, d, N): every n up to 4, d up to 4, N up to 3
+    SHAPES = [(1, 1, 3), (1, 4, 3), (2, 2, 3), (2, 3, 2), (2, 4, 1), (3, 2, 1),
+              (3, 3, 0), (3, 4, 0), (4, 2, 0), (4, 3, 0)]
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """(P, Q, N, the family blocks of _family_blocks) per shape; every
+        face is its own orbit, so Z_breakdown builds them all."""
+        rng = random.Random(2019)
+        out = []
+        for n, d, N in self.SHAPES:
+            Pp = _drawn_non_diagonal(rng, n, d) if n > 1 else MPoly(1, {(d,): F(3, 2)})
+            Qp = _drawn_Q(rng, n)
+            assert _face_orbits(Pp, Qp) == [(i,) for i in range(1, n + 1)]
+            out.append((Pp, Qp, N, list(_family_blocks(Pp, Qp, N))))
+        return out
+
+    @staticmethod
+    def _integrands(monkeypatch, fn, *args):
+        """The (den, numer, k) that fn passes to cube_integral, in order;
+        each integral is taken as 0."""
+        calls = []
+
+        def recorded(den, numer, k, qs):
+            calls.append((den, numer, k))
+            return SpecialValue.make_exact(F(0))
+
+        with monkeypatch.context() as m:
+            m.setattr(mahler, "cube_integral", recorded)
+            m.setattr(mahler, "diagonal_reduction", lambda den: None)
+            out = fn(*args)
+        return calls, out
+
+    def test_Z_bucket_numerators(self, corpus, monkeypatch):
+        for Pp, Qp, N, ref in corpus:
+            want = {}
+            for ci, beta, dQc, alpha, c_ab, faces in ref:
+                for i, groups in faces.items():
+                    numer = MPoly.zero(Pp.nvars - 1)
+                    for m, s in groups.items():
+                        numer = numer + s.scale(c_ab * bernoulli_tilde_product(m))
+                    if not numer.is_zero():
+                        want[ci, i, beta, alpha] = numer * dQc.face(i)
+            calls, (_, buckets) = self._integrands(monkeypatch, Z_breakdown, Pp, Qp, N, QS)
+            assert all(isinstance(b, ZBucket) for b in buckets)
+            keys = [(b.component, b.i, b.beta, b.alpha) for b in buckets]
+            assert keys == sorted(want)
+            for (ci, i, beta, alpha), (den, numer, k) in zip(keys, calls, strict=True):
+                assert (den, numer, k) == (Pp.face(i), want[ci, i, beta, alpha], sum(alpha) - N)
+
+    def test_Y_groups(self, corpus):
+        # Y_expansion's (m, face) groups: [t^g] of the block products at
+        # m = g + beta, the keys of zero sums kept, so the m are the families'
+        for Pp, Qp, N, ref in corpus:
+            n, (_, d) = Pp.nvars, Pp.is_homogeneous()
+            blocks = list(_mahler_blocks(Pp, Qp, N, d, range(1, n + 1)))
+            assert [b[:5] for b in blocks] == [b[:5] for b in ref]
+            for (_, beta, _, _, _, products), (*_, faces) in zip(blocks, ref):
+                for i, (den, groups) in products.items():
+                    got = {tuple(g + b for g, b in zip(key, beta)):
+                           MPoly(n - 1, {e: F(c, den) for e, c in ints.items()})
+                           for key, ints in groups.items()}
+                    assert got == faces[i]
+
+    def test_Y_integrands(self, corpus, monkeypatch):
+        # what Y_expansion integrates, in its order: per block, m ascending,
+        # then the faces, skipping zero numerators
+        for Pp, Qp, N, ref in corpus:
+            want = []
+            for _, _, dQc, alpha, _, faces in ref:
+                for m in sorted(faces[1]):
+                    for i in faces:
+                        numer = faces[i][m] * dQc.face(i)
+                        if not numer.is_zero():
+                            want.append((Pp.face(i), numer, sum(alpha) - N))
+            calls, _ = self._integrands(monkeypatch, Y_expansion, Pp, Qp, N, QS)
+            assert calls == want
 
 
 class TestFaceQuadratureBitIdentity:

@@ -403,17 +403,6 @@ class TestEnumerators:
         assert composition_tuples(totals, slots) == want
         assert composition_tuples((), ()) == [()]
 
-    def test_composition_tuples_support(self):
-        totals, slots, support = (2, 1), (3, 4), ([0, 2], [1, 3])
-        full = composition_tuples(totals, slots)
-        want = [c for c in full
-                if all(ck[j] == 0 for ck, sup, w in zip(c, support, slots)
-                       for j in range(w) if j not in sup)]
-        assert composition_tuples(totals, slots, support) == want
-        # a positive total with an empty support admits nothing
-        assert composition_tuples((1,), (3,), ([],)) == []
-        assert composition_tuples((0,), (3,), ([],)) == [((0, 0, 0),)]
-
 
 def _ref_eval(p, pt):
     """p at pt, term by term in Fractions."""
@@ -596,23 +585,18 @@ class TestPAlphaU:
     @given(small_polys(2, max_terms=4, max_deg=3),
            st.lists(st.integers(0, 2), min_size=1, max_size=3))
     def test_shared_memo_matches_fresh_calls(self, p, alpha):
-        # one memo over every family of alpha and both faces, as Z_breakdown
-        # keeps it, against calls without a memo and a direct product
-        memo: dict = {}
+        # every family of alpha on both faces against a direct product
         for u in enumerate_V(alpha, 2):
             for i in (1, 2):
-                fresh = build_P_alpha_u(p, i, alpha, u.u)
-                assert build_P_alpha_u(p, i, alpha, u.u, memo) == fresh
-                assert fresh == _P_alpha_u_direct(p, i, alpha, u.u)
+                assert build_P_alpha_u(p, i, alpha, u.u) == _P_alpha_u_direct(p, i, alpha, u.u)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(1, 3).flatmap(lambda n: small_polys(n, max_terms=5, max_deg=3)),
            st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda a: sum(a) <= 3))
     def test_matches_independent_build(self, p, alpha):
-        # every face and family of alpha, through one memo as Z_breakdown
-        # keeps it, against MPoly's own operations: derivative, face, scale,
-        # ** and *, times the multinomial taken as an exact quotient
-        memo: dict = {}
+        # every face and family of alpha against MPoly's own operations:
+        # derivative, face, scale, ** and *, times the multinomial taken as
+        # an exact quotient
         for u in enumerate_V(alpha, p.nvars):
             multinomial = F(multi_factorial(alpha),
                             prod(factorial(m) for uk in u.u for m in uk))
@@ -623,7 +607,7 @@ class TestPAlphaU:
                     for g, mult in zip(delta_multiindices(k, p.nvars), uk):
                         base = p.derivative(g).face(i).scale(F(1, multi_factorial(g)))
                         want = want * base**mult
-                assert build_P_alpha_u(p, i, alpha, u.u, memo) == want
+                assert build_P_alpha_u(p, i, alpha, u.u) == want
 
     def test_mismatch(self):
         p = P("x1^2 + x2^2", 2)
