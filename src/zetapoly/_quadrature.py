@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import comb, factorial, gcd, inf, lcm, prod
 from operator import add, mul
 from typing import Callable, Sequence
@@ -804,6 +804,16 @@ def _reduced(red: _Reduction, numer: "MPoly", k: int, qs: QuadratureSettings) ->
 # Diagonal denominators: exact reduction to master integrals
 # -----------------------------------------------------------------------------
 
+class _MasterKey(tuple):
+    """A master's key (d, c, ((a_j, e_j), ...)), equal to the plain tuple,
+    that hashes its Fractions once: forms add their rows key by key."""
+
+    hash = cached_property(tuple.__hash__)
+
+    def __hash__(self):
+        return self.hash
+
+
 def _combined(parts: list) -> dict:
     """sum q * form over the parts (q, form), without zero coefficients."""
     out: dict = {}
@@ -844,11 +854,11 @@ class _Diagonal:
         if self.red:
             L, n = self.red.row(e[0], k)
             return {key: Fraction(x, L) for key, x in
-                    zip([None] + [(d, c, ((a[0], i),)) for i in range(d)], n) if x}
+                    zip([None] + [_MasterKey((d, c, ((a[0], i),))) for i in range(d)], n) if x}
         j = next((j for j, x in enumerate(e) if x >= d - 1), None)
         faces = lambda m: [self._face(l, c + a[l], e, m) for l in range(r)]
         if j is None and k == 1:
-            return {(d, c, tuple(sorted(zip(a, e)))): Fraction(1)}
+            return {_MasterKey((d, c, tuple(sorted(zip(a, e))))): Fraction(1)}
         if j is None:  # Euler, solved for I(e, k)
             t = Fraction(sum(e) + r, d * (k - 1))
             return _combined([((1 - t) / c, self.row(e, k - 1))]

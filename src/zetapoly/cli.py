@@ -146,7 +146,7 @@ def _bucket_json(b: ZBucket | ZMaster, precision: int) -> dict:
                           "e": [e for _, e in pairs]}, "coeff": rat_to_str(b.coeff)}
         num = b.value
     else:
-        out = {"component": b.component, "i": b.i, "beta": list(b.beta), "alpha": list(b.alpha)}
+        out = {"component": b.component, "i": b.i, "a": b.a}
         if b.orbit > 1:  # DECISIONS.md D13
             out["orbit"] = b.orbit
         if b.value.kind == "exact":

@@ -6,9 +6,9 @@ families and their g-vectors), the period integrals over unit-cube faces
 over an affine face, an exact reduction to one-variable masters, or a
 certified quadrature; in a Z value, the diagonal faces c + sum a_j x_j^d
 are reduced exactly and summed into one form instead), the triple sum
-behind a value, whose sum over the composition families of a block is
-built at once as the polynomial powers prod_k H_k^{alpha_k} on each face,
-the polynomial-in-(1+a) expansion of the shifted integral continuation, and
+behind a value, whose terms with the same |alpha| = a on a face are built
+at once as the polynomial (P(x + t) - P(x))^a Q_c(x + t), the
+polynomial-in-(1+a) expansion of the shifted integral continuation, and
 the Raabe-type substitution that turns that expansion into the series value.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from operator import add
 from typing import Sequence
 
 from mpmath import mp
@@ -35,13 +34,11 @@ from .exactnum import (
 from .multipoly import (
     MPoly,
     MultiIndex,
-    _int_product,
     _over_common_denominator,
     bernstein_positive,
     build_P_alpha_u,
     composition_tuples,
     delta_multiindices,
-    multiindices_up_to_weight,
     weighted_partitions,
 )
 
@@ -159,91 +156,99 @@ def _check_P(P: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
     return d, flags
 
 
-def _summed(nvars: int, acc: dict) -> MPoly:
-    """The polynomial sum_D acc[D] / D, one Fraction per term."""
-    L = lcm(*acc)
+def _summed(nvars: int, parts: list) -> MPoly:
+    """The polynomial sum w * ints / den over the parts (w, den, ints), w a
+    Fraction and ints an int term dict, summed in ints: one Fraction per
+    term."""
+    L = lcm(*(w.denominator * den for w, den, _ in parts))
     out: dict = {}
-    for D, t in acc.items():
-        m = L // D
-        for e, c in t.items():
-            out[e] = out.get(e, 0) + c * m
+    for w, den, ints in parts:
+        s = w.numerator * (L // (w.denominator * den))
+        for e, c in ints.items():
+            out[e] = out.get(e, 0) + s * c
     return MPoly._of(nvars, {e: Fraction(c, L) for e, c in out.items() if c})
 
 
-def _mahler_blocks(P: MPoly, Q: MPoly, N: int, d: int, faces: Sequence[int]):
-    """The blocks of the triple sum behind Z(P, Q; -N) and its expansion in
-    powers of (1 + a), in the order (component, beta, alpha).
+def _face_sums(P: MPoly, Q: MPoly, N: int, d: int, i: int):
+    """The triple sum behind Z(P, Q; -N) and its expansion in the basis
+    prod_j (1 + a_j)^{m_j} on face i, one polynomial per component of Q and
+    a = |alpha|, in increasing a.
 
-    Yields (ci, beta, dQc, alpha, c_ab, products): dQc is d^beta of the
-    ci-th homogeneous component of Q, c_ab the weight of (alpha, beta), and
-    products maps each face i in faces to (den, {g: ints}), the sum over the
-    composition families u of alpha of P^i_{alpha,u} t^{g(u)} as ints / den.
-    By the multinomial theorem that sum is prod_k H_k^{alpha_k}, where H_k,
-    the part of degree k in t of P(x + t) on face i, is
-    sum_{|gamma|=k} (d^gamma P / gamma!) t^gamma.  Terms that cancel to 0
-    are kept, so the g are those of the families whose product is nonzero.
-    The powers H_k^p and the products over each prefix of alpha are kept
-    for the call.
+    Yields (ci, a, c_a, den, groups): c_a = (-1)^(a-N) (a-1-N)! N! / (d a!)
+    and groups maps each m with |m| = W = dN + q + n, q the degree of the
+    ci-th homogeneous component Q_c of Q, to [t^m] of
+    (P(x + t) - P(x))^a Q_c(x + t) on face i as ints / den.  By the
+    multinomial and Taylor theorems, c_a [t^m] is the sum of
+    c_ab P^i_{alpha,u} d^beta Q_c over beta, |alpha| = a and the families u
+    with g(u) + beta = m.  Terms that cancel to 0 are kept, so the m are
+    those of the families whose product is nonzero.  The powers are graded
+    by t-degree, up to the largest W; at each a only the pairs of degrees
+    that sum to W are multiplied.
     """
-    n = P.nvars
-    one = (1, {(0,) * (2 * n - 1): 1})  # exponents: the face's, then t's
-    powers, prefixes, grouped = {}, {}, {}  # each value a pair (den, ints)
+    n, homogeneous = P.nvars, Q.homogeneous_components()
+    if not homogeneous:
+        return
+    top = d * N + n + max(q for q, _ in homogeneous)  # the largest W
+    # An exponent (the face's, then t's) is packed into one int, a field of
+    # `bits` bits per variable: none exceeds d * a + q <= (d + 1) * top.
+    bits = ((d + 1) * top).bit_length()
+    unpack = lru_cache(maxsize=None)(
+        lambda x, r: tuple((x >> bits * j) & ((1 << bits) - 1) for j in range(r)))
 
-    def power(i: int, k: int, p: int) -> tuple[int, dict]:
-        if (i, k, p) not in powers:
-            if p > 1:
-                (L, t), (L1, t1) = power(i, k, p - 1), power(i, k, 1)
-                powers[i, k, p] = (L * L1, _int_product(t, t1))
-            else:
-                powers[i, k, p] = _over_common_denominator({
-                    e + g: c / multi_factorial(g) for g in delta_multiindices(k, n)
-                    for e, c in P.derivative(g).face(i).terms.items()})
-        return powers[i, k, p]
+    def graded(p: MPoly, degrees: range) -> tuple[int, dict]:
+        """(den, {k: ints}): sum_{|g|=k} (d^g p / g!) t^g on face i, the
+        part of degree k in t of p(x + t), as ints / den."""
+        den, ints = _over_common_denominator({
+            e + g: c / multi_factorial(g) for k in degrees for g in delta_multiindices(k, n)
+            for e, c in p.derivative(g).face(i).terms.items()})
+        levels: dict[int, dict] = {}
+        for e, c in ints.items():
+            levels.setdefault(sum(e[n - 1:]), {})[sum(x << bits * j for j, x in enumerate(e))] = c
+        return den, levels
 
-    def product(i: int, alpha: MultiIndex) -> tuple[int, dict]:
-        if (i, alpha) not in prefixes:
-            if not alpha:
-                prefixes[i, alpha] = one
-            elif not alpha[-1]:
-                prefixes[i, alpha] = product(i, alpha[:-1])
-            else:
-                (L, t), (L1, t1) = product(i, alpha[:-1]), power(i, len(alpha), alpha[-1])
-                prefixes[i, alpha] = (L * L1, _int_product(t, t1))
-        return prefixes[i, alpha]
-
-    def by_g(i: int, alpha: MultiIndex) -> tuple[int, dict]:
-        if (i, alpha) not in grouped:
-            den, ints = product(i, alpha)
-            groups: dict[MultiIndex, dict] = {}
-            for e, c in ints.items():
-                groups.setdefault(e[n - 1:], {})[e[:n - 1]] = c
-            grouped[i, alpha] = (den, groups)
-        return grouped[i, alpha]
-
-    for ci, (q, Qc) in enumerate(Q.homogeneous_components()):
-        for beta in multiindices_up_to_weight(q, n):
-            dQc = Qc.derivative(beta)
-            if dQc.is_zero():
+    L, shift = graded(P, range(1, d + 1))  # P(x + t) - P(x)
+    components = [(q, d * N + q + n, graded(Qc, range(q + 1))) for q, Qc in homogeneous]
+    den, power = 1, {0: {0: 1}}  # (P(x + t) - P(x))^a by t-degree
+    for a in range(1, top + 1):
+        nxt: dict[int, dict] = {}
+        for j, t in power.items():
+            for k, s in shift.items():
+                if j + k <= top:
+                    _packed_product(t, s, nxt.setdefault(j + k, {}))
+        den, power = den * L, nxt
+        for ci, (q, W, (Lq, levels)) in enumerate(components):
+            if a > W or d * a + q < W:
                 continue
-            for alpha in index_I(N, beta, d, q, n):
-                c_ab = Fraction(
-                    (-1) ** (sum(alpha) - N)
-                    * factorial(sum(alpha) - 1 - N)
-                    * factorial(N),
-                    d * multi_factorial(alpha) * multi_factorial(beta),
-                )
-                yield ci, beta, dQc, alpha, c_ab, {i: by_g(i, alpha) for i in faces}
+            product: dict = {}
+            for k, s in levels.items():
+                if W - k in power:
+                    _packed_product(power[W - k], s, product)
+            groups: dict[MultiIndex, dict] = {}
+            for x, c in product.items():
+                groups.setdefault(unpack(x >> bits * (n - 1), n), {})[unpack(x, n - 1)] = c
+            c_a = Fraction((-1) ** (a - N) * factorial(a - 1 - N) * factorial(N),
+                           d * factorial(a))
+            yield ci, a, c_a, den * Lq, groups
+
+
+def _packed_product(t1: dict, t2: dict, out: dict) -> None:
+    """Adds the product of two int term dicts keyed by packed exponents into
+    out; terms that cancel to 0 are kept."""
+    get = out.get
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
 
 
 @dataclass(frozen=True)
 class ZBucket:
     """The face-i period integral of every term of Z(P, Q; -N) with the same
-    Q-component, derivative order beta and index alpha."""
+    Q-component and |alpha| = a."""
 
     component: int
     i: int
-    beta: MultiIndex
-    alpha: MultiIndex
+    a: int
     value: SpecialValue
     orbit: int  # the faces it stands for (i the least); value is their total
 
@@ -251,8 +256,8 @@ class ZBucket:
 def _face_orbits(P: MPoly, Q: MPoly) -> list[tuple[int, ...]]:
     """The faces 1..n in the orbits of the group generated by the coordinate
     swaps (i j) that fix both P and Q, each orbit in increasing order.  A
-    permutation s in that group maps the buckets of face i onto those of face
-    s(i) (beta -> s beta), and cube integrals do not see the order of the
+    permutation s in that group maps the numerators of face i onto those of
+    face s(i) (t -> s t), and cube integrals do not see the order of the
     coordinates, so the faces of one orbit have equal totals."""
     n = P.nvars
     root = list(range(n))  # union-find over the 0-based coordinates
@@ -300,40 +305,29 @@ def Z_breakdown(
     n = P.nvars
     # Only the least face of each orbit is built; its total stands for all.
     orbit = {o[0]: len(o) for o in _face_orbits(P, Q)}
-    # Per bucket, its numerator c_ab sum_g B~(g + beta) [t^g], summed in
-    # integers, and d^beta Q_c.
-    numers: dict[tuple, tuple[MPoly, MPoly]] = {}
-    for ci, beta, dQc, alpha, c_ab, products in _mahler_blocks(P, Q, N, d, orbit):
-        for i, (den, groups) in products.items():
-            acc: dict = {}
-            for g, ints in groups.items():
-                bt = _bernoulli_tilde_memo(tuple(map(add, g, beta)))
-                if bt:
-                    w = c_ab * bt
-                    t, s = acc.setdefault(w.denominator * den, {}), w.numerator
-                    for e, c in ints.items():
-                        t[e] = t.get(e, 0) + s * c
-            numers[ci, i, beta, alpha] = _summed(n - 1, acc), dQc
+    # Per bucket (component, face, a), its numerator c_a sum_m B~(m) [t^m].
+    numers: dict[tuple, MPoly] = {}
+    for i in orbit:
+        for ci, a, c_a, den, groups in _face_sums(P, Q, N, d, i):
+            numers[ci, i, a] = _summed(n - 1, [(c_a * bt, den, ints) for m, ints in groups.items()
+                                               if (bt := _bernoulli_tilde_memo(m))])
     evaluated: list[ZBucket | ZMaster] = []
     # Per (diagonal reduction, e, k), the buckets' coefficients of x^e / D^k.
     reduced: dict[tuple, Fraction] = {}
-    for key in sorted(numers):  # evaluate buckets in a fixed order
-        numer, dQc = numers[key]
+    for (ci, i, a), numer in sorted(numers.items()):  # evaluate buckets in a fixed order
         if numer.is_zero():
             continue
-        ci, i, beta, alpha = key
-        # dQc is a nonzero homogeneous polynomial, so its face is nonzero.
         dg = diagonal_reduction(P.face(i))
         if dg is not None:
-            for e, q in (numer * dQc.face(i)).terms.items():
-                row = (dg, e, sum(alpha) - N)
+            for e, q in numer.terms.items():
+                row = (dg, e, a - N)
                 reduced[row] = reduced.get(row, 0) + orbit[i] * q
             continue
-        v = cube_integral(P.face(i), numer * dQc.face(i), sum(alpha) - N, qs)
+        v = cube_integral(P.face(i), numer, a - N, qs)
         if orbit[i] > 1:
             with mp.workdps(qs.precision + 10):
                 v = v.scale(orbit[i])
-        evaluated.append(ZBucket(ci, i, beta, alpha, v, orbit[i]))
+        evaluated.append(ZBucket(ci, i, a, v, orbit[i]))
     exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
     parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
     if reduced:
@@ -357,9 +351,9 @@ def Z_value(
     Q is decomposed into homogeneous components (the value is linear in Q);
     each component contributes a triple sum over derivative orders beta,
     weighted index vectors alpha and composition families u, with face-period
-    integrals and a product of modified Bernoulli numbers per term.  The sum
-    over u of a block (beta, alpha) on a face is built as one polynomial,
-    prod_k H_k^{alpha_k} with H_k the part of degree k in t of P(x + t).
+    integrals and a product of modified Bernoulli numbers per term.  The
+    terms with the same |alpha| = a on a face are built as one polynomial,
+    (P(x + t) - P(x))^a Q_c(x + t), and integrated once.
     """
     return Z_breakdown(P, Q, N, qs)[0]
 
@@ -389,18 +383,20 @@ def Y_expansion(
     d, flags = _check_P(P, N)
     n = P.nvars
     expansion: dict[MultiIndex, SpecialValue] = {}
+    sums: dict[tuple, dict] = {}  # (component, a) -> {face: (c_a, den, groups)}
+    for i in range(1, n + 1):
+        for ci, a, *face_sum in _face_sums(P, Q, N, d, i):
+            sums.setdefault((ci, a), {})[i] = face_sum
     with mp.workdps(qs.precision + 10):  # the sums round at the working precision
-        for _, beta, dQc, alpha, c_ab, products in _mahler_blocks(P, Q, N, d, range(1, n + 1)):
-            # The t-exponents g, those of the families, are the same on every
-            # face; the basis exponent is g + beta.
-            for g in sorted(products[1][1]):
+        for (_, a), faces in sorted(sums.items()):
+            # The basis exponents m, those of the families, are the same on
+            # every face.
+            for m in sorted(faces[1][2]):
                 total = SpecialValue.make_exact(Fraction(0))
-                for i, (den, groups) in products.items():
-                    numer = _summed(n - 1, {den: groups[g]}) * dQc.face(i)
+                for i, (c_a, den, groups) in faces.items():
+                    numer = _summed(n - 1, [(c_a, den, groups[m])])
                     if not numer.is_zero():
-                        total = total + cube_integral(P.face(i), numer, sum(alpha) - N, qs)
-                m = tuple(map(add, g, beta))
-                total = total.scale(c_ab)
+                        total = total + cube_integral(P.face(i), numer, a - N, qs)
                 expansion[m] = expansion[m] + total if m in expansion else total
     expansion = {
         m: v.with_flags(flags)

@@ -422,13 +422,6 @@ def delta_multiindices(k: int, n: int) -> tuple[MultiIndex, ...]:
     return tuple(_solutions(k, (1,) * n))
 
 
-def multiindices_up_to_weight(k: int, n: int) -> list[MultiIndex]:
-    out = []
-    for w in range(k + 1):
-        out.extend(delta_multiindices(w, n))
-    return out
-
-
 def weighted_partitions(t: int, d: int) -> list[MultiIndex]:
     """All alpha in N_0^d with sum_k k*alpha_k = t, in lexicographic order."""
     return _solutions(t, range(1, d + 1)) if d >= 1 else []

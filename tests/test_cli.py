@@ -127,10 +127,12 @@ class TestMahler:
         payload = json.loads(out)
         assert payload["terms"]
         for t in payload["terms"]:
-            assert {"component", "i", "beta", "alpha"} <= set(t)
+            assert {"component", "i", "a"} <= set(t)
+            assert "alpha" not in t and "beta" not in t
 
     def test_terms_bytes(self):
-        # recorded when the faces were folded into orbits (DECISIONS.md D13):
+        # recorded when the buckets became one per (component, face, a)
+        # (DECISIONS.md D15); the faces are folded into orbits (D13):
         # x1 <-> x2 fixes P, so face 1's bucket, 5/24 with no master, stands
         # for both faces, and its value is their total 5/12
         _, out = run_cli(
@@ -138,7 +140,7 @@ class TestMahler:
         )
         assert out == (
             '{"err":"5.0156e-36","kind":"numeric","schema":"1","terms":['
-            '{"alpha":[2],"beta":[0,0],"component":0,"err":"5.0155e-36","i":1,'
+            '{"a":2,"component":0,"err":"5.0155e-36","i":1,'
             '"orbit":2,"value":"0.41666666666666666667"}],"value":"0.41666666666666667"}\n'
         )
 
@@ -170,8 +172,8 @@ class TestMahler:
     def test_terms_without_symmetry_keep_their_bytes(self):
         # The README example: Q = x1 breaks the swap that fixes
         # P = x1^2 + x1 x2 + x2^2, so every face keeps its own buckets, no
-        # term carries "orbit", and the bytes are those recorded before the
-        # faces were folded (value -1/240).
+        # term carries "orbit", and the bytes are those recorded when the
+        # buckets became one per (component, face, a) (value -1/240).
         ex = Path(__file__).resolve().parents[1] / "examples"
         _, out = run_cli(["mahler", "--P", str(ex / "poly.txt"), "--Q", str(ex / "num.txt"),
                           "--N", "1", "--terms"])
@@ -179,7 +181,7 @@ class TestMahler:
         assert {t["i"] for t in terms} == {1, 2}
         assert not any("orbit" in t for t in terms)
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5298ebc022e101cd5838b6932a8f93456cbfc0a2ac172244e3bcacc2a8f05e05")
+            "915f7fb1adf0db6c5812186beef487245ad461f92adeafca0056fa5bdc94951c")
 
     def test_terms_one_variable_exact(self):
         code, out = run_cli(["mahler", "--P", "3 x1", "--Q", "x1^3 + 2", "--N", "2",

@@ -35,13 +35,12 @@ from zetapoly import (
 )
 from zetapoly import _quadrature, build_P_alpha_u, mahler
 from zetapoly.exactnum import bernoulli_tilde_product, multi_factorial
-from zetapoly.multipoly import multiindices_up_to_weight
 from zetapoly.mahler import (
     ZBucket,
     ZMaster,
     Z_breakdown,
     _face_orbits,
-    _mahler_blocks,
+    _face_sums,
     certify_elliptic,
     delta_multiindices,
 )
@@ -114,21 +113,20 @@ class TestIndexSets:
         ("x1^3 + x2^3", "3 x1 x2 + 1"),
     ])
     def test_term_degrees(self, p, q):
-        # every t-exponent g of a block's products has |g| = sum_k k alpha_k,
-        # H_k being homogeneous of degree k in t, and sum_k k alpha_k +
-        # |beta| = dN + q + n by index_I, q the degree of its component of Q
+        # every t-exponent m of a face sum has |m| = dN + q + n, the weight
+        # of index_I plus |beta|, q the degree of its component of Q; and
+        # a = |alpha| > N, so c_a's (a - 1 - N)! is defined
         Ppoly = P(p)
         Qpoly = P(q, Ppoly.nvars)
         n, (_, d) = Ppoly.nvars, Ppoly.is_homogeneous()
         degrees = [deg for deg, _ in Qpoly.homogeneous_components()]
         for N in range(3):
-            blocks = list(_mahler_blocks(Ppoly, Qpoly, N, d, range(1, n + 1)))
-            assert blocks
-            for ci, beta, _, alpha, _, products in blocks:
-                weight = sum(k * a for k, a in enumerate(alpha, start=1))
-                assert weight + sum(beta) == d * N + degrees[ci] + n
-                for _, groups in products.values():
-                    assert groups and all(sum(g) == weight for g in groups)
+            for i in range(1, n + 1):
+                sums = list(_face_sums(Ppoly, Qpoly, N, d, i))
+                assert sums
+                for ci, a, _, _, groups in sums:
+                    assert a > N
+                    assert groups and all(sum(m) == d * N + degrees[ci] + n for m in groups)
 
 
 class TestPeriod:
@@ -433,27 +431,28 @@ class TestProperties:
 
 class TestYExpansionBitIdentity:
     """(value._mpf_, err._mpf_) of every coefficient, recorded when the
-    expansion's sums began to round at precision + 10 digits rather than at
-    mpmath's ambient precision; each within err of the same expansion
-    through the fixed-point quadrature alone."""
+    (m, face) groups became one per (component, a), c_a [t^m] of
+    (P(x + t) - P(x))^a Q_c(x + t); the sums round at precision + 10 digits.
+    Each is within err of the same expansion through the fixed-point
+    quadrature alone."""
 
     def test_two_variable_coefficients(self, monkeypatch):
         args = (P("x1^2 + x1 x2 + x2^2", 2), P("x1", 2), 1)
         exp = Y_expansion(*args, QS_FAST)
         got = {m: (v.num.value._mpf_, v.num.err._mpf_) for m, v in exp.items_sorted()}
         assert got == {
-            (0, 5): ((0, 44307599859497195763460235342612615, -122, 116),
-                     (0, 1118790418413441761284043159006528943, -219, 120)),
-            (1, 4): ((0, 207529, -121, 18),
-                     (0, 466702306854064926523454458601636475, -157, 119)),
-            (2, 3): ((0, 55384499824371494704325294178313557, -118, 116),
-                     (0, 233351153427032463327782917689105839, -155, 118)),
-            (3, 2): ((0, 55384499824371494704325294178376909, -118, 116),
-                     (0, 700053460281097389550989918345242439, -156, 120)),
-            (4, 1): ((0, 166153499473114484112975882535047985, -119, 118),
-                     (0, 233351153427032463215689425224261039, -155, 118)),
-            (5, 0): ((0, 221537999297485978817301176713390761, -121, 118),
-                     (0, 933404613708129852294275066048742645, -158, 120)),
+            (0, 5): ((0, 338040160060861173732454188099, -105, 99),
+                     (0, 1118781882899400224539406414538297981, -219, 120)),
+            (1, 4): ((0, 0, 0, 0),
+                     (0, 466702306854064926499424811418753733, -157, 119)),
+            (2, 3): ((0, 1690200800304305868662270940503, -103, 101),
+                     (0, 933404613708129853311107657132997797, -157, 120)),
+            (3, 2): ((0, 3380401600608611737324541881001, -104, 102),
+                     (0, 700053460281097389526955962836929461, -156, 120)),
+            (4, 1): ((0, 20282409603651670423947251286015, -106, 104),
+                     (0, 933404613708129852750647761586712173, -157, 120)),
+            (5, 0): ((0, 6760803201217223474649083762005, -106, 103),
+                     (0, 933404613708129852294261497785780959, -158, 120)),
         }
         monkeypatch.setattr(_quadrature, "_reduction", lambda den: None)
         ref = Y_expansion(*args, QuadratureSettings(rel_tol=1e-12, precision=30))
@@ -1098,13 +1097,12 @@ class TestFaceOrbits:
     def test_one_face_per_orbit_is_built(self, monkeypatch):
         faces = []
 
-        def recorded(*args):
-            for block in blocks(*args):
-                faces.extend(block[-1])  # the faces whose products are built
-                yield block
+        def recorded(P, Q, N, d, i):
+            faces.append(i)  # the face whose sums are built
+            return sums(P, Q, N, d, i)
 
-        blocks = mahler._mahler_blocks
-        monkeypatch.setattr(mahler, "_mahler_blocks", recorded)
+        sums = mahler._face_sums
+        monkeypatch.setattr(mahler, "_face_sums", recorded)
         Z_breakdown(P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0, QS6)
         assert faces and set(faces) == {1}  # criterion 9: one orbit
         faces.clear()
@@ -1135,14 +1133,15 @@ def _drawn_Q(rng, n):
     return MPoly(n, terms)
 
 
-def _family_blocks(Pp, Qp, N):
-    """The paper's triple sum, family by family: per block (component, beta,
-    alpha) in order, d^beta Q_c, c_ab and, per face i, {m: the sum of
-    P^i_{alpha,u} over the families u with g(u) + beta = m}, m running over
-    the families whose product is nonzero."""
+def _family_sums(Pp, Qp, N):
+    """The paper's triple sum, family by family, grouped by component and
+    |alpha| = a: {(ci, a): {i: {m: the sum of c_ab P^i_{alpha,u} d^beta Q_c
+    over beta, |alpha| = a and the families u with g(u) + beta = m}}}, m
+    running over the families whose product is nonzero."""
     n, (_, d) = Pp.nvars, Pp.is_homogeneous()
+    out = {}
     for ci, (q, Qc) in enumerate(Qp.homogeneous_components()):
-        for beta in multiindices_up_to_weight(q, n):
+        for beta in (b for k in range(q + 1) for b in delta_multiindices(k, n)):
             dQc = Qc.derivative(beta)
             if dQc.is_zero():
                 continue
@@ -1150,23 +1149,26 @@ def _family_blocks(Pp, Qp, N):
                 a = sum(alpha)
                 c_ab = F((-1) ** (a - N) * factorial(a - 1 - N) * factorial(N),
                          d * multi_factorial(alpha) * multi_factorial(beta))
-                faces = {}
+                faces = out.setdefault((ci, a), {})
                 for i in range(1, n + 1):
-                    groups = faces[i] = {}
+                    groups = faces.setdefault(i, {})
                     for u in enumerate_V(alpha, n):
                         prod_u = build_P_alpha_u(Pp, i, alpha, u.u)
                         if not prod_u.is_zero():
                             m = tuple(g + b for g, b in zip(u.g_vector(), beta))
-                            groups[m] = groups.get(m, MPoly.zero(n - 1)) + prod_u
-                yield ci, beta, dQc, alpha, c_ab, faces
+                            term = (prod_u * dQc.face(i)).scale(c_ab)
+                            groups[m] = groups.get(m, MPoly.zero(n - 1)) + term
+    return out
 
 
 class TestTripleSumReference:
-    """Z_breakdown and Y_expansion build each block's sum over composition
-    families as the powers prod_k H_k^{alpha_k}.  Their bucket numerators,
-    (m, face) groups and key sets equal the family sums rebuilt from
-    enumerate_V, g_vector, build_P_alpha_u and bernoulli_tilde_product, over
-    a drawn corpus of P with no symmetry, non-diagonal for n >= 2."""
+    """Z_breakdown and Y_expansion build the terms of the triple sum with
+    the same component of Q and |alpha| = a on a face as one polynomial,
+    (P(x + t) - P(x))^a Q_c(x + t).  Their bucket numerators, (m, face)
+    groups and key sets equal the family sums rebuilt from enumerate_V,
+    g_vector, build_P_alpha_u and bernoulli_tilde_product, grouped by
+    (component, face, a) with d^beta Q_c folded in, over a drawn corpus of
+    P with no symmetry, non-diagonal for n >= 2."""
 
     # (n, d, N): every n up to 4, d up to 4, N up to 3
     SHAPES = [(1, 1, 3), (1, 4, 3), (2, 2, 3), (2, 3, 2), (2, 4, 1), (3, 2, 1),
@@ -1174,15 +1176,15 @@ class TestTripleSumReference:
 
     @pytest.fixture(scope="class")
     def corpus(self):
-        """(P, Q, N, the family blocks of _family_blocks) per shape; every
-        face is its own orbit, so Z_breakdown builds them all."""
+        """(P, Q, N, the family sums of _family_sums) per shape; every face
+        is its own orbit, so Z_breakdown builds them all."""
         rng = random.Random(2019)
         out = []
         for n, d, N in self.SHAPES:
             Pp = _drawn_non_diagonal(rng, n, d) if n > 1 else MPoly(1, {(d,): F(3, 2)})
             Qp = _drawn_Q(rng, n)
             assert _face_orbits(Pp, Qp) == [(i,) for i in range(1, n + 1)]
-            out.append((Pp, Qp, N, list(_family_blocks(Pp, Qp, N))))
+            out.append((Pp, Qp, N, _family_sums(Pp, Qp, N)))
         return out
 
     @staticmethod
@@ -1201,48 +1203,55 @@ class TestTripleSumReference:
             out = fn(*args)
         return calls, out
 
+    @staticmethod
+    def _face_sums(Pp, Qp, N):
+        """{(ci, a): (c_a, {i: {m: [t^m] as an MPoly}})} from _face_sums."""
+        n, (_, d) = Pp.nvars, Pp.is_homogeneous()
+        out = {}
+        for i in range(1, n + 1):
+            for ci, a, c_a, den, groups in _face_sums(Pp, Qp, N, d, i):
+                out.setdefault((ci, a), (c_a, {}))[1][i] = {
+                    m: MPoly(n - 1, {e: F(c, den) for e, c in ints.items()})
+                    for m, ints in groups.items()}
+        return out
+
     def test_Z_bucket_numerators(self, corpus, monkeypatch):
         for Pp, Qp, N, ref in corpus:
             want = {}
-            for ci, beta, dQc, alpha, c_ab, faces in ref:
+            for (ci, a), faces in ref.items():
                 for i, groups in faces.items():
                     numer = MPoly.zero(Pp.nvars - 1)
                     for m, s in groups.items():
-                        numer = numer + s.scale(c_ab * bernoulli_tilde_product(m))
+                        numer = numer + s.scale(bernoulli_tilde_product(m))
                     if not numer.is_zero():
-                        want[ci, i, beta, alpha] = numer * dQc.face(i)
+                        want[ci, i, a] = numer
             calls, (_, buckets) = self._integrands(monkeypatch, Z_breakdown, Pp, Qp, N, QS)
             assert all(isinstance(b, ZBucket) for b in buckets)
-            keys = [(b.component, b.i, b.beta, b.alpha) for b in buckets]
+            keys = [(b.component, b.i, b.a) for b in buckets]
             assert keys == sorted(want)
-            for (ci, i, beta, alpha), (den, numer, k) in zip(keys, calls, strict=True):
-                assert (den, numer, k) == (Pp.face(i), want[ci, i, beta, alpha], sum(alpha) - N)
+            for (ci, i, a), (den, numer, k) in zip(keys, calls, strict=True):
+                assert (den, numer, k) == (Pp.face(i), want[ci, i, a], a - N)
 
     def test_Y_groups(self, corpus):
-        # Y_expansion's (m, face) groups: [t^g] of the block products at
-        # m = g + beta, the keys of zero sums kept, so the m are the families'
+        # per (component, a, face), c_a [t^m] of (P(x + t) - P(x))^a Q_c(x + t)
+        # for every m, the keys of zero sums kept, so the m are the families'
         for Pp, Qp, N, ref in corpus:
-            n, (_, d) = Pp.nvars, Pp.is_homogeneous()
-            blocks = list(_mahler_blocks(Pp, Qp, N, d, range(1, n + 1)))
-            assert [b[:5] for b in blocks] == [b[:5] for b in ref]
-            for (_, beta, _, _, _, products), (*_, faces) in zip(blocks, ref):
-                for i, (den, groups) in products.items():
-                    got = {tuple(g + b for g, b in zip(key, beta)):
-                           MPoly(n - 1, {e: F(c, den) for e, c in ints.items()})
-                           for key, ints in groups.items()}
-                    assert got == faces[i]
+            got = self._face_sums(Pp, Qp, N)
+            assert got.keys() == ref.keys()
+            for key, (c_a, faces) in got.items():
+                assert {i: {m: s.scale(c_a) for m, s in groups.items()}
+                        for i, groups in faces.items()} == ref[key]
 
     def test_Y_integrands(self, corpus, monkeypatch):
-        # what Y_expansion integrates, in its order: per block, m ascending,
-        # then the faces, skipping zero numerators
+        # what Y_expansion integrates, in its order: per (component, a), m
+        # ascending, then the faces, skipping zero numerators
         for Pp, Qp, N, ref in corpus:
             want = []
-            for _, _, dQc, alpha, _, faces in ref:
-                for m in sorted(faces[1]):
-                    for i in faces:
-                        numer = faces[i][m] * dQc.face(i)
-                        if not numer.is_zero():
-                            want.append((Pp.face(i), numer, sum(alpha) - N))
+            for ci, a in sorted(ref):
+                for m in sorted(ref[ci, a][1]):
+                    for i, groups in ref[ci, a].items():
+                        if not groups[m].is_zero():
+                            want.append((Pp.face(i), groups[m], a - N))
             calls, _ = self._integrands(monkeypatch, Y_expansion, Pp, Qp, N, QS)
             assert calls == want
 
@@ -1270,9 +1279,10 @@ class TestFaceQuadratureBitIdentity:
         P3, Q = P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + 2 x3", 3)
         ref = Z_value(P3, Q, 1, QuadratureSettings(rel_tol=1e-12, precision=30))
         v = Z_value(P3, Q, 1, self.QS20)
+        # Recorded when the buckets became one per (component, face, a).
         assert self._bits(v, ref.num.value, ref.num.err) == (
-            (0, 27198223519959375232844046779835, -111, 105),
-            (0, 910487587474864940796535912799988325, -149, 120),
+            (0, 3399777939994921858819917860667, -108, 102),
+            (0, 812426461130721389416758775571671209, -149, 120),
         )
 
     def test_Z_value_ignores_term_order(self):
