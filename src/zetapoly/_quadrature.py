@@ -15,20 +15,20 @@ returns its values at every point of their product, in row-major order
 (last axis fastest), one call per rule and cell.
 
 ``cube_integral`` is the one entry for integrals of numer / den^k over the
-unit cube: the exact moment of a polynomial, an exact constant, a quotient
-over an affine den in closed form (a rational plus logs), a one-variable
-quotient reduced exactly to a few master integrals, or the quadrature of a
-quotient under one ``QuadratureSettings``.  A diagonal den c + sum a_j x_j^d
-has an exact reduction to master integrals too (``diagonal_reduction``):
-the Z value sums its rows over every bucket before ``form_value``
-integrates the masters left, so a sum, not one integral, is its entry.
+unit cube.  Three exact reductions write x^e / den^k as a form
+{None: rational, key: q} over named constants: an affine den (D12, logs),
+a den of one variable (D10, masters int_0^1 x^i / den) and a diagonal den
+c + sum a_j x_j^d (D14).  ``form_value`` is the one evaluator of a sum of
+forms, and ``constant`` the one memo of the constants it leaves: a Z value
+sums the forms of all its buckets first, and ``cube_integral`` evaluates
+the form of its one quotient, else runs the quadrature.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from math import comb, factorial, gcd, inf, lcm, prod
 from operator import add, mul
 from typing import Callable, Sequence
@@ -587,12 +587,16 @@ class _Reduction:
     degree m squarefree and positive on [0, 1], with the masters
     M_i = int_0^1 x^i / D (Hermite reduction, Bronstein, Symbolic
     Integration I, ch. 2).  rows[k][j] is (L, [r, c_0, ..., c_{m-1}] * L);
-    s D + t D' = 1.  masters[i, qs] is M_i under the settings qs."""
+    s D + t D' = 1.  form((j,), k) is that row as a form."""
 
-    def __init__(self, den: "MPoly", D: list, s: list, t: list):
-        self.den, self.D, self.m, self.s, self.t = den, D, len(D) - 1, s, t
+    def __init__(self, D: list, s: list, t: list):
+        self.D, self.m, self.s, self.t = D, len(D) - 1, s, t
         self.rows: dict[int, list[tuple]] = {}
-        self.masters: dict[tuple[int, QuadratureSettings], Numeric] = {}
+        self.keys = [None] + [_MasterKey((1, tuple(D), i)) for i in range(self.m)]
+
+    def form(self, e: tuple, k: int) -> dict:
+        L, n = self.row(e[0], k)
+        return {key: Fraction(x, L) for key, x in zip(self.keys, n) if x}
 
     def row(self, j: int, k: int) -> tuple[int, list[int]]:
         rows = self.rows.setdefault(k, [])
@@ -628,7 +632,7 @@ def _reduction(den: "MPoly") -> _Reduction | None:
     for (e,), c in den.terms.items():
         D[e] = c
     cof = bernstein_positive(den)[0] == "certified" and _cofactors(D)
-    return _Reduction(den, D, *cof) if cof else None
+    return _Reduction(D, *cof) if cof else None
 
 
 # -----------------------------------------------------------------------------
@@ -725,25 +729,111 @@ class _Affine:
         self._parts[key] = out
         return out
 
-    def integral(self, numer: "MPoly", k: int) -> Numeric:
-        """int numer / D^k at the working precision: the rational part
-        rounded once, each log of the basis evaluated once."""
-        total: dict = {}
-        for e, c in numer.terms.items():
-            for b, q in self._part(0, e, self.c, -k, 0).items():
-                total[b] = total.get(b, 0) + c * q
-        value = Numeric.from_rational(total.pop((), Fraction(0)))
-        monos = sorted(b for b, q in total.items() if q)
-        logs = [Numeric(v, _round_err(v)) for v in map(mp.log, self.basis)] if monos else []
-        for mono in monos:
-            term = logs[mono[0]]
-            for i in mono[1:]:
-                term = term * logs[i]
-            value = value + term.scale(total[mono])
-        return value
+    def form(self, e: tuple, k: int) -> dict:
+        """int x^e / D^k as a form, each product of logs keyed by kind 0."""
+        return {_MasterKey((0, *(self.basis[i] for i in b))) if b else None: q
+                for b, q in self._part(0, e, self.c, -k, 0).items() if q}
 
 
 _affine = lru_cache(maxsize=16)(_Affine)
+
+
+# -----------------------------------------------------------------------------
+# Diagonal denominators: exact reduction to master integrals
+# -----------------------------------------------------------------------------
+
+class _Diagonal:
+    """I(e, k) = int_{[0,1]^r} x^e / D^k, k >= 1, D = c + sum_j a_j x_j^d with
+    d >= 2, c > 0 and every a_j > 0, as a form {None: rational, key: q}: q
+    times the master named by key = (2, d, c, sorted pairs (a_j, e_j))
+    (DECISIONS.md D14).  One variable takes D10's form.  Else by parts in
+    x_j, where dD/dx_j = d a_j x_j^(d-1), and the Euler relation
+    c I(e, k+1) = (1 - (|e| + r)/(dk)) I(e, k) + (1/(dk)) sum_j I(e without
+    e_j, k) over the faces x_j = 1, take each row down to masters I(e, 1)
+    with every e_j <= d - 2.  Forms are memoised per (e, k)."""
+
+    def __init__(self, d: int, c: Fraction, a: tuple):
+        self.d, self.c, self.a, r = d, c, a, len(a)
+        self.den = MPoly(r, {(0,) * r: c, **{tuple(d * (i == j) for i in range(r)): a[j]
+                                             for j in range(r)}})
+        self.red = _reduction(self.den) if r == 1 else None
+        self.forms: dict[tuple, dict] = {}
+
+    def form(self, e: tuple, k: int) -> dict:
+        if (e, k) not in self.forms:
+            self.forms[e, k] = self.red.form(e, k) if self.red else self._form(e, k)
+        return self.forms[e, k]
+
+    def _face(self, j: int, s: Fraction, e: tuple, k: int) -> dict:
+        """The form of e without e_j on a face x_j = const, where D = s + ..."""
+        return _diagonal(self.d, s, self.a[:j] + self.a[j + 1:]).form(e[:j] + e[j + 1:], k)
+
+    def _form(self, e: tuple, k: int) -> dict:
+        d, c, a, r = self.d, self.c, self.a, len(self.a)
+        j = next((j for j, x in enumerate(e) if x >= d - 1), None)
+        faces = lambda m: [self._face(l, c + a[l], e, m) for l in range(r)]
+        if j is None and k == 1:
+            return {_MasterKey((2, d, c, tuple(sorted(zip(a, e))))): Fraction(1)}
+        if j is None:  # Euler, solved for I(e, k)
+            t = Fraction(sum(e) + r, d * (k - 1))
+            return _combined([((1 - t) / c, self.form(e, k - 1))]
+                             + [(1 / (c * d * (k - 1)), f) for f in faces(k - 1)])
+        if k == 1:  # Euler, solved for I(e, 1): |e| + r > d
+            t = 1 - Fraction(sum(e) + r, d)
+            return _combined([(c / t, self.form(e, 2))] + [(-1 / (d * t), f) for f in faces(1)])
+        # By parts in x_j, p = e_j - d + 1: d a_j (k - 1) I(e, k) = p I(e - d 1_j, k - 1)
+        # - (the face x_j = 1) + (the face x_j = 0 if p = 0), each at k - 1.
+        p, w = e[j] - d + 1, 1 / (d * a[j] * (k - 1))
+        rest = (p * w, self.form(e[:j] + (e[j] - d,) + e[j + 1:], k - 1)) if p else \
+            (w, self._face(j, c, e, k - 1))
+        return _combined([(-w, self._face(j, c + a[j], e, k - 1)), rest])
+
+
+_diagonal = lru_cache(maxsize=128)(_Diagonal)
+
+
+def diagonal_reduction(den: "MPoly") -> _Diagonal | None:
+    """The reduction over den = c + sum_j a_j x_j^d when den has at least 2
+    variables, d >= 2, c > 0 and every a_j > 0; else None."""
+    r, d = den.nvars, den.degree()
+    c = den.terms.get((0,) * r, 0)
+    a = tuple(den.terms.get(tuple(d * (i == j) for i in range(r)), 0) for j in range(r))
+    ok = r >= 2 and d >= 2 and len(den.terms) == r + 1 and c > 0 and min(a) > 0
+    return _diagonal(d, c, a) if ok else None
+
+
+# -----------------------------------------------------------------------------
+# Forms {None: rational, key: q}: one sum, one evaluator, one memo
+# -----------------------------------------------------------------------------
+
+class _MasterKey(tuple):
+    """The name of a constant in a form, equal to the plain tuple, that
+    hashes its Fractions once: forms add their rows key by key.  Its first
+    entry is its kind: (0, b, ...) the product of the logs of the basis
+    integers b (D12), (1, D's coefficients, i) the master int_0^1 x^i / D
+    (D10), (2, d, c, ((a_j, e_j), ...)) a diagonal master (D14)."""
+
+    hash = cached_property(tuple.__hash__)
+
+    def __hash__(self):
+        return self.hash
+
+
+def _combined(parts: list) -> dict:
+    """sum q * form over the parts (q, form), without zero coefficients."""
+    out: dict = {}
+    for q, form in parts:
+        for key, x in form.items():
+            out[key] = out.get(key, 0) + q * x
+    return {key: x for key, x in out.items() if x}
+
+
+def reduction(den: "MPoly") -> _Affine | _Reduction | None:
+    """The reduction over den that ``cube_integral`` takes: D12's for degree
+    <= 1 in 1 or more variables, else D10's for one variable; else None."""
+    if den.nvars and den.degree() <= 1:
+        return _affine(den)
+    return _reduction(den) if den.nvars == 1 else None
 
 
 def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> Numeric:
@@ -753,13 +843,21 @@ def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings)
         return Numeric(*integrate_unit_cube(f, den.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol))
 
 
-def _master(red: _Reduction, i: int, qs: QuadratureSettings) -> Numeric:
-    """M_i = int_0^1 x^i / den over the den of red, one quadrature per
-    (den, i, qs), kept on red."""
-    key = (i, qs)
-    if key not in red.masters:
-        red.masters[key] = _quadrature_of(red.den, MPoly(1, {(i,): 1}), 1, qs)
-    return red.masters[key]
+@lru_cache(maxsize=256)
+def constant(key: _MasterKey, qs: QuadratureSettings) -> Numeric:
+    """The constant named by key under qs, once per (key, qs): a product of
+    logs, each rounded once, at precision + 10 digits; else its master's
+    fixed-point quadrature."""
+    kind, *name = key
+    if kind == 0:
+        with mp.workdps(qs.precision + 10):
+            return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
+    if kind == 1:  # name = (D's coefficients, i)
+        den, e = MPoly(1, {(j,): x for j, x in enumerate(name[0]) if x}), (name[1],)
+    else:  # name = (d, c, pairs)
+        a, e = zip(*name[2])
+        den = _diagonal(*name[:2], a).den
+    return _quadrature_of(den, MPoly(len(e), {e: 1}), 1, qs)
 
 
 def _budgeted(rational: Fraction, masters: list, qs: QuadratureSettings) -> tuple:
@@ -788,125 +886,14 @@ def _budgeted(rational: Fraction, masters: list, qs: QuadratureSettings) -> tupl
                       for r, M in zip(rels, values)])
 
 
-def _reduced(red: _Reduction, numer: "MPoly", k: int, qs: QuadratureSettings) -> Numeric | None:
-    """int_0^1 numer / den^k, den that of red, as the dot product of numer's
-    coefficients with the rows of red, or None when the masters' errors,
-    scaled by their coefficients, miss the tolerance of qs even after the
-    masters are integrated to it."""
-    L, n = _dot([(a, red.row(j, k)) for (j,), a in numer.terms.items()], red.m)
-    v, _ = _budgeted(Fraction(n[0], L),
-                     [(Fraction(c, L), partial(_master, red, i)) for i, c in enumerate(n[1:]) if c], qs)
-    with mp.workdps(qs.precision + 10):
-        return None if v.err > qs.abs_tol + qs.rel_tol * abs(v.value) else v
-
-
-# -----------------------------------------------------------------------------
-# Diagonal denominators: exact reduction to master integrals
-# -----------------------------------------------------------------------------
-
-class _MasterKey(tuple):
-    """A master's key (d, c, ((a_j, e_j), ...)), equal to the plain tuple,
-    that hashes its Fractions once: forms add their rows key by key."""
-
-    hash = cached_property(tuple.__hash__)
-
-    def __hash__(self):
-        return self.hash
-
-
-def _combined(parts: list) -> dict:
-    """sum q * form over the parts (q, form), without zero coefficients."""
-    out: dict = {}
-    for q, form in parts:
-        for key, x in form.items():
-            out[key] = out.get(key, 0) + q * x
-    return {key: x for key, x in out.items() if x}
-
-
-class _Diagonal:
-    """I(e, k) = int_{[0,1]^r} x^e / D^k, k >= 1, D = c + sum_j a_j x_j^d with
-    d >= 2, c > 0 and every a_j > 0, as a form {None: rational, key: q}: q
-    times the master named by key = (d, c, sorted pairs (a_j, e_j))
-    (DECISIONS.md D14).  One variable takes D10's rows, masters x^i / D for
-    i < d.  Else by parts in x_j, where dD/dx_j = d a_j x_j^(d-1), and the
-    Euler relation c I(e, k+1) = (1 - (|e| + r)/(dk)) I(e, k) + (1/(dk))
-    sum_j I(e without e_j, k) over the faces x_j = 1, take each row down to
-    masters I(e, 1) with every e_j <= d - 2.  Rows are memoised per (e, k)."""
-
-    def __init__(self, d: int, c: Fraction, a: tuple):
-        self.d, self.c, self.a, r = d, c, a, len(a)
-        self.den = MPoly(r, {(0,) * r: c, **{tuple(d * (i == j) for i in range(r)): a[j]
-                                             for j in range(r)}})
-        self.red = _reduction(self.den) if r == 1 else None
-        self.rows: dict[tuple, dict] = {}
-
-    def row(self, e: tuple, k: int) -> dict:
-        if (e, k) not in self.rows:
-            self.rows[e, k] = self._row(e, k)
-        return self.rows[e, k]
-
-    def _face(self, j: int, s: Fraction, e: tuple, k: int) -> dict:
-        """The row of e without e_j on a face x_j = const, where D = s + ..."""
-        return _diagonal(self.d, s, self.a[:j] + self.a[j + 1:]).row(e[:j] + e[j + 1:], k)
-
-    def _row(self, e: tuple, k: int) -> dict:
-        d, c, a, r = self.d, self.c, self.a, len(self.a)
-        if self.red:
-            L, n = self.red.row(e[0], k)
-            return {key: Fraction(x, L) for key, x in
-                    zip([None] + [_MasterKey((d, c, ((a[0], i),))) for i in range(d)], n) if x}
-        j = next((j for j, x in enumerate(e) if x >= d - 1), None)
-        faces = lambda m: [self._face(l, c + a[l], e, m) for l in range(r)]
-        if j is None and k == 1:
-            return {_MasterKey((d, c, tuple(sorted(zip(a, e))))): Fraction(1)}
-        if j is None:  # Euler, solved for I(e, k)
-            t = Fraction(sum(e) + r, d * (k - 1))
-            return _combined([((1 - t) / c, self.row(e, k - 1))]
-                             + [(1 / (c * d * (k - 1)), f) for f in faces(k - 1)])
-        if k == 1:  # Euler, solved for I(e, 1): |e| + r > d
-            t = 1 - Fraction(sum(e) + r, d)
-            return _combined([(c / t, self.row(e, 2))] + [(-1 / (d * t), f) for f in faces(1)])
-        # By parts in x_j, p = e_j - d + 1: d a_j (k - 1) I(e, k) = p I(e - d 1_j, k - 1)
-        # - (the face x_j = 1) + (the face x_j = 0 if p = 0), each at k - 1.
-        p, w = e[j] - d + 1, 1 / (d * a[j] * (k - 1))
-        rest = (p * w, self.row(e[:j] + (e[j] - d,) + e[j + 1:], k - 1)) if p else \
-            (w, self._face(j, c, e, k - 1))
-        return _combined([(-w, self._face(j, c + a[j], e, k - 1)), rest])
-
-
-_diagonal = lru_cache(maxsize=128)(_Diagonal)
-
-
-def diagonal_reduction(den: "MPoly") -> _Diagonal | None:
-    """The reduction over den = c + sum_j a_j x_j^d when den has at least 2
-    variables, d >= 2, c > 0 and every a_j > 0; else None."""
-    r, d = den.nvars, den.degree()
-    c = den.terms.get((0,) * r, 0)
-    a = tuple(den.terms.get(tuple(d * (i == j) for i in range(r)), 0) for j in range(r))
-    ok = r >= 2 and d >= 2 and len(den.terms) == r + 1 and c > 0 and min(a) > 0
-    return _diagonal(d, c, a) if ok else None
-
-
-@lru_cache(maxsize=64)
-def diagonal_master(key: tuple, qs: QuadratureSettings) -> Numeric:
-    """The master named by key under qs: D10's for one variable, else one
-    fixed-point quadrature per (key, qs)."""
-    d, c, pairs = key
-    a, e = zip(*pairs)
-    dg = _diagonal(d, c, a)
-    return _master(dg.red, e[0], qs) if dg.red else \
-        _quadrature_of(dg.den, MPoly(len(e), {e: 1}), 1, qs)
-
-
 def form_value(sums: dict, qs: QuadratureSettings) -> tuple[Numeric, Fraction, list[tuple]]:
     """sum q I(e, k) over sums {(reduction, e, k): q}, its rational part and
-    its masters (key, coefficient, value): the rows are summed exactly, and
-    only the masters left are integrated, by ``_budgeted``, with no
-    fallback."""
-    form = _combined([(q, dg.row(e, k)) for (dg, e, k), q in sums.items()])
-    rational, masters = form.pop(None, Fraction(0)), sorted(form.items())
-    v, values = _budgeted(rational, [(q, partial(diagonal_master, key)) for key, q in masters], qs)
-    return v, rational, [(key, q, M) for (key, q), M in zip(masters, values)]
+    its constants (key, coefficient, value): the forms are summed exactly,
+    and only the constants left are evaluated, by ``_budgeted``."""
+    form = _combined([(q, red.form(e, k)) for (red, e, k), q in sums.items()])
+    rational, keys = form.pop(None, Fraction(0)), sorted(form.items())
+    v, values = _budgeted(rational, [(q, partial(constant, key)) for key, q in keys], qs)
+    return v, rational, [(key, q, M) for (key, q), M in zip(keys, values)]
 
 
 def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> SpecialValue:
@@ -914,22 +901,24 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) 
     face period, or a generalized gamma factor of the diagonal expansion.
 
     Exact for k <= 0, a polynomial's moment (DECISIONS.md D7), and for
-    dim = 0, a constant.  For den of degree <= 1, in any dimension, the
-    closed form r + sum q prod log b, r and q rational, at precision + 10
-    digits with no quadrature (DECISIONS.md D12).  For dim = 1 with den
-    squarefree and certified positive, the exact reduction to masters
-    int_0^1 x^i / den, each one quadrature per (den, i, qs) in the process,
-    unless their errors, scaled, miss the tolerance (DECISIONS.md D10).
-    Else the integrand is compiled once into a FixedPointIntegrand, whose
-    cube quadrature sums each cell exactly in integers (DECISIONS.md D2).
+    dim = 0, a constant.  Where ``reduction`` has a reduction over den, the
+    ``form_value`` of numer's form (DECISIONS.md D16): for den of degree
+    <= 1, in any dimension, r + sum q prod log b at precision + 10 digits
+    with no quadrature (D12); for dim = 1, r + sum c_i M_i over the masters
+    int_0^1 x^i / den, unless their errors, scaled, miss the tolerance
+    (D10).  Else -- such a miss, a diagonal den (left unreduced, so that
+    the checks that call this stay independent of D14) or any other -- the
+    integrand is compiled once into a FixedPointIntegrand, whose cube
+    quadrature sums each cell exactly in integers (DECISIONS.md D2).
     Every result but the first two is numeric."""
     if k <= 0:
         return SpecialValue.make_exact(cube_moment(den**-k * numer))
     if den.nvars == 0:
         return SpecialValue.make_exact(den.constant_value() ** -k * numer.constant_value())
-    if den.degree() <= 1:
+    red = reduction(den)
+    if red is not None:
+        v, _, _ = form_value({(red, e, k): c for e, c in numer.terms.items()}, qs)
         with mp.workdps(qs.precision + 10):
-            return SpecialValue.make_numeric(_affine(den).integral(numer, k))
-    red = _reduction(den) if den.nvars == 1 else None
-    v = red and _reduced(red, numer, k, qs)
-    return SpecialValue.make_numeric(v or _quadrature_of(den, numer, k, qs))
+            if den.degree() <= 1 or v.err <= qs.abs_tol + qs.rel_tol * abs(v.value):
+                return SpecialValue.make_numeric(v)
+    return SpecialValue.make_numeric(_quadrature_of(den, numer, k, qs))

@@ -138,12 +138,19 @@ def cmd_directional(args) -> dict:
 
 
 def _bucket_json(b: ZBucket | ZMaster, precision: int) -> dict:
-    if isinstance(b, ZMaster):  # DECISIONS.md D14
+    if isinstance(b, ZMaster):  # DECISIONS.md D16
         if b.key is None:
             return {"rational": rat_to_str(b.coeff)}
-        d, c, pairs = b.key
-        out = {"master": {"d": d, "c": rat_to_str(c), "a": [rat_to_str(a) for a, _ in pairs],
-                          "e": [e for _, e in pairs]}, "coeff": rat_to_str(b.coeff)}
+        kind, *name = b.key
+        if kind == 0:  # a product of logs
+            out = {"logs": name}
+        elif kind == 1:  # int_0^1 x^i / D, name = (D's coefficients, i)
+            out = {"master": {"D": [rat_to_str(x) for x in name[0]], "i": name[1]}}
+        else:  # a diagonal master
+            d, c, pairs = name
+            out = {"master": {"d": d, "c": rat_to_str(c), "a": [rat_to_str(a) for a, _ in pairs],
+                              "e": [e for _, e in pairs]}}
+        out["coeff"] = rat_to_str(b.coeff)
         num = b.value
     else:
         out = {"component": b.component, "i": b.i, "a": b.a}

@@ -4,12 +4,13 @@ Implements the multi-index bookkeeping (weighted index sets, composition
 families and their g-vectors), the period integrals over unit-cube faces
 (each one ``_quadrature.cube_integral``: an exact moment, a closed form
 over an affine face, an exact reduction to one-variable masters, or a
-certified quadrature; in a Z value, the diagonal faces c + sum a_j x_j^d
-are reduced exactly and summed into one form instead), the triple sum
-behind a value, whose terms with the same |alpha| = a on a face are built
-at once as the polynomial (P(x + t) - P(x))^a Q_c(x + t), the
-polynomial-in-(1+a) expansion of the shifted integral continuation, and
-the Raabe-type substitution that turns that expansion into the series value.
+certified quadrature; in a Z value, the buckets on affine, one-variable
+and diagonal faces are reduced exactly and summed into one form instead),
+the triple sum behind a value, whose terms with the same |alpha| = a on a
+face are built at once as the polynomial (P(x + t) - P(x))^a Q_c(x + t),
+the polynomial-in-(1+a) expansion of the shifted integral continuation,
+and the Raabe-type substitution that turns that expansion into the series
+value.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Sequence
 from mpmath import mp
 
 from ._quadrature import (DEFAULT_QS, QuadratureSettings, cube_integral, diagonal_reduction,
-                          form_value)
+                          form_value, reduction)
 from .errors import NotElliptic, NotHomogeneous
 from .exactnum import (
     Numeric,
@@ -284,9 +285,9 @@ _bernoulli_tilde_memo = lru_cache(maxsize=1024)(bernoulli_tilde_product)
 
 @dataclass(frozen=True)
 class ZMaster:
-    """A term of the exact form that the buckets on diagonal faces sum to
-    (DECISIONS.md D14): the rational part coeff for key None, else coeff
-    times the master named by key, whose value is given."""
+    """A term of the exact form that the reduced buckets sum to
+    (DECISIONS.md D16): the rational part coeff for key None, else coeff
+    times the constant named by key, whose value is given."""
 
     key: tuple | None
     coeff: Fraction
@@ -296,11 +297,11 @@ class ZMaster:
 def Z_breakdown(
     P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
 ) -> tuple[SpecialValue, list[ZBucket | ZMaster]]:
-    """Z(P, Q; -N) together with the parts it is the sum of: a ZBucket per
-    bucket integrated on its own, and a ZMaster per term of the one form
-    that the buckets on diagonal faces sum to.  Those buckets are reduced
-    exactly, scaled by their orbits, and summed over the whole value; only
-    then are the masters left integrated (DECISIONS.md D14)."""
+    """Z(P, Q; -N) together with the parts it is the sum of: a ZMaster per
+    term of the one form that the buckets on affine, one-variable and
+    diagonal faces sum to, each reduced exactly and scaled by its orbit,
+    with only the constants left evaluated (DECISIONS.md D16); and a
+    ZBucket per other bucket, integrated on its own."""
     d, flags = _check_P(P, N)
     n = P.nvars
     # Only the least face of each orbit is built; its total stands for all.
@@ -312,15 +313,15 @@ def Z_breakdown(
             numers[ci, i, a] = _summed(n - 1, [(c_a * bt, den, ints) for m, ints in groups.items()
                                                if (bt := _bernoulli_tilde_memo(m))])
     evaluated: list[ZBucket | ZMaster] = []
-    # Per (diagonal reduction, e, k), the buckets' coefficients of x^e / D^k.
+    # Per (reduction, e, k), the reduced buckets' coefficients of x^e / D^k.
     reduced: dict[tuple, Fraction] = {}
     for (ci, i, a), numer in sorted(numers.items()):  # evaluate buckets in a fixed order
         if numer.is_zero():
             continue
-        dg = diagonal_reduction(P.face(i))
-        if dg is not None:
+        red = reduction(P.face(i)) or diagonal_reduction(P.face(i))
+        if red is not None:
             for e, q in numer.terms.items():
-                row = (dg, e, a - N)
+                row = (red, e, a - N)
                 reduced[row] = reduced.get(row, 0) + orbit[i] * q
             continue
         v = cube_integral(P.face(i), numer, a - N, qs)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from mpmath import mp, mpf
 
-from zetapoly import MPoly, QuadratureSettings, ZetaPolyError
-from zetapoly.cli import main
-from zetapoly.mahler import Z_breakdown
+from zetapoly import MPoly, Numeric, QuadratureSettings, ZetaPolyError
+from zetapoly._quadrature import _MasterKey
+from zetapoly.cli import _bucket_json, main
+from zetapoly.mahler import Z_breakdown, ZMaster
 from zetapoly.polyzeta import build_family, diagonal_value
 
 
@@ -120,28 +122,34 @@ class TestDeterminism:
 
 class TestMahler:
     def test_terms_breakdown(self):
-        code, out = run_cli(
-            ["mahler", "--P", "x1 + x2", "--N", "0", "--terms", "--precision", "25"]
-        )
+        # Faces with no exact reduction (two variables, neither affine nor
+        # diagonal) give one term per bucket (component, face, a); a form's
+        # terms are its rational part and one term per constant left, in
+        # the schema of each kind (DECISIONS.md D16).
+        code, out = run_cli(["mahler", "--P", "x1^2 + x1 x2 + x2^2 + x3^2", "--Q", "x1 + 2 x3",
+                             "--N", "1", "--terms", "--rel-tol", "1e-8", "--precision", "20"])
         assert code == 0
         payload = json.loads(out)
         assert payload["terms"]
         for t in payload["terms"]:
-            assert {"component", "i", "a"} <= set(t)
-            assert "alpha" not in t and "beta" not in t
+            assert set(t) == {"component", "i", "a", "value", "err"}
+        value = Numeric(mpf(2), mpf(0))
+        logs = _bucket_json(ZMaster(_MasterKey((0, 2, 3)), F(-1, 2), value), 20)
+        assert logs == {"logs": [2, 3], "coeff": "-1/2", "value": "2.0", "err": "0.0"}
+        master = _bucket_json(ZMaster(_MasterKey((1, (F(1), F(0), F(1)), 1)), F(3), value), 20)
+        assert master["master"] == {"D": ["1", "0", "1"], "i": 1} and master["coeff"] == "3"
 
     def test_terms_bytes(self):
-        # recorded when the buckets became one per (component, face, a)
-        # (DECISIONS.md D15); the faces are folded into orbits (D13):
-        # x1 <-> x2 fixes P, so face 1's bucket, 5/24 with no master, stands
-        # for both faces, and its value is their total 5/12
+        # recorded when the buckets on affine, one-variable and diagonal
+        # faces became one form per Z value (DECISIONS.md D16): the face
+        # x1 <-> x2 folds (D13) is affine, and its buckets sum to the
+        # rational 5/12 with no constant left
         _, out = run_cli(
             ["mahler", "--P", "x1 + x2", "--N", "0", "--terms", "--precision", "25"]
         )
         assert out == (
-            '{"err":"5.0156e-36","kind":"numeric","schema":"1","terms":['
-            '{"a":2,"component":0,"err":"5.0155e-36","i":1,'
-            '"orbit":2,"value":"0.41666666666666666667"}],"value":"0.41666666666666667"}\n'
+            '{"err":"5.0155e-36","kind":"numeric","schema":"1","terms":['
+            '{"rational":"5/12"}],"value":"0.41666666666666667"}\n'
         )
 
     def test_terms_of_reduced_faces(self):
@@ -160,28 +168,26 @@ class TestMahler:
             assert abs(mpf(master["value"]) - truth) <= mpf(master["err"]) + mpf(10) ** -20
 
     def test_terms_truth(self):
-        # The values behind test_terms_bytes: Z(x1 + x2, 1; 0) = 5/12, and
-        # so is its one bucket, the total of the two faces' 5/24.
-        v, buckets = Z_breakdown(MPoly.parse("x1 + x2"), MPoly.one(2), 0,
-                                 QuadratureSettings(precision=25))
-        assert [(b.i, b.orbit) for b in buckets] == [(1, 2)]
+        # The values behind test_terms_bytes: Z(x1 + x2, 1; 0) = 5/12, the
+        # form's rational part, and the value is it rounded once.
+        v, parts = Z_breakdown(MPoly.parse("x1 + x2"), MPoly.one(2), 0,
+                               QuadratureSettings(precision=25))
+        assert parts == [ZMaster(None, F(5, 12), None)]
         with mp.workdps(60):
             assert abs(v.num.value - mpf(5) / 12) <= v.num.err
-            assert abs(buckets[0].value.num.value - mpf(5) / 12) <= buckets[0].value.num.err
 
     def test_terms_without_symmetry_keep_their_bytes(self):
         # The README example: Q = x1 breaks the swap that fixes
-        # P = x1^2 + x1 x2 + x2^2, so every face keeps its own buckets, no
-        # term carries "orbit", and the bytes are those recorded when the
-        # buckets became one per (component, face, a) (value -1/240).
+        # P = x1^2 + x1 x2 + x2^2, so both faces' buckets are reduced, each
+        # on its own face; their forms sum to the rational -1/240, and no
+        # master is left.  The bytes were recorded when the buckets became
+        # one form per Z value.
         ex = Path(__file__).resolve().parents[1] / "examples"
         _, out = run_cli(["mahler", "--P", str(ex / "poly.txt"), "--Q", str(ex / "num.txt"),
                           "--N", "1", "--terms"])
-        terms = json.loads(out)["terms"]
-        assert {t["i"] for t in terms} == {1, 2}
-        assert not any("orbit" in t for t in terms)
+        assert json.loads(out)["terms"] == [{"rational": "-1/240"}]
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "915f7fb1adf0db6c5812186beef487245ad461f92adeafca0056fa5bdc94951c")
+            "86d7856b916efd8d37927bd0d38c949cf2e12b88953c293d167ed54ece0a3026")
 
     def test_terms_one_variable_exact(self):
         code, out = run_cli(["mahler", "--P", "3 x1", "--Q", "x1^3 + 2", "--N", "2",

@@ -672,9 +672,9 @@ class TestCubeIntegral:
         assert v == SpecialValue.make_exact(F(5, 9))
 
     def test_quotient_is_bounded_and_cached(self, monkeypatch):
-        # int_0^1 dx / (1 + x^2) = pi / 4, one master quadrature, kept on the
-        # reduction of 1 + x^2: a second call runs none and gives the same bits.
-        _quadrature._reduction.cache_clear()
+        # int_0^1 dx / (1 + x^2) = pi / 4, one master quadrature, kept in
+        # constant's memo: a second call runs none and gives the same bits.
+        _quadrature.constant.cache_clear()
         D = P("1 + x1^2", 1)
         v = _quadrature.cube_integral(D, MPoly.one(1), 1, QS_FAST)
         assert v.kind == "numeric" and 0 < v.num.err < mpf(10) ** -8
@@ -688,7 +688,7 @@ class TestCubeIntegral:
     def test_masters_are_keyed_by_settings(self, monkeypatch):
         # One D under two settings: each runs the masters it uses once, and
         # never takes one computed under the other.
-        _quadrature._reduction.cache_clear()
+        _quadrature.constant.cache_clear()
         D, A = P("1 + x1 + x1^3", 1), P("2 - x1^5", 1)
         runs, real = [], _quadrature._quadrature_of
 
@@ -710,7 +710,7 @@ class TestCubeIntegral:
         zs = [(P("x1^3 + x2^3", 2), P("x1 x2", 2), 1), (P("x1^3 + x2^3", 2), MPoly.one(2), 2)]
 
         def run(order):
-            _quadrature._reduction.cache_clear()
+            _quadrature.constant.cache_clear()
             out = {}
             for j in order:
                 v = Z_value(*zs[j], QS_FAST).num
@@ -772,28 +772,35 @@ class TestOneVariableReduction:
             with mp.workdps(60):
                 assert abs(v.num.value - truth) <= v.num.err + terr
 
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The (numer, k, qs) of every fixed-point quadrature, and the
+        settings of every constant evaluated, in order."""
+        quads, runs = [], []
+        quadrature_of, constant = _quadrature._quadrature_of, _quadrature.constant
+
+        def quadrature(den, numer, k, qs):
+            quads.append((numer, k, qs))
+            return quadrature_of(den, numer, k, qs)
+
+        def counted(key, qs):
+            runs.append(qs)
+            return constant(key, qs)
+
+        monkeypatch.setattr(_quadrature, "_quadrature_of", quadrature)
+        monkeypatch.setattr(_quadrature, "constant", counted)
+        return quads, runs
+
     def test_missed_tolerance_integrates_the_masters_tighter(self, monkeypatch):
         # int_0^1 x^22 / (1 + x^2)^8 = r + c pi/4 = 2.52e-4 with c = 2909907/14336:
         # six digits cancel, so the master's error at rel_tol, scaled by c,
         # misses the period's target; the master is integrated once more,
         # to half that target over |c|, and the reduction meets it.
-        _quadrature._reduction.cache_clear()
+        _quadrature.constant.cache_clear()
         D, A, qs = P("1 + x1^2", 1), P("x1^22", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
-        reduced, runs = [], []
-        real, master = _quadrature._reduced, _quadrature._master
-
-        def recorded(*args):
-            reduced.append(real(*args))
-            return reduced[-1]
-
-        def counted(red, i, s):
-            runs.append(s)
-            return master(red, i, s)
-
-        monkeypatch.setattr(_quadrature, "_reduced", recorded)
-        monkeypatch.setattr(_quadrature, "_master", counted)
+        quads, runs = self._recorded(monkeypatch)
         v = _quadrature.cube_integral(D, A, 8, qs)
-        assert reduced[0] is v.num
+        assert [(numer, k) for numer, k, _ in quads] == [(MPoly.one(1), 1)] * 2  # no quotient
         assert runs[0] == qs and len(set(runs)) == 2 and runs[1].rel_tol < qs.rel_tol
         truth, terr = self._truth(D, 8, A)
         with mp.workdps(60):
@@ -802,19 +809,13 @@ class TestOneVariableReduction:
 
     def test_missed_tolerance_takes_the_quadrature(self, monkeypatch):
         # The same period at rel_tol 1e-35: the master would have to meet
-        # 1e-41, below the rounding floor of 40-digit quadrature, so the
-        # reduction falls back to the quotient quadrature.
+        # 1e-41, below the rounding floor of 40-digit quadrature, so
+        # cube_integral falls back to the quotient quadrature.
         D, A = P("1 + x1^2", 1), P("x1^22", 1)
         qs = QuadratureSettings(rel_tol=1e-35, abs_tol=1e-60, precision=30)
-        reduced, real = [], _quadrature._reduced
-
-        def recorded(*args):
-            reduced.append(real(*args))
-            return reduced[-1]
-
-        monkeypatch.setattr(_quadrature, "_reduced", recorded)
+        quads, _ = self._recorded(monkeypatch)
         v = _quadrature.cube_integral(D, A, 8, qs)
-        assert reduced == [None]
+        assert quads[-1] == (A, 8, qs)
         truth, terr = self._truth(D, 8, A)
         with mp.workdps(60):
             assert abs(v.num.value - truth) <= v.num.err + terr
@@ -822,47 +823,47 @@ class TestOneVariableReduction:
 
     def test_no_period_falls_back(self, monkeypatch):
         # With the masters integrated tighter where a row cancels, every
-        # period of the corpus that reaches the reduction keeps it.
-        reduced, real = [], _quadrature._reduced
-
-        def recorded(*args):
-            reduced.append(real(*args))
-            return reduced[-1]
-
-        monkeypatch.setattr(_quadrature, "_reduced", recorded)
-        for D, k, A in self._corpus():
+        # period of the corpus that reaches the reduction keeps it: no
+        # quadrature of its own quotient runs.
+        reaching = [(D, k, A) for D, k, A in self._corpus()
+                    if isinstance(_quadrature.reduction(D), _quadrature._Reduction)]
+        quads, _ = self._recorded(monkeypatch)
+        for D, k, A in reaching:
             _quadrature.cube_integral(D, A, k, QS)
-        assert len(reduced) == 21 and None not in reduced
+            assert not any(numer is A for numer, _, _ in quads)
+        assert len(reaching) == 21
 
     def test_not_squarefree_takes_the_quadrature(self, monkeypatch):
         # The faces of (x1 + x2)^2 are (1 + x)^2; Z((x1 + x2)^2, 1; 0) = Z(x1 + x2, 1; 0) = 5/12.
         Psq = P("x1^2 + 2 x1 x2 + x2^2", 2)
         assert _quadrature._reduction(Psq.face(1)) is None
         masters = []
-        monkeypatch.setattr(_quadrature, "_master", lambda *a: masters.append(a))
-        v = Z_value(Psq, MPoly.one(2), 0, QS)
-        assert masters == []
+        monkeypatch.setattr(_quadrature, "constant", lambda *a: masters.append(a))
+        v, buckets = Z_breakdown(Psq, MPoly.one(2), 0, QS)
+        assert masters == [] and all(isinstance(b, ZBucket) for b in buckets)
         with mp.workdps(40):
             assert abs(v.num.value - mpf(5) / 12) <= v.num.err
 
     def test_one_quadrature_per_master(self, monkeypatch):
-        # Every bucket of Z(x1^3 + x2^3, x1 x2; -1) divides by 1 + x^3: its
-        # quadratures are the masters int x^j / (1 + x^3) the buckets use.
-        # Masters live on the reduction of their den: start with none.
-        _quadrature._reduction.cache_clear()
+        # Every bucket of Z(x1^3 + x2^3, x1 x2; -1) divides by 1 + x^3.
+        # Integrated bucket by bucket, through cube_integral, its
+        # quadratures are the masters int x^j / (1 + x^3) the buckets use,
+        # one per (key, settings): start with none in the memo.
+        _quadrature.constant.cache_clear()
         used, calls = set(), [0]
-        master, integrate = _quadrature._master, _quadrature.integrate_unit_cube
+        constant, integrate = _quadrature.constant, _quadrature.integrate_unit_cube
 
-        def recorded(red, i, qs):
-            used.add((red.den, i, qs))
-            return master(red, i, qs)
+        def recorded(key, qs):
+            used.add((key, qs))
+            return constant(key, qs)
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(_quadrature, "_master", recorded)
+        monkeypatch.setattr(_quadrature, "constant", recorded)
         monkeypatch.setattr(_quadrature, "integrate_unit_cube", counted)
+        monkeypatch.setattr(mahler, "reduction", lambda den: None)
         _, buckets = Z_breakdown(P("x1^3 + x2^3", 2), P("x1 x2", 2), 1, QS_FAST)
         assert sum(b.value.kind == "numeric" for b in buckets) > 2
         assert calls[0] == len(used) == 2
@@ -973,26 +974,100 @@ class TestAffineFaces:
         with mp.workdps(40):
             assert abs(v.num.value - truth) <= v.num.err + terr
             assert v.num.err <= mpf(10) ** -35
-        aff = _quadrature._affine(den)
-        monos = {b for e in numer.terms for b in aff._part(0, e, aff.c, -k, 0)}
-        assert (monos != {()}) == logs
+        keys = {key for e in numer.terms for key in _quadrature._affine(den).form(e, k)}
+        assert (keys != {None}) == logs
 
     def test_cancelling_row_is_exact_to_rounding(self, no_quadrature, monkeypatch):
         # int_0^1 x^22 / (1 + x)^8 = r + c log 2 = 2.04e-4, c = -170544: the
         # one-variable reduction's master missed rel_tol 1e-25 here and fell
         # back to the quadrature; the closed form is exact up to the
         # rounding of r and c log 2.
-        monkeypatch.setattr(_quadrature, "_reduced", lambda *a: pytest.fail("reduced"))
+        monkeypatch.setattr(_quadrature, "_reduction", lambda den: pytest.fail("reduced"))
         D, qs = P("1 + x1", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
         v = _quadrature.cube_integral(D, P("x1^22", 1), 8, qs)
-        row = _quadrature._affine(D)._part(0, (22,), F(1), -8, 0)
-        assert set(row) == {(), (0,)} and row[(0,)] == -170544
+        row = _quadrature._affine(D).form((22,), 8)
+        assert set(row) == {None, (0, 2)} and row[(0, 2)] == -170544
         with mp.workdps(60):
-            r = mpf(row[()].numerator) / row[()].denominator
-            truth = r + row[(0,)] * mp.log(2)
+            r = mpf(row[None].numerator) / row[None].denominator
+            truth = r + row[(0, 2)] * mp.log(2)
             assert abs(v.num.value - truth) <= v.num.err
-            scale = abs(r) + abs(row[(0,)]) * mp.log(2)
+            scale = abs(r) + abs(row[(0, 2)]) * mp.log(2)
             assert v.num.err <= mpf(2) ** (8 - dps_to_prec(qs.precision + 10)) * scale
+
+
+class TestOneFormPerValue:
+    """Z_breakdown adds the rows of every bucket on an affine, one-variable
+    or diagonal face into one form per Z value, and evaluates only the
+    constants left (DECISIONS.md D16).  On binary P the buckets cancelled
+    in floating point, each within its own tolerance; now they cancel
+    exactly, no constant is left, and the value is its rational rounded
+    once."""
+
+    # (P, Q, N, rel_tol, precision, the rational): the binary quartic that
+    # missed its tolerance by 0.0474 and 5.7e6 at N = 3 and 5 (its N = 5
+    # rational was checked against the bucket-by-bucket route at rel_tol
+    # 1e-25 and 50 digits: -1731.4528135447372013621 +- 3.7e-10), and the
+    # binary rows of ROADMAP items 14 and 16.
+    CASES = [
+        ("x1^4 + x1 x2^3 + x2^4", "x1 x2", 3, 1e-8, 20, F(-416976061, 3920716800)),
+        ("x1^4 + x1 x2^3 + x2^4", "x1 x2", 5, 1e-8, 20,
+         F(-1214818724067987349, 701618152435200)),
+        ("x1^4 + x1 x2^3 + x2^4", "x1 x2", 3, 1e-12, 30, F(-416976061, 3920716800)),
+        ("x1^4 + x2^4", "1", 4, 1e-12, 30, F(0)),
+        ("x1^2 + x1 x2 + x2^2", "1", 2, 1e-12, 30, F(0)),
+        ("x1^2 + x1 x2 + x2^2", "x1", 0, 1e-12, 30, F(1, 24)),
+        ("3 x1^2 + x1 x2 + 2 x2^2", "1", 1, 1e-12, 30, F(-19, 10368)),
+        ("x1^2 + x2^2", "x1", 1, 1e-12, 30, F(-1, 240)),
+        ("x1^3 + x2^3", "1", 0, 1e-12, 30, F(1, 4)),
+        ("x1^4 + 2 x1 x2^3 + 3 x2^4", "x1 x2", 1, 1e-12, 30, F(-206, 382725)),
+        ("2 x1^3 + x1^2 x2 + 5 x2^3", "x2^2", 2, 1e-12, 30, F(214987, 6652800)),
+    ]
+
+    @pytest.mark.parametrize("p, q, N, tol, dps, truth", CASES)
+    def test_rational_within_err_and_tolerance(self, p, q, N, tol, dps, truth):
+        qs = QuadratureSettings(rel_tol=tol, precision=dps)
+        z, parts = Z_breakdown(P(p, 2), P(q, 2), N, qs)
+        assert parts == [ZMaster(None, truth, None)]
+        with mp.workdps(dps + 40):
+            t = mpf(truth.numerator) / truth.denominator
+            assert abs(z.num.value - t) <= z.num.err <= qs.abs_tol + qs.rel_tol * abs(z.num.value)
+
+    def test_trivial_zero_is_zero(self):
+        # Z(x1^4 + x2^4, 1; -4) = 0, where each bucket left 1.0e-3 of err
+        z = Z_value(P("x1^4 + x2^4"), MPoly.one(2), 4, QS)
+        assert z.kind == "numeric" and z.num.value == 0 and z.num.err == 0
+
+
+class TestFormRouteCorpus:
+    """The one form per Z value against the bucket-by-bucket quadrature
+    route, over a drawn corpus: binary P of degree <= 4 with distinct
+    coefficients (no swap fixes them), monomial Q of degree <= 2 and
+    N <= 4, and linear forms of 2 and 3 variables with distinct weights.
+    The reference integrates each bucket on its own by the fixed-point
+    quadrature: mahler.reduction, diagonal_reduction and cube_integral's
+    reduction all give None, so it shares no row with the form route."""
+
+    @staticmethod
+    def _corpus():
+        rng = random.Random(29)
+        for n, d in [(2, rng.randint(2, 4)) for _ in range(10)] + [(2, 1)] * 3 + [(3, 1)] * 3:
+            Q = MPoly(n, {rng.choice(delta_multiindices(rng.randint(0, 2), n)): F(1)})
+            yield _drawn_non_diagonal(rng, n, d), Q, rng.randint(0, 4 if d > 1 else 3)
+
+    def test_form_route_within_errs_of_bucket_route(self, monkeypatch):
+        for Pp, Qp, N in self._corpus():
+            assert _face_orbits(Pp, Qp) == [(i,) for i in range(1, Pp.nvars + 1)]
+            z, parts = Z_breakdown(Pp, Qp, N, QS_FAST)
+            # every value of the corpus is rational: no constant is left
+            assert [b.key for b in parts] == [None], (Pp, Qp, N)
+            with monkeypatch.context() as m:
+                for mod in (mahler, _quadrature):
+                    m.setattr(mod, "reduction", lambda den: None)
+                m.setattr(mahler, "diagonal_reduction", lambda den: None)
+                ref, buckets = Z_breakdown(Pp, Qp, N, QS_FAST)
+            assert buckets and all(isinstance(b, ZBucket) for b in buckets)
+            with mp.workdps(40):
+                assert abs(z.num.value - ref.num.value) <= z.num.err + ref.num.err, (Pp, Qp, N)
 
 
 class TestCubeQuadratureTotals:
@@ -1199,6 +1274,7 @@ class TestTripleSumReference:
 
         with monkeypatch.context() as m:
             m.setattr(mahler, "cube_integral", recorded)
+            m.setattr(mahler, "reduction", lambda den: None)
             m.setattr(mahler, "diagonal_reduction", lambda den: None)
             out = fn(*args)
         return calls, out
@@ -1318,7 +1394,7 @@ class TestFaceQuadratureBitIdentity:
         # Symmetric faces repeat denominator values across their grids: the
         # Epstein form, a linear form with Q = P and criterion 9's cubic.
         # Masters are kept per settings for the process: start with none.
-        _quadrature.diagonal_master.cache_clear()
+        _quadrature.constant.cache_clear()
         quads = []
 
         def recorded(*args, **kwargs):
@@ -1405,7 +1481,7 @@ class TestDiagonalFaces:
         assert z.kind == "numeric" and z.num.value == mpf_from(truth.exact, QS_FAST)
 
     def test_criterion_9_is_one_master(self):
-        M2 = (3, F(1), ((F(1), 0), (F(1), 0)))  # int int dx dy / (1 + x^3 + y^3)
+        M2 = (2, 3, F(1), ((F(1), 0), (F(1), 0)))  # int int dx dy / (1 + x^3 + y^3)
         qs = QuadratureSettings(rel_tol=1e-8, precision=25)
         z, form = self._form(_diagonal(4, 3, 1), MPoly.one(4), 0, qs)
         assert form == {None: F(1, 16), M2: F(-1, 30)}
@@ -1450,7 +1526,7 @@ class TestDiagonalFaces:
             dims.append(dim)
             return integrate(f, dim, *args, **kwargs)
 
-        _quadrature.diagonal_master.cache_clear()
+        _quadrature.constant.cache_clear()
         monkeypatch.setattr(_quadrature, "integrate_unit_cube", recorded)
         Z_value(_diagonal(4, 3, 1), MPoly.one(4), 0, QS6)
         assert dims == [2]  # criterion 9: the one master M2
