@@ -42,7 +42,7 @@ from .errors import (
     PrecisionUnreachable,
     QuadratureDidNotConverge,
 )
-from .exactnum import MAX_PRECISION_DPS, Numeric, SpecialValue, _round_err, mpf_from_rational
+from .exactnum import Numeric, SpecialValue, _check_precision, _round_err, mpf_from_rational
 from .multipoly import MPoly, bernstein_positive
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
@@ -100,7 +100,7 @@ def rounding_floor(prec: int) -> mpf:
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Tolerances and digits of ``cube_integral``, which integrates at
-    precision + 10 digits."""
+    precision + 10 digits; precision runs from 1 up to MAX_PRECISION_DPS."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-30
@@ -109,9 +109,7 @@ class QuadratureSettings:
     def __post_init__(self):
         if not (0 < self.rel_tol < inf and 0 < self.abs_tol < inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.precision > MAX_PRECISION_DPS:
-            raise PrecisionUnreachable(
-                f"precision {self.precision} is above the cap of {MAX_PRECISION_DPS} digits")
+        _check_precision(self.precision)
         # At or below the rounding floor refinement cannot converge.
         dps = self.precision + 10
         floor = rounding_floor(dps_to_prec(dps))
@@ -530,7 +528,9 @@ def integrate_interval_fixed(
     f: Callable[[mpf], mpf], a: Fraction, b: Fraction, order: int = 15
 ) -> tuple[mpf, mpf]:
     """Single-panel Gauss-Legendre on [a, b] with an embedded estimate;
-    f takes one point."""
+    f takes one point.  No library path calls it: the oracle sums its own
+    Bernoulli-weighted rule.  It stays because perfbench/tracing.py binds
+    it by name, until the tracer is retired (ROADMAP item 6)."""
     cell = _Cell(lo=(Fraction(a),), hi=(Fraction(b),))
     _eval_cell(lambda axes: [f(x) for x in axes[0]], cell, order,
                max(3, (order + 1) // 2), rounding_floor(mp.prec))

@@ -176,11 +176,13 @@ def pochhammer_shift(x: Fraction, M: int, b: int) -> Fraction:
 # -----------------------------------------------------------------------------
 
 def _check_precision(precision: int) -> None:
-    """Reject a digit count the Gamma/zeta engines cannot work at."""
+    """Reject a digit count the Gamma/zeta engines and the quadrature and
+    oracle settings cannot work at."""
     if precision < 1:
         raise ValueError(f"precision must be at least 1 digit, got {precision}")
     if precision > MAX_PRECISION_DPS:
-        raise PrecisionUnreachable(f"requested {precision} digits > cap {MAX_PRECISION_DPS}")
+        raise PrecisionUnreachable(
+            f"precision {precision} is above the cap of {MAX_PRECISION_DPS} digits")
 
 
 def _round_err(v: mpf) -> mpf:

@@ -4,9 +4,10 @@ Validates the exact value formulas at desk scale: one-variable continuation
 of the power-sum zeta and the two-variable recursion near non-positive
 integer points.  A one-variable sum is summed directly up to a cutoff and
 continued from there by Euler-Maclaurin, with the remainder integral
-computed numerically (piecewise over unit intervals, fractional-part
-Bernoulli weight) instead of dropped; the cutoff and the order are chosen
-for the least work (DECISIONS.md D3).
+computed numerically instead of dropped: on each unit interval, one
+Gauss-Legendre rule whose weights carry the fractional-part Bernoulli
+weight B_2K at its nodes, built once per (K, order, precision).  The cutoff
+and the order are chosen for the least work (DECISIONS.md D3).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from mpmath import mp, mpf
 
-from ._quadrature import integrate_interval_fixed
+from ._quadrature import gauss_legendre_01, rounding_floor
 from .errors import (
     ContinuationDepthInsufficient,
     DomainViolation,
@@ -28,6 +29,7 @@ from .exactnum import (
     ConstantProduct,
     Numeric,
     SpecialValue,
+    _check_precision,
     bernoulli,
     bernoulli_poly,
     binom_rational,
@@ -42,7 +44,7 @@ from .powersum import PowerSumParams, _exact_root
 class EMSettings:
     """truncation: the furthest unit step m an em_inner_sum may reach, direct
     terms and remainder intervals together.  precision: the requested
-    digits."""
+    digits, from 1 up to MAX_PRECISION_DPS."""
 
     truncation: int = 400
     precision: int = 30
@@ -50,6 +52,7 @@ class EMSettings:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+        _check_precision(self.precision)
 
 
 DEFAULT_EM = EMSettings()
@@ -353,54 +356,77 @@ def _tail_integral(a, b, d, s, M0, target: mpf) -> Numeric:
     return Numeric(lead * total, err)
 
 
+@lru_cache(maxsize=64)
+def _remainder_rule(K: int, order: int, prec: int) -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
+    """The nodes t_i of the order-point Gauss-Legendre rule on [0, 1] and
+    its weights times B_2K(t_i), at prec bits: on every unit interval
+    [m, m + 1], B_2K({x}) is B_2K(t_i) at the node m + t_i.  B_2K is
+    evaluated by Horner's rule with 30 guard bits, and each weight is
+    rounded once."""
+    with mp.workprec(prec):
+        nodes, weights = gauss_legendre_01(order)
+        with mp.extraprec(30):
+            bern = [mpf_from_rational(c) for c in reversed(bernoulli_poly(2 * K))]
+            cw = []
+            for t, w in zip(nodes, weights):
+                acc = mpf(0)
+                for c in bern:
+                    acc = acc * t + c
+                cw.append(acc * w)
+        return tuple(nodes), tuple(+c for c in cw)
+
+
 def _remainder_integral(a, b, d, s, K, M0, m_end):
     """1/(2K)! int_{M0}^{m_end} f^(2K)(x) B_2K({x}) dx over unit intervals,
-    with the summed quadrature estimates.  At each node the base
-    b + a x^d is formed once and raised to -s once; the |alpha| shifts are
-    integer powers of its reciprocal."""
+    each the weighted rule sum_i c_i f^(2K)(m + t_i) of _remainder_rule,
+    with the summed estimates |I_15 - I_8| + absmass * rounding_floor.  At
+    each node the base b + a x^d is formed once and raised to -s once; the
+    |alpha| shifts are integer powers of its reciprocal, from the least
+    |alpha| up."""
     scale = Fraction(1, factorial(2 * K))
     terms = [
         (mpf_from_rational(c * scale), xexp, aa)
         for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * K)
     ]
     max_x = max(xexp for _, xexp, _ in terms)
+    min_aa = min(aa for _, _, aa in terms)
     max_aa = max(aa for _, _, aa in terms)
     af, bf, sf = mpf_from_rational(a), mpf_from_rational(b), mpf_from_rational(s)
-    bern = [mpf_from_rational(c) for c in bernoulli_poly(2 * K)][::-1]
-
-    def weight(t: mpf) -> mpf:
-        """B_2K(t) by Horner's rule."""
-        acc = mpf(0)
-        for c in bern:
-            acc = acc * t + c
-        return acc
 
     def f2k(x: mpf) -> mpf:
         base = bf + af * x**d
         inv = 1 / base
-        inv_pows = [mpf(1)]
-        for _ in range(max_aa):
+        inv_pows = [inv**min_aa]
+        for _ in range(min_aa, max_aa):
             inv_pows.append(inv_pows[-1] * inv)
         x_pows = [mpf(1)]
         for _ in range(max_x):
             x_pows.append(x_pows[-1] * x)
         acc = mpf(0)
         for cf, xexp, aa in terms:
-            acc += cf * x_pows[xexp] * inv_pows[aa]
+            acc += cf * x_pows[xexp] * inv_pows[aa - min_aa]
         return acc * mp.power(base, -sf)
 
+    rules = [_remainder_rule(K, order, mp.prec) for order in (_RULE, (_RULE + 1) // 2)]
+    floor = rounding_floor(mp.prec)
     total = mpf(0)
     err = mpf(0)
     for m in range(M0, m_end):
-        val, est = integrate_interval_fixed(
-            lambda x, mm=m: f2k(x) * weight(x - mm),
-            Fraction(m),
-            Fraction(m + 1),
-            order=_RULE,
-        )
+        (val, absmass), (val_lo, _) = (_weighted_sum(f2k, m, rule) for rule in rules)
         total += val
-        err += est
+        err += abs(val - val_lo) + absmass * floor
     return total, err
+
+
+def _weighted_sum(f, m: int, rule) -> tuple[mpf, mpf]:
+    """sum_i c_i f(m + t_i) and sum_i |c_i f(m + t_i)|."""
+    val = mpf(0)
+    absmass = mpf(0)
+    for t, c in zip(*rule):
+        v = c * f(m + t)
+        val += v
+        absmass += abs(v)
+    return val, absmass
 
 
 # -----------------------------------------------------------------------------

@@ -622,13 +622,20 @@ class TestUnverifiedPositivity:
 
 class TestQuadratureSettings:
     def test_unreachable_tolerance_fails_fast(self):
-        # precision 0 integrates at 10 digits (37 bits): the rounding floor
-        # 2^-31 = 4.66e-10 charged per cell caps the reachable rel_tol.
+        # precision 1 integrates at 11 digits (40 bits): the rounding floor
+        # 2^-34 = 5.82e-11 charged per cell caps the reachable rel_tol.
         with pytest.raises(PrecisionUnreachable):
-            QuadratureSettings(rel_tol=1e-12, precision=0)
+            QuadratureSettings(rel_tol=1e-12, precision=1)
         with pytest.raises(PrecisionUnreachable):
-            QuadratureSettings(rel_tol=2.0**-31, precision=0)
-        QuadratureSettings(rel_tol=1e-9, precision=0)
+            QuadratureSettings(rel_tol=2.0**-34, precision=1)
+        QuadratureSettings(rel_tol=1e-9, precision=1)
+
+    @pytest.mark.parametrize("precision", [0, -5])
+    def test_precision_below_one_digit_raises(self, precision):
+        # DECISIONS.md D5: precision -5 at rel_tol 1e-3 used to integrate at
+        # 5 digits, and Z(x1^2 + x1 x2 + x2^2, 1; -1) came out as 0.0 +- 0.0
+        with pytest.raises(ValueError, match="at least 1 digit"):
+            QuadratureSettings(rel_tol=1e-3, precision=precision)
 
     def test_precision_above_the_cap_raises(self):
         # MAX_PRECISION_DPS, the cap of the Gamma and zeta kernels

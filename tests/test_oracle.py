@@ -13,6 +13,7 @@ from zetapoly import (
     EMSettings,
     Pole,
     PowerSumParams,
+    PrecisionUnreachable,
     binom_rational,
     em_inner_sum,
     powersum2_numeric,
@@ -22,6 +23,7 @@ from zetapoly import (
     zeta_riemann_em,
 )
 from zetapoly import oracle
+from zetapoly._quadrature import gauss_legendre_01
 from zetapoly.multipoly import weighted_partitions
 
 EM = EMSettings(precision=25)
@@ -121,6 +123,85 @@ class TestFDerivative:
                     assert f_derivative_at0(F(3, 2), d, s, k) == want
 
 
+class TestRemainderRule:
+    """oracle._remainder_integral: each unit interval [m, m + 1] is the sum
+    of c_i f^(2K)(m + t_i), over Gauss-Legendre weights times B_2K(t_i)
+    built once per (K, order, precision), against an independent
+    quadrature of f^(2K)(x) B_2K(x - m) / (2K)!."""
+
+    def test_built_once_per_order_and_precision(self, monkeypatch):
+        rule = oracle._remainder_rule
+        rule.cache_clear()
+        keys = []
+        monkeypatch.setattr(oracle, "_remainder_rule",
+                            lambda *key: keys.append(key) or rule(*key))
+        em_inner_sum(F(1), F(1, 2), 1, F(1, 2), EM)
+        first = list(keys)
+        assert [order for _, order, _ in first] == [15, 8]
+        assert rule.cache_info().misses == 2
+        # the plan of zeta(-1/3) has the same order K: no rule is built
+        keys.clear()
+        zeta_riemann_em(F(-1, 3), EM)
+        assert keys == first
+        assert rule.cache_info().misses == 2
+        keys.clear()
+        em_inner_sum(F(1), F(1, 2), 1, F(1, 2), EM)
+        assert keys == first
+        assert rule.cache_info().misses == 2
+        # another precision builds both rules of its own
+        keys.clear()
+        em_inner_sum(F(1), F(1, 2), 1, F(1, 2), EMSettings(precision=30))
+        assert {prec for _, _, prec in keys} != {prec for _, _, prec in first}
+        assert rule.cache_info().misses == 4
+
+    @pytest.mark.parametrize("K, order", [(1, 8), (5, 15), (13, 15), (13, 8), (32, 15)])
+    def test_weights_at_the_nodes(self, K, order):
+        with mp.workdps(35):
+            prec = mp.prec
+            nodes, cw = oracle._remainder_rule(K, order, prec)
+            gl_nodes, gl_weights = gauss_legendre_01(order)
+        assert list(nodes) == gl_nodes
+        with mp.workdps(80):
+            for t, w, c in zip(nodes, gl_weights, cw):
+                want = w * mp.bernpoly(2 * K, t)
+                assert abs(c - want) <= abs(want) * mpf(2) ** (1 - prec)
+
+    @staticmethod
+    def _truth(a, b, d, s, K, M0, m_end):
+        """sum over m of mpmath quad of f^(2K)(x) B_2K(x - m) / (2K)! on
+        [m, m + 1]: f^(2K) in closed form, (-1)^n (s)_n a^n (b + a x)^(-s-n)
+        with n = 2K, for d = 1, and by mp.diff otherwise."""
+        n = 2 * K
+        af, bf, sf = _q(a), _q(b), _q(s)
+        if d == 1:
+            def f(x):
+                return (-1) ** n * mp.rf(sf, n) * af**n * (bf + af * x) ** (-sf - n)
+        else:
+            def f(x):
+                return mp.diff(lambda y: (bf + af * y**d) ** -sf, x, n)
+        return mp.fsum(mp.quad(lambda x, m=m: f(x) * mp.bernpoly(n, x - m), [m, m + 1])
+                       for m in range(M0, m_end)) / factorial(n)
+
+    @pytest.mark.parametrize("a, b, d, s, K, M0, m_end", [
+        # the plans (M0, K, m_end) of em_inner_sum at 25 digits
+        (F(1), F(1, 2), 1, F(1, 2), 13, 27, 28),
+        (F(1), F(0), 1, F(-1, 3), 13, 26, 27),
+        # several intervals
+        (F(1), F(1, 2), 1, F(1, 2), 5, 2, 6),
+        (F(3, 2), F(2, 3), 1, F(-5, 2), 4, 1, 5),
+        (F(2), F(1, 3), 3, F(1, 5), 4, 2, 4),
+        (F(1), F(1), 4, F(1, 3), 3, 1, 3),
+        (F(1), F(1), 4, F(-1, 3), 3, 1, 4),
+    ])
+    def test_against_quadrature(self, a, b, d, s, K, M0, m_end):
+        with mp.workdps(35):
+            value, err = oracle._remainder_integral(a, b, d, s, K, M0, m_end)
+        with mp.workdps(30):
+            truth = self._truth(a, b, d, s, K, M0, m_end)
+            assert abs(value - truth) <= err, (mp.nstr(value - truth, 5), mp.nstr(err, 5))
+            assert err < abs(truth)
+
+
 class TestEmInnerSum:
     def test_convergent_direct_sum(self):
         # sum (1+m)^{-3} = zeta(3) - 1
@@ -173,6 +254,18 @@ class TestEmInnerSum:
         # truncation 0 used to die on log(0) in the planner
         with pytest.raises(ValueError, match="truncation"):
             EMSettings(truncation=truncation)
+
+    @pytest.mark.parametrize("precision", [0, -5])
+    def test_precision_below_one_digit_rejected(self, precision):
+        # DECISIONS.md D5: zeta(1/2) at precision 0 used to return -1.46035
+        # +- 4.1e-8, and at -5 -1.46037 +- 1.4e-3
+        with pytest.raises(ValueError, match="at least 1 digit"):
+            EMSettings(precision=precision)
+
+    def test_precision_above_the_cap_rejected(self):
+        with pytest.raises(PrecisionUnreachable, match="above the cap of 4000 digits"):
+            EMSettings(precision=4001)
+        EMSettings(precision=4000)
 
     def test_depth_guard(self):
         with pytest.raises(ContinuationDepthInsufficient):
@@ -413,13 +506,13 @@ class TestOracleBitIdentity:
           (0, 46460594751869883499998295098449569351817, -257, 136))),
         (zeta1_numeric, (3, F(1), F(1, 2)),
          ((0, 868110612242783108347736368860821929, -118, 120),
-          (0, 35516907676378513041477135986082342773435, -243, 135))),
+          (0, 35516907676378513041477135986082342347451, -243, 135))),
         (zeta_riemann_em, (F(-3),),
          ((0, 708921597751955132215363765482850441, -126, 120),
           (0, 708921597751955132215363765482850441, -242, 120))),
         (zeta_riemann_em, (F(-1, 3),),
          ((1, 184326071812707706085983037813705925, -119, 118),
-          (0, 1117482723828454497742401564259271099, -223, 120))),
+          (0, 558741361914227248871200782129635549, -222, 119))),
     ])
     def test_one_variable(self, fn, args, bits):
         v = fn(*args, EM)
