@@ -16,9 +16,11 @@ returns its values at every point of their product, in row-major order
 
 ``cube_integral`` is the one entry for integrals of numer / den^k over the
 unit cube.  Three exact reductions write x^e / den^k as a form
-{None: rational, key: q} over named constants: an affine den (D12, logs),
-a den of one variable (D10, masters int_0^1 x^i / den) and a diagonal den
-c + sum a_j x_j^d (D14).  ``form_value`` is the one evaluator of a sum of
+(L, {key: int}), the rational part keyed None and the coefficient of each
+named constant under its key, all over one denominator L: an affine den
+(D12, logs), a den of one variable (D10, masters int_0^1 x^i / den) and a
+diagonal den c + sum a_j x_j^d (D14).  Every sum of forms is one
+``multipoly.combine``; ``form_value`` is the one evaluator of a sum of
 forms, and ``constant`` the one memo of the constants it leaves: a Z value
 sums the forms of all its buckets first, and ``cube_integral`` evaluates
 the form of its one quotient, else runs the quadrature.
@@ -43,7 +45,7 @@ from .errors import (
     QuadratureDidNotConverge,
 )
 from .exactnum import Numeric, SpecialValue, _check_precision, _round_err, mpf_from_rational
-from .multipoly import MPoly, bernstein_positive
+from .multipoly import MPoly, bernstein_positive, combine
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
 
@@ -569,59 +571,43 @@ def _cofactors(D: list) -> tuple[list, list] | None:
     return sol[:m - 1], sol[m - 1:]
 
 
-def _dot(pairs: list, m: int) -> tuple[int, list[int]]:
-    """sum c * row over the pairs (c, row), rows (L, n) meaning n / L, as
-    one such row in lowest terms."""
-    L = lcm(*(c.denominator * r[0] for c, r in pairs))
-    acc = [0] * (m + 1)
-    for c, (Lr, n) in pairs:
-        s = c.numerator * (L // (c.denominator * Lr))
-        for i, x in enumerate(n):
-            acc[i] += s * x
-    g = gcd(L, *acc)
-    return L // g, [x // g for x in acc]
-
-
 class _Reduction:
     """int_0^1 x^j / D^k = r + sum_{i<m} c_i M_i, exactly, for one D of
     degree m squarefree and positive on [0, 1], with the masters
     M_i = int_0^1 x^i / D (Hermite reduction, Bronstein, Symbolic
-    Integration I, ch. 2).  rows[k][j] is (L, [r, c_0, ..., c_{m-1}] * L);
-    s D + t D' = 1.  form((j,), k) is that row as a form."""
+    Integration I, ch. 2).  form((j,), k) is that sum as a form, keyed by
+    keys: None for r, then M_i's key, and memoised as rows[k][j];
+    s D + t D' = 1."""
 
     def __init__(self, D: list, s: list, t: list):
         self.D, self.m, self.s, self.t = D, len(D) - 1, s, t
         self.rows: dict[int, list[tuple]] = {}
         self.keys = [None] + [_MasterKey((1, tuple(D), i)) for i in range(self.m)]
 
-    def form(self, e: tuple, k: int) -> dict:
-        L, n = self.row(e[0], k)
-        return {key: Fraction(x, L) for key, x in zip(self.keys, n) if x}
-
-    def row(self, j: int, k: int) -> tuple[int, list[int]]:
+    def form(self, e: tuple, k: int) -> tuple[int, dict]:
         rows = self.rows.setdefault(k, [])
-        while len(rows) <= j:  # a row only uses rows of lower j or lower k
+        while len(rows) <= e[0]:  # a row only uses rows of lower j or lower k
             rows.append(self._row(len(rows), k))
-        return rows[j]
+        return rows[e[0]]
 
-    def _row(self, j: int, k: int) -> tuple[int, list[int]]:
+    def _row(self, j: int, k: int) -> tuple[int, dict]:
         D, m = self.D, self.m
         if k == 0:
-            return j + 1, [1] + [0] * m
+            return j + 1, {None: 1}
         if j >= m:  # x^m = (D - sum_{i<m} d_i x^i) / d_m
-            parts = [(1 / D[-1], self.row(j - m, k - 1))]
-            parts += [(-d / D[-1], self.row(j - m + i, k)) for i, d in enumerate(D[:-1]) if d]
-            return _dot(parts, m)
+            parts = [(1 / D[-1], self.form((j - m,), k - 1))]
+            parts += [(-d / D[-1], self.form((j - m + i,), k)) for i, d in enumerate(D[:-1]) if d]
+            return combine(parts)
         if k == 1:
-            return 1, [0] * (j + 1) + [1] + [0] * (m - 1 - j)
+            return 1, {self.keys[j + 1]: 1}
         # x^j / D^k = x^j s / D^(k-1) + x^j t D' / D^k, and by parts
         # int_0^1 x^p D' / D^k = [x^p D^(1-k)]_0^1 / (1-k) + p/(k-1) int_0^1 x^(p-1) / D^(k-1).
         ends = sum(self.t) / sum(D) ** (k - 1) - (self.t[0] / D[0] ** (k - 1) if j == 0 else 0)
-        parts = [(ends / (1 - k), (1, [1] + [0] * m))]
-        parts += [(c, self.row(j + l, k - 1)) for l, c in enumerate(self.s) if c]
-        parts += [(c * (j + l) / (k - 1), self.row(j + l - 1, k - 1))
+        parts = [(ends / (1 - k), (1, {None: 1}))]
+        parts += [(c, self.form((j + l,), k - 1)) for l, c in enumerate(self.s) if c]
+        parts += [(c * (j + l) / (k - 1), self.form((j + l - 1,), k - 1))
                   for l, c in enumerate(self.t) if c and j + l]
-        return _dot(parts, m)
+        return combine(parts)
 
 
 @lru_cache(maxsize=16)
@@ -668,10 +654,11 @@ class _Affine:
     """int_{[0,1]^r} x^e / D^k in closed form, for D = c + sum a_j x_j
     positive on the cube (DECISIONS.md D12).  One variable at a time, with
     t = D: the terms x^e L^m log^l L, over the affine L left, are closed
-    under the antiderivative.  Values are {b: q} for sum q prod_{i in b}
-    log basis[i]: at the end L is a vertex value of D, whose log is a sum
-    over a gcd-free basis of the vertex values' numerators and
-    denominators, so logs cancel exactly.  Each (e, k) row is memoised."""
+    under the antiderivative.  Values are forms keyed by tuples b, for
+    prod_{i in b} log basis[i]: at the end L is a vertex value of D, whose
+    log is a sum over a gcd-free basis of the vertex values' numerators
+    and denominators, so logs cancel exactly.  Each (e, k) row is
+    memoised."""
 
     def __init__(self, den: "MPoly"):
         r = den.nvars
@@ -684,17 +671,16 @@ class _Affine:
         if min(vertices) <= 0:
             raise NotElliptic("affine denominator not positive at a vertex of the cube")
         self.basis = _coprime_basis({x for v in vertices for x in (v.numerator, v.denominator)})
-        self._parts: dict[tuple, dict] = {}
+        self._parts: dict[tuple, tuple] = {}
 
-    def _part(self, j: int, e: tuple, s: Fraction, m: int, l: int) -> dict:
+    def _part(self, j: int, e: tuple, s: Fraction, m: int, l: int) -> tuple[int, dict]:
         """int over x_j, x_j+1, ... of prod x_i^e_i L^m log^l L, L = s +
-        sum_{i >= j} a_i x_i."""
+        sum_{i >= j} a_i x_i, as a form keyed by products of logs b."""
         key = (j, e, s, m, l)
         if key in self._parts:
             return self._parts[key]
-        out: dict = {}
         if j == len(self.a):  # s^m (log s)^l, log s = sum_i v_i log basis[i]
-            out[()] = s ** m
+            out = {(): 1}
             logs = []
             for i, b in enumerate(self.basis):
                 for x, v in ((s.numerator, 1), (s.denominator, -1)):
@@ -707,8 +693,9 @@ class _Affine:
                     for i, v in logs:
                         key1 = tuple(sorted(mono + (i,)))
                         out[key1] = out.get(key1, 0) + v * c
+            parts = [(s ** m, (1, out))]
         elif not self.a[j]:
-            out = {b: q / (e[0] + 1) for b, q in self._part(j + 1, e[1:], s, m, l).items()}
+            parts = [(Fraction(1, e[0] + 1), self._part(j + 1, e[1:], s, m, l))]
         else:
             # x = (L - L0) / a with L0 = L at x = 0: x^p = sum_i C(p, i) L^i (-L0)^(p-i) / a^p,
             # integrated in t = L from L0 to L1 = L0 + a; at L1, L0^(p-i) = (L1 - a)^(p-i).
@@ -722,17 +709,15 @@ class _Affine:
                         ends[key1] = ends.get(key1, 0) + w * c * comb(p - i, h) * (-a) ** (p - i - h)
                     key0 = (s, p - i + q, ll)
                     ends[key0] = ends.get(key0, 0) - w * c
-            for (t, q, ll), c in ends.items():
-                if c:
-                    for b, v in self._part(j + 1, e[1:], t, q, ll).items():
-                        out[b] = out.get(b, 0) + c * v
-        self._parts[key] = out
+            parts = [(c, self._part(j + 1, e[1:], t, q, ll)) for (t, q, ll), c in ends.items() if c]
+        self._parts[key] = out = combine(parts)
         return out
 
-    def form(self, e: tuple, k: int) -> dict:
+    def form(self, e: tuple, k: int) -> tuple[int, dict]:
         """int x^e / D^k as a form, each product of logs keyed by kind 0."""
-        return {_MasterKey((0, *(self.basis[i] for i in b))) if b else None: q
-                for b, q in self._part(0, e, self.c, -k, 0).items() if q}
+        L, out = self._part(0, e, self.c, -k, 0)
+        return L, {_MasterKey((0, *(self.basis[i] for i in b))) if b else None: q
+                   for b, q in out.items()}
 
 
 _affine = lru_cache(maxsize=16)(_Affine)
@@ -744,49 +729,50 @@ _affine = lru_cache(maxsize=16)(_Affine)
 
 class _Diagonal:
     """I(e, k) = int_{[0,1]^r} x^e / D^k, k >= 1, D = c + sum_j a_j x_j^d with
-    d >= 2, c > 0 and every a_j > 0, as a form {None: rational, key: q}: q
-    times the master named by key = (2, d, c, sorted pairs (a_j, e_j))
-    (DECISIONS.md D14).  One variable takes D10's form.  Else by parts in
-    x_j, where dD/dx_j = d a_j x_j^(d-1), and the Euler relation
-    c I(e, k+1) = (1 - (|e| + r)/(dk)) I(e, k) + (1/(dk)) sum_j I(e without
-    e_j, k) over the faces x_j = 1, take each row down to masters I(e, 1)
-    with every e_j <= d - 2.  Forms are memoised per (e, k)."""
+    d >= 2, c > 0 and every a_j > 0, as a form (L, {None: r, key: q}),
+    (r + sum q M) / L with M the master named by key = (2, d, c, sorted
+    pairs (a_j, e_j)) (DECISIONS.md D14).  One variable takes D10's form.
+    Else by parts in x_j, where dD/dx_j = d a_j x_j^(d-1), and the Euler
+    relation c I(e, k+1) = (1 - (|e| + r)/(dk)) I(e, k) + (1/(dk)) sum_j
+    I(e without e_j, k) over the faces x_j = 1, take each row down to
+    masters I(e, 1) with every e_j <= d - 2.  Forms are memoised per
+    (e, k) and summed by ``combine``."""
 
     def __init__(self, d: int, c: Fraction, a: tuple):
         self.d, self.c, self.a, r = d, c, a, len(a)
         self.den = MPoly(r, {(0,) * r: c, **{tuple(d * (i == j) for i in range(r)): a[j]
                                              for j in range(r)}})
         self.red = _reduction(self.den) if r == 1 else None
-        self.forms: dict[tuple, dict] = {}
+        self.forms: dict[tuple, tuple] = {}
 
-    def form(self, e: tuple, k: int) -> dict:
+    def form(self, e: tuple, k: int) -> tuple[int, dict]:
         if (e, k) not in self.forms:
             self.forms[e, k] = self.red.form(e, k) if self.red else self._form(e, k)
         return self.forms[e, k]
 
-    def _face(self, j: int, s: Fraction, e: tuple, k: int) -> dict:
+    def _face(self, j: int, s: Fraction, e: tuple, k: int) -> tuple[int, dict]:
         """The form of e without e_j on a face x_j = const, where D = s + ..."""
         return _diagonal(self.d, s, self.a[:j] + self.a[j + 1:]).form(e[:j] + e[j + 1:], k)
 
-    def _form(self, e: tuple, k: int) -> dict:
+    def _form(self, e: tuple, k: int) -> tuple[int, dict]:
         d, c, a, r = self.d, self.c, self.a, len(self.a)
         j = next((j for j, x in enumerate(e) if x >= d - 1), None)
         faces = lambda m: [self._face(l, c + a[l], e, m) for l in range(r)]
         if j is None and k == 1:
-            return {_MasterKey((2, d, c, tuple(sorted(zip(a, e))))): Fraction(1)}
+            return 1, {_MasterKey((2, d, c, tuple(sorted(zip(a, e))))): 1}
         if j is None:  # Euler, solved for I(e, k)
             t = Fraction(sum(e) + r, d * (k - 1))
-            return _combined([((1 - t) / c, self.form(e, k - 1))]
-                             + [(1 / (c * d * (k - 1)), f) for f in faces(k - 1)])
+            return combine([((1 - t) / c, self.form(e, k - 1))]
+                           + [(1 / (c * d * (k - 1)), f) for f in faces(k - 1)])
         if k == 1:  # Euler, solved for I(e, 1): |e| + r > d
             t = 1 - Fraction(sum(e) + r, d)
-            return _combined([(c / t, self.form(e, 2))] + [(-1 / (d * t), f) for f in faces(1)])
+            return combine([(c / t, self.form(e, 2))] + [(-1 / (d * t), f) for f in faces(1)])
         # By parts in x_j, p = e_j - d + 1: d a_j (k - 1) I(e, k) = p I(e - d 1_j, k - 1)
         # - (the face x_j = 1) + (the face x_j = 0 if p = 0), each at k - 1.
         p, w = e[j] - d + 1, 1 / (d * a[j] * (k - 1))
         rest = (p * w, self.form(e[:j] + (e[j] - d,) + e[j + 1:], k - 1)) if p else \
             (w, self._face(j, c, e, k - 1))
-        return _combined([(-w, self._face(j, c + a[j], e, k - 1)), rest])
+        return combine([(-w, self._face(j, c + a[j], e, k - 1)), rest])
 
 
 _diagonal = lru_cache(maxsize=128)(_Diagonal)
@@ -803,7 +789,8 @@ def diagonal_reduction(den: "MPoly") -> _Diagonal | None:
 
 
 # -----------------------------------------------------------------------------
-# Forms {None: rational, key: q}: one sum, one evaluator, one memo
+# Forms (L, {None: r, key: q}) for (r + sum q constant(key)) / L: one sum
+# (multipoly.combine), one evaluator, one memo
 # -----------------------------------------------------------------------------
 
 class _MasterKey(tuple):
@@ -817,15 +804,6 @@ class _MasterKey(tuple):
 
     def __hash__(self):
         return self.hash
-
-
-def _combined(parts: list) -> dict:
-    """sum q * form over the parts (q, form), without zero coefficients."""
-    out: dict = {}
-    for q, form in parts:
-        for key, x in form.items():
-            out[key] = out.get(key, 0) + q * x
-    return {key: x for key, x in out.items() if x}
 
 
 def reduction(den: "MPoly") -> _Affine | _Reduction | None:
@@ -890,8 +868,9 @@ def form_value(sums: dict, qs: QuadratureSettings) -> tuple[Numeric, Fraction, l
     """sum q I(e, k) over sums {(reduction, e, k): q}, its rational part and
     its constants (key, coefficient, value): the forms are summed exactly,
     and only the constants left are evaluated, by ``_budgeted``."""
-    form = _combined([(q, red.form(e, k)) for (red, e, k), q in sums.items()])
-    rational, keys = form.pop(None, Fraction(0)), sorted(form.items())
+    L, form = combine([(q, red.form(e, k)) for (red, e, k), q in sums.items()])
+    rational = Fraction(form.pop(None, 0), L)
+    keys = [(key, Fraction(x, L)) for key, x in sorted(form.items())]
     v, values = _budgeted(rational, [(q, partial(constant, key)) for key, q in keys], qs)
     return v, rational, [(key, q, M) for (key, q), M in zip(keys, values)]
 

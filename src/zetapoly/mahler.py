@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from typing import Sequence
 
 from mpmath import mp
 
 from ._quadrature import (DEFAULT_QS, QuadratureSettings, cube_integral, diagonal_reduction,
                           form_value, reduction)
-from .errors import NotElliptic, NotHomogeneous
+from .errors import DimensionMismatch, NotElliptic, NotHomogeneous
 from .exactnum import (
     Numeric,
     SpecialValue,
@@ -38,6 +38,7 @@ from .multipoly import (
     _over_common_denominator,
     bernstein_positive,
     build_P_alpha_u,
+    combine,
     composition_tuples,
     delta_multiindices,
     weighted_partitions,
@@ -118,6 +119,8 @@ def period_K(
     otherwise.  When the face positivity certificate does not close, the
     result carries a "positivity_unverified" flag (DECISIONS.md D6).
     """
+    if Q.nvars != P.nvars:
+        raise DimensionMismatch(f"Q has {Q.nvars} variables, P has {P.nvars}")
     if not isinstance(u, CompositionFamily):
         u = CompositionFamily(n=P.nvars, u=tuple(tuple(x) for x in u))
     alpha = tuple(int(a) for a in alpha)
@@ -144,7 +147,9 @@ def period_K(
 # The value Z(P, Q; -N)
 # -----------------------------------------------------------------------------
 
-def _check_P(P: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
+def _check_P(P: MPoly, Q: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
+    if Q.nvars != P.nvars:
+        raise DimensionMismatch(f"Q has {Q.nvars} variables, P has {P.nvars}")
     if N < 0:
         raise ValueError("N must be a non-negative integer")
     ok, d = P.is_homogeneous()
@@ -155,19 +160,6 @@ def _check_P(P: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
         raise NotElliptic(f"face {i} non-positive at {point_to_str(wit)}")
     flags = ("positivity_unverified",) if st == "sampled_only" else ()
     return d, flags
-
-
-def _summed(nvars: int, parts: list) -> MPoly:
-    """The polynomial sum w * ints / den over the parts (w, den, ints), w a
-    Fraction and ints an int term dict, summed in ints: one Fraction per
-    term."""
-    L = lcm(*(w.denominator * den for w, den, _ in parts))
-    out: dict = {}
-    for w, den, ints in parts:
-        s = w.numerator * (L // (w.denominator * den))
-        for e, c in ints.items():
-            out[e] = out.get(e, 0) + s * c
-    return MPoly._of(nvars, {e: Fraction(c, L) for e, c in out.items() if c})
 
 
 def _face_sums(P: MPoly, Q: MPoly, N: int, d: int, i: int):
@@ -302,7 +294,7 @@ def Z_breakdown(
     diagonal faces sum to, each reduced exactly and scaled by its orbit,
     with only the constants left evaluated (DECISIONS.md D16); and a
     ZBucket per other bucket, integrated on its own."""
-    d, flags = _check_P(P, N)
+    d, flags = _check_P(P, Q, N)
     n = P.nvars
     # Only the least face of each orbit is built; its total stands for all.
     orbit = {o[0]: len(o) for o in _face_orbits(P, Q)}
@@ -310,8 +302,9 @@ def Z_breakdown(
     numers: dict[tuple, MPoly] = {}
     for i in orbit:
         for ci, a, c_a, den, groups in _face_sums(P, Q, N, d, i):
-            numers[ci, i, a] = _summed(n - 1, [(c_a * bt, den, ints) for m, ints in groups.items()
-                                               if (bt := _bernoulli_tilde_memo(m))])
+            numers[ci, i, a] = MPoly._over(n - 1, *combine(
+                [(c_a * bt, (den, ints)) for m, ints in groups.items()
+                 if (bt := _bernoulli_tilde_memo(m))]))
     evaluated: list[ZBucket | ZMaster] = []
     # Per (reduction, e, k), the reduced buckets' coefficients of x^e / D^k.
     reduced: dict[tuple, Fraction] = {}
@@ -381,7 +374,7 @@ def Y_expansion(
 ) -> YExpansion:
     """Expansion of the integral over [1,oo)^n of Q_a P_a^{-s} at s = -N in
     powers of (1 + a_i), computed from the same face-period data as Z."""
-    d, flags = _check_P(P, N)
+    d, flags = _check_P(P, Q, N)
     n = P.nvars
     expansion: dict[MultiIndex, SpecialValue] = {}
     sums: dict[tuple, dict] = {}  # (component, a) -> {face: (c_a, den, groups)}
@@ -395,7 +388,7 @@ def Y_expansion(
             for m in sorted(faces[1][2]):
                 total = SpecialValue.make_exact(Fraction(0))
                 for i, (c_a, den, groups) in faces.items():
-                    numer = _summed(n - 1, [(c_a, den, groups[m])])
+                    numer = MPoly._over(n - 1, *combine([(c_a, (den, groups[m]))]))
                     if not numer.is_zero():
                         total = total + cube_integral(P.face(i), numer, a - N, qs)
                 expansion[m] = expansion[m] + total if m in expansion else total

@@ -34,6 +34,22 @@ def _over_common_denominator(terms: Mapping[MultiIndex, Fraction]) -> tuple[int,
     return L, {e: c.numerator * (L // c.denominator) for e, c in terms.items()}
 
 
+def combine(parts: list) -> tuple[int, dict]:
+    """sum q * form over the parts (q, form), q rational: the one sum of
+    rational linear combinations.  A form (L, {key: int}) means
+    {key: int / L}; the sum is one form in lowest terms, L > 0 and no
+    zero entry, (1, {}) when it is empty."""
+    L = lcm(*(q.denominator * Lf for q, (Lf, _) in parts))
+    acc: dict = {}
+    get = acc.get
+    for q, (Lf, ints) in parts:
+        s = q.numerator * (L // (q.denominator * Lf))
+        for key, x in ints.items():
+            acc[key] = get(key, 0) + s * x
+    g = gcd(L, *acc.values())
+    return L // g, {key: x // g for key, x in acc.items() if x}
+
+
 def _int_product(t1: Mapping[MultiIndex, int], t2: Mapping[MultiIndex, int]) -> dict:
     """The product of two int-coefficient term dicts."""
     out: dict[MultiIndex, int] = {}
@@ -83,6 +99,16 @@ class MPoly:
         p = object.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "_hash", None)
+        return p
+
+    @classmethod
+    def _over(cls, nvars: int, L: int, ints: Mapping[MultiIndex, int]) -> "MPoly":
+        """The polynomial {e: c / L} over ints {e: c}, one Fraction per
+        nonzero term; like ``_of``, nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", {e: Fraction(c, L) for e, c in ints.items() if c})
         object.__setattr__(p, "_hash", None)
         return p
 
@@ -168,8 +194,7 @@ class MPoly:
             raise DimensionMismatch("variable counts differ")
         L1, t1 = _over_common_denominator(self.terms)
         L2, t2 = _over_common_denominator(other.terms)
-        den, out = L1 * L2, _int_product(t1, t2)
-        return MPoly._of(self.nvars, {e: Fraction(c, den) for e, c in out.items() if c})
+        return MPoly._over(self.nvars, L1 * L2, _int_product(t1, t2))
 
     def scale(self, c: Rational) -> "MPoly":
         c = Fraction(c)
@@ -463,7 +488,7 @@ def build_P_alpha_u(P: MPoly, i: int, alpha: Sequence[int], u) -> MPoly:
                 den *= L**mult
                 for _ in range(mult):
                     ints = _int_product(ints, b)
-    return MPoly._of(n - 1, {e: Fraction(coeff * c, den) for e, c in ints.items()})
+    return MPoly._over(n - 1, den, {e: coeff * c for e, c in ints.items()})
 
 
 # -----------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from mpmath.libmp import dps_to_prec
 from zetapoly import (
     CompositionFamily,
     ConstantProduct,
+    DimensionMismatch,
     MPoly,
     NotElliptic,
     NotHomogeneous,
@@ -44,6 +45,7 @@ from zetapoly.mahler import (
     certify_elliptic,
     delta_multiindices,
 )
+from zetapoly.multipoly import combine
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
 QS_FAST = QuadratureSettings(rel_tol=1e-8, precision=20)
@@ -620,6 +622,26 @@ class TestUnverifiedPositivity:
         assert fam.flags == ("ellipticity_unverified", "hypotheses_unverified:P2")
 
 
+class TestQVariableCount:
+    """A Q whose variable count is not P's is rejected by every entry point,
+    naming both counts, before any face is certified or built."""
+
+    ENTRIES = {
+        "Z_value": lambda P, Q: Z_value(P, Q, 1, QS_FAST),
+        "Z_breakdown": lambda P, Q: Z_breakdown(P, Q, 1, QS_FAST),
+        "Y_expansion": lambda P, Q: Y_expansion(P, Q, 1, QS_FAST),
+        "period_K": lambda P, Q: period_K(P, Q, 1, (1,), ((1, 0),), (0, 0), 1, QS_FAST),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_rejected_before_face_work(self, monkeypatch, entry, m):
+        for name in ("bernstein_positive", "certify_elliptic", "_face_orbits", "_face_sums"):
+            monkeypatch.setattr(mahler, name, lambda *a, name=name: pytest.fail(name))
+        with pytest.raises(DimensionMismatch, match=f"^Q has {m} variables, P has 2$"):
+            self.ENTRIES[entry](P("x1^2 + x1 x2 + x2^2", 2), MPoly.one(m))
+
+
 class TestQuadratureSettings:
     def test_unreachable_tolerance_fails_fast(self):
         # precision 1 integrates at 11 digits (40 bits): the rounding floor
@@ -763,11 +785,12 @@ class TestOneVariableReduction:
         for D, k, A in self._corpus():
             red = _quadrature._reduction(D)
             assert red is not None
-            L, n = _quadrature._dot([(a, red.row(j, k)) for (j,), a in A.terms.items()], red.m)
+            L, n = combine([(a, red.form(e, k)) for e, a in A.terms.items()])
             truth, terr = self._truth(D, k, A)
             with mp.workdps(60):
                 masters = [self._truth(D, 1, MPoly(1, {(i,): F(1)}))[0] for i in range(red.m)]
-                terms = [mpf(n[0])] + [c * M for c, M in zip(n[1:], masters)]
+                terms = [mpf(n.get(None, 0))] + [n.get(key, 0) * M
+                                                 for key, M in zip(red.keys[1:], masters)]
                 got = mp.fsum(terms) / L
                 assert abs(got - truth) <= terr + mpf(10) ** -50 * mp.fsum(map(abs, terms)) / L
 
@@ -981,7 +1004,7 @@ class TestAffineFaces:
         with mp.workdps(40):
             assert abs(v.num.value - truth) <= v.num.err + terr
             assert v.num.err <= mpf(10) ** -35
-        keys = {key for e in numer.terms for key in _quadrature._affine(den).form(e, k)}
+        keys = {key for e in numer.terms for key in _quadrature._affine(den).form(e, k)[1]}
         assert (keys != {None}) == logs
 
     def test_cancelling_row_is_exact_to_rounding(self, no_quadrature, monkeypatch):
@@ -992,13 +1015,13 @@ class TestAffineFaces:
         monkeypatch.setattr(_quadrature, "_reduction", lambda den: pytest.fail("reduced"))
         D, qs = P("1 + x1", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
         v = _quadrature.cube_integral(D, P("x1^22", 1), 8, qs)
-        row = _quadrature._affine(D).form((22,), 8)
-        assert set(row) == {None, (0, 2)} and row[(0, 2)] == -170544
+        L, row = _quadrature._affine(D).form((22,), 8)
+        assert set(row) == {None, (0, 2)} and F(row[(0, 2)], L) == -170544
         with mp.workdps(60):
-            r = mpf(row[None].numerator) / row[None].denominator
-            truth = r + row[(0, 2)] * mp.log(2)
+            r, c = mpf(row[None]) / L, F(row[(0, 2)], L)
+            truth = r + c * mp.log(2)
             assert abs(v.num.value - truth) <= v.num.err
-            scale = abs(r) + abs(row[(0, 2)]) * mp.log(2)
+            scale = abs(r) + abs(c) * mp.log(2)
             assert v.num.err <= mpf(2) ** (8 - dps_to_prec(qs.precision + 10)) * scale
 
 

@@ -3,7 +3,7 @@ import gc
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,6 +36,7 @@ from zetapoly.exactnum import mpf_from_rational, multi_factorial
 from zetapoly.mahler import certify_elliptic, period_K
 from zetapoly.multipoly import (
     bernstein_positive,
+    combine,
     composition_tuples,
     delta_multiindices,
     weighted_partitions,
@@ -471,6 +472,42 @@ class TestExactArithmetic:
         pt = [F(2, 9), F(-3, 4)]
         assert p.eval(pt) == _ref_eval(p, pt)
         assert MPoly.zero(2).eval(pt) == 0 and MPoly.constant(0, F(1, 3)).eval([]) == F(1, 3)
+
+
+class TestCombine:
+    """combine, the one sum of rational linear combinations: forms
+    (L, {key: int}) meaning {key: int / L}, summed against the same parts
+    summed as Fractions."""
+
+    forms = st.tuples(
+        st.integers(1, 60),
+        st.dictionaries(st.sampled_from([None, (0, 2), (1, 3), "x"]),
+                        st.integers(-50, 50).filter(bool), max_size=4))
+    parts = st.lists(st.tuples(rationals | st.integers(-3, 3), forms), max_size=5)
+
+    @staticmethod
+    def _ref(parts):
+        out: dict = {}
+        for q, (L, ints) in parts:
+            for key, x in ints.items():
+                out[key] = out.get(key, F(0)) + q * F(x, L)
+        return {key: x for key, x in out.items() if x}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(parts)
+    def test_against_fractions(self, parts):
+        L, ints = combine(parts)
+        assert L > 0 and gcd(L, *ints.values()) == 1
+        assert all(ints.values())
+        assert {key: F(x, L) for key, x in ints.items()} == self._ref(parts)
+
+    def test_empty_sum(self):
+        assert combine([]) == (1, {})
+
+    def test_total_cancellation(self):
+        form = (6, {None: 4, (0, 2): -9})
+        assert combine([(F(3, 2), form), (F(-3, 2), form)]) == (1, {})
+        assert combine([(F(1, 3), (1, {"x": 2})), (-2, (3, {"x": 1}))]) == (1, {})
 
 
 class TestFace:
