@@ -210,6 +210,33 @@ class TestGamma:
         with mp.workdps(80):
             assert abs(g.value - mp.gamma(mpf(x.numerator) / x.denominator)) <= g.err
 
+    # sha256 of repr(value._mpf_) and of repr(err._mpf_), recorded before
+    # the Stirling series ran on running powers of z: the perfbench mix of
+    # arguments and precisions, a negative argument and one above the shift.
+    @pytest.mark.parametrize("x, precision, sha", [
+        (F(7, 5), 30, "2bfb59c977236d708a04fe404a6650fd40e632f2736707dcb225600c18ca88eb"),
+        (F(2, 3), 50, "2773304182ce2fa4812e359debe42e52e0b9e6736f1f72a21d2d82eb9abf34bf"),
+        (F(11, 7), 80, "b6d96170eaa39e73a5f2062ae6de559bf84fb7ae4d2d567add494edeae33b71c"),
+        (F(5, 4), 100, "7ca2cfbf159ce7efb7833fdb82fc602f255115e1c8aed35a0d3b79e4838050f7"),
+        (F(-3, 2), 30, "9695a799326141bfbcc960b5b1e7a2215a74b1b10002f1576817f04e437f42f5"),
+        (F(61, 2), 50, "5036464fb0a31502cbb791bf44bac89b8bf1d7a323475ec55cdb74e25e716107"),
+    ])
+    def test_value_bits(self, x, precision, sha):
+        bits = tuple(int(t) for t in gamma_rational(x, precision).value._mpf_)
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("x, precision, sha", [
+        (F(7, 5), 30, "82250b02e6dc45d3d030f6456596a66e44188542b8d7c1f824a5d23a4f3f5997"),
+        (F(2, 3), 50, "284ed02892440cec56243b14c48f7b8c9c6e4442d8b9ec0d46b10b85cd2b485f"),
+        (F(11, 7), 80, "fdae9993a08cd890fb0da1931e4fad9d3d8cd8aa4f2e812a54c1d0873d8186bb"),
+        (F(5, 4), 100, "ca6928478158155f85fc2a5d6418994f840d3bc93cc0daa16f68d580496a0137"),
+        (F(-3, 2), 30, "eb1ffa653d64dbcad83e8aa08054c9abcde0e7f0b30a5f66cbe285244ef58ed1"),
+        (F(61, 2), 50, "eb9c04ee18666e3c97d11de598d9ed660bce00b3519264117b13be61e8ed0bcb"),
+    ])
+    def test_err_bits(self, x, precision, sha):
+        bits = tuple(int(t) for t in gamma_rational(x, precision).err._mpf_)
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == sha
+
     def test_pole_and_cap(self):
         with pytest.raises(Pole):
             gamma_rational(F(-2), 30)

@@ -3,10 +3,12 @@ import contextlib
 import hashlib
 import io
 from fractions import Fraction as F
+from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
 from zetapoly import (
+    bernoulli,
     double_B3,
     double_B6,
     verify_identity_grid,
@@ -14,6 +16,7 @@ from zetapoly import (
     zeta_neg_via_B1,
 )
 from zetapoly.cli import main
+from zetapoly.identities import _bernoulli_pairs, _bernoulli_scaled
 
 
 class TestSingle:
@@ -50,6 +53,20 @@ class TestDouble:
         assert double_B3(N1, N2) == double_B6(N1, N2)
 
 
+class TestBernoulliPairs:
+    def test_against_literal_double_sum(self):
+        # the docstring's double sum over k1 >= l, k2 >= 0, k1 + k2 <= cap,
+        # in Fractions, with the multinomial written out
+        for cap in range(15):
+            D = _bernoulli_scaled(cap)[0]
+            for l in range(cap + 1):
+                want = sum(
+                    bernoulli(k1) * bernoulli(k2) * factorial(cap - l)
+                    / (factorial(k1 - l) * factorial(k2) * factorial(cap - k1 - k2))
+                    for k1 in range(l, cap + 1) for k2 in range(cap - k1 + 1))
+                assert _bernoulli_pairs(l, cap) == D * D * want
+
+
 class TestGrid:
     def test_small_grid(self):
         reports = verify_identity_grid(2, 2)
@@ -83,6 +100,13 @@ class TestGridBitIdentity:
             assert main(["bernoulli-id", "--grid", "12x12"]) == 0
         assert _sha256(out.getvalue()) == (
             "3268b2e8fc0364d95d7c9e6912b75e146a540ab75b073c3af25d98535528d7f6")
+
+    def test_cli_grid_24_bytes(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["bernoulli-id", "--grid", "24x24"]) == 0
+        assert _sha256(out.getvalue()) == (
+            "5bc609b6143793842c3f1c06abc893876b26a7134b644f9b5c5b2a0c3a1f7b23")
 
     def test_grid_fractions(self):
         b3 = [str(double_B3(*N)) for N in self.GRID]
