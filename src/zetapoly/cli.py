@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -210,8 +211,11 @@ def cmd_polyzeta(args) -> dict:
 
 
 def cmd_bernoulli_id(args) -> dict:
-    n1, n2 = (int(x) for x in args.grid.lower().split("x"))
-    reports = identities.verify_identity_grid(n1, n2)
+    grid = re.fullmatch(r"([0-9]+)x([0-9]+)", args.grid.strip().lower())
+    if grid is None:
+        raise ValueError(
+            f"--grid must be N1xN2 with N1, N2 non-negative integers, got {args.grid!r}")
+    reports = identities.verify_identity_grid(*map(int, grid.groups()))
     payload = {
         "reports": [
             {
@@ -314,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_polyzeta)
 
     sp = sub.add_parser("bernoulli-id", help="verify the Bernoulli identity grid")
-    sp.add_argument("--grid", default="8x8", help="grid bounds, e.g. 8x8")
+    sp.add_argument("--grid", default="8x8",
+                    help="largest N1 and N2, inclusive, as N1xN2: 8x8 checks 81 pairs")
     sp.add_argument("--json", dest="json_out", help="also write reports to this file")
     sp.add_argument("--csv", action="store_true", help="CSV to stdout instead of JSON")
     _add_common(sp, precision=False)

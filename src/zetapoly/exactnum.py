@@ -242,22 +242,25 @@ def _stirling_lngamma(z: Fraction) -> tuple[mpf, mpf]:
     """ln Gamma(z) for rational z large enough, with absolute error bound.
 
     Remainder after the B_{2K} term of the Stirling series is bounded by the
-    first omitted term for real z > 0.
+    first omitted term for real z > 0.  The terms run on a running odd power
+    of z, and each is rounded once: the bound at k is the term added at k + 1
+    (rounding to nearest is odd, so |round(t)| = round(|t|)).
     """
     zf = mpf_from_rational(z)
     target = mpf(10) ** (-(mp.dps - 4))
     s = (zf - mpf(1) / 2) * mp.log(zf) - zf + mp.log(2 * mp.pi) / 2
+    z2 = z * z
+    zpow = z  # z^(2k - 1)
+    term = mpf_from_rational(Fraction(bernoulli(2), 2) / z)
     k = 1
     nops = 8
     while True:
-        term = Fraction(bernoulli(2 * k), (2 * k) * (2 * k - 1)) / z ** (2 * k - 1)
-        s += mpf_from_rational(term)
+        s += term
         nops += 4
-        nxt = abs(
-            Fraction(bernoulli(2 * k + 2), (2 * k + 2) * (2 * k + 1))
-            / z ** (2 * k + 1)
-        )
-        bound = mpf_from_rational(nxt)
+        zpow *= z2
+        term = mpf_from_rational(
+            Fraction(bernoulli(2 * k + 2), (2 * k + 2) * (2 * k + 1)) / zpow)
+        bound = abs(term)
         if bound < target:
             break
         if 2 * k > 8 * mp.dps:

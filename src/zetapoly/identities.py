@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from itertools import accumulate
+from math import comb, lcm
+from operator import mul
 
 from .exactnum import bernoulli, riemann_zeta_exact_nonpositive
 
@@ -25,13 +27,16 @@ class IdentityReport:
 
 
 def zeta_neg_via_B1(N: int) -> Fraction:
-    """zeta(-N) = -B_{N+1}/(N+1) - sum_a C(N,a) B_a / (N+1-a)."""
+    """zeta(-N) = -B_{N+1}/(N+1) - sum_a C(N,a) B_a / (N+1-a).
+
+    C(N, a) / (N + 1 - a) = C(N + 1, a) / (N + 1), so the sum runs in
+    integers over (N + 1) D, D as in _bernoulli_scaled(N + 1), and divides
+    once."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    out = -Fraction(bernoulli(N + 1), N + 1)
-    for a in range(N + 1):
-        out -= Fraction(comb(N, a)) * bernoulli(a) / (N + 1 - a)
-    return out
+    D, BD = _bernoulli_scaled(N + 1)
+    total = BD[N + 1] + sum(comb(N + 1, a) * BD[a] for a in range(N + 1))
+    return Fraction(-total, (N + 1) * D)
 
 
 def zeta_neg_closed(N: int) -> Fraction:
@@ -47,17 +52,27 @@ def _bernoulli_scaled(cap: int) -> tuple[int, list[int]]:
 
 
 @lru_cache(maxsize=None)
+def _bernoulli_rows(cap: int) -> list[int]:
+    """[sum_{k2 <= cap - k1} D B_k2 C(cap - k1, k2) for k1 = 0..cap], D as in
+    _bernoulli_scaled(cap): the inner rows of every _bernoulli_pairs(l, cap)."""
+    BD = _bernoulli_scaled(cap)[1]
+    return [sum(BD[k2] * comb(m, k2) for k2 in range(m + 1)) for m in range(cap, -1, -1)]
+
+
+@lru_cache(maxsize=None)
 def _bernoulli_pairs(l: int, cap: int) -> int:
     """D^2 times the sum over k1 >= l, k2 >= 0, k1 + k2 <= cap of B_k1 B_k2
     times the multinomial (cap - l)! / ((k1 - l)! k2! (cap - k1 - k2)!), D as
-    in _bernoulli_scaled(cap); the multinomial is C(cap - l, k1 - l) C(cap - k1, k2)."""
-    BD = _bernoulli_scaled(cap)[1]
-    total = 0
-    for k1 in range(l, cap + 1):
-        if BD[k1]:
-            row = sum(BD[k2] * comb(cap - k1, k2) for k2 in range(cap - k1 + 1))
-            total += BD[k1] * comb(cap - l, k1 - l) * row
-    return total
+    in _bernoulli_scaled(cap); the multinomial is C(cap - l, k1 - l) C(cap - k1, k2).
+
+    The inner row over k2 depends on (cap, k1) alone, so it is summed once
+    per cap (_bernoulli_rows) and each pair sum is one sum over k1.  The row
+    is summed term by term, not collapsed by sum_k C(m, k) B_k = (-1)^m B_m:
+    that is itself a Bernoulli identity, and B3 must not rest on one, or its
+    agreement with B6 would check less."""
+    BD, rows = _bernoulli_scaled(cap)[1], _bernoulli_rows(cap)
+    return sum(BD[k1] * comb(cap - l, k1 - l) * rows[k1]
+               for k1 in range(l, cap + 1) if BD[k1])
 
 
 def double_B3(N1: int, N2: int) -> Fraction:
@@ -85,12 +100,38 @@ def double_B3(N1: int, N2: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _tilde_pair_sum(A: int, b2: int, S: int) -> int:
-    """D^2 sum_{l=0}^{A} C(A, l) B~_{S-b2-l} B~_{b2+l}, D as in
-    _bernoulli_scaled(S).  B~_k = (-1)^k B_k and the two indices sum to S,
-    so each product is (-1)^S B_{S-b2-l} B_{b2+l}."""
+def _tilde_pair_sums(S: int) -> list[list[int]]:
+    """T with T[A][b2] = D^2 sum_{l=0}^{A} C(A, l) B~_{S-b2-l} B~_{b2+l} for
+    A + b2 <= S, D as in _bernoulli_scaled(S).  B~_k = (-1)^k B_k and the two
+    indices sum to S, so each product is (-1)^S B_{S-b2-l} B_{b2+l}.  Row A
+    is row A - 1 summed in neighbouring pairs, by Pascal's rule
+    C(A, l) = C(A - 1, l) + C(A - 1, l - 1)."""
     BD = _bernoulli_scaled(S)[1]
-    return (-1) ** S * sum(comb(A, l) * BD[S - b2 - l] * BD[b2 + l] for l in range(A + 1))
+    row = [(-1) ** S * BD[S - k] * BD[k] for k in range(S + 1)]
+    table = [row]
+    for _ in range(S):
+        row = [x + y for x, y in zip(row, row[1:])]
+        table.append(row)
+    return table
+
+
+def _b6_inner(N1: int, y: int, b1: int, fact: list[int]) -> int:
+    """double_B6's inner sum: C(b1, j) (N1 + 1)_{b1-j} (y)_j summed over
+    max(0, b1 - N1) <= j <= min(b1, y), with fact[i] = i! up to N1 + 1 + y.
+
+    Over all j in 0..b1 the sum is (N1 + 1 + y)_{b1}, by the Vandermonde
+    identity for falling factorials.  Its terms vanish for j < b1 - N1 - 1,
+    where (N1 + 1)_{b1-j} = 0, and for j > y, where (y)_j = 0.  double_B6's
+    range starts one term higher, at j = b1 - N1, so the term
+    j = b1 - N1 - 1, C(b1, j) (N1 + 1)! (y)_j = b1! y! / (j! (y - j)!), is
+    subtracted when 0 <= j <= y (j < b1 always).  The identity has no
+    Bernoulli number in it, so B6 stays independent of B3."""
+    n = N1 + 1 + y
+    total = fact[n] // fact[n - b1] if b1 <= n else 0
+    j = b1 - N1 - 1
+    if 0 <= j <= y:
+        total -= fact[b1] * fact[y] // (fact[j] * fact[y - j])
+    return total
 
 
 def double_B6(N1: int, N2: int) -> Fraction:
@@ -99,28 +140,28 @@ def double_B6(N1: int, N2: int) -> Fraction:
 
     Uses the extended falling factorial with (n)_{-1} = 1/(n+1).  Every term
     is an integer over S! (N1 + 1) D^2 (S = N1 + N2 + 2, D = lcm(den B_0..B_S)),
-    so the sum runs in integers and divides once."""
+    so the sum runs in integers and divides once.  The inner sum over j is
+    in closed form (_b6_inner), so a value costs O(S^2) terms; the
+    factorials come from one table."""
     if N1 < 0 or N2 < 0:
         raise ValueError("indices must be non-negative")
     S = N1 + N2 + 2
     D = _bernoulli_scaled(S)[0]
+    T = _tilde_pair_sums(S)
+    fact = list(accumulate(range(1, S + 1), mul, initial=1))
     total = 0
     for b1 in range(N1 + N2 + 1):
-        for b2 in range(N1 + N2 - b1 + 1):
+        # b2 > N2: the derivative of Q vanishes
+        for b2 in range(min(N2, N1 + N2 - b1) + 1):
             A = S - b1 - b2
-            if b2 > N2:
-                continue  # derivative of Q vanishes
-            jlo = max(0, b1 - N1)
-            jhi = min(b1, N2 - b2)
             # (N1 + 1) times sum_j C(b1, j) (N1)_{b1-j-1} (N2-b2)_j, using
             # (N1)_m (N1 + 1) = (N1 + 1)_{m+1}, which at m = -1 is 1
-            inner = sum(comb(b1, j) * perm(N1 + 1, b1 - j) * perm(N2 - b2, j)
-                        for j in range(jlo, jhi + 1))
+            inner = _b6_inner(N1, N2 - b2, b1, fact)
             # S! (-1)^A (A-1)! / (A! b1! b2!) = (-1)^A S! / (A b1! b2!), an
             # integer since (A-1)! times the multinomial S!/(A! b1! b2!) is
-            pref = (-1) ** A * (factorial(S) // (A * factorial(b1) * factorial(b2)))
-            total += pref * perm(N2, b2) * inner * _tilde_pair_sum(A, b2, S)
-    return Fraction(total, factorial(S) * (N1 + 1) * D * D)
+            pref = (-1) ** A * (fact[S] // (A * fact[b1] * fact[b2]))
+            total += pref * (fact[N2] // fact[N2 - b2]) * inner * T[A][b2]
+    return Fraction(total, fact[S] * (N1 + 1) * D * D)
 
 
 def verify_identity_grid(maxN1: int, maxN2: int) -> list[IdentityReport]:

@@ -493,6 +493,22 @@ class TestBernoulliId:
         assert code == 0
         assert out.splitlines()[0] == "label,parameters,lhs,rhs,equal"
 
+    @pytest.mark.parametrize("grid", ["12", "3x3x3", "axb", "", "x", "2x", "-1x2", "1x-1"])
+    def test_malformed_grid_exits_1(self, grid):
+        # these used to surface Python's own unpacking and int() messages;
+        # "--grid=" so that argparse takes "-1x2" as the value, not a flag
+        code, out = run_cli(["bernoulli-id", f"--grid={grid}"])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": f"--grid must be N1xN2 with N1, N2 non-negative integers, got {grid!r}"}
+
+    def test_grid_bounds_are_inclusive(self):
+        code, out = run_cli(["bernoulli-id", "--grid", " 2X1 "])
+        assert code == 0
+        pairs = [r["parameters"] for r in json.loads(out)["reports"] if r["label"] == "euler_double"]
+        assert pairs == [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]]
+
 
 class TestOracle:
     def test_zeta1(self):

@@ -3,12 +3,13 @@ import contextlib
 import hashlib
 import io
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial, perm
 
 from hypothesis import given, settings, strategies as st
 
 from zetapoly import (
     bernoulli,
+    bernoulli_tilde,
     double_B3,
     double_B6,
     verify_identity_grid,
@@ -16,7 +17,7 @@ from zetapoly import (
     zeta_neg_via_B1,
 )
 from zetapoly.cli import main
-from zetapoly.identities import _bernoulli_pairs, _bernoulli_scaled
+from zetapoly.identities import _b6_inner, _bernoulli_pairs, _bernoulli_scaled, _tilde_pair_sums
 
 
 class TestSingle:
@@ -65,6 +66,31 @@ class TestBernoulliPairs:
                     / (factorial(k1 - l) * factorial(k2) * factorial(cap - k1 - k2))
                     for k1 in range(l, cap + 1) for k2 in range(cap - k1 + 1))
                 assert _bernoulli_pairs(l, cap) == D * D * want
+
+
+class TestB6Sums:
+    def test_inner_against_literal_j_sum(self):
+        # double_B6's range for every b1, b2 it visits, summed term by term
+        for N1 in range(11):
+            for N2 in range(11):
+                S = N1 + N2 + 2
+                fact = [factorial(i) for i in range(S + 1)]
+                for b1 in range(N1 + N2 + 1):
+                    for b2 in range(min(N2, N1 + N2 - b1) + 1):
+                        y = N2 - b2
+                        want = sum(comb(b1, j) * perm(N1 + 1, b1 - j) * perm(y, j)
+                                   for j in range(max(0, b1 - N1), min(b1, y) + 1))
+                        assert _b6_inner(N1, y, b1, fact) == want
+
+    def test_tilde_pair_sums_against_literal_sum(self):
+        for S in range(2, 25):
+            D = _bernoulli_scaled(S)[0]
+            T = _tilde_pair_sums(S)
+            for A in range(S + 1):
+                for b2 in range(S - A + 1):
+                    want = sum(comb(A, l) * bernoulli_tilde(S - b2 - l) * bernoulli_tilde(b2 + l)
+                               for l in range(A + 1))
+                    assert T[A][b2] == D * D * want
 
 
 class TestGrid:
