@@ -684,6 +684,23 @@ class TestQuadratureSettings:
         assert json.loads(out.getvalue())["error"]["type"] == "ValueError"
 
 
+class TestGaussLegendre:
+    """_quadrature.gauss_legendre_01, the rule every quadrature runs on."""
+
+    def test_rule_bits(self, monkeypatch):
+        # The orders and digits the benchmark workloads warm (cube_integral
+        # runs at precision + 10 digits), plus 100 and 1000 digits, each
+        # rule built afresh.  Recorded from the mpf Newton iteration.
+        monkeypatch.setattr(_quadrature, "_GL_CACHE", {})
+        h = hashlib.sha256()
+        for order in (4, 7, 8, 15):
+            for dps in (16, 20, 25, 30, 40, 50, 100, 1000):
+                with mp.workdps(dps + 10):
+                    nodes, weights = _quadrature.gauss_legendre_01(order)
+                h.update(repr([tuple(int(t) for t in x._mpf_) for x in nodes + weights]).encode())
+        assert h.hexdigest() == "9eb857543c7596aff1916111645d98b207352fbe9d2ce09189e6ca71b154d508"
+
+
 class TestCubeIntegral:
     """_quadrature.cube_integral, the one entry for cube integrals of
     numer / den^k: exact for k <= 0 and for no variables, else a bounded
