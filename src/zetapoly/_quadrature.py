@@ -31,12 +31,12 @@ import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from math import comb, factorial, gcd, inf, lcm, prod
+from math import comb, cos, factorial, gcd, inf, lcm, pi, prod
 from operator import add, mul
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, from_rational, round_ceiling, round_nearest
 
 from .errors import (
     DimensionMismatch,
@@ -52,36 +52,80 @@ _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
 _MAX_CELLS = 4000  # cells an adaptive cube quadrature may split into
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"a Gauss-Legendre rule needs order >= 1, got {order}")
+
+
+def _legendre(n: int, X: int, F: int) -> tuple[int, int]:
+    """(P_{n-1}(x), P_n(x)) * 2^F for x = X / 2^F, by the three-term
+    recurrence on Python ints."""
+    p0, p1 = 1 << F, X
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * (X * p1 >> F) - (k - 1) * p0) // k
+    return p0, p1
+
+
 def gauss_legendre_01(order: int) -> tuple[list[mpf], list[mpf]]:
-    """Nodes and weights of the `order`-point Gauss-Legendre rule on [0,1]."""
+    """Nodes and weights of the `order`-point Gauss-Legendre rule on [0,1],
+    nodes ascending, at the working precision; cached per (order, prec).
+
+    Only the roots x_i of P_n in (0, 1) are computed: x_i gives the nodes
+    (1 - x_i)/2 and (1 + x_i)/2, both of weight 1/((1 - x_i^2) P_n'(x_i)^2),
+    and the middle root of an odd order is exactly 0.  Each root starts from the Chebyshev
+    estimate cos(pi (i - 1/4)/(n + 1/2)) and three float Newton steps, about
+    1e-16 off.  Newton then runs on Python ints at scale 2^F, F = prec + 24
+    guard bits at prec + 10 digits, by dx = P_n (x^2 - 1) / (n (x P_n - P_{n-1})),
+    until |dx| < 10^-(dps - 5) at those digits; an iteration that misses
+    this in 100 steps raises.  Nodes and weights are formed at prec + 10
+    digits and rounded once to prec.  Newton in mpf at prec + 10 digits
+    ends within a few ulps of the same root at about prec + 33 bits, so
+    both round to the same bits unless the root lies within those ulps of
+    a rounding boundary; TestGaussLegendre pins the bits of the mpf
+    iteration.
+    """
+    _check_order(order)
     key = (order, mp.prec)
     hit = _GL_CACHE.get(key)
     if hit is not None:
         return hit
+    n, m = order, order // 2
     with mp.extradps(10):
-        nodes: list[mpf] = []
-        weights: list[mpf] = []
-        for i in range(1, order + 1):
-            # Newton iteration from the Chebyshev estimate.
-            x = mp.cos(mp.pi * (i - mpf(1) / 4) / (order + mpf(1) / 2))
-            for _ in range(100):
-                p0, p1 = mpf(1), x
-                for k in range(2, order + 1):
+        prec, F = mp.prec, mp.prec + 24
+        one, stop = 1 << F, 10 ** (mp.dps - 5)
+        roots = []
+        for i in range(1, m + 1):
+            x = cos(pi * (i - 0.25) / (n + 0.5))
+            for _ in range(3):
+                p0, p1 = 1.0, x
+                for k in range(2, n + 1):
                     p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mpf(10) ** (-(mp.dps - 5)):
+                x -= p1 * (x * x - 1) / (n * (x * p1 - p0))
+            a, b = x.as_integer_ratio()
+            X = (a << F) // b
+            for _ in range(100):
+                p0, p1 = _legendre(n, X, F)
+                dx = p1 * ((X * X >> F) - one) // (n * ((X * p1 >> F) - p0))
+                X -= dx
+                if abs(dx) * stop < one:
                     break
-            p0, p1 = mpf(1), x
-            for k in range(2, order + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append((x + 1) / 2)
-            weights.append(w / 2)
-    order_idx = sorted(range(order), key=lambda i: nodes[i])
-    pair = ([+nodes[i] for i in order_idx], [+weights[i] for i in order_idx])
+            else:
+                raise QuadratureDidNotConverge(
+                    f"Newton on root {i} of P_{n} missed its stop rule in 100 steps"
+                )
+            roots.append(X)
+        if n % 2:
+            roots.append(0)
+        lo, hi, ws = [], [], []
+        for X in roots:
+            p0, p1 = _legendre(n, X, F)
+            q = n * ((X * p1 >> F) - p0)
+            # w/2 = (1 - x^2) / (n (x P_n - P_{n-1}))^2, one rounding
+            ws.append(mp.make_mpf(from_rational((one - (X * X >> F)) << F, q * q, prec,
+                                                round_nearest)))
+            lo.append(mp.make_mpf(from_man_exp(one - X, -F - 1, prec, round_nearest)))
+            hi.append(mp.make_mpf(from_man_exp(one + X, -F - 1, prec, round_nearest)))
+    pair = ([+x for x in lo + hi[:m][::-1]], [+w for w in ws + ws[:m][::-1]])
     _GL_CACHE[key] = pair
     return pair
 
@@ -476,6 +520,7 @@ def integrate_unit_cube(
     row-major order.  The cell of largest estimate is split until the
     summed estimate meets the target.
     """
+    _check_order(order)
     order_lo = max(3, (order + 1) // 2)
     floor = rounding_floor(mp.prec)
     abs_tol, rel_tol = mpf(abs_tol), mpf(rel_tol)
@@ -533,6 +578,7 @@ def integrate_interval_fixed(
     f takes one point.  No library path calls it: the oracle sums its own
     Bernoulli-weighted rule.  It stays because perfbench/tracing.py binds
     it by name, until the tracer is retired (ROADMAP item 6)."""
+    _check_order(order)
     cell = _Cell(lo=(Fraction(a),), hi=(Fraction(b),))
     _eval_cell(lambda axes: [f(x) for x in axes[0]], cell, order,
                max(3, (order + 1) // 2), rounding_floor(mp.prec))

@@ -684,8 +684,43 @@ class TestQuadratureSettings:
         assert json.loads(out.getvalue())["error"]["type"] == "ValueError"
 
 
+def _reference_rule(order):
+    """The order-point Gauss-Legendre rule on [0,1] by Newton in mpf from
+    the Chebyshev estimate, every root on its own: gauss_legendre_01 before
+    it ran Newton in fixed point on half the roots."""
+    with mp.extradps(10):
+        nodes, weights = [], []
+        for i in range(1, order + 1):
+            x = mp.cos(mp.pi * (i - mpf(1) / 4) / (order + mpf(1) / 2))
+            for _ in range(100):
+                p0, p1 = mpf(1), x
+                for k in range(2, order + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = order * (x * p1 - p0) / (x * x - 1)
+                dx = p1 / dp
+                x -= dx
+                if abs(dx) < mpf(10) ** (-(mp.dps - 5)):
+                    break
+            p0, p1 = mpf(1), x
+            for k in range(2, order + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = order * (x * p1 - p0) / (x * x - 1)
+            w = 2 / ((1 - x * x) * dp * dp)
+            nodes.append((x + 1) / 2)
+            weights.append(w / 2)
+    idx = sorted(range(order), key=lambda i: nodes[i])
+    return [+nodes[i] for i in idx], [+weights[i] for i in idx]
+
+
 class TestGaussLegendre:
     """_quadrature.gauss_legendre_01, the rule every quadrature runs on."""
+
+    ORDERS = range(1, 21)
+    DPS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        monkeypatch.setattr(_quadrature, "_GL_CACHE", {})
 
     def test_rule_bits(self, monkeypatch):
         # The orders and digits the benchmark workloads warm (cube_integral
@@ -699,6 +734,53 @@ class TestGaussLegendre:
                     nodes, weights = _quadrature.gauss_legendre_01(order)
                 h.update(repr([tuple(int(t) for t in x._mpf_) for x in nodes + weights]).encode())
         assert h.hexdigest() == "9eb857543c7596aff1916111645d98b207352fbe9d2ce09189e6ca71b154d508"
+
+    @pytest.mark.parametrize("dps", DPS)
+    def test_against_reference(self, fresh, dps):
+        with mp.workdps(dps):
+            for order in self.ORDERS:
+                got, want = _quadrature.gauss_legendre_01(order), _reference_rule(order)
+                assert [x._mpf_ for x in got[0] + got[1]] == [x._mpf_ for x in want[0] + want[1]]
+
+    @pytest.mark.parametrize("dps", DPS)
+    def test_exact_on_polynomials(self, fresh, dps):
+        # Symmetric weights, bit for bit; x^k integrated to 1/(k + 1) for
+        # every k <= 2n - 1, and the weights summing to 1, within n 2^(6 - prec).
+        with mp.workdps(dps):
+            for n in self.ORDERS:
+                nodes, weights = _quadrature.gauss_legendre_01(n)
+                assert len(nodes) == len(weights) == n
+                assert nodes == sorted(nodes) and 0 <= nodes[0] and nodes[-1] <= 1
+                assert [w._mpf_ for w in weights] == [w._mpf_ for w in weights[::-1]]
+                bound = n * mpf(2) ** (6 - mp.prec)
+                for k in range(2 * n):
+                    s = mp.fsum(w * x**k for x, w in zip(nodes, weights))
+                    assert abs(s - mpf(1) / (k + 1)) <= bound, (n, k)
+
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_bad_order_fails_fast(self, fresh, order):
+        f = lambda axes: [mpf(1)] * len(axes[0])
+        calls = [
+            lambda: _quadrature.gauss_legendre_01(order),
+            lambda: _quadrature.integrate_unit_cube(f, 1, order=order),
+            lambda: _quadrature.integrate_unit_cube(f, 3, order=order),
+            lambda: _quadrature.integrate_interval_fixed(lambda x: x, F(0), F(1), order=order),
+        ]
+        t0 = time.perf_counter()
+        for call in calls:
+            with pytest.raises(ValueError, match=f"order >= 1, got {order}$"):
+                call()
+        assert time.perf_counter() - t0 < 0.1
+        assert _quadrature._GL_CACHE == {}
+
+    def test_newton_that_misses_its_stop_rule_raises(self, fresh, monkeypatch):
+        # A P_n whose Newton step is always 1/n: no iterate ever meets the
+        # stop rule, and none is returned as a root.
+        monkeypatch.setattr(_quadrature, "_legendre",
+                            lambda n, X, F: (X - (X * X >> F) + (1 << F), 1 << F))
+        with pytest.raises(QuadratureDidNotConverge, match="in 100 steps"):
+            _quadrature.gauss_legendre_01(4)
+        assert _quadrature._GL_CACHE == {}
 
 
 class TestCubeIntegral:
