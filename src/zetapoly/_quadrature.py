@@ -68,21 +68,20 @@ def _legendre(n: int, X: int, F: int) -> tuple[int, int]:
 
 def gauss_legendre_01(order: int) -> tuple[list[mpf], list[mpf]]:
     """Nodes and weights of the `order`-point Gauss-Legendre rule on [0,1],
-    nodes ascending, at the working precision; cached per (order, prec).
+    nodes ascending; cached per (order, prec).
 
-    Only the roots x_i of P_n in (0, 1) are computed: x_i gives the nodes
-    (1 - x_i)/2 and (1 + x_i)/2, both of weight 1/((1 - x_i^2) P_n'(x_i)^2),
-    and the middle root of an odd order is exactly 0.  Each root starts from the Chebyshev
-    estimate cos(pi (i - 1/4)/(n + 1/2)) and three float Newton steps, about
-    1e-16 off.  Newton then runs on Python ints at scale 2^F, F = prec + 24
-    guard bits at prec + 10 digits, by dx = P_n (x^2 - 1) / (n (x P_n - P_{n-1})),
-    until |dx| < 10^-(dps - 5) at those digits; an iteration that misses
-    this in 100 steps raises.  Nodes and weights are formed at prec + 10
-    digits and rounded once to prec.  Newton in mpf at prec + 10 digits
-    ends within a few ulps of the same root at about prec + 33 bits, so
-    both round to the same bits unless the root lies within those ulps of
-    a rounding boundary; TestGaussLegendre pins the bits of the mpf
-    iteration.
+    Only the roots x of P_n in (0, 1) are found; each gives the nodes
+    (1 - x)/2 and (1 + x)/2, of one weight 1/((1 - x^2) P_n'(x)^2), and an
+    odd order adds the root 0.  A root starts from the Chebyshev estimate
+    cos(pi (i - 1/4)/(n + 1/2)) and three float Newton steps, about 1e-16
+    off; Newton goes on in Python ints at scale 2^F, F = prec + 24 guard
+    bits at prec + 10 digits, until |dx| < 10^-(dps - 5) at those digits,
+    and a root that misses this in 100 steps raises.  Nodes and weights are
+    formed at prec + 10 digits and rounded once to prec.  Newton in mpf at
+    prec + 10 digits ends within a few ulps of the same root at about
+    prec + 33 bits, so both round to the same bits unless a value lies
+    within those ulps of a rounding boundary; TestGaussLegendre pins the
+    bits of the mpf iteration.
     """
     _check_order(order)
     key = (order, mp.prec)
@@ -91,7 +90,7 @@ def gauss_legendre_01(order: int) -> tuple[list[mpf], list[mpf]]:
         return hit
     n, m = order, order // 2
     with mp.extradps(10):
-        prec, F = mp.prec, mp.prec + 24
+        F = mp.prec + 24
         one, stop = 1 << F, 10 ** (mp.dps - 5)
         roots = []
         for i in range(1, m + 1):
@@ -120,11 +119,11 @@ def gauss_legendre_01(order: int) -> tuple[list[mpf], list[mpf]]:
         for X in roots:
             p0, p1 = _legendre(n, X, F)
             q = n * ((X * p1 >> F) - p0)
-            # w/2 = (1 - x^2) / (n (x P_n - P_{n-1}))^2, one rounding
-            ws.append(mp.make_mpf(from_rational((one - (X * X >> F)) << F, q * q, prec,
+            # w/2 = 1/((1 - x^2) P_n'(x)^2) = (1 - x^2) / (n (x P_n - P_{n-1}))^2
+            ws.append(mp.make_mpf(from_rational((one - (X * X >> F)) << F, q * q, mp.prec,
                                                 round_nearest)))
-            lo.append(mp.make_mpf(from_man_exp(one - X, -F - 1, prec, round_nearest)))
-            hi.append(mp.make_mpf(from_man_exp(one + X, -F - 1, prec, round_nearest)))
+            lo.append(_scaled(one - X, -F - 1, round_nearest))
+            hi.append(_scaled(one + X, -F - 1, round_nearest))
     pair = ([+x for x in lo + hi[:m][::-1]], [+w for w in ws + ws[:m][::-1]])
     _GL_CACHE[key] = pair
     return pair
