@@ -45,7 +45,7 @@ from .errors import (
     QuadratureDidNotConverge,
 )
 from .exactnum import Numeric, SpecialValue, _check_precision, _round_err, mpf_from_rational
-from .multipoly import MPoly, bernstein_positive, combine
+from .multipoly import MPoly, _over_common_denominator, bernstein_positive, combine
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
 
@@ -909,11 +909,14 @@ def _budgeted(rational: Fraction, masters: list, qs: QuadratureSettings) -> tupl
                       for r, M in zip(rels, values)])
 
 
-def form_value(sums: dict, qs: QuadratureSettings) -> tuple[Numeric, Fraction, list[tuple]]:
-    """sum q I(e, k) over sums {(reduction, e, k): q}, its rational part and
-    its constants (key, coefficient, value): the forms are summed exactly,
-    and only the constants left are evaluated, by ``_budgeted``."""
-    L, form = combine([(q, red.form(e, k)) for (red, e, k), q in sums.items()])
+def form_value(rows: tuple[int, dict], qs: QuadratureSettings) -> tuple[Numeric, Fraction, list[tuple]]:
+    """sum x I(e, k) / L over the int form rows (L, {(reduction, e, k): x}),
+    its rational part and its constants (key, coefficient, value): the
+    forms are summed exactly, and only the constants left are evaluated,
+    by ``_budgeted``."""
+    L, ints = rows
+    Lf, form = combine([(x, red.form(e, k)) for (red, e, k), x in ints.items()])
+    L *= Lf
     rational = Fraction(form.pop(None, 0), L)
     keys = [(key, Fraction(x, L)) for key, x in sorted(form.items())]
     v, values = _budgeted(rational, [(q, partial(constant, key)) for key, q in keys], qs)
@@ -926,7 +929,8 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) 
 
     Exact for k <= 0, a polynomial's moment (DECISIONS.md D7), and for
     dim = 0, a constant.  Where ``reduction`` has a reduction over den, the
-    ``form_value`` of numer's form (DECISIONS.md D16): for den of degree
+    ``form_value`` of numer's terms as one int form, numer over the lcm of
+    its denominators (DECISIONS.md D16): for den of degree
     <= 1, in any dimension, r + sum q prod log b at precision + 10 digits
     with no quadrature (D12); for dim = 1, r + sum c_i M_i over the masters
     int_0^1 x^i / den, unless their errors, scaled, miss the tolerance
@@ -941,7 +945,8 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) 
         return SpecialValue.make_exact(den.constant_value() ** -k * numer.constant_value())
     red = reduction(den)
     if red is not None:
-        v, _, _ = form_value({(red, e, k): c for e, c in numer.terms.items()}, qs)
+        v, _, _ = form_value(_over_common_denominator(
+            {(red, e, k): c for e, c in numer.terms.items()}), qs)
         with mp.workdps(qs.precision + 10):
             if den.degree() <= 1 or v.err <= qs.abs_tol + qs.rel_tol * abs(v.value):
                 return SpecialValue.make_numeric(v)

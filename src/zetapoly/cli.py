@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from mpmath import mp
@@ -266,6 +267,8 @@ def cmd_oracle(args) -> dict:
     return out
 
 
+# Built once per process: parsing leaves the parser as it was.
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="zetapoly",

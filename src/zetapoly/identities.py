@@ -86,6 +86,7 @@ def double_B3(N1: int, N2: int) -> Fraction:
         raise ValueError("indices must be non-negative")
     T = N1 + N2 + 2
     D = _bernoulli_scaled(T)[0]
+    squares = [(D // _bernoulli_scaled(cap)[0]) ** 2 for cap in range(T + 1)]
     totals: dict[int, int] = {}
     for l in range(N1 + 1):
         c = comb(N1, l)
@@ -93,8 +94,7 @@ def double_B3(N1: int, N2: int) -> Fraction:
                  (c, (N2 + 1) * (N1 + 1 - l), N2 + 1 + l)]
         terms += [(c * comb(N2, l2), (T - l - l2) * (N2 + 1 - l2), l + l2) for l2 in range(N2 + 1)]
         for num, den, cap in terms:
-            scale = D // _bernoulli_scaled(cap)[0]
-            totals[den] = totals.get(den, 0) + num * scale * scale * _bernoulli_pairs(l, cap)
+            totals[den] = totals.get(den, 0) + num * squares[cap] * _bernoulli_pairs(l, cap)
     L = lcm(*totals)
     return Fraction(sum(num * (L // den) for den, num in totals.items()), L * D * D)
 

@@ -295,37 +295,33 @@ def Z_breakdown(
     with only the constants left evaluated (DECISIONS.md D16); and a
     ZBucket per other bucket, integrated on its own."""
     d, flags = _check_P(P, Q, N)
-    n = P.nvars
     # Only the least face of each orbit is built; its total stands for all.
     orbit = {o[0]: len(o) for o in _face_orbits(P, Q)}
-    # Per bucket (component, face, a), its numerator c_a sum_m B~(m) [t^m].
-    numers: dict[tuple, MPoly] = {}
+    # Per bucket (component, face, a), its numerator c_a sum_m B~(m) [t^m]
+    # as ints over one denominator; a bucket on a reduced face adds it,
+    # scaled by its orbit, to the rows {(reduction, e, k): int} instead.
+    numers: dict[tuple, tuple] = {}
+    rows: list[tuple] = []
     for i in orbit:
-        for ci, a, c_a, den, groups in _face_sums(P, Q, N, d, i):
-            numers[ci, i, a] = MPoly._over(n - 1, *combine(
-                [(c_a * bt, (den, ints)) for m, ints in groups.items()
-                 if (bt := _bernoulli_tilde_memo(m))]))
-    evaluated: list[ZBucket | ZMaster] = []
-    # Per (reduction, e, k), the reduced buckets' coefficients of x^e / D^k.
-    reduced: dict[tuple, Fraction] = {}
-    for (ci, i, a), numer in sorted(numers.items()):  # evaluate buckets in a fixed order
-        if numer.is_zero():
-            continue
         red = reduction(P.face(i)) or diagonal_reduction(P.face(i))
-        if red is not None:
-            for e, q in numer.terms.items():
-                row = (red, e, a - N)
-                reduced[row] = reduced.get(row, 0) + orbit[i] * q
-            continue
-        v = cube_integral(P.face(i), numer, a - N, qs)
+        for ci, a, c_a, den, groups in _face_sums(P, Q, N, d, i):
+            L, ints = combine([(c_a * bt, (den, g)) for m, g in groups.items()
+                               if (bt := _bernoulli_tilde_memo(m))])
+            if ints and red is None:
+                numers[ci, i, a] = L, ints
+            elif ints:  # a zero bucket adds no rows
+                rows.append((orbit[i], (L, {(red, e, a - N): x for e, x in ints.items()})))
+    evaluated: list[ZBucket | ZMaster] = []
+    for (ci, i, a), numer in sorted(numers.items()):  # evaluate buckets in a fixed order
+        v = cube_integral(P.face(i), MPoly._over(P.nvars - 1, *numer), a - N, qs)
         if orbit[i] > 1:
             with mp.workdps(qs.precision + 10):
                 v = v.scale(orbit[i])
         evaluated.append(ZBucket(ci, i, a, v, orbit[i]))
     exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
     parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
-    if reduced:
-        v, rational, masters = form_value(reduced, qs)
+    if rows:  # their form is evaluated even when the rows cancel
+        v, rational, masters = form_value(combine(rows), qs)
         parts.append(v)
         evaluated += [ZMaster(None, rational, None)] + [ZMaster(*m) for m in masters]
     if not parts:

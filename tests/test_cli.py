@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 
 from zetapoly import MPoly, Numeric, QuadratureSettings, ZetaPolyError
 from zetapoly._quadrature import _MasterKey
-from zetapoly.cli import _bucket_json, main
+from zetapoly.cli import _bucket_json, build_parser, main
 from zetapoly.mahler import Z_breakdown, ZMaster
 from zetapoly.polyzeta import build_family, diagonal_value
 
@@ -361,6 +361,26 @@ class TestExitCodes:
             except (ZetaPolyError, ValueError, OSError, KeyError):
                 pass
 
+
+
+class TestParserBuiltOnce:
+    """main builds its argparse parser once per process: parsing, a usage
+    error included, leaves it as it was."""
+
+    def test_one_parser(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["powersum", "--d", "2,3", "--gamma", "1,1", "--N", "0,0"], ["powersum", "--N", "0,0"]),
+        (["mahler", "--P", "x1 + x2", "--N", "0", "--precision", "20"],
+         ["mahler", "--P", "x1 + x2", "--rel-tol", "1e-3", "--no-such-flag"]),
+    ])
+    def test_usage_error_between_good_calls(self, argv, bad):
+        first = run_cli(argv)
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert run_cli(argv) == first and first[0] == 0
 
 class TestPeriod:
     def test_golden(self):

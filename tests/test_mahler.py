@@ -1167,6 +1167,40 @@ class TestOneFormPerValue:
         assert z.kind == "numeric" and z.num.value == 0 and z.num.err == 0
 
 
+
+class TestReducedRows:
+    """Z_breakdown sends each reduced bucket's int form (L, {e: int}),
+    scaled by its orbit, straight into the rows of the value's one
+    ``form_value``: no bucket on an affine, one-variable or diagonal face
+    becomes an MPoly.  Its form is evaluated whenever such a bucket is
+    nonzero, even if the rows then cancel, so an antisymmetric Q keeps its
+    one rational term 0 and stays numeric 0 +- 0."""
+
+    @pytest.mark.parametrize("p, q, N", [
+        ("x1^2 + x2^2", "x1 - x2", 1),
+        ("x1 + x2", "x1 - x2", 0),
+        ("x1^3 + x2^3", "x1^2 - x2^2", 1),
+    ])
+    def test_cancelling_rows_stay_numeric_zero(self, p, q, N):
+        z, parts = Z_breakdown(P(p, 2), P(q, 2), N, QS)
+        assert parts == [ZMaster(None, F(0), None)]
+        assert z.kind == "numeric" and z.num.value == 0 and z.num.err == 0
+
+    @pytest.mark.parametrize("p, q, N, n, truth", [
+        ("x1 + 2 x2 + 3 x3", "x1", 2, 3, F(-163, 18144)),
+        ("x1^2 + x1 x2 + 3 x2^2", "x2", 1, 2, F(-1, 80)),
+    ])
+    def test_reduced_buckets_build_no_mpoly(self, monkeypatch, p, q, N, n, truth):
+        Pp, Qp = P(p, n), P(q, n)
+        built = []
+        over = MPoly.__dict__["_over"].__func__
+        monkeypatch.setattr(MPoly, "_over",
+                            classmethod(lambda cls, *a: built.append(a) or over(cls, *a)))
+        z, parts = Z_breakdown(Pp, Qp, N, QS)
+        assert built == []
+        assert parts == [ZMaster(None, truth, None)]
+        assert z.kind == "numeric" and z.num.value == mpf_from(truth, QS)
+
 class TestFormRouteCorpus:
     """The one form per Z value against the bucket-by-bucket quadrature
     route, over a drawn corpus: binary P of degree <= 4 with distinct
@@ -1632,7 +1666,7 @@ class TestDiagonalFaces:
     def test_forms_against_quadrature(self):
         for d, c, a, e, k in self._cases():
             dg = _quadrature._diagonal(d, c, a)
-            v, _, _ = _quadrature.form_value({(dg, e, k): F(1)}, QS_FAST)
+            v, _, _ = _quadrature.form_value((1, {(dg, e, k): 1}), QS_FAST)
             w = _quadrature._quadrature_of(dg.den, MPoly(len(a), {e: F(1)}), k, QS_FAST)
             with mp.workdps(40):
                 assert abs(v.value - w.value) <= v.err + w.err, (d, c, a, e, k)
