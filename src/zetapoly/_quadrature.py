@@ -20,17 +20,19 @@ unit cube.  Three exact reductions write x^e / den^k as a form
 named constant under its key, all over one denominator L: an affine den
 (D12, logs), a den of one variable (D10, masters int_0^1 x^i / den) and a
 diagonal den c + sum a_j x_j^d (D14).  Every sum of forms is one
-``multipoly.combine``; ``form_value`` is the one evaluator of a sum of
-forms, and ``constant`` the one memo of the constants it leaves: a Z value
-sums the forms of all its buckets first, and ``cube_integral`` evaluates
-the form of its one quotient, else runs the quadrature.
+``multipoly.combine``; ``_form_sum`` is the one exact sum of a form's rows,
+``_budgeted`` the one evaluator of the constants it leaves, and
+``constant`` their one memo: a Z value sums the forms of all its buckets
+first, once per (P, Q, N), and evaluates the constants per settings, and
+``cube_integral`` evaluates the form of its one quotient through
+``form_value`` (the two in turn), else runs the quadrature.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb, cos, factorial, gcd, inf, lcm, pi, prod
 from operator import add, mul
 from typing import Callable, Sequence
@@ -139,7 +141,7 @@ def rounding_floor(prec: int) -> mpf:
     Each cell's estimate includes absmass * rounding_floor(prec), so the
     summed estimate never falls below rounding_floor(prec) * |total|.
     """
-    return mpf(2) ** (6 - prec)
+    return mp.ldexp(1, 6 - prec)
 
 
 @dataclass(frozen=True)
@@ -883,44 +885,51 @@ def constant(key: _MasterKey, qs: QuadratureSettings) -> Numeric:
     return _quadrature_of(den, MPoly(len(e), {e: 1}), 1, qs)
 
 
-def _budgeted(rational: Fraction, masters: list, qs: QuadratureSettings) -> tuple:
-    """(rational + sum c M(qs), [M(qs)]) over the masters [(c, M)], M(s) a
-    master under the settings s, at precision + 10 digits.  When the scaled
-    errors miss abs_tol + rel_tol |value|, each master is integrated once
-    more, to half that budget over sum |c| (the rest is room for rounding)
-    but not below the rounding floor; whether that is enough is the
-    caller's to judge (DECISIONS.md D14)."""
+def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings) -> tuple:
+    """(rational + sum q M(qs), [(key, q, M(qs))]) over the constants
+    [(key, q)], M(s) = constant(key, s), at precision + 10 digits.  When
+    the scaled errors miss abs_tol + rel_tol |value|, each constant is
+    integrated once more, to half that budget over sum |q| (the rest is
+    room for rounding) but not below the rounding floor; whether that is
+    enough is the caller's to judge (DECISIONS.md D14)."""
     def total(settings):
-        values = [M(s) for (_, M), s in zip(masters, settings)]
+        values = [constant(key, s) for (key, _), s in zip(keys, settings)]
         acc = Numeric.from_rational(rational)
-        for (c, _), v in zip(masters, values):
-            acc = acc + v.scale(c)
-        return acc, values
+        for (_, q), v in zip(keys, values):
+            acc = acc + v.scale(q)
+        return acc, [(key, q, M) for (key, q), M in zip(keys, values)]
 
     with mp.workdps(qs.precision + 10):
-        v, values = total([qs] * len(masters))
+        v, masters = total([qs] * len(keys))
         budget = qs.abs_tol + qs.rel_tol * abs(v.value)
-        if v.err <= budget or not masters:
-            return v, values
-        share = budget / (2 * sum(abs(c) for c, _ in masters))
-        rels = [max(share / M.value, 16 * rounding_floor(mp.prec)) for M in values]
+        if v.err <= budget or not keys:
+            return v, masters
+        share = budget / (2 * sum(abs(q) for _, q in keys))
+        rels = [max(share / M.value, 16 * rounding_floor(mp.prec)) for _, _, M in masters]
         return total([replace(qs, rel_tol=min(qs.rel_tol, float(r)) or qs.rel_tol,
                               abs_tol=min(qs.abs_tol, float(r * M.value / 16)) or qs.abs_tol)
-                      for r, M in zip(rels, values)])
+                      for r, (_, _, M) in zip(rels, masters)])
+
+
+def _form_sum(rows: tuple[int, dict]) -> tuple[Fraction, tuple]:
+    """The exact sum of the int form rows (L, {(reduction, e, k): x}),
+    sum x I(e, k) / L: its rational part and its constants (key, q) in key
+    order, the forms of the rows summed by one ``combine``."""
+    L, ints = rows
+    Lf, form = combine([(x, red.form(e, k)) for (red, e, k), x in ints.items()])
+    L *= Lf
+    rational = Fraction(form.pop(None, 0), L)
+    return rational, tuple((key, Fraction(x, L)) for key, x in sorted(form.items()))
 
 
 def form_value(rows: tuple[int, dict], qs: QuadratureSettings) -> tuple[Numeric, Fraction, list[tuple]]:
     """sum x I(e, k) / L over the int form rows (L, {(reduction, e, k): x}),
     its rational part and its constants (key, coefficient, value): the
-    forms are summed exactly, and only the constants left are evaluated,
-    by ``_budgeted``."""
-    L, ints = rows
-    Lf, form = combine([(x, red.form(e, k)) for (red, e, k), x in ints.items()])
-    L *= Lf
-    rational = Fraction(form.pop(None, 0), L)
-    keys = [(key, Fraction(x, L)) for key, x in sorted(form.items())]
-    v, values = _budgeted(rational, [(q, partial(constant, key)) for key, q in keys], qs)
-    return v, rational, [(key, q, M) for (key, q), M in zip(keys, values)]
+    forms are summed exactly (``_form_sum``), and only the constants left
+    are evaluated, by ``_budgeted``."""
+    rational, keys = _form_sum(rows)
+    v, masters = _budgeted(rational, keys, qs)
+    return v, rational, masters
 
 
 def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> SpecialValue:

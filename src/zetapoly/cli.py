@@ -21,7 +21,7 @@ from pathlib import Path
 
 from mpmath import mp
 
-from . import identities, selftest
+from . import identities
 from .errors import PrecisionUnreachable, ZetaPolyError
 from .exactnum import MAX_PRECISION_DPS, SpecialValue, parse_rational, rat_to_str
 from .mahler import (
@@ -362,6 +362,8 @@ def _run(argv) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.cmd == "selftest":
+        from . import selftest  # only this subcommand needs the suite
+
         return selftest.main()
     try:
         if "precision" in args:

@@ -187,7 +187,7 @@ def _check_precision(precision: int) -> None:
 
 def _round_err(v: mpf) -> mpf:
     # Generous slack over one ulp of the current working precision.
-    return abs(v) * mpf(2) ** (4 - mp.prec)
+    return mp.ldexp(abs(v), 4 - mp.prec)
 
 
 @dataclass(frozen=True)

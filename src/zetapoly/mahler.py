@@ -22,8 +22,8 @@ from typing import Sequence
 
 from mpmath import mp
 
-from ._quadrature import (DEFAULT_QS, QuadratureSettings, cube_integral, diagonal_reduction,
-                          form_value, reduction)
+from ._quadrature import (DEFAULT_QS, QuadratureSettings, _budgeted, _form_sum, cube_integral,
+                          diagonal_reduction, reduction)
 from .errors import DimensionMismatch, NotElliptic, NotHomogeneous
 from .exactnum import (
     Numeric,
@@ -286,14 +286,15 @@ class ZMaster:
     value: Numeric | None
 
 
-def Z_breakdown(
-    P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
-) -> tuple[SpecialValue, list[ZBucket | ZMaster]]:
-    """Z(P, Q; -N) together with the parts it is the sum of: a ZMaster per
-    term of the one form that the buckets on affine, one-variable and
-    diagonal faces sum to, each reduced exactly and scaled by its orbit,
-    with only the constants left evaluated (DECISIONS.md D16); and a
-    ZBucket per other bucket, integrated on its own."""
+@lru_cache(maxsize=64, typed=True)
+def _exact_form(P: MPoly, Q: MPoly, N: int) -> tuple:
+    """What no settings change in Z(P, Q; -N), once per (P, Q, N): its
+    flags; per quadrature bucket, in (component, face, a) order, (ci, i, a,
+    face, numerator, orbit size); and the exact form (rational, ((key, q),
+    ...)) that the buckets on affine, one-variable and diagonal faces sum
+    to, each reduced exactly and scaled by its orbit (DECISIONS.md D16),
+    or None when none of them is nonzero.  Typed, so an N that only equals
+    an int is checked again; bad input raises on every call."""
     d, flags = _check_P(P, Q, N)
     # Only the least face of each orbit is built; its total stands for all.
     orbit = {o[0]: len(o) for o in _face_orbits(P, Q)}
@@ -303,25 +304,43 @@ def Z_breakdown(
     numers: dict[tuple, tuple] = {}
     rows: list[tuple] = []
     for i in orbit:
-        red = reduction(P.face(i)) or diagonal_reduction(P.face(i))
+        face = P.face(i)
+        red = reduction(face) or diagonal_reduction(face)
         for ci, a, c_a, den, groups in _face_sums(P, Q, N, d, i):
             L, ints = combine([(c_a * bt, (den, g)) for m, g in groups.items()
                                if (bt := _bernoulli_tilde_memo(m))])
             if ints and red is None:
-                numers[ci, i, a] = L, ints
+                numers[ci, i, a] = face, MPoly._over(P.nvars - 1, L, ints)
             elif ints:  # a zero bucket adds no rows
                 rows.append((orbit[i], (L, {(red, e, a - N): x for e, x in ints.items()})))
+    buckets = tuple((ci, i, a, face, numer, orbit[i])
+                    for (ci, i, a), (face, numer) in sorted(numers.items()))
+    # The form is evaluated even when the rows cancel.
+    return flags, buckets, _form_sum(combine(rows)) if rows else None
+
+
+def Z_breakdown(
+    P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
+) -> tuple[SpecialValue, list[ZBucket | ZMaster]]:
+    """Z(P, Q; -N) together with the parts it is the sum of: a ZMaster per
+    term of the one form that the buckets on affine, one-variable and
+    diagonal faces sum to, each reduced exactly and scaled by its orbit,
+    with only the constants left evaluated (DECISIONS.md D16); and a
+    ZBucket per other bucket, integrated on its own.  The exact part is
+    ``_exact_form``'s; only the integrals and constants depend on qs."""
+    flags, buckets, form = _exact_form(P, Q, N)
     evaluated: list[ZBucket | ZMaster] = []
-    for (ci, i, a), numer in sorted(numers.items()):  # evaluate buckets in a fixed order
-        v = cube_integral(P.face(i), MPoly._over(P.nvars - 1, *numer), a - N, qs)
-        if orbit[i] > 1:
+    for ci, i, a, face, numer, orbit in buckets:  # evaluate buckets in a fixed order
+        v = cube_integral(face, numer, a - N, qs)
+        if orbit > 1:
             with mp.workdps(qs.precision + 10):
-                v = v.scale(orbit[i])
-        evaluated.append(ZBucket(ci, i, a, v, orbit[i]))
+                v = v.scale(orbit)
+        evaluated.append(ZBucket(ci, i, a, v, orbit))
     exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
     parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
-    if rows:  # their form is evaluated even when the rows cancel
-        v, rational, masters = form_value(combine(rows), qs)
+    if form is not None:
+        rational, keys = form
+        v, masters = _budgeted(rational, keys, qs)
         parts.append(v)
         evaluated += [ZMaster(None, rational, None)] + [ZMaster(*m) for m in masters]
     if not parts:

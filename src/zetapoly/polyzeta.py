@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 from typing import Sequence
@@ -147,6 +148,14 @@ def G_factor(
     return cube_integral(den, numer, spec.m, qs).to_numeric(qs.precision)
 
 
+@lru_cache(maxsize=256)
+def _G_memo(spec: GammaFactorSpec, qs: QuadratureSettings) -> Numeric:
+    """G_factor(spec, qs), once per (spec, qs): diagonal values repeat their
+    factors within one value and across values.  G_factor is looked up by
+    its module name at each miss, so a wrapper put there sees every one."""
+    return G_factor(spec, qs)
+
+
 def _is_diagonal(P: MPoly) -> int | None:
     """Degree d if P = X_1^d + ... + X_n^d, else None."""
     ok, d = P.is_homogeneous()
@@ -172,13 +181,6 @@ def diagonal_value(
         raise NotDiagonal("last polynomial must be X_1^d + ... + X_n^d")
     n = family.n
     QN = build_QN(family, N)
-    gcache: dict = {}
-
-    def G(m: int, mu: tuple[Fraction, ...]) -> Numeric:
-        key = (m, tuple(sorted(mu)))
-        if key not in gcache:
-            gcache[key] = G_factor(GammaFactorSpec(m=m, mu=key[1]), qs)
-        return gcache[key]
 
     exact_acc = Fraction(0)
     numeric_parts: list[tuple[Fraction, int, tuple[Fraction, ...]]] = []
@@ -231,5 +233,5 @@ def diagonal_value(
     with mp.workdps(qs.precision + 10):
         acc = Numeric.from_rational(exact_acc)
         for coeff, m, mu in numeric_parts:
-            acc = acc + G(m, mu).scale(coeff)
+            acc = acc + _G_memo(GammaFactorSpec(m=m, mu=tuple(sorted(mu))), qs).scale(coeff)
     return SpecialValue.make_numeric(acc, flags=family.flags)

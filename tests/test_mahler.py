@@ -993,6 +993,8 @@ class TestOneVariableReduction:
         monkeypatch.setattr(_quadrature, "constant", recorded)
         monkeypatch.setattr(_quadrature, "integrate_unit_cube", counted)
         monkeypatch.setattr(mahler, "reduction", lambda den: None)
+        # No memoised exact form in, and none built under the patch kept.
+        monkeypatch.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
         _, buckets = Z_breakdown(P("x1^3 + x2^3", 2), P("x1 x2", 2), 1, QS_FAST)
         assert sum(b.value.kind == "numeric" for b in buckets) > 2
         assert calls[0] == len(used) == 2
@@ -1227,6 +1229,8 @@ class TestFormRouteCorpus:
                 for mod in (mahler, _quadrature):
                     m.setattr(mod, "reduction", lambda den: None)
                 m.setattr(mahler, "diagonal_reduction", lambda den: None)
+                # No memoised exact form in, and none built under the patch kept.
+                m.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
                 ref, buckets = Z_breakdown(Pp, Qp, N, QS_FAST)
             assert buckets and all(isinstance(b, ZBucket) for b in buckets)
             with mp.workdps(40):
@@ -1341,11 +1345,76 @@ class TestFaceOrbits:
 
         sums = mahler._face_sums
         monkeypatch.setattr(mahler, "_face_sums", recorded)
+        # No memoised exact form in, and none built under the patch kept.
+        monkeypatch.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
         Z_breakdown(P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0, QS6)
         assert faces and set(faces) == {1}  # criterion 9: one orbit
         faces.clear()
         Z_breakdown(P("x1^2 + x2^2 + 2 x3^2", 3), P("x3", 3), 1, QS_FAST)
         assert set(faces) == {1, 3}
+
+
+class TestExactFormMemo:
+    """The exact part of a Z value -- the certificate, the orbits, the face
+    sums and the reduced form -- is memoised per (P, Q, N), and diagonal
+    values' gamma factors per (spec, settings); a memoised answer has the
+    bits of a fresh one, and bad input raises on every call."""
+
+    CRITERION_9 = (P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0)
+
+    @staticmethod
+    def _bits(v):
+        return v.kind, v.num.value._mpf_, v.num.err._mpf_
+
+    def test_other_settings_keep_the_bits(self):
+        mahler._exact_form.cache_clear()
+        memo = [Z_value(*self.CRITERION_9, qs) for qs in (QS6, QS_FAST)]
+        fresh = []
+        for qs in (QS6, QS_FAST):
+            mahler._exact_form.cache_clear()
+            fresh.append(Z_value(*self.CRITERION_9, qs))
+        assert [self._bits(z) for z in memo] == [self._bits(z) for z in fresh]
+
+    def test_second_settings_build_nothing(self, monkeypatch):
+        calls = []
+        for name in ("_face_sums", "certify_elliptic"):
+            fn = getattr(mahler, name)
+            monkeypatch.setattr(mahler, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        mahler._exact_form.cache_clear()
+        Z_value(*self.CRITERION_9, QS6)
+        assert set(calls) == {"_face_sums", "certify_elliptic"}
+        calls.clear()
+        Z_value(*self.CRITERION_9, QS_FAST)
+        assert calls == []
+
+    def test_bad_input_raises_every_call(self):
+        Z_value(P("x1^2 + x2^2", 2), MPoly.one(2), 1, QS_FAST)
+        # A float N only equals the memoised N = 1: it is not served from it.
+        bad_N = (AttributeError, TypeError, ValueError)
+        for args, exc in [((P("x1^2 - 3 x1 x2 + x2^2", 2), MPoly.one(2), 1), NotElliptic),
+                          ((P("x1^2 + x2^2", 2), MPoly.one(3), 1), DimensionMismatch),
+                          ((P("x1^2 + x2^2", 2), MPoly.one(2), 1.0), bad_N)]:
+            for _ in range(2):
+                with pytest.raises(exc):
+                    Z_value(*args, QS_FAST)
+
+    def test_diagonal_gamma_factors_once(self, monkeypatch):
+        from zetapoly import build_family, diagonal_value, polyzeta
+
+        fam = build_family([P("x1", 1), P("x1^2 + x2^2", 2)])
+        polyzeta._G_memo.cache_clear()
+        fresh = diagonal_value(fam, (1, 1), QS_FAST)
+        calls, G = [0], polyzeta.G_factor
+
+        def counted(*args):
+            calls[0] += 1
+            return G(*args)
+
+        monkeypatch.setattr(polyzeta, "G_factor", counted)
+        again = diagonal_value(fam, (1, 1), QS_FAST)
+        assert calls[0] == 0
+        assert self._bits(again) == self._bits(fresh)
 
 
 def _drawn_non_diagonal(rng, n, d):
