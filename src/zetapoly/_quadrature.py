@@ -24,8 +24,8 @@ diagonal den c + sum a_j x_j^d (D14).  Every sum of forms is one
 ``_budgeted`` the one evaluator of the constants it leaves, and
 ``constant`` their one memo: a Z value sums the forms of all its buckets
 first, once per (P, Q, N), and evaluates the constants per settings, and
-``cube_integral`` evaluates the form of its one quotient through
-``form_value`` (the two in turn), else runs the quadrature.
+``cube_integral`` sums and evaluates the form of its one quotient the
+same way, else runs the quadrature.
 """
 from __future__ import annotations
 
@@ -922,25 +922,16 @@ def _form_sum(rows: tuple[int, dict]) -> tuple[Fraction, tuple]:
     return rational, tuple((key, Fraction(x, L)) for key, x in sorted(form.items()))
 
 
-def form_value(rows: tuple[int, dict], qs: QuadratureSettings) -> tuple[Numeric, Fraction, list[tuple]]:
-    """sum x I(e, k) / L over the int form rows (L, {(reduction, e, k): x}),
-    its rational part and its constants (key, coefficient, value): the
-    forms are summed exactly (``_form_sum``), and only the constants left
-    are evaluated, by ``_budgeted``."""
-    rational, keys = _form_sum(rows)
-    v, masters = _budgeted(rational, keys, qs)
-    return v, rational, masters
-
-
 def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> SpecialValue:
     """Integral over [0,1]^dim of numer / den^k, den positive on the cube: a
     face period, or a generalized gamma factor of the diagonal expansion.
 
     Exact for k <= 0, a polynomial's moment (DECISIONS.md D7), and for
     dim = 0, a constant.  Where ``reduction`` has a reduction over den, the
-    ``form_value`` of numer's terms as one int form, numer over the lcm of
-    its denominators (DECISIONS.md D16): for den of degree
-    <= 1, in any dimension, r + sum q prod log b at precision + 10 digits
+    value of numer's terms as one int form, numer over the lcm of its
+    denominators, by ``_form_sum`` and ``_budgeted`` (DECISIONS.md D16):
+    for den of degree <= 1, in any dimension, r + sum q prod log b at
+    precision + 10 digits
     with no quadrature (D12); for dim = 1, r + sum c_i M_i over the masters
     int_0^1 x^i / den, unless their errors, scaled, miss the tolerance
     (D10).  Else -- such a miss, a diagonal den (left unreduced, so that
@@ -954,8 +945,8 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) 
         return SpecialValue.make_exact(den.constant_value() ** -k * numer.constant_value())
     red = reduction(den)
     if red is not None:
-        v, _, _ = form_value(_over_common_denominator(
-            {(red, e, k): c for e, c in numer.terms.items()}), qs)
+        v, _ = _budgeted(*_form_sum(_over_common_denominator(
+            {(red, e, k): c for e, c in numer.terms.items()})), qs)
         with mp.workdps(qs.precision + 10):
             if den.degree() <= 1 or v.err <= qs.abs_tol + qs.rel_tol * abs(v.value):
                 return SpecialValue.make_numeric(v)

@@ -1173,7 +1173,7 @@ class TestOneFormPerValue:
 class TestReducedRows:
     """Z_breakdown sends each reduced bucket's int form (L, {e: int}),
     scaled by its orbit, straight into the rows of the value's one
-    ``form_value``: no bucket on an affine, one-variable or diagonal face
+    ``_form_sum``: no bucket on an affine, one-variable or diagonal face
     becomes an MPoly.  Its form is evaluated whenever such a bucket is
     nonzero, even if the rows then cancel, so an antisymmetric Q keeps its
     one rational term 0 and stays numeric 0 +- 0."""
@@ -1300,6 +1300,8 @@ class TestFaceOrbits:
             with monkeypatch.context() as m:
                 m.setattr(mahler, "_face_orbits",
                           lambda P, Q: [(i,) for i in range(1, P.nvars + 1)])
+                # No memoised exact form in, and none built under the patch kept.
+                m.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
                 return Z_breakdown(*args)
         return run
 
@@ -1508,6 +1510,8 @@ class TestTripleSumReference:
             m.setattr(mahler, "cube_integral", recorded)
             m.setattr(mahler, "reduction", lambda den: None)
             m.setattr(mahler, "diagonal_reduction", lambda den: None)
+            # No memoised exact form in, and none built under the patch kept.
+            m.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
             out = fn(*args)
         return calls, out
 
@@ -1735,7 +1739,7 @@ class TestDiagonalFaces:
     def test_forms_against_quadrature(self):
         for d, c, a, e, k in self._cases():
             dg = _quadrature._diagonal(d, c, a)
-            v, _, _ = _quadrature.form_value((1, {(dg, e, k): 1}), QS_FAST)
+            v, _ = _quadrature._budgeted(*_quadrature._form_sum((1, {(dg, e, k): 1})), QS_FAST)
             w = _quadrature._quadrature_of(dg.den, MPoly(len(a), {e: F(1)}), k, QS_FAST)
             with mp.workdps(40):
                 assert abs(v.value - w.value) <= v.err + w.err, (d, c, a, e, k)
@@ -1747,6 +1751,8 @@ class TestDiagonalFaces:
         z, form = self._form(Pd, MPoly.one(3), 1, qs)
         assert form == {None: F(1, 80)}
         monkeypatch.setattr(mahler, "diagonal_reduction", lambda den: None)
+        # No memoised exact form in, and none built under the patch kept.
+        monkeypatch.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
         ref = Z_value(Pd, MPoly.one(3), 1, qs)
         with mp.workdps(50):
             assert abs(z.num.value - ref.num.value) <= z.num.err + ref.num.err
