@@ -15,11 +15,12 @@ returns its values at every point of their product, in row-major order
 (last axis fastest), one call per rule and cell.
 
 ``cube_integral`` is the one entry for integrals of numer / den^k over the
-unit cube.  Three exact reductions write x^e / den^k as a form
+unit cube.  Two exact reductions write x^e / den^k as a form
 (L, {key: int}), the rational part keyed None and the coefficient of each
 named constant under its key, all over one denominator L: an affine den
-(D12, logs), a den of one variable (D10, masters int_0^1 x^i / den) and a
-diagonal den c + sum a_j x_j^d (D14).  Every sum of forms is one
+(D12, logs) and a den of one variable (D10, masters int_0^1 x^i / den);
+a Z value of a diagonal P takes forms over Gamma values and powers, by
+Dirichlet's integral over the orthant (D17).  Every sum of forms is one
 ``multipoly.combine``; ``_form_sum`` is the one exact sum of a form's rows,
 ``_budgeted`` the one evaluator of the constants it leaves, and
 ``constant`` their one memo: a Z value sums the forms of all its buckets
@@ -33,7 +34,7 @@ import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import comb, cos, factorial, gcd, inf, lcm, pi, prod
+from math import ceil, comb, cos, factorial, floor, gcd, inf, lcm, pi, prod
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -46,8 +47,10 @@ from .errors import (
     PrecisionUnreachable,
     QuadratureDidNotConverge,
 )
-from .exactnum import Numeric, SpecialValue, _check_precision, _round_err, mpf_from_rational
+from .exactnum import (Numeric, SpecialValue, _check_precision, _round_err, gamma_rational,
+                       mpf_from_rational)
 from .multipoly import MPoly, _over_common_denominator, bernstein_positive, combine
+from .powersum import _exact_root
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
 
@@ -771,68 +774,52 @@ _affine = lru_cache(maxsize=16)(_Affine)
 
 
 # -----------------------------------------------------------------------------
-# Diagonal denominators: exact reduction to master integrals
+# Diagonal P: Dirichlet's integral over the orthant
 # -----------------------------------------------------------------------------
 
-class _Diagonal:
-    """I(e, k) = int_{[0,1]^r} x^e / D^k, k >= 1, D = c + sum_j a_j x_j^d with
-    d >= 2, c > 0 and every a_j > 0, as a form (L, {None: r, key: q}),
-    (r + sum q M) / L with M the master named by key = (2, d, c, sorted
-    pairs (a_j, e_j)) (DECISIONS.md D14).  One variable takes D10's form.
-    Else by parts in x_j, where dD/dx_j = d a_j x_j^(d-1), and the Euler
-    relation c I(e, k+1) = (1 - (|e| + r)/(dk)) I(e, k) + (1/(dk)) sum_j
-    I(e without e_j, k) over the faces x_j = 1, take each row down to
-    masters I(e, 1) with every e_j <= d - 2.  Forms are memoised per
-    (e, k) and summed by ``combine``."""
+class _Dirichlet:
+    """int over R_+^(n-1) of y^e / (a_1 + sum_{j>=2} a_j y_j^d)^k, a_j > 0, as
+    a form by Dirichlet's integral (DECISIONS.md D17): prod_j Gamma(s_j)
+    a_j^(-s_j) / (d^(n-1) (k-1)!), s_j = (e_j + 1)/d for j >= 2 and s_1 = k -
+    sum_{j>=2} s_j > 0.  Each Gamma(f + m) is (f)_m Gamma(f), f in (0, 1];
+    each b^x, x summed over the a_j = b, is b^floor(x) b^(x mod 1), the last
+    folded in when rational.  The rest is keyed (3, (f < 1, ...), ((b, x
+    mod 1), ...))."""
 
-    def __init__(self, d: int, c: Fraction, a: tuple):
-        self.d, self.c, self.a, r = d, c, a, len(a)
-        self.den = MPoly(r, {(0,) * r: c, **{tuple(d * (i == j) for i in range(r)): a[j]
-                                             for j in range(r)}})
-        self.red = _reduction(self.den) if r == 1 else None
-        self.forms: dict[tuple, tuple] = {}
+    def __init__(self, d: int, a: tuple):
+        self.d, self.a = d, a
 
     def form(self, e: tuple, k: int) -> tuple[int, dict]:
-        if (e, k) not in self.forms:
-            self.forms[e, k] = self.red.form(e, k) if self.red else self._form(e, k)
-        return self.forms[e, k]
-
-    def _face(self, j: int, s: Fraction, e: tuple, k: int) -> tuple[int, dict]:
-        """The form of e without e_j on a face x_j = const, where D = s + ..."""
-        return _diagonal(self.d, s, self.a[:j] + self.a[j + 1:]).form(e[:j] + e[j + 1:], k)
-
-    def _form(self, e: tuple, k: int) -> tuple[int, dict]:
-        d, c, a, r = self.d, self.c, self.a, len(self.a)
-        j = next((j for j, x in enumerate(e) if x >= d - 1), None)
-        faces = lambda m: [self._face(l, c + a[l], e, m) for l in range(r)]
-        if j is None and k == 1:
-            return 1, {_MasterKey((2, d, c, tuple(sorted(zip(a, e))))): 1}
-        if j is None:  # Euler, solved for I(e, k)
-            t = Fraction(sum(e) + r, d * (k - 1))
-            return combine([((1 - t) / c, self.form(e, k - 1))]
-                           + [(1 / (c * d * (k - 1)), f) for f in faces(k - 1)])
-        if k == 1:  # Euler, solved for I(e, 1): |e| + r > d
-            t = 1 - Fraction(sum(e) + r, d)
-            return combine([(c / t, self.form(e, 2))] + [(-1 / (d * t), f) for f in faces(1)])
-        # By parts in x_j, p = e_j - d + 1: d a_j (k - 1) I(e, k) = p I(e - d 1_j, k - 1)
-        # - (the face x_j = 1) + (the face x_j = 0 if p = 0), each at k - 1.
-        p, w = e[j] - d + 1, 1 / (d * a[j] * (k - 1))
-        rest = (p * w, self.form(e[:j] + (e[j] - d,) + e[j + 1:], k - 1)) if p else \
-            (w, self._face(j, c, e, k - 1))
-        return combine([(-w, self._face(j, c + a[j], e, k - 1)), rest])
+        s = [Fraction(x + 1, self.d) for x in e]
+        s.insert(0, k - sum(s))
+        coeff, gammas, powers = Fraction(1, self.d ** len(e) * factorial(k - 1)), [], {}
+        for x, b in zip(s, self.a):
+            f = x - ceil(x) + 1
+            if f < 1:
+                gammas.append(f)
+            while f < x:
+                coeff *= f
+                f += 1
+            powers[b] = powers.get(b, 0) - x
+        left = []
+        for b, x in sorted(powers.items()):
+            coeff *= b ** floor(x)
+            x -= floor(x)
+            root = _exact_root(b, x.denominator)
+            if root is None:
+                left.append((b, x))
+            else:
+                coeff *= root ** x.numerator
+        key = _MasterKey((3, tuple(sorted(gammas)), tuple(left))) if gammas or left else None
+        return coeff.denominator, {key: coeff.numerator}
 
 
-_diagonal = lru_cache(maxsize=128)(_Diagonal)
-
-
-def diagonal_reduction(den: "MPoly") -> _Diagonal | None:
-    """The reduction over den = c + sum_j a_j x_j^d when den has at least 2
-    variables, d >= 2, c > 0 and every a_j > 0; else None."""
-    r, d = den.nvars, den.degree()
-    c = den.terms.get((0,) * r, 0)
-    a = tuple(den.terms.get(tuple(d * (i == j) for i in range(r)), 0) for j in range(r))
-    ok = r >= 2 and d >= 2 and len(den.terms) == r + 1 and c > 0 and min(a) > 0
-    return _diagonal(d, c, a) if ok else None
+def dirichlet(P: "MPoly") -> _Dirichlet | None:
+    """Dirichlet's integral for P = sum_j a_j x_j^d with n >= 2 and every
+    a_j > 0; else None."""
+    n, d = P.nvars, P.degree()
+    a = tuple(P.terms.get(tuple(d * (i == j) for i in range(n)), 0) for j in range(n))
+    return _Dirichlet(d, a) if n >= 2 and len(P.terms) == n and min(a) > 0 else None
 
 
 # -----------------------------------------------------------------------------
@@ -845,7 +832,8 @@ class _MasterKey(tuple):
     hashes its Fractions once: forms add their rows key by key.  Its first
     entry is its kind: (0, b, ...) the product of the logs of the basis
     integers b (D12), (1, D's coefficients, i) the master int_0^1 x^i / D
-    (D10), (2, d, c, ((a_j, e_j), ...)) a diagonal master (D14)."""
+    (D10), (3, (f, ...), ((b, x), ...)) the product of the Gamma(f) and the
+    b^x (D17)."""
 
     hash = cached_property(tuple.__hash__)
 
@@ -871,18 +859,20 @@ def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings)
 @lru_cache(maxsize=256)
 def constant(key: _MasterKey, qs: QuadratureSettings) -> Numeric:
     """The constant named by key under qs, once per (key, qs): a product of
-    logs, each rounded once, at precision + 10 digits; else its master's
+    logs, each rounded once, or of Gamma values, each computed once, and
+    roots, each rounded once, at precision + 10 digits; else its master's
     fixed-point quadrature."""
     kind, *name = key
-    if kind == 0:
-        with mp.workdps(qs.precision + 10):
-            return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
     if kind == 1:  # name = (D's coefficients, i)
-        den, e = MPoly(1, {(j,): x for j, x in enumerate(name[0]) if x}), (name[1],)
-    else:  # name = (d, c, pairs)
-        a, e = zip(*name[2])
-        den = _diagonal(*name[:2], a).den
-    return _quadrature_of(den, MPoly(len(e), {e: 1}), 1, qs)
+        den = MPoly(1, {(j,): x for j, x in enumerate(name[0]) if x})
+        return _quadrature_of(den, MPoly(1, {(name[1],): 1}), 1, qs)
+    with mp.workdps(qs.precision + 10):
+        if kind == 0:
+            return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
+        gammas, powers = name
+        gamma = {f: gamma_rational(f, qs.precision + 10) for f in set(gammas)}
+        roots = [mp.root(mpf_from_rational(b ** x.numerator), x.denominator) for b, x in powers]
+        return reduce(mul, [gamma[f] for f in gammas] + [Numeric(v, _round_err(v)) for v in roots])
 
 
 def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings) -> tuple:
@@ -935,7 +925,7 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) 
     with no quadrature (D12); for dim = 1, r + sum c_i M_i over the masters
     int_0^1 x^i / den, unless their errors, scaled, miss the tolerance
     (D10).  Else -- such a miss, a diagonal den (left unreduced, so that
-    the checks that call this stay independent of D14) or any other -- the
+    the checks that call this stay independent of D17) or any other -- the
     integrand is compiled once into a FixedPointIntegrand, whose cube
     quadrature sums each cell exactly in integers (DECISIONS.md D2).
     Every result but the first two is numeric."""

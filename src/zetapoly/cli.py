@@ -148,10 +148,9 @@ def _bucket_json(b: ZBucket | ZMaster, precision: int) -> dict:
             out = {"logs": name}
         elif kind == 1:  # int_0^1 x^i / D, name = (D's coefficients, i)
             out = {"master": {"D": [rat_to_str(x) for x in name[0]], "i": name[1]}}
-        else:  # a diagonal master
-            d, c, pairs = name
-            out = {"master": {"d": d, "c": rat_to_str(c), "a": [rat_to_str(a) for a, _ in pairs],
-                              "e": [e for _, e in pairs]}}
+        else:  # prod Gamma(f) prod b^x, name = (the f, the (b, x)) (DECISIONS.md D17)
+            out = {"gammas": [rat_to_str(f) for f in name[0]],
+                   "powers": [[rat_to_str(b), rat_to_str(x)] for b, x in name[1]]}
         out["coeff"] = rat_to_str(b.coeff)
         num = b.value
     else:

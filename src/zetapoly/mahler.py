@@ -4,8 +4,9 @@ Implements the multi-index bookkeeping (weighted index sets, composition
 families and their g-vectors), the period integrals over unit-cube faces
 (each one ``_quadrature.cube_integral``: an exact moment, a closed form
 over an affine face, an exact reduction to one-variable masters, or a
-certified quadrature; in a Z value, the buckets on affine, one-variable
-and diagonal faces are reduced exactly and summed into one form instead),
+certified quadrature; in a Z value, the buckets on affine and one-variable
+faces are reduced exactly and summed into one form instead, and a
+diagonal P's are Dirichlet integrals over the orthant),
 the triple sum behind a value, whose terms with the same |alpha| = a on a
 face are built at once as the polynomial (P(x + t) - P(x))^a Q_c(x + t),
 the polynomial-in-(1+a) expansion of the shifted integral continuation,
@@ -23,7 +24,7 @@ from typing import Sequence
 from mpmath import mp
 
 from ._quadrature import (DEFAULT_QS, QuadratureSettings, _budgeted, _form_sum, cube_integral,
-                          diagonal_reduction, reduction)
+                          dirichlet, reduction)
 from .errors import DimensionMismatch, NotElliptic, NotHomogeneous
 from .exactnum import (
     Numeric,
@@ -119,6 +120,7 @@ def period_K(
     otherwise.  When the face positivity certificate does not close, the
     result carries a "positivity_unverified" flag (DECISIONS.md D6).
     """
+    _check_N(N)
     if Q.nvars != P.nvars:
         raise DimensionMismatch(f"Q has {Q.nvars} variables, P has {P.nvars}")
     if not isinstance(u, CompositionFamily):
@@ -147,11 +149,15 @@ def period_K(
 # The value Z(P, Q; -N)
 # -----------------------------------------------------------------------------
 
+def _check_N(N: int) -> None:
+    if not isinstance(N, int) or N < 0:
+        raise ValueError(f"N must be a non-negative integer, got {N!r}")
+
+
 def _check_P(P: MPoly, Q: MPoly, N: int) -> tuple[int, tuple[str, ...]]:
+    _check_N(N)
     if Q.nvars != P.nvars:
         raise DimensionMismatch(f"Q has {Q.nvars} variables, P has {P.nvars}")
-    if N < 0:
-        raise ValueError("N must be a non-negative integer")
     ok, d = P.is_homogeneous()
     if not ok or d < 1 or P.is_zero():
         raise NotHomogeneous("P must be homogeneous of degree >= 1")
@@ -291,13 +297,15 @@ def _exact_form(P: MPoly, Q: MPoly, N: int) -> tuple:
     """What no settings change in Z(P, Q; -N), once per (P, Q, N): its
     flags; per quadrature bucket, in (component, face, a) order, (ci, i, a,
     face, numerator, orbit size); and the exact form (rational, ((key, q),
-    ...)) that the buckets on affine, one-variable and diagonal faces sum
-    to, each reduced exactly and scaled by its orbit (DECISIONS.md D16),
-    or None when none of them is nonzero.  Typed, so an N that only equals
-    an int is checked again; bad input raises on every call."""
+    ...)) that the reduced buckets sum to (DECISIONS.md D16, D17), or None
+    when none of them is nonzero.  Typed, so an N that only equals an int
+    is checked again; bad input raises on every call."""
     d, flags = _check_P(P, Q, N)
-    # Only the least face of each orbit is built; its total stands for all.
-    orbit = {o[0]: len(o) for o in _face_orbits(P, Q)}
+    # A diagonal P's buckets are one integral over the orthant, of which
+    # face 1 is a chart (D17); else only the least face of each orbit is
+    # built, and its total stands for all.
+    orthant = dirichlet(P)
+    orbit = {1: 1} if orthant else {o[0]: len(o) for o in _face_orbits(P, Q)}
     # Per bucket (component, face, a), its numerator c_a sum_m B~(m) [t^m]
     # as ints over one denominator; a bucket on a reduced face adds it,
     # scaled by its orbit, to the rows {(reduction, e, k): int} instead.
@@ -305,7 +313,7 @@ def _exact_form(P: MPoly, Q: MPoly, N: int) -> tuple:
     rows: list[tuple] = []
     for i in orbit:
         face = P.face(i)
-        red = reduction(face) or diagonal_reduction(face)
+        red = orthant or reduction(face)
         for ci, a, c_a, den, groups in _face_sums(P, Q, N, d, i):
             L, ints = combine([(c_a * bt, (den, g)) for m, g in groups.items()
                                if (bt := _bernoulli_tilde_memo(m))])
@@ -323,10 +331,11 @@ def Z_breakdown(
     P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
 ) -> tuple[SpecialValue, list[ZBucket | ZMaster]]:
     """Z(P, Q; -N) together with the parts it is the sum of: a ZMaster per
-    term of the one form that the buckets on affine, one-variable and
-    diagonal faces sum to, each reduced exactly and scaled by its orbit,
-    with only the constants left evaluated (DECISIONS.md D16); and a
-    ZBucket per other bucket, integrated on its own.  The exact part is
+    term of the one form that the buckets on affine and one-variable faces
+    sum to, each reduced exactly and scaled by its orbit, or a diagonal P's
+    buckets over the orthant, with only the constants left evaluated
+    (DECISIONS.md D16, D17); and a ZBucket per other bucket, integrated on
+    its own.  The exact part is
     ``_exact_form``'s; only the integrals and constants depend on qs."""
     flags, buckets, form = _exact_form(P, Q, N)
     evaluated: list[ZBucket | ZMaster] = []

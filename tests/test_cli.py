@@ -138,6 +138,10 @@ class TestMahler:
         assert logs == {"logs": [2, 3], "coeff": "-1/2", "value": "2.0", "err": "0.0"}
         master = _bucket_json(ZMaster(_MasterKey((1, (F(1), F(0), F(1)), 1)), F(3), value), 20)
         assert master["master"] == {"D": ["1", "0", "1"], "i": 1} and master["coeff"] == "3"
+        gammas = _bucket_json(ZMaster(_MasterKey((3, (F(1, 3), F(2, 3)), ((F(2), F(1, 3)),))),
+                                      F(1, 18), value), 20)
+        assert gammas == {"gammas": ["1/3", "2/3"], "powers": [["2", "1/3"]], "coeff": "1/18",
+                          "value": "2.0", "err": "0.0"}
 
     def test_terms_bytes(self):
         # recorded when the buckets on affine, one-variable and diagonal
@@ -153,19 +157,19 @@ class TestMahler:
         )
 
     def test_terms_of_reduced_faces(self):
-        # Criterion 9's diagonal faces sum to one form (DECISIONS.md D14):
-        # the rational 1/16 and the one master int int 1/(1 + x^3 + y^3),
-        # coefficient -1/30, with its own value Gamma(1/3)^3/27 and err.
+        # Criterion 9 is one integral over the orthant (DECISIONS.md D17):
+        # its terms are the paper's closed form 1/16 - Gamma(1/3)^3/810,
+        # the Gamma product with its own value and err.
         code, out = run_cli(["mahler", "--P", "x1^3 + x2^3 + x3^3 + x4^3", "--N", "0",
                              "--terms", "--rel-tol", "1e-8", "--precision", "25"])
         assert code == 0
-        rational, master = json.loads(out)["terms"]
+        rational, gammas = json.loads(out)["terms"]
         assert rational == {"rational": "1/16"}
-        assert master["master"] == {"a": ["1", "1"], "c": "1", "d": 3, "e": [0, 0]}
-        assert master["coeff"] == "-1/30"
+        assert set(gammas) == {"gammas", "powers", "coeff", "value", "err"}
+        assert (gammas["gammas"], gammas["powers"], gammas["coeff"]) == (["1/3"] * 3, [], "-1/810")
         with mp.workdps(40):
-            truth = mp.gamma(mpf(1) / 3) ** 3 / 27
-            assert abs(mpf(master["value"]) - truth) <= mpf(master["err"]) + mpf(10) ** -20
+            truth = mp.gamma(mpf(1) / 3) ** 3
+            assert abs(mpf(gammas["value"]) - truth) <= mpf(gammas["err"]) + mpf(10) ** -18
 
     def test_terms_truth(self):
         # The values behind test_terms_bytes: Z(x1 + x2, 1; 0) = 5/12, the

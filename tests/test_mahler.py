@@ -3,8 +3,10 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import random
+import re
 import time
 from fractions import Fraction as F
 from math import comb, factorial
@@ -642,6 +644,29 @@ class TestQVariableCount:
             self.ENTRIES[entry](P("x1^2 + x1 x2 + x2^2", 2), MPoly.one(m))
 
 
+class TestNonIntegerN:
+    """An N that is not a non-negative int -- a float or a Fraction, even
+    one equal to an int -- is rejected by every entry point, naming N,
+    before any face is certified or built."""
+
+    ENTRIES = {
+        "Z_value": lambda N: Z_value(P("x1^2 + x2^2", 2), MPoly.one(2), N, QS_FAST),
+        "Z_breakdown": lambda N: Z_breakdown(P("x1^2 + x2^2", 2), MPoly.one(2), N, QS_FAST),
+        "Y_expansion": lambda N: Y_expansion(P("x1^2 + x2^2", 2), MPoly.one(2), N, QS_FAST),
+        "period_K": lambda N: period_K(P("x1^2 + x2^2", 2), MPoly.one(2), N, (1,), ((1, 0),),
+                                       (0, 0), 1, QS_FAST),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("N", [1.0, F(1), F(1, 2), -1])
+    def test_rejected_before_face_work(self, monkeypatch, entry, N):
+        for name in ("bernstein_positive", "certify_elliptic", "_face_orbits", "_face_sums"):
+            monkeypatch.setattr(mahler, name, lambda *a, name=name: pytest.fail(name))
+        message = re.escape(f"N must be a non-negative integer, got {N!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.ENTRIES[entry](N)
+
+
 class TestQuadratureSettings:
     def test_unreachable_tolerance_fails_fast(self):
         # precision 1 integrates at 11 digits (40 bits): the rounding floor
@@ -974,10 +999,12 @@ class TestOneVariableReduction:
             assert abs(v.num.value - mpf(5) / 12) <= v.num.err
 
     def test_one_quadrature_per_master(self, monkeypatch):
-        # Every bucket of Z(x1^3 + x2^3, x1 x2; -1) divides by 1 + x^3.
-        # Integrated bucket by bucket, through cube_integral, its
-        # quadratures are the masters int x^j / (1 + x^3) the buckets use,
-        # one per (key, settings): start with none in the memo.
+        # Every bucket of Z(x1^3 + x1^2 x2 + x1 x2^2 + x2^3, x1 x2; -1) divides
+        # by 1 + x + x^2 + x^3 (P is not diagonal, so its value is not one
+        # integral over the orthant).  Integrated bucket by bucket, through
+        # cube_integral, its quadratures are the masters
+        # int x^j / (1 + x + x^2 + x^3) the buckets use, one per (key,
+        # settings): start with none in the memo.
         _quadrature.constant.cache_clear()
         used, calls = set(), [0]
         constant, integrate = _quadrature.constant, _quadrature.integrate_unit_cube
@@ -995,7 +1022,8 @@ class TestOneVariableReduction:
         monkeypatch.setattr(mahler, "reduction", lambda den: None)
         # No memoised exact form in, and none built under the patch kept.
         monkeypatch.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
-        _, buckets = Z_breakdown(P("x1^3 + x2^3", 2), P("x1 x2", 2), 1, QS_FAST)
+        _, buckets = Z_breakdown(P("x1^3 + x1^2 x2 + x1 x2^2 + x2^3", 2), P("x1 x2", 2), 1,
+                                 QS_FAST)
         assert sum(b.value.kind == "numeric" for b in buckets) > 2
         assert calls[0] == len(used) == 2
 
@@ -1127,9 +1155,9 @@ class TestAffineFaces:
 
 
 class TestOneFormPerValue:
-    """Z_breakdown adds the rows of every bucket on an affine, one-variable
-    or diagonal face into one form per Z value, and evaluates only the
-    constants left (DECISIONS.md D16).  On binary P the buckets cancelled
+    """Z_breakdown adds the rows of every bucket on an affine or one-variable
+    face, or of a diagonal P over the orthant, into one form per Z value,
+    and evaluates only the constants left (DECISIONS.md D16, D17).  On binary P the buckets cancelled
     in floating point, each within its own tolerance; now they cancel
     exactly, no constant is left, and the value is its rational rounded
     once."""
@@ -1173,8 +1201,8 @@ class TestOneFormPerValue:
 class TestReducedRows:
     """Z_breakdown sends each reduced bucket's int form (L, {e: int}),
     scaled by its orbit, straight into the rows of the value's one
-    ``_form_sum``: no bucket on an affine, one-variable or diagonal face
-    becomes an MPoly.  Its form is evaluated whenever such a bucket is
+    ``_form_sum``: no bucket on an affine or one-variable face, nor of a
+    diagonal P, becomes an MPoly.  Its form is evaluated whenever such a bucket is
     nonzero, even if the rows then cancel, so an antisymmetric Q keeps its
     one rational term 0 and stays numeric 0 +- 0."""
 
@@ -1207,10 +1235,12 @@ class TestFormRouteCorpus:
     """The one form per Z value against the bucket-by-bucket quadrature
     route, over a drawn corpus: binary P of degree <= 4 with distinct
     coefficients (no swap fixes them), monomial Q of degree <= 2 and
-    N <= 4, and linear forms of 2 and 3 variables with distinct weights.
-    The reference integrates each bucket on its own by the fixed-point
-    quadrature: mahler.reduction, diagonal_reduction and cube_integral's
-    reduction all give None, so it shares no row with the form route."""
+    N <= 4, and linear forms of 2 and 3 variables with distinct weights,
+    whose value is one Dirichlet integral over the orthant (DECISIONS.md
+    D17).  The reference integrates each bucket on its own by the
+    fixed-point quadrature: mahler.reduction, mahler.dirichlet and
+    cube_integral's reduction all give None, so it shares no row with the
+    form route."""
 
     @staticmethod
     def _corpus():
@@ -1228,7 +1258,7 @@ class TestFormRouteCorpus:
             with monkeypatch.context() as m:
                 for mod in (mahler, _quadrature):
                     m.setattr(mod, "reduction", lambda den: None)
-                m.setattr(mahler, "diagonal_reduction", lambda den: None)
+                m.setattr(mahler, "dirichlet", lambda P: None)
                 # No memoised exact form in, and none built under the patch kept.
                 m.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
                 ref, buckets = Z_breakdown(Pp, Qp, N, QS_FAST)
@@ -1276,13 +1306,17 @@ class TestZeroBucket:
 
 
 class TestFaceOrbits:
-    """Z_breakdown folds the faces into the orbits of the coordinate swaps
-    that fix P and Q (DECISIONS.md D13): it builds and integrates only each
-    orbit's least face and scales the values by the orbit's size."""
+    """Z_breakdown folds the faces of a non-diagonal P into the orbits of
+    the coordinate swaps that fix P and Q (DECISIONS.md D13): it builds and
+    integrates only each orbit's least face and scales the values by the
+    orbit's size.  A diagonal P takes no orbit (D17); its entries here are
+    checked against the Raabe route."""
 
     # (P, Q, N, qs), each P fixed by some swap of its coordinates: Epstein
-    # forms, criterion 9, linear forms with Q = P^q, a scaled hexagonal form
-    # and a P whose swaps fix only x1 <-> x2.
+    # forms, criterion 9, linear forms with Q = P^q, a scaled hexagonal form,
+    # a P whose swaps fix only x1 <-> x2, and non-diagonal forms whose faces
+    # are one-variable and reduced, or two-variable and integrated, in one
+    # orbit or in two.
     CORPUS = [
         *[(_diagonal(n, 2, 1), MPoly.one(n), 0, QS6) for n in (2, 3, 4)],
         (_diagonal(4, 3, 1), MPoly.one(4), 0, QS6),
@@ -1291,6 +1325,9 @@ class TestFaceOrbits:
         (P("3/2 x1^2 + 3/2 x1 x2 + 3/2 x2^2", 2), MPoly.one(2), 1, QS_FAST),
         (P("x1^2 + x2^2 + 2 x3^2", 3), MPoly.one(3), 0, QS_FAST),
         (P("x1^2 + x2^2 + 2 x3^2", 3), P("x3", 3), 1, QS_FAST),
+        (P("x1^4 + x1^3 x2 + x1 x2^3 + x2^4", 2), P("x1 x2", 2), 1, QS_FAST),
+        (P("x1^2 + x2^2 + x3^2 + x1 x2 + x1 x3 + x2 x3", 3), MPoly.one(3), 0, QS_FAST),
+        (P("x1^2 + x2^2 + x3^2 + x1 x2 + x1 x3 + x2 x3", 3), P("x3", 3), 1, QS_FAST),
     ]
 
     @pytest.fixture
@@ -1318,11 +1355,12 @@ class TestFaceOrbits:
         assert _face_orbits(Pp, P(q, Pp.nvars)) == orbits
 
     def test_folded_keeps_the_unfolded_value_bits(self, unfolded):
-        for args in self.CORPUS:
+        # A diagonal P takes no orbit (D17): unfolding it changes nothing.
+        for args in [a for a in self.CORPUS if _quadrature.dirichlet(a[0]) is None]:
             z, buckets = Z_breakdown(*args)
             ref, ref_buckets = unfolded(*args)
             # Faces that are not reduced have fewer buckets; the reduced
-            # ones sum to the same form (DECISIONS.md D14).
+            # ones sum to the same form (DECISIONS.md D16).
             split = lambda bs: ([b for b in bs if isinstance(b, ZBucket)],
                                 [b for b in bs if isinstance(b, ZMaster)])
             (faces, form), (ref_faces, ref_form) = split(buckets), split(ref_buckets)
@@ -1339,6 +1377,9 @@ class TestFaceOrbits:
             assert _within_errs(z, raabe_substitute(Y_expansion(*args)))
 
     def test_one_face_per_orbit_is_built(self, monkeypatch):
+        # P is not diagonal, so the faces are folded (a diagonal P builds
+        # face 1 alone, TestDiagonalFaces).  The exact part alone is built:
+        # which faces it builds is all this test reads.
         faces = []
 
         def recorded(P, Q, N, d, i):
@@ -1347,12 +1388,11 @@ class TestFaceOrbits:
 
         sums = mahler._face_sums
         monkeypatch.setattr(mahler, "_face_sums", recorded)
-        # No memoised exact form in, and none built under the patch kept.
-        monkeypatch.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
-        Z_breakdown(P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0, QS6)
-        assert faces and set(faces) == {1}  # criterion 9: one orbit
+        exact_form = mahler._exact_form.__wrapped__  # no memoised form
+        exact_form(P("x1^2 + x2^2 + x3^2 + x1 x2 + x1 x3 + x2 x3", 3), MPoly.one(3), 0)
+        assert faces and set(faces) == {1}  # one orbit
         faces.clear()
-        Z_breakdown(P("x1^2 + x2^2 + 2 x3^2", 3), P("x3", 3), 1, QS_FAST)
+        exact_form(P("x1^2 + x2^2 + 2 x3^2 + x1 x2", 3), P("x3", 3), 1)
         assert set(faces) == {1, 3}
 
 
@@ -1393,10 +1433,9 @@ class TestExactFormMemo:
     def test_bad_input_raises_every_call(self):
         Z_value(P("x1^2 + x2^2", 2), MPoly.one(2), 1, QS_FAST)
         # A float N only equals the memoised N = 1: it is not served from it.
-        bad_N = (AttributeError, TypeError, ValueError)
         for args, exc in [((P("x1^2 - 3 x1 x2 + x2^2", 2), MPoly.one(2), 1), NotElliptic),
                           ((P("x1^2 + x2^2", 2), MPoly.one(3), 1), DimensionMismatch),
-                          ((P("x1^2 + x2^2", 2), MPoly.one(2), 1.0), bad_N)]:
+                          ((P("x1^2 + x2^2", 2), MPoly.one(2), 1.0), ValueError)]:
             for _ in range(2):
                 with pytest.raises(exc):
                     Z_value(*args, QS_FAST)
@@ -1509,7 +1548,6 @@ class TestTripleSumReference:
         with monkeypatch.context() as m:
             m.setattr(mahler, "cube_integral", recorded)
             m.setattr(mahler, "reduction", lambda den: None)
-            m.setattr(mahler, "diagonal_reduction", lambda den: None)
             # No memoised exact form in, and none built under the patch kept.
             m.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
             out = fn(*args)
@@ -1619,18 +1657,26 @@ class TestFaceQuadratureBitIdentity:
         # D14): no master is left, so the value is 1/16 and err its rounding.
         assert self._bits(v, F(1, 16)) == ((0, 1, -4, 1), (0, 131073, -120, 18))
 
-    # sha256 of repr([(value._mpf_, err._mpf_), ...]) of every cube
-    # quadrature behind the Z values below.  The linear form's four left
-    # the digest when its faces took the closed form (D12), the Epstein
-    # form's three and the cubic's four 3-D faces when diagonal faces were
-    # reduced exactly (D14): what is left is the cubic's one 2-D master.
-    SYMMETRIC_SHA = "0677b0cbb9b14f79715a291698a38bcb2799758fae58567f96ad5fc3e7bc260e"
+    # sha256 of repr([(value._mpf_, err._mpf_), ...]) of the Z values below,
+    # then of the cube quadratures behind them.  Until diagonal P took
+    # Dirichlet's integral over the orthant (D17) it digested only the
+    # quadratures: the linear form's four faces left it with D12, the
+    # Epstein form's and the cubic's 3-D faces with D14, and the cubic's one
+    # 2-D master with D17.  The Epstein and linear values kept their bits
+    # then; criterion 9 became 1/16 - Gamma(1/3)^3/810 evaluated, within
+    # both errs of its master's quadrature.  The symmetric ternary quadric
+    # was added then, so that symmetric faces still reach the kernel; its
+    # two quadratures have the same bits at the parent of D17.
+    SYMMETRIC_SHA = "60d449fffcffde906393f88d36e628371a93a8b7b31aa723bb6ac584a2f1a2b2"
 
     def test_symmetric_faces_digest(self, monkeypatch):
-        # Symmetric faces repeat denominator values across their grids: the
-        # Epstein form, a linear form with Q = P and criterion 9's cubic.
-        # Masters are kept per settings for the process: start with none.
+        # Symmetric P: the Epstein form, a linear form with Q = P and
+        # criterion 9's cubic, each against its truth and with no
+        # quadrature, and a quadric whose 2-D faces repeat denominator
+        # values across their grids.
         _quadrature.constant.cache_clear()
+        P3 = P("x1^2 + x2^2 + x3^2 + x1 x2 + x1 x3 + x2 x3", 3)
+        ref = Z_value(P3, MPoly.one(3), 0, QuadratureSettings(rel_tol=1e-12, precision=30))
         quads = []
 
         def recorded(*args, **kwargs):
@@ -1641,17 +1687,22 @@ class TestFaceQuadratureBitIdentity:
         integrate = _quadrature.integrate_unit_cube
         monkeypatch.setattr(_quadrature, "integrate_unit_cube", recorded)
         L = P("3/2 x1 + 3/2 x2 + 3/2 x3 + 3/2 x4", 4)
-        for p, q, N, qs in (
+        with mp.workdps(50):
+            criterion_9 = mpf(1) / 16 - mp.gamma(mpf(1) / 3) ** 3 / 810
+        bits = [self._bits(Z_value(p, q, N, qs), truth) for p, q, N, qs, truth in (
             (P("x1^2 + x2^2 + x3^2 + x4^2", 4), MPoly.one(4), 0,
-             QuadratureSettings(rel_tol=1e-6, precision=20)),
-            (L, L, 1, self.QS20),
-            (L, L, 2, QuadratureSettings(rel_tol=1e-8, precision=30)),
+             QuadratureSettings(rel_tol=1e-6, precision=20), F(1, 16)),
+            (L, L, 1, self.QS20, linear_form_zeta((F(3, 2),) * 4, (0,) * 4, 2)),
+            (L, L, 2, QuadratureSettings(rel_tol=1e-8, precision=30),
+             linear_form_zeta((F(3, 2),) * 4, (0,) * 4, 3)),
             (P("x1^3 + x2^3 + x3^3 + x4^3", 4), MPoly.one(4), 0,
-             QuadratureSettings(rel_tol=1e-6, precision=20)),
-        ):
-            assert Z_value(p, q, N, qs).kind == "numeric"
-        assert len(quads) == 1
-        assert hashlib.sha256(repr(quads).encode()).hexdigest() == self.SYMMETRIC_SHA
+             QuadratureSettings(rel_tol=1e-6, precision=20), criterion_9),
+        )]
+        assert quads == []  # a diagonal P runs no quadrature (D17)
+        bits.append(self._bits(Z_value(P3, MPoly.one(3), 0, self.QS20), ref.num.value,
+                               ref.num.err))
+        assert len(quads) == 2
+        assert hashlib.sha256(repr(bits + quads).encode()).hexdigest() == self.SYMMETRIC_SHA
 
     def test_period_2d_face_nonnegative_exponent(self):
         # N = 2, |alpha| = 1: the integrand is the polynomial
@@ -1687,16 +1738,22 @@ def _num_from(fr):
 
 
 class TestDiagonalFaces:
-    """Z_breakdown reduces every bucket on a diagonal face c + sum a_j x_j^d
-    exactly, sums the forms over the whole value, and integrates only the
-    masters left (DECISIONS.md D14).  theta_diagonal, which shares no code
-    with it, is the truth; period quadrature, the check where it has none."""
+    """Z_breakdown sums the buckets of a diagonal P = sum a_j x_j^d, n >= 2,
+    as one integral over the orthant, in face 1's chart, and writes each
+    monomial's integral by Dirichlet's formula in Gamma values and powers
+    (DECISIONS.md D17): no quadrature, no orbit.  theta_diagonal, which
+    shares no code with it, is the truth, term by term; quadrature is the
+    check where it has none."""
 
     @staticmethod
     def _form(Pd, Q, N, qs=QS_FAST):
         z, parts = Z_breakdown(Pd, Q, N, qs)
         form = {b.key: b.coeff for b in parts if isinstance(b, ZMaster)}
         return z, {key: q for key, q in form.items() if key is None or q}
+
+    @staticmethod
+    def _scaled(n, d, cs):
+        return MPoly(n, {tuple(d * (i == j) for i in range(n)): F(cs[j]) for j in range(n)})
 
     # Diagonal P whose theta value is rational: (n, d, scales, Q exponent, N).
     RATIONAL = [
@@ -1708,56 +1765,92 @@ class TestDiagonalFaces:
 
     @pytest.mark.parametrize("n, d, c, a, N", RATIONAL)
     def test_rational_rows_equal_theta(self, n, d, c, a, N):
-        cs = c if isinstance(c, list) else [c] * n
-        Pd = MPoly(n, {tuple(d * (i == j) for i in range(n)): F(cs[j]) for j in range(n)})
+        Pd = self._scaled(n, d, c if isinstance(c, list) else [c] * n)
         av = (a,) * n if isinstance(a, int) else a
         z, form = self._form(Pd, MPoly(n, {av: F(1)}), N)
         truth = theta_diagonal(n, d, a, N, c)
         assert truth.kind == "exact" and form == {None: truth.exact}
         assert z.kind == "numeric" and z.num.value == mpf_from(truth.exact, QS_FAST)
 
-    def test_criterion_9_is_one_master(self):
-        M2 = (2, 3, F(1), ((F(1), 0), (F(1), 0)))  # int int dx dy / (1 + x^3 + y^3)
+    @staticmethod
+    def _drawn():
+        # (n, d, scales, Q exponent, N): n <= 4, d <= 4, N <= 3, the scales
+        # equal or k_j^d, so that theta has a closed form; only draws with
+        # dN + |a| + n <= 12, which keeps the exact algebra small.
+        rng = random.Random(36)
+        ks = [F(1), F(2), F(3), F(1, 2)]
+        while True:
+            n, d, N = rng.randint(2, 4), rng.randint(1, 4), rng.randint(0, 3)
+            c = [rng.choice(ks)] * n if rng.random() < 0.5 else [rng.choice(ks) ** d
+                                                               for _ in range(n)]
+            a = tuple(rng.randint(0, 2) for _ in range(n))
+            if d * N + sum(a) + n <= 12:
+                yield n, d, c, a, N
+
+    def test_form_equals_theta_term_by_term(self):
+        for n, d, c, a, N in itertools.islice(self._drawn(), 48):
+            _, form = self._form(self._scaled(n, d, c), MPoly(n, {a: F(1)}), N)
+            truth = theta_diagonal(n, d, a, N, c)
+            want = {None: truth.exact} if truth.kind == "exact" else {
+                None: truth.base, **{(3, cp.gammas, ()): q for q, cp in truth.terms}}
+            assert form == want, (n, d, c, a, N)
+
+    def test_criterion_9_is_the_closed_form(self):
+        # 1/16 - Gamma(1/3)^3/810, the paper's value, as the form itself.
         qs = QuadratureSettings(rel_tol=1e-8, precision=25)
         z, form = self._form(_diagonal(4, 3, 1), MPoly.one(4), 0, qs)
-        assert form == {None: F(1, 16), M2: F(-1, 30)}
-        with mp.workdps(40):
+        assert form == {None: F(1, 16), (3, (F(1, 3),) * 3, ()): F(-1, 810)}
+        with mp.workdps(60):
             truth = mpf(1) / 16 - mp.gamma(mpf(1) / 3) ** 3 / 810
-            assert abs(z.num.value - truth) <= z.num.err <= mpf(10) ** -10
+            assert abs(z.num.value - truth) <= z.num.err <= mpf(10) ** -30
 
-    @staticmethod
-    def _cases():
-        # (d, c, a, e, k): six 2-D and three 3-D, exponents past d - 1 so
-        # that by parts, the Euler relation and the faces all take part.
-        rng = random.Random(26)
-        scales = (F(1), F(2), F(1, 2), F(3))
-        for r in (2,) * 6 + (3,) * 3:
-            d = rng.randint(2, 4)
-            yield (d, rng.choice(scales), tuple(rng.choice(scales) for _ in range(r)),
-                   tuple(rng.randint(0, d + 2) for _ in range(r)), rng.randint(1, 3))
+    def test_criterion_9_at_100_digits(self):
+        qs = QuadratureSettings(rel_tol=1e-90, abs_tol=1e-95, precision=100)
+        t0 = time.perf_counter()
+        z = Z_value(_diagonal(4, 3, 1), MPoly.one(4), 0, qs)
+        assert time.perf_counter() - t0 < 1
+        with mp.workdps(140):
+            truth = mpf(1) / 16 - mp.gamma(mpf(1) / 3) ** 3 / 810
+            assert abs(z.num.value - truth) <= z.num.err <= qs.rel_tol * abs(truth)
 
-    def test_forms_against_quadrature(self):
-        for d, c, a, e, k in self._cases():
-            dg = _quadrature._diagonal(d, c, a)
-            v, _ = _quadrature._budgeted(*_quadrature._form_sum((1, {(dg, e, k): 1})), QS_FAST)
-            w = _quadrature._quadrature_of(dg.den, MPoly(len(a), {e: F(1)}), k, QS_FAST)
-            with mp.workdps(40):
-                assert abs(v.value - w.value) <= v.err + w.err, (d, c, a, e, k)
+    # (d, (a_1, ..., a_n), e, k): rows of one and two variables, with
+    # powers left (2^(1/3), (1/2)^(3/4), (1/3)^(2/3), 3^(1/2)), one folded
+    # in (16^(-3/4) = 1/8), and a linear row that is rational.
+    ROWS = [
+        (3, (F(1), F(2)), (1,), 2), (4, (F(1, 2), F(16)), (2,), 1),
+        (3, (F(2), F(1), F(1, 3)), (1, 0), 2), (2, (F(3), F(1), F(2)), (0, 1), 2),
+        (1, (F(2), F(3), F(5)), (1, 0), 4),
+    ]
+
+    def test_rows_against_mpmath_quad(self):
+        # int over [0, oo)^r of y^e / (a_1 + sum a_j y_j^d)^k: mpmath's
+        # quadrature, at 50 digits in one variable and 15 in two.
+        for d, a, e, k in self.ROWS:
+            v, _ = _quadrature._budgeted(
+                *_quadrature._form_sum((1, {(_quadrature._Dirichlet(d, a), e, k): 1})), QS)
+            dps = 50 if len(e) == 1 else 15
+            with mp.workdps(dps):
+                A = [mpf(x.numerator) / x.denominator for x in a]
+                f = lambda *y: mp.fprod(t ** x for t, x in zip(y, e)) / (
+                    A[0] + mp.fsum(c * t ** d for c, t in zip(A[1:], y))) ** k
+                truth, terr = mp.quad(f, *[[0, mp.inf]] * len(e), error=True)
+                assert abs(v.value - truth) <= v.err + terr + mpf(10) ** (5 - dps), (d, a, e, k)
 
     def test_no_rational_root_against_quadrature(self, monkeypatch):
         # Z(x1^3 + 2 x2^3 + 3 x3^3, 1; -1) = 1/80 exactly: theta needs the
-        # cube roots of 2 and 3, so the truth is the unreduced quadrature.
+        # cube roots of 2 and 3, so the truth is the face quadrature.
         Pd, qs = P("x1^3 + 2 x2^3 + 3 x3^3", 3), QuadratureSettings(rel_tol=1e-15, precision=30)
         z, form = self._form(Pd, MPoly.one(3), 1, qs)
         assert form == {None: F(1, 80)}
-        monkeypatch.setattr(mahler, "diagonal_reduction", lambda den: None)
+        monkeypatch.setattr(mahler, "dirichlet", lambda P: None)
         # No memoised exact form in, and none built under the patch kept.
         monkeypatch.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
-        ref = Z_value(Pd, MPoly.one(3), 1, qs)
+        ref, buckets = Z_breakdown(Pd, MPoly.one(3), 1, qs)
+        assert buckets and all(isinstance(b, ZBucket) for b in buckets)
         with mp.workdps(50):
             assert abs(z.num.value - ref.num.value) <= z.num.err + ref.num.err
 
-    def test_no_three_dimensional_quadrature(self, monkeypatch):
+    def test_no_quadrature(self, monkeypatch):
         dims, integrate = [], _quadrature.integrate_unit_cube
 
         def recorded(f, dim, *args, **kwargs):
@@ -1766,10 +1859,25 @@ class TestDiagonalFaces:
 
         _quadrature.constant.cache_clear()
         monkeypatch.setattr(_quadrature, "integrate_unit_cube", recorded)
-        Z_value(_diagonal(4, 3, 1), MPoly.one(4), 0, QS6)
-        assert dims == [2]  # criterion 9: the one master M2
-        Z_value(_diagonal(4, 2, 1), MPoly.one(4), 0, QS6)
-        assert dims == [2]  # Epstein n = 4: no master is left
+        Z_value(_diagonal(4, 3, 1), MPoly.one(4), 0, QS6)  # criterion 9
+        Z_value(_diagonal(4, 2, 1), MPoly.one(4), 0, QS6)  # Epstein, n = 4
+        Z_value(P("x1^3 + 2 x2^3", 2), P("x1", 2), 1, QS6)  # 2^(1/3) left
+        assert dims == []
+
+    def test_face_1_alone_and_no_orbits(self, monkeypatch):
+        faces = []
+
+        def recorded(P, Q, N, d, i):
+            faces.append(i)
+            return sums(P, Q, N, d, i)
+
+        sums = mahler._face_sums
+        monkeypatch.setattr(mahler, "_face_sums", recorded)
+        monkeypatch.setattr(mahler, "_face_orbits", lambda *a: pytest.fail("_face_orbits"))
+        for p, q in [("x1^3 + x2^3 + x3^3 + x4^3", "1"), ("x1^2 + 2 x2^2 + 3 x3^2", "x3^2"),
+                     ("x1 + 2 x2 + 3 x3", "x1")]:
+            Z_value(P(p), P(q, P(p).nvars), 1, QS_FAST)
+        assert faces and set(faces) == {1}
 
 
 def mpf_from(x, qs):
