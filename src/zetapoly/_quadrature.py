@@ -18,9 +18,10 @@ returns its values at every point of their product, in row-major order
 unit cube.  Two exact reductions write x^e / den^k as a form
 (L, {key: int}), the rational part keyed None and the coefficient of each
 named constant under its key, all over one denominator L: an affine den
-(D12, logs) and a den of one variable (D10, masters int_0^1 x^i / den);
-a Z value of a diagonal P takes forms over Gamma values and powers, by
-Dirichlet's integral over the orthant (D17).  Every sum of forms is one
+(D12, logs; ``cube_integral``'s alone) and a den of one variable (D10,
+masters int_0^1 x^i / den); a Z value of a diagonal P, linear or not,
+takes forms over ConstantProducts of Gamma values and powers, by
+Dirichlet's integral over the orthant (D17, D18).  Every sum of forms is one
 ``multipoly.combine``; ``_form_sum`` is the one exact sum of a form's rows,
 ``_budgeted`` the one evaluator of the constants it leaves, and
 ``constant`` their one memo: a Z value sums the forms of all its buckets
@@ -47,10 +48,9 @@ from .errors import (
     PrecisionUnreachable,
     QuadratureDidNotConverge,
 )
-from .exactnum import (Numeric, SpecialValue, _check_precision, _round_err, gamma_rational,
-                       mpf_from_rational)
+from .exactnum import (ConstantProduct, Numeric, SpecialValue, _check_precision, _exact_root,
+                       _round_err, mpf_from_rational)
 from .multipoly import MPoly, _over_common_denominator, bernstein_positive, combine
-from .powersum import _exact_root
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
 
@@ -783,8 +783,8 @@ class _Dirichlet:
     a_j^(-s_j) / (d^(n-1) (k-1)!), s_j = (e_j + 1)/d for j >= 2 and s_1 = k -
     sum_{j>=2} s_j > 0.  Each Gamma(f + m) is (f)_m Gamma(f), f in (0, 1];
     each b^x, x summed over the a_j = b, is b^floor(x) b^(x mod 1), the last
-    folded in when rational.  The rest is keyed (3, (f < 1, ...), ((b, x
-    mod 1), ...))."""
+    folded in when rational.  The rest is keyed by the ConstantProduct of
+    the Gamma(f), f < 1, and the b^(x mod 1) left (D18)."""
 
     def __init__(self, d: int, a: tuple):
         self.d, self.a = d, a
@@ -810,7 +810,7 @@ class _Dirichlet:
                 left.append((b, x))
             else:
                 coeff *= root ** x.numerator
-        key = _MasterKey((3, tuple(sorted(gammas)), tuple(left))) if gammas or left else None
+        key = ConstantProduct(gammas, left) if gammas or left else None
         return coeff.denominator, {key: coeff.numerator}
 
 
@@ -831,9 +831,9 @@ class _MasterKey(tuple):
     """The name of a constant in a form, equal to the plain tuple, that
     hashes its Fractions once: forms add their rows key by key.  Its first
     entry is its kind: (0, b, ...) the product of the logs of the basis
-    integers b (D12), (1, D's coefficients, i) the master int_0^1 x^i / D
-    (D10), (3, (f, ...), ((b, x), ...)) the product of the Gamma(f) and the
-    b^x (D17)."""
+    integers b (D12; no Z value has an affine face), or (1, D's
+    coefficients, i) the master int_0^1 x^i / D (D10).  A product of Gamma
+    values and powers is named by its ConstantProduct (D18)."""
 
     hash = cached_property(tuple.__hash__)
 
@@ -857,22 +857,19 @@ def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings)
 
 
 @lru_cache(maxsize=256)
-def constant(key: _MasterKey, qs: QuadratureSettings) -> Numeric:
+def constant(key: _MasterKey | ConstantProduct, qs: QuadratureSettings) -> Numeric:
     """The constant named by key under qs, once per (key, qs): a product of
-    logs, each rounded once, or of Gamma values, each computed once, and
-    roots, each rounded once, at precision + 10 digits; else its master's
-    fixed-point quadrature."""
+    Gamma values and powers, once per precision (ConstantProduct.to_numeric),
+    or of logs, each rounded once at precision + 10 digits; else its
+    master's fixed-point quadrature."""
+    if isinstance(key, ConstantProduct):
+        return key.to_numeric(qs.precision)
     kind, *name = key
     if kind == 1:  # name = (D's coefficients, i)
         den = MPoly(1, {(j,): x for j, x in enumerate(name[0]) if x})
         return _quadrature_of(den, MPoly(1, {(name[1],): 1}), 1, qs)
     with mp.workdps(qs.precision + 10):
-        if kind == 0:
-            return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
-        gammas, powers = name
-        gamma = {f: gamma_rational(f, qs.precision + 10) for f in set(gammas)}
-        roots = [mp.root(mpf_from_rational(b ** x.numerator), x.denominator) for b, x in powers]
-        return reduce(mul, [gamma[f] for f in gammas] + [Numeric(v, _round_err(v)) for v in roots])
+        return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
 
 
 def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings) -> tuple:

@@ -23,7 +23,7 @@ from mpmath import mp
 
 from . import identities
 from .errors import PrecisionUnreachable, ZetaPolyError
-from .exactnum import MAX_PRECISION_DPS, SpecialValue, parse_rational, rat_to_str
+from .exactnum import MAX_PRECISION_DPS, ConstantProduct, SpecialValue, parse_rational, rat_to_str
 from .mahler import (
     CompositionFamily,
     QuadratureSettings,
@@ -143,14 +143,11 @@ def _bucket_json(b: ZBucket | ZMaster, precision: int) -> dict:
     if isinstance(b, ZMaster):  # DECISIONS.md D16
         if b.key is None:
             return {"rational": rat_to_str(b.coeff)}
-        kind, *name = b.key
-        if kind == 0:  # a product of logs
-            out = {"logs": name}
-        elif kind == 1:  # int_0^1 x^i / D, name = (D's coefficients, i)
-            out = {"master": {"D": [rat_to_str(x) for x in name[0]], "i": name[1]}}
-        else:  # prod Gamma(f) prod b^x, name = (the f, the (b, x)) (DECISIONS.md D17)
-            out = {"gammas": [rat_to_str(f) for f in name[0]],
-                   "powers": [[rat_to_str(b), rat_to_str(x)] for b, x in name[1]]}
+        if isinstance(b.key, ConstantProduct):  # prod Gamma(f) prod b^x (DECISIONS.md D18)
+            out = {"gammas": [rat_to_str(f) for f in b.key.gammas],
+                   "powers": [[rat_to_str(c), rat_to_str(x)] for c, x in b.key.powers]}
+        else:  # int_0^1 x^i / D, key = (1, D's coefficients, i)
+            out = {"master": {"D": [rat_to_str(x) for x in b.key[1]], "i": b.key[2]}}
         out["coeff"] = rat_to_str(b.coeff)
         num = b.value
     else:

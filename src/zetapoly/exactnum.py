@@ -13,8 +13,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import count
 from math import comb, factorial
+from operator import mul
 from typing import Iterable, Sequence
 
 from mpmath import mp, mpf
@@ -122,7 +124,7 @@ _extend_bernoulli(BERNOULLI_EAGER_MAX)
 
 
 # -----------------------------------------------------------------------------
-# Binomials, factorials, Pochhammer products
+# Binomials, factorials, Pochhammer products, exact roots
 # -----------------------------------------------------------------------------
 
 def binom_signed(n: int, k: int) -> int:
@@ -169,6 +171,25 @@ def pochhammer_shift(x: Fraction, M: int, b: int) -> Fraction:
             raise DegenerateFactor(f"factor k - x vanishes at k = {k}, x = {x}")
         acc *= f
     return acc
+
+
+def _iroot(v: int, r: int) -> int:
+    """floor(v^(1/r)) for an integer v >= 1, in integer arithmetic."""
+    x = 1 << -(-v.bit_length() // r)  # 2^ceil(bits/r) > v^(1/r)
+    while True:
+        y = ((r - 1) * x + v // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
+def _exact_root(x: Fraction, r: int) -> Fraction | None:
+    """Exact r-th root of a positive rational, or None."""
+    p = _iroot(x.numerator, r)
+    q = _iroot(x.denominator, r)
+    if p**r != x.numerator or q**r != x.denominator:
+        return None
+    return Fraction(p, q)
 
 
 # -----------------------------------------------------------------------------
@@ -370,31 +391,41 @@ def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
 # Symbolic constant products and tagged special values
 # -----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ConstantProduct:
-    """A product of Gamma values at rationals in (0,1).
-
-    The gamma multiset is kept sorted so equality is structural.
-    """
+    """prod Gamma(f) prod b^x, rational f and x in (0, 1), b > 0, b^x irrational
+    (DECISIONS.md D18).  Kept sorted, so equality is structural; hashed once
+    and ordered, since a form adds its rows key by key and sorts its keys."""
 
     gammas: tuple[Fraction, ...] = ()
+    powers: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
-        gs = tuple(sorted(Fraction(g) for g in self.gammas))
-        for g in gs:
-            if not (0 < g < 1):
-                raise ValueError("gamma arguments must lie in (0,1)")
-        object.__setattr__(self, "gammas", gs)
+        gs = tuple(sorted(map(Fraction, self.gammas)))
+        ps = tuple(sorted((Fraction(b), Fraction(x)) for b, x in self.powers))
+        if any(not 0 < g < 1 for g in gs):
+            raise ValueError("gamma arguments must lie in (0,1)")
+        if any(b <= 0 or not 0 < x < 1 or _exact_root(b, x.denominator) for b, x in ps):
+            raise ValueError("powers b^x need b > 0, x in (0,1) and b^x irrational")
+        vars(self).update(gammas=gs, powers=ps, _hash=hash((gs, ps)))
+
+    def __hash__(self):
+        return self._hash
 
     def labels(self) -> list[str]:
-        return [f"Gamma({rat_to_str(g)})" for g in self.gammas]
+        return [f"Gamma({rat_to_str(g)})" for g in self.gammas] + [
+            f"{rat_to_str(b)}^({rat_to_str(x)})" for b, x in self.powers]
 
+    @lru_cache(maxsize=256)
     def to_numeric(self, precision: int = DEFAULT_DPS) -> Numeric:
+        """At precision + 10 digits, once per precision: each distinct Gamma
+        computed once, each b^(p/q) the q-th root of b^p, rounded once."""
         with mp.workdps(precision + 10):
-            acc = Numeric(mpf(1), mpf(0))
-            for g in self.gammas:
-                acc = acc * gamma_rational_numeric(g, precision)
-        return acc
+            gamma = {f: gamma_rational(f, precision + 10) for f in set(self.gammas)}
+            roots = [mp.root(mpf_from_rational(b ** x.numerator), x.denominator)
+                     for b, x in self.powers]
+            factors = [gamma[f] for f in self.gammas] + [Numeric(v, _round_err(v)) for v in roots]
+            return reduce(mul, factors) if factors else Numeric(mpf(1), mpf(0))
 
 
 class SpecialValue:
@@ -427,7 +458,7 @@ class SpecialValue:
             merged[cp] = merged.get(cp, Fraction(0)) + Fraction(coeff)
         tlist = tuple(
             (c, cp)
-            for cp, c in sorted(merged.items(), key=lambda kv: kv[0].gammas)
+            for cp, c in sorted(merged.items())
             if c != 0
         )
         if not tlist:

@@ -4,9 +4,9 @@ Implements the multi-index bookkeeping (weighted index sets, composition
 families and their g-vectors), the period integrals over unit-cube faces
 (each one ``_quadrature.cube_integral``: an exact moment, a closed form
 over an affine face, an exact reduction to one-variable masters, or a
-certified quadrature; in a Z value, the buckets on affine and one-variable
-faces are reduced exactly and summed into one form instead, and a
-diagonal P's are Dirichlet integrals over the orthant),
+certified quadrature; in a Z value, the buckets on one-variable faces are
+reduced exactly and summed into one form instead, and a diagonal P's,
+linear forms included, are Dirichlet integrals over the orthant),
 the triple sum behind a value, whose terms with the same |alpha| = a on a
 face are built at once as the polynomial (P(x + t) - P(x))^a Q_c(x + t),
 the polynomial-in-(1+a) expansion of the shifted integral continuation,
@@ -27,6 +27,7 @@ from ._quadrature import (DEFAULT_QS, QuadratureSettings, _budgeted, _form_sum, 
                           dirichlet, reduction)
 from .errors import DimensionMismatch, NotElliptic, NotHomogeneous
 from .exactnum import (
+    ConstantProduct,
     Numeric,
     SpecialValue,
     bernoulli_tilde_product,
@@ -287,7 +288,7 @@ class ZMaster:
     (DECISIONS.md D16): the rational part coeff for key None, else coeff
     times the constant named by key, whose value is given."""
 
-    key: tuple | None
+    key: tuple | ConstantProduct | None
     coeff: Fraction
     value: Numeric | None
 
@@ -331,11 +332,11 @@ def Z_breakdown(
     P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
 ) -> tuple[SpecialValue, list[ZBucket | ZMaster]]:
     """Z(P, Q; -N) together with the parts it is the sum of: a ZMaster per
-    term of the one form that the buckets on affine and one-variable faces
-    sum to, each reduced exactly and scaled by its orbit, or a diagonal P's
+    term of the one form that the buckets on one-variable faces sum to,
+    each reduced exactly and scaled by its orbit, or a diagonal P's
     buckets over the orthant, with only the constants left evaluated
-    (DECISIONS.md D16, D17); and a ZBucket per other bucket, integrated on
-    its own.  The exact part is
+    (DECISIONS.md D16, D17, D18); and a ZBucket per other bucket,
+    integrated on its own.  The exact part is
     ``_exact_form``'s; only the integrals and constants depend on qs."""
     flags, buckets, form = _exact_form(P, Q, N)
     evaluated: list[ZBucket | ZMaster] = []

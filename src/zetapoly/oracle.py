@@ -30,6 +30,7 @@ from .exactnum import (
     Numeric,
     SpecialValue,
     _check_precision,
+    _exact_root,
     bernoulli,
     bernoulli_poly,
     binom_rational,
@@ -37,21 +38,21 @@ from .exactnum import (
     riemann_zeta_exact_nonpositive,
 )
 from .multipoly import weighted_partitions
-from .powersum import PowerSumParams, _exact_root
+from .powersum import PowerSumParams
+
+
+# The furthest unit step m an em_inner_sum may reach, direct terms and
+# remainder intervals together.
+TRUNCATION = 400
 
 
 @dataclass(frozen=True)
 class EMSettings:
-    """truncation: the furthest unit step m an em_inner_sum may reach, direct
-    terms and remainder intervals together.  precision: the requested
-    digits, from 1 up to MAX_PRECISION_DPS."""
+    """precision: the requested digits, from 1 up to MAX_PRECISION_DPS."""
 
-    truncation: int = 400
     precision: int = 30
 
     def __post_init__(self):
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
         _check_precision(self.precision)
 
 
@@ -165,7 +166,7 @@ def em_inner_sum(
     intervals from M0 until its power tail bound, measured against the
     tolerance of the sum and not of the integral, is _TAIL_SHARE below
     tolerance.  (M0, K) is the pair of least predicted work for which that
-    happens by m = settings.truncation.  Guard
+    happens by m = TRUNCATION.  Guard
     digits cover the cancellation between the partial sum and the integral
     term.  At non-positive integer s, f is a polynomial and the formula is
     evaluated exactly at M0 = 1.  b = 0 with d >= 2 is a^{-s} zeta(d s),
@@ -186,12 +187,10 @@ def _log(x: Fraction) -> float:
     return log(x.numerator) - log(x.denominator)
 
 
-def _em_plan(
-    a, b, d, s, K_lo: int, settings: EMSettings, target: mpf
-) -> tuple[int, int, int, mpf]:
+def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, int, mpf]:
     """(M0, K, m_end, tail): the anchor, the order, the end of the remainder
     loop and the bound of the remainder beyond m_end, for the least
-    predicted work with tail <= target and m_end <= settings.truncation.
+    predicted work with tail <= target and m_end <= TRUNCATION.
 
     Direct terms cost less than remainder intervals, so the anchor sits one
     interval below the first m where the bound meets target; the order
@@ -203,7 +202,7 @@ def _em_plan(
     M_min = 1 if d == 1 else max(1, int(float(2 * b / a) ** (1 / d)))
     while d > 1 and a * M_min**d < 2 * b:
         M_min += 1
-    m_max = settings.truncation
+    m_max = TRUNCATION
     log_target = float(mp.log(target))
     log_a_s = -float(s) * _log(a)
     best = None
@@ -267,7 +266,7 @@ def _em_anchored(a, b, d, s, settings: EMSettings) -> Numeric:
     if s.denominator == 1 and s <= 0:
         return Numeric.from_rational(_em_polynomial(a, b, d, -s.numerator))
     tol = mpf(10) ** (-(settings.precision + 2))
-    M0, K, m_end, tail = _em_plan(a, b, d, s, K_lo, settings, tol * _TAIL_SHARE)
+    M0, K, m_end, tail = _em_plan(a, b, d, s, K_lo, tol * _TAIL_SHARE)
     rem, rem_err = _remainder_integral(a, b, d, s, K, M0, m_end)
     base = b + a * M0**d
     # The partial sum and the integral term are each about M0 f(M0) and

@@ -15,7 +15,7 @@ from math import factorial
 from operator import mul
 from typing import Sequence
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .errors import (
     HypothesisViolated,
@@ -31,9 +31,9 @@ from .exactnum import (
     DEFAULT_DPS,
     Numeric,
     SpecialValue,
+    _exact_root,
     bernoulli,
     binom_signed,
-    mpf_from_rational,
     riemann_zeta_exact_nonpositive,
     riemann_zeta_numeric,
 )
@@ -397,25 +397,6 @@ def C_value(d: Sequence[int], N: Sequence[int], b: int) -> Fraction:
     return acc
 
 
-def _iroot(v: int, r: int) -> int:
-    """floor(v^(1/r)) for an integer v >= 1, in integer arithmetic."""
-    x = 1 << -(-v.bit_length() // r)  # 2^ceil(bits/r) > v^(1/r)
-    while True:
-        y = ((r - 1) * x + v // x ** (r - 1)) // r
-        if y >= x:
-            return x
-        x = y
-
-
-def _exact_root(x: Fraction, r: int) -> Fraction | None:
-    """Exact r-th root of a positive rational, or None."""
-    p = _iroot(x.numerator, r)
-    q = _iroot(x.denominator, r)
-    if p**r != x.numerator or q**r != x.denominator:
-        return None
-    return Fraction(p, q)
-
-
 def directional_limit(
     params: PowerSumParams, spec: DirectionalSpec, precision: int = DEFAULT_DPS
 ) -> SpecialValue:
@@ -442,24 +423,17 @@ def directional_limit(
     if bern == 0:
         return SpecialValue.make_exact(H)
     coeff = C * bern * theta_ratio * g[0] ** (w + b)
-    roots: list[Fraction] = []
-    exact_ok = True
+    # Each rational (1/gamma_j)^(1/d_j) folds into coeff; the rest are powers.
+    powers = []
     for dj, gj in zip(d[1:], g[1:]):
         r = _exact_root(gj, dj)
         if r is None:
-            exact_ok = False
-            break
-        roots.append(1 / r)
-    cp = ConstantProduct(gammas=tuple(Fraction(1, dj) for dj in d[1:]))
-    if exact_ok:
-        for r in roots:
-            coeff *= r
+            powers.append((1 / gj, Fraction(1, dj)))
+        else:
+            coeff /= r
+    cp = ConstantProduct(gammas=tuple(Fraction(1, dj) for dj in d[1:]), powers=powers)
+    if not powers:
         return SpecialValue.make_mixed(H, [(coeff, cp)])
     with mp.workdps(precision + 10):
-        acc = cp.to_numeric(precision).scale(coeff)
-        for dj, gj in zip(d[1:], g[1:]):
-            gv = mpf_from_rational(gj)
-            root = mp.power(gv, -mpf(1) / dj)
-            acc = acc * Numeric(root, abs(root) * mpf(2) ** (6 - mp.prec))
-        acc = acc + Numeric.from_rational(H)
-    return SpecialValue.make_numeric(acc)
+        return SpecialValue.make_numeric(cp.to_numeric(precision).scale(coeff)
+                                         + Numeric.from_rational(H))

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpmath import mp, mpf
 
-from zetapoly import MPoly, Numeric, QuadratureSettings, ZetaPolyError
+from zetapoly import ConstantProduct, MPoly, Numeric, QuadratureSettings, ZetaPolyError
 from zetapoly._quadrature import _MasterKey
 from zetapoly.cli import _bucket_json, build_parser, main
 from zetapoly.mahler import Z_breakdown, ZMaster
@@ -125,7 +125,8 @@ class TestMahler:
         # Faces with no exact reduction (two variables, neither affine nor
         # diagonal) give one term per bucket (component, face, a); a form's
         # terms are its rational part and one term per constant left, in
-        # the schema of each kind (DECISIONS.md D16).
+        # the schema of a master or of a Gamma product (DECISIONS.md D16,
+        # D18).
         code, out = run_cli(["mahler", "--P", "x1^2 + x1 x2 + x2^2 + x3^2", "--Q", "x1 + 2 x3",
                              "--N", "1", "--terms", "--rel-tol", "1e-8", "--precision", "20"])
         assert code == 0
@@ -134,11 +135,9 @@ class TestMahler:
         for t in payload["terms"]:
             assert set(t) == {"component", "i", "a", "value", "err"}
         value = Numeric(mpf(2), mpf(0))
-        logs = _bucket_json(ZMaster(_MasterKey((0, 2, 3)), F(-1, 2), value), 20)
-        assert logs == {"logs": [2, 3], "coeff": "-1/2", "value": "2.0", "err": "0.0"}
         master = _bucket_json(ZMaster(_MasterKey((1, (F(1), F(0), F(1)), 1)), F(3), value), 20)
         assert master["master"] == {"D": ["1", "0", "1"], "i": 1} and master["coeff"] == "3"
-        gammas = _bucket_json(ZMaster(_MasterKey((3, (F(1, 3), F(2, 3)), ((F(2), F(1, 3)),))),
+        gammas = _bucket_json(ZMaster(ConstantProduct((F(2, 3), F(1, 3)), ((F(2), F(1, 3)),)),
                                       F(1, 18), value), 20)
         assert gammas == {"gammas": ["1/3", "2/3"], "powers": [["2", "1/3"]], "coeff": "1/18",
                           "value": "2.0", "err": "0.0"}

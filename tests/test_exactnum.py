@@ -30,6 +30,7 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     riemann_zeta_numeric,
 )
+from zetapoly import exactnum
 from zetapoly.exactnum import BERNOULLI_EAGER_MAX, mpf_from_rational, rat_to_str
 
 
@@ -349,6 +350,59 @@ class TestNumeric:
         with mp.workdps(30):
             x = Numeric.from_rational(F(1, 3))
             assert abs(x.value - mpf(1) / 3) <= x.err
+
+
+class TestConstantProduct:
+    """prod Gamma(f) prod b^x, the one type and the one evaluator of every
+    product of Gamma values and powers (DECISIONS.md D18)."""
+
+    def test_each_distinct_gamma_once_per_precision(self, monkeypatch):
+        calls = []
+
+        def counted(x, precision):
+            calls.append((x, precision))
+            return gamma_rational(x, precision)
+
+        monkeypatch.setattr(exactnum, "gamma_rational", counted)
+        ConstantProduct.to_numeric.cache_clear()
+        cp = ConstantProduct((F(1, 3), F(1, 2), F(1, 3), F(1, 3)))
+        v = cp.to_numeric(30)
+        assert sorted(calls) == [(F(1, 3), 40), (F(1, 2), 40)]
+        # An equal product, built anew, is not evaluated again at 30 digits.
+        assert ConstantProduct((F(1, 2),) + (F(1, 3),) * 3).to_numeric(30) is v
+        cp.to_numeric(50)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("dps", [30, 100])
+    def test_powers_against_mpmath(self, dps):
+        # Gamma(1/3)^2 2^(1/3) (1/2)^(3/4)
+        cp = ConstantProduct((F(1, 3), F(1, 3)), ((F(2), F(1, 3)), (F(1, 2), F(3, 4))))
+        v = cp.to_numeric(dps)
+        with mp.workdps(dps + 30):
+            truth = mp.gamma(mpf(1) / 3) ** 2 * mp.cbrt(2) * mp.power(mpf(1) / 2, mpf(3) / 4)
+            assert abs(v.value - truth) <= v.err <= truth * mpf(10) ** -dps
+
+    def test_sorted_hashed_and_ordered(self):
+        a = ConstantProduct((F(2, 3), F(1, 3)), ((F(3), F(1, 2)), (F(2), F(1, 3))))
+        b = ConstantProduct([F(1, 3), F(2, 3)], [(F(2), F(1, 3)), (F(3), F(1, 2))])
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a.gammas == (F(1, 3), F(2, 3)) and a.powers == ((F(2), F(1, 3)), (F(3), F(1, 2)))
+        # ordered as the tuple (gammas, powers)
+        assert ConstantProduct((F(1, 3),)) < a < ConstantProduct((F(1, 3), F(2, 3), F(2, 3)))
+        assert a < ConstantProduct((F(1, 2),))
+        assert a.labels() == ["Gamma(1/3)", "Gamma(2/3)", "2^(1/3)", "3^(1/2)"]
+        assert ConstantProduct().to_numeric(20) == Numeric(mpf(1), mpf(0))
+
+    @pytest.mark.parametrize("gammas, powers", [
+        ((F(0),), ()), ((F(1),), ()), ((F(3, 2),), ()), ((F(-1, 2),), ()),
+        ((), ((F(0), F(1, 2)),)), ((), ((F(-2), F(1, 2)),)),
+        ((), ((F(2), F(0)),)), ((), ((F(2), F(1)),)), ((), ((F(2), F(3, 2)),)),
+        # rational powers are folded by the caller, not kept
+        ((), ((F(4), F(1, 2)),)), ((), ((F(8, 27), F(2, 3)),)), ((), ((F(1), F(1, 2)),)),
+    ])
+    def test_bad_arguments_rejected(self, gammas, powers):
+        with pytest.raises(ValueError):
+            ConstantProduct(gammas, powers)
 
 
 class TestSpecialValue:

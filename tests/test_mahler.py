@@ -36,7 +36,7 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     theta_diagonal,
 )
-from zetapoly import _quadrature, build_P_alpha_u, mahler
+from zetapoly import _quadrature, build_P_alpha_u, exactnum, mahler
 from zetapoly.exactnum import bernoulli_tilde_product, multi_factorial
 from zetapoly.mahler import (
     ZBucket,
@@ -1055,11 +1055,12 @@ def linear_form_zeta(a, e, N):
 
 
 class TestAffineFaces:
-    """Every face of a linear form is affine, D = c + sum a_j x_j, and
-    cube_integral integrates it in closed form, a rational plus logs, with
-    no quadrature (DECISIONS.md D12).  Z of a linear form is a Barnes zeta
-    value: rational, and equal to linear_form_zeta, which shares no code
-    with the Mahler path."""
+    """cube_integral integrates an affine den, D = c + sum a_j x_j, in
+    closed form, a rational plus logs, with no quadrature (DECISIONS.md
+    D12); since D17 only cube_integral's own callers reach that route.  Z
+    of a linear form, which is diagonal and so taken over the orthant
+    (D17), is a Barnes zeta value: rational, and equal to
+    linear_form_zeta, which shares no code with the Mahler path."""
 
     WEIGHTS = [F(1), F(2), F(3), F(1, 2), F(2, 3)]
 
@@ -1155,8 +1156,8 @@ class TestAffineFaces:
 
 
 class TestOneFormPerValue:
-    """Z_breakdown adds the rows of every bucket on an affine or one-variable
-    face, or of a diagonal P over the orthant, into one form per Z value,
+    """Z_breakdown adds the rows of every bucket on a one-variable face, or
+    of a diagonal P over the orthant, into one form per Z value,
     and evaluates only the constants left (DECISIONS.md D16, D17).  On binary P the buckets cancelled
     in floating point, each within its own tolerance; now they cancel
     exactly, no constant is left, and the value is its rational rounded
@@ -1792,14 +1793,14 @@ class TestDiagonalFaces:
             _, form = self._form(self._scaled(n, d, c), MPoly(n, {a: F(1)}), N)
             truth = theta_diagonal(n, d, a, N, c)
             want = {None: truth.exact} if truth.kind == "exact" else {
-                None: truth.base, **{(3, cp.gammas, ()): q for q, cp in truth.terms}}
+                None: truth.base, **{cp: q for q, cp in truth.terms}}
             assert form == want, (n, d, c, a, N)
 
     def test_criterion_9_is_the_closed_form(self):
         # 1/16 - Gamma(1/3)^3/810, the paper's value, as the form itself.
         qs = QuadratureSettings(rel_tol=1e-8, precision=25)
         z, form = self._form(_diagonal(4, 3, 1), MPoly.one(4), 0, qs)
-        assert form == {None: F(1, 16), (3, (F(1, 3),) * 3, ()): F(-1, 810)}
+        assert form == {None: F(1, 16), ConstantProduct((F(1, 3),) * 3): F(-1, 810)}
         with mp.workdps(60):
             truth = mpf(1) / 16 - mp.gamma(mpf(1) / 3) ** 3 / 810
             assert abs(z.num.value - truth) <= z.num.err <= mpf(10) ** -30
@@ -1863,6 +1864,31 @@ class TestDiagonalFaces:
         Z_value(_diagonal(4, 2, 1), MPoly.one(4), 0, QS6)  # Epstein, n = 4
         Z_value(P("x1^3 + 2 x2^3", 2), P("x1", 2), 1, QS6)  # 2^(1/3) left
         assert dims == []
+
+    def test_each_product_once_per_precision(self, monkeypatch):
+        # _budgeted's second pass, and a second tolerance at the same
+        # precision, take a Gamma product's value from its memo: Gamma(1/3)
+        # is computed once over four constant() calls at three settings.
+        # The rational cancels the product to 25 digits, so that the first
+        # pass misses its budget.
+        settings, calls = [], []
+        constant, gamma = _quadrature.constant, exactnum.gamma_rational
+        monkeypatch.setattr(_quadrature, "constant",
+                            lambda key, qs: settings.append(qs) or constant(key, qs))
+        monkeypatch.setattr(exactnum, "gamma_rational", lambda x, p: calls.append(x) or gamma(x, p))
+        constant.cache_clear()
+        ConstantProduct.to_numeric.cache_clear()
+        cp = ConstantProduct((F(1, 3),) * 3, ((F(2), F(1, 3)),))
+        with mp.workdps(40):
+            near = F(mp.nstr(mp.gamma(mpf(1) / 3) ** 3 * mp.cbrt(2), 25))
+        values = [_quadrature._budgeted(-near, ((cp, F(1)),),
+                                        QuadratureSettings(rel_tol=r, abs_tol=1e-40, precision=25))
+                  for r in (1e-12, 1e-14)]
+        assert len(settings) == 4 and len(set(settings)) == 3 and calls == [F(1, 3)]
+        assert values[0] == values[1]
+        with mp.workdps(60):
+            truth = mp.gamma(mpf(1) / 3) ** 3 * mp.cbrt(2) - mpf(near.numerator) / near.denominator
+            assert abs(values[0][0].value - truth) <= values[0][0].err
 
     def test_face_1_alone_and_no_orbits(self, monkeypatch):
         faces = []

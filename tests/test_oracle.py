@@ -249,12 +249,6 @@ class TestEmInnerSum:
         with pytest.raises(DomainViolation):
             em_inner_sum(F(1), F(1), d, F(1, 2), EM)
 
-    @pytest.mark.parametrize("truncation", [0, -3])
-    def test_truncation_below_one_rejected(self, truncation):
-        # truncation 0 used to die on log(0) in the planner
-        with pytest.raises(ValueError, match="truncation"):
-            EMSettings(truncation=truncation)
-
     @pytest.mark.parametrize("precision", [0, -5])
     def test_precision_below_one_digit_rejected(self, precision):
         # DECISIONS.md D5: zeta(1/2) at precision 0 used to return -1.46035
@@ -271,25 +265,27 @@ class TestEmInnerSum:
         with pytest.raises(ContinuationDepthInsufficient):
             em_inner_sum(F(1), F(1), 1, F(-200), EMSettings(precision=10))
 
-    def test_truncation_not_above_anchor(self):
+    def test_truncation_not_above_anchor(self, monkeypatch):
         # M0 >= 1 and one remainder interval above it need truncation >= 2
+        monkeypatch.setattr(oracle, "TRUNCATION", 1)
         with pytest.raises(ContinuationDepthInsufficient, match="truncation 1 must exceed 1"):
-            zeta1_numeric(2, F(1), F(1, 3), EMSettings(truncation=1))
+            zeta1_numeric(2, F(1), F(1, 3), EM)
 
     @pytest.mark.parametrize("a, b, d, s", [
         (F(2), F(1, 3), 3, F(1, 5)),
         (F(1), F(3), 2, F(-1, 3)),
         (F(2), F(3), 2, F(-1, 3)),
     ])
-    def test_remainder_tail_fails_fast(self, a, b, d, s):
+    def test_remainder_tail_fails_fast(self, a, b, d, s, monkeypatch):
         # at no order does the tail bound fall below tolerance within the
         # five unit steps the truncation allows; that is known before
         # anything is summed or integrated (at the default truncation these
         # converge: see TestTruthCorpus)
+        monkeypatch.setattr(oracle, "TRUNCATION", 5)
         t0 = time.monotonic()
         with pytest.raises(ContinuationDepthInsufficient,
                            match="within 5 intervals"):
-            em_inner_sum(a, b, d, s, EMSettings(truncation=5, precision=25))
+            em_inner_sum(a, b, d, s, EM)
         assert time.monotonic() - t0 < 5
 
 

@@ -30,7 +30,7 @@ from zetapoly import (
     value_mixed_last_nonpositive,
     value_nonpositive,
 )
-from zetapoly.powersum import _exact_root
+from zetapoly.exactnum import _exact_root
 
 
 def params(d, gamma=None):
@@ -342,13 +342,16 @@ class TestDirectional:
                     assert C * th[-1] / sum(th[1:]) == assembled
 
     def test_gamma_roots_numeric_fold(self):
-        # gamma_2 = 2 is not a perfect square: result folds to numeric
+        # gamma_2 = 2 is not a perfect square: result folds to numeric, its
+        # product Gamma(1/2)^2 (1/2)^(1/2) evaluated by ConstantProduct
         p = params((3, 2, 2), (F(1), F(2), F(1)))
-        v = directional_limit(p, DirectionalSpec(N=(0, 0, 0), theta=(F(0), F(0), F(1))), precision=30)
-        assert v.kind == "numeric"
-        with mp.workdps(40):
-            want = -mp.pi / 480 / mp.sqrt(2) - mpf(1) / 8
-            assert abs(v.num.value - want) < mpf(10) ** -20
+        for dps in (30, 60):
+            v = directional_limit(p, DirectionalSpec(N=(0, 0, 0), theta=(F(0), F(0), F(1))),
+                                  precision=dps)
+            assert v.kind == "numeric"
+            with mp.workdps(dps + 30):
+                want = -mp.pi / 480 / mp.sqrt(2) - mpf(1) / 8
+                assert abs(v.num.value - want) <= v.num.err <= mpf(10) ** -dps
 
     def test_gamma_roots_exact_when_powers(self):
         # gamma_2 = 4 is a perfect square: stays mixed with exact coefficient
