@@ -35,7 +35,7 @@ import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import ceil, comb, cos, factorial, floor, gcd, inf, lcm, pi, prod
+from math import comb, cos, factorial, gcd, inf, lcm, pi, prod
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -48,7 +48,7 @@ from .errors import (
     PrecisionUnreachable,
     QuadratureDidNotConverge,
 )
-from .exactnum import (ConstantProduct, Numeric, SpecialValue, _check_precision, _exact_root,
+from .exactnum import (ConstantProduct, Numeric, SpecialValue, _check_precision, _normal_form,
                        _round_err, mpf_from_rational)
 from .multipoly import MPoly, _over_common_denominator, bernstein_positive, combine
 
@@ -781,10 +781,8 @@ class _Dirichlet:
     """int over R_+^(n-1) of y^e / (a_1 + sum_{j>=2} a_j y_j^d)^k, a_j > 0, as
     a form by Dirichlet's integral (DECISIONS.md D17): prod_j Gamma(s_j)
     a_j^(-s_j) / (d^(n-1) (k-1)!), s_j = (e_j + 1)/d for j >= 2 and s_1 = k -
-    sum_{j>=2} s_j > 0.  Each Gamma(f + m) is (f)_m Gamma(f), f in (0, 1];
-    each b^x, x summed over the a_j = b, is b^floor(x) b^(x mod 1), the last
-    folded in when rational.  The rest is keyed by the ConstantProduct of
-    the Gamma(f), f < 1, and the b^(x mod 1) left (D18)."""
+    sum_{j>=2} s_j > 0.  The product is put in exactnum's one normal form,
+    and the row is keyed by the ConstantProduct it leaves (D18, D19)."""
 
     def __init__(self, d: int, a: tuple):
         self.d, self.a = d, a
@@ -792,25 +790,8 @@ class _Dirichlet:
     def form(self, e: tuple, k: int) -> tuple[int, dict]:
         s = [Fraction(x + 1, self.d) for x in e]
         s.insert(0, k - sum(s))
-        coeff, gammas, powers = Fraction(1, self.d ** len(e) * factorial(k - 1)), [], {}
-        for x, b in zip(s, self.a):
-            f = x - ceil(x) + 1
-            if f < 1:
-                gammas.append(f)
-            while f < x:
-                coeff *= f
-                f += 1
-            powers[b] = powers.get(b, 0) - x
-        left = []
-        for b, x in sorted(powers.items()):
-            coeff *= b ** floor(x)
-            x -= floor(x)
-            root = _exact_root(b, x.denominator)
-            if root is None:
-                left.append((b, x))
-            else:
-                coeff *= root ** x.numerator
-        key = ConstantProduct(gammas, left) if gammas or left else None
+        coeff, key = _normal_form(s, [(b, -x) for x, b in zip(s, self.a)])
+        coeff /= self.d ** len(e) * factorial(k - 1)
         return coeff.denominator, {key: coeff.numerator}
 
 

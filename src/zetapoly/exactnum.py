@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
-from math import comb, factorial
+from math import comb, factorial, floor, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -426,6 +426,33 @@ class ConstantProduct:
                      for b, x in self.powers]
             factors = [gamma[f] for f in self.gammas] + [Numeric(v, _round_err(v)) for v in roots]
             return reduce(mul, factors) if factors else Numeric(mpf(1), mpf(0))
+
+
+def _normal_form(gammas, powers) -> tuple[Fraction, ConstantProduct | None]:
+    """prod Gamma(x) prod b^y, rational x > 0, b > 0 and y, as (c, product),
+    c rational (DECISIONS.md D19): Gamma(r/q + m), r/q in (0, 1], is
+    Gamma(r/q) prod_{i<m} (r + iq) / q^m, and Gamma(1) is dropped; the y are
+    summed per base, and b^y goes into c when rational, else b^floor(y) does.
+    What is left is one ConstantProduct, or None."""
+    num, den, fs = 1, 1, []
+    for x in gammas:
+        q = x.denominator
+        m, r = divmod(x.numerator - 1, q)
+        num, den = num * prod(range(r + 1, x.numerator, q)), den * q**m
+        if r + 1 < q:
+            fs.append(Fraction(r + 1, q))
+    ys: dict = {}
+    for b, y in powers:
+        ys[b] = ys.get(b, 0) + y
+    c, left = Fraction(num, den), []
+    for b, y in sorted(ys.items()):
+        root = _exact_root(b, y.denominator)
+        if root is None:
+            c *= b ** floor(y)
+            left.append((b, y - floor(y)))
+        else:
+            c *= root**y.numerator
+    return c, ConstantProduct(fs, left) if fs or left else None
 
 
 class SpecialValue:

@@ -27,11 +27,11 @@ from .errors import (
     UnsupportedPoint,
 )
 from .exactnum import (
-    ConstantProduct,
     DEFAULT_DPS,
     Numeric,
     SpecialValue,
-    _exact_root,
+    _check_precision,
+    _normal_form,
     bernoulli,
     binom_signed,
     riemann_zeta_exact_nonpositive,
@@ -211,6 +211,7 @@ def value_mixed_last_nonpositive(
     numerically.  The result is exact whenever every argument stays
     non-positive along the way.
     """
+    _check_precision(precision)
     N = _check_last_nonpositive(params, N)
 
     def leaf(d1, g1, N1):
@@ -235,6 +236,7 @@ def value_numeric_complex(
     entry of N must be <= 0 and intermediate levels must keep their last
     entry non-positive, exactly as in the exact/mixed paths.
     """
+    _check_precision(precision)
     gam = params.numeric_gamma
     if gam is None:
         gam = tuple(complex(g) for g in params.gamma)
@@ -407,6 +409,7 @@ def directional_limit(
     factor B_theta; it is nonzero, since under the single-resonance
     condition no factor of A_value vanishes.
     """
+    _check_precision(precision)
     d, g = params.d, params.gamma
     ok, b = ira_ok(d)
     if not ok:
@@ -422,17 +425,11 @@ def directional_limit(
     bern = bernoulli(d[0] * (w + b) + 1)
     if bern == 0:
         return SpecialValue.make_exact(H)
-    coeff = C * bern * theta_ratio * g[0] ** (w + b)
-    # Each rational (1/gamma_j)^(1/d_j) folds into coeff; the rest are powers.
-    powers = []
-    for dj, gj in zip(d[1:], g[1:]):
-        r = _exact_root(gj, dj)
-        if r is None:
-            powers.append((1 / gj, Fraction(1, dj)))
-        else:
-            coeff /= r
-    cp = ConstantProduct(gammas=tuple(Fraction(1, dj) for dj in d[1:]), powers=powers)
-    if not powers:
+    # prod_{j>=2} Gamma(1/d_j) (1/gamma_j)^(1/d_j): mixed unless a power is left
+    coeff, cp = _normal_form([Fraction(1, dj) for dj in d[1:]],
+                             [(1 / gj, Fraction(1, dj)) for dj, gj in zip(d[1:], g[1:])])
+    coeff *= C * bern * theta_ratio * g[0] ** (w + b)
+    if not cp.powers:
         return SpecialValue.make_mixed(H, [(coeff, cp)])
     with mp.workdps(precision + 10):
         return SpecialValue.make_numeric(cp.to_numeric(precision).scale(coeff)

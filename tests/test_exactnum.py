@@ -31,7 +31,7 @@ from zetapoly import (
     riemann_zeta_numeric,
 )
 from zetapoly import exactnum
-from zetapoly.exactnum import BERNOULLI_EAGER_MAX, mpf_from_rational, rat_to_str
+from zetapoly.exactnum import BERNOULLI_EAGER_MAX, _normal_form, mpf_from_rational, rat_to_str
 
 
 BERN_CHECKED = 1100
@@ -403,6 +403,63 @@ class TestConstantProduct:
     def test_bad_arguments_rejected(self, gammas, powers):
         with pytest.raises(ValueError):
             ConstantProduct(gammas, powers)
+
+
+class TestNormalForm:
+    """prod Gamma(x) prod b^y as c times one ConstantProduct, the one normal
+    form of the diagonal forms and the directional limits (DECISIONS.md D19)."""
+
+    def test_integer_argument_is_rational(self):
+        # Gamma(1) = 1 is dropped; Gamma(4) = 3! = (1)_3
+        assert _normal_form([F(1)], []) == (F(1), None)
+        assert _normal_form([F(4), F(1)], []) == (F(6), None)
+
+    def test_shift_into_unit_interval(self):
+        # Gamma(7/3) = (1/3)(4/3) Gamma(1/3), Gamma(5/2) = (1/2)(3/2) Gamma(1/2)
+        c, cp = _normal_form([F(7, 3), F(5, 2), F(2, 3)], [])
+        assert c == F(4, 9) * F(3, 4)
+        assert cp == ConstantProduct((F(1, 3), F(1, 2), F(2, 3)))
+
+    def test_repeated_bases_are_summed(self):
+        # 2^(1/2) 2^(1/3) = 2^(5/6); 3^(1/4) 3^(3/4) = 3
+        c, cp = _normal_form([], [(F(2), F(1, 2)), (F(3), F(1, 4)), (F(2), F(1, 3)),
+                                  (F(3), F(3, 4))])
+        assert c == 3 and cp == ConstantProduct((), ((F(2), F(5, 6)),))
+
+    def test_negative_and_integral_exponents(self):
+        # 3^(-5/2) = 3^(-3) 3^(1/2); 5^2 and (2/7)^(-1) are rational
+        c, cp = _normal_form([], [(F(3), F(-5, 2)), (F(5), F(2)), (F(2, 7), F(-1))])
+        assert c == F(1, 27) * 25 * F(7, 2)
+        assert cp == ConstantProduct((), ((F(3), F(1, 2)),))
+
+    def test_rational_root_folds(self):
+        # (8/27)^(-2/3) = 9/4 and 4^(1/2) = 2 leave only Gamma(1/2)
+        c, cp = _normal_form([F(1, 2)], [(F(8, 27), F(-2, 3)), (F(4), F(1, 2))])
+        assert c == F(9, 2) and cp == ConstantProduct((F(1, 2),))
+
+    def test_nothing_left(self):
+        assert _normal_form([], []) == (F(1), None)
+        assert _normal_form([F(2)], [(F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))]) == (F(1, 2), None)
+
+    # bases that repeat, with rational and irrational roots
+    BASES = [F(1, 2), F(2), F(3), F(4), F(8, 27), F(5, 3)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(gammas=st.lists(st.fractions(min_value=0, max_value=6, max_denominator=8)
+                           .filter(lambda x: x > 0), max_size=4),
+           powers=st.lists(st.tuples(st.sampled_from(BASES),
+                                     st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+                           max_size=5))
+    def test_against_mpmath(self, gammas, powers):
+        c, cp = _normal_form(gammas, powers)
+        with mp.workdps(60):
+            truth = mpf(1)
+            for x in gammas:
+                truth *= mp.gamma(mpf_from_rational(x))
+            for b, y in powers:
+                truth *= mp.power(mpf_from_rational(b), mpf_from_rational(y))
+            got = mpf_from_rational(c) * (cp.to_numeric(50).value if cp else 1)
+            assert abs(got - truth) <= abs(truth) * mpf(10) ** -40
 
 
 class TestSpecialValue:

@@ -11,12 +11,15 @@ from zetapoly import (
     A_value,
     B_theta,
     C_value,
+    ConstantProduct,
     DirectionalSpec,
     H_value,
     IraViolated,
     PositiveEntry,
     PowerSumParams,
+    PrecisionUnreachable,
     RegularityViolated,
+    SpecialValue,
     ThetaDegenerate,
     UnsupportedPoint,
     closed_even_tail,
@@ -30,7 +33,12 @@ from zetapoly import (
     value_mixed_last_nonpositive,
     value_nonpositive,
 )
+from zetapoly import powersum
 from zetapoly.exactnum import _exact_root
+from zetapoly.powersum import value_numeric_complex
+
+# Precisions rejected up front (DECISIONS.md D5): below 1 digit, above the cap.
+BAD_PRECISIONS = [(0, ValueError), (4001, PrecisionUnreachable)]
 
 
 def params(d, gamma=None):
@@ -142,6 +150,13 @@ class TestMixed:
         p = params((2, 3, 5))
         with pytest.raises(UnsupportedPoint):
             value_mixed_last_nonpositive(p, (0, 3, -1))
+
+    @pytest.mark.parametrize("precision, exc", BAD_PRECISIONS)
+    def test_bad_precision_rejected_on_an_exact_path(self, precision, exc):
+        # (0, -1) never reaches a numeric leaf; (1, -1) does
+        for N in [(0, -1), (1, -1)]:
+            with pytest.raises(exc):
+                value_mixed_last_nonpositive(params((2, 3)), N, precision=precision)
 
 
 def mpf_from(fr):
@@ -447,6 +462,53 @@ class TestDirectional:
         with mp.workdps(45):
             assert abs(v.to_numeric(35).value - mp.pi / 1056) < mpf(10) ** -30
 
+    def test_equal_bases_fold_to_mixed(self):
+        # gamma_2 = gamma_3 = 2: (1/2)^(1/2) (1/2)^(1/2) = 1/2 folds, so the
+        # limit is -1/8 - Gamma(1/2)^2/960 (DECISIONS.md D19)
+        spec = DirectionalSpec(N=(0, 0, 0), theta=(F(0), F(0), F(1)))
+        v = directional_limit(params((3, 2, 2), (1, 2, 2)), spec)
+        assert v == SpecialValue.make_mixed(
+            F(-1, 8), [(F(-1, 960), ConstantProduct((F(1, 2), F(1, 2))))])
+        with mp.workdps(80):
+            # the numeric value and err it had when each j kept its own power
+            old = mpf("-0.12827249234748936795673192019091614883770538479101573523018223413761")
+            truth = -mpf(1) / 8 - mp.pi / 960
+            assert abs(old - truth) <= mpf("1.6372e-61")
+            assert abs(v.to_numeric(50).value - truth) <= mpf(10) ** -60
+
+    def test_equal_bases_summed_when_numeric(self, monkeypatch):
+        # gamma = (1, 2, 2, 1), d = (5, 2, 6, 3): (1/2)^(1/2) (1/2)^(1/6) is
+        # the one power (1/2)^(2/3), and the limit stays numeric
+        products, normal_form = [], powersum._normal_form
+
+        def recorded(gammas, powers):
+            out = normal_form(gammas, powers)
+            products.append(out[1])
+            return out
+
+        monkeypatch.setattr(powersum, "_normal_form", recorded)
+        d, N = (5, 2, 6, 3), (0, 0, 0, 0)
+        v = directional_limit(params(d, (1, 2, 2, 1)), DirectionalSpec(N, (F(0),) * 3 + (F(1),)))
+        assert v.kind == "numeric"
+        assert products == [ConstantProduct((F(1, 6), F(1, 3), F(1, 2)), ((F(1, 2), F(2, 3)),))]
+        with mp.workdps(80):
+            # the numeric value and err it had with two powers
+            old = mpf("0.064335337076535655697228936253801096968456667995395416554395386907951")
+            assert abs(v.num.value - old) <= mpf("8.2358e-62") + v.num.err
+            from zetapoly import bernoulli
+
+            coeff = mpf_from(C_value(d, N, 1) * bernoulli(6)) * mp.power(2, -mpf(2) / 3)
+            for dj in d[1:]:
+                coeff *= mp.gamma(mpf(1) / dj)
+            truth = mpf_from(H_value(params(d, (1, 2, 2, 1)), N)) + coeff
+            assert abs(v.num.value - truth) <= v.num.err
+
+    @pytest.mark.parametrize("precision, exc", BAD_PRECISIONS)
+    def test_bad_precision_rejected_on_a_mixed_path(self, precision, exc):
+        spec = DirectionalSpec(N=(0, 0, 0), theta=(F(0), F(0), F(1)))
+        with pytest.raises(exc):
+            directional_limit(params((3, 2, 2)), spec, precision=precision)
+
 
 class TestComplexNumeric:
     def test_matches_exact_for_real_gamma(self):
@@ -486,3 +548,9 @@ class TestComplexNumeric:
                            numeric_gamma=(-1 + 0j, 1 + 0j))
         with pytest.raises(ValueError):
             value_numeric_complex(p, (0, 0))
+
+    @pytest.mark.parametrize("precision, exc", BAD_PRECISIONS)
+    def test_bad_precision_rejected_on_an_exact_path(self, precision, exc):
+        for N in [(0, -1), (1, -1)]:
+            with pytest.raises(exc):
+                value_numeric_complex(params((2, 3)), N, precision=precision)
