@@ -781,18 +781,23 @@ class _Dirichlet:
     """int over R_+^(n-1) of y^e / (a_1 + sum_{j>=2} a_j y_j^d)^k, a_j > 0, as
     a form by Dirichlet's integral (DECISIONS.md D17): prod_j Gamma(s_j)
     a_j^(-s_j) / (d^(n-1) (k-1)!), s_j = (e_j + 1)/d for j >= 2 and s_1 = k -
-    sum_{j>=2} s_j > 0.  The product is put in exactnum's one normal form,
-    and the row is keyed by the ConstantProduct it leaves (D18, D19)."""
+    sum_{j>=2} s_j > 0, in exactnum's one normal form and keyed by the
+    ConstantProduct it leaves (D18, D19); once per (d, a, e, k) (D2)."""
 
     def __init__(self, d: int, a: tuple):
         self.d, self.a = d, a
 
     def form(self, e: tuple, k: int) -> tuple[int, dict]:
-        s = [Fraction(x + 1, self.d) for x in e]
-        s.insert(0, k - sum(s))
-        coeff, key = _normal_form(s, [(b, -x) for x, b in zip(s, self.a)])
-        coeff /= self.d ** len(e) * factorial(k - 1)
-        return coeff.denominator, {key: coeff.numerator}
+        return _dirichlet_row(self.d, self.a, e, k)
+
+
+@lru_cache(maxsize=1024)
+def _dirichlet_row(d: int, a: tuple, e: tuple, k: int) -> tuple[int, dict]:
+    s = [Fraction(x + 1, d) for x in e]
+    s.insert(0, k - sum(s))
+    coeff, key = _normal_form(s, [(b, -x) for x, b in zip(s, a)])
+    coeff /= d ** len(e) * factorial(k - 1)
+    return coeff.denominator, {key: coeff.numerator}
 
 
 def dirichlet(P: "MPoly") -> _Dirichlet | None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
-from math import comb, factorial, floor, prod
+from math import comb, factorial, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -428,31 +428,42 @@ class ConstantProduct:
             return reduce(mul, factors) if factors else Numeric(mpf(1), mpf(0))
 
 
+# One ConstantProduct per distinct product, checked once, keyed by its sorted
+# (r, q) per Gamma(r/q) and (b's numerator and denominator, p, q) per b^(p/q).
+_product = lru_cache(maxsize=1024)(lambda gs, ps: ConstantProduct(
+    [Fraction(*g) for g in gs], [(Fraction(u, v), Fraction(p, q)) for u, v, p, q in ps]))
+
+
 def _normal_form(gammas, powers) -> tuple[Fraction, ConstantProduct | None]:
     """prod Gamma(x) prod b^y, rational x > 0, b > 0 and y, as (c, product),
     c rational (DECISIONS.md D19): Gamma(r/q + m), r/q in (0, 1], is
     Gamma(r/q) prod_{i<m} (r + iq) / q^m, and Gamma(1) is dropped; the y are
     summed per base, and b^y goes into c when rational, else b^floor(y) does.
-    What is left is one ConstantProduct, or None."""
+    c is one Fraction of ints; what is left is one ConstantProduct, the same
+    object for equal products, or None."""
     num, den, fs = 1, 1, []
     for x in gammas:
         q = x.denominator
         m, r = divmod(x.numerator - 1, q)
         num, den = num * prod(range(r + 1, x.numerator, q)), den * q**m
         if r + 1 < q:
-            fs.append(Fraction(r + 1, q))
-    ys: dict = {}
+            fs.append((r + 1, q))
+    ys, left = {}, []
     for b, y in powers:
-        ys[b] = ys.get(b, 0) + y
-    c, left = Fraction(num, den), []
-    for b, y in sorted(ys.items()):
-        root = _exact_root(b, y.denominator)
-        if root is None:
-            c *= b ** floor(y)
-            left.append((b, y - floor(y)))
+        if b != 1 and y:
+            ys[b] = ys[b] + y if b in ys else y
+    for b, y in ys.items():
+        p, q = y.numerator, y.denominator
+        root = _exact_root(b, q)
+        if root is None:  # b^(p/q) = b^floor(p/q) b^((p mod q)/q)
+            left.append((b.numerator, b.denominator, p % q, q))
+            p //= q
         else:
-            c *= root**y.numerator
-    return c, ConstantProduct(fs, left) if fs or left else None
+            b = root
+        u, v = (b.numerator, b.denominator) if p >= 0 else (b.denominator, b.numerator)
+        num, den = num * u ** abs(p), den * v ** abs(p)
+    cp = _product(tuple(sorted(fs)), tuple(sorted(left))) if fs or left else None
+    return Fraction(num, den), cp
 
 
 class SpecialValue:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
+from operator import sub
 from typing import Sequence
 
 from mpmath import mp
@@ -31,7 +32,6 @@ from .exactnum import (
     Numeric,
     SpecialValue,
     bernoulli_tilde_product,
-    multi_factorial,
     point_to_str,
 )
 from .multipoly import (
@@ -196,15 +196,19 @@ def _face_sums(P: MPoly, Q: MPoly, N: int, d: int, i: int):
         lambda x, r: tuple((x >> bits * j) & ((1 << bits) - 1) for j in range(r)))
 
     def graded(p: MPoly, degrees: range) -> tuple[int, dict]:
-        """(den, {k: ints}): sum_{|g|=k} (d^g p / g!) t^g on face i, the
-        part of degree k in t of p(x + t), as ints / den."""
-        den, ints = _over_common_denominator({
-            e + g: c / multi_factorial(g) for k in degrees for g in delta_multiindices(k, n)
-            for e, c in p.derivative(g).face(i).terms.items()})
+        """(den, {k: ints}): sum_{|g|=k} (d^g p / g!) t^g on face i, the part
+        of degree k in t of p(x + t), as ints / den: d^g x^e / g! = C(e, g)
+        x^(e-g), so den is the lcm L of p's denominators (p, homogeneous, is
+        its own part of top degree, and no two of its terms meet on face i)."""
+        L, ints = _over_common_denominator(p.terms)
         levels: dict[int, dict] = {}
-        for e, c in ints.items():
-            levels.setdefault(sum(e[n - 1:]), {})[sum(x << bits * j for j, x in enumerate(e))] = c
-        return den, levels
+        for k in degrees:
+            for g in delta_multiindices(k, n):
+                for e, c in ints.items():
+                    if min(f := tuple(map(sub, e, g))) >= 0:
+                        x = sum(y << bits * j for j, y in enumerate(f[:i - 1] + f[i:] + g))
+                        levels.setdefault(k, {})[x] = c * prod(map(comb, e, g))
+        return L, levels
 
     L, shift = graded(P, range(1, d + 1))  # P(x + t) - P(x)
     components = [(q, d * N + q + n, graded(Qc, range(q + 1))) for q, Qc in homogeneous]

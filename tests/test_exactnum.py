@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from functools import cache
-from math import comb, lcm
+from math import comb, floor, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -31,7 +31,8 @@ from zetapoly import (
     riemann_zeta_numeric,
 )
 from zetapoly import exactnum
-from zetapoly.exactnum import BERNOULLI_EAGER_MAX, _normal_form, mpf_from_rational, rat_to_str
+from zetapoly.exactnum import (BERNOULLI_EAGER_MAX, _exact_root, _normal_form, mpf_from_rational,
+                               rat_to_str)
 
 
 BERN_CHECKED = 1100
@@ -460,6 +461,59 @@ class TestNormalForm:
                 truth *= mp.power(mpf_from_rational(b), mpf_from_rational(y))
             got = mpf_from_rational(c) * (cp.to_numeric(50).value if cp else 1)
             assert abs(got - truth) <= abs(truth) * mpf(10) ** -40
+
+    @staticmethod
+    def _fraction_reference(gammas, powers):
+        """The normal form as D19 first computed it, in Fractions throughout,
+        with the product built by the public constructor."""
+        num, den, fs = 1, 1, []
+        for x in gammas:
+            q = x.denominator
+            m, r = divmod(x.numerator - 1, q)
+            num, den = num * prod(range(r + 1, x.numerator, q)), den * q**m
+            if r + 1 < q:
+                fs.append(F(r + 1, q))
+        ys = {}
+        for b, y in powers:
+            ys[b] = ys.get(b, 0) + y
+        c, left = F(num, den), []
+        for b, y in sorted(ys.items()):
+            root = _exact_root(b, y.denominator)
+            if root is None:
+                c *= b ** floor(y)
+                left.append((b, y - floor(y)))
+            else:
+                c *= root**y.numerator
+        return c, ConstantProduct(fs, left) if fs or left else None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(gammas=st.lists(st.fractions(min_value=0, max_value=9, max_denominator=12)
+                           .filter(lambda x: x > 0), max_size=5),
+           powers=st.lists(st.tuples(st.sampled_from(BASES + [F(1), F(9, 4), F(27)]),
+                                     st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+                           max_size=6))
+    # Gamma arguments above 1, equal bases, a base of 1, zero and negative
+    # exponents, and rational roots such as (8/27)^(-2/3) = 9/4
+    @example(gammas=[F(13, 4), F(1), F(7, 3), F(5)],
+             powers=[(F(8, 27), F(-2, 3)), (F(1), F(1, 2)), (F(2), F(0)), (F(3), F(-5, 2)),
+                     (F(3), F(1, 3)), (F(4), F(-1, 2)), (F(5, 3), F(4))])
+    @example(gammas=[], powers=[(F(2), F(1, 2)), (F(2), F(-1, 2))])
+    def test_matches_fraction_reference(self, gammas, powers):
+        c, cp = _normal_form(gammas, powers)
+        assert (c, cp) == self._fraction_reference(gammas, powers)
+        assert type(c) is F and (cp is None or cp.gammas or cp.powers)
+
+    def test_equal_products_are_one_object(self):
+        # Gamma(4/3) 2^(3/2) and Gamma(1/3) 2^(1/2) 2^(0) leave the same
+        # Gamma(1/3) 2^(1/2), given in another order and form each time
+        c1, cp1 = _normal_form([F(4, 3)], [(F(2), F(3, 2))])
+        c2, cp2 = _normal_form([F(1, 3), F(2)], [(F(2), F(0)), (F(2), F(1, 2))])
+        assert (c1, c2) == (F(2, 3), 1) and cp1 is cp2
+        assert cp1 == ConstantProduct((F(1, 3),), ((F(2), F(1, 2)),))
+        # and for two longer lists that leave the same product
+        _, cp3 = _normal_form([F(7, 3), F(1, 2)], [(F(3), F(1, 4)), (F(5), F(-1, 3))])
+        _, cp4 = _normal_form([F(3, 2), F(1, 3)], [(F(5), F(2, 3)), (F(3), F(-3, 4))])
+        assert cp3 is cp4
 
 
 class TestSpecialValue:

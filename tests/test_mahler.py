@@ -9,7 +9,7 @@ import random
 import re
 import time
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +47,7 @@ from zetapoly.mahler import (
     certify_elliptic,
     delta_multiindices,
 )
-from zetapoly.multipoly import combine
+from zetapoly.multipoly import _over_common_denominator, combine
 
 QS = QuadratureSettings(rel_tol=1e-12, precision=30)
 QS_FAST = QuadratureSettings(rel_tol=1e-8, precision=20)
@@ -1606,6 +1606,38 @@ class TestTripleSumReference:
             calls, _ = self._integrands(monkeypatch, Y_expansion, Pp, Qp, N, QS)
             assert calls == want
 
+    # P and Q with coefficients that are not integers, and so shifts over a
+    # denominator above 1: (P, Q, N)
+    FRACTIONAL = [("2/3 x1^2 + x1 x2 + 5/2 x2^2", "1/2 x1 + 3/4 x2 + 1/3", 1),
+                  ("3/2 x1^3 + 1/6 x1 x2 x3 + 2/5 x2^3 + 7/4 x3^3", "5/6 x2 x3 - 1/4", 0)]
+
+    @staticmethod
+    def _derivative_shift(p, i, degrees):
+        """(den, ints) of sum_{|g|=k} (d^g p / g!) t^g on face i over k in
+        degrees, built from MPoly.derivative and face: the reference for the
+        shift that _face_sums takes by integer binomials."""
+        return _over_common_denominator({
+            e + g: c / multi_factorial(g) for k in degrees for g in delta_multiindices(k, p.nvars)
+            for e, c in p.derivative(g).face(i).terms.items()})
+
+    def test_fractional_shift_den(self):
+        for p, q, N in self.FRACTIONAL:
+            Pp = P(p)
+            n, (_, d), Qp = Pp.nvars, Pp.is_homogeneous(), P(q, Pp.nvars)
+            for i in range(1, n + 1):
+                L, shift = self._derivative_shift(Pp, i, range(1, d + 1))
+                assert L > 1 and gcd(L, *shift.values()) == 1  # lowest terms
+                Lq = [self._derivative_shift(Qc, i, range(qc + 1))[0]
+                      for qc, Qc in Qp.homogeneous_components()]
+                sums = list(_face_sums(Pp, Qp, N, d, i))
+                assert sums and all(den == L**a * Lq[ci] for ci, a, _, den, _ in sums)
+            # and the groups are the paper's family sums
+            got, ref = self._face_sums(Pp, Qp, N), _family_sums(Pp, Qp, N)
+            assert got.keys() == ref.keys()
+            for key, (c_a, faces) in got.items():
+                assert {i: {m: s.scale(c_a) for m, s in groups.items()}
+                        for i, groups in faces.items()} == ref[key]
+
 
 class TestFaceQuadratureBitIdentity:
     """(value._mpf_, err._mpf_) recorded from the fixed-point kernel (exact
@@ -1904,6 +1936,21 @@ class TestDiagonalFaces:
                      ("x1 + 2 x2 + 3 x3", "x1")]:
             Z_value(P(p), P(q, P(p).nvars), 1, QS_FAST)
         assert faces and set(faces) == {1}
+
+    def test_each_row_once(self, monkeypatch):
+        # Criterion 9's exact form built again, past its value memo, takes
+        # every Dirichlet row from the row memo: no normal form is computed
+        # the second time, and the product the form names is the same object.
+        calls, normal_form = [], _quadrature._normal_form
+        monkeypatch.setattr(_quadrature, "_normal_form",
+                            lambda *a: calls.append(a) or normal_form(*a))
+        args = _diagonal(4, 3, 1), MPoly.one(4), 0
+        first = mahler._exact_form.__wrapped__(*args)
+        built = len(calls)
+        second = mahler._exact_form.__wrapped__(*args)
+        assert built and len(calls) == built and second == first
+        assert [key for key, _ in second[2][1]] == [ConstantProduct((F(1, 3),) * 3)]
+        assert second[2][1][0][0] is first[2][1][0][0]
 
 
 def mpf_from(x, qs):
