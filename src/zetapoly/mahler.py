@@ -192,6 +192,7 @@ def _face_sums(P: MPoly, Q: MPoly, N: int, d: int, i: int):
     # An exponent (the face's, then t's) is packed into one int, a field of
     # `bits` bits per variable: none exceeds d * a + q <= (d + 1) * top.
     bits = ((d + 1) * top).bit_length()
+    face_mask = (1 << bits * (n - 1)) - 1
     unpack = lru_cache(maxsize=None)(
         lambda x, r: tuple((x >> bits * j) & ((1 << bits) - 1) for j in range(r)))
 
@@ -229,7 +230,8 @@ def _face_sums(P: MPoly, Q: MPoly, N: int, d: int, i: int):
                     _packed_product(power[W - k], s, product)
             groups: dict[MultiIndex, dict] = {}
             for x, c in product.items():
-                groups.setdefault(unpack(x >> bits * (n - 1), n), {})[unpack(x, n - 1)] = c
+                e = unpack(x & face_mask, n - 1)  # keyed on the face's fields alone
+                groups.setdefault(unpack(x >> bits * (n - 1), n), {})[e] = c
             c_a = Fraction((-1) ** (a - N) * factorial(a - 1 - N) * factorial(N),
                            d * factorial(a))
             yield ci, a, c_a, den * Lq, groups

@@ -25,6 +25,7 @@ from .exactnum import Rational, mpf_from_rational, multi_factorial, parse_ration
 MultiIndex = tuple[int, ...]
 
 MAX_NVARS = 64  # variables a parsed polynomial may use
+BERNSTEIN_DEPTH = 6  # levels of bernstein_positive's subdivision, each halving one axis
 
 
 def _over_common_denominator(terms: Mapping[MultiIndex, Fraction]) -> tuple[int, dict]:
@@ -552,17 +553,17 @@ def _bernstein(P: MPoly, depth: int) -> tuple[str, tuple | None]:
 
 
 @lru_cache(maxsize=128)
-def bernstein_positive(P: MPoly, max_depth: int = 6) -> tuple[str, tuple | None]:
+def bernstein_positive(P: MPoly) -> tuple[str, tuple | None]:
     """Certify P > 0 on [0,1]^n by Bernstein-coefficient subdivision.
 
     Returns ("certified", None), ("violated", witness point) or
-    ("sampled_only", None) when the subdivision depth is exhausted.  A
+    ("sampled_only", None) when BERNSTEIN_DEPTH halvings are exhausted.  A
     witness is a corner of a dyadic sub-box, where the corner Bernstein
     coefficient is the exact value: P(witness) <= 0.  Memoised: the faces
     certified for a Z value are certified again by its periods and by the
     one-variable reduction.
     """
-    return _bernstein(P, max_depth)
+    return _bernstein(P, BERNSTEIN_DEPTH)
 
 
 def family_hypotheses(P: MPoly) -> tuple[str, tuple | None]:

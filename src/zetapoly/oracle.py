@@ -175,8 +175,8 @@ def em_inner_sum(
     a, b, s = Fraction(a), Fraction(b), Fraction(s)
     if a <= 0 or b < 0:
         raise DomainViolation("need a > 0 and b >= 0")
-    if d < 1:
-        raise DomainViolation(f"need d >= 1, got {d}")
+    if not isinstance(d, int) or d < 1:
+        raise DomainViolation(f"need an int degree d >= 1, got {d!r}")
     with mp.workdps(settings.precision + 10):
         if b == 0 and d > 1:
             return em_inner_sum(Fraction(1), b, 1, d * s, settings) * _rational_power(a, -s)
@@ -447,8 +447,8 @@ def zeta1_numeric(
     """gamma^{-s} zeta(d1 * s) by numeric continuation (no closed Bernoulli
     formula on this path)."""
     gamma1, s = Fraction(gamma1), Fraction(s)
-    if d1 < 1:
-        raise DomainViolation(f"need d1 >= 1, got {d1}")
+    if not isinstance(d1, int) or d1 < 1:
+        raise DomainViolation(f"need an int degree d1 >= 1, got {d1!r}")
     if gamma1 <= 0:
         raise DomainViolation(f"need gamma1 > 0, got {gamma1}")
     t = d1 * s
@@ -548,10 +548,12 @@ def theta_diagonal(
     times Gamma at a rational in (0,1).  The result is exact or mixed.  a
     and c are each one value for every variable or one per variable.
     """
+    if not all(isinstance(x, int) for x in (n, d, N)) or n < 1 or d < 1 or N < 0:
+        raise ValueError(f"need ints n, d >= 1 and N >= 0, got n={n!r}, d={d!r}, N={N!r}")
     a = (a,) * n if isinstance(a, int) else tuple(int(x) for x in a)
     c = tuple(map(Fraction, c)) if isinstance(c, (list, tuple)) else (Fraction(c),) * n
-    if n < 1 or d < 1 or N < 0 or len(a) != n or min(a) < 0 or len(c) != n or min(c) <= 0:
-        raise ValueError("need n, d >= 1, N >= 0, and a >= 0 and c > 0 per variable")
+    if len(a) != n or min(a) < 0 or len(c) != n or min(c) <= 0:
+        raise ValueError("need a >= 0 and c > 0 per variable")
     base = Fraction(0)
     terms = []
     for mask in range(1 << n):

@@ -535,6 +535,11 @@ class TestThetaDiagonal:
         with mp.workdps(40):
             assert abs(z.num.value - truth.value) <= z.num.err + truth.err
 
+    def test_float_N_rejected(self):
+        # DECISIONS.md D9: N = 1.0 used to raise a TypeError from the series.
+        with pytest.raises(ValueError, match=r"N >= 0, got n=2, d=2, N=1\.0"):
+            theta_diagonal(2, 2, 0, 1.0)
+
 
 class TestScaledThetaDiagonal:
     """theta_diagonal with one scale c_i = k_i^d per variable: truths for P
@@ -605,11 +610,11 @@ class TestUnverifiedPositivity:
         assert v.kind == "numeric"
 
     def test_deeper_subdivision_certifies(self):
-        from zetapoly.multipoly import bernstein_positive
+        from zetapoly import multipoly
 
         face = self._hard_poly().face(2)
-        assert bernstein_positive(face, max_depth=6)[0] == "sampled_only"
-        assert bernstein_positive(face, max_depth=16)[0] == "certified"
+        assert multipoly._bernstein(face, 6)[0] == "sampled_only"
+        assert multipoly._bernstein(face, 16)[0] == "certified"
 
     def test_period_flags_uncertified_face(self):
         u = CompositionFamily(n=2, u=((2, 0),))

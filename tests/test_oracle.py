@@ -1,4 +1,5 @@
 """Euler-Maclaurin continuation oracle vs the exact formulas and mpmath."""
+import re
 import time
 from fractions import Fraction as F
 from math import factorial
@@ -249,6 +250,12 @@ class TestEmInnerSum:
         with pytest.raises(DomainViolation):
             em_inner_sum(F(1), F(1), d, F(1, 2), EM)
 
+    @pytest.mark.parametrize("d", [2.0, F(5, 2)])
+    def test_degree_not_an_int(self, d):
+        # DECISIONS.md D9: 2.0 used to fail deep inside with a TypeError.
+        with pytest.raises(DomainViolation, match=re.escape(f"degree d >= 1, got {d!r}")):
+            em_inner_sum(F(1), F(1), d, F(-1, 2), EM)
+
     @pytest.mark.parametrize("precision", [0, -5])
     def test_precision_below_one_digit_rejected(self, precision):
         # DECISIONS.md D5: zeta(1/2) at precision 0 used to return -1.46035
@@ -387,6 +394,12 @@ class TestZeta1:
     def test_degree_below_one(self, d):
         with pytest.raises(DomainViolation):
             zeta1_numeric(d, F(1), F(1, 2), EM)
+
+    @pytest.mark.parametrize("d", [2.0, F(5, 2)])
+    def test_degree_not_an_int(self, d):
+        # DECISIONS.md D9: 5/2 used to return a value.
+        with pytest.raises(DomainViolation, match=re.escape(f"degree d1 >= 1, got {d!r}")):
+            zeta1_numeric(d, F(1), F(-1, 2), EM)
 
     @pytest.mark.parametrize("gamma, s", [(F(0), F(-1)), (F(-1), F(-1)), (F(0), F(1, 3))])
     def test_gamma_not_positive(self, gamma, s, monkeypatch):
