@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
 from math import comb, factorial, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from mpmath import mp, mpf
@@ -37,6 +37,21 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _int_tuple(xs, name: str, n: int | None = None, nonneg: bool = False) -> tuple[int, ...]:
+    """The entries of xs as ints by ``operator.index`` (a bool counts, nothing
+    is truncated; DECISIONS.md D9), with the length n and the signs checked
+    when asked; every failure is a ValueError that names the argument."""
+    try:
+        t = tuple(map(index, xs))
+    except TypeError:
+        raise ValueError(f"{name} {xs!r} is not a tuple of integers") from None
+    if n is not None and len(t) != n:
+        raise ValueError(f"{name} {t} has length {len(t)}, need {n}")
+    if nonneg and min(t, default=0) < 0:
+        raise ValueError(f"{name} {t} has a negative entry")
+    return t
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -197,8 +212,11 @@ def _exact_root(x: Fraction, r: int) -> Fraction | None:
 # -----------------------------------------------------------------------------
 
 def _check_precision(precision: int) -> None:
-    """Reject a digit count the Gamma/zeta engines and the quadrature and
-    oracle settings cannot work at."""
+    """Reject a digit count that is not an int or that the kernels cannot work at."""
+    try:
+        precision = index(precision)
+    except TypeError:
+        raise ValueError(f"precision must be an int, got {precision!r}") from None
     if precision < 1:
         raise ValueError(f"precision must be at least 1 digit, got {precision}")
     if precision > MAX_PRECISION_DPS:

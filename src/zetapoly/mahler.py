@@ -31,6 +31,7 @@ from .exactnum import (
     ConstantProduct,
     Numeric,
     SpecialValue,
+    _int_tuple,
     bernoulli_tilde_product,
     point_to_str,
 )
@@ -77,7 +78,7 @@ class CompositionFamily:
 
 def enumerate_V(alpha: Sequence[int], n: int) -> list[CompositionFamily]:
     """All composition families with |u_k| = alpha_k for each k."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _int_tuple(alpha, "alpha")
     slots = [len(delta_multiindices(k, n)) for k in range(1, len(alpha) + 1)]
     return [CompositionFamily(n=n, u=u) for u in composition_tuples(alpha, slots)]
 
@@ -126,10 +127,8 @@ def period_K(
         raise DimensionMismatch(f"Q has {Q.nvars} variables, P has {P.nvars}")
     if not isinstance(u, CompositionFamily):
         u = CompositionFamily(n=P.nvars, u=tuple(tuple(x) for x in u))
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(b) for b in beta)
-    if min(alpha, default=0) < 0:
-        raise ValueError(f"alpha {alpha} has a negative entry")
+    alpha = _int_tuple(alpha, "alpha", nonneg=True)
+    beta = _int_tuple(beta, "beta")
     for k, row in enumerate(u.u, start=1):
         for j, mult in enumerate(row, start=1):
             if mult < 0:

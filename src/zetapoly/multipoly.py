@@ -14,13 +14,14 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor, gcd, lcm
-from operator import add, index, sub
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from mpmath import mpf
 
 from .errors import CompositionMismatch, DimensionMismatch, IndexOutOfRange
-from .exactnum import Rational, mpf_from_rational, multi_factorial, parse_rational, rat_to_str
+from .exactnum import (Rational, _int_tuple, mpf_from_rational, multi_factorial, parse_rational,
+                       rat_to_str)
 
 MultiIndex = tuple[int, ...]
 
@@ -78,14 +79,9 @@ class MPoly:
             raise ValueError("nvars must be >= 0")
         clean: dict[MultiIndex, Fraction] = {}
         for e, c in (terms or {}).items():
-            try:
-                e = tuple(int(index(x)) for x in e)
-            except TypeError:
-                raise ValueError(f"exponent {e} is not a tuple of integers") from None
+            e = _int_tuple(e, "exponent", nonneg=True)
             if len(e) != nvars:
                 raise DimensionMismatch(f"exponent {e} has wrong length for {nvars} vars")
-            if any(x < 0 for x in e):
-                raise ValueError("negative exponent")
             c = Fraction(c)
             if c != 0:
                 clean[e] = clean.get(e, Fraction(0)) + c
@@ -255,11 +251,9 @@ class MPoly:
 
     def derivative(self, g: Sequence[int]) -> "MPoly":
         """Iterated partial derivative with multi-index order g."""
-        g = tuple(int(x) for x in g)
+        g = _int_tuple(g, "derivative order", nonneg=True)
         if len(g) != self.nvars:
             raise DimensionMismatch("derivative order has wrong length")
-        if min(g, default=0) < 0:
-            raise ValueError(f"derivative order {g} has a negative entry")
         out: dict[MultiIndex, Fraction] = {}
         for e, c in self.terms.items():
             if any(ei < gi for ei, gi in zip(e, g)):
@@ -469,7 +463,7 @@ def build_P_alpha_u(P: MPoly, i: int, alpha: Sequence[int], u) -> MPoly:
 
     The factors are multiplied as ints over one denominator.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _int_tuple(alpha, "alpha")
     if len(u) != len(alpha):
         raise CompositionMismatch(f"family has {len(u)} rows, alpha has {len(alpha)} entries")
     n = P.nvars

@@ -31,6 +31,7 @@ from .exactnum import (
     SpecialValue,
     _check_precision,
     _exact_root,
+    _int_tuple,
     bernoulli,
     bernoulli_poly,
     binom_rational,
@@ -550,10 +551,10 @@ def theta_diagonal(
     """
     if not all(isinstance(x, int) for x in (n, d, N)) or n < 1 or d < 1 or N < 0:
         raise ValueError(f"need ints n, d >= 1 and N >= 0, got n={n!r}, d={d!r}, N={N!r}")
-    a = (a,) * n if isinstance(a, int) else tuple(int(x) for x in a)
+    a = _int_tuple((a,) * n if isinstance(a, int) else a, "a", n, nonneg=True)
     c = tuple(map(Fraction, c)) if isinstance(c, (list, tuple)) else (Fraction(c),) * n
-    if len(a) != n or min(a) < 0 or len(c) != n or min(c) <= 0:
-        raise ValueError("need a >= 0 and c > 0 per variable")
+    if len(c) != n or min(c) <= 0:
+        raise ValueError("need c > 0 per variable")
     base = Fraction(0)
     terms = []
     for mask in range(1 << n):

@@ -21,6 +21,7 @@ from .errors import HypothesisViolated, NotDiagonal, NotElliptic
 from .exactnum import (
     Numeric,
     SpecialValue,
+    _int_tuple,
     bernoulli_tilde_product,
     multi_factorial,
     point_to_str,
@@ -95,9 +96,7 @@ def build_family(polys: Sequence[MPoly]) -> PolyFamily:
 
 def build_QN(family: PolyFamily, N: Sequence[int]) -> MPoly:
     """Q_N = prod_j P_j^{N_j} lifted to n variables."""
-    N = tuple(int(x) for x in N)
-    if len(N) != family.n or any(x < 0 for x in N):
-        raise ValueError("N must be a non-negative tuple of length n")
+    N = _int_tuple(N, "N", family.n, nonneg=True)
     n = family.n
     Q = MPoly.one(n)
     for j, (P, Nj) in enumerate(zip(family.polys, N), start=1):

@@ -31,6 +31,7 @@ from .exactnum import (
     Numeric,
     SpecialValue,
     _check_precision,
+    _int_tuple,
     _normal_form,
     bernoulli,
     binom_signed,
@@ -51,10 +52,10 @@ class PowerSumParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        d = tuple(int(x) for x in self.d)
+        d = _int_tuple(self.d, "d", self.n)
         g = tuple(Fraction(x) for x in self.gamma)
-        if len(d) != self.n or len(g) != self.n:
-            raise ValueError("d and gamma must have length n")
+        if len(g) != self.n:
+            raise ValueError("gamma must have length n")
         if any(x < 1 for x in d):
             raise ValueError("all d_j must be >= 1")
         if any(x <= 0 for x in g):
@@ -75,12 +76,8 @@ class DirectionalSpec:
     theta: tuple[Fraction, ...]
 
     def __post_init__(self):
-        N = tuple(int(x) for x in self.N)
         th = tuple(Fraction(x) for x in self.theta)
-        if len(N) != len(th):
-            raise ValueError("N and theta must have equal length")
-        if any(x < 0 for x in N):
-            raise ValueError("N must be non-negative")
+        N = _int_tuple(self.N, "N", len(th), nonneg=True)
         n = len(th)
         if n >= 2:
             if sum(th[1:]) == 0:
@@ -110,14 +107,14 @@ def _integral_sums(d: tuple[int, ...]):
 
 def regularity_ok(d: Sequence[int]) -> bool:
     """True iff no sum 1/d_j + sum eps_k/d_k (eps in {0,1}) is an integer."""
-    return not any(_integral_sums(tuple(int(x) for x in d)))
+    return not any(_integral_sums(_int_tuple(d, "d")))
 
 
 def ira_ok(d: Sequence[int]) -> tuple[bool, int]:
     """Checks the single-resonance condition: the sum 1/d_j + sum eps_k/d_k
     is an integer exactly for j = 2 with all eps = 1.  Returns (ok, b) where
     b = sum_{k>=2} 1/d_k (an integer when ok)."""
-    d = tuple(int(x) for x in d)
+    d = _int_tuple(d, "d")
     n = len(d)
     if n < 3 or list(_integral_sums(d)) != [(1, (1,) * (n - 2))]:
         return False, 0
@@ -176,9 +173,7 @@ def _recursion(d: tuple[int, ...], gamma: tuple, N: tuple[int, ...], leaf, scale
 
 
 def _check_last_nonpositive(params: PowerSumParams, N: Sequence[int]) -> tuple[int, ...]:
-    N = tuple(int(x) for x in N)
-    if len(N) != params.n:
-        raise ValueError("N has wrong length")
+    N = _int_tuple(N, "N", params.n)
     if N[-1] > 0:
         raise PositiveEntry("last entry must be <= 0")
     _require_regular(params)
@@ -192,9 +187,7 @@ def _exact_leaf(d1: int, g1: Fraction, N1: int) -> Fraction:
 
 def value_nonpositive(params: PowerSumParams, N: Sequence[int]) -> Fraction:
     """Exact value at an all-non-positive integer tuple N."""
-    N = tuple(int(x) for x in N)
-    if len(N) != params.n:
-        raise ValueError("N has wrong length")
+    N = _int_tuple(N, "N", params.n)
     if any(x > 0 for x in N):
         raise PositiveEntry("all entries must be <= 0")
     _require_regular(params)
@@ -308,9 +301,7 @@ def closed_even_tail(params: PowerSumParams, N: Sequence[int]) -> Fraction:
     _require_regular(params)
     if any(dj % 2 for dj in params.d[1:]):
         raise HypothesisViolated("requires d_2, ..., d_n all even")
-    N = tuple(int(x) for x in N)
-    if len(N) != params.n or any(x < 0 for x in N):
-        raise ValueError("N must be a non-negative tuple of length n")
+    N = _int_tuple(N, "N", params.n, nonneg=True)
     w = sum(N)
     idx = params.d[0] * w
     return (
@@ -332,8 +323,8 @@ def A_value(d: Sequence[int], N: Sequence[int]) -> Fraction:
         prod_{j=3}^n prod_{u=-(N_{j-1}+...+N_n)}^{-(N_j+...+N_n)-1} (u - sum_{k>=j} 1/d_k)
 
     Empty inner ranges contribute 1."""
-    d = tuple(int(x) for x in d)
-    N = tuple(int(x) for x in N)
+    d = _int_tuple(d, "d")
+    N = _int_tuple(N, "N")
     ok, _ = ira_ok(d)
     if not ok:
         raise IraViolated(f"d = {d} fails the single-resonance condition")
@@ -353,10 +344,10 @@ def B_theta(N: Sequence[int], theta: Sequence[Fraction], b: int) -> Fraction:
 
         (-1)^{N_2+...+N_{n-1}+b} * N_n! / (N_2+...+N_n+b)! * theta_n/(theta_2+...+theta_n)
     """
-    N = tuple(int(x) for x in N)
     th = tuple(Fraction(x) for x in theta)
-    if len(N) != len(th) or len(N) < 2:
-        raise ValueError("need n >= 2 with matching lengths")
+    N = _int_tuple(N, "N", len(th))
+    if len(N) < 2:
+        raise ValueError("need n >= 2")
     tsum = sum(th[1:])
     if tsum == 0 or th[-1] == 0:
         raise ThetaDegenerate("theta conditions violated")
@@ -375,18 +366,15 @@ def H_value(params: PowerSumParams, N: Sequence[int]) -> Fraction:
     ok, _b = ira_ok(params.d)
     if not ok:
         raise IraViolated(f"d = {params.d} fails the single-resonance condition")
-    N = tuple(int(x) for x in N)
-    if len(N) != params.n or any(x < 0 for x in N):
-        raise ValueError("N must be a non-negative tuple of length n")
+    N = _int_tuple(N, "N", params.n, nonneg=True)
     return _recursion(params.d, params.gamma, tuple(-x for x in N), _exact_leaf, mul, {})
 
 
 def C_value(d: Sequence[int], N: Sequence[int], b: int) -> Fraction:
     """Closed-form rational coefficient of the Gamma product in the
     directional limit."""
-    d = tuple(int(x) for x in d)
-    N = tuple(int(x) for x in N)
-    n = len(d)
+    d = _int_tuple(d, "d")
+    N = _int_tuple(N, "N")
     w = sum(N)
     acc = A_value(d, N)
     sign = (-1) ** (sum(N[1:-1]) + b + d[0] * (w + b))

@@ -240,6 +240,23 @@ class TestMahler:
         assert "face 1 non-positive at (1)" in err["message"]
         assert "Fraction(" not in err["message"]
 
+    def test_terms_carry_their_orbit(self):
+        # The swap x1 <-> x2 fixes P, so face 2 folds into face 1 (DECISIONS.md
+        # D13): face 1's buckets stand for both faces and carry "orbit": 2,
+        # face 3's stand for one face and carry no "orbit".  The buckets sum
+        # to the printed value within their summed errs.
+        code, out = run_cli(["mahler", "--P", "x1^2 + x1 x2 + x2^2 + x3^2", "--N", "0",
+                             "--terms", "--precision", "20", "--rel-tol", "1e-6"])
+        assert code == 0
+        payload = json.loads(out)
+        terms = payload["terms"]
+        assert {t["i"] for t in terms} == {1, 3}
+        for t in terms:
+            assert t.get("orbit") == (2 if t["i"] == 1 else None)
+        with mp.workdps(30):
+            total = sum(mpf(t["value"]) for t in terms)
+            assert abs(total - mpf(payload["value"])) <= sum(mpf(t["err"]) for t in terms)
+
 
 class TestExitCodes:
     """argparse usage errors exit 2; text that parses as an option value but
@@ -342,9 +359,8 @@ class TestExitCodes:
         # reader gone before the first write, so the pipe breaks every time
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # the child imports the package under test: this test's sys.path
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "zetapoly.cli", "bernoulli-id", "--grid", "12x12"],
@@ -499,6 +515,15 @@ class TestPolyzeta:
         assert code == 1
         err = json.loads(out)["error"]
         assert err["type"] == "HypothesisViolated" and "at (1, 13)" in err["message"]
+
+    def test_unverified_hypothesis_flagged(self, tmp_path):
+        # x1^2 - x1 + 1 has a negative coefficient, and neither the box nor
+        # the rays refute it as P_1, so the value carries a flag (DECISIONS.md D4)
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(["x1^2 - x1 + 1", "x1 + x2"]))
+        code, out = run_cli(["polyzeta", "--family", str(fam), "--N", "0,0"])
+        assert code == 0
+        assert '"flags":["hypotheses_unverified:P1"]' in out
 
 
 class TestBernoulliId:

@@ -1,12 +1,12 @@
 """Exact kernel: Bernoulli numbers, binomials, Pochhammer, Gamma, zeta."""
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 from functools import cache
 from math import comb, floor, lcm, prod
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,9 +30,10 @@ from zetapoly import (
     riemann_zeta_exact_nonpositive,
     riemann_zeta_numeric,
 )
+import zetapoly
 from zetapoly import exactnum
-from zetapoly.exactnum import (BERNOULLI_EAGER_MAX, _exact_root, _normal_form, mpf_from_rational,
-                               rat_to_str)
+from zetapoly.exactnum import (BERNOULLI_EAGER_MAX, _exact_root, _int_tuple, _normal_form,
+                               mpf_from_rational, rat_to_str)
 
 
 BERN_CHECKED = 1100
@@ -55,10 +56,9 @@ def _recurrence_table() -> list[F]:
 
 
 def _fresh_stdout(code: str) -> str:
-    """The stripped stdout of code run in a fresh interpreter on src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    """The stripped stdout of code run in a fresh interpreter on this
+    test's sys.path, so it imports the package under test."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     return proc.stdout.strip()
@@ -558,3 +558,53 @@ class TestSpecialValue:
     def test_rational_strings(self):
         assert rat_to_str(F(3, 4)) == "3/4"
         assert rat_to_str(F(5)) == "5"
+
+
+class TestIntegerArguments:
+    """The one reader of integer arguments (DECISIONS.md D9), and precision,
+    which every settings object and kernel requires to be an int."""
+
+    @pytest.mark.parametrize("xs", [(1, 2.0), (F(5, 2),), ("2",), 3, None])
+    def test_non_int_rejected(self, xs):
+        with pytest.raises(ValueError, match=r"^N .* is not a tuple of integers$"):
+            _int_tuple(xs, "N")
+
+    def test_length_and_sign(self):
+        assert _int_tuple([True, 0, -2], "N") == (1, 0, -2)
+        assert _int_tuple((), "N", 0, nonneg=True) == ()
+        with pytest.raises(ValueError, match=r"^N \(1, 2\) has length 2, need 3$"):
+            _int_tuple((1, 2), "N", 3)
+        with pytest.raises(ValueError, match=r"^N \(1, -2\) has a negative entry$"):
+            _int_tuple([1, -2], "N", 2, nonneg=True)
+
+    ENTRIES = {  # entry -> a call at precision p
+        "QuadratureSettings": lambda p: zetapoly.QuadratureSettings(precision=p),
+        "EMSettings": lambda p: zetapoly.EMSettings(precision=p),
+        "gamma_rational": lambda p: gamma_rational(F(1, 3), p),
+        "gamma_rational_numeric": lambda p: gamma_rational_numeric(F(1, 3), p),
+        "riemann_zeta_numeric": lambda p: riemann_zeta_numeric(F(3), p),
+        "value_mixed_last_nonpositive": lambda p: zetapoly.value_mixed_last_nonpositive(
+            zetapoly.PowerSumParams.make((2, 3)), (1, -1), p),
+        "value_numeric_complex": lambda p: zetapoly.powersum.value_numeric_complex(
+            zetapoly.PowerSumParams.make((2, 3)), (1, -1), p),
+        "directional_limit": lambda p: zetapoly.directional_limit(
+            zetapoly.PowerSumParams.make((3, 2, 2)),
+            zetapoly.DirectionalSpec(N=(0, 0, 0), theta=(0, 0, 1)), p),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("p", [20.0, F(5, 2), "20"])
+    def test_precision_not_an_int_rejected(self, entry, p):
+        message = re.escape(f"precision must be an int, got {p!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.ENTRIES[entry](p)
+
+    def test_truncating_calls_rejected(self):
+        # both ran at the precision given, 20.5 and 20.7 digits, before
+        with pytest.raises(ValueError, match=r"^precision must be an int, got 20\.5$"):
+            zetapoly.QuadratureSettings(precision=20.5)
+        with pytest.raises(ValueError, match=r"^precision must be an int, got 20\.7$"):
+            gamma_rational(F(1, 3), 20.7)
+
+    def test_bool_precision_is_one_digit(self):
+        assert gamma_rational(F(1, 3), True) == gamma_rational(F(1, 3), 1)

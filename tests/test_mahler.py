@@ -1961,3 +1961,29 @@ class TestDiagonalFaces:
 def mpf_from(x, qs):
     with mp.workdps(qs.precision + 10):
         return mpf(x.numerator) / x.denominator
+
+
+class TestIntegerArguments:
+    """alpha and beta are read by the package's one reader (DECISIONS.md D9):
+    an entry that is not an int is a ValueError naming its argument."""
+
+    ENTRIES = {  # entry -> (the argument named, a call with x as one entry)
+        "enumerate_V": ("alpha", lambda x: enumerate_V((x, 0), 2)),
+        "period_K.alpha": ("alpha", lambda x: period_K(
+            P("x1^2 + x2^2"), MPoly.one(2), 2, (x, 0), [(2, 0), (0, 0, 0)], (0, 0), 1)),
+        "period_K.beta": ("beta", lambda x: period_K(
+            P("x1^2 + x2^2"), MPoly.one(2), 2, (2, 0), [(2, 0), (0, 0, 0)], (x, 0), 1)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("x", [2.0, F(5, 2), "2"])
+    def test_non_int_entry_rejected(self, entry, x):
+        name, call = self.ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{name} .* is not a tuple of integers$"):
+            call(x)
+
+    def test_bools_are_ints(self):
+        assert enumerate_V((True, False), 2) == enumerate_V((1, 0), 2)
+        args = (P("x1^2 + x2^2"), MPoly.one(2), 1)
+        assert (period_K(*args, (True, False), [(1, 0), (0, 0, 0)], (False, False), 1)
+                == period_K(*args, (1, 0), [(1, 0), (0, 0, 0)], (0, 0), 1))

@@ -728,3 +728,37 @@ class TestH0s:
 
     def test_positive_with_negative_coefficient_unverified(self):
         assert family_hypotheses(P("x1^2 - x1 + 1", 1)) == ("unverified", None)
+
+
+class TestIntegerArguments:
+    """Exponents, derivative orders and alpha are read by the package's one
+    reader (DECISIONS.md D9)."""
+
+    ENTRIES = {  # entry -> (the argument named, a call with x as one entry)
+        "MPoly": ("exponent", lambda x: MPoly(2, {(x, 0): 1})),
+        "derivative": ("derivative order", lambda x: P("x1^2 + x2", 2).derivative((x, 0))),
+        "build_P_alpha_u": ("alpha", lambda x: build_P_alpha_u(P("x1^2 + x2^2", 2), 1, (x,),
+                                                               ((2, 0),))),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("x", [2.0, F(5, 2), "2"])
+    def test_non_int_entry_rejected(self, entry, x):
+        name, call = self.ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{name} .* is not a tuple of integers$"):
+            call(x)
+
+    def test_truncating_call_rejected(self):
+        # returned the derivative of order (1, 0), 2 x1, before
+        with pytest.raises(ValueError,
+                           match=r"^derivative order \(1\.9, 0\) is not a tuple of integers$"):
+            P("x1^2 + x2", 2).derivative((1.9, 0))
+        with pytest.raises(ValueError, match=r"^exponent \(1, -1\) has a negative entry$"):
+            MPoly(2, {(1, -1): 1})
+
+    def test_bools_are_ints(self):
+        p = MPoly(2, {(True, False): 3})
+        assert p == P("3 x1", 2) and all(type(x) is int for e in p.terms for x in e)
+        assert P("x1^2 + x2", 2).derivative((True, False)) == P("2 x1", 2)
+        assert (build_P_alpha_u(P("x1^2 + x2^2", 2), 1, (True,), ((1, 0),))
+                == build_P_alpha_u(P("x1^2 + x2^2", 2), 1, (1,), ((1, 0),)))

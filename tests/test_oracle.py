@@ -535,3 +535,27 @@ class TestOracleBitIdentity:
             else:
                 truth = mp.zeta(_q(args[0]))
             assert abs(v.value - truth) <= v.err
+
+
+class TestIntegerArguments:
+    """theta_diagonal reads a by the package's one reader (DECISIONS.md D9)."""
+
+    @pytest.mark.parametrize("x", [2.0, F(5, 2), "2"])
+    def test_non_int_entry_rejected(self, x):
+        with pytest.raises(ValueError, match="^a .* is not a tuple of integers$"):
+            oracle.theta_diagonal(2, 2, (x, 0), 0)
+
+    def test_truncating_calls_rejected(self):
+        # the first returned 1/24, the value for a = (1, 0), before
+        with pytest.raises(ValueError, match=r"^a \(1\.5, 0\) is not a tuple of integers$"):
+            oracle.theta_diagonal(2, 2, (1.5, 0), 0)
+        with pytest.raises(ValueError, match=r"^a 1\.5 is not a tuple of integers$"):
+            oracle.theta_diagonal(2, 2, 1.5, 0)
+        with pytest.raises(ValueError, match=r"^a \(1, 0, 0\) has length 3, need 2$"):
+            oracle.theta_diagonal(2, 2, (1, 0, 0), 0)
+        with pytest.raises(ValueError, match=r"^a \(1, -1\) has a negative entry$"):
+            oracle.theta_diagonal(2, 2, (1, -1), 0)
+
+    def test_bools_are_ints(self):
+        assert oracle.theta_diagonal(2, 2, (True, False), 0).exact == F(1, 24)
+        assert oracle.theta_diagonal(2, 2, True, 0) == oracle.theta_diagonal(2, 2, 1, 0)

@@ -267,3 +267,22 @@ class TestDiagonalTruth:
     def test_quadratic_threefold(self):
         fam = build_family([P("x1", 1), P("x1 + x2", 2), P("x1^2 + x2^2 + x3^2", 3)])
         self._check(fam, (1, 0, 1), QS_FAST)
+
+
+class TestIntegerArguments:
+    """build_QN reads N by the package's one reader (DECISIONS.md D9)."""
+
+    @pytest.mark.parametrize("x", [2.0, F(5, 2), "2"])
+    def test_non_int_entry_rejected(self, x):
+        with pytest.raises(ValueError, match="^N .* is not a tuple of integers$"):
+            build_QN(euler_family(), (x, 0))
+
+    def test_truncating_call_rejected(self):
+        # returned Q_(1, 0) = x1 before
+        with pytest.raises(ValueError, match=r"^N \(1\.5, 0\) is not a tuple of integers$"):
+            build_QN(euler_family(), (1.5, 0))
+        with pytest.raises(ValueError, match=r"^N \(0, -1\) has a negative entry$"):
+            build_QN(euler_family(), (0, -1))
+
+    def test_bools_are_ints(self):
+        assert build_QN(euler_family(), (True, True)) == build_QN(euler_family(), (1, 1))

@@ -554,3 +554,64 @@ class TestComplexNumeric:
         for N in [(0, -1), (1, -1)]:
             with pytest.raises(exc):
                 value_numeric_complex(params((2, 3)), N, precision=precision)
+
+
+class TestIntegerArguments:
+    """Degrees and points are read by one reader (DECISIONS.md D9): an
+    entry that is not an int is a ValueError naming its argument, never
+    truncated."""
+
+    P23, P32, P322 = params((2, 3)), params((3, 2)), params((3, 2, 2))
+    # entry -> (the argument named, a call with x as one entry)
+    ENTRIES = {
+        "PowerSumParams.d": ("d", lambda x: PowerSumParams.make((x, 3))),
+        "DirectionalSpec.N": ("N", lambda x: DirectionalSpec(N=(0, x, 0), theta=(0, 0, 1))),
+        "regularity_ok": ("d", lambda x: regularity_ok((2, x))),
+        "ira_ok": ("d", lambda x: ira_ok((3, 2, x))),
+        "value_nonpositive": ("N", lambda x: value_nonpositive(params((2, 3)), (x, 0))),
+        "value_mixed_last_nonpositive": (
+            "N", lambda x: value_mixed_last_nonpositive(params((2, 3)), (x, -1))),
+        "value_numeric_complex": ("N", lambda x: value_numeric_complex(params((2, 3)), (x, -1))),
+        "closed_even_tail": ("N", lambda x: closed_even_tail(params((3, 2)), (x, 0))),
+        "A_value.d": ("d", lambda x: A_value((3, 2, x), (0, 0, 0))),
+        "A_value.N": ("N", lambda x: A_value((3, 2, 2), (0, x, 0))),
+        "B_theta": ("N", lambda x: B_theta((0, x, 0), (0, 0, 1), 1)),
+        "H_value": ("N", lambda x: H_value(params((3, 2, 2)), (0, x, 0))),
+        "C_value.d": ("d", lambda x: C_value((3, 2, x), (0, 0, 0), 1)),
+        "C_value.N": ("N", lambda x: C_value((3, 2, 2), (0, x, 0), 1)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("x", [2.0, F(5, 2), "2"])
+    def test_non_int_entry_rejected(self, entry, x):
+        name, call = self.ENTRIES[entry]
+        with pytest.raises(ValueError, match=f"^{name} .* is not a tuple of integers$"):
+            call(x)
+
+    def test_truncating_calls_rejected(self):
+        # each returned the value at the truncated point, with no error:
+        # (2, 3) for the first and -1/240, the value at (0, -1), for the second
+        with pytest.raises(ValueError, match=r"^d \[2\.5, 3\] is not a tuple of integers$"):
+            PowerSumParams.make([2.5, 3])
+        with pytest.raises(ValueError, match=r"^N \(0\.9, -1\.7\) is not a tuple"):
+            value_nonpositive(self.P23, (0.9, -1.7))
+        with pytest.raises(ValueError, match=r"^d \['2', '3'\] is not a tuple"):
+            regularity_ok(["2", "3"])
+
+    def test_messages_name_length_and_sign(self):
+        with pytest.raises(ValueError, match=r"^N \(0, 0, 0\) has length 3, need 2$"):
+            value_nonpositive(self.P23, (0, 0, 0))
+        with pytest.raises(ValueError, match=r"^N \(0, -1, 0\) has a negative entry$"):
+            H_value(self.P322, (0, -1, 0))
+        with pytest.raises(ValueError, match=r"^d \(2, 3, 5\) has length 3, need 2$"):
+            PowerSumParams(n=2, d=(2, 3, 5), gamma=(1, 1))
+
+    def test_bools_are_ints(self):
+        p = PowerSumParams.make((True, 3))
+        assert p.d == (1, 3) and all(type(x) is int for x in p.d)
+        assert value_nonpositive(self.P23, (False, False)) == F(1, 4)
+        assert closed_even_tail(self.P32, (True, False)) == closed_even_tail(self.P32, (1, 0))
+        spec = DirectionalSpec(N=(False, True, False), theta=(0, 0, 1))
+        assert spec.N == (0, 1, 0) and all(type(x) is int for x in spec.N)
+        assert directional_limit(self.P322, spec) == directional_limit(
+            self.P322, DirectionalSpec(N=(0, 1, 0), theta=(0, 0, 1)))
