@@ -152,15 +152,23 @@ def binom_signed(n: int, k: int) -> int:
     return (-1) ** k * comb(-n + k - 1, k)
 
 
+def _falling(x: Fraction, n: int) -> list[int]:
+    """The numerators prod_{t<k} (p - t q) of the falling factorials of
+    x = p/q, for k = 0..n; the k-th has the denominator q^k."""
+    p, q = x.numerator, x.denominator
+    out = [1]
+    for t in range(n):
+        out.append(out[-1] * (p - t * q))
+    return out
+
+
 def binom_rational(x: Fraction, k: int) -> Fraction:
-    """Generalized binomial with rational upper argument."""
+    """Generalized binomial with rational upper argument x = p/q: the int
+    product prod_{t<k} (p - t q) over q^k k!."""
     if k < 0:
         raise ValueError("lower index must be non-negative")
     x = Fraction(x)
-    num = Fraction(1)
-    for t in range(k):
-        num *= x - t
-    return num / factorial(k)
+    return Fraction(_falling(x, k)[k], x.denominator**k * factorial(k))
 
 
 def multi_factorial(idx: Sequence[int]) -> int:

@@ -54,7 +54,8 @@ from .multipoly import (
 
 def index_I(N: int, beta: Sequence[int], d: int, q: int, n: int) -> list[MultiIndex]:
     """All alpha in N_0^d with sum_k k*alpha_k = d*N + q + n - |beta|."""
-    return weighted_partitions(d * N + q + n - sum(beta), d)
+    N, d, q, n = _int_tuple((N, d, q, n), "(N, d, q, n)")
+    return weighted_partitions(d * N + q + n - sum(_int_tuple(beta, "beta")), d)
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,11 @@ def period_K(
     _check_N(N)
     if Q.nvars != P.nvars:
         raise DimensionMismatch(f"Q has {Q.nvars} variables, P has {P.nvars}")
-    if not isinstance(u, CompositionFamily):
-        u = CompositionFamily(n=P.nvars, u=tuple(tuple(x) for x in u))
+    rows = u.u if isinstance(u, CompositionFamily) else u
+    u = tuple(_int_tuple(row, f"row {k} of u") for k, row in enumerate(rows, start=1))
     alpha = _int_tuple(alpha, "alpha", nonneg=True)
     beta = _int_tuple(beta, "beta")
-    for k, row in enumerate(u.u, start=1):
+    for k, row in enumerate(u, start=1):
         for j, mult in enumerate(row, start=1):
             if mult < 0:
                 raise ValueError(f"row {k} of u has the negative entry {mult} at position {j}")
@@ -139,7 +140,7 @@ def period_K(
             f"face {i} is not positive on the unit cube: P <= 0 at {point_to_str(wit)}"
         )
     flags = ("positivity_unverified",) if st == "sampled_only" else ()
-    numer = build_P_alpha_u(P, i, alpha, u.u) * Q.derivative(beta).face(i)
+    numer = build_P_alpha_u(P, i, alpha, u) * Q.derivative(beta).face(i)
     if numer.is_zero():
         return SpecialValue.make_exact(Fraction(0), flags=flags)
     return cube_integral(P.face(i), numer, sum(alpha) - N, qs).with_flags(flags)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, exp, factorial, log, prod
+from math import ceil, comb, exp, factorial, lcm, log, prod
 from typing import Sequence
 
 from mpmath import mp, mpf
@@ -31,6 +31,7 @@ from .exactnum import (
     SpecialValue,
     _check_precision,
     _exact_root,
+    _falling,
     _int_tuple,
     bernoulli,
     bernoulli_poly,
@@ -83,17 +84,21 @@ def _rational_power(base: Fraction, expo: Fraction) -> Numeric:
     return Numeric(v, err)
 
 
-def _alpha_weight(alpha: tuple[int, ...], d: int, a: Fraction) -> tuple[Fraction, int]:
-    """The factor |alpha|! prod_j C(d,j)^{alpha_j}/alpha_j! a^{|alpha|} and
-    the x-exponent sum_j (d-j) alpha_j of the alpha-term of the derivatives
-    of (b + a x^d)^{-s}, for alpha weighted by j = 1..d."""
-    aa = sum(alpha)
-    c = Fraction(factorial(aa), 1)
-    for j, aj in enumerate(alpha, start=1):
-        c *= Fraction(comb(d, j) ** aj, factorial(aj))
-    c *= a**aa
-    xexp = sum((d - j) * aj for j, aj in enumerate(alpha, start=1))
-    return c, xexp
+@lru_cache(maxsize=256)
+def _alpha_terms(d: int, order: int) -> tuple[tuple[int, int, int], ...]:
+    """(w, x-exponent, |alpha|) for each alpha weighted by j = 1..d with
+    sum_j j alpha_j = order: the int w = order! prod_j C(d,j)^{alpha_j}/alpha_j!
+    (prod_j alpha_j! divides |alpha|!, which divides order!) and the
+    x-exponent sum_j (d-j) alpha_j of the alpha-term of f^(order)."""
+    out = []
+    for alpha in weighted_partitions(order, d):
+        w, den, xexp = factorial(order), 1, 0
+        for j, aj in enumerate(alpha, start=1):
+            w *= comb(d, j) ** aj
+            den *= factorial(aj)
+            xexp += (d - j) * aj
+        out.append((w // den, xexp, sum(alpha)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
@@ -102,16 +107,16 @@ def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
     C(-s,|alpha|) (|alpha|!/alpha!) prod_j C(d,j)^{alpha_j} a^{|alpha|}
        * x^{sum (d-j) alpha_j} * (b + a x^d)^{-s-|alpha|}.
 
-    Returns [(coeff, x_exponent, power_shift)] with power_shift = |alpha|."""
-    out = []
-    for alpha in weighted_partitions(order, d):
-        aa = sum(alpha)
-        w, xexp = _alpha_weight(alpha, d, a)
-        c = binom_rational(-s, aa) * factorial(order) * w
-        if c == 0:
-            continue
-        out.append((c, xexp, aa))
-    return tuple(out)
+    Returns [(coeff, x_exponent, power_shift)] with power_shift = |alpha|,
+    each coeff one reduced Fraction of ints: the |alpha|! of the binomial
+    cancels against the weight's."""
+    falling = _falling(-s, order)
+    q, an, ad = s.denominator, a.numerator, a.denominator
+    return tuple(
+        (Fraction(falling[aa] * w * an**aa, (q * ad) ** aa), xexp, aa)
+        for w, xexp, aa in _alpha_terms(d, order)
+        if falling[aa]
+    )
 
 
 # -----------------------------------------------------------------------------
@@ -141,14 +146,17 @@ def _partition_count(n: int, d: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _tail_coefficient(a: Fraction, d: int, s: Fraction, K: int) -> Fraction:
+def _tail_coefficient(d: int, s: Fraction, K: int) -> Fraction:
     """A a^s with |1/(2K)! int_m^oo f^(2K)(x) B_2K({x}) dx| <= A m^(1-p)/(p-1),
     p = d s + 2K, for every m > 0.  Each term of f^(2K) is at most
-    |c| a^-(s+|alpha|) x^-p, since b >= 0 and s + |alpha| >= s + 2K/d > 1/d."""
-    acc = Fraction(0)
-    for c, _xexp, aa in _f_derivative_terms(a, d, s, 2 * K):
-        acc += abs(c) * a**-aa
-    return acc * abs(bernoulli(2 * K)) / factorial(2 * K)
+    |c| a^-(s+|alpha|) x^-p, since b >= 0 and s + |alpha| >= s + 2K/d > 1/d;
+    the a^|alpha| in c cancels, so A a^s is free of a.  The terms |c| a^-|alpha|
+    are summed over their common denominator q^(2K), s = -p/q."""
+    n, q = 2 * K, s.denominator
+    falling = _falling(-s, n)
+    total = sum(abs(falling[aa]) * w * q ** (n - aa) for w, _xexp, aa in _alpha_terms(d, n))
+    B = bernoulli(n)
+    return Fraction(total * abs(B.numerator), q**n * B.denominator * factorial(n))
 
 
 def em_inner_sum(
@@ -212,7 +220,7 @@ def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, int, mpf]:
     corr_terms = sum(_partition_count(2 * k - 1, d) for k in range(1, K_lo))
     for K in range(K_lo, _K_MAX + 1):
         corr_terms += _partition_count(2 * K - 1, d)
-        A = _tail_coefficient(a, d, s, K)
+        A = _tail_coefficient(d, s, K)
         p = float(ds + 2 * K)
         log_A = _log(A) + log_a_s - log(p - 1)  # log of the bound at m = 1
         at_max = log_A + (1 - p) * log(m_max)
@@ -243,7 +251,7 @@ def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, int, mpf]:
             else f"remainder tail not below tolerance within {m_max} intervals"
         )
     _, K, m_end = best
-    A = mpf_from_rational(_tail_coefficient(a, d, s, K)) * _rational_power(a, -s).value
+    A = mpf_from_rational(_tail_coefficient(d, s, K)) * _rational_power(a, -s).value
     p = mpf_from_rational(ds + 2 * K)
     tail = A * mpf(m_end) ** (1 - p) / (p - 1)
     M0 = m_end - 1
@@ -290,9 +298,10 @@ def _em_anchored(a, b, d, s, settings: EMSettings) -> Numeric:
         corr = mpf(1) / 2
         corr_mag = corr
         for k in range(1, K + 1):
-            w = Fraction(bernoulli(2 * k), factorial(2 * k))
+            B, fk = bernoulli(2 * k), factorial(2 * k)
             for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * k - 1):
-                t = mpf_from_rational(w * c * M0**xexp) * inv**aa
+                num, den = B.numerator * c.numerator * M0**xexp, B.denominator * fk * c.denominator
+                t = mpf_from_rational(Fraction(num, den)) * inv**aa
                 corr += t
                 corr_mag += abs(t)
         pw = _rational_power(base, -s).value
@@ -307,19 +316,24 @@ def _em_polynomial(a: Fraction, b: Fraction, d: int, N: int) -> Fraction:
     in exact arithmetic.  f^(2K) vanishes for 2K > dN, so there is no
     remainder, and the continued integral term is closed:
     -(b + a)^(N+1) / (a (N+1)) for d = 1, and for d >= 2 the finite sum
-    -sum_i C(N, i) b^(N-i) a^i / (d i + 1)."""
-    f1 = (b + a) ** N
+    -sum_i C(N, i) b^(N-i) a^i / (d i + 1).  Every term is an int fraction,
+    and they are summed over their least common denominator."""
+    e = b + a  # the base at M0 = 1
+    terms = [(e.numerator**N, 2 * e.denominator**N)]
     if d == 1:
-        total = f1 / 2 - (b + a) ** (N + 1) / (a * (N + 1))
+        terms.append((-e.numerator ** (N + 1) * a.denominator,
+                      e.denominator ** (N + 1) * a.numerator * (N + 1)))
     else:
-        total = f1 / 2 - sum(
-            Fraction(comb(N, i) * b ** (N - i) * a**i, d * i + 1) for i in range(N + 1)
-        )
+        terms += [(-comb(N, i) * b.numerator ** (N - i) * a.numerator**i,
+                   b.denominator ** (N - i) * a.denominator**i * (d * i + 1))
+                  for i in range(N + 1)]
     for k in range(1, (d * N + 1) // 2 + 1):
-        terms = _f_derivative_terms(a, d, Fraction(-N), 2 * k - 1)
-        fd = sum(c * (b + a) ** (N - aa) for c, _xexp, aa in terms)
-        total -= Fraction(bernoulli(2 * k), factorial(2 * k)) * fd
-    return total
+        B, fk = bernoulli(2 * k), factorial(2 * k)
+        terms += [(-B.numerator * c.numerator * e.numerator ** (N - aa),
+                   B.denominator * fk * c.denominator * e.denominator ** (N - aa))
+                  for c, _xexp, aa in _f_derivative_terms(a, d, Fraction(-N), 2 * k - 1)]
+    D = lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (D // den) for num, den in terms), D)
 
 
 def _tail_integral(a, b, d, s, M0, target: mpf) -> Numeric:
@@ -383,9 +397,9 @@ def _remainder_integral(a, b, d, s, K, M0, m_end):
     each node the base b + a x^d is formed once and raised to -s once; the
     |alpha| shifts are integer powers of its reciprocal, from the least
     |alpha| up."""
-    scale = Fraction(1, factorial(2 * K))
+    fk = factorial(2 * K)
     terms = [
-        (mpf_from_rational(c * scale), xexp, aa)
+        (mpf_from_rational(Fraction(c.numerator, c.denominator * fk)), xexp, aa)
         for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * K)
     ]
     max_x = max(xexp for _, xexp, _ in terms)

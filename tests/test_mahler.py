@@ -1987,3 +1987,52 @@ class TestIntegerArguments:
         args = (P("x1^2 + x2^2"), MPoly.one(2), 1)
         assert (period_K(*args, (True, False), [(1, 0), (0, 0, 0)], (False, False), 1)
                 == period_K(*args, (1, 0), [(1, 0), (0, 0, 0)], (0, 0), 1))
+
+
+class TestIndexAndRowArguments:
+    """index_I and the rows of period_K's family u are read by the same
+    reader (DECISIONS.md D9), before any face work."""
+
+    def test_index_I_truncating_beta_rejected(self):
+        # returned [] before, where beta = (0, 0) gives [(4,)]
+        with pytest.raises(ValueError, match=r"^beta \(0\.5, 0\) is not a tuple of integers$"):
+            index_I(0, (0.5, 0), 1, 2, 2)
+
+    @pytest.mark.parametrize("x", [2.0, F(5, 2), "2"])
+    @pytest.mark.parametrize("pos", range(5))
+    def test_index_I_non_int_rejected(self, pos, x):
+        args = [1, (0, 0), 1, 2, 2]
+        args[pos] = (x, 0) if pos == 1 else x
+        name = "beta" if pos == 1 else r"\(N, d, q, n\)"
+        with pytest.raises(ValueError, match=f"^{name} .* is not a tuple of integers$"):
+            index_I(*args)
+
+    def test_index_I_bools_are_ints(self):
+        assert index_I(True, (False, True), 1, 2, 2) == index_I(1, (0, 1), 1, 2, 2)
+
+    @pytest.mark.parametrize("as_family", [False, True])
+    @pytest.mark.parametrize("x", [1.0, F(3, 2), "1"])
+    def test_u_row_non_int_rejected(self, as_family, x):
+        # (1.0, 0) failed inside math.factorial with a TypeError before
+        rows = ((x, 0), (0, 0, 0))
+        u = CompositionFamily(n=2, u=rows) if as_family else [list(r) for r in rows]
+        with pytest.raises(ValueError, match=r"^row 1 of u .* is not a tuple of integers$"):
+            period_K(P("x1^2 + x2^2"), MPoly.one(2), 0, (1, 0), u, (0, 0), 1)
+
+    def test_u_rows_read_before_face_work(self):
+        # face 1 of x1^2 - x2^2 is not positive: the row is read first
+        with pytest.raises(NotElliptic):
+            period_K(P("x1^2 - x2^2"), MPoly.one(2), 0, (1, 0), [(1, 0), (0, 0, 0)], (0, 0), 1)
+        with pytest.raises(ValueError, match=r"^row 2 of u \(0, 0\.0, 0\) is not"):
+            period_K(P("x1^2 - x2^2"), MPoly.one(2), 0, (1, 0), [(1, 0), (0, 0.0, 0)],
+                     (0, 0), 1)
+
+    def test_u_rows_keep_their_sign_message(self):
+        family = CompositionFamily(n=2, u=((2, -1), (0, 0, 0)))
+        with pytest.raises(ValueError, match="row 1 of u has the negative entry -1 at position 2"):
+            period_K(P("x1^2 + x2^2"), MPoly.one(2), 0, (1, 0), family, (0, 0), 1)
+
+    def test_u_bools_are_ints(self):
+        args = (P("x1^2 + x2^2"), MPoly.one(2), 1, (1, 0))
+        assert (period_K(*args, CompositionFamily(n=2, u=((True, False), (0, 0, 0))), (0, 0), 1)
+                == period_K(*args, [(1, 0), (0, 0, 0)], (0, 0), 1))

@@ -2,7 +2,7 @@
 import re
 import time
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +15,7 @@ from zetapoly import (
     Pole,
     PowerSumParams,
     PrecisionUnreachable,
+    bernoulli,
     binom_rational,
     em_inner_sum,
     powersum2_numeric,
@@ -122,6 +123,81 @@ class TestFDerivative:
                 for s in (F(-2), F(1, 2), F(5, 3)):
                     want = factorial(k) * binom_rational(-s, k // d) * F(3, 2) ** (k // d)
                     assert f_derivative_at0(F(3, 2), d, s, k) == want
+
+
+def _fraction_binom(x, k):
+    """C(x, k) one Fraction product at a time, the reference for the
+    oracle's int coefficients."""
+    num = F(1)
+    for t in range(k):
+        num *= x - t
+    return num / factorial(k)
+
+
+def _fraction_f_derivative_terms(a, d, s, order):
+    """The terms of f^(order), each weight built one Fraction at a time."""
+    out = []
+    for alpha in weighted_partitions(order, d):
+        aa = sum(alpha)
+        w = F(factorial(aa))
+        for j, aj in enumerate(alpha, start=1):
+            w *= F(comb(d, j) ** aj, factorial(aj))
+        w *= a**aa
+        xexp = sum((d - j) * aj for j, aj in enumerate(alpha, start=1))
+        c = _fraction_binom(-s, aa) * factorial(order) * w
+        if c != 0:
+            out.append((c, xexp, aa))
+    return tuple(out)
+
+
+def _fraction_tail_coefficient(a, d, s, K):
+    acc = F(0)
+    for c, _xexp, aa in _fraction_f_derivative_terms(a, d, s, 2 * K):
+        acc += abs(c) * a**-aa
+    return acc * abs(bernoulli(2 * K)) / factorial(2 * K)
+
+
+class TestExactCoefficients:
+    """The oracle's coefficients, taken in ints with one Fraction each, equal
+    the Fraction formulas exactly (so each reaches mpf_from_rational as the
+    same reduced pair)."""
+
+    RATIONALS = (F(3, 2), F(-2, 5), F(1), F(7), F(-5, 3))
+    EXPONENTS = (F(-3), F(0), F(-1), F(-1, 2), F(5, 3), F(-7, 4), F(2))
+
+    def test_binom_rational(self):
+        for x in self.RATIONALS + self.EXPONENTS + (F(4), F(-11, 3)):
+            for k in range(25):
+                got = binom_rational(x, k)
+                want = _fraction_binom(x, k)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        with pytest.raises(ValueError):
+            binom_rational(F(1, 2), -1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_f_derivative_terms(self, d):
+        # each s with one a, every a in turn
+        for i, s in enumerate(self.EXPONENTS):
+            a = self.RATIONALS[i % len(self.RATIONALS)]
+            for order in range(25):
+                got = oracle._f_derivative_terms(a, d, s, order)
+                assert got == _fraction_f_derivative_terms(a, d, s, order)
+                assert all(type(c) is F for c, _, _ in got)
+
+    def test_vanishing_terms_dropped(self):
+        # at s = -2, C(2, |alpha|) = 0 for |alpha| > 2: of alpha = (0, 2),
+        # (2, 1) and (4, 0), only the first is left, 9 x^4 of (b + 3 x^2)^2
+        assert oracle._f_derivative_terms(F(3), 2, F(-2), 4) == ((F(9 * 24), 0, 2),)
+        assert oracle._f_derivative_terms(F(3), 1, F(-2), 3) == ()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_tail_coefficient(self, d):
+        # a cancels from A a^s, so every a > 0 gives the same coefficient
+        for s in self.EXPONENTS:
+            for K in range(1, 13):
+                got = oracle._tail_coefficient(d, s, K)
+                for a in (F(3, 2), F(2, 9)):
+                    assert got == _fraction_tail_coefficient(a, d, s, K)
 
 
 class TestRemainderRule:
@@ -534,6 +610,27 @@ class TestOracleBitIdentity:
                 truth = _q(gamma) ** -_q(s) * mp.zeta(d1 * _q(s))
             else:
                 truth = mp.zeta(_q(args[0]))
+            assert abs(v.value - truth) <= v.err
+
+    @pytest.mark.parametrize("args, dps, bits", [
+        # the slow anchors of M0 near TRUNCATION, d = 4
+        ((F(1, 2), F(10), 4, F(-11, 3)), 40,
+         ((0, 6705304095903512264324455327534752563806800058947837, -158, 173),
+          (0, 437957346389287012585264524051351046456593588554206465647628908580815042161830626431,
+           -417, 278))),
+        ((F(7, 2), F(1, 3), 4, F(-9, 2)), 20,
+         ((0, 137127072939180283159147, -87, 77),
+          (0, 4971078126634772863665336946459345616325681721868262255960248415473089516201,
+           -322, 252))),
+        ((F(2), F(5), 3, F(-5, 2)), 25,
+         ((0, 41963817079852245844679028735570027, -109, 116),
+          (0, 9996522402796770818819025066868123622651787182594693, -262, 173))),
+    ])
+    def test_high_degree(self, args, dps, bits):
+        v = em_inner_sum(*args, EMSettings(precision=dps))
+        assert (v.value._mpf_, v.err._mpf_) == bits
+        truth = binomial_hurwitz(*args)
+        with mp.workdps(60):
             assert abs(v.value - truth) <= v.err
 
 
