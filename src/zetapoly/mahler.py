@@ -67,6 +67,13 @@ class CompositionFamily:
     n: int
     u: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        # n and the rows as ints, read once (DECISIONS.md D9)
+        (n,) = _int_tuple((self.n,), "n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "u", tuple(
+            _int_tuple(row, f"row {k} of u") for k, row in enumerate(self.u, start=1)))
+
     def g_vector(self) -> MultiIndex:
         g = [0] * self.n
         for k, uk in enumerate(self.u, start=1):
@@ -126,8 +133,7 @@ def period_K(
     _check_N(N)
     if Q.nvars != P.nvars:
         raise DimensionMismatch(f"Q has {Q.nvars} variables, P has {P.nvars}")
-    rows = u.u if isinstance(u, CompositionFamily) else u
-    u = tuple(_int_tuple(row, f"row {k} of u") for k, row in enumerate(rows, start=1))
+    u = (u if isinstance(u, CompositionFamily) else CompositionFamily(P.nvars, u)).u
     alpha = _int_tuple(alpha, "alpha", nonneg=True)
     beta = _int_tuple(beta, "beta")
     for k, row in enumerate(u, start=1):

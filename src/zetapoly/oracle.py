@@ -3,11 +3,11 @@
 Validates the exact value formulas at desk scale: one-variable continuation
 of the power-sum zeta and the two-variable recursion near non-positive
 integer points.  A one-variable sum is summed directly up to a cutoff and
-continued from there by Euler-Maclaurin, with the remainder integral
-computed numerically instead of dropped: on each unit interval, one
-Gauss-Legendre rule whose weights carry the fractional-part Bernoulli
-weight B_2K at its nodes, built once per (K, order, precision).  The cutoff
-and the order are chosen for the least work (DECISIONS.md D3).
+continued from there by Euler-Maclaurin.  The cutoff is the first m where
+a bound on the remainder integral is a millionth of the tolerance, so the
+remainder enters err as that bound and is never integrated; the oracle
+shares no code with the quadrature it checks.  The cutoff and the order
+are chosen for the least work (DECISIONS.md D3).
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from typing import Sequence
 
 from mpmath import mp, mpf
 
-from ._quadrature import gauss_legendre_01, rounding_floor
 from .errors import (
     ContinuationDepthInsufficient,
     DomainViolation,
@@ -34,7 +33,6 @@ from .exactnum import (
     _falling,
     _int_tuple,
     bernoulli,
-    bernoulli_poly,
     binom_rational,
     mpf_from_rational,
     riemann_zeta_exact_nonpositive,
@@ -43,8 +41,7 @@ from .multipoly import weighted_partitions
 from .powersum import PowerSumParams
 
 
-# The furthest unit step m an em_inner_sum may reach, direct terms and
-# remainder intervals together.
+# The furthest anchor M0 an em_inner_sum may take: it sums M0 direct terms.
 TRUNCATION = 400
 
 
@@ -124,15 +121,14 @@ def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
 # -----------------------------------------------------------------------------
 
 # The share of the tolerance left to the tail bound of the remainder integral:
-# the loop runs until the bound is this far below tolerance, so that err is
-# set by the computed remainder and not by where the loop stopped.
+# the anchor is the first m where the bound is this far below tolerance, so
+# that the value rests on the bound only where it is negligible.
 _TAIL_SHARE = mpf("1e-6")
 _K_MAX = 64
 # Predicted work of an anchored evaluation, in units of one fractional
-# mp.power at 35 digits (about 20 us; an mpf product is about 1/8 of one).
+# mp.power at 35 digits (about 10 us on a 2-vCPU VM).
 _DIRECT_TERM = 1.3  # one f(m): its base and one power
-_RULE = 15  # the Gauss-Legendre order of the remainder intervals
-_NODES_PER_INTERVAL = 23  # the order-15 rule and its order-8 companion
+_CORRECTION_TERM = 0.5  # one term of an f^(2k-1) at M0, summed in ints
 
 
 def _partition_count(n: int, d: int) -> int:
@@ -171,14 +167,16 @@ def em_inner_sum(
 
     The integral term is closed for d = 1 and a binomial series for d >= 2
     (M0 is then at least (2b/a)^(1/d)); both are its meromorphic
-    continuation in s.  The remainder integral is computed over unit
-    intervals from M0 until its power tail bound, measured against the
-    tolerance of the sum and not of the integral, is _TAIL_SHARE below
-    tolerance.  (M0, K) is the pair of least predicted work for which that
-    happens by m = TRUNCATION.  Guard
-    digits cover the cancellation between the partial sum and the integral
-    term.  At non-positive integer s, f is a polynomial and the formula is
-    evaluated exactly at M0 = 1.  b = 0 with d >= 2 is a^{-s} zeta(d s),
+    continuation in s.  The formula is exact at every anchor, so M0 is
+    the first m where the power tail bound of the remainder integral,
+    measured against the tolerance of the sum and not of the integral, is
+    _TAIL_SHARE below tolerance; the remainder is not integrated and
+    enters err as that bound.  (M0, K) is the pair of least predicted work
+    for which that happens by M0 = TRUNCATION.  The corrections at M0 are
+    summed exactly and rounded once.  Guard digits cover the cancellation
+    between the partial sum and the integral term.  At non-positive
+    integer s, f is a polynomial and the formula is evaluated exactly at
+    M0 = 1.  b = 0 with d >= 2 is a^{-s} zeta(d s),
     evaluated as the case d = 1.
     """
     a, b, s = Fraction(a), Fraction(b), Fraction(s)
@@ -196,17 +194,16 @@ def _log(x: Fraction) -> float:
     return log(x.numerator) - log(x.denominator)
 
 
-def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, int, mpf]:
-    """(M0, K, m_end, tail): the anchor, the order, the end of the remainder
-    loop and the bound of the remainder beyond m_end, for the least
-    predicted work with tail <= target and m_end <= TRUNCATION.
+def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, mpf]:
+    """(M0, K, tail): the anchor, the order and the bound of the remainder
+    beyond M0, for the least predicted work with tail <= target and
+    M0 <= TRUNCATION.
 
-    Direct terms cost less than remainder intervals, so the anchor sits one
-    interval below the first m where the bound meets target; the order
-    trades that m against the terms of f^(2K) at every node and the
-    corrections at M0.  The search runs in floats; the bound of the plan
-    it picks is then evaluated in working precision.  K_lo is the least
-    order for which the remainder integral converges."""
+    For each order the anchor is the first m where the bound meets target;
+    the order trades that m, the direct terms, against the corrections at
+    M0.  The search runs in floats; the bound of the plan it picks is then
+    evaluated in working precision.  K_lo is the least order for which the
+    remainder integral converges."""
     ds = d * s
     M_min = 1 if d == 1 else max(1, int(float(2 * b / a) ** (1 / d)))
     while d > 1 and a * M_min**d < 2 * b:
@@ -231,13 +228,10 @@ def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, int, mpf]:
                 break
             last = at_max
             continue
-        m_end = max(M_min + 1, ceil(exp((log_A - log_target) / (p - 1))))
-        # A node: one power and a reciprocal, the Horner step of degree 2K,
-        # and four products per term of f^(2K).
-        node = 1.2 + K / 4 + 0.5 * _partition_count(2 * K, d)
-        cost = (m_end - 1) * _DIRECT_TERM + _NODES_PER_INTERVAL * node + 0.5 * corr_terms
+        M0 = max(M_min + 1, ceil(exp((log_A - log_target) / (p - 1))))
+        cost = M0 * _DIRECT_TERM + _CORRECTION_TERM * corr_terms
         if best is None or cost < best[0]:
-            best = (cost, K, m_end)
+            best = (cost, K, M0)
             worse = 0
         else:
             worse += 1
@@ -250,15 +244,14 @@ def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, int, mpf]:
             if M_min >= m_max
             else f"remainder tail not below tolerance within {m_max} intervals"
         )
-    _, K, m_end = best
+    _, K, M0 = best
     A = mpf_from_rational(_tail_coefficient(d, s, K)) * _rational_power(a, -s).value
     p = mpf_from_rational(ds + 2 * K)
-    tail = A * mpf(m_end) ** (1 - p) / (p - 1)
-    M0 = m_end - 1
+    tail = A * mpf(M0) ** (1 - p) / (p - 1)
     while tail > target:  # float rounding in the search
-        m_end += 1
-        tail = A * mpf(m_end) ** (1 - p) / (p - 1)
-    return M0, K, m_end, tail
+        M0 += 1
+        tail = A * mpf(M0) ** (1 - p) / (p - 1)
+    return M0, K, tail
 
 
 def _em_anchored(a, b, d, s, settings: EMSettings) -> Numeric:
@@ -275,8 +268,7 @@ def _em_anchored(a, b, d, s, settings: EMSettings) -> Numeric:
     if s.denominator == 1 and s <= 0:
         return Numeric.from_rational(_em_polynomial(a, b, d, -s.numerator))
     tol = mpf(10) ** (-(settings.precision + 2))
-    M0, K, m_end, tail = _em_plan(a, b, d, s, K_lo, tol * _TAIL_SHARE)
-    rem, rem_err = _remainder_integral(a, b, d, s, K, M0, m_end)
+    M0, K, tail = _em_plan(a, b, d, s, K_lo, tol * _TAIL_SHARE)
     base = b + a * M0**d
     # The partial sum and the integral term are each about M0 f(M0) and
     # cancel down to the sum; guard digits keep the working precision's
@@ -292,23 +284,38 @@ def _em_anchored(a, b, d, s, settings: EMSettings) -> Numeric:
         else:
             integral = _tail_integral(a, b, d, s, M0, tol * _TAIL_SHARE)
         total += integral.value
-        # f(M0)/2 and the odd-derivative corrections at M0: each term of
-        # f^(2k-1)(M0) is c M0^xexp base^(-s) base^(-|alpha|), one power in all.
-        inv = 1 / mpf_from_rational(base)
-        corr = mpf(1) / 2
-        corr_mag = corr
-        for k in range(1, K + 1):
-            B, fk = bernoulli(2 * k), factorial(2 * k)
-            for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * k - 1):
-                num, den = B.numerator * c.numerator * M0**xexp, B.denominator * fk * c.denominator
-                t = mpf_from_rational(Fraction(num, den)) * inv**aa
-                corr += t
-                corr_mag += abs(t)
-        pw = _rational_power(base, -s).value
-        total -= pw * corr + rem
-        mag += abs(integral.value) + abs(pw) * corr_mag + abs(rem)
-        err = integral.err + rem_err + tail + (M0 + K + 16) * mag * mpf(2) ** (4 - mp.prec)
+        # f(M0)/2 and the odd-derivative corrections at M0, rounded once
+        corr = mpf_from_rational(_corrections(a, d, s, K, M0, base))
+        corr *= _rational_power(base, -s).value
+        total -= corr
+        mag += abs(integral.value) + abs(corr)
+        err = integral.err + tail + (M0 + K + 16) * mag * mpf(2) ** (4 - mp.prec)
     return Numeric(total, err)
+
+
+def _corrections(a, d, s, K, M0, base: Fraction) -> Fraction:
+    """1/2 + sum_{k<=K} B_2k/(2k)! f^(2k-1)(M0) base^s, exactly.  Each term
+    of f^(2k-1)(M0) is c M0^xexp base^(-s) base^(-|alpha|), so the terms of
+    every k are summed in ints by |alpha|, over the common denominator
+    (q a.den)^|alpha| L (L the lcm of the B_2k.den (2k)!); the groups then
+    meet over the powers of base, one int table of each of its parts."""
+    qa = s.denominator * a.denominator
+    scales = [(bernoulli(2 * k), factorial(2 * k)) for k in range(1, K + 1)]
+    L = lcm(*(B.denominator * fk for B, fk in scales))
+    groups: dict[int, int] = {}
+    for k, (B, fk) in enumerate(scales, start=1):
+        scale = B.numerator * (L // (B.denominator * fk))
+        for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * k - 1):
+            term = scale * c.numerator * (qa**aa // c.denominator) * M0**xexp
+            groups[aa] = groups.get(aa, 0) + term
+    # g / (L qa^aa) base^(-aa) = g bd^aa (qa bn)^(top-aa) / (L (qa bn)^top)
+    top = max(groups, default=0)
+    up, down = [1], [1]  # bd^i and (qa bn)^i
+    for _ in range(top):
+        up.append(up[-1] * base.denominator)
+        down.append(down[-1] * qa * base.numerator)
+    num = L * down[top] + 2 * sum(g * up[aa] * down[top - aa] for aa, g in groups.items())
+    return Fraction(num, 2 * L * down[top])
 
 
 def _em_polynomial(a: Fraction, b: Fraction, d: int, N: int) -> Fraction:
@@ -316,24 +323,13 @@ def _em_polynomial(a: Fraction, b: Fraction, d: int, N: int) -> Fraction:
     in exact arithmetic.  f^(2K) vanishes for 2K > dN, so there is no
     remainder, and the continued integral term is closed:
     -(b + a)^(N+1) / (a (N+1)) for d = 1, and for d >= 2 the finite sum
-    -sum_i C(N, i) b^(N-i) a^i / (d i + 1).  Every term is an int fraction,
-    and they are summed over their least common denominator."""
+    -sum_i C(N, i) b^(N-i) a^i / (d i + 1)."""
     e = b + a  # the base at M0 = 1
-    terms = [(e.numerator**N, 2 * e.denominator**N)]
     if d == 1:
-        terms.append((-e.numerator ** (N + 1) * a.denominator,
-                      e.denominator ** (N + 1) * a.numerator * (N + 1)))
+        integral = -e ** (N + 1) / (a * (N + 1))
     else:
-        terms += [(-comb(N, i) * b.numerator ** (N - i) * a.numerator**i,
-                   b.denominator ** (N - i) * a.denominator**i * (d * i + 1))
-                  for i in range(N + 1)]
-    for k in range(1, (d * N + 1) // 2 + 1):
-        B, fk = bernoulli(2 * k), factorial(2 * k)
-        terms += [(-B.numerator * c.numerator * e.numerator ** (N - aa),
-                   B.denominator * fk * c.denominator * e.denominator ** (N - aa))
-                  for c, _xexp, aa in _f_derivative_terms(a, d, Fraction(-N), 2 * k - 1)]
-    D = lcm(*(den for _, den in terms))
-    return Fraction(sum(num * (D // den) for num, den in terms), D)
+        integral = -sum(comb(N, i) * b ** (N - i) * a**i / (d * i + 1) for i in range(N + 1))
+    return integral + e**N * (1 - _corrections(a, d, Fraction(-N), (d * N + 1) // 2, 1, e))
 
 
 def _tail_integral(a, b, d, s, M0, target: mpf) -> Numeric:
@@ -368,79 +364,6 @@ def _tail_integral(a, b, d, s, M0, target: mpf) -> Numeric:
                     break
     err = lead * (trunc + (j + 8) * mass * mpf(2) ** (4 - mp.prec))
     return Numeric(lead * total, err)
-
-
-@lru_cache(maxsize=64)
-def _remainder_rule(K: int, order: int, prec: int) -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
-    """The nodes t_i of the order-point Gauss-Legendre rule on [0, 1] and
-    its weights times B_2K(t_i), at prec bits: on every unit interval
-    [m, m + 1], B_2K({x}) is B_2K(t_i) at the node m + t_i.  B_2K is
-    evaluated by Horner's rule with 30 guard bits, and each weight is
-    rounded once."""
-    with mp.workprec(prec):
-        nodes, weights = gauss_legendre_01(order)
-        with mp.extraprec(30):
-            bern = [mpf_from_rational(c) for c in reversed(bernoulli_poly(2 * K))]
-            cw = []
-            for t, w in zip(nodes, weights):
-                acc = mpf(0)
-                for c in bern:
-                    acc = acc * t + c
-                cw.append(acc * w)
-        return tuple(nodes), tuple(+c for c in cw)
-
-
-def _remainder_integral(a, b, d, s, K, M0, m_end):
-    """1/(2K)! int_{M0}^{m_end} f^(2K)(x) B_2K({x}) dx over unit intervals,
-    each the weighted rule sum_i c_i f^(2K)(m + t_i) of _remainder_rule,
-    with the summed estimates |I_15 - I_8| + absmass * rounding_floor.  At
-    each node the base b + a x^d is formed once and raised to -s once; the
-    |alpha| shifts are integer powers of its reciprocal, from the least
-    |alpha| up."""
-    fk = factorial(2 * K)
-    terms = [
-        (mpf_from_rational(Fraction(c.numerator, c.denominator * fk)), xexp, aa)
-        for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * K)
-    ]
-    max_x = max(xexp for _, xexp, _ in terms)
-    min_aa = min(aa for _, _, aa in terms)
-    max_aa = max(aa for _, _, aa in terms)
-    af, bf, sf = mpf_from_rational(a), mpf_from_rational(b), mpf_from_rational(s)
-
-    def f2k(x: mpf) -> mpf:
-        base = bf + af * x**d
-        inv = 1 / base
-        inv_pows = [inv**min_aa]
-        for _ in range(min_aa, max_aa):
-            inv_pows.append(inv_pows[-1] * inv)
-        x_pows = [mpf(1)]
-        for _ in range(max_x):
-            x_pows.append(x_pows[-1] * x)
-        acc = mpf(0)
-        for cf, xexp, aa in terms:
-            acc += cf * x_pows[xexp] * inv_pows[aa - min_aa]
-        return acc * mp.power(base, -sf)
-
-    rules = [_remainder_rule(K, order, mp.prec) for order in (_RULE, (_RULE + 1) // 2)]
-    floor = rounding_floor(mp.prec)
-    total = mpf(0)
-    err = mpf(0)
-    for m in range(M0, m_end):
-        (val, absmass), (val_lo, _) = (_weighted_sum(f2k, m, rule) for rule in rules)
-        total += val
-        err += abs(val - val_lo) + absmass * floor
-    return total, err
-
-
-def _weighted_sum(f, m: int, rule) -> tuple[mpf, mpf]:
-    """sum_i c_i f(m + t_i) and sum_i |c_i f(m + t_i)|."""
-    val = mpf(0)
-    absmass = mpf(0)
-    for t, c in zip(*rule):
-        v = c * f(m + t)
-        val += v
-        absmass += abs(v)
-    return val, absmass
 
 
 # -----------------------------------------------------------------------------

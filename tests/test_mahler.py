@@ -2013,11 +2013,22 @@ class TestIndexAndRowArguments:
     @pytest.mark.parametrize("as_family", [False, True])
     @pytest.mark.parametrize("x", [1.0, F(3, 2), "1"])
     def test_u_row_non_int_rejected(self, as_family, x):
-        # (1.0, 0) failed inside math.factorial with a TypeError before
+        # (1.0, 0) failed inside math.factorial with a TypeError before; a
+        # family rejects the row when it is built
         rows = ((x, 0), (0, 0, 0))
-        u = CompositionFamily(n=2, u=rows) if as_family else [list(r) for r in rows]
         with pytest.raises(ValueError, match=r"^row 1 of u .* is not a tuple of integers$"):
+            u = CompositionFamily(n=2, u=rows) if as_family else [list(r) for r in rows]
             period_K(P("x1^2 + x2^2"), MPoly.one(2), 0, (1, 0), u, (0, 0), 1)
+
+    def test_family_reads_its_ints(self):
+        # g_vector returned (0.0, 1.5) before
+        with pytest.raises(ValueError, match=r"^row 1 of u \(1\.5, 0\) is not a tuple of integers$"):
+            CompositionFamily(n=2, u=((1.5, 0),))
+        with pytest.raises(ValueError, match=r"^n \(2\.0,\) is not a tuple of integers$"):
+            CompositionFamily(n=2.0, u=((1, 0),))
+        family = CompositionFamily(n=True, u=[[True], (0, False)])
+        assert (family.n, family.u) == (1, ((1,), (0, 0)))
+        assert family == CompositionFamily(n=1, u=((1,), (0, 0)))
 
     def test_u_rows_read_before_face_work(self):
         # face 1 of x1^2 - x2^2 is not positive: the row is read first

@@ -2,6 +2,7 @@
 import re
 import time
 from fractions import Fraction as F
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -25,7 +26,6 @@ from zetapoly import (
     zeta_riemann_em,
 )
 from zetapoly import oracle
-from zetapoly._quadrature import gauss_legendre_01
 from zetapoly.multipoly import weighted_partitions
 
 EM = EMSettings(precision=25)
@@ -200,83 +200,65 @@ class TestExactCoefficients:
                     assert got == _fraction_tail_coefficient(a, d, s, K)
 
 
-class TestRemainderRule:
-    """oracle._remainder_integral: each unit interval [m, m + 1] is the sum
-    of c_i f^(2K)(m + t_i), over Gauss-Legendre weights times B_2K(t_i)
-    built once per (K, order, precision), against an independent
-    quadrature of f^(2K)(x) B_2K(x - m) / (2K)!."""
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_corrections(self, d):
+        # f(M0)/2 and the corrections, summed in ints by |alpha| over the
+        # powers of the base, against one Fraction sum term by term
+        plans = ((1, 1, F(0)), (4, 3, F(2, 7)), (9, 14, F(5, 2)))  # K, M0, b
+        for s, a, (K, M0, b) in product(self.EXPONENTS, (F(3, 2), F(7)), plans):
+            base = b + a * M0**d
+            want = F(1, 2) + sum(
+                bernoulli(2 * k) / factorial(2 * k) * c * M0**xexp * base**-aa
+                for k in range(1, K + 1)
+                for c, xexp, aa in _fraction_f_derivative_terms(a, d, s, 2 * k - 1))
+            assert oracle._corrections(a, d, s, K, M0, base) == want
+        assert oracle._corrections(F(1), d, F(1, 2), 0, 2, F(3)) == F(1, 2)
 
-    def test_built_once_per_order_and_precision(self, monkeypatch):
-        rule = oracle._remainder_rule
-        rule.cache_clear()
-        keys = []
-        monkeypatch.setattr(oracle, "_remainder_rule",
-                            lambda *key: keys.append(key) or rule(*key))
-        em_inner_sum(F(1), F(1, 2), 1, F(1, 2), EM)
-        first = list(keys)
-        assert [order for _, order, _ in first] == [15, 8]
-        assert rule.cache_info().misses == 2
-        # the plan of zeta(-1/3) has the same order K: no rule is built
-        keys.clear()
-        zeta_riemann_em(F(-1, 3), EM)
-        assert keys == first
-        assert rule.cache_info().misses == 2
-        keys.clear()
-        em_inner_sum(F(1), F(1, 2), 1, F(1, 2), EM)
-        assert keys == first
-        assert rule.cache_info().misses == 2
-        # another precision builds both rules of its own
-        keys.clear()
-        em_inner_sum(F(1), F(1, 2), 1, F(1, 2), EMSettings(precision=30))
-        assert {prec for _, _, prec in keys} != {prec for _, _, prec in first}
-        assert rule.cache_info().misses == 4
 
-    @pytest.mark.parametrize("K, order", [(1, 8), (5, 15), (13, 15), (13, 8), (32, 15)])
-    def test_weights_at_the_nodes(self, K, order):
-        with mp.workdps(35):
-            prec = mp.prec
-            nodes, cw = oracle._remainder_rule(K, order, prec)
-            gl_nodes, gl_weights = gauss_legendre_01(order)
-        assert list(nodes) == gl_nodes
-        with mp.workdps(80):
-            for t, w, c in zip(nodes, gl_weights, cw):
-                want = w * mp.bernpoly(2 * K, t)
-                assert abs(c - want) <= abs(want) * mpf(2) ** (1 - prec)
+class TestTailBound:
+    """The value rests on the remainder's tail bound: with the plan forced
+    to an anchor M0 and an order K, and the bound left out of err, the
+    distance to an independent truth is at most err plus the bound
+    A M0^(1-p)/(p-1), p = d s + 2K, A from the Fraction reference."""
 
-    @staticmethod
-    def _truth(a, b, d, s, K, M0, m_end):
-        """sum over m of mpmath quad of f^(2K)(x) B_2K(x - m) / (2K)! on
-        [m, m + 1]: f^(2K) in closed form, (-1)^n (s)_n a^n (b + a x)^(-s-n)
-        with n = 2K, for d = 1, and by mp.diff otherwise."""
-        n = 2 * K
-        af, bf, sf = _q(a), _q(b), _q(s)
-        if d == 1:
-            def f(x):
-                return (-1) ** n * mp.rf(sf, n) * af**n * (bf + af * x) ** (-sf - n)
-        else:
-            def f(x):
-                return mp.diff(lambda y: (bf + af * y**d) ** -sf, x, n)
-        return mp.fsum(mp.quad(lambda x, m=m: f(x) * mp.bernpoly(n, x - m), [m, m + 1])
-                       for m in range(M0, m_end)) / factorial(n)
-
-    @pytest.mark.parametrize("a, b, d, s, K, M0, m_end", [
-        # the plans (M0, K, m_end) of em_inner_sum at 25 digits
-        (F(1), F(1, 2), 1, F(1, 2), 13, 27, 28),
-        (F(1), F(0), 1, F(-1, 3), 13, 26, 27),
-        # several intervals
-        (F(1), F(1, 2), 1, F(1, 2), 5, 2, 6),
-        (F(3, 2), F(2, 3), 1, F(-5, 2), 4, 1, 5),
-        (F(2), F(1, 3), 3, F(1, 5), 4, 2, 4),
-        (F(1), F(1), 4, F(1, 3), 3, 1, 3),
-        (F(1), F(1), 4, F(-1, 3), 3, 1, 4),
+    @pytest.mark.parametrize("a, b, d, s, K, M0", [
+        # the orders and loop ends of two former 25-digit plans
+        (F(1), F(1, 2), 1, F(1, 2), 13, 28),
+        (F(1), F(0), 1, F(-1, 3), 13, 27),
+        # low orders and anchors, where the remainder left out shows
+        (F(1), F(1, 2), 1, F(1, 2), 5, 6),
+        (F(3, 2), F(2, 3), 1, F(-5, 2), 4, 5),
+        (F(2), F(1, 3), 3, F(1, 5), 4, 4),
+        (F(1), F(1), 4, F(1, 3), 3, 3),
+        (F(1), F(1), 4, F(-1, 3), 3, 4),
     ])
-    def test_against_quadrature(self, a, b, d, s, K, M0, m_end):
-        with mp.workdps(35):
-            value, err = oracle._remainder_integral(a, b, d, s, K, M0, m_end)
-        with mp.workdps(30):
-            truth = self._truth(a, b, d, s, K, M0, m_end)
-            assert abs(value - truth) <= err, (mp.nstr(value - truth, 5), mp.nstr(err, 5))
-            assert err < abs(truth)
+    def test_value_within_err_and_bound(self, a, b, d, s, K, M0, monkeypatch):
+        monkeypatch.setattr(oracle, "_em_plan", lambda *args: (M0, K, mpf(0)))
+        v = em_inner_sum(a, b, d, s, EM)
+        with mp.workdps(60):
+            p = _q(d * s + 2 * K)
+            A = _q(_fraction_tail_coefficient(a, d, s, K)) * _q(a) ** -_q(s)
+            bound = A * mpf(M0) ** (1 - p) / (p - 1)
+            diff = abs(v.value - binomial_hurwitz(a, b, d, s))
+            assert diff <= v.err + bound, (mp.nstr(diff, 5), mp.nstr(v.err, 5), mp.nstr(bound, 5))
+            if bound > v.err:
+                # the remainder left out shows, and only the bound covers it
+                assert diff > v.err
+
+
+class TestIndependence:
+    def test_no_quadrature_code(self):
+        # the oracle checks the quadrature path, so it shares none of its code
+        import ast
+        import inspect
+
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+        assert not any(m and m.split(".")[-1] == "_quadrature" for m in imported), imported
+        assert not [name for name, obj in vars(oracle).items()
+                    if getattr(obj, "__module__", None) == "zetapoly._quadrature"]
 
 
 class TestEmInnerSum:
@@ -349,7 +331,7 @@ class TestEmInnerSum:
             em_inner_sum(F(1), F(1), 1, F(-200), EMSettings(precision=10))
 
     def test_truncation_not_above_anchor(self, monkeypatch):
-        # M0 >= 1 and one remainder interval above it need truncation >= 2
+        # the anchor must exceed M_min = 1, so truncation 1 leaves none
         monkeypatch.setattr(oracle, "TRUNCATION", 1)
         with pytest.raises(ContinuationDepthInsufficient, match="truncation 1 must exceed 1"):
             zeta1_numeric(2, F(1), F(1, 3), EM)
@@ -427,7 +409,7 @@ class TestTruthCorpus:
     @given(
         a=st.sampled_from([F(1, 2), F(1), F(2), F(3)]),
         b=st.sampled_from([F(1, 3), F(1, 2), F(1), F(2), F(7, 2)]),
-        d=st.integers(1, 3),
+        d=st.integers(1, 4),
         s=st.builds(F, st.integers(-8, 12), st.sampled_from([2, 3, 4, 5])),
         precision=st.sampled_from([12, 20]),
     )
@@ -581,8 +563,8 @@ class TestOracleBitIdentity:
          ((1, 1, 0, 1),
           (0, 1, -116, 1))),
         (em_inner_sum, (F(2), F(3), 2, F(4)),
-         ((0, 1139458307608073908033406546799666861, -129, 120),
-          (0, 352991206760779815617239776330146317, -228, 119))),
+         ((0, 569729153804036954016703273400019007, -128, 119),
+          (0, 576123938008214753822807030563694973, -228, 119))),
         (em_inner_sum, (F(3), F(1, 5), 3, F(-2)),
          ((1, 850705917302346158658436518579420529, -126, 120),
           (0, 850705917302346158658436518579420529, -242, 120))),
@@ -590,14 +572,14 @@ class TestOracleBitIdentity:
          ((0, 708921597751955132215363765482850441, -125, 120),
           (0, 46460594751869883499998295098449569351817, -257, 136))),
         (zeta1_numeric, (3, F(1), F(1, 2)),
-         ((0, 868110612242783108347736368860821929, -118, 120),
-          (0, 35516907676378513041477135986082342347451, -243, 135))),
+         ((0, 434055306121391554173868184430410943, -117, 119),
+          (0, 67525127335327636278218794932352735467791, -244, 136))),
         (zeta_riemann_em, (F(-3),),
          ((0, 708921597751955132215363765482850441, -126, 120),
           (0, 708921597751955132215363765482850441, -242, 120))),
         (zeta_riemann_em, (F(-1, 3),),
-         ((1, 184326071812707706085983037813705925, -119, 118),
-          (0, 558741361914227248871200782129635549, -222, 119))),
+         ((1, 184326071812707706085983037813705977, -119, 118),
+          (0, 470092713287902940236857692667351143, -223, 119))),
     ])
     def test_one_variable(self, fn, args, bits):
         v = fn(*args, EM)
@@ -613,18 +595,18 @@ class TestOracleBitIdentity:
             assert abs(v.value - truth) <= v.err
 
     @pytest.mark.parametrize("args, dps, bits", [
-        # the slow anchors of M0 near TRUNCATION, d = 4
+        # anchors M0 near TRUNCATION, d = 4, where the tail bound is loose
         ((F(1, 2), F(10), 4, F(-11, 3)), 40,
-         ((0, 6705304095903512264324455327534752563806800058947837, -158, 173),
-          (0, 437957346389287012585264524051351046456593588554206465647628908580815042161830626431,
-           -417, 278))),
+         ((0, 3352652047951756132162227663767376281903400029473843, -157, 172),
+          (0, 915733266154073734986735733447194353250354664498707583404092627514358968914397725407,
+           -418, 279))),
         ((F(7, 2), F(1, 3), 4, F(-9, 2)), 20,
-         ((0, 137127072939180283159147, -87, 77),
-          (0, 4971078126634772863665336946459345616325681721868262255960248415473089516201,
-           -322, 252))),
+         ((0, 274254145878360566318275, -88, 78),
+          (0, 2614237955178088251005709876012454502003925482912383207219986271577264121951,
+           -321, 251))),
         ((F(2), F(5), 3, F(-5, 2)), 25,
-         ((0, 41963817079852245844679028735570027, -109, 116),
-          (0, 9996522402796770818819025066868123622651787182594693, -262, 173))),
+         ((0, 2622738567490765365292439295973111, -105, 112),
+          (0, 35290411957324309207135746871519242045506913085805, -253, 165))),
     ])
     def test_high_degree(self, args, dps, bits):
         v = em_inner_sum(*args, EMSettings(precision=dps))
