@@ -7,7 +7,11 @@ continued from there by Euler-Maclaurin.  The cutoff is the first m where
 a bound on the remainder integral is a millionth of the tolerance, so the
 remainder enters err as that bound and is never integrated; the oracle
 shares no code with the quadrature it checks.  The cutoff and the order
-are chosen for the least work (DECISIONS.md D3).
+are chosen for the least work (DECISIONS.md D3).  What does not depend on
+the shift b is computed once per key: the plan (b enters it only through
+the least anchor of the integral term, which is 1 for d = 1), and the
+correction sums grouped by |alpha|, which only the last exact step
+combines with the powers of b + a M0^d.
 """
 from __future__ import annotations
 
@@ -85,17 +89,30 @@ def _rational_power(base: Fraction, expo: Fraction) -> Numeric:
 def _alpha_terms(d: int, order: int) -> tuple[tuple[int, int, int], ...]:
     """(w, x-exponent, |alpha|) for each alpha weighted by j = 1..d with
     sum_j j alpha_j = order: the int w = order! prod_j C(d,j)^{alpha_j}/alpha_j!
-    (prod_j alpha_j! divides |alpha|!, which divides order!) and the
-    x-exponent sum_j (d-j) alpha_j of the alpha-term of f^(order)."""
+    (prod_j alpha_j! divides |alpha|!, which divides order!, all read from
+    one factorial table) and the x-exponent sum_j (d-j) alpha_j =
+    d |alpha| - order of the alpha-term of f^(order)."""
+    fact = [1]
+    for n in range(1, order + 1):
+        fact.append(fact[-1] * n)
     out = []
     for alpha in weighted_partitions(order, d):
-        w, den, xexp = factorial(order), 1, 0
+        w, den = fact[order], 1
         for j, aj in enumerate(alpha, start=1):
-            w *= comb(d, j) ** aj
-            den *= factorial(aj)
-            xexp += (d - j) * aj
-        out.append((w // den, xexp, sum(alpha)))
+            if aj:
+                w *= comb(d, j) ** aj
+                den *= fact[aj]
+        size = sum(alpha)
+        out.append((w // den, d * size - order, size))
     return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _neg_falling(s: Fraction) -> tuple[int, ...]:
+    """exactnum._falling(-s, 2 _K_MAX), shared by every order of one s: the
+    oracle takes no derivative of f above f^(2K), K <= _K_MAX, and each
+    shorter falling-factorial list is a prefix of this one."""
+    return tuple(_falling(-s, 2 * _K_MAX))
 
 
 @lru_cache(maxsize=4096)
@@ -107,7 +124,7 @@ def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
     Returns [(coeff, x_exponent, power_shift)] with power_shift = |alpha|,
     each coeff one reduced Fraction of ints: the |alpha|! of the binomial
     cancels against the weight's."""
-    falling = _falling(-s, order)
+    falling = _neg_falling(s)
     q, an, ad = s.denominator, a.numerator, a.denominator
     return tuple(
         (Fraction(falling[aa] * w * an**aa, (q * ad) ** aa), xexp, aa)
@@ -149,7 +166,7 @@ def _tail_coefficient(d: int, s: Fraction, K: int) -> Fraction:
     the a^|alpha| in c cancels, so A a^s is free of a.  The terms |c| a^-|alpha|
     are summed over their common denominator q^(2K), s = -p/q."""
     n, q = 2 * K, s.denominator
-    falling = _falling(-s, n)
+    falling = _neg_falling(s)
     total = sum(abs(falling[aa]) * w * q ** (n - aa) for w, _xexp, aa in _alpha_terms(d, n))
     B = bernoulli(n)
     return Fraction(total * abs(B.numerator), q**n * B.denominator * factorial(n))
@@ -197,7 +214,20 @@ def _log(x: Fraction) -> float:
 def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, mpf]:
     """(M0, K, tail): the anchor, the order and the bound of the remainder
     beyond M0, for the least predicted work with tail <= target and
-    M0 <= TRUNCATION.
+    M0 <= TRUNCATION.  b enters only through M_min, the least anchor of the
+    integral term's series, which is 1 for d = 1: the plan is memoised on
+    the rest, with TRUNCATION as read now and the working precision."""
+    M_min = 1 if d == 1 else max(1, int(float(2 * b / a) ** (1 / d)))
+    while d > 1 and a * M_min**d < 2 * b:
+        M_min += 1
+    return _anchored_plan(a, d, s, K_lo, target, M_min, TRUNCATION, mp.prec)
+
+
+@lru_cache(maxsize=256)
+def _anchored_plan(a, d, s, K_lo: int, target: mpf, M_min: int, m_max: int, prec: int):
+    """The search of _em_plan once M_min is known, over anchors
+    M_min < M0 <= m_max; prec is the working precision mp.prec, which the
+    caller holds, named so that it keys the memo.
 
     For each order the anchor is the first m where the bound meets target;
     the order trades that m, the direct terms, against the corrections at
@@ -205,10 +235,6 @@ def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, mpf]:
     evaluated in working precision.  K_lo is the least order for which the
     remainder integral converges."""
     ds = d * s
-    M_min = 1 if d == 1 else max(1, int(float(2 * b / a) ** (1 / d)))
-    while d > 1 and a * M_min**d < 2 * b:
-        M_min += 1
-    m_max = TRUNCATION
     log_target = float(mp.log(target))
     log_a_s = -float(s) * _log(a)
     best = None
@@ -240,9 +266,10 @@ def _em_plan(a, b, d, s, K_lo: int, target: mpf) -> tuple[int, int, mpf]:
     if best is None:
         raise ContinuationDepthInsufficient(
             f"truncation {m_max} must exceed {M_min}: the integral term needs"
-            f" M0 >= {M_min} and one remainder interval above it"
+            f" M0 >= {M_min}, and the anchor M0 is above {M_min} and at most TRUNCATION"
             if M_min >= m_max
-            else f"remainder tail not below tolerance within {m_max} intervals"
+            else f"remainder tail bound not below tolerance at any anchor"
+            f" M0 <= TRUNCATION = {m_max}"
         )
     _, K, M0 = best
     A = mpf_from_rational(_tail_coefficient(d, s, K)) * _rational_power(a, -s).value
@@ -295,10 +322,26 @@ def _em_anchored(a, b, d, s, settings: EMSettings) -> Numeric:
 
 def _corrections(a, d, s, K, M0, base: Fraction) -> Fraction:
     """1/2 + sum_{k<=K} B_2k/(2k)! f^(2k-1)(M0) base^s, exactly.  Each term
-    of f^(2k-1)(M0) is c M0^xexp base^(-s) base^(-|alpha|), so the terms of
-    every k are summed in ints by |alpha|, over the common denominator
-    (q a.den)^|alpha| L (L the lcm of the B_2k.den (2k)!); the groups then
-    meet over the powers of base, one int table of each of its parts."""
+    of f^(2k-1)(M0) is c M0^xexp base^(-s) base^(-|alpha|); the int groups
+    of _correction_groups, one per |alpha|, meet over the powers of base,
+    one int table of each of its parts.  Only this step sees b."""
+    L, groups = _correction_groups(a, d, s, K, M0)
+    qa = s.denominator * a.denominator
+    # g / (L qa^aa) base^(-aa) = g bd^aa (qa bn)^(top-aa) / (L (qa bn)^top)
+    top = max((aa for aa, _ in groups), default=0)
+    up, down = [1], [1]  # bd^i and (qa bn)^i
+    for _ in range(top):
+        up.append(up[-1] * base.denominator)
+        down.append(down[-1] * qa * base.numerator)
+    num = L * down[top] + 2 * sum(g * up[aa] * down[top - aa] for aa, g in groups)
+    return Fraction(num, 2 * L * down[top])
+
+
+@lru_cache(maxsize=256)
+def _correction_groups(a, d, s, K, M0) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(L, ((|alpha|, g), ...)): the terms of every k <= K summed in ints by
+    |alpha|, each group over the common denominator (q a.den)^|alpha| L, L
+    the lcm of the B_2k.den (2k)!.  Free of b, so shared by every shift."""
     qa = s.denominator * a.denominator
     scales = [(bernoulli(2 * k), factorial(2 * k)) for k in range(1, K + 1)]
     L = lcm(*(B.denominator * fk for B, fk in scales))
@@ -308,14 +351,7 @@ def _corrections(a, d, s, K, M0, base: Fraction) -> Fraction:
         for c, xexp, aa in _f_derivative_terms(a, d, s, 2 * k - 1):
             term = scale * c.numerator * (qa**aa // c.denominator) * M0**xexp
             groups[aa] = groups.get(aa, 0) + term
-    # g / (L qa^aa) base^(-aa) = g bd^aa (qa bn)^(top-aa) / (L (qa bn)^top)
-    top = max(groups, default=0)
-    up, down = [1], [1]  # bd^i and (qa bn)^i
-    for _ in range(top):
-        up.append(up[-1] * base.denominator)
-        down.append(down[-1] * qa * base.numerator)
-    num = L * down[top] + 2 * sum(g * up[aa] * down[top - aa] for aa, g in groups.items())
-    return Fraction(num, 2 * L * down[top])
+    return L, tuple(groups.items())
 
 
 def _em_polynomial(a: Fraction, b: Fraction, d: int, N: int) -> Fraction:

@@ -246,6 +246,59 @@ class TestTailBound:
                 assert diff > v.err
 
 
+class TestShiftFreeMemos:
+    """The plan and the correction groups are memoised on what does not
+    depend on the shift b (DECISIONS.md D3, memo addendum): a hit gives the
+    bits of a cold call, and a changed truncation or precision is a miss."""
+
+    MEMOS = (oracle._anchored_plan, oracle._correction_groups)
+
+    def _clear(self):
+        for memo in self.MEMOS:
+            memo.cache_clear()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_warm_equals_cold(self, d):
+        # b up to 40: M_min (the least M with a M^d >= 2b) takes the values
+        # 1, 2, 3, 5, 8 for d = 2, 1..4 for d = 3 and 1..3 for d = 4
+        a, s = F(3, 2), F(-2, 5)
+        shifts = (F(0), F(1, 3), F(3, 4), F(1), F(2), F(5), F(14), F(40))
+        cold = {}
+        for b in shifts:
+            self._clear()
+            v = em_inner_sum(a, b, d, s, EM)
+            cold[b] = (v.value._mpf_, v.err._mpf_)
+        self._clear()
+        warm = {}
+        for b in shifts:
+            v = em_inner_sum(a, b, d, s, EM)
+            warm[b] = (v.value._mpf_, v.err._mpf_)
+        assert warm == cold
+        plans = oracle._anchored_plan.cache_info()
+        assert plans.hits > 0
+        # one plan for d = 1 and for b = 0 (zeta(d s), taken as d = 1);
+        # for d >= 2, one more per M_min
+        assert plans.currsize == (1 if d == 1 else 2 + {2: 4, 3: 3, 4: 2}[d])
+
+    def test_second_shift_is_a_hit(self):
+        self._clear()
+        em_inner_sum(F(1), F(1, 2), 1, F(1, 3), EM)
+        em_inner_sum(F(1), F(5, 2), 1, F(1, 3), EM)
+        for memo in self.MEMOS:
+            info = memo.cache_info()
+            assert (info.hits, info.misses) == (1, 1), memo.__name__
+        # another precision is another plan
+        em_inner_sum(F(1), F(5, 2), 1, F(1, 3), EMSettings(precision=12))
+        assert oracle._anchored_plan.cache_info().misses == 2
+
+    def test_truncation_read_at_call_time(self, monkeypatch):
+        # a plan warmed at the default truncation is not reused below it
+        em_inner_sum(F(1), F(3), 2, F(-1, 3), EM)
+        monkeypatch.setattr(oracle, "TRUNCATION", 5)
+        with pytest.raises(ContinuationDepthInsufficient, match="M0 <= TRUNCATION = 5"):
+            em_inner_sum(F(1), F(3), 2, F(-1, 3), EM)
+
+
 class TestIndependence:
     def test_no_quadrature_code(self):
         # the oracle checks the quadrature path, so it shares none of its code
@@ -333,7 +386,9 @@ class TestEmInnerSum:
     def test_truncation_not_above_anchor(self, monkeypatch):
         # the anchor must exceed M_min = 1, so truncation 1 leaves none
         monkeypatch.setattr(oracle, "TRUNCATION", 1)
-        with pytest.raises(ContinuationDepthInsufficient, match="truncation 1 must exceed 1"):
+        with pytest.raises(ContinuationDepthInsufficient,
+                           match="truncation 1 must exceed 1: the integral term needs M0 >= 1,"
+                                 " and the anchor M0 is above 1 and at most TRUNCATION"):
             zeta1_numeric(2, F(1), F(1, 3), EM)
 
     @pytest.mark.parametrize("a, b, d, s", [
@@ -342,14 +397,13 @@ class TestEmInnerSum:
         (F(2), F(3), 2, F(-1, 3)),
     ])
     def test_remainder_tail_fails_fast(self, a, b, d, s, monkeypatch):
-        # at no order does the tail bound fall below tolerance within the
-        # five unit steps the truncation allows; that is known before
-        # anything is summed or integrated (at the default truncation these
-        # converge: see TestTruthCorpus)
+        # at no order does the tail bound fall below tolerance at an anchor
+        # M0 <= 5; that is known before anything is summed (at the default
+        # truncation these converge: see TestTruthCorpus)
         monkeypatch.setattr(oracle, "TRUNCATION", 5)
         t0 = time.monotonic()
         with pytest.raises(ContinuationDepthInsufficient,
-                           match="within 5 intervals"):
+                           match="at any anchor M0 <= TRUNCATION = 5"):
             em_inner_sum(a, b, d, s, EM)
         assert time.monotonic() - t0 < 5
 
