@@ -32,7 +32,6 @@ same way, else runs the quadrature.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import comb, cos, factorial, gcd, inf, lcm, pi, prod
@@ -48,8 +47,8 @@ from .errors import (
     PrecisionUnreachable,
     QuadratureDidNotConverge,
 )
-from .exactnum import (ConstantProduct, Numeric, SpecialValue, _check_precision, _normal_form,
-                       _round_err, mpf_from_rational)
+from .exactnum import (ConstantProduct, MutableRecord, Numeric, Record, SpecialValue,
+                       _check_precision, _fill, _normal_form, _round_err, mpf_from_rational)
 from .multipoly import MPoly, _over_common_denominator, bernstein_positive, combine
 
 _GL_CACHE: dict[tuple[int, int], tuple[list[mpf], list[mpf]]] = {}
@@ -147,27 +146,25 @@ def rounding_floor(prec: int) -> mpf:
     return mp.ldexp(1, 6 - prec)
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
+class QuadratureSettings(Record):
     """Tolerances and digits of ``cube_integral``, which integrates at
     precision + 10 digits; precision runs from 1 up to MAX_PRECISION_DPS."""
 
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-30
-    precision: int = 50
+    __slots__ = _fields = ("rel_tol", "abs_tol", "precision")
 
-    def __post_init__(self):
-        if not (0 < self.rel_tol < inf and 0 < self.abs_tol < inf):
+    def __init__(self, rel_tol: float = 1e-12, abs_tol: float = 1e-30, precision: int = 50):
+        if not (0 < rel_tol < inf and 0 < abs_tol < inf):
             raise ValueError("tolerances must be positive and finite")
-        _check_precision(self.precision)
+        _check_precision(precision)
         # At or below the rounding floor refinement cannot converge.
-        dps = self.precision + 10
+        dps = precision + 10
         floor = rounding_floor(dps_to_prec(dps))
-        if self.rel_tol <= floor:
+        if rel_tol <= floor:
             raise PrecisionUnreachable(
-                f"rel_tol {self.rel_tol:g} is at or below the rounding floor "
+                f"rel_tol {rel_tol:g} is at or below the rounding floor "
                 f"{mp.nstr(floor, 3)} of {dps}-digit quadrature; raise the precision"
             )
+        _fill(self, rel_tol, abs_tol, precision)
 
 
 DEFAULT_QS = QuadratureSettings()
@@ -463,13 +460,12 @@ def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order
     )
 
 
-@dataclass
-class _Cell:
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
-    value: mpf = None
-    est: mpf = None
-    absmass: mpf = None
+class _Cell(MutableRecord):
+    __slots__ = _fields = ("lo", "hi", "value", "est", "absmass")
+
+    def __init__(self, lo: tuple[Fraction, ...], hi: tuple[Fraction, ...],
+                 value: mpf = None, est: mpf = None, absmass: mpf = None):
+        _fill(self, lo, hi, value, est, absmass)
 
 
 def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int, floor: mpf) -> None:
@@ -879,8 +875,9 @@ def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings)
             return v, masters
         share = budget / (2 * sum(abs(q) for _, q in keys))
         rels = [max(share / M.value, 16 * rounding_floor(mp.prec)) for _, _, M in masters]
-        return total([replace(qs, rel_tol=min(qs.rel_tol, float(r)) or qs.rel_tol,
-                              abs_tol=min(qs.abs_tol, float(r * M.value / 16)) or qs.abs_tol)
+        return total([QuadratureSettings(min(qs.rel_tol, float(r)) or qs.rel_tol,
+                                         min(qs.abs_tol, float(r * M.value / 16)) or qs.abs_tol,
+                                         qs.precision)
                       for r, (_, _, M) in zip(rels, masters)])
 
 

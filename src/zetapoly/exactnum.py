@@ -11,9 +11,8 @@ result carries a certified bound.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, total_ordering
 from itertools import count
 from math import comb, factorial, prod
 from operator import index, mul
@@ -52,6 +51,58 @@ def _int_tuple(xs, name: str, n: int | None = None, nonneg: bool = False) -> tup
     if nonneg and min(t, default=0) < 0:
         raise ValueError(f"{name} {t} has a negative entry")
     return t
+
+
+_set = object.__setattr__  # how a frozen record's __init__ sets a field
+
+
+def _fill(record, *values) -> None:
+    """Set the record's fields to values, in _fields order."""
+    for name, value in zip(record._fields, values):
+        _set(record, name, value)
+
+
+class Record:
+    """A value record (DECISIONS.md D20): the fields are the class's _fields,
+    each a slot, set once by its written-out __init__.  Equal within one
+    class when the field tuples are, hashed and pickled as that tuple,
+    shown as Name(field=value, ...), and frozen."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MutableRecord(Record):
+    """A Record whose fields may be assigned, and so unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -237,13 +288,15 @@ def _round_err(v: mpf) -> mpf:
     return mp.ldexp(abs(v), 4 - mp.prec)
 
 
-@dataclass(frozen=True)
-class Numeric:
+class Numeric(Record):
     """A high-precision float together with an absolute error bound; its
     arithmetic rounds at the caller's working precision (mp.dps + 5 digits)."""
 
-    value: mpf
-    err: mpf
+    __slots__ = _fields = ("value", "err")
+
+    def __init__(self, value: mpf, err: mpf):
+        _set(self, "value", value)
+        _set(self, "err", err)
 
     @staticmethod
     def from_rational(x: Fraction) -> "Numeric":
@@ -417,26 +470,33 @@ def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
 # Symbolic constant products and tagged special values
 # -----------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class ConstantProduct:
+@total_ordering
+class ConstantProduct(Record):
     """prod Gamma(f) prod b^x, rational f and x in (0, 1), b > 0, b^x irrational
     (DECISIONS.md D18).  Kept sorted, so equality is structural; hashed once
     and ordered, since a form adds its rows key by key and sorts its keys."""
 
-    gammas: tuple[Fraction, ...] = ()
-    powers: tuple[tuple[Fraction, Fraction], ...] = ()
+    __slots__ = ("gammas", "powers", "_hash")
+    _fields = __slots__[:2]
 
-    def __post_init__(self):
-        gs = tuple(sorted(map(Fraction, self.gammas)))
-        ps = tuple(sorted((Fraction(b), Fraction(x)) for b, x in self.powers))
+    def __init__(self, gammas: Iterable[Fraction] = (),
+                 powers: Iterable[tuple[Fraction, Fraction]] = ()):
+        gs = tuple(sorted(map(Fraction, gammas)))
+        ps = tuple(sorted((Fraction(b), Fraction(x)) for b, x in powers))
         if any(not 0 < g < 1 for g in gs):
             raise ValueError("gamma arguments must lie in (0,1)")
         if any(b <= 0 or not 0 < x < 1 or _exact_root(b, x.denominator) for b, x in ps):
             raise ValueError("powers b^x need b > 0, x in (0,1) and b^x irrational")
-        vars(self).update(gammas=gs, powers=ps, _hash=hash((gs, ps)))
+        _fill(self, gs, ps)
+        _set(self, "_hash", hash((gs, ps)))
 
     def __hash__(self):
         return self._hash
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() < other._astuple()
+        return NotImplemented
 
     def labels(self) -> list[str]:
         return [f"Gamma({rat_to_str(g)})" for g in self.gammas] + [

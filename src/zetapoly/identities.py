@@ -7,23 +7,20 @@ verifier checks it exhaustively.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from .exactnum import bernoulli, riemann_zeta_exact_nonpositive
+from .exactnum import Record, _fill, bernoulli, riemann_zeta_exact_nonpositive
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    parameters: tuple
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
-    label: str
+class IdentityReport(Record):
+    __slots__ = _fields = ("parameters", "lhs", "rhs", "equal", "label")
+
+    def __init__(self, parameters: tuple, lhs: Fraction, rhs: Fraction, equal: bool, label: str):
+        _fill(self, parameters, lhs, rhs, equal, label)
 
 
 def zeta_neg_via_B1(N: int) -> Fraction:

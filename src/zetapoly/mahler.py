@@ -15,7 +15,6 @@ value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -29,8 +28,11 @@ from ._quadrature import (DEFAULT_QS, QuadratureSettings, _budgeted, _form_sum, 
 from .errors import DimensionMismatch, NotElliptic, NotHomogeneous
 from .exactnum import (
     ConstantProduct,
+    MutableRecord,
     Numeric,
+    Record,
     SpecialValue,
+    _fill,
     _int_tuple,
     bernoulli_tilde_product,
     point_to_str,
@@ -58,21 +60,18 @@ def index_I(N: int, beta: Sequence[int], d: int, q: int, n: int) -> list[MultiIn
     return weighted_partitions(d * N + q + n - sum(_int_tuple(beta, "beta")), d)
 
 
-@dataclass(frozen=True)
-class CompositionFamily:
+class CompositionFamily(Record):
     """A family u = (u_1, ..., u_d): u_k assigns a multiplicity to each
     multi-index of weight k, listed in the lexicographic order of
     ``delta_multiindices(k, n)``."""
 
-    n: int
-    u: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("n", "u")
 
-    def __post_init__(self):
+    def __init__(self, n: int, u: Sequence[Sequence[int]]):
         # n and the rows as ints, read once (DECISIONS.md D9)
-        (n,) = _int_tuple((self.n,), "n")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "u", tuple(
-            _int_tuple(row, f"row {k} of u") for k, row in enumerate(self.u, start=1)))
+        (n,) = _int_tuple((n,), "n")
+        u = tuple(_int_tuple(row, f"row {k} of u") for k, row in enumerate(u, start=1))
+        _fill(self, n, u)
 
     def g_vector(self) -> MultiIndex:
         g = [0] * self.n
@@ -253,16 +252,15 @@ def _packed_product(t1: dict, t2: dict, out: dict) -> None:
             out[e] = get(e, 0) + c1 * c2
 
 
-@dataclass(frozen=True)
-class ZBucket:
+class ZBucket(Record):
     """The face-i period integral of every term of Z(P, Q; -N) with the same
-    Q-component and |alpha| = a."""
+    Q-component and |alpha| = a; orbit is the number of faces it stands for
+    (i the least), and value is their total."""
 
-    component: int
-    i: int
-    a: int
-    value: SpecialValue
-    orbit: int  # the faces it stands for (i the least); value is their total
+    __slots__ = _fields = ("component", "i", "a", "value", "orbit")
+
+    def __init__(self, component: int, i: int, a: int, value: SpecialValue, orbit: int):
+        _fill(self, component, i, a, value, orbit)
 
 
 def _face_orbits(P: MPoly, Q: MPoly) -> list[tuple[int, ...]]:
@@ -294,15 +292,15 @@ def _face_orbits(P: MPoly, Q: MPoly) -> list[tuple[int, ...]]:
 _bernoulli_tilde_memo = lru_cache(maxsize=1024)(bernoulli_tilde_product)
 
 
-@dataclass(frozen=True)
-class ZMaster:
+class ZMaster(Record):
     """A term of the exact form that the reduced buckets sum to
     (DECISIONS.md D16): the rational part coeff for key None, else coeff
     times the constant named by key, whose value is given."""
 
-    key: tuple | ConstantProduct | None
-    coeff: Fraction
-    value: Numeric | None
+    __slots__ = _fields = ("key", "coeff", "value")
+
+    def __init__(self, key: tuple | ConstantProduct | None, coeff: Fraction, value: Numeric | None):
+        _fill(self, key, coeff, value)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -393,14 +391,15 @@ def Z_value(
 # Shifted-integral expansion and the Raabe-type substitution
 # -----------------------------------------------------------------------------
 
-@dataclass
-class YExpansion:
+class YExpansion(MutableRecord):
     """Coefficients of the expansion of the shifted integral continuation in
     the basis prod_i (1+a_i)^{m_i}, keyed by m, to precision digits."""
 
-    n: int
-    coeffs: dict[MultiIndex, SpecialValue]
-    precision: int = DEFAULT_QS.precision
+    __slots__ = _fields = ("n", "coeffs", "precision")
+
+    def __init__(self, n: int, coeffs: dict[MultiIndex, SpecialValue],
+                 precision: int = DEFAULT_QS.precision):
+        _fill(self, n, coeffs, precision)
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])

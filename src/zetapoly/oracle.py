@@ -15,7 +15,6 @@ combines with the powers of b + a M0^d.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, exp, factorial, lcm, log, prod
@@ -31,17 +30,18 @@ from .errors import (
 from .exactnum import (
     ConstantProduct,
     Numeric,
+    Record,
     SpecialValue,
     _check_precision,
     _exact_root,
     _falling,
+    _fill,
     _int_tuple,
     bernoulli,
     binom_rational,
     mpf_from_rational,
     riemann_zeta_exact_nonpositive,
 )
-from .multipoly import weighted_partitions
 from .powersum import PowerSumParams
 
 
@@ -49,14 +49,14 @@ from .powersum import PowerSumParams
 TRUNCATION = 400
 
 
-@dataclass(frozen=True)
-class EMSettings:
+class EMSettings(Record):
     """precision: the requested digits, from 1 up to MAX_PRECISION_DPS."""
 
-    precision: int = 30
+    __slots__ = _fields = ("precision",)
 
-    def __post_init__(self):
-        _check_precision(self.precision)
+    def __init__(self, precision: int = 30):
+        _check_precision(precision)
+        _fill(self, precision)
 
 
 DEFAULT_EM = EMSettings()
@@ -86,24 +86,20 @@ def _rational_power(base: Fraction, expo: Fraction) -> Numeric:
 
 
 @lru_cache(maxsize=256)
-def _alpha_terms(d: int, order: int) -> tuple[tuple[int, int, int], ...]:
-    """(w, x-exponent, |alpha|) for each alpha weighted by j = 1..d with
-    sum_j j alpha_j = order: the int w = order! prod_j C(d,j)^{alpha_j}/alpha_j!
-    (prod_j alpha_j! divides |alpha|!, which divides order!, all read from
-    one factorial table) and the x-exponent sum_j (d-j) alpha_j =
-    d |alpha| - order of the alpha-term of f^(order)."""
-    fact = [1]
-    for n in range(1, order + 1):
-        fact.append(fact[-1] * n)
-    out = []
-    for alpha in weighted_partitions(order, d):
-        w, den = fact[order], 1
-        for j, aj in enumerate(alpha, start=1):
-            if aj:
-                w *= comb(d, j) ** aj
-                den *= fact[aj]
-        size = sum(alpha)
-        out.append((w // den, d * size - order, size))
+def _alpha_groups(d: int, order: int) -> tuple[tuple[int, int, int], ...]:
+    """(w, d n - order, n), n ascending, for each n = |alpha| of the alpha
+    weighted by j = 1..d with sum_j j alpha_j = order.  Those alpha share
+    the x-exponent sum_j (d-j) alpha_j = d n - order, and the int w sums
+    their order! prod_j C(d,j)^{alpha_j}/alpha_j!: by the multinomial
+    theorem w = order!/n! [x^order] ((1 + x)^d - 1)^n, and by
+    inclusion-exclusion that coefficient is sum_i (-1)^(n-i) C(n,i) C(d i, order)."""
+    lo = -(-order // d)  # n parts of at most d reach order from n = lo on
+    signed = [(-1) ** i * comb(d * i, order) for i in range(lo, order + 1)]
+    out, ratio = [], prod(range(lo + 1, order + 1))  # ratio = order!/n!
+    for n in range(lo, order + 1):
+        c = sum(comb(n, i) * b for i, b in zip(range(lo, n + 1), signed))
+        out.append(((-1) ** n * ratio * c, d * n - order, n))
+        ratio //= n + 1
     return tuple(out)
 
 
@@ -121,14 +117,15 @@ def _f_derivative_terms(a: Fraction, d: int, s: Fraction, order: int):
     C(-s,|alpha|) (|alpha|!/alpha!) prod_j C(d,j)^{alpha_j} a^{|alpha|}
        * x^{sum (d-j) alpha_j} * (b + a x^d)^{-s-|alpha|}.
 
-    Returns [(coeff, x_exponent, power_shift)] with power_shift = |alpha|,
-    each coeff one reduced Fraction of ints: the |alpha|! of the binomial
-    cancels against the weight's."""
+    Returns [(coeff, x_exponent, power_shift)], one per power_shift = |alpha|
+    in ascending order, each coeff the sum over the alpha of that |alpha|
+    as one reduced Fraction of ints: the |alpha|! of the binomial cancels
+    against the weight's."""
     falling = _neg_falling(s)
     q, an, ad = s.denominator, a.numerator, a.denominator
     return tuple(
         (Fraction(falling[aa] * w * an**aa, (q * ad) ** aa), xexp, aa)
-        for w, xexp, aa in _alpha_terms(d, order)
+        for w, xexp, aa in _alpha_groups(d, order)
         if falling[aa]
     )
 
@@ -167,7 +164,7 @@ def _tail_coefficient(d: int, s: Fraction, K: int) -> Fraction:
     are summed over their common denominator q^(2K), s = -p/q."""
     n, q = 2 * K, s.denominator
     falling = _neg_falling(s)
-    total = sum(abs(falling[aa]) * w * q ** (n - aa) for w, _xexp, aa in _alpha_terms(d, n))
+    total = sum(abs(falling[aa]) * w * q ** (n - aa) for w, _xexp, aa in _alpha_groups(d, n))
     B = bernoulli(n)
     return Fraction(total * abs(B.numerator), q**n * B.denominator * factorial(n))
 
@@ -435,11 +432,11 @@ def zeta1_numeric(
         return z * _rational_power(gamma1, -s)
 
 
-@dataclass(frozen=True)
-class PowerSum2Result:
-    value: Numeric
-    residual: mpf
-    K: int
+class PowerSum2Result(Record):
+    __slots__ = _fields = ("value", "residual", "K")
+
+    def __init__(self, value: Numeric, residual: mpf, K: int):
+        _fill(self, value, residual, K)
 
 
 def powersum2_numeric(

@@ -8,7 +8,6 @@ generalized beta-like cube integrals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -20,7 +19,9 @@ from mpmath import mp, mpf
 from .errors import HypothesisViolated, NotDiagonal, NotElliptic
 from .exactnum import (
     Numeric,
+    Record,
     SpecialValue,
+    _fill,
     _int_tuple,
     bernoulli_tilde_product,
     multi_factorial,
@@ -31,27 +32,26 @@ from .mahler import Z_value, certify_elliptic
 from .multipoly import MPoly, composition_tuples, family_hypotheses, weighted_partitions
 
 
-@dataclass(frozen=True)
-class GammaFactorSpec:
-    m: int
-    mu: tuple[Fraction, ...]
+class GammaFactorSpec(Record):
+    __slots__ = _fields = ("m", "mu")
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __init__(self, m: int, mu: Sequence[Fraction]):
+        if m < 0:
             raise ValueError("m must be non-negative")
-        mu = tuple(Fraction(x) for x in self.mu)
+        mu = tuple(Fraction(x) for x in mu)
         if any(x <= 0 for x in mu):
             raise ValueError("all mu_i must be positive")
-        object.__setattr__(self, "mu", mu)
+        _fill(self, m, mu)
 
 
-@dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(Record):
     """Family P_1, ..., P_n with P_j in j variables, plus the flags of the
     hypothesis checks made at construction time."""
 
-    polys: tuple[MPoly, ...]
-    flags: tuple[str, ...] = ()
+    __slots__ = _fields = ("polys", "flags")
+
+    def __init__(self, polys: tuple[MPoly, ...], flags: tuple[str, ...] = ()):
+        _fill(self, polys, flags)
 
     @property
     def n(self) -> int:

@@ -8,7 +8,6 @@ indeterminacy with its exact rational and Gamma-product components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -29,8 +28,10 @@ from .errors import (
 from .exactnum import (
     DEFAULT_DPS,
     Numeric,
+    Record,
     SpecialValue,
     _check_precision,
+    _fill,
     _int_tuple,
     _normal_form,
     bernoulli,
@@ -40,52 +41,45 @@ from .exactnum import (
 )
 
 
-@dataclass(frozen=True)
-class PowerSumParams:
+class PowerSumParams(Record):
     """Shape (n, d, gamma) of the power-sum denominators."""
 
-    n: int
-    d: tuple[int, ...]
-    gamma: tuple[Fraction, ...]
-    numeric_gamma: tuple[complex, ...] | None = None
+    __slots__ = _fields = ("n", "d", "gamma", "numeric_gamma")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, d: Sequence[int], gamma: Sequence[Fraction],
+                 numeric_gamma: tuple[complex, ...] | None = None):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        d = _int_tuple(self.d, "d", self.n)
-        g = tuple(Fraction(x) for x in self.gamma)
-        if len(g) != self.n:
+        d = _int_tuple(d, "d", n)
+        g = tuple(Fraction(x) for x in gamma)
+        if len(g) != n:
             raise ValueError("gamma must have length n")
         if any(x < 1 for x in d):
             raise ValueError("all d_j must be >= 1")
         if any(x <= 0 for x in g):
             raise ValueError("exact mode requires positive rational gamma_j")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "gamma", g)
+        _fill(self, n, d, g, numeric_gamma)
 
     @staticmethod
     def make(d: Sequence[int], gamma: Sequence[Fraction] | None = None) -> "PowerSumParams":
         return PowerSumParams(n=len(d), d=d, gamma=(1,) * len(d) if gamma is None else gamma)
 
 
-@dataclass(frozen=True)
-class DirectionalSpec:
+class DirectionalSpec(Record):
     """Direction theta and non-negative offset N for a limit at -N."""
 
-    N: tuple[int, ...]
-    theta: tuple[Fraction, ...]
+    __slots__ = _fields = ("N", "theta")
 
-    def __post_init__(self):
-        th = tuple(Fraction(x) for x in self.theta)
-        N = _int_tuple(self.N, "N", len(th), nonneg=True)
+    def __init__(self, N: Sequence[int], theta: Sequence[Fraction]):
+        th = tuple(Fraction(x) for x in theta)
+        N = _int_tuple(N, "N", len(th), nonneg=True)
         n = len(th)
         if n >= 2:
             if sum(th[1:]) == 0:
                 raise ThetaDegenerate("theta_2 + ... + theta_n must be nonzero")
             if th[-1] == 0:
                 raise ThetaDegenerate("theta_n must be nonzero")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "theta", th)
+        _fill(self, N, th)
 
 
 # -----------------------------------------------------------------------------

@@ -6,7 +6,6 @@ acceptance module, so the two always run the identical checks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 from mpmath import mp, mpf
@@ -14,6 +13,8 @@ from mpmath import mp, mpf
 from . import identities, powersum
 from .exactnum import (
     ConstantProduct,
+    MutableRecord,
+    _fill,
     bernoulli,
     riemann_zeta_exact_nonpositive,
 )
@@ -38,14 +39,12 @@ from .powersum import (
 )
 
 
-@dataclass
-class CriterionResult:
-    index: int
-    description: str
-    passed: bool
-    elapsed: float
-    limit: float
-    detail: str = ""
+class CriterionResult(MutableRecord):
+    __slots__ = _fields = ("index", "description", "passed", "elapsed", "limit", "detail")
+
+    def __init__(self, index: int, description: str, passed: bool, elapsed: float, limit: float,
+                 detail: str = ""):
+        _fill(self, index, description, passed, elapsed, limit, detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

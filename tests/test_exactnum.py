@@ -1,4 +1,5 @@
 """Exact kernel: Bernoulli numbers, binomials, Pochhammer, Gamma, zeta."""
+import copy
 import hashlib
 import os
 import re
@@ -608,3 +609,113 @@ class TestIntegerArguments:
 
     def test_bool_precision_is_one_digit(self):
         assert gamma_rational(F(1, 3), True) == gamma_rational(F(1, 3), 1)
+
+
+def _record_cases():
+    """(class, field names in today's order, positional arguments, the
+    defaults of the fields a call may leave out) for every value record."""
+    from zetapoly import _quadrature, identities, mahler, oracle, polyzeta, powersum, selftest
+    from zetapoly.multipoly import MPoly
+
+    one = Numeric(mpf(1), mpf(0))
+    return [
+        (Numeric, ("value", "err"), (mpf(1), mpf(2)), {}),
+        (ConstantProduct, ("gammas", "powers"), ((F(1, 3),), ((F(2), F(1, 2)),)),
+         {"gammas": (), "powers": ()}),
+        (_quadrature.QuadratureSettings, ("rel_tol", "abs_tol", "precision"), (1e-8, 1e-20, 30),
+         {"rel_tol": 1e-12, "abs_tol": 1e-30, "precision": 50}),
+        (_quadrature._Cell, ("lo", "hi", "value", "est", "absmass"),
+         ((F(0),), (F(1),), mpf(1), mpf(2), mpf(3)), {"value": None, "est": None, "absmass": None}),
+        (oracle.EMSettings, ("precision",), (20,), {"precision": 30}),
+        (oracle.PowerSum2Result, ("value", "residual", "K"), (one, mpf(0), 8), {}),
+        (powersum.PowerSumParams, ("n", "d", "gamma", "numeric_gamma"),
+         (2, (1, 2), (F(1), F(1, 2)), (1j, 2j)), {"numeric_gamma": None}),
+        (powersum.DirectionalSpec, ("N", "theta"), ((0, 1), (F(1), F(2))), {}),
+        (polyzeta.GammaFactorSpec, ("m", "mu"), (2, (F(1, 2), F(3))), {}),
+        (polyzeta.PolyFamily, ("polys", "flags"), ((MPoly.one(1),), ("flag",)), {"flags": ()}),
+        (mahler.CompositionFamily, ("n", "u"), (2, ((1, 0),)), {}),
+        (mahler.ZBucket, ("component", "i", "a", "value", "orbit"),
+         (0, 1, 2, SpecialValue.make_exact(F(1, 2)), 1), {}),
+        (mahler.ZMaster, ("key", "coeff", "value"), (None, F(1, 3), None), {}),
+        (mahler.YExpansion, ("n", "coeffs", "precision"),
+         (1, {(0,): SpecialValue.make_exact(F(1))}, 20), {"precision": 50}),
+        (identities.IdentityReport, ("parameters", "lhs", "rhs", "equal", "label"),
+         ((1, 2), F(1), F(1), True, "B3"), {}),
+        (selftest.CriterionResult, ("index", "description", "passed", "elapsed", "limit", "detail"),
+         (1, "criterion", True, 0.5, 10.0, "detail"), {"detail": ""}),
+    ]
+
+
+class TestRecords:
+    """The value records are slotted classes with written-out __init__s
+    (DECISIONS.md D20) that keep what their dataclasses gave: the
+    signatures and defaults, == and the hash of the field tuple, the
+    repr, and frozen fields, except on the three mutable records."""
+
+    MUTABLE = {"_Cell", "YExpansion", "CriterionResult"}
+
+    @pytest.mark.parametrize("case", _record_cases(), ids=lambda c: c[0].__name__)
+    def test_record(self, case):
+        cls, names, args, defaults = case
+        x = cls(*args)
+        fields = tuple(getattr(x, f) for f in names)
+        assert cls(**dict(zip(names, args))) == x
+        assert copy.copy(x) == x
+        assert x != object() and x != fields
+        required = [a for f, a in zip(names, args) if f not in defaults]
+        assert tuple(getattr(cls(*required), f) for f in defaults) == tuple(defaults.values())
+        assert repr(x) == f"{cls.__name__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(names, fields)) + ")"
+        assert not hasattr(x, "__dict__")
+        if cls.__name__ in self.MUTABLE:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(x)
+            setattr(x, names[-1], None)
+            assert getattr(x, names[-1]) is None and x != cls(*args)
+            return
+        try:
+            want = hash(fields)
+        except TypeError:  # a ZBucket's SpecialValue
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(x)
+        else:
+            assert hash(x) == want
+        for f in names:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{f}'"):
+                setattr(x, f, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{f}'"):
+                delattr(x, f)
+        assert tuple(getattr(x, f) for f in names) == fields
+
+    def test_constant_product_order(self):
+        a, b = ConstantProduct((F(1, 3),)), ConstantProduct((F(1, 2),), ((F(2), F(1, 2)),))
+        assert a < b and a <= b and b > a and b >= a and sorted([b, a]) == [a, b]
+        assert ConstantProduct([F(2, 3), F(1, 3)]).gammas == (F(1, 3), F(2, 3))
+        with pytest.raises(TypeError):
+            a < (F(1, 3),)
+
+    def test_budgeted_settings_as_replaced(self, monkeypatch):
+        # the second pass's settings: rel_tol tightened to 2^-110 and the
+        # rest kept, as dataclasses.replace(qs, rel_tol=..., abs_tol=...) gave
+        from zetapoly import _quadrature
+        from zetapoly._quadrature import QuadratureSettings
+
+        settings, constant = [], _quadrature.constant
+        monkeypatch.setattr(_quadrature, "constant",
+                            lambda key, qs: settings.append(qs) or constant(key, qs))
+        cp = ConstantProduct((F(1, 3),) * 3, ((F(2), F(1, 3)),))
+        with mp.workdps(40):
+            near = F(mp.nstr(mp.gamma(mpf(1) / 3) ** 3 * mp.cbrt(2), 25))
+        qs = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-34, precision=25)
+        _quadrature._budgeted(-near, ((cp, F(1)),), qs)
+        assert settings == [qs, QuadratureSettings(2.0**-110, 1e-34, 25)]
+
+    def test_no_dataclasses(self):
+        src = os.path.dirname(zetapoly.__file__)
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name)) as f:
+                    text = f.read()
+                assert not re.search(r"^\s*(from|import)\s+dataclasses\b", text, re.M), name
+        code = "import sys, zetapoly.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        assert _fresh_stdout(code) == "[]"

@@ -176,12 +176,17 @@ class TestExactCoefficients:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_f_derivative_terms(self, d):
-        # each s with one a, every a in turn
+        # each s with one a, every a in turn; the oracle's terms are the
+        # reference's summed by |alpha|, which fixes the x-exponent
         for i, s in enumerate(self.EXPONENTS):
             a = self.RATIONALS[i % len(self.RATIONALS)]
             for order in range(25):
                 got = oracle._f_derivative_terms(a, d, s, order)
-                assert got == _fraction_f_derivative_terms(a, d, s, order)
+                groups = {}
+                for c, xexp, aa in _fraction_f_derivative_terms(a, d, s, order):
+                    assert groups.setdefault(aa, [0, xexp])[1] == xexp
+                    groups[aa][0] += c
+                assert got == tuple((c, xexp, aa) for aa, (c, xexp) in sorted(groups.items()))
                 assert all(type(c) is F for c, _, _ in got)
 
     def test_vanishing_terms_dropped(self):
