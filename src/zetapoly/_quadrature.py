@@ -20,14 +20,15 @@ unit cube.  Two exact reductions write x^e / den^k as a form
 named constant under its key, all over one denominator L: an affine den
 (D12, logs; ``cube_integral``'s alone) and a den of one variable (D10,
 masters int_0^1 x^i / den); a Z value of a diagonal P, linear or not,
-takes forms over ConstantProducts of Gamma values and powers, by
-Dirichlet's integral over the orthant (D17, D18).  Every sum of forms is one
-``multipoly.combine``; ``_form_sum`` is the one exact sum of a form's rows,
-``_budgeted`` the one evaluator of the constants it leaves, and
-``constant`` their one memo: a Z value sums the forms of all its buckets
-first, once per (P, Q, N), and evaluates the constants per settings, and
-``cube_integral`` sums and evaluates the form of its one quotient the
-same way, else runs the quadrature.
+takes forms over ConstantProducts of Gamma values and powers (D17, D18),
+and any other face is one constant, its integral (D21): only a
+non-diagonal P's faces of two or more variables, or of one that is not
+squarefree or not certified, run a quadrature in a Z value.  Every sum
+of forms is one ``multipoly.combine``; ``_form_sum`` is the one exact sum
+of a form's rows, ``_budgeted`` the one evaluator of the constants it
+leaves and ``constant`` their one memo: a Z value sums its form once per
+(P, Q, N) and evaluates its constants per settings under one budget, and
+``cube_integral`` its one quotient's the same way, else runs the quadrature.
 """
 from __future__ import annotations
 
@@ -510,6 +511,7 @@ def integrate_unit_cube(
     rel_tol: float = 1e-12,
     abs_tol: float = 1e-30,
     order: int = 15,
+    mass_floors: int = 0,
 ) -> tuple[mpf, mpf]:
     """Integrate f over [0,1]^dim, dim >= 1; returns (value, absolute error
     bound).
@@ -518,7 +520,8 @@ def integrate_unit_cube(
     follows the grid protocol of this module: it is called with one list
     of coordinates per axis and returns its values on their product in
     row-major order.  The cell of largest estimate is split until the
-    summed estimate meets the target.
+    summed estimate meets the target, abs_tol first raised to mass_floors
+    rounding floors of the root cell's absolute mass (DECISIONS.md D21).
     """
     _check_order(order)
     order_lo = max(3, (order + 1) // 2)
@@ -526,6 +529,7 @@ def integrate_unit_cube(
     abs_tol, rel_tol = mpf(abs_tol), mpf(rel_tol)
     root = _Cell(lo=(Fraction(0),) * dim, hi=(Fraction(1),) * dim)
     _eval_cell(f, root, order, order_lo, floor)
+    abs_tol = max(abs_tol, mass_floors * floor * root.absmass)
     seq = 0
     heap: list[tuple[mpf, int, _Cell]] = [(-root.est, seq, root)]
     ncells = 1
@@ -813,14 +817,18 @@ class _MasterKey(tuple):
     """The name of a constant in a form, equal to the plain tuple, that
     hashes its Fractions once: forms add their rows key by key.  Its first
     entry is its kind: (0, b, ...) the product of the logs of the basis
-    integers b (D12; no Z value has an affine face), or (1, D's
-    coefficients, i) the master int_0^1 x^i / D (D10).  A product of Gamma
-    values and powers is named by its ConstantProduct (D18)."""
+    integers b (D12; no Z value has an affine face), (1, D's coefficients,
+    i) the master int_0^1 x^i / D (D10), or (2, r, D's terms, A's terms, k)
+    int_[0,1]^r A / D^k (D21); a ConstantProduct names Gamma products (D18)."""
 
     hash = cached_property(tuple.__hash__)
 
     def __hash__(self):
         return self.hash
+
+    def form(self, e: tuple, k: int) -> tuple[int, dict]:
+        """The row (key, e, k) of a face integral is the constant itself."""
+        return 1, {self: 1}
 
 
 def reduction(den: "MPoly") -> _Affine | _Reduction | None:
@@ -831,25 +839,29 @@ def reduction(den: "MPoly") -> _Affine | _Reduction | None:
     return _reduction(den) if den.nvars == 1 else None
 
 
-def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) -> Numeric:
+def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
+                   mass_floors: int = 0) -> Numeric:
     """The fixed-point cube quadrature of numer / den^k (DECISIONS.md D2)."""
     with mp.workdps(qs.precision + 10):
         f = FixedPointIntegrand(numer, den, k)
-        return Numeric(*integrate_unit_cube(f, den.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol))
+        return Numeric(*integrate_unit_cube(f, den.nvars, qs.rel_tol, qs.abs_tol, 15, mass_floors))
 
 
 @lru_cache(maxsize=256)
 def constant(key: _MasterKey | ConstantProduct, qs: QuadratureSettings) -> Numeric:
     """The constant named by key under qs, once per (key, qs): a product of
     Gamma values and powers, once per precision (ConstantProduct.to_numeric),
-    or of logs, each rounded once at precision + 10 digits; else its
-    master's fixed-point quadrature."""
+    or of logs, each rounded once at precision + 10 digits; else the
+    fixed-point quadrature of its master or face integral."""
     if isinstance(key, ConstantProduct):
         return key.to_numeric(qs.precision)
     kind, *name = key
     if kind == 1:  # name = (D's coefficients, i)
         den = MPoly(1, {(j,): x for j, x in enumerate(name[0]) if x})
         return _quadrature_of(den, MPoly(1, {(name[1],): 1}), 1, qs)
+    if kind == 2:  # name = (r, D's terms, A's terms, k)
+        r, den, numer, k = name
+        return _quadrature_of(MPoly._of(r, dict(den)), MPoly._of(r, dict(numer)), k, qs, 4)
     with mp.workdps(qs.precision + 10):
         return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
 
@@ -859,8 +871,9 @@ def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings)
     [(key, q)], M(s) = constant(key, s), at precision + 10 digits.  When
     the scaled errors miss abs_tol + rel_tol |value|, each constant is
     integrated once more, to half that budget over sum |q| (the rest is
-    room for rounding) but not below the rounding floor; whether that is
-    enough is the caller's to judge (DECISIONS.md D14)."""
+    room for rounding) but not below the rounding floor, and a constant of
+    value 0 to that floor and abs_tol; whether that is enough is the
+    caller's to judge (DECISIONS.md D14, D21)."""
     def total(settings):
         values = [constant(key, s) for (key, _), s in zip(keys, settings)]
         acc = Numeric.from_rational(rational)
@@ -873,11 +886,12 @@ def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings)
         budget = qs.abs_tol + qs.rel_tol * abs(v.value)
         if v.err <= budget or not keys:
             return v, masters
+        floor = 16 * rounding_floor(mp.prec)
         share = budget / (2 * sum(abs(q) for _, q in keys))
-        rels = [max(share / M.value, 16 * rounding_floor(mp.prec)) for _, _, M in masters]
+        rels = [max(share / abs(M.value), floor) if M.value else floor for _, _, M in masters]
         return total([QuadratureSettings(min(qs.rel_tol, float(r)) or qs.rel_tol,
-                                         min(qs.abs_tol, float(r * M.value / 16)) or qs.abs_tol,
-                                         qs.precision)
+                                         min(qs.abs_tol, float(r * abs(M.value) / 16))
+                                         or qs.abs_tol, qs.precision)
                       for r, (_, _, M) in zip(rels, masters)])
 
 

@@ -29,7 +29,6 @@ from .mahler import (
     QuadratureSettings,
     Z_breakdown,
     Z_value,
-    ZBucket,
     ZMaster,
     delta_multiindices,
     period_K,
@@ -139,28 +138,20 @@ def cmd_directional(args) -> dict:
     return cmd_powersum(args)
 
 
-def _bucket_json(b: ZBucket | ZMaster, precision: int) -> dict:
-    if isinstance(b, ZMaster):  # DECISIONS.md D16
-        if b.key is None:
-            return {"rational": rat_to_str(b.coeff)}
-        if isinstance(b.key, ConstantProduct):  # prod Gamma(f) prod b^x (DECISIONS.md D18)
-            out = {"gammas": [rat_to_str(f) for f in b.key.gammas],
-                   "powers": [[rat_to_str(c), rat_to_str(x)] for c, x in b.key.powers]}
-        else:  # int_0^1 x^i / D, key = (1, D's coefficients, i)
-            out = {"master": {"D": [rat_to_str(x) for x in b.key[1]], "i": b.key[2]}}
-        out["coeff"] = rat_to_str(b.coeff)
-        num = b.value
-    else:
-        out = {"component": b.component, "i": b.i, "a": b.a}
-        if b.orbit > 1:  # DECISIONS.md D13
-            out["orbit"] = b.orbit
-        if b.value.kind == "exact":
-            out["exact"] = str(b.value.exact)
-            return out
-        num = b.value.num
+def _term_json(t: ZMaster, precision: int) -> dict:  # DECISIONS.md D16, D21
+    if t.key is None:
+        return {"rational": rat_to_str(t.coeff)}
+    if isinstance(t.key, ConstantProduct):  # prod Gamma(f) prod b^x (DECISIONS.md D18)
+        out = {"gammas": [rat_to_str(f) for f in t.key.gammas],
+               "powers": [[rat_to_str(c), rat_to_str(x)] for c, x in t.key.powers]}
+    elif t.key[0] == 1:  # int_0^1 x^i / D, key = (1, D's coefficients, i)
+        out = {"master": {"D": [rat_to_str(x) for x in t.key[1]], "i": t.key[2]}}
+    else:  # a face integral, key = (2, r, the face's terms, the numerator's, k)
+        out = {"face": MPoly(t.key[1], dict(t.key[2])).to_text(), "k": t.key[4]}
+    out["coeff"] = rat_to_str(t.coeff)
     with mp.workdps(precision):
-        out["value"] = mp.nstr(num.value, 20)
-        out["err"] = mp.nstr(num.err, 5)
+        out["value"] = mp.nstr(t.value.value, 20)
+        out["err"] = mp.nstr(t.value.err, 5)
     return out
 
 
@@ -170,9 +161,9 @@ def cmd_mahler(args) -> dict:
     qs = _qs(args)
     if not args.terms:
         return Z_value(P, Q, args.N, qs).to_json(args.precision // 2 + 5)
-    val, buckets = Z_breakdown(P, Q, args.N, qs)
+    val, terms = Z_breakdown(P, Q, args.N, qs)
     out = val.to_json(args.precision // 2 + 5)
-    out["terms"] = [_bucket_json(b, qs.precision) for b in buckets]
+    out["terms"] = [_term_json(t, qs.precision) for t in terms]
     return out
 
 

@@ -2,19 +2,21 @@
 
 Implements the multi-index bookkeeping (weighted index sets, composition
 families and their g-vectors), the period integrals over unit-cube faces
-(each one ``_quadrature.cube_integral``: an exact moment, a closed form
-over an affine face, an exact reduction to one-variable masters, or a
-certified quadrature; in a Z value, the buckets on one-variable faces are
-reduced exactly and summed into one form instead, and a diagonal P's,
-linear forms included, are Dirichlet integrals over the orthant),
-the triple sum behind a value, whose terms with the same |alpha| = a on a
-face are built at once as the polynomial (P(x + t) - P(x))^a Q_c(x + t),
-the polynomial-in-(1+a) expansion of the shifted integral continuation,
-and the Raabe-type substitution that turns that expansion into the series
-value.
+(each one ``_quadrature.cube_integral``), the triple sum behind a value,
+whose terms with the same |alpha| = a on a face are built at once as the
+polynomial (P(x + t) - P(x))^a Q_c(x + t), and a Z value's one exact form:
+a one-variable face's terms are reduced to masters, a diagonal P's
+(linear forms included) are Dirichlet integrals over the orthant, and
+every other face orbit's terms are one integral, a named constant.  Only
+those integrals, of a non-diagonal P's faces of two or more variables or
+its one-variable faces that are not squarefree or not certified, run a
+quadrature in a Z value.  Also the polynomial-in-(1+a) expansion of the
+shifted integral continuation, and the Raabe-type substitution that turns
+that expansion into the series value.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -23,8 +25,8 @@ from typing import Sequence
 
 from mpmath import mp
 
-from ._quadrature import (DEFAULT_QS, QuadratureSettings, _budgeted, _form_sum, cube_integral,
-                          dirichlet, reduction)
+from ._quadrature import (DEFAULT_QS, QuadratureSettings, _budgeted, _form_sum, _MasterKey,
+                          cube_integral, dirichlet, reduction)
 from .errors import DimensionMismatch, NotElliptic, NotHomogeneous
 from .exactnum import (
     ConstantProduct,
@@ -252,17 +254,6 @@ def _packed_product(t1: dict, t2: dict, out: dict) -> None:
             out[e] = get(e, 0) + c1 * c2
 
 
-class ZBucket(Record):
-    """The face-i period integral of every term of Z(P, Q; -N) with the same
-    Q-component and |alpha| = a; orbit is the number of faces it stands for
-    (i the least), and value is their total."""
-
-    __slots__ = _fields = ("component", "i", "a", "value", "orbit")
-
-    def __init__(self, component: int, i: int, a: int, value: SpecialValue, orbit: int):
-        _fill(self, component, i, a, value, orbit)
-
-
 def _face_orbits(P: MPoly, Q: MPoly) -> list[tuple[int, ...]]:
     """The faces 1..n in the orbits of the group generated by the coordinate
     swaps (i j) that fix both P and Q, each orbit in increasing order.  A
@@ -287,15 +278,36 @@ def _face_orbits(P: MPoly, Q: MPoly) -> list[tuple[int, ...]]:
     return [tuple(o) for o in orbits.values()]
 
 
+def _face_integral(face: MPoly, numer: MPoly, k: int) -> tuple[int, dict]:
+    """int numer / face^k over the cube as an int form of one row, s times
+    the constant of kind 2 named by face and numer / s, s the coefficient of
+    numer's greatest exponent, so that equal integrals share a key and
+    opposite ones cancel; numer first averaged over the group generated by
+    the swaps that fix face, so that an odd part cancels too (D21)."""
+    r, orbits = face.nvars, [[i - 1 for i in o] for o in _face_orbits(face, face)]
+    images = [dict(zip(itertools.chain(*orbits), itertools.chain(*p)))
+              for p in itertools.product(*map(itertools.permutations, orbits))]
+    terms = sorted(sum((MPoly._of(r, {tuple(e[to[j]] for j in range(r)): c
+                                      for e, c in numer.terms.items()}) for to in images),
+                       MPoly.zero(r)).terms.items())
+    if not terms:
+        return 1, {}
+    s = terms[-1][1]
+    key = _MasterKey((2, r, tuple(sorted(face.terms.items())),
+                      tuple((f, c / s) for f, c in terms), k))
+    q = s / len(images)
+    return q.denominator, {(key, (), k): q.numerator}  # a key is its own row's reduction
+
+
 # Z_breakdown's terms repeat their Bernoulli exponents m, within one value
 # and across values; each product is an exact Fraction.
 _bernoulli_tilde_memo = lru_cache(maxsize=1024)(bernoulli_tilde_product)
 
 
 class ZMaster(Record):
-    """A term of the exact form that the reduced buckets sum to
-    (DECISIONS.md D16): the rational part coeff for key None, else coeff
-    times the constant named by key, whose value is given."""
+    """A term of the one exact form of a Z value (DECISIONS.md D16, D21):
+    the rational part coeff for key None, else coeff times the constant
+    named by key, whose value is given."""
 
     __slots__ = _fields = ("key", "coeff", "value")
 
@@ -306,84 +318,63 @@ class ZMaster(Record):
 @lru_cache(maxsize=64, typed=True)
 def _exact_form(P: MPoly, Q: MPoly, N: int) -> tuple:
     """What no settings change in Z(P, Q; -N), once per (P, Q, N): its
-    flags; per quadrature bucket, in (component, face, a) order, (ci, i, a,
-    face, numerator, orbit size); and the exact form (rational, ((key, q),
-    ...)) that the reduced buckets sum to (DECISIONS.md D16, D17), or None
-    when none of them is nonzero.  Typed, so an N that only equals an int
-    is checked again; bad input raises on every call."""
+    flags and its exact form (rational, ((key, q), ...)) (DECISIONS.md
+    D16, D17, D21), or (rational, None) when no face of a variable has a
+    nonzero bucket (n = 1).  Typed, so an N that only equals an int is
+    checked again; bad input raises on every call."""
     d, flags = _check_P(P, Q, N)
-    # A diagonal P's buckets are one integral over the orthant, of which
-    # face 1 is a chart (D17); else only the least face of each orbit is
-    # built, and its total stands for all.
+    # A diagonal P's buckets are one integral over the orthant, face 1 a
+    # chart of it (D17); else each orbit's least face stands for all.
     orthant = dirichlet(P)
     orbit = {1: 1} if orthant else {o[0]: len(o) for o in _face_orbits(P, Q)}
-    # Per bucket (component, face, a), its numerator c_a sum_m B~(m) [t^m]
-    # as ints over one denominator; a bucket on a reduced face adds it,
-    # scaled by its orbit, to the rows {(reduction, e, k): int} instead.
-    numers: dict[tuple, tuple] = {}
-    rows: list[tuple] = []
-    for i in orbit:
+    # Per bucket (component, face, a), its numerator c_a sum_m B~(m) [t^m] as
+    # ints over one denominator: a reduced face's rows {(reduction, e, a - N):
+    # int}, or summed over face^K, K the largest a - N, into one integral.
+    rows, rational = [], Fraction(0)  # the rows scaled by their orbit
+    for i, size in orbit.items():
         face = P.face(i)
         red = orthant or reduction(face)
+        numers = []
         for ci, a, c_a, den, groups in _face_sums(P, Q, N, d, i):
             L, ints = combine([(c_a * bt, (den, g)) for m, g in groups.items()
                                if (bt := _bernoulli_tilde_memo(m))])
             if ints and red is None:
-                numers[ci, i, a] = face, MPoly._over(P.nvars - 1, L, ints)
+                numers.append((a - N, MPoly._over(face.nvars, L, ints)))
             elif ints:  # a zero bucket adds no rows
-                rows.append((orbit[i], (L, {(red, e, a - N): x for e, x in ints.items()})))
-    buckets = tuple((ci, i, a, face, numer, orbit[i])
-                    for (ci, i, a), (face, numer) in sorted(numers.items()))
-    # The form is evaluated even when the rows cancel.
-    return flags, buckets, _form_sum(combine(rows)) if rows else None
+                rows.append((size, (L, {(red, e, a - N): x for e, x in ints.items()})))
+        if numers:
+            K = max(k for k, _ in numers)
+            numer = sum((p * face ** (K - k) for k, p in numers), MPoly.zero(face.nvars))
+            if not face.nvars:
+                rational += size * numer.constant_value() / face.constant_value() ** K
+            else:  # evaluated even when it is 0, as a reduced face's rows are
+                rows.append((size, _face_integral(face, numer, K)))
+    return flags, _form_sum(combine(rows)) if rows else (rational, None)
 
 
 def Z_breakdown(
     P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
-) -> tuple[SpecialValue, list[ZBucket | ZMaster]]:
-    """Z(P, Q; -N) together with the parts it is the sum of: a ZMaster per
-    term of the one form that the buckets on one-variable faces sum to,
-    each reduced exactly and scaled by its orbit, or a diagonal P's
-    buckets over the orthant, with only the constants left evaluated
-    (DECISIONS.md D16, D17, D18); and a ZBucket per other bucket,
-    integrated on its own.  The exact part is
-    ``_exact_form``'s; only the integrals and constants depend on qs."""
-    flags, buckets, form = _exact_form(P, Q, N)
-    evaluated: list[ZBucket | ZMaster] = []
-    for ci, i, a, face, numer, orbit in buckets:  # evaluate buckets in a fixed order
-        v = cube_integral(face, numer, a - N, qs)
-        if orbit > 1:
-            with mp.workdps(qs.precision + 10):
-                v = v.scale(orbit)
-        evaluated.append(ZBucket(ci, i, a, v, orbit))
-    exact = sum((b.value.exact for b in evaluated if b.value.kind == "exact"), Fraction(0))
-    parts = [b.value.num for b in evaluated if b.value.kind == "numeric"]
-    if form is not None:
-        rational, keys = form
-        v, masters = _budgeted(rational, keys, qs)
-        parts.append(v)
-        evaluated += [ZMaster(None, rational, None)] + [ZMaster(*m) for m in masters]
-    if not parts:
-        return SpecialValue.make_exact(exact, flags=flags), evaluated
+) -> tuple[SpecialValue, list[ZMaster]]:
+    """Z(P, Q; -N) and the terms of its one exact form (``_exact_form``):
+    its rational part, then each constant left -- a master, a Gamma product
+    or a face integral -- with its summed coeff and its value, all under
+    ``_budgeted``'s one budget abs_tol + rel_tol |Z| (DECISIONS.md D16,
+    D17, D18, D21); with no face of a variable behind it, the rational."""
+    flags, (rational, keys) = _exact_form(P, Q, N)
+    terms = [ZMaster(None, rational, None)]
+    if keys is None:
+        return SpecialValue.make_exact(rational, flags=flags), terms
+    v, masters = _budgeted(rational, keys, qs)
     with mp.workdps(qs.precision + 10):
-        acc = Numeric.from_rational(exact)
-        for p in parts:
-            acc = acc + p
-    return SpecialValue.make_numeric(acc, flags=flags), evaluated
+        v = Numeric.from_rational(0) + v
+    return SpecialValue.make_numeric(v, flags=flags), terms + [ZMaster(*m) for m in masters]
 
 
 def Z_value(
     P: MPoly, Q: MPoly, N: int, qs: QuadratureSettings = DEFAULT_QS
 ) -> SpecialValue:
-    """Value of the Dirichlet series sum_m Q(m) P(m)^{-s} at s = -N.
-
-    Q is decomposed into homogeneous components (the value is linear in Q);
-    each component contributes a triple sum over derivative orders beta,
-    weighted index vectors alpha and composition families u, with face-period
-    integrals and a product of modified Bernoulli numbers per term.  The
-    terms with the same |alpha| = a on a face are built as one polynomial,
-    (P(x + t) - P(x))^a Q_c(x + t), and integrated once.
-    """
+    """Value of the Dirichlet series sum_m Q(m) P(m)^{-s} at s = -N, the
+    value of ``Z_breakdown``."""
     return Z_breakdown(P, Q, N, qs)[0]
 
 

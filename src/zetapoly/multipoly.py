@@ -75,6 +75,7 @@ class MPoly:
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[MultiIndex, Rational] | None = None):
+        (nvars,) = _int_tuple((nvars,), "nvars")
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
         clean: dict[MultiIndex, Fraction] = {}
@@ -354,7 +355,7 @@ class MPoly:
                 if any(type(x) is not int for x in e):
                     raise TypeError(f"exponent {list(e)} is not a list of integers")
                 terms[e] = terms.get(e, Fraction(0)) + Fraction(t["c"])
-            nvars = int(obj["nvars"])
+            (nvars,) = _int_tuple((obj["nvars"],), "nvars")
         except (TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from None
         if nvars > MAX_NVARS:

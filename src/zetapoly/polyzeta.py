@@ -36,6 +36,7 @@ class GammaFactorSpec(Record):
     __slots__ = _fields = ("m", "mu")
 
     def __init__(self, m: int, mu: Sequence[Fraction]):
+        (m,) = _int_tuple((m,), "m")
         if m < 0:
             raise ValueError("m must be non-negative")
         mu = tuple(Fraction(x) for x in mu)

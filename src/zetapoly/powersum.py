@@ -48,6 +48,7 @@ class PowerSumParams(Record):
 
     def __init__(self, n: int, d: Sequence[int], gamma: Sequence[Fraction],
                  numeric_gamma: tuple[complex, ...] | None = None):
+        (n,) = _int_tuple((n,), "n")
         if n < 1:
             raise ValueError("n must be >= 1")
         d = _int_tuple(d, "d", n)

@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 
 from zetapoly import ConstantProduct, MPoly, Numeric, QuadratureSettings, ZetaPolyError
 from zetapoly._quadrature import _MasterKey
-from zetapoly.cli import _bucket_json, build_parser, main
+from zetapoly.cli import _term_json, build_parser, main
 from zetapoly.mahler import Z_breakdown, ZMaster
 from zetapoly.polyzeta import build_family, diagonal_value
 
@@ -123,22 +123,31 @@ class TestDeterminism:
 class TestMahler:
     def test_terms_breakdown(self):
         # Faces with no exact reduction (two variables, neither affine nor
-        # diagonal) give one term per bucket (component, face, a); a form's
-        # terms are its rational part and one term per constant left, in
-        # the schema of a master or of a Gamma product (DECISIONS.md D16,
-        # D18).
+        # diagonal) give one term per face integral, keyed by what it is: its
+        # face, its power k, its summed coeff, value and err (DECISIONS.md
+        # D21).  Q = x1 + 2 x3 breaks the swap x1 <-> x2, so faces 1 and 2
+        # are one polynomial with two numerators.  A form's other terms are
+        # its rational part and one term per constant left, in the schema of
+        # a master or of a Gamma product (D16, D18).
         code, out = run_cli(["mahler", "--P", "x1^2 + x1 x2 + x2^2 + x3^2", "--Q", "x1 + 2 x3",
                              "--N", "1", "--terms", "--rel-tol", "1e-8", "--precision", "20"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["terms"]
-        for t in payload["terms"]:
-            assert set(t) == {"component", "i", "a", "value", "err"}
+        rational, *integrals = payload["terms"]
+        assert rational == {"rational": "0"} and len(integrals) == 3
+        for t in integrals:
+            assert set(t) == {"face", "k", "coeff", "value", "err"} and t["k"] == 5
+        assert [t["face"] for t in integrals] == ["x2^2 + x1^2 + x1 + 1"] * 2 + [
+            "x2^2 + x1 x2 + x1^2 + 1"]
+        with mp.workdps(30):
+            total = sum(F(t["coeff"]) * mpf(t["value"]) for t in integrals)
+            err = sum(abs(F(t["coeff"])) * mpf(t["err"]) for t in integrals)
+            assert abs(total - mpf(payload["value"])) <= err
         value = Numeric(mpf(2), mpf(0))
-        master = _bucket_json(ZMaster(_MasterKey((1, (F(1), F(0), F(1)), 1)), F(3), value), 20)
+        master = _term_json(ZMaster(_MasterKey((1, (F(1), F(0), F(1)), 1)), F(3), value), 20)
         assert master["master"] == {"D": ["1", "0", "1"], "i": 1} and master["coeff"] == "3"
-        gammas = _bucket_json(ZMaster(ConstantProduct((F(2, 3), F(1, 3)), ((F(2), F(1, 3)),)),
-                                      F(1, 18), value), 20)
+        gammas = _term_json(ZMaster(ConstantProduct((F(2, 3), F(1, 3)), ((F(2), F(1, 3)),)),
+                                    F(1, 18), value), 20)
         assert gammas == {"gammas": ["1/3", "2/3"], "powers": [["2", "1/3"]], "coeff": "1/18",
                           "value": "2.0", "err": "0.0"}
 
@@ -193,12 +202,14 @@ class TestMahler:
             "86d7856b916efd8d37927bd0d38c949cf2e12b88953c293d167ed54ece0a3026")
 
     def test_terms_one_variable_exact(self):
+        # n = 1: the one face is a constant, so the form is its rational
+        # part alone and the value stays exact (DECISIONS.md D21).
         code, out = run_cli(["mahler", "--P", "3 x1", "--Q", "x1^3 + 2", "--N", "2",
                              "--terms"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["kind"] == "exact"
-        assert all("exact" in t and "value" not in t for t in payload["terms"])
+        assert payload["kind"] == "exact" and payload["value"] == "-1/28"
+        assert payload["terms"] == [{"rational": "-1/28"}]
 
     def test_poly_file_input(self, tmp_path):
         pfile = tmp_path / "p.poly"
@@ -242,20 +253,22 @@ class TestMahler:
 
     def test_terms_carry_their_orbit(self):
         # The swap x1 <-> x2 fixes P, so face 2 folds into face 1 (DECISIONS.md
-        # D13): face 1's buckets stand for both faces and carry "orbit": 2,
-        # face 3's stand for one face and carry no "orbit".  The buckets sum
-        # to the printed value within their summed errs.
+        # D13): face 1's integral stands for both faces, its orbit of 2 in its
+        # coeff, and face 3's for one (D21).  The terms sum to the printed
+        # value within their summed errs, and to the truth -1/6.
         code, out = run_cli(["mahler", "--P", "x1^2 + x1 x2 + x2^2 + x3^2", "--N", "0",
                              "--terms", "--precision", "20", "--rel-tol", "1e-6"])
         assert code == 0
         payload = json.loads(out)
-        terms = payload["terms"]
-        assert {t["i"] for t in terms} == {1, 3}
-        for t in terms:
-            assert t.get("orbit") == (2 if t["i"] == 1 else None)
+        rational, *integrals = payload["terms"]
+        assert rational == {"rational": "0"}
+        assert [(t["face"], t["k"], t["coeff"]) for t in integrals] == [
+            ("x2^2 + x1^2 + x1 + 1", 3, "1/4"), ("x2^2 + x1 x2 + x1^2 + 1", 3, "1/8")]
         with mp.workdps(30):
-            total = sum(mpf(t["value"]) for t in terms)
-            assert abs(total - mpf(payload["value"])) <= sum(mpf(t["err"]) for t in terms)
+            total = sum(F(t["coeff"]) * mpf(t["value"]) for t in integrals)
+            err = sum(abs(F(t["coeff"])) * mpf(t["err"]) for t in integrals)
+            assert abs(total - mpf(payload["value"])) <= err
+            assert abs(mpf(payload["value"]) + mpf(1) / 6) <= mpf(payload["err"])
 
 
 class TestExitCodes:

@@ -39,7 +39,6 @@ from zetapoly import (
 from zetapoly import _quadrature, build_P_alpha_u, exactnum, mahler
 from zetapoly.exactnum import bernoulli_tilde_product, multi_factorial
 from zetapoly.mahler import (
-    ZBucket,
     ZMaster,
     Z_breakdown,
     _face_orbits,
@@ -994,22 +993,27 @@ class TestOneVariableReduction:
 
     def test_not_squarefree_takes_the_quadrature(self, monkeypatch):
         # The faces of (x1 + x2)^2 are (1 + x)^2; Z((x1 + x2)^2, 1; 0) = Z(x1 + x2, 1; 0) = 5/12.
+        # No master: the swap folds the two faces into one integral by
+        # quadrature, a constant of kind 2 (DECISIONS.md D21).
         Psq = P("x1^2 + 2 x1 x2 + x2^2", 2)
         assert _quadrature._reduction(Psq.face(1)) is None
-        masters = []
-        monkeypatch.setattr(_quadrature, "constant", lambda *a: masters.append(a))
-        v, buckets = Z_breakdown(Psq, MPoly.one(2), 0, QS)
-        assert masters == [] and all(isinstance(b, ZBucket) for b in buckets)
+        keys, constant = [], _quadrature.constant
+        monkeypatch.setattr(_quadrature, "constant",
+                            lambda key, qs: keys.append(key) or constant(key, qs))
+        v, parts = Z_breakdown(Psq, MPoly.one(2), 0, QS)
+        face = tuple(sorted(Psq.face(1).terms.items()))
+        assert [(t.key[0], t.key[2]) for t in parts[1:]] == [(2, face)]
+        assert keys and all(key == parts[1].key for key in keys)
         with mp.workdps(40):
             assert abs(v.num.value - mpf(5) / 12) <= v.num.err
 
     def test_one_quadrature_per_master(self, monkeypatch):
         # Every bucket of Z(x1^3 + x1^2 x2 + x1 x2^2 + x2^3, x1 x2; -1) divides
         # by 1 + x + x^2 + x^3 (P is not diagonal, so its value is not one
-        # integral over the orthant).  Integrated bucket by bucket, through
-        # cube_integral, its quadratures are the masters
-        # int x^j / (1 + x + x^2 + x^3) the buckets use, one per (key,
-        # settings): start with none in the memo.
+        # integral over the orthant).  With no reduction, the buckets of the
+        # orbit of faces 1 and 2 are one integral, a constant of kind 2
+        # (DECISIONS.md D21), and each constant is one quadrature per (key,
+        # settings): start with none in the memo, and a second call runs none.
         _quadrature.constant.cache_clear()
         used, calls = set(), [0]
         constant, integrate = _quadrature.constant, _quadrature.integrate_unit_cube
@@ -1027,10 +1031,11 @@ class TestOneVariableReduction:
         monkeypatch.setattr(mahler, "reduction", lambda den: None)
         # No memoised exact form in, and none built under the patch kept.
         monkeypatch.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
-        _, buckets = Z_breakdown(P("x1^3 + x1^2 x2 + x1 x2^2 + x2^3", 2), P("x1 x2", 2), 1,
-                                 QS_FAST)
-        assert sum(b.value.kind == "numeric" for b in buckets) > 2
-        assert calls[0] == len(used) == 2
+        args = P("x1^3 + x1^2 x2 + x1 x2^2 + x2^3", 2), P("x1 x2", 2), 1, QS_FAST
+        _, parts = Z_breakdown(*args)
+        assert [t.key[0] for t in parts[1:]] == [2]
+        assert calls[0] == len(used) == 1
+        assert Z_breakdown(*args)[1] == parts and calls[0] == len(used)
 
 
 def linear_form_zeta(a, e, N):
@@ -1238,13 +1243,13 @@ class TestReducedRows:
         assert z.kind == "numeric" and z.num.value == mpf_from(truth, QS)
 
 class TestFormRouteCorpus:
-    """The one form per Z value against the bucket-by-bucket quadrature
-    route, over a drawn corpus: binary P of degree <= 4 with distinct
-    coefficients (no swap fixes them), monomial Q of degree <= 2 and
-    N <= 4, and linear forms of 2 and 3 variables with distinct weights,
-    whose value is one Dirichlet integral over the orthant (DECISIONS.md
-    D17).  The reference integrates each bucket on its own by the
-    fixed-point quadrature: mahler.reduction, mahler.dirichlet and
+    """The one form per Z value against the quadrature of each face's
+    buckets merged into one integral (DECISIONS.md D21), over a drawn
+    corpus: binary P of degree <= 4 with distinct coefficients (no swap
+    fixes them), monomial Q of degree <= 2 and N <= 4, and linear forms of
+    2 and 3 variables with distinct weights, whose value is one Dirichlet
+    integral over the orthant (D17).  The reference integrates each face
+    by the fixed-point quadrature: mahler.reduction, mahler.dirichlet and
     cube_integral's reduction all give None, so it shares no row with the
     form route."""
 
@@ -1267,8 +1272,9 @@ class TestFormRouteCorpus:
                 m.setattr(mahler, "dirichlet", lambda P: None)
                 # No memoised exact form in, and none built under the patch kept.
                 m.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
-                ref, buckets = Z_breakdown(Pp, Qp, N, QS_FAST)
-            assert buckets and all(isinstance(b, ZBucket) for b in buckets)
+                ref, ref_parts = Z_breakdown(Pp, Qp, N, QS_FAST)
+            # the reference is one quadrature per face, its buckets merged (D21)
+            assert ref_parts[1:] and all(t.key[0] == 2 for t in ref_parts[1:])
             with mp.workdps(40):
                 assert abs(z.num.value - ref.num.value) <= z.num.err + ref.num.err, (Pp, Qp, N)
 
@@ -1286,15 +1292,18 @@ class TestCubeQuadratureTotals:
 
 
 class TestZeroBucket:
-    """A bucket whose integral is exactly 0 stops on abs_tol + rel_tol *
-    |bucket|, like any other integral of the sum."""
+    """A face integral whose value is 0 stops on abs_tol + rel_tol *
+    |integral|, like any other integral of the sum, and the faces that
+    cancel by a symmetry share a key and cancel exactly (DECISIONS.md
+    D7, D21)."""
 
     P3 = "x1^2 + 2 x1 x2 + x2^2 + x3^2"
     Q3 = "x2^2 x3^2 - x1^2 x3^2"
 
     def test_Z_value_returns_within_err(self):
-        # Z is odd under x1 <-> x2, which fixes P: its value is 0, and so is
-        # the face-3 bucket of expo -5, odd over the even face (x1 + x2)^2 + 1.
+        # Z is odd under x1 <-> x2, which fixes P: its value is 0, the
+        # integrals of faces 1 and 2 cancel in the form, and face 3's is 0,
+        # odd over the even face (x1 + x2)^2 + 1.
         t0 = time.perf_counter()
         v = Z_value(P(self.P3, 3), P(self.Q3, 3), 1, QS_FAST)
         assert time.perf_counter() - t0 < 5
@@ -1309,6 +1318,52 @@ class TestZeroBucket:
                          "--rel-tol", "1e-8", "--precision", "20"])
         assert code == 0
         assert json.loads(out.getvalue())["kind"] == "numeric"
+
+
+class TestFaceIntegrals:
+    """A face that no reduction writes out is one integral per orbit, a
+    constant of the form keyed by what it is (DECISIONS.md D21): its
+    numerator averaged over the swaps that fix the face, over the face's
+    largest power K, scaled to a leading coefficient of 1."""
+
+    def test_key_names_the_integral(self):
+        # P = x1^2 + x1 x2 + x2^2 + x3^2, Q = 1: face 3, 1 + x1^2 + x1 x2 +
+        # x2^2, is fixed by x1 <-> x2, so its numerator is symmetric; the
+        # integrals and the form's coefficients sum to Z within their errs.
+        Pp = P("x1^2 + x1 x2 + x2^2 + x3^2", 3)
+        z, parts = Z_breakdown(Pp, MPoly.one(3), 1, QS_FAST)
+        assert parts[0] == ZMaster(None, F(0), None)
+        for t in parts[1:]:
+            kind, r, face, numer, K = t.key
+            assert (kind, r, K) == (2, 2, 4) and dict(face) in (Pp.face(1).terms, Pp.face(3).terms)
+            assert numer == tuple(sorted(numer)) and numer[-1][1] == 1
+            A = MPoly(2, dict(numer))
+            if dict(face) == Pp.face(3).terms:
+                assert A == MPoly(2, {(y, x): c for (x, y), c in A.terms.items()})
+        with mp.workdps(40):
+            total = sum(t.coeff * t.value.value for t in parts[1:])
+            assert abs(total - z.num.value) <= z.num.err
+
+    @pytest.mark.parametrize("q", ["x1 - x2", "x1 x3 - x2 x3"])
+    def test_odd_numerator_is_exactly_zero(self, q):
+        # Q is odd under x1 <-> x2, which fixes P: faces 1 and 2 give
+        # opposite integrals, which cancel, and face 3's numerator is odd
+        # over the even face, so it averages to 0.  The buckets' quadrature
+        # left about 1e-10 of err; the merged integral of face 3 alone, to
+        # 1e-30 at 30 digits, did not converge.
+        z, parts = Z_breakdown(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P(q, 3), 1, QS_FAST)
+        assert parts == [ZMaster(None, F(0), None)]
+        assert z.kind == "numeric" and z.num.value == 0 and z.num.err == 0
+
+    def test_zero_integral_asks_for_no_less_than_its_rounding(self):
+        # Z((x1^2 + x2^2)^2, 1; -1) = Z(x1^2 + x2^2, 1; -2) = 0: the face
+        # (1 + x^2)^2 is not squarefree, and its one integral is 0.  Its
+        # quadrature is asked for abs_tol raised to 4 rounding floors of its
+        # absolute mass, which it meets; at abs_tol 1e-30 and 30 digits it
+        # ran 4,000 cells and raised QuadratureDidNotConverge.
+        z, parts = Z_breakdown(P("x1^4 + 2 x1^2 x2^2 + x2^4", 2), MPoly.one(2), 1, QS_FAST)
+        assert [t.key[0] for t in parts[1:]] == [2]
+        assert abs(z.num.value) <= z.num.err <= 1e-29
 
 
 class TestFaceOrbits:
@@ -1338,11 +1393,14 @@ class TestFaceOrbits:
 
     @pytest.fixture
     def unfolded(self, monkeypatch):
-        """Z_breakdown with every face its own orbit, as before the fold."""
+        """Z_breakdown with every face its own orbit, as before the fold; a
+        face integral keeps the swaps of its own face (DECISIONS.md D21)."""
+        orbits = mahler._face_orbits
+
         def run(*args):
             with monkeypatch.context() as m:
-                m.setattr(mahler, "_face_orbits",
-                          lambda P, Q: [(i,) for i in range(1, P.nvars + 1)])
+                m.setattr(mahler, "_face_orbits", lambda P, Q: orbits(P, Q) if P is Q
+                          else [(i,) for i in range(1, P.nvars + 1)])
                 # No memoised exact form in, and none built under the patch kept.
                 m.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
                 return Z_breakdown(*args)
@@ -1363,14 +1421,12 @@ class TestFaceOrbits:
     def test_folded_keeps_the_unfolded_value_bits(self, unfolded):
         # A diagonal P takes no orbit (D17): unfolding it changes nothing.
         for args in [a for a in self.CORPUS if _quadrature.dirichlet(a[0]) is None]:
-            z, buckets = Z_breakdown(*args)
-            ref, ref_buckets = unfolded(*args)
-            # Faces that are not reduced have fewer buckets; the reduced
-            # ones sum to the same form (DECISIONS.md D16).
-            split = lambda bs: ([b for b in bs if isinstance(b, ZBucket)],
-                                [b for b in bs if isinstance(b, ZMaster)])
-            (faces, form), (ref_faces, ref_form) = split(buckets), split(ref_buckets)
-            assert form == ref_form and (len(faces) < len(ref_faces) or not ref_faces)
+            z, parts = Z_breakdown(*args)
+            ref, ref_parts = unfolded(*args)
+            # The faces of an orbit have equal rows, and equal integrals,
+            # which share a key: both sum to the same form (DECISIONS.md
+            # D16, D21).
+            assert parts == ref_parts
             assert z.kind == ref.kind == "numeric"
             assert z.num.value._mpf_ == ref.num.value._mpf_
             with mp.workdps(60):
@@ -1572,21 +1628,39 @@ class TestTripleSumReference:
         return out
 
     def test_Z_bucket_numerators(self, corpus, monkeypatch):
+        # With no reduction, each face's buckets (component, a) are one
+        # integral: sum_a numer_a face^(K - (a - N)) / face^K, K the largest
+        # a - N, a constant of kind 2 keyed by the face, the numerator over
+        # its coefficient of its greatest exponent, and K (DECISIONS.md
+        # D21).  A face of no variable, n = 1, is that rational.
+        monkeypatch.setattr(mahler, "reduction", lambda den: None)
         for Pp, Qp, N, ref in corpus:
-            want = {}
-            for (ci, a), faces in ref.items():
+            buckets = {}
+            for (ci, a), faces in sorted(ref.items()):
                 for i, groups in faces.items():
                     numer = MPoly.zero(Pp.nvars - 1)
                     for m, s in groups.items():
                         numer = numer + s.scale(bernoulli_tilde_product(m))
                     if not numer.is_zero():
-                        want[ci, i, a] = numer
-            calls, (_, buckets) = self._integrands(monkeypatch, Z_breakdown, Pp, Qp, N, QS)
-            assert all(isinstance(b, ZBucket) for b in buckets)
-            keys = [(b.component, b.i, b.a) for b in buckets]
-            assert keys == sorted(want)
-            for (ci, i, a), (den, numer, k) in zip(keys, calls, strict=True):
-                assert (den, numer, k) == (Pp.face(i), want[ci, i, a], a - N)
+                        buckets.setdefault(i, []).append((a - N, numer))
+            want, rational = {}, F(0)
+            for i, parts in buckets.items():
+                face, K = Pp.face(i), max(k for k, _ in parts)
+                numer = MPoly.zero(Pp.nvars - 1)
+                for k, p in parts:
+                    numer = numer + p * face ** (K - k)
+                if Pp.nvars == 1:
+                    rational += numer.constant_value() / face.constant_value() ** K
+                else:
+                    want[tuple(sorted(face.terms.items())), K] = numer
+            _, (got_rational, keys) = mahler._exact_form.__wrapped__(Pp, Qp, N)
+            assert got_rational == rational
+            if Pp.nvars == 1:
+                assert keys is None
+                continue
+            assert all(key[0] == 2 for key, _ in keys)
+            got = {(key[2], key[4]): MPoly(key[1], dict(key[3])).scale(q) for key, q in keys}
+            assert got == want
 
     def test_Y_groups(self, corpus):
         # per (component, a, face), c_a [t^m] of (P(x + t) - P(x))^a Q_c(x + t)
@@ -1667,10 +1741,11 @@ class TestFaceQuadratureBitIdentity:
         P3, Q = P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + 2 x3", 3)
         ref = Z_value(P3, Q, 1, QuadratureSettings(rel_tol=1e-12, precision=30))
         v = Z_value(P3, Q, 1, self.QS20)
-        # Recorded when the buckets became one per (component, face, a).
+        # Recorded when each face orbit's buckets became one integral
+        # (DECISIONS.md D21).
         assert self._bits(v, ref.num.value, ref.num.err) == (
-            (0, 3399777939994921858819917860667, -108, 102),
-            (0, 812426461130721389416758775571671209, -149, 120),
+            (0, 891231388302028642732122646088010437, -126, 120),
+            (0, 685816858791146471884757219435005747, -156, 120),
         )
 
     def test_Z_value_ignores_term_order(self):
@@ -1704,8 +1779,11 @@ class TestFaceQuadratureBitIdentity:
     # then; criterion 9 became 1/16 - Gamma(1/3)^3/810 evaluated, within
     # both errs of its master's quadrature.  The symmetric ternary quadric
     # was added then, so that symmetric faces still reach the kernel; its
-    # two quadratures have the same bits at the parent of D17.
-    SYMMETRIC_SHA = "60d449fffcffde906393f88d36e628371a93a8b7b31aa723bb6ac584a2f1a2b2"
+    # two quadratures had the same bits at the parent of D17.  Since each
+    # face orbit's buckets are one integral (D21), it runs one quadrature,
+    # and the digest was re-recorded then, the quadric within both errs of
+    # its 30-digit value.
+    SYMMETRIC_SHA = "2c689022ae7bfe81a25525500f0645380e964e38ac6667656e61258aaf3cd25f"
 
     def test_symmetric_faces_digest(self, monkeypatch):
         # Symmetric P: the Epstein form, a linear form with Q = P and
@@ -1739,7 +1817,7 @@ class TestFaceQuadratureBitIdentity:
         assert quads == []  # a diagonal P runs no quadrature (D17)
         bits.append(self._bits(Z_value(P3, MPoly.one(3), 0, self.QS20), ref.num.value,
                                ref.num.err))
-        assert len(quads) == 2
+        assert len(quads) == 1
         assert hashlib.sha256(repr(bits + quads).encode()).hexdigest() == self.SYMMETRIC_SHA
 
     def test_period_2d_face_nonnegative_exponent(self):
@@ -1883,8 +1961,8 @@ class TestDiagonalFaces:
         monkeypatch.setattr(mahler, "dirichlet", lambda P: None)
         # No memoised exact form in, and none built under the patch kept.
         monkeypatch.setattr(mahler, "_exact_form", mahler._exact_form.__wrapped__)
-        ref, buckets = Z_breakdown(Pd, MPoly.one(3), 1, qs)
-        assert buckets and all(isinstance(b, ZBucket) for b in buckets)
+        ref, parts = Z_breakdown(Pd, MPoly.one(3), 1, qs)
+        assert parts[1:] and all(t.key[0] == 2 for t in parts[1:])  # face integrals (D21)
         with mp.workdps(50):
             assert abs(z.num.value - ref.num.value) <= z.num.err + ref.num.err
 
@@ -1954,8 +2032,8 @@ class TestDiagonalFaces:
         built = len(calls)
         second = mahler._exact_form.__wrapped__(*args)
         assert built and len(calls) == built and second == first
-        assert [key for key, _ in second[2][1]] == [ConstantProduct((F(1, 3),) * 3)]
-        assert second[2][1][0][0] is first[2][1][0][0]
+        assert [key for key, _ in second[1][1]] == [ConstantProduct((F(1, 3),) * 3)]
+        assert second[1][1][0][0] is first[1][1][0][0]
 
 
 def mpf_from(x, qs):

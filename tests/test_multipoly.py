@@ -731,8 +731,8 @@ class TestH0s:
 
 
 class TestIntegerArguments:
-    """Exponents, derivative orders and alpha are read by the package's one
-    reader (DECISIONS.md D9)."""
+    """nvars, exponents, derivative orders and alpha are read by the
+    package's one reader (DECISIONS.md D9)."""
 
     ENTRIES = {  # entry -> (the argument named, a call with x as one entry)
         "MPoly": ("exponent", lambda x: MPoly(2, {(x, 0): 1})),
@@ -756,9 +756,31 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match=r"^exponent \(1, -1\) has a negative entry$"):
             MPoly(2, {(1, -1): 1})
 
+    def test_nvars_read_as_int(self):
+        # MPoly(2.0, ...) kept a float nvars before
+        with pytest.raises(ValueError, match=r"^nvars \(2\.0,\) is not a tuple of integers$"):
+            MPoly(2.0, {})
+
+    def test_json_nvars_read_as_int(self):
+        # built a 2-variable polynomial from external JSON before
+        with pytest.raises(ValueError, match=r"^nvars \(2\.9,\) is not a tuple of integers$"):
+            MPoly.from_json({"nvars": 2.9, "terms": [{"c": "1", "e": [1, 0]}]})
+
     def test_bools_are_ints(self):
         p = MPoly(2, {(True, False): 3})
         assert p == P("3 x1", 2) and all(type(x) is int for e in p.terms for x in e)
         assert P("x1^2 + x2", 2).derivative((True, False)) == P("2 x1", 2)
         assert (build_P_alpha_u(P("x1^2 + x2^2", 2), 1, (True,), ((1, 0),))
                 == build_P_alpha_u(P("x1^2 + x2^2", 2), 1, (1,), ((1, 0),)))
+
+
+class TestImmutable:
+    """MPoly is immutable: its fields cannot be assigned, and it has no
+    other attributes (its memoised hash is a slot)."""
+
+    @pytest.mark.parametrize("name", ["terms", "nvars", "degree_cache"])
+    def test_assignment_raises(self, name):
+        p = P("x1^2 + x2", 2)
+        with pytest.raises(AttributeError, match="^MPoly is immutable$"):
+            setattr(p, name, None)
+        assert p == P("x1^2 + x2", 2)

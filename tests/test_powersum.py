@@ -598,6 +598,11 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match=r"^d \['2', '3'\] is not a tuple"):
             regularity_ok(["2", "3"])
 
+    def test_n_read_as_int(self):
+        # closed_zero returned the float 0.25 for n = 2.0 before
+        with pytest.raises(ValueError, match=r"^n \(2\.0,\) is not a tuple of integers$"):
+            closed_zero(PowerSumParams(2.0, (2, 3), (1, 1)))
+
     def test_messages_name_length_and_sign(self):
         with pytest.raises(ValueError, match=r"^N \(0, 0, 0\) has length 3, need 2$"):
             value_nonpositive(self.P23, (0, 0, 0))
