@@ -844,7 +844,8 @@ def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
     """The fixed-point cube quadrature of numer / den^k (DECISIONS.md D2)."""
     with mp.workdps(qs.precision + 10):
         f = FixedPointIntegrand(numer, den, k)
-        return Numeric(*integrate_unit_cube(f, den.nvars, qs.rel_tol, qs.abs_tol, 15, mass_floors))
+        return Numeric(*integrate_unit_cube(f, den.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol,
+                                            mass_floors=mass_floors))
 
 
 @lru_cache(maxsize=256)
@@ -860,8 +861,8 @@ def constant(key: _MasterKey | ConstantProduct, qs: QuadratureSettings) -> Numer
         den = MPoly(1, {(j,): x for j, x in enumerate(name[0]) if x})
         return _quadrature_of(den, MPoly(1, {(name[1],): 1}), 1, qs)
     if kind == 2:  # name = (r, D's terms, A's terms, k)
-        r, den, numer, k = name
-        return _quadrature_of(MPoly._of(r, dict(den)), MPoly._of(r, dict(numer)), k, qs, 4)
+        den, numer = (MPoly._of(name[0], dict(terms)) for terms in name[1:3])
+        return _quadrature_of(den, numer, name[3], qs, mass_floors=4)
     with mp.workdps(qs.precision + 10):
         return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
 
@@ -869,10 +870,11 @@ def constant(key: _MasterKey | ConstantProduct, qs: QuadratureSettings) -> Numer
 def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings) -> tuple:
     """(rational + sum q M(qs), [(key, q, M(qs))]) over the constants
     [(key, q)], M(s) = constant(key, s), at precision + 10 digits.  When
-    the scaled errors miss abs_tol + rel_tol |value|, each constant is
-    integrated once more, to half that budget over sum |q| (the rest is
-    room for rounding) but not below the rounding floor, and a constant of
-    value 0 to that floor and abs_tol; whether that is enough is the
+    the scaled errors miss abs_tol + rel_tol |value|, each nonzero constant
+    is integrated once more, to half that budget over sum |q| (the rest is
+    room for rounding); if some constant's share of the least budget that
+    |value| - err allows is below its rounding floor, no pass can be sure
+    to meet it, and the first pass stands.  Whether that is enough is the
     caller's to judge (DECISIONS.md D14, D21)."""
     def total(settings):
         values = [constant(key, s) for (key, _), s in zip(keys, settings)]
@@ -884,12 +886,14 @@ def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings)
     with mp.workdps(qs.precision + 10):
         v, masters = total([qs] * len(keys))
         budget = qs.abs_tol + qs.rel_tol * abs(v.value)
-        if v.err <= budget or not keys:
+        scale, least = 2 * sum(abs(q) for _, q in keys), max(abs(v.value) - v.err, 0)
+        if v.err <= budget or not keys or any(
+                (qs.abs_tol + qs.rel_tol * least) / scale < 16 * rounding_floor(mp.prec)
+                * abs(M.value) for _, _, M in masters):
             return v, masters
-        floor = 16 * rounding_floor(mp.prec)
-        share = budget / (2 * sum(abs(q) for _, q in keys))
-        rels = [max(share / abs(M.value), floor) if M.value else floor for _, _, M in masters]
-        return total([QuadratureSettings(min(qs.rel_tol, float(r)) or qs.rel_tol,
+        rels = [budget / scale / abs(M.value) if M.value else None for _, _, M in masters]
+        return total([qs if r is None else
+                      QuadratureSettings(min(qs.rel_tol, float(r)) or qs.rel_tol,
                                          min(qs.abs_tol, float(r * abs(M.value) / 16))
                                          or qs.abs_tol, qs.precision)
                       for r, (_, _, M) in zip(rels, masters)])

@@ -150,8 +150,7 @@ def _term_json(t: ZMaster, precision: int) -> dict:  # DECISIONS.md D16, D21
         out = {"face": MPoly(t.key[1], dict(t.key[2])).to_text(), "k": t.key[4]}
     out["coeff"] = rat_to_str(t.coeff)
     with mp.workdps(precision):
-        out["value"] = mp.nstr(t.value.value, 20)
-        out["err"] = mp.nstr(t.value.err, 5)
+        out["value"], out["err"] = mp.nstr(t.value.value, 20), mp.nstr(t.value.err, 5)
     return out
 
 

@@ -16,7 +16,6 @@ that expansion into the series value.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -279,24 +278,23 @@ def _face_orbits(P: MPoly, Q: MPoly) -> list[tuple[int, ...]]:
 
 
 def _face_integral(face: MPoly, numer: MPoly, k: int) -> tuple[int, dict]:
-    """int numer / face^k over the cube as an int form of one row, s times
-    the constant of kind 2 named by face and numer / s, s the coefficient of
-    numer's greatest exponent, so that equal integrals share a key and
-    opposite ones cancel; numer first averaged over the group generated by
-    the swaps that fix face, so that an odd part cancels too (D21)."""
-    r, orbits = face.nvars, [[i - 1 for i in o] for o in _face_orbits(face, face)]
-    images = [dict(zip(itertools.chain(*orbits), itertools.chain(*p)))
-              for p in itertools.product(*map(itertools.permutations, orbits))]
-    terms = sorted(sum((MPoly._of(r, {tuple(e[to[j]] for j in range(r)): c
-                                      for e, c in numer.terms.items()}) for to in images),
-                       MPoly.zero(r)).terms.items())
+    """int numer / face^k over the cube as an int form of one row: s times
+    the kind-2 constant named by face and numer / s, s numer's coefficient of
+    its greatest exponent once each term's exponents are sorted within each
+    block of the swaps that fix face; so equal integrals share a key, and
+    opposite ones and a part odd under those swaps cancel (D21)."""
+    blocks, canon = [[i - 1 for i in o] for o in _face_orbits(face, face)], {}
+    for e, c in numer.terms.items():
+        f = dict(p for b in blocks for p in zip(b, sorted(e[j] for j in b)))
+        f = tuple(f[j] for j in range(face.nvars))
+        canon[f] = canon.get(f, 0) + c
+    terms = sorted((f, c) for f, c in canon.items() if c)
     if not terms:
         return 1, {}
     s = terms[-1][1]
-    key = _MasterKey((2, r, tuple(sorted(face.terms.items())),
+    key = _MasterKey((2, face.nvars, tuple(sorted(face.terms.items())),
                       tuple((f, c / s) for f, c in terms), k))
-    q = s / len(images)
-    return q.denominator, {(key, (), k): q.numerator}  # a key is its own row's reduction
+    return s.denominator, {(key, (), k): s.numerator}  # a key is its own row's reduction
 
 
 # Z_breakdown's terms repeat their Bernoulli exponents m, within one value
@@ -332,9 +330,8 @@ def _exact_form(P: MPoly, Q: MPoly, N: int) -> tuple:
     # int}, or summed over face^K, K the largest a - N, into one integral.
     rows, rational = [], Fraction(0)  # the rows scaled by their orbit
     for i, size in orbit.items():
-        face = P.face(i)
+        face, numers = P.face(i), []
         red = orthant or reduction(face)
-        numers = []
         for ci, a, c_a, den, groups in _face_sums(P, Q, N, d, i):
             L, ints = combine([(c_a * bt, (den, g)) for m, g in groups.items()
                                if (bt := _bernoulli_tilde_memo(m))])

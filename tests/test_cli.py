@@ -263,7 +263,7 @@ class TestMahler:
         rational, *integrals = payload["terms"]
         assert rational == {"rational": "0"}
         assert [(t["face"], t["k"], t["coeff"]) for t in integrals] == [
-            ("x2^2 + x1^2 + x1 + 1", 3, "1/4"), ("x2^2 + x1 x2 + x1^2 + 1", 3, "1/8")]
+            ("x2^2 + x1^2 + x1 + 1", 3, "1/4"), ("x2^2 + x1 x2 + x1^2 + 1", 3, "-1/4")]
         with mp.workdps(30):
             total = sum(F(t["coeff"]) * mpf(t["value"]) for t in integrals)
             err = sum(abs(F(t["coeff"])) * mpf(t["err"]) for t in integrals)

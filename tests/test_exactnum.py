@@ -687,20 +687,32 @@ class TestRecords:
             a < (F(1, 3),)
 
     def test_budgeted_settings_as_replaced(self, monkeypatch):
-        # the second pass's settings: rel_tol tightened to 2^-110 and the
-        # rest kept, as dataclasses.replace(qs, rel_tol=..., abs_tol=...) gave
+        # the second pass's settings: rel_tol tightened and the rest kept, as
+        # dataclasses.replace(qs, rel_tol=..., abs_tol=...) gave.  The
+        # rational cancels the master int_0^1 1 / (1 + x^2) = pi / 4 to 12
+        # digits, so that the first pass misses its budget.
         from zetapoly import _quadrature
-        from zetapoly._quadrature import QuadratureSettings
+        from zetapoly._quadrature import QuadratureSettings, _MasterKey
 
         settings, constant = [], _quadrature.constant
         monkeypatch.setattr(_quadrature, "constant",
                             lambda key, qs: settings.append(qs) or constant(key, qs))
+        key = _MasterKey((1, (F(1), F(0), F(1)), 0))
+        with mp.workdps(40):
+            near = F(mp.nstr(mp.pi / 4, 12))
+        qs = QuadratureSettings(rel_tol=1e-6, abs_tol=1e-20, precision=25)
+        v, _ = _quadrature._budgeted(-near, ((key, F(1)),), qs)
+        assert settings == [qs, QuadratureSettings(settings[1].rel_tol, 1e-20, 25)]
+        assert settings[1].rel_tol < 1e-18 and v.err <= qs.abs_tol + qs.rel_tol * abs(v.value)
+        # A Gamma product is at its rounding after the first pass: no budget
+        # above the rounding floor can ask it for more.
+        settings.clear()
         cp = ConstantProduct((F(1, 3),) * 3, ((F(2), F(1, 3)),))
         with mp.workdps(40):
             near = F(mp.nstr(mp.gamma(mpf(1) / 3) ** 3 * mp.cbrt(2), 25))
         qs = QuadratureSettings(rel_tol=1e-12, abs_tol=1e-34, precision=25)
         _quadrature._budgeted(-near, ((cp, F(1)),), qs)
-        assert settings == [qs, QuadratureSettings(2.0**-110, 1e-34, 25)]
+        assert settings == [qs]
 
     def test_no_dataclasses(self):
         src = os.path.dirname(zetapoly.__file__)

@@ -1323,13 +1323,15 @@ class TestZeroBucket:
 class TestFaceIntegrals:
     """A face that no reduction writes out is one integral per orbit, a
     constant of the form keyed by what it is (DECISIONS.md D21): its
-    numerator averaged over the swaps that fix the face, over the face's
-    largest power K, scaled to a leading coefficient of 1."""
+    numerator, each term's exponents sorted within each block of the swaps
+    that fix the face, over the face's largest power K, scaled to a leading
+    coefficient of 1."""
 
     def test_key_names_the_integral(self):
         # P = x1^2 + x1 x2 + x2^2 + x3^2, Q = 1: face 3, 1 + x1^2 + x1 x2 +
-        # x2^2, is fixed by x1 <-> x2, so its numerator is symmetric; the
-        # integrals and the form's coefficients sum to Z within their errs.
+        # x2^2, is fixed by x1 <-> x2, so each term of its numerator has
+        # its exponents in order; the integrals and the form's coefficients
+        # sum to Z within their errs.
         Pp = P("x1^2 + x1 x2 + x2^2 + x3^2", 3)
         z, parts = Z_breakdown(Pp, MPoly.one(3), 1, QS_FAST)
         assert parts[0] == ZMaster(None, F(0), None)
@@ -1339,7 +1341,7 @@ class TestFaceIntegrals:
             assert numer == tuple(sorted(numer)) and numer[-1][1] == 1
             A = MPoly(2, dict(numer))
             if dict(face) == Pp.face(3).terms:
-                assert A == MPoly(2, {(y, x): c for (x, y), c in A.terms.items()})
+                assert all(x <= y for x, y in A.terms)
         with mp.workdps(40):
             total = sum(t.coeff * t.value.value for t in parts[1:])
             assert abs(total - z.num.value) <= z.num.err
@@ -1354,6 +1356,22 @@ class TestFaceIntegrals:
         z, parts = Z_breakdown(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P(q, 3), 1, QS_FAST)
         assert parts == [ZMaster(None, F(0), None)]
         assert z.kind == "numeric" and z.num.value == 0 and z.num.err == 0
+
+    def test_budget_below_the_rounding_returns_the_first_pass(self, monkeypatch):
+        # Z(x1^2 + x1 x2 + x2^2 + x3^2, 1; -1) = 0, so at 20 digits its
+        # budget is about abs_tol 1e-30, below the rounding floor of its two
+        # face integrals (about 1e-28 of each): one quadrature each, at the
+        # requested settings, and the first pass is returned.  Refining both
+        # to their floor took 0.9 s and still missed 1e-30.
+        calls, quadrature = [], _quadrature._quadrature_of
+        monkeypatch.setattr(_quadrature, "_quadrature_of",
+                            lambda *a, **kw: calls.append(a[3]) or quadrature(*a, **kw))
+        _quadrature.constant.cache_clear()
+        t0 = time.perf_counter()
+        z, parts = Z_breakdown(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), MPoly.one(3), 1, QS_FAST)
+        assert time.perf_counter() - t0 < 0.5
+        assert calls == [QS_FAST] * 2 and len(parts) == 3
+        assert abs(z.num.value) <= z.num.err <= 1e-9
 
     def test_zero_integral_asks_for_no_less_than_its_rounding(self):
         # Z((x1^2 + x2^2)^2, 1; -1) = Z(x1^2 + x2^2, 1; -2) = 0: the face
@@ -1741,11 +1759,11 @@ class TestFaceQuadratureBitIdentity:
         P3, Q = P("x1^2 + x1 x2 + x2^2 + x3^2", 3), P("x1 + 2 x3", 3)
         ref = Z_value(P3, Q, 1, QuadratureSettings(rel_tol=1e-12, precision=30))
         v = Z_value(P3, Q, 1, self.QS20)
-        # Recorded when each face orbit's buckets became one integral
-        # (DECISIONS.md D21).
+        # Recorded when each face orbit's buckets became one integral, each
+        # term of its numerator sorted within the face's blocks (D21).
         assert self._bits(v, ref.num.value, ref.num.err) == (
-            (0, 891231388302028642732122646088010437, -126, 120),
-            (0, 685816858791146471884757219435005747, -156, 120),
+            (0, 891231388302028642732122646088015937, -126, 120),
+            (0, 171494156465347159472735616734068257, -154, 118),
         )
 
     def test_Z_value_ignores_term_order(self):
@@ -1782,8 +1800,9 @@ class TestFaceQuadratureBitIdentity:
     # two quadratures had the same bits at the parent of D17.  Since each
     # face orbit's buckets are one integral (D21), it runs one quadrature,
     # and the digest was re-recorded then, the quadric within both errs of
-    # its 30-digit value.
-    SYMMETRIC_SHA = "2c689022ae7bfe81a25525500f0645380e964e38ac6667656e61258aaf3cd25f"
+    # its 30-digit value; and again when its numerator's terms were sorted
+    # within the face's blocks in place of averaged over their swaps.
+    SYMMETRIC_SHA = "211ef58bdc32e0ca7eb6a4c42660d32d2559c8adfa91cf2f53a1f7be4a9b9c76"
 
     def test_symmetric_faces_digest(self, monkeypatch):
         # Symmetric P: the Epstein form, a linear form with Q = P and
@@ -1981,11 +2000,11 @@ class TestDiagonalFaces:
         assert dims == []
 
     def test_each_product_once_per_precision(self, monkeypatch):
-        # _budgeted's second pass, and a second tolerance at the same
-        # precision, take a Gamma product's value from its memo: Gamma(1/3)
-        # is computed once over four constant() calls at three settings.
-        # The rational cancels the product to 25 digits, so that the first
-        # pass misses its budget.
+        # A second tolerance at the same precision takes a Gamma product's
+        # value from its memo: Gamma(1/3) is computed once over two
+        # constant() calls at two settings.  The rational cancels the
+        # product to 25 digits, so that the first pass misses its budget,
+        # but a product is already at its rounding, so no second pass runs.
         settings, calls = [], []
         constant, gamma = _quadrature.constant, exactnum.gamma_rational
         monkeypatch.setattr(_quadrature, "constant",
@@ -1999,7 +2018,7 @@ class TestDiagonalFaces:
         values = [_quadrature._budgeted(-near, ((cp, F(1)),),
                                         QuadratureSettings(rel_tol=r, abs_tol=1e-40, precision=25))
                   for r in (1e-12, 1e-14)]
-        assert len(settings) == 4 and len(set(settings)) == 3 and calls == [F(1, 3)]
+        assert len(settings) == len(set(settings)) == 2 and calls == [F(1, 3)]
         assert values[0] == values[1]
         with mp.workdps(60):
             truth = mp.gamma(mpf(1) / 3) ** 3 * mp.cbrt(2) - mpf(near.numerator) / near.denominator
