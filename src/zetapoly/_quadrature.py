@@ -26,9 +26,10 @@ non-diagonal P's faces of two or more variables, or of one that is not
 squarefree or not certified, run a quadrature in a Z value.  Every sum
 of forms is one ``multipoly.combine``; ``_form_sum`` is the one exact sum
 of a form's rows, ``_budgeted`` the one evaluator of the constants it
-leaves and ``constant`` their one memo: a Z value sums its form once per
-(P, Q, N) and evaluates its constants per settings under one budget, and
-``cube_integral`` its one quotient's the same way, else runs the quadrature.
+leaves and ``constant`` their one memo and the one quadrature, of any
+integral's kind-2 key: a Z value sums its form once per (P, Q, N) and
+evaluates its constants per settings under one budget, and
+``cube_integral`` its one quotient's the same way, else the quotient's key.
 """
 from __future__ import annotations
 
@@ -511,7 +512,6 @@ def integrate_unit_cube(
     rel_tol: float = 1e-12,
     abs_tol: float = 1e-30,
     order: int = 15,
-    mass_floors: int = 0,
 ) -> tuple[mpf, mpf]:
     """Integrate f over [0,1]^dim, dim >= 1; returns (value, absolute error
     bound).
@@ -520,8 +520,9 @@ def integrate_unit_cube(
     follows the grid protocol of this module: it is called with one list
     of coordinates per axis and returns its values on their product in
     row-major order.  The cell of largest estimate is split until the
-    summed estimate meets the target, abs_tol first raised to mass_floors
-    rounding floors of the root cell's absolute mass (DECISIONS.md D21).
+    summed estimate meets the target, abs_tol first raised to 4 rounding
+    floors of the root cell's absolute mass, below which none is met
+    (DECISIONS.md D21).
     """
     _check_order(order)
     order_lo = max(3, (order + 1) // 2)
@@ -529,7 +530,7 @@ def integrate_unit_cube(
     abs_tol, rel_tol = mpf(abs_tol), mpf(rel_tol)
     root = _Cell(lo=(Fraction(0),) * dim, hi=(Fraction(1),) * dim)
     _eval_cell(f, root, order, order_lo, floor)
-    abs_tol = max(abs_tol, mass_floors * floor * root.absmass)
+    abs_tol = max(abs_tol, 4 * floor * root.absmass)
     seq = 0
     heap: list[tuple[mpf, int, _Cell]] = [(-root.est, seq, root)]
     ncells = 1
@@ -626,13 +627,14 @@ class _Reduction:
     degree m squarefree and positive on [0, 1], with the masters
     M_i = int_0^1 x^i / D (Hermite reduction, Bronstein, Symbolic
     Integration I, ch. 2).  form((j,), k) is that sum as a form, keyed by
-    keys: None for r, then M_i's key, and memoised as rows[k][j];
-    s D + t D' = 1."""
+    keys: None for r, then M_i's, the kind-2 key of its own integral, and
+    memoised as rows[k][j]; s D + t D' = 1."""
 
     def __init__(self, D: list, s: list, t: list):
         self.D, self.m, self.s, self.t = D, len(D) - 1, s, t
         self.rows: dict[int, list[tuple]] = {}
-        self.keys = [None] + [_MasterKey((1, tuple(D), i)) for i in range(self.m)]
+        den = tuple(((j,), x) for j, x in enumerate(D) if x)
+        self.keys = [None] + [_MasterKey((2, 1, den, (((i,), 1),), 1)) for i in range(self.m)]
 
     def form(self, e: tuple, k: int) -> tuple[int, dict]:
         rows = self.rows.setdefault(k, [])
@@ -817,9 +819,9 @@ class _MasterKey(tuple):
     """The name of a constant in a form, equal to the plain tuple, that
     hashes its Fractions once: forms add their rows key by key.  Its first
     entry is its kind: (0, b, ...) the product of the logs of the basis
-    integers b (D12; no Z value has an affine face), (1, D's coefficients,
-    i) the master int_0^1 x^i / D (D10), or (2, r, D's terms, A's terms, k)
-    int_[0,1]^r A / D^k (D21); a ConstantProduct names Gamma products (D18)."""
+    integers b (D12; no Z value has an affine face), or (2, r, D's terms,
+    A's terms, k) int_[0,1]^r A / D^k: a face integral (D21), a master (D10)
+    or cube_integral's quotient; a ConstantProduct names Gamma products (D18)."""
 
     hash = cached_property(tuple.__hash__)
 
@@ -839,32 +841,21 @@ def reduction(den: "MPoly") -> _Affine | _Reduction | None:
     return _reduction(den) if den.nvars == 1 else None
 
 
-def _quadrature_of(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings,
-                   mass_floors: int = 0) -> Numeric:
-    """The fixed-point cube quadrature of numer / den^k (DECISIONS.md D2)."""
-    with mp.workdps(qs.precision + 10):
-        f = FixedPointIntegrand(numer, den, k)
-        return Numeric(*integrate_unit_cube(f, den.nvars, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol,
-                                            mass_floors=mass_floors))
-
-
 @lru_cache(maxsize=256)
 def constant(key: _MasterKey | ConstantProduct, qs: QuadratureSettings) -> Numeric:
     """The constant named by key under qs, once per (key, qs): a product of
     Gamma values and powers, once per precision (ConstantProduct.to_numeric),
-    or of logs, each rounded once at precision + 10 digits; else the
-    fixed-point quadrature of its master or face integral."""
+    or of logs, each rounded once at precision + 10 digits; else the one
+    fixed-point quadrature, of a kind-2 key's integral (DECISIONS.md D2)."""
     if isinstance(key, ConstantProduct):
         return key.to_numeric(qs.precision)
     kind, *name = key
-    if kind == 1:  # name = (D's coefficients, i)
-        den = MPoly(1, {(j,): x for j, x in enumerate(name[0]) if x})
-        return _quadrature_of(den, MPoly(1, {(name[1],): 1}), 1, qs)
-    if kind == 2:  # name = (r, D's terms, A's terms, k)
-        den, numer = (MPoly._of(name[0], dict(terms)) for terms in name[1:3])
-        return _quadrature_of(den, numer, name[3], qs, mass_floors=4)
     with mp.workdps(qs.precision + 10):
-        return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
+        if kind == 0:
+            return reduce(mul, [Numeric(v, _round_err(v)) for v in map(mp.log, name)])
+        r, den, numer, k = name
+        f = FixedPointIntegrand(MPoly._of(r, dict(numer)), MPoly._of(r, dict(den)), k)
+        return Numeric(*integrate_unit_cube(f, r, rel_tol=qs.rel_tol, abs_tol=qs.abs_tol))
 
 
 def _budgeted(rational: Fraction, keys: Sequence[tuple], qs: QuadratureSettings) -> tuple:
@@ -924,9 +915,11 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) 
     int_0^1 x^i / den, unless their errors, scaled, miss the tolerance
     (D10).  Else -- such a miss, a diagonal den (left unreduced, so that
     the checks that call this stay independent of D17) or any other -- the
-    integrand is compiled once into a FixedPointIntegrand, whose cube
-    quadrature sums each cell exactly in integers (DECISIONS.md D2).
+    quotient, unscaled, is the kind-2 constant of its own integral
+    (DECISIONS.md D2, D7).
     Every result but the first two is numeric."""
+    if den.nvars != numer.nvars:
+        raise DimensionMismatch("numerator and denominator variable counts differ")
     if k <= 0:
         return SpecialValue.make_exact(cube_moment(den**-k * numer))
     if den.nvars == 0:
@@ -938,4 +931,5 @@ def cube_integral(den: "MPoly", numer: "MPoly", k: int, qs: QuadratureSettings) 
         with mp.workdps(qs.precision + 10):
             if den.degree() <= 1 or v.err <= qs.abs_tol + qs.rel_tol * abs(v.value):
                 return SpecialValue.make_numeric(v)
-    return SpecialValue.make_numeric(_quadrature_of(den, numer, k, qs))
+    key = _MasterKey((2, den.nvars, *(tuple(sorted(p.terms.items())) for p in (den, numer)), k))
+    return SpecialValue.make_numeric(constant(key, qs))

@@ -144,10 +144,9 @@ def _term_json(t: ZMaster, precision: int) -> dict:  # DECISIONS.md D16, D21
     if isinstance(t.key, ConstantProduct):  # prod Gamma(f) prod b^x (DECISIONS.md D18)
         out = {"gammas": [rat_to_str(f) for f in t.key.gammas],
                "powers": [[rat_to_str(c), rat_to_str(x)] for c, x in t.key.powers]}
-    elif t.key[0] == 1:  # int_0^1 x^i / D, key = (1, D's coefficients, i)
-        out = {"master": {"D": [rat_to_str(x) for x in t.key[1]], "i": t.key[2]}}
-    else:  # a face integral, key = (2, r, the face's terms, the numerator's, k)
-        out = {"face": MPoly(t.key[1], dict(t.key[2])).to_text(), "k": t.key[4]}
+    else:  # an integral, key = (2, r, the face's terms, the numerator's, k)
+        face, numer = (MPoly(t.key[1], dict(terms)).to_text() for terms in t.key[2:4])
+        out = {"face": face, "numer": numer, "k": t.key[4]}
     out["coeff"] = rat_to_str(t.coeff)
     with mp.workdps(precision):
         out["value"], out["err"] = mp.nstr(t.value.value, 20), mp.nstr(t.value.err, 5)

@@ -456,6 +456,8 @@ def powersum2_numeric(
     """
     if params.n != 2:
         raise ValueError("two-variable continuation only")
+    if len(s) != 2:
+        raise ValueError(f"s ({', '.join(map(str, s))}) has length {len(s)}, need 2")
     s1, s2 = (Fraction(x) for x in s)
     if s1.denominator != 1 or s2.denominator != 1 or s2 > 0:
         raise ValueError("expected integer s with s2 <= 0")

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from zetapoly import ConstantProduct, MPoly, Numeric, QuadratureSettings, ZetaPolyError
-from zetapoly._quadrature import _MasterKey
+from zetapoly._quadrature import _MasterKey, cube_integral
 from zetapoly.cli import _term_json, build_parser, main
 from zetapoly.mahler import Z_breakdown, ZMaster
 from zetapoly.polyzeta import build_family, diagonal_value
@@ -124,11 +124,12 @@ class TestMahler:
     def test_terms_breakdown(self):
         # Faces with no exact reduction (two variables, neither affine nor
         # diagonal) give one term per face integral, keyed by what it is: its
-        # face, its power k, its summed coeff, value and err (DECISIONS.md
-        # D21).  Q = x1 + 2 x3 breaks the swap x1 <-> x2, so faces 1 and 2
-        # are one polynomial with two numerators.  A form's other terms are
-        # its rational part and one term per constant left, in the schema of
-        # a master or of a Gamma product (D16, D18).
+        # face, its numerator, its power k, its summed coeff, value and err
+        # (DECISIONS.md D21).  Q = x1 + 2 x3 breaks the swap x1 <-> x2, so
+        # faces 1 and 2 are one polynomial with two numerators.  A form's
+        # other terms are its rational part and one term per constant left;
+        # a master int_0^1 x^i / D is the integral of its own key (D10), and
+        # a Gamma product has its own schema (D16, D18).
         code, out = run_cli(["mahler", "--P", "x1^2 + x1 x2 + x2^2 + x3^2", "--Q", "x1 + 2 x3",
                              "--N", "1", "--terms", "--rel-tol", "1e-8", "--precision", "20"])
         assert code == 0
@@ -136,20 +137,48 @@ class TestMahler:
         rational, *integrals = payload["terms"]
         assert rational == {"rational": "0"} and len(integrals) == 3
         for t in integrals:
-            assert set(t) == {"face", "k", "coeff", "value", "err"} and t["k"] == 5
+            assert set(t) == {"face", "numer", "k", "coeff", "value", "err"} and t["k"] == 5
         assert [t["face"] for t in integrals] == ["x2^2 + x1^2 + x1 + 1"] * 2 + [
             "x2^2 + x1 x2 + x1^2 + 1"]
+        assert integrals[0]["numer"] != integrals[1]["numer"]
         with mp.workdps(30):
             total = sum(F(t["coeff"]) * mpf(t["value"]) for t in integrals)
             err = sum(abs(F(t["coeff"])) * mpf(t["err"]) for t in integrals)
             assert abs(total - mpf(payload["value"])) <= err
         value = Numeric(mpf(2), mpf(0))
-        master = _term_json(ZMaster(_MasterKey((1, (F(1), F(0), F(1)), 1)), F(3), value), 20)
-        assert master["master"] == {"D": ["1", "0", "1"], "i": 1} and master["coeff"] == "3"
+        D = (((0,), F(1)), ((2,), F(1)))
+        master = _term_json(ZMaster(_MasterKey((2, 1, D, (((1,), F(1)),), 1)), F(3), value), 20)
+        assert master == {"face": "x1^2 + 1", "numer": "x1", "k": 1, "coeff": "3",
+                          "value": "2.0", "err": "0.0"}
         gammas = _term_json(ZMaster(ConstantProduct((F(2, 3), F(1, 3)), ((F(2), F(1, 3)),)),
                                     F(1, 18), value), 20)
         assert gammas == {"gammas": ["1/3", "2/3"], "powers": [["2", "1/3"]], "coeff": "1/18",
                           "value": "2.0", "err": "0.0"}
+
+    def test_terms_tell_integrals_over_one_face_apart(self):
+        # Q = x1 breaks the swap x1 <-> x2: faces 1 and 2 are separate
+        # orbits over one polynomial, with the same face and k.  Their
+        # numerators, in the face's own variables, tell them apart, and
+        # each term's face, numerator and k name the integral it prints.
+        P = MPoly.parse("x1^2 + x1 x2 + x2^2 + x3^2")
+        code, out = run_cli(["mahler", "--P", "x1^2 + x1 x2 + x2^2 + x3^2", "--Q", "x1", "--N",
+                             "1", "--terms", "--rel-tol", "1e-8", "--precision", "20"])
+        assert code == 0
+        payload = json.loads(out)
+        rational, *integrals = payload["terms"]
+        assert rational == {"rational": "0"} and len(integrals) == 3
+        same = [t for t in integrals if t["face"] == "x2^2 + x1^2 + x1 + 1"]
+        assert len(same) == 2 and same[0]["k"] == same[1]["k"] == 5
+        assert same[0]["numer"] != same[1]["numer"]
+        qs = QuadratureSettings(rel_tol=1e-8, precision=20)
+        for t in integrals:
+            numer = MPoly.parse(t["numer"], 2)
+            assert max(numer.terms.items())[1] == 1  # scaled to a leading coefficient of 1
+            face = MPoly.parse(t["face"], 2)
+            assert face in (P.face(1), P.face(3))
+            v = cube_integral(face, numer, t["k"], qs).num
+            with mp.workdps(30):
+                assert abs(v.value - mpf(t["value"])) <= v.err + mpf(t["err"])
 
     def test_terms_bytes(self):
         # recorded when the buckets on affine, one-variable and diagonal
@@ -608,6 +637,12 @@ class TestOracle:
             '{"em_order":8,"err":"8.9094e-53","kind":"numeric","residual":"0.0",'
             '"schema":"1","value":"-0.00416666666666666666666666666667"}\n'
         )
+
+    def test_powersum2_point_of_wrong_length_exits_1(self):
+        code, out = run_cli(["oracle", "powersum2", "--d", "2,3", "--N", "0,1,2"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err == {"type": "ValueError", "message": "s (0, -1, -2) has length 3, need 2"}
 
     def test_powersum2_without_point_exits_1(self):
         code, out = run_cli(["oracle", "powersum2", "--d", "2,3"])

@@ -697,7 +697,7 @@ class TestRecords:
         settings, constant = [], _quadrature.constant
         monkeypatch.setattr(_quadrature, "constant",
                             lambda key, qs: settings.append(qs) or constant(key, qs))
-        key = _MasterKey((1, (F(1), F(0), F(1)), 0))
+        key = _MasterKey((2, 1, (((0,), F(1)), ((2,), F(1))), (((0,), F(1)),), 1))
         with mp.workdps(40):
             near = F(mp.nstr(mp.pi / 4, 12))
         qs = QuadratureSettings(rel_tol=1e-6, abs_tol=1e-20, precision=25)

@@ -812,6 +812,25 @@ class TestGaussLegendre:
         assert _quadrature._GL_CACHE == {}
 
 
+def _terms(p):
+    """A polynomial's terms as a kind-2 key spells them."""
+    return tuple(sorted(p.terms.items()))
+
+
+def _evaluated(monkeypatch):
+    """(key, qs) of every constant evaluated, in order: constant's memo,
+    empty, with each miss recorded; a miss of kind 2 is one quadrature."""
+    runs, evaluate = [], _quadrature.constant.__wrapped__
+
+    @functools.lru_cache(maxsize=256)
+    def constant(key, qs):
+        runs.append((key, qs))
+        return evaluate(key, qs)
+
+    monkeypatch.setattr(_quadrature, "constant", constant)
+    return runs
+
+
 class TestCubeIntegral:
     """_quadrature.cube_integral, the one entry for cube integrals of
     numer / den^k: exact for k <= 0 and for no variables, else a bounded
@@ -827,6 +846,15 @@ class TestCubeIntegral:
     def test_no_variables_is_exact(self):
         v = _quadrature.cube_integral(MPoly(0, {(): F(3)}), MPoly(0, {(): F(5)}), 2, QS_FAST)
         assert v == SpecialValue.make_exact(F(5, 9))
+
+    @pytest.mark.parametrize("den, m", [("1 + x1 x2 + x2^2", 3), ("1 + x1 x2 + x2^2", 1),
+                                        ("1 + x1^2", 2), ("1 + x1 + x2", 1)])
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_variable_counts_must_agree(self, den, m, k):
+        # on every route: the quotient's key, D10's masters (which read
+        # only the first exponent), D12's logs and the exact moment
+        with pytest.raises(DimensionMismatch, match="variable counts differ"):
+            _quadrature.cube_integral(P(den), MPoly.one(m), k, QS_FAST)
 
     def test_quotient_is_bounded_and_cached(self, monkeypatch):
         # int_0^1 dx / (1 + x^2) = pi / 4, one master quadrature, kept in
@@ -845,20 +873,15 @@ class TestCubeIntegral:
     def test_masters_are_keyed_by_settings(self, monkeypatch):
         # One D under two settings: each runs the masters it uses once, and
         # never takes one computed under the other.
-        _quadrature.constant.cache_clear()
         D, A = P("1 + x1 + x1^3", 1), P("2 - x1^5", 1)
-        runs, real = [], _quadrature._quadrature_of
-
-        def recorded(den, numer, k, qs):
-            runs.append((numer, qs))
-            return real(den, numer, k, qs)
-
-        monkeypatch.setattr(_quadrature, "_quadrature_of", recorded)
+        runs = _evaluated(monkeypatch)
         for qs in (QS_FAST, QS, QS_FAST, QS):
             for k in (1, 2, 3):
                 _quadrature.cube_integral(D, A, k, qs)
-        # deg D = 3 masters per settings, each run once
-        assert len(runs) == len(set(runs)) == 6
+        # deg D = 3 masters per settings, each run once, each the kind-2
+        # key of its own integral
+        masters = {(2, 1, _terms(D), (((i,), 1),), 1) for i in range(3)}
+        assert len(runs) == 6 and {key for key, _ in runs} == masters
         assert {qs for _, qs in runs} == {QS_FAST, QS}
 
     def test_memo_is_order_independent(self):
@@ -930,36 +953,17 @@ class TestOneVariableReduction:
             with mp.workdps(60):
                 assert abs(v.num.value - truth) <= v.num.err + terr
 
-    @staticmethod
-    def _recorded(monkeypatch):
-        """The (numer, k, qs) of every fixed-point quadrature, and the
-        settings of every constant evaluated, in order."""
-        quads, runs = [], []
-        quadrature_of, constant = _quadrature._quadrature_of, _quadrature.constant
-
-        def quadrature(den, numer, k, qs):
-            quads.append((numer, k, qs))
-            return quadrature_of(den, numer, k, qs)
-
-        def counted(key, qs):
-            runs.append(qs)
-            return constant(key, qs)
-
-        monkeypatch.setattr(_quadrature, "_quadrature_of", quadrature)
-        monkeypatch.setattr(_quadrature, "constant", counted)
-        return quads, runs
-
     def test_missed_tolerance_integrates_the_masters_tighter(self, monkeypatch):
         # int_0^1 x^22 / (1 + x^2)^8 = r + c pi/4 = 2.52e-4 with c = 2909907/14336:
         # six digits cancel, so the master's error at rel_tol, scaled by c,
         # misses the period's target; the master is integrated once more,
         # to half that target over |c|, and the reduction meets it.
-        _quadrature.constant.cache_clear()
         D, A, qs = P("1 + x1^2", 1), P("x1^22", 1), QuadratureSettings(rel_tol=1e-25, precision=30)
-        quads, runs = self._recorded(monkeypatch)
+        runs = _evaluated(monkeypatch)
         v = _quadrature.cube_integral(D, A, 8, qs)
-        assert [(numer, k) for numer, k, _ in quads] == [(MPoly.one(1), 1)] * 2  # no quotient
-        assert runs[0] == qs and len(set(runs)) == 2 and runs[1].rel_tol < qs.rel_tol
+        master = (2, 1, _terms(D), _terms(MPoly.one(1)), 1)
+        assert [key for key, _ in runs] == [master] * 2  # no quotient
+        assert runs[0][1] == qs and runs[1][1].rel_tol < qs.rel_tol
         truth, terr = self._truth(D, 8, A)
         with mp.workdps(60):
             assert abs(v.num.value - truth) <= v.num.err + terr
@@ -971,9 +975,9 @@ class TestOneVariableReduction:
         # cube_integral falls back to the quotient quadrature.
         D, A = P("1 + x1^2", 1), P("x1^22", 1)
         qs = QuadratureSettings(rel_tol=1e-35, abs_tol=1e-60, precision=30)
-        quads, _ = self._recorded(monkeypatch)
+        runs = _evaluated(monkeypatch)
         v = _quadrature.cube_integral(D, A, 8, qs)
-        assert quads[-1] == (A, 8, qs)
+        assert runs[-1] == ((2, 1, _terms(D), _terms(A), 8), qs)
         truth, terr = self._truth(D, 8, A)
         with mp.workdps(60):
             assert abs(v.num.value - truth) <= v.num.err + terr
@@ -982,13 +986,15 @@ class TestOneVariableReduction:
     def test_no_period_falls_back(self, monkeypatch):
         # With the masters integrated tighter where a row cancels, every
         # period of the corpus that reaches the reduction keeps it: no
-        # quadrature of its own quotient runs.
+        # quadrature of its own quotient runs, unless that quotient is a
+        # master.
         reaching = [(D, k, A) for D, k, A in self._corpus()
                     if isinstance(_quadrature.reduction(D), _quadrature._Reduction)]
-        quads, _ = self._recorded(monkeypatch)
+        runs = _evaluated(monkeypatch)
         for D, k, A in reaching:
             _quadrature.cube_integral(D, A, k, QS)
-            assert not any(numer is A for numer, _, _ in quads)
+            quotient = (2, 1, _terms(D), _terms(A), k)
+            assert quotient in _quadrature.reduction(D).keys or (quotient, QS) not in runs
         assert len(reaching) == 21
 
     def test_not_squarefree_takes_the_quadrature(self, monkeypatch):
@@ -1280,15 +1286,34 @@ class TestFormRouteCorpus:
 
 
 class TestCubeQuadratureTotals:
-    def test_cancelling_cells_keep_their_signs(self, monkeypatch):
-        # x - 1/2 integrates to 0, so only abs_tol can stop the loop, and it
-        # lies below the rounding floor: the quadrature must raise.  Totals
-        # that dropped the cells' signs would read 1/4 after the first split
-        # and stop on rel_tol.
-        monkeypatch.setattr(_quadrature, "_MAX_CELLS", 64)
-        with mp.workdps(20), pytest.raises(QuadratureDidNotConverge):
-            _quadrature.integrate_unit_cube(
+    def test_cancelling_cells_keep_their_signs(self):
+        # 1/(1 + 100 (x - 1/3)^2) less its mean integrates to 0 and needs
+        # splits, so only abs_tol, raised to 4 rounding floors of the
+        # absolute mass, can stop the loop: err ends near 1e-20.  Totals
+        # that dropped the cells' signs would read the absolute mass and
+        # stop on rel_tol, with err near 1e-10.
+        calls = [0]
+
+        def f(axes):
+            calls[0] += 1
+            return [1 / (1 + 100 * (x - mpf(1) / 3) ** 2) - mean for x in axes[0]]
+
+        with mp.workdps(20):
+            mean = (mp.atan(mpf(20) / 3) + mp.atan(mpf(10) / 3)) / 10
+            value, err = _quadrature.integrate_unit_cube(f, 1, rel_tol=1e-8, abs_tol=1e-40)
+        assert calls[0] > 2  # two rules on more than one cell
+        assert abs(value) <= err <= 1e-18
+
+    def test_target_below_the_rounding_is_met(self):
+        # abs_tol 1e-40 lies below what 20-digit cells can reach; raised to
+        # 4 rounding floors of the absolute mass it is met on the first
+        # cell, where it ran 4,000 cells and raised QuadratureDidNotConverge.
+        t0 = time.perf_counter()
+        with mp.workdps(20):
+            value, err = _quadrature.integrate_unit_cube(
                 lambda axes: [x - mpf(1) / 2 for x in axes[0]], 1, rel_tol=1e-8, abs_tol=1e-40)
+        assert time.perf_counter() - t0 < 0.5
+        assert abs(value) <= err <= 1e-19
 
 
 class TestZeroBucket:
@@ -1363,14 +1388,11 @@ class TestFaceIntegrals:
         # face integrals (about 1e-28 of each): one quadrature each, at the
         # requested settings, and the first pass is returned.  Refining both
         # to their floor took 0.9 s and still missed 1e-30.
-        calls, quadrature = [], _quadrature._quadrature_of
-        monkeypatch.setattr(_quadrature, "_quadrature_of",
-                            lambda *a, **kw: calls.append(a[3]) or quadrature(*a, **kw))
-        _quadrature.constant.cache_clear()
+        runs = _evaluated(monkeypatch)
         t0 = time.perf_counter()
         z, parts = Z_breakdown(P("x1^2 + x1 x2 + x2^2 + x3^2", 3), MPoly.one(3), 1, QS_FAST)
         assert time.perf_counter() - t0 < 0.5
-        assert calls == [QS_FAST] * 2 and len(parts) == 3
+        assert [qs for _, qs in runs] == [QS_FAST] * 2 and len(parts) == 3
         assert abs(z.num.value) <= z.num.err <= 1e-9
 
     def test_zero_integral_asks_for_no_less_than_its_rounding(self):
@@ -1455,6 +1477,28 @@ class TestFaceOrbits:
         for args in self.CORPUS:
             z = Z_value(*args)
             assert _within_errs(z, raabe_substitute(Y_expansion(*args)))
+
+    def test_raabe_route_integrates_each_quotient_once(self, monkeypatch):
+        # Y_expansion integrates every face, unfolded; the faces of a P
+        # fixed by every swap repeat their quotients, which share a key in
+        # constant's memo (DECISIONS.md D7): 17 quadratures, where one per
+        # face and term ran 60, and the value keeps its bits.
+        args = self.CORPUS[20]
+        assert args[0] == P("x1^2 + x2^2 + x3^2 + x1 x2 + x1 x3 + x2 x3", 3)
+        runs, integrate = [], _quadrature.integrate_unit_cube
+
+        def recorded(f, dim, rel_tol, abs_tol, **kw):
+            runs.append((f.k, f.shift, sorted(f._numer.items()), sorted(f._den.items()),
+                         rel_tol, abs_tol, mp.prec))
+            return integrate(f, dim, rel_tol, abs_tol, **kw)
+
+        monkeypatch.setattr(_quadrature, "integrate_unit_cube", recorded)
+        _quadrature.constant.cache_clear()
+        v = raabe_substitute(Y_expansion(*args)).num
+        assert len(runs) == 17 and all(runs.count(r) == 1 for r in runs)
+        assert (v.value._mpf_, v.err._mpf_) == (
+            (1, 20282409603651670424455891177371, -106, 105),
+            (0, 517236836090154733856801821109164277, -152, 119))
 
     def test_one_face_per_orbit_is_built(self, monkeypatch):
         # P is not diagonal, so the faces are folded (a diagonal P builds

@@ -579,6 +579,16 @@ class TestPowerSum2:
         with pytest.raises(ValueError):
             powersum2_numeric(p, (F(1, 2), F(0)), EM)
 
+    @pytest.mark.parametrize("s, shown", [((0, -1, -2), "(0, -1, -2)"), ((F(0),), "(0)"), ((), "()")])
+    def test_point_of_wrong_length_names_s(self, s, shown):
+        # a point is two integers (Fractions of denominator 1 included); any
+        # other length is a ValueError that names s and its length (D9)
+        p = PowerSumParams.make((2, 3))
+        with pytest.raises(ValueError, match=f"^s {re.escape(shown)} has length {len(s)}, need 2$"):
+            powersum2_numeric(p, s, EM)
+        a, b = powersum2_numeric(p, (F(0), F(-1)), EM), powersum2_numeric(p, (0, -1), EM)
+        assert (a.value.value._mpf_, a.value.err._mpf_) == (b.value.value._mpf_, b.value.err._mpf_)
+
 
 class TestOracleBitIdentity:
     """(value._mpf_, err._mpf_) recorded from the anchored Euler-Maclaurin
