@@ -49,7 +49,7 @@ from .errors import (
     PrecisionUnreachable,
     QuadratureDidNotConverge,
 )
-from .exactnum import (ConstantProduct, MutableRecord, Numeric, Record, SpecialValue,
+from .exactnum import (ConstantProduct, Numeric, Record, SpecialValue,
                        _check_precision, _fill, _normal_form, _round_err, mpf_from_rational)
 from .multipoly import MPoly, _over_common_denominator, bernstein_positive, combine
 
@@ -428,19 +428,19 @@ class FixedPointIntegrand:
                       for x, v in zip(E, vals)]
 
 
-def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order_lo: int,
-                     floor: mpf) -> None:
-    """Both rules of a cell as exact integer sums, each rounded once; the
-    estimate is |I_hi - I_lo| plus the rounding floor, as on the grid path,
-    plus the counted rounding of both rules.  The cell is dyadic: its
-    volume is 2^-t."""
+def _eval_cell_fixed(f: FixedPointIntegrand, lo: tuple[Fraction, ...], hi: tuple[Fraction, ...],
+                     order_hi: int, order_lo: int, floor: mpf) -> "_Cell":
+    """The cell [lo, hi] with both rules as exact integer sums, each rounded
+    once; the estimate is |I_hi - I_lo| plus the rounding floor, as on the
+    grid path, plus the counted rounding of both rules.  The cell is
+    dyadic: its volume is 2^-t."""
     dim, F = f.dim, f.F
-    width = [b - a for a, b in zip(cell.lo, cell.hi)]
+    width = [b - a for a, b in zip(lo, hi)]
     t = prod(width, start=Fraction(1)).denominator.bit_length() - 1
     sums = []
     for order in (order_hi, order_lo):
         nodes, L, W, Wsum, Wmin = _fixed_rule(order, F)
-        q, c0, ts, fac = f._eval([_axis_ints(a, w, nodes, L, F) for a, w in zip(cell.lo, width)])
+        q, c0, ts, fac = f._eval([_axis_ints(a, w, nodes, L, F) for a, w in zip(lo, width)])
         S = _weighted(q, W, dim)
         # The weights are positive: the absolute mass of a sign-definite q is |S|.
         A = S if min(q) >= 0 else -S if max(q) <= 0 else _weighted(list(map(abs, q)), W, dim)
@@ -453,37 +453,41 @@ def _eval_cell_fixed(f: FixedPointIntegrand, cell: "_Cell", order_hi: int, order
         sums.append((S, A, err))
     (S, A, err), (S_lo, _, err_lo) = sums
     e = f.shift - (dim + 1) * F - t
-    cell.value = _scaled(S, e, round_nearest)
-    cell.absmass = _scaled(A, e, round_nearest)
-    cell.est = (
-        abs(cell.value - _scaled(S_lo, e, round_nearest))
-        + cell.absmass * floor
+    value = _scaled(S, e, round_nearest)
+    absmass = _scaled(A, e, round_nearest)
+    est = (
+        abs(value - _scaled(S_lo, e, round_nearest))
+        + absmass * floor
         + _scaled(err + err_lo, e, round_ceiling)
     )
+    return _Cell(lo, hi, value, est, absmass)
 
 
-class _Cell(MutableRecord):
+class _Cell(Record):
+    """A box [lo, hi] of the cube with its rule's value, its error
+    estimate and its absolute mass, built once by _eval_cell."""
+
     __slots__ = _fields = ("lo", "hi", "value", "est", "absmass")
 
     def __init__(self, lo: tuple[Fraction, ...], hi: tuple[Fraction, ...],
-                 value: mpf = None, est: mpf = None, absmass: mpf = None):
+                 value: mpf, est: mpf, absmass: mpf):
         _fill(self, lo, hi, value, est, absmass)
 
 
-def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int, floor: mpf) -> None:
+def _eval_cell(f: Integrand, lo: tuple[Fraction, ...], hi: tuple[Fraction, ...],
+               order_hi: int, order_lo: int, floor: mpf) -> _Cell:
     if isinstance(f, FixedPointIntegrand):
-        _eval_cell_fixed(f, cell, order_hi, order_lo, floor)
-        return
-    dim = len(cell.lo)
-    lo = [mpf_from_rational(x) for x in cell.lo]
-    width = [mpf_from_rational(b - a) for a, b in zip(cell.lo, cell.hi)]
+        return _eval_cell_fixed(f, lo, hi, order_hi, order_lo, floor)
+    dim = len(lo)
+    lo_mp = [mpf_from_rational(x) for x in lo]
+    width = [mpf_from_rational(b - a) for a, b in zip(lo, hi)]
     vol = mpf(1)
     for w in width:
         vol *= w
 
     def tensor(order: int) -> tuple[mpf, mpf]:
         nodes, weights = gauss_legendre_01(order)
-        xs = [[lo[j] + width[j] * x for x in nodes] for j in range(dim)]
+        xs = [[lo_mp[j] + width[j] * x for x in nodes] for j in range(dim)]
         # The bits of the result depend on these orders: weights are the
         # products vol * w[i0] * w[i1] * ... taken left to right, and points
         # are summed in row-major order.
@@ -500,10 +504,7 @@ def _eval_cell(f: Integrand, cell: _Cell, order_hi: int, order_lo: int, floor: m
 
     hi_val, absmass = tensor(order_hi)
     lo_val, _ = tensor(order_lo)
-    round_floor = absmass * floor
-    cell.value = hi_val
-    cell.est = abs(hi_val - lo_val) + round_floor
-    cell.absmass = absmass
+    return _Cell(lo, hi, hi_val, abs(hi_val - lo_val) + absmass * floor, absmass)
 
 
 def integrate_unit_cube(
@@ -528,8 +529,7 @@ def integrate_unit_cube(
     order_lo = max(3, (order + 1) // 2)
     floor = rounding_floor(mp.prec)
     abs_tol, rel_tol = mpf(abs_tol), mpf(rel_tol)
-    root = _Cell(lo=(Fraction(0),) * dim, hi=(Fraction(1),) * dim)
-    _eval_cell(f, root, order, order_lo, floor)
+    root = _eval_cell(f, (Fraction(0),) * dim, (Fraction(1),) * dim, order, order_lo, floor)
     abs_tol = max(abs_tol, 4 * floor * root.absmass)
     seq = 0
     heap: list[tuple[mpf, int, _Cell]] = [(-root.est, seq, root)]
@@ -551,16 +551,11 @@ def integrate_unit_cube(
         widths = [b - a for a, b in zip(cell.lo, cell.hi)]
         axis = max(range(dim), key=lambda j: (widths[j], -j))
         mid = (cell.lo[axis] + cell.hi[axis]) / 2
-        left = _Cell(
-            lo=cell.lo, hi=cell.hi[:axis] + (mid,) + cell.hi[axis + 1 :]
-        )
-        right = _Cell(
-            lo=cell.lo[:axis] + (mid,) + cell.lo[axis + 1 :], hi=cell.hi
-        )
         total = _dyadic_add(total, cell.value, -1)
         errtot = _dyadic_add(errtot, cell.est, -1)
-        for child in (left, right):
-            _eval_cell(f, child, order, order_lo, floor)
+        for lo, hi in ((cell.lo, cell.hi[:axis] + (mid,) + cell.hi[axis + 1 :]),
+                       (cell.lo[:axis] + (mid,) + cell.lo[axis + 1 :], cell.hi)):
+            child = _eval_cell(f, lo, hi, order, order_lo, floor)
             total = _dyadic_add(total, child.value)
             errtot = _dyadic_add(errtot, child.est)
             seq += 1
@@ -584,9 +579,8 @@ def integrate_interval_fixed(
     Bernoulli-weighted rule.  It stays because perfbench/tracing.py binds
     it by name, until the tracer is retired (ROADMAP item 6)."""
     _check_order(order)
-    cell = _Cell(lo=(Fraction(a),), hi=(Fraction(b),))
-    _eval_cell(lambda axes: [f(x) for x in axes[0]], cell, order,
-               max(3, (order + 1) // 2), rounding_floor(mp.prec))
+    cell = _eval_cell(lambda axes: [f(x) for x in axes[0]], (Fraction(a),), (Fraction(b),),
+                      order, max(3, (order + 1) // 2), rounding_floor(mp.prec))
     return cell.value, cell.est
 
 

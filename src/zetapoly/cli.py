@@ -56,15 +56,18 @@ def _rats(text: str) -> tuple[Fraction, ...]:
 
 
 def _load_poly(arg: str, nvars: int | None = None) -> MPoly:
-    p = Path(arg)
-    if p.exists():
-        text = p.read_text()
-        if p.suffix == ".json":
-            return MPoly.from_json(json.loads(text))
-        return MPoly.parse(text, nvars)
-    if arg.strip().startswith("{"):
-        return MPoly.from_json(json.loads(arg))
-    return MPoly.parse(arg, nvars)
+    """The polynomial in the file that arg names, JSON for a .json file and
+    text otherwise; an arg that names no readable file is the polynomial
+    itself, as inline JSON or text."""
+    try:
+        text = Path(arg).read_text()
+    except (OSError, ValueError):
+        if arg.strip().startswith("{"):
+            return MPoly.from_json(json.loads(arg))
+        return MPoly.parse(arg, nvars)
+    if Path(arg).suffix == ".json":
+        return MPoly.from_json(json.loads(text))
+    return MPoly.parse(text, nvars)
 
 
 def _emit(obj: dict, pretty: bool) -> None:

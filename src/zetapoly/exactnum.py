@@ -96,15 +96,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class MutableRecord(Record):
-    """A Record whose fields may be assigned, and so unhashable."""
-
-    __slots__ = ()
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-
 def rat_to_str(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:

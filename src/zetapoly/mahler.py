@@ -29,7 +29,6 @@ from ._quadrature import (DEFAULT_QS, QuadratureSettings, _budgeted, _form_sum, 
 from .errors import DimensionMismatch, NotElliptic, NotHomogeneous
 from .exactnum import (
     ConstantProduct,
-    MutableRecord,
     Numeric,
     Record,
     SpecialValue,
@@ -379,7 +378,7 @@ def Z_value(
 # Shifted-integral expansion and the Raabe-type substitution
 # -----------------------------------------------------------------------------
 
-class YExpansion(MutableRecord):
+class YExpansion(Record):
     """Coefficients of the expansion of the shifted integral continuation in
     the basis prod_i (1+a_i)^{m_i}, keyed by m, to precision digits."""
 

@@ -1,12 +1,14 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Provides the derived objects the value formulas need: partial derivatives,
-face restrictions (substituting 1 for one variable), the auxiliary face
-products built from a composition family, and hypothesis checks
-(homogeneity, face positivity via Bernstein certificates, an exact
-decision of positivity and the H0S bound on [1,oo)^n).  Also
-the index enumerators every value formula shares: multi-indices of a given
-weight, weighted partitions and products of per-weight compositions.
+An MPoly is a frozen record (DECISIONS.md D20), hashable, copyable and
+picklable.  The module provides the derived objects the value formulas
+need: partial derivatives, face restrictions (substituting 1 for one
+variable), the auxiliary face products built from a composition family,
+and hypothesis checks (homogeneity, face positivity via Bernstein
+certificates, an exact decision of positivity and the H0S bound on
+[1,oo)^n).  Also the index enumerators every value formula shares:
+multi-indices of a given weight, weighted partitions and products of
+per-weight compositions.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from typing import Mapping, Sequence
 from mpmath import mpf
 
 from .errors import CompositionMismatch, DimensionMismatch, IndexOutOfRange
-from .exactnum import (Rational, _int_tuple, mpf_from_rational, multi_factorial, parse_rational,
-                       rat_to_str)
+from .exactnum import (Rational, Record, _fill, _int_tuple, _set, mpf_from_rational,
+                       multi_factorial, parse_rational, rat_to_str)
 
 MultiIndex = tuple[int, ...]
 
@@ -63,8 +65,10 @@ def _int_product(t1: Mapping[MultiIndex, int], t2: Mapping[MultiIndex, int]) -> 
     return out
 
 
-class MPoly:
-    """Immutable sparse polynomial over the rationals.
+class MPoly(Record):
+    """Sparse polynomial over the rationals, a frozen record (DECISIONS.md
+    D20): equal when ``nvars`` and ``terms`` are, and copied and pickled as
+    ``MPoly(nvars, terms)``, which checks them again.
 
     Invariant: ``terms`` maps exponent tuples of ``nvars`` non-negative ints
     to non-zero Fractions.  The public constructor checks it (and sums the
@@ -73,6 +77,7 @@ class MPoly:
     """
 
     __slots__ = ("nvars", "terms", "_hash")
+    _fields = __slots__[:2]
 
     def __init__(self, nvars: int, terms: Mapping[MultiIndex, Rational] | None = None):
         (nvars,) = _int_tuple((nvars,), "nvars")
@@ -86,32 +91,28 @@ class MPoly:
             c = Fraction(c)
             if c != 0:
                 clean[e] = clean.get(e, Fraction(0)) + c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
-        object.__setattr__(self, "_hash", None)
+        _fill(self, nvars, {e: c for e, c in clean.items() if c != 0})
+        _set(self, "_hash", None)
+
+    @classmethod
+    def _made(cls, nvars: int, terms: dict[MultiIndex, Fraction]) -> "MPoly":
+        """The polynomial of terms that keep the invariant, unchecked."""
+        p = object.__new__(cls)
+        _fill(p, nvars, terms)
+        _set(p, "_hash", None)
+        return p
 
     @classmethod
     def _of(cls, nvars: int, terms: Mapping[MultiIndex, Fraction]) -> "MPoly":
         """A result of MPoly's own operations, whose terms keep the invariant
         apart from zero coefficients; those are dropped, nothing is checked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
-        object.__setattr__(p, "_hash", None)
-        return p
+        return cls._made(nvars, {e: c for e, c in terms.items() if c})
 
     @classmethod
     def _over(cls, nvars: int, L: int, ints: Mapping[MultiIndex, int]) -> "MPoly":
         """The polynomial {e: c / L} over ints {e: c}, one Fraction per
         nonzero term; like ``_of``, nothing is checked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", {e: Fraction(c, L) for e, c in ints.items() if c})
-        object.__setattr__(p, "_hash", None)
-        return p
-
-    def __setattr__(self, *a):
-        raise AttributeError("MPoly is immutable")
+        return cls._made(nvars, {e: Fraction(c, L) for e, c in ints.items() if c})
 
     # Constructors -----------------------------------------------------------
 
@@ -158,15 +159,11 @@ class MPoly:
     def canonical_items(self) -> list[tuple[MultiIndex, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
-    def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
     def __hash__(self):
         # Computed on the first call: the memos keyed by MPoly hash it often.
+        # The terms dict is unhashable, so Record's hash of the fields cannot apply.
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.nvars, tuple(self.canonical_items()))))
+            _set(self, "_hash", hash((self.nvars, tuple(self.canonical_items()))))
         return self._hash
 
     # Arithmetic -------------------------------------------------------------

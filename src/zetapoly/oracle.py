@@ -142,17 +142,13 @@ _K_MAX = 64
 # Predicted work of an anchored evaluation, in units of one fractional
 # mp.power at 35 digits (about 10 us on a 2-vCPU VM).
 _DIRECT_TERM = 1.3  # one f(m): its base and one power
-_CORRECTION_TERM = 0.5  # one term of an f^(2k-1) at M0, summed in ints
+_CORRECTION_TERM = 0.5  # one |alpha| group of an f^(2k-1) at M0, summed in ints
 
 
-def _partition_count(n: int, d: int) -> int:
-    """len(weighted_partitions(n, d)): the terms of f^(n), before the zero
-    binomials are dropped."""
-    ways = [1] + [0] * n
-    for part in range(1, d + 1):
-        for i in range(part, n + 1):
-            ways[i] += ways[i - part]
-    return ways[n]
+def _correction_terms(d: int, K: int) -> int:
+    """The |alpha| groups of f^(1), f^(3), ..., f^(2K-1) that
+    _correction_groups sums: the corrections the planner prices."""
+    return sum(len(_alpha_groups(d, 2 * k - 1)) for k in range(1, K + 1))
 
 
 @lru_cache(maxsize=4096)
@@ -237,9 +233,7 @@ def _anchored_plan(a, d, s, K_lo: int, target: mpf, M_min: int, m_max: int, prec
     best = None
     worse = 0  # orders in a row that did not beat the best plan
     last = None  # bound at m_max of the previous order, while none is feasible
-    corr_terms = sum(_partition_count(2 * k - 1, d) for k in range(1, K_lo))
     for K in range(K_lo, _K_MAX + 1):
-        corr_terms += _partition_count(2 * K - 1, d)
         A = _tail_coefficient(d, s, K)
         p = float(ds + 2 * K)
         log_A = _log(A) + log_a_s - log(p - 1)  # log of the bound at m = 1
@@ -252,7 +246,7 @@ def _anchored_plan(a, d, s, K_lo: int, target: mpf, M_min: int, m_max: int, prec
             last = at_max
             continue
         M0 = max(M_min + 1, ceil(exp((log_A - log_target) / (p - 1))))
-        cost = M0 * _DIRECT_TERM + _CORRECTION_TERM * corr_terms
+        cost = M0 * _DIRECT_TERM + _CORRECTION_TERM * _correction_terms(d, K)
         if best is None or cost < best[0]:
             best = (cost, K, M0)
             worse = 0

@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 from . import identities, powersum
 from .exactnum import (
     ConstantProduct,
-    MutableRecord,
+    Record,
     _fill,
     bernoulli,
     riemann_zeta_exact_nonpositive,
@@ -39,7 +39,7 @@ from .powersum import (
 )
 
 
-class CriterionResult(MutableRecord):
+class CriterionResult(Record):
     __slots__ = _fields = ("index", "description", "passed", "elapsed", "limit", "detail")
 
     def __init__(self, index: int, description: str, passed: bool, elapsed: float, limit: float,

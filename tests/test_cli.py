@@ -155,6 +155,22 @@ class TestMahler:
         assert gammas == {"gammas": ["1/3", "2/3"], "powers": [["2", "1/3"]], "coeff": "1/18",
                           "value": "2.0", "err": "0.0"}
 
+    @pytest.mark.parametrize("flag", ["--P", "--Q"])
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_long_inline_polynomial(self, flag, form):
+        # An argument too long to name a file is the polynomial itself, as
+        # text or JSON: with 30 zero terms it prints the bytes of the short
+        # --P "x1^2 + x2^2" (whose --Q is 1).
+        text, terms = {"--P": ("x1^2 + x2^2", [(1, [2, 0]), (1, [0, 2])]),
+                       "--Q": ("1", [(1, [0, 0])])}[flag]
+        arg = text + " + 0 x1 x2" * 30 if form == "text" else json.dumps(
+            {"nvars": 2, "terms": [{"c": str(c), "e": e} for c, e in terms + [(0, [1, 1])] * 30]})
+        assert len(arg) > 255
+        argv = ["mahler", "--P", "x1^2 + x2^2"]  # Z = 1/4 at N = 0
+        want = run_cli(argv)
+        argv += [flag, arg]  # a repeated --P takes the last
+        assert want[0] == 0 and run_cli(argv) == want
+
     def test_terms_tell_integrals_over_one_face_apart(self):
         # Q = x1 breaks the swap x1 <-> x2: faces 1 and 2 are separate
         # orbits over one polynomial, with the same face and k.  Their

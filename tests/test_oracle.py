@@ -304,6 +304,30 @@ class TestShiftFreeMemos:
             em_inner_sum(F(1), F(3), 2, F(-1, 3), EM)
 
 
+class TestCostModel:
+    """The planner prices the corrections as _correction_groups builds them,
+    one |alpha| group of each f^(2k-1), k <= K (DECISIONS.md D3, cost
+    addendum)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_priced_terms_are_the_groups_built(self, d, monkeypatch):
+        built, terms = [], oracle._f_derivative_terms
+        monkeypatch.setattr(oracle, "_f_derivative_terms",
+                            lambda *args: built.append(len(terms(*args))) or terms(*args))
+        for K in (1, 2, 7, 31):
+            built.clear()
+            oracle._correction_groups.__wrapped__(F(3, 2), d, F(-2, 5), K, 10)
+            assert oracle._correction_terms(d, K) == sum(built)
+
+    def test_groups_not_partitions(self):
+        # em_inner_sum(1/2, 10, 4, -11/3)'s corrections up to K = 31: the
+        # weighted partitions of each order, which the planner once priced,
+        # against the groups that are built
+        assert sum(len(weighted_partitions(2 * k - 1, 4)) for k in range(1, 32)) == 17391
+        assert oracle._correction_terms(4, 31) == 736
+        assert all(oracle._correction_terms(1, K) == K for K in range(1, 65))
+
+
 class TestIndependence:
     def test_no_quadrature_code(self):
         # the oracle checks the quadrature path, so it shares none of its code
@@ -664,18 +688,18 @@ class TestOracleBitIdentity:
             assert abs(v.value - truth) <= v.err
 
     @pytest.mark.parametrize("args, dps, bits", [
-        # anchors M0 near TRUNCATION, d = 4, where the tail bound is loose
+        # d = 3 and 4, where the tail bound is loose: anchors in the hundreds
         ((F(1, 2), F(10), 4, F(-11, 3)), 40,
-         ((0, 3352652047951756132162227663767376281903400029473843, -157, 172),
-          (0, 915733266154073734986735733447194353250354664498707583404092627514358968914397725407,
-           -418, 279))),
+         ((0, 1676326023975878066081113831883688140951700014736917, -156, 171),
+          (0, 2659242752160547894451176517271233648474515764002059911284438775870152186530181015,
+           -408, 271))),
         ((F(7, 2), F(1, 3), 4, F(-9, 2)), 20,
-         ((0, 274254145878360566318275, -88, 78),
-          (0, 2614237955178088251005709876012454502003925482912383207219986271577264121951,
-           -321, 251))),
+         ((0, 1097016583513442265273169, -90, 80),
+          (0, 754716859273914067418755315105761750455237009290749832313431454885189469,
+           -311, 239))),
         ((F(2), F(5), 3, F(-5, 2)), 25,
-         ((0, 2622738567490765365292439295973111, -105, 112),
-          (0, 35290411957324309207135746871519242045506913085805, -253, 165))),
+         ((0, 1311369283745382682646219647986579, -104, 111),
+          (0, 455193754997949218644515629260528658832267911417, -247, 159))),
     ])
     def test_high_degree(self, args, dps, bits):
         v = em_inner_sum(*args, EMSettings(precision=dps))
