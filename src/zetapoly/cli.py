@@ -127,6 +127,11 @@ def cmd_powersum(args) -> dict:
     N = _ints(args.N)
     if args.theta:
         theta = _rats(args.theta)
+        for f, text, xs in (("--theta", args.theta, theta), ("--N", args.N, N)):
+            if len(xs) != len(d):
+                raise ValueError(f"{f} {text} has length {len(xs)}, --d has length {len(d)}")
+        if max(N) > 0:
+            raise ValueError(f"--N {args.N} has a positive entry")
         spec = DirectionalSpec(N=tuple(-x for x in N), theta=theta)
         val = directional_limit(params, spec, precision=args.precision)
     elif all(x <= 0 for x in N):
@@ -180,9 +185,10 @@ def cmd_period(args) -> dict:
 
 def cmd_polyzeta(args) -> dict:
     spec = json.loads(Path(args.family).read_text())
-    polys_spec = spec["polys"] if isinstance(spec, dict) else spec
+    polys_spec = spec.get("polys") if isinstance(spec, dict) else spec
     if not isinstance(polys_spec, list):
-        raise ValueError("a family is a JSON list of polynomials")
+        raise ValueError('a family file is a JSON list of polynomials, '
+                         'or an object whose "polys" is one')
     polys = []
     for j, ps in enumerate(polys_spec, start=1):
         if isinstance(ps, str):
@@ -272,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=cmd_powersum)
 
-    sp = sub.add_parser("directional", help="directional limit at -N (defaults theta = e_n)")
+    sp = sub.add_parser("directional", help="directional limit at N (defaults theta = e_n)")
     sp.add_argument("--d", required=True)
     sp.add_argument("--gamma")
-    sp.add_argument("--N", required=True)
+    sp.add_argument("--N", required=True, help="evaluation point (integers, none positive)")
     sp.add_argument("--theta")
     _add_common(sp)
     sp.set_defaults(fn=cmd_directional)

@@ -6,7 +6,10 @@ evaluation of Gamma at rational arguments and of the Riemann zeta function.
 
 Exact values are ``fractions.Fraction``; high-precision numerics are
 ``Numeric`` pairs (mpmath float, absolute error bound) so every floating
-result carries a certified bound.
+result carries a certified bound.  A ``SpecialValue`` is one of the paper's
+values: a rational plus rational multiples of ``ConstantProduct``s (products
+of Gamma values and irrational powers), exact when there are none, or a
+``Numeric``.  Every value is a frozen ``Record`` (DECISIONS.md D20).
 """
 from __future__ import annotations
 
@@ -458,7 +461,7 @@ def riemann_zeta_numeric(s: Fraction, precision: int = DEFAULT_DPS) -> Numeric:
 
 
 # -----------------------------------------------------------------------------
-# Symbolic constant products and tagged special values
+# Symbolic constant products and special values
 # -----------------------------------------------------------------------------
 
 @total_ordering
@@ -543,121 +546,104 @@ def _normal_form(gammas, powers) -> tuple[Fraction, ConstantProduct | None]:
     return Fraction(num, den), cp
 
 
-class SpecialValue:
-    """Tagged value: Exact rational | Mixed rational/Gamma-product | Numeric."""
+def _flagset(flags) -> tuple[str, ...]:
+    return tuple(sorted(set(flags))) if flags else ()
 
-    __slots__ = ("kind", "exact", "base", "terms", "num", "flags")
 
-    def __init__(self, kind, exact=None, base=None, terms=(), num=None, flags=()):
-        self.kind = kind
-        self.exact = exact
-        self.base = base
-        self.terms = terms
-        self.num = num
-        self.flags = tuple(sorted(set(flags)))
+def _merged(terms) -> tuple[tuple[Fraction, ConstantProduct], ...]:
+    """Terms (coeff, product) with the coefficients of equal products summed,
+    the zero sums dropped, sorted by product."""
+    merged: dict[ConstantProduct, Fraction] = {}
+    for c, cp in terms:
+        merged[cp] = merged[cp] + c if cp in merged else c
+    return tuple((merged[cp], cp) for cp in sorted(merged) if merged[cp])
 
-    # Constructors -----------------------------------------------------------
 
-    @staticmethod
-    def make_exact(x: Fraction, flags=()) -> "SpecialValue":
-        return SpecialValue("exact", exact=Fraction(x), flags=flags)
+class SpecialValue(Record):
+    """A value of the paper, a frozen record (DECISIONS.md D20): a rational
+    plus the terms (coeff, ConstantProduct), merged, nonzero and sorted by
+    product, or a Numeric, with sorted unique flags.  Its kind is "exact"
+    for a rational with no terms, "mixed" for one with terms and "numeric"
+    for a Numeric; ``exact`` is the rational of an exact value and ``base``
+    that of a mixed one."""
 
-    @staticmethod
-    def make_numeric(num: Numeric, flags=()) -> "SpecialValue":
-        return SpecialValue("numeric", num=num, flags=flags)
+    __slots__ = _fields = ("rational", "terms", "num", "flags")
 
-    @staticmethod
-    def make_mixed(base: Fraction, terms, flags=()) -> "SpecialValue":
-        merged: dict[ConstantProduct, Fraction] = {}
-        for coeff, cp in terms:
-            merged[cp] = merged.get(cp, Fraction(0)) + Fraction(coeff)
-        tlist = tuple(
-            (c, cp)
-            for cp, c in sorted(merged.items())
-            if c != 0
-        )
-        if not tlist:
-            return SpecialValue.make_exact(base, flags=flags)
-        return SpecialValue("mixed", base=Fraction(base), terms=tlist, flags=flags)
+    def __init__(self, rational: Fraction | None, terms=(), num: Numeric | None = None, flags=()):
+        if num is None:
+            rational = Fraction(rational)
+            terms = _merged((Fraction(c), cp) for c, cp in terms)
+        elif rational is not None or terms:
+            raise ValueError("a numeric value has no rational part and no terms")
+        _fill(self, rational, terms, num, _flagset(flags))
 
-    # Arithmetic -------------------------------------------------------------
+    @classmethod
+    def _made(cls, rational, terms, num, flags) -> "SpecialValue":
+        """The value of normalised fields, unchecked; four _sets take a third
+        less time than _fill."""
+        v = object.__new__(cls)
+        _set(v, "rational", rational)
+        _set(v, "terms", terms)
+        _set(v, "num", num)
+        _set(v, "flags", flags)
+        return v
+
+    kind = property(lambda self: "numeric" if self.num is not None
+                    else "mixed" if self.terms else "exact")
+    exact = property(lambda self: None if self.terms else self.rational)
+    base = property(lambda self: self.rational if self.terms else None)
+
+    @classmethod
+    def make_exact(cls, x: Fraction, flags=()) -> "SpecialValue":
+        return cls._made(Fraction(x), (), None, _flagset(flags))
+
+    @classmethod
+    def make_numeric(cls, num: Numeric, flags=()) -> "SpecialValue":
+        return cls._made(None, (), num, _flagset(flags))
+
+    @classmethod
+    def make_mixed(cls, base: Fraction, terms, flags=()) -> "SpecialValue":
+        return cls(base, terms, None, flags)
 
     def with_flags(self, flags) -> "SpecialValue":
-        return SpecialValue(
-            self.kind,
-            exact=self.exact,
-            base=self.base,
-            terms=self.terms,
-            num=self.num,
-            flags=tuple(self.flags) + tuple(flags),
-        )
+        if not flags:
+            return self
+        return self._made(self.rational, self.terms, self.num, _flagset(self.flags + tuple(flags)))
 
     def __add__(self, other: "SpecialValue") -> "SpecialValue":
-        flags = tuple(self.flags) + tuple(other.flags)
-        if self.kind == "numeric" or other.kind == "numeric":
-            a = self.num if self.kind == "numeric" else self.to_numeric(mp.dps)
-            b = other.num if other.kind == "numeric" else other.to_numeric(mp.dps)
-            return SpecialValue.make_numeric(a + b, flags=flags)
-        sb = self.exact if self.kind == "exact" else self.base
-        ob = other.exact if other.kind == "exact" else other.base
-        terms = list(self.terms) + list(other.terms)
-        return SpecialValue.make_mixed(sb + ob, terms, flags=flags)
+        f, g = self.flags, other.flags
+        flags = _flagset(f + g) if f and g else f or g
+        if self.num is not None or other.num is not None:
+            return self._made(None, (), self.to_numeric(mp.dps) + other.to_numeric(mp.dps), flags)
+        terms = self.terms + other.terms
+        if self.terms and other.terms:
+            terms = _merged(terms)
+        return self._made(self.rational + other.rational, terms, None, flags)
 
     def scale(self, c: Fraction) -> "SpecialValue":
         c = Fraction(c)
-        if self.kind == "exact":
-            return SpecialValue.make_exact(self.exact * c, flags=self.flags)
-        if self.kind == "numeric":
-            return SpecialValue.make_numeric(self.num.scale(c), flags=self.flags)
-        return SpecialValue.make_mixed(
-            self.base * c, [(t[0] * c, t[1]) for t in self.terms], flags=self.flags
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SpecialValue):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "exact":
-            return self.exact == other.exact
-        if self.kind == "mixed":
-            return self.base == other.base and self.terms == other.terms
-        return self.num == other.num
-
-    def __repr__(self):
-        if self.kind == "exact":
-            return f"SpecialValue(exact={self.exact})"
-        if self.kind == "mixed":
-            return f"SpecialValue(base={self.base}, terms={self.terms})"
-        return f"SpecialValue(numeric={self.num.value}, err={self.num.err})"
-
-    # Conversions ------------------------------------------------------------
+        if self.num is not None:
+            return self._made(None, (), self.num.scale(c), self.flags)
+        terms = tuple((t * c, cp) for t, cp in self.terms) if self.terms and c else ()
+        return self._made(self.rational * c, terms, None, self.flags)
 
     def to_numeric(self, precision: int = DEFAULT_DPS) -> Numeric:
+        if self.num is not None:
+            return self.num
         with mp.workdps(precision + 10):
-            if self.kind == "exact":
-                return Numeric.from_rational(self.exact)
-            if self.kind == "numeric":
-                return self.num
-            acc = Numeric.from_rational(self.base)
+            acc = Numeric.from_rational(self.rational)
             for coeff, cp in self.terms:
                 acc = acc + cp.to_numeric(precision).scale(coeff)
             return acc
 
     def to_json(self, ndigits: int = 30) -> dict:
-        if self.kind == "exact":
-            out = {"kind": "exact", "value": rat_to_str(self.exact)}
-        elif self.kind == "numeric":
+        if self.num is not None:
             out = {"kind": "numeric", **self.num.to_json(ndigits)}
+        elif self.terms:
+            out = {"kind": "mixed", "base": rat_to_str(self.rational), "terms": [
+                {"coeff": rat_to_str(c), "consts": cp.labels()} for c, cp in self.terms]}
         else:
-            out = {
-                "kind": "mixed",
-                "base": rat_to_str(self.base),
-                "terms": [
-                    {"coeff": rat_to_str(c), "consts": cp.labels()}
-                    for c, cp in self.terms
-                ],
-            }
+            out = {"kind": "exact", "value": rat_to_str(self.rational)}
         if self.flags:
             out["flags"] = list(self.flags)
         return out

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from mpmath import mp, mpf
 
-from zetapoly import ConstantProduct, MPoly, Numeric, QuadratureSettings, ZetaPolyError
+from zetapoly import (ConstantProduct, DirectionalSpec, MPoly, Numeric, PowerSumParams,
+                      QuadratureSettings, SpecialValue, ZetaPolyError, directional_limit,
+                      theta_diagonal)
 from zetapoly._quadrature import _MasterKey, cube_integral
 from zetapoly.cli import _term_json, build_parser, main
 from zetapoly.mahler import Z_breakdown, ZMaster
@@ -27,6 +29,17 @@ def run_cli(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+
+def _printed_near(payload: dict, truth) -> bool:
+    """The printed value lies within its err, plus half a unit in its last
+    printed digit, of truth."""
+    v = mpf(payload["value"])
+    digits = len(payload["value"].lstrip("-").replace(".", "").split("e")[0].lstrip("0"))
+    return abs(v - truth) <= mpf(payload["err"]) + abs(v) * mpf(10) ** (1 - digits) / 2
 
 
 class TestPowersum:
@@ -104,6 +117,29 @@ class TestPowersum:
         assert code == 0
         payload = json.loads(out)
         assert payload["kind"] == "mixed" and payload["base"] == "-1/8"
+
+    @pytest.mark.parametrize("argv, message", [
+        # --N is the point itself, so the error quotes it as typed
+        (["directional", "--d", "3,2,2", "--N", "0,0,1"], "--N 0,0,1 has a positive entry"),
+        (["powersum", "--d", "2,3", "--N", "0,0", "--theta", "1"],
+         "--theta 1 has length 1, --d has length 2"),
+        (["powersum", "--d", "2,3", "--N", "0", "--theta", "0,1"],
+         "--N 0 has length 1, --d has length 2"),
+    ])
+    def test_directional_errors_name_the_flag(self, argv, message):
+        code, out = run_cli(argv)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError" and err["message"].startswith(message)
+
+    def test_directional_point_is_n(self):
+        # directional --N 0,0,-1 is the limit at (0, 0, -1), not at -N
+        code, out = run_cli(["directional", "--d", "3,2,2", "--N", "0,0,-1"])
+        assert code == 0
+        assert "directional limit at N " in " ".join(build_parser().format_help().split())
+        p = PowerSumParams.make((3, 2, 2))
+        want = directional_limit(p, DirectionalSpec(N=(0, 0, 1), theta=(0, 0, 1)))
+        assert json.loads(out) == {"schema": "1", **want.to_json(30)}
 
 
 class TestDeterminism:
@@ -239,7 +275,7 @@ class TestMahler:
         # on its own face; their forms sum to the rational -1/240, and no
         # master is left.  The bytes were recorded when the buckets became
         # one form per Z value.
-        ex = Path(__file__).resolve().parents[1] / "examples"
+        ex = EXAMPLES
         _, out = run_cli(["mahler", "--P", str(ex / "poly.txt"), "--Q", str(ex / "num.txt"),
                           "--N", "1", "--terms"])
         assert json.loads(out)["terms"] == [{"rational": "-1/240"}]
@@ -471,6 +507,17 @@ class TestPeriod:
         payload = json.loads(out)
         assert payload["value"].startswith("0.927295218")
 
+    def test_readme_example_is_twice_arctan_one_half(self):
+        # criterion 8's closed form, the README's value of this example
+        code, out = run_cli([
+            "period", "--P", "x1^2 + 2 x1 x2 + x2^2 + x3^2",
+            "--Q", "x1^2 + x1 x2", "--N", "0", "--alpha", "1,1",
+            "--beta", "2,0,0", "--u", "1:1,0,0;2:2,0,0", "--i", "3",
+        ])
+        assert code == 0
+        with mp.workdps(80):
+            assert _printed_near(json.loads(out), 2 * mp.atan(mpf(1) / 2))
+
     def test_malformed_u_exits_1(self):
         # no gamma part; then gammas of the wrong length or weight, which
         # would otherwise drop out of the family silently
@@ -565,6 +612,30 @@ class TestPolyzeta:
         # not the main path's record, and within its err of Z(P_3, 1; 0) = -1/8
         assert payload != json.loads(run_cli(argv)[1])
         assert abs(float(payload["value"]) + 0.125) <= float(payload["err"])
+
+    def test_readme_example_is_the_theta_series_value(self):
+        # ["x1", "x1 + x2"] at N = (1, 1) reduces to Z(x1 + x2, x1^2 + x1 x2; 0),
+        # which the theta series gives as Z(., x1^2; 0) + Z(., x1 x2; 0)
+        # = -1/90 + 11/720 = 1/240 with no face period
+        truth = theta_diagonal(2, 1, (2, 0), 0) + theta_diagonal(2, 1, (1, 1), 0)
+        assert truth == SpecialValue.make_exact(F(1, 240))
+        code, out = run_cli(["polyzeta", "--family", str(EXAMPLES / "family.json"),
+                             "--N", "1,1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "numeric"
+        with mp.workdps(80):
+            assert _printed_near(payload, mpf(1) / 240)
+
+    @pytest.mark.parametrize("spec", [{"p": ["x1"]}, {"polys": "x1"}, "x1"])
+    def test_family_of_another_shape_exits_1(self, tmp_path, spec):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(spec))
+        code, out = run_cli(["polyzeta", "--family", str(fam), "--N", "0"])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "ValueError", "message": "a family file is a JSON list of polynomials, "
+                                             'or an object whose "polys" is one'}
 
     def test_violating_family_exits_1(self, tmp_path):
         fam = tmp_path / "family.json"

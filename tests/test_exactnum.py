@@ -1,4 +1,5 @@
 """Exact kernel: Bernoulli numbers, binomials, Pochhammer, Gamma, zeta."""
+import ast
 import copy
 import hashlib
 import os
@@ -557,6 +558,65 @@ class TestSpecialValue:
         c = a + b
         assert c.kind == "mixed" and c.base == 1 and c.terms == ((F(2), cp),)
 
+    def test_arithmetic(self):
+        # the values of the hand-written class this record replaced
+        g, h = ConstantProduct((F(1, 3),)), ConstantProduct((F(1, 2), F(1, 2)))
+        S = SpecialValue
+        a, b = S.make_exact(F(1, 2)), S.make_exact(F(1, 3), flags=("f",))
+        assert a + b == S.make_exact(F(5, 6), flags=("f",))
+        assert (a + b).kind == "exact" and (a + b).base is None
+        m = S.make_mixed(F(1, 4), [(F(3), h), (F(2), g)])
+        assert m.terms == ((F(2), g), (F(3), h))
+        # exact + mixed keeps the terms; mixed + mixed merges them, or
+        # cancels them to an exact value
+        assert a + m == S.make_mixed(F(3, 4), [(F(2), g), (F(3), h)])
+        assert (m + m).terms == ((F(4), g), (F(6), h))
+        c = m + S.make_mixed(F(-1, 4), [(F(-2), g)], flags=("x",))
+        assert c == S.make_mixed(0, [(F(3), h)], flags=("x",)) and c.base == 0
+        z = m + S.make_mixed(F(1), [(F(-2), g), (F(-3), h)])
+        assert z == S.make_exact(F(5, 4)) and z.kind == "exact" and z.exact == F(5, 4)
+        # scaling: the rational and each coefficient; by 0, an exact 0
+        assert m.scale(F(-2, 3)) == S.make_mixed(F(-1, 6), [(F(-4, 3), g), (F(-2), h)])
+        assert m.scale(0) == S.make_exact(0) and b.scale(3) == S.make_exact(1, flags=("f",))
+        # mixed + numeric is numeric, to these bits, either way round
+        mixed = S.make_mixed(F(-1, 8), [(F(-1, 480), h)], flags=("b",))
+        num = S.make_numeric(Numeric(mpf(1) / 3, mpf(10) ** -20), flags=("a",))
+        with mp.workdps(15):
+            for r in (mixed + num, num + mixed):
+                assert r.kind == "numeric" and r.flags == ("a", "b")
+                assert r.num.value._mpf_ == (0, 476459267121690137339, -71, 69)
+                assert r.num.err._mpf_ == (0, 554677372349069825501, -135, 69)
+            s = num.scale(F(-2, 3))
+            assert s.num.value._mpf_ == (1, 2001599834386887, -53, 51)
+            assert s.num.err._mpf_ == (0, 843102266371159665323, -136, 70)
+            assert s.flags == ("a",) and s.rational is None and s.exact is None
+
+    def test_flags(self):
+        v = SpecialValue.make_exact(F(1, 2))
+        assert v.with_flags(()) is v
+        w = v.with_flags(("b", "a", "b"))
+        assert w.flags == ("a", "b") and w.with_flags(("a",)).flags == ("a", "b")
+        # a record's equality is its fields, flags included
+        assert w != v and w == SpecialValue.make_exact(F(1, 2), flags=("a", "b"))
+        assert (v + w).flags == (w + v).flags == ("a", "b")
+
+    def test_fields(self):
+        cp = ConstantProduct((F(1, 3),))
+        num = Numeric(mpf(1), mpf(0))
+        # the raw constructor normalises: merged, nonzero, sorted terms, a
+        # Fraction rational and sorted unique flags
+        v = SpecialValue(1, [(1, cp), (F(-1, 2), cp)], None, ["b", "a", "a"])
+        assert (v.rational, v.terms, v.num, v.flags) == (F(1), ((F(1, 2), cp),), None, ("a", "b"))
+        assert type(v.rational) is F and v.kind == "mixed" and v.base == 1 and v.exact is None
+        assert SpecialValue(F(2), [(1, cp), (-1, cp)]) == SpecialValue.make_exact(2)
+        n = SpecialValue.make_numeric(num)
+        assert (n.rational, n.terms, n.num, n.flags, n.kind) == (None, (), num, (), "numeric")
+        assert n.exact is None and n.base is None and SpecialValue(None, (), num) == n
+        with pytest.raises(ValueError, match="no rational part"):
+            SpecialValue(F(1), (), num)
+        for x in (v, n, SpecialValue.make_exact(F(1, 2), flags=("f",))):
+            _round_trips(x)
+
     def test_rational_strings(self):
         assert rat_to_str(F(3, 4)) == "3/4"
         assert rat_to_str(F(5)) == "5"
@@ -636,6 +696,9 @@ def _record_cases():
         (polyzeta.PolyFamily, ("polys", "flags"), ((MPoly.one(1),), ("flag",)), {"flags": ()}),
         (mahler.CompositionFamily, ("n", "u"), (2, ((1, 0),)), {}),
         (mahler.ZMaster, ("key", "coeff", "value"), (None, F(1, 3), None), {}),
+        (SpecialValue, ("rational", "terms", "num", "flags"),
+         (F(1, 2), ((F(2), ConstantProduct((F(1, 3),))),), None, ("flag",)),
+         {"terms": (), "num": None, "flags": ()}),
         (mahler.YExpansion, ("n", "coeffs", "precision"),
          (1, {(0,): SpecialValue.make_exact(F(1))}, 20), {"precision": 50}),
         (identities.IdentityReport, ("parameters", "lhs", "rhs", "equal", "label"),
@@ -705,7 +768,8 @@ class TestRecords:
 
     def test_one_record_base(self):
         # every value record is frozen: object.__setattr__ is exactnum._set
-        # alone, and there is no mutable record base
+        # alone, there is no mutable record base, and Record alone defines
+        # ==, assignment and deletion
         src = os.path.dirname(zetapoly.__file__)
         for name in sorted(os.listdir(src)):
             if name.endswith(".py"):
@@ -714,6 +778,10 @@ class TestRecords:
                 assert "MutableRecord" not in text, name
                 sets = re.findall(r"^(.*)object\.__setattr__", text, re.M)
                 assert sets == (["_set = "] if name == "exactnum.py" else []), name
+                for cls in ast.walk(ast.parse(text)):
+                    if isinstance(cls, ast.ClassDef) and (name, cls.name) != ("exactnum.py", "Record"):
+                        defs = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
+                        assert not defs & {"__eq__", "__setattr__", "__delattr__"}, (name, cls.name)
 
     def test_constant_product_order(self):
         a, b = ConstantProduct((F(1, 3),)), ConstantProduct((F(1, 2),), ((F(2), F(1, 2)),))
